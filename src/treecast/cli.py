@@ -7,7 +7,8 @@ Structured output is a single self-describing JSON document per run,
 dumped with sorted keys and no whitespace so identical inputs and seed
 produce byte-identical bytes; the human format is rendered from that
 same document.  Exit codes: 0 success, 2 input/validation error,
-3 protocol synthesis failure, 4 verification failure.
+3 protocol synthesis failure or numerical breakdown, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .codes import REFERENCE_ID, code_to_document, encoded_pair, load_code_named
 from .config import RANK_RTOL
-from .errors import InputError, SynthesisFailed, VerificationFailed
+from .errors import InputError, NumericalDegeneracy, SynthesisFailed, VerificationFailed
 from .koashi_imoto import ki_decompose, merge_cost_K
 from .merge_split import merge_post_state
 from .network import load_tree, tree_to_document
@@ -186,6 +187,7 @@ def _resolve_search(args, code, tree, labeling):
         mode=args.mode,
         branch_budget=budget,
         seed=_check_seed(args.seed),
+        rank_rtol=args.tol_rank,
     )
     search_doc = {
         "candidates": len(totals),
@@ -418,6 +420,7 @@ def _cmd_compare(args):
         mode=args.mode,
         branch_budget=budget,
         seed=_check_seed(args.seed),
+        rank_rtol=args.tol_rank,
     )
     sp = comparison.spread.by_child()
     doc = _base_doc("compare", args, code, name, tree, comparison.labeling)
@@ -682,7 +685,7 @@ def main(argv=None) -> int:
         doc, exit_code = _HANDLERS[args.command](args)
     except InputError as exc:
         return _fail(args, exc, 2)
-    except SynthesisFailed as exc:
+    except (SynthesisFailed, NumericalDegeneracy, np.linalg.LinAlgError) as exc:
         return _fail(args, exc, 3)
     except VerificationFailed as exc:
         return _fail(args, exc, 4)

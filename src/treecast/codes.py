@@ -69,12 +69,6 @@ class IsometryCode:
             for p, d in zip(self.parties, self.physical_dims)
         )
 
-    def dim_of(self, party: str) -> int:
-        try:
-            return self.physical_dims[self.parties.index(party)]
-        except ValueError:
-            raise PartyMismatch(f"no party {party!r} in code")
-
     def as_map(self, logical: Register) -> LinearMap:
         if logical.dim != self.logical_dim:
             raise DimensionMismatch(

@@ -89,7 +89,8 @@ class PartyMismatch(InputError):
 # --- decomposition / protocol layer -----------------------------------------
 
 class NumericalDegeneracy(TreecastError):
-    """Spectral gaps fall inside the tolerance band; block structure is ambiguous."""
+    """Spectral gaps fall inside the tolerance band; block structure is ambiguous
+    (CLI exit code 3)."""
 
 
 class InsufficientResource(InputError):

@@ -44,6 +44,7 @@ from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientResource,
+    ShapeMismatch,
     SynthesisFailed,
     ZeroProbabilityBranch,
 )
@@ -57,6 +58,7 @@ from .tensors import (
     LinearMap,
     PureState,
     Register,
+    _group_first,
     apply_map,
     canonical_phase,
     marginal_matrix,
@@ -69,6 +71,11 @@ from .tensors import (
 )
 
 # -- splitting ----------------------------------------------------------------
+
+
+def _phase_fixed(cols: np.ndarray) -> np.ndarray:
+    """Columns with their global phases fixed by :func:`canonical_phase`."""
+    return np.column_stack([canonical_phase(cols[:, c]) for c in range(cols.shape[1])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +143,7 @@ def build_split_protocol(
     rho = marginal_matrix(psi, list(moved_ids))
     vals, vecs = np.linalg.eigh(rho)
     vecs = vecs[:, ::-1]
-    basis = np.column_stack(
-        [canonical_phase(vecs[:, j]) for j in range(d_move)]
-    )
+    basis = _phase_fixed(vecs)
     if k_eff <= d_move:
         compress = basis[:, :k_eff].conj().T
     else:
@@ -276,11 +281,7 @@ def _block_frames(dec: KiDecomposition):
         mu = np.linalg.norm(omega, axis=0) ** 2
         lvecs = omega / np.sqrt(mu)[None, :]
         cols = emb.reshape(emb.shape[0], blk.dimL_A)[:, :] @ lvecs
-        frames.append(
-            np.column_stack(
-                [canonical_phase(cols[:, s]) for s in range(cols.shape[1])]
-            )
-        )
+        frames.append(_phase_fixed(cols))
     return frames
 
 
@@ -289,24 +290,30 @@ def _fourier(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
 
 
-def _shift_columns(y: np.ndarray, n: int, kj: int) -> np.ndarray:
-    """Shift-injection columns v_{p,q} = n^{-1/2} Σ_a ω^{qa} y[(p+a)%kj, a]."""
-    dim = y.shape[2]
-    omega = np.exp(2j * np.pi / n)
-    cols = np.zeros((dim, kj * n), dtype=complex)
-    for p in range(kj):
-        for q in range(n):
-            v = np.zeros(dim, dtype=complex)
-            for a in range(n):
-                v += (omega ** (q * a)) * y[(p + a) % kj, a]
-            cols[:, p * n + q] = v / math.sqrt(n)
-    return cols
+def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
+    """Phase-fixed ``head`` columns followed by a completion to a basis of C^dim."""
+    head = _phase_fixed(head)
+    return np.hstack([head, orthonormal_completion(head, dim)])
+
+
+def _shift_injection(frames: np.ndarray, k: int) -> np.ndarray:
+    """Shift-injection measurement columns on (share, A₀).
+
+    ``frames[j, a]`` holds orthonormal share vectors (j < m, a < n).  With
+    y[c, a] = frames[c // k, a] ⊗ |c mod k⟩ and kj = m·k, the head columns
+    are v_{p,q} = n^{-1/2} Σ_a ω^{qa} y[(p+a) mod kj, a] at p·n + q: a
+    teleport whose resource index is offset by the content index a.
+    """
+    m, n, da = frames.shape
+    kj = m * k
+    y = np.einsum("jax,st->jsaxt", frames, np.eye(k)).reshape(kj, n, da * k)
+    shifted = y[(np.arange(kj)[:, None] + np.arange(n)) % kj, np.arange(n)]
+    return np.einsum("qa,pad->dpq", _fourier(n), shifted).reshape(da * k, kj * n)
 
 
 def _tight_measurement(dec: KiDecomposition, da: int, k: int, rng):
     """Measurement columns (dA·k × dA·k) and the strategy tag, or None."""
     ns = [blk.dimR_A for blk in dec.blocks]
-    ms = [blk.dimL_A for blk in dec.blocks]
     j_count = len(dec.blocks)
     if all(n == 1 for n in ns):
         frames = _block_frames(dec)
@@ -317,49 +324,23 @@ def _tight_measurement(dec: KiDecomposition, da: int, k: int, rng):
         else:
             tag = "scalar-fourier"
             head = support @ _fourier(support.shape[1]).conj()
-        head = np.column_stack(
-            [canonical_phase(head[:, c]) for c in range(head.shape[1])]
-        )
-        a_cols = np.hstack([head, orthonormal_completion(head, da)])
-        if k > 1:
-            cols = np.hstack(
-                [np.kron(a_cols[:, c : c + 1], _fourier(k).conj()) for c in range(da)]
-            )
-        else:
-            cols = a_cols
+        a_cols = _completed_basis(head, da)
+        cols = np.kron(a_cols, _fourier(k).conj()) if k > 1 else a_cols
         return tag, cols
     if j_count == 1:
         blk = dec.blocks[0]
         m, n = blk.dimL_A, blk.dimR_A
-        emb3 = dec.a_block_embed(0).reshape(da, m, n)
         if m == 1:
             tag = "single-block"
-            y = np.zeros((k, n, da * k), dtype=complex)
-            for c in range(k):
-                unit = np.zeros(k, dtype=complex)
-                unit[c] = 1.0
-                for a in range(n):
-                    y[c, a] = np.kron(emb3[:, 0, a], unit)
         elif abs(blk.lambda0 - 1.0 / m) < 1e-9:
+            # the junk pair and Φ⁺_K act as one m·k-dimensional resource
             tag = "uniform-junk"
-            kj = m * k
-            y = np.zeros((kj, n, da * k), dtype=complex)
-            for c in range(kj):
-                unit = np.zeros(k, dtype=complex)
-                unit[c % k] = 1.0
-                for a in range(n):
-                    y[c, a] = np.kron(emb3[:, c // k, a], unit)
         else:
             return None
-        kj = y.shape[0]
-        if kj < n:
+        if m * k < n:
             return None
-        head = _shift_columns(y, n, kj)
-        head = np.column_stack(
-            [canonical_phase(head[:, c]) for c in range(head.shape[1])]
-        )
-        cols = np.hstack([head, orthonormal_completion(head, da * k)])
-        return tag, cols
+        frames = dec.a_block_embed(0).reshape(da, m, n).transpose(1, 2, 0)
+        return tag, _completed_basis(_shift_injection(frames, k), da * k)
     return None
 
 
@@ -425,37 +406,54 @@ def _synthesize_measurement(big, g_mat, da, db, k, rng, tol):
     return "synthesized", best_q
 
 
+def _outcome_blocks(big: np.ndarray, qcols: np.ndarray):
+    """Every outcome's block ⟨q_m|Ψ as (n_out, dR, dB·k), and its probability."""
+    dr, dak, dbk = big.shape
+    flat = big.transpose(1, 0, 2).reshape(dak, dr * dbk)
+    blocks = (qcols.conj().T @ flat).reshape(-1, dr, dbk)
+    probs = np.linalg.norm(blocks.reshape(len(blocks), -1), axis=1) ** 2
+    return blocks, probs
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _solve_corrections(big, g_mat, qcols, da, db, k, tol):
-    """Exact per-outcome isometries from (1⊗U_m)(⟨q_m|⊗1)Ψ = √p_m G."""
-    n_out = qcols.shape[1]
+    """Exact isometries from (1⊗U_m)(⟨q_m|⊗1)Ψ = √p_m G, all outcomes at once.
+
+    One batched SVD of the stacked S_m = (⟨q_m|Ψ)ᵀ gives V_m with the
+    completion of its range as trailing columns.  Outcomes are grouped by
+    numerical rank r; per group one complete QR of the image W_m gives
+    its completion, and U_m = W_m V_m† + W′_m V′_m†.
+    """
     dbk = db * k
     dadb = da * db
-    corrections, probs, zero_mask = [], [], []
+    blocks, probs = _outcome_blocks(big, qcols)
+    zero = probs < PROB_TOL
+    probs[zero] = 0.0
+    corrections = np.empty((len(probs), dadb, dbk), dtype=complex)
+    corrections[zero] = np.eye(dadb, dbk)
     max_resid = 0.0
-    for m in range(n_out):
-        p_mat = np.einsum("rxz,x->rz", big, qcols[:, m].conj())
-        p_m = float(np.linalg.norm(p_mat) ** 2)
-        if p_m < PROB_TOL:
-            corrections.append(np.eye(dadb, dbk, dtype=complex))
-            probs.append(0.0)
-            zero_mask.append(True)
-            continue
-        t_mat = math.sqrt(p_m) * g_mat
-        s_mat = p_mat.T  # dbk × dR
-        v_s, sig, w_sh = np.linalg.svd(s_mat, full_matrices=False)
-        r = int(np.sum(sig > max(sig[0], 1e-300) * 1e-12))
-        v_s = v_s[:, :r]
-        w_img = t_mat.T @ w_sh[:r].conj().T / sig[:r][None, :]
-        iso_resid = float(np.abs(w_img.conj().T @ w_img - np.eye(r)).max())
-        w_comp = orthonormal_completion(w_img, dadb)[:, : dbk - r]
-        v_comp = orthonormal_completion(v_s, dbk)
-        u_m = w_img @ v_s.conj().T + w_comp @ v_comp.conj().T
-        resid = float(np.linalg.norm(u_m @ s_mat - t_mat.T))
-        max_resid = max(max_resid, resid, iso_resid)
-        corrections.append(u_m)
-        probs.append(p_m)
-        zero_mask.append(False)
-    return tuple(corrections), tuple(probs), tuple(zero_mask), max_resid
+    live = np.flatnonzero(~zero)
+    if live.size:
+        s_mats = blocks[live].swapaxes(1, 2)  # L × dbk × dR
+        t_mats = np.sqrt(probs[live])[:, None, None] * g_mat.T  # L × dadb × dR
+        v_full, sig, w_sh = np.linalg.svd(s_mats, full_matrices=True)
+        ranks = np.sum(sig > np.maximum(sig[:, :1], 1e-300) * 1e-12, axis=1)
+        for r in np.unique(ranks):
+            sel = np.flatnonzero(ranks == r)
+            v_s, v_comp = v_full[sel, :, :r], v_full[sel, :, r:]
+            w_img = t_mats[sel] @ _dagger(w_sh[sel, :r]) / sig[sel, None, :r]
+            iso_resid = np.abs(_dagger(w_img) @ w_img - np.eye(r)).max()
+            w_comp = np.linalg.qr(w_img, mode="complete")[0][:, :, r:dbk]
+            u = w_img @ _dagger(v_s) + w_comp @ _dagger(v_comp)
+            resid = np.linalg.norm(
+                (u @ s_mats[sel] - t_mats[sel]).reshape(len(sel), -1), axis=1
+            ).max()
+            corrections[live[sel]] = u
+            max_resid = max(max_resid, float(resid), float(iso_resid))
+    return tuple(corrections), tuple(probs.tolist()), tuple(zero.tolist()), max_resid
 
 
 def _joint_tensor(psi3: np.ndarray, k: int) -> np.ndarray:
@@ -517,21 +515,10 @@ def build_merge_protocol(
     big = _joint_tensor(psi3, k_eff)
     if mode == "fallback":
         rho = marginal_matrix(psi, list(a_ids))
-        vals, vecs = np.linalg.eigh(rho)
-        vecs = vecs[:, ::-1]
+        vecs = np.linalg.eigh(rho)[1][:, ::-1]
         rank = numerical_rank(rho, rank_rtol)
-        xcols = np.column_stack([canonical_phase(vecs[:, j]) for j in range(rank)])
-        y = np.zeros((k_eff, rank, da * k_eff), dtype=complex)
-        for c in range(k_eff):
-            unit = np.zeros(k_eff, dtype=complex)
-            unit[c] = 1.0
-            for a in range(rank):
-                y[c, a] = np.kron(xcols[:, a], unit)
-        head = _shift_columns(y, rank, k_eff)
-        head = np.column_stack(
-            [canonical_phase(head[:, c]) for c in range(head.shape[1])]
-        )
-        qcols = np.hstack([head, orthonormal_completion(head, da * k_eff)])
+        xcols = _phase_fixed(vecs[:, :rank])
+        qcols = _completed_basis(_shift_injection(xcols.T[None], k_eff), da * k_eff)
         tag = "fallback-teleport"
     else:
         built = _tight_measurement(dec, da, k_eff, rng)
@@ -579,34 +566,26 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
     db = int(np.prod(protocol.b_dims, dtype=object)) if protocol.b_dims else 1
     dr = perm.dim // (da * db)
     psi3 = perm.amplitudes.reshape(dr, da, db)
-    g_mat = psi3.reshape(dr, da * db)
-    big = _joint_tensor(psi3, protocol.k)
+    g_vec = psi3.reshape(-1)
     q = protocol.measurement
     comp = max(
         float(np.abs(q @ q.conj().T - np.eye(q.shape[0])).max()),
         float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()),
     )
-    corr_resid = 0.0
-    deviations = []
-    prob_sum = 0.0
-    for m in range(q.shape[1]):
-        u_m = protocol.corrections[m]
-        corr_resid = max(
-            corr_resid,
-            float(np.abs(u_m.conj().T @ u_m - np.eye(u_m.shape[1])).max()),
-        )
-        p_mat = np.einsum("rxz,x->rz", big, q[:, m].conj())
-        p_m = float(np.linalg.norm(p_mat) ** 2)
-        prob_sum += p_m
-        if p_m < PROB_TOL:
-            deviations.append(0.0)
-            continue
-        out = (u_m @ p_mat.T).T.reshape(-1)
-        target = math.sqrt(p_m) * g_mat.reshape(-1)
-        inner = np.vdot(target, out)
-        phase = inner / abs(inner) if abs(inner) > 1e-300 else 1.0
-        deviations.append(float(np.linalg.norm(out - phase * target)))
-    max_dev = max(deviations) if deviations else 0.0
+    blocks, probs = _outcome_blocks(_joint_tensor(psi3, protocol.k), q)
+    u = np.stack(protocol.corrections)
+    corr_resid = float(np.abs(_dagger(u) @ u - np.eye(u.shape[2])).max())
+    # (U_m S_m)ᵀ flattened: the corrected branch on (R, A-copy, B)
+    out = (u @ blocks.swapaxes(1, 2)).swapaxes(1, 2).reshape(len(probs), -1)
+    targets = np.sqrt(probs)[:, None] * g_vec
+    inner = out @ g_vec.conj() * np.sqrt(probs)
+    phases = np.ones_like(inner)
+    resolved = np.abs(inner) > 1e-300
+    phases[resolved] = inner[resolved] / np.abs(inner[resolved])
+    deviations = np.linalg.norm(out - phases[:, None] * targets, axis=1)
+    deviations[probs < PROB_TOL] = 0.0
+    max_dev = float(deviations.max()) if deviations.size else 0.0
+    prob_sum = float(probs.sum())
     passed = (
         max_dev <= tol
         and comp <= 100 * tol
@@ -619,29 +598,45 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
         completeness=comp,
         prob_sum=prob_sum,
         correction_residual=corr_resid,
-        deviations=tuple(deviations),
+        deviations=tuple(deviations.tolist()),
     )
+
+
+def merge_post_states(
+    protocol: MergeProtocol, psi: PureState, outcomes=None
+) -> list[tuple[float, PureState]]:
+    """Measure (A…, A₀) for every outcome at once; corrections NOT applied.
+
+    Returns ``(probability, post-state)`` per outcome in ``outcomes``
+    (all of them by default): the exact branch probability and the
+    unnormalized post-measurement state on (rest…, B…, B₀) — B₀ only when
+    k > 1.  With ψ grouped as X = (A…, rest) and Φ⁺_K = Σ_l |l⟩|l⟩/√K,
+    every outcome comes from one contraction Q† (X ⊗ Φ⁺_K).
+    """
+    k = protocol.k
+    mat, _, rest = _group_first(psi, protocol.a_ids)
+    q = protocol.measurement
+    if mat.shape[0] * k != q.shape[0]:
+        raise ShapeMismatch("measurement columns do not match the merged share")
+    wanted = np.arange(q.shape[1]) if outcomes is None else np.asarray(outcomes, dtype=int)
+    n = len(wanted)
+    # Q†[(a, l), m] X[a, rest] Φ⁺[l, l′]  →  post[m, rest, l′]
+    qh = q[:, wanted].conj().reshape(-1, k * n)
+    posts = (qh.T @ mat).reshape(k, n, -1).transpose(1, 2, 0).reshape(n, -1)
+    if k > 1:
+        posts /= math.sqrt(k)
+        rest.append(Register(protocol.b0_id, k, protocol.b0_owner))
+    probs = np.linalg.norm(posts, axis=1) ** 2
+    rest = tuple(rest)
+    return [(float(p), PureState(rest, post)) for p, post in zip(probs, posts)]
 
 
 def merge_post_state(
     protocol: MergeProtocol, psi: PureState, outcome: int
 ) -> tuple[float, PureState]:
-    """Measure (A…, A₀) with the given outcome; corrections NOT applied.
-
-    Returns the exact branch probability and the unnormalized
-    post-measurement state on (rest…, B…, B₀) — B₀ only when k > 1.
-    """
-    sender = psi.register(protocol.a_ids[0]).owner
-    joint = psi
-    if protocol.k > 1:
-        a0 = Register(protocol.a0_id, protocol.k, sender)
-        b0 = Register(protocol.b0_id, protocol.k, protocol.b0_owner)
-        joint = tensor_product(psi, max_entangled_pair(a0, b0))
-        group = list(protocol.a_ids) + [protocol.a0_id]
-    else:
-        group = list(protocol.a_ids)
-    post = project_onto(joint, group, protocol.measurement[:, outcome])
-    return float(post.norm() ** 2), post
+    """One outcome of :func:`merge_post_states`."""
+    ((prob, post),) = merge_post_states(protocol, psi, [outcome])
+    return prob, post
 
 
 def apply_merge_correction(

@@ -43,7 +43,7 @@ from .merge_split import (
     build_merge_protocol,
     build_split_protocol,
     execute_split,
-    merge_post_state,
+    merge_post_states,
     split_cost,
 )
 from .network import LABELING_ENUMERATION_LIMIT, RootedTree
@@ -405,6 +405,7 @@ def run_concentrating(
             tight.append((proto, fell))
         k_edge = max(p.k for p, _ in tight)
         edge_fell = any(f for _, f in tight)
+        share_dim = math.prod(r.dim for r in live[0][2].registers if r.owner == vertex)
 
         # rebuild every branch at the shared, fully provisioned dimension
         records: dict[tuple[int, ...], MergeStepRecord] = {}
@@ -438,9 +439,15 @@ def run_concentrating(
                 break
             except InsufficientResource:
                 # a fallback rebuild needed more than another branch's tight
-                # maximum; raise the edge dimension and redo the stage
+                # maximum; raise the edge dimension and redo the stage, up to
+                # dim H^A, past which no correction isometry exists
                 k_edge += 1
                 records.clear()
+                if k_edge > share_dim:
+                    raise SynthesisFailed(
+                        f"edge ({parent}, {vertex}) has no exact protocol at any "
+                        f"K ≤ {share_dim}, the merged share's dimension"
+                    )
 
         if edge_fell:
             fallback_edges.append(vertex)
@@ -448,9 +455,8 @@ def run_concentrating(
 
         next_live = []
         for prefix, p_acc, state in live:
-            proto = records[prefix].protocol
-            for m in range(proto.measurement.shape[1]):
-                p_m, post = merge_post_state(proto, state, m)
+            posts = merge_post_states(records[prefix].protocol, state)
+            for m, (p_m, post) in enumerate(posts):
                 if p_m < PROB_TOL:
                     continue
                 next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
@@ -566,14 +572,21 @@ def compare_costs(
     mode: str = "tight",
     branch_budget: int | None = None,
     seed: int = 0,
+    rank_rtol: float = RANK_RTOL,
 ) -> CostComparison:
     order = (
         tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
     )
     return CostComparison(
-        spread=spreading_cost(code, tree),
+        spread=spreading_cost(code, tree, rank_rtol),
         concentrate=concentrating_cost(
-            code, tree, order, mode=mode, branch_budget=branch_budget, seed=seed
+            code,
+            tree,
+            order,
+            mode=mode,
+            branch_budget=branch_budget,
+            seed=seed,
+            rank_rtol=rank_rtol,
         ),
         labeling=order,
     )
@@ -587,6 +600,7 @@ def optimize_labeling(
     branch_budget: int | None = None,
     seed: int = 0,
     limit: int = LABELING_ENUMERATION_LIMIT,
+    rank_rtol: float = RANK_RTOL,
 ) -> tuple[tuple[str, ...], CostReport, dict[tuple[str, ...], float]]:
     """Search all ascending labelings for the cheapest concentrating total.
 
@@ -598,7 +612,13 @@ def optimize_labeling(
     totals: dict[tuple[str, ...], float] = {}
     for cand in candidates:
         report = concentrating_cost(
-            code, tree, cand, mode=mode, branch_budget=branch_budget, seed=seed
+            code,
+            tree,
+            cand,
+            mode=mode,
+            branch_budget=branch_budget,
+            seed=seed,
+            rank_rtol=rank_rtol,
         )
         totals[cand] = report.total_log2
         key = (report.total_log2, cand)

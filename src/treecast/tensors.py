@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ORTHONORMALITY_TOL, RANK_RTOL
+from .config import RANK_RTOL
 from .errors import (
     BadPermutation,
     DuplicateRegister,
@@ -369,8 +369,6 @@ def apply_map(
         if r.id in set(in_ids):
             continue
         order.append(r.id)
-    if not m.out_registers and first == len(order):
-        pass
     return permute_registers(produced, order) if order else produced
 
 
@@ -387,14 +385,6 @@ def project_onto(state: PureState, rids, vector: np.ndarray) -> PureState:
     amps = vec.conj() @ mat
     produced = PureState(tuple(rest), amps)
     return produced
-
-
-def drop_trivial_registers(state: PureState) -> PureState:
-    """Remove dimension-1 registers (they carry no amplitude structure)."""
-    keep = tuple(r for r in state.registers if r.dim > 1)
-    if len(keep) == len(state.registers):
-        return state
-    return PureState(keep, state.amplitudes)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -416,11 +406,6 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     if na == 0.0 or nb == 0.0:
         return False
     return abs(abs(overlap(a, b)) / (na * nb) - 1.0) <= tol
-
-
-def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
-    """|<a|b>| for normalized inputs (registers aligned by id)."""
-    return abs(overlap(a.normalized(), b.normalized()))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import REFERENCE_ID, IsometryCode, encoded_pair
+from .codes import REFERENCE_ID, IsometryCode
 from .errors import VerificationFailed
 from .merge_split import execute_split, merge_post_state
 from .network import RootedTree
@@ -38,7 +38,7 @@ from .protocols import (
     run_concentrating,
     run_spreading,
 )
-from .tensors import PureState, Register, marginal_matrix
+from .tensors import PureState, Register, marginal_matrix, trace_distance
 
 DEFAULT_CHANNEL_TOL = 1e-8
 
@@ -57,11 +57,6 @@ class ChannelCheck:
     @property
     def passed(self) -> bool:
         return self.max_trace_distance <= self.tol
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2)‖rho − sigma‖₁ for Hermitian matrices."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
 def random_input(rng, dim: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from treecast.cli import main
@@ -429,6 +431,104 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert out == ""
         assert "UnknownBuiltin" in err
+
+
+class TestNumericalErrorsExitThree:
+    def degenerate_state_file(self, tmp_path):
+        # marginal eigenvalue ratio 1e-8 sits on the default rank cutoff
+        eps = 1e-8 / (1 + 1e-8)
+        spec = {
+            "registers": [
+                {"id": "R", "dim": 2, "owner": "reference"},
+                {"id": "a", "dim": 2, "owner": "A"},
+                {"id": "b", "dim": 2, "owner": "B"},
+            ],
+            "amplitudes": [
+                [math.sqrt(1 - eps), 0.0] if idx == 0
+                else [math.sqrt(eps), 0.0] if idx == 7
+                else [0.0, 0.0]
+                for idx in range(8)
+            ],
+            "roles": {"R": ["R"], "A": ["a"], "B": ["b"]},
+        }
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_numerical_degeneracy_structured(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "ki", "--state", self.degenerate_state_file(tmp_path))
+        assert code == 3
+        assert doc["format"] == "treecast.error/1"
+        assert doc["exit_code"] == 3
+        assert doc["error"]["type"] == "NumericalDegeneracy"
+
+    def test_numerical_degeneracy_human(self, capsys, tmp_path):
+        code, out, err = run(capsys, "ki", "--state", self.degenerate_state_file(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "NumericalDegeneracy" in err
+
+    def test_linalg_error_maps_to_3(self, capsys, monkeypatch):
+        from treecast import cli as cli_mod
+
+        def boom(args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "cost-spread", boom)
+        code, doc = run_json(capsys, "cost-spread", "--code", "star4", "--tree", "star:4")
+        assert code == 3
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"] == {"type": "LinAlgError", "message": "SVD did not converge"}
+
+
+class TestRankTolerance:
+    """--tol-rank reaches compare and --labeling search, not only cost-*."""
+
+    @pytest.fixture
+    def sliver_code(self, tmp_path):
+        # v2's share carries a 5e-11-weight sliver of the logical qubit: it
+        # counts at --tol-rank 1e-14 and is cut at the default 1e-8
+        a, b = math.sqrt(1 - 5e-11), math.sqrt(5e-11)
+        path = tmp_path / "sliver.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "D": 2,
+                    "parties": [{"name": "v1", "dim": 2}, {"name": "v2", "dim": 2}],
+                    "entries": [[0, 0, a, 0.0], [3, 0, b, 0.0], [2, 1, a, 0.0], [1, 1, b, 0.0]],
+                }
+            )
+        )
+        return str(path)
+
+    def test_compare(self, capsys, sliver_code):
+        argv = ("compare", "--code", sliver_code, "--tree", "line:2")
+        code, doc = run_json(capsys, *argv, "--tol-rank", "1e-14")
+        assert code == 0
+        assert doc["edges"] == [
+            {
+                "parent": "v1",
+                "child": "v2",
+                "spread_k": 2,
+                "concentrate_k": 2,
+                "concentrate_leq_spread": True,
+            }
+        ]
+        _, spread = run_json(capsys, "cost-spread", *argv[1:])
+        assert edge_ks(spread) == {"v2": 1}
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        assert doc["error"]["type"] == "NumericalDegeneracy"
+
+    def test_labeling_search(self, capsys, sliver_code):
+        argv = ("cost-concentrate", "--code", sliver_code, "--tree", "line:2",
+                "--labeling", "search")
+        code, doc = run_json(capsys, *argv, "--tol-rank", "1e-14")
+        assert code == 0
+        assert edge_ks(doc) == {"v2": 2}
+        assert doc["labeling_search"]["best_total_log2"] == 1
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
 
 
 class TestDeterminism:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from treecast.codes import encoded_pair, five_qubit_code
+from treecast.config import PROB_TOL, VERIFY_TOL
 from treecast.errors import DimensionMismatch, InsufficientResource, SynthesisFailed
 from treecast.merge_split import (
+    _joint_tensor,
+    _shift_injection,
+    _solve_corrections,
     apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
@@ -16,14 +20,20 @@ from treecast.merge_split import (
     execute_split,
     merge_cost,
     merge_post_state,
+    merge_post_states,
     split_cost,
     verify_merge,
 )
 from treecast.tensors import (
     PureState,
     Register,
+    canonical_phase,
+    marginal_matrix,
     max_entangled_pair,
+    orthonormal_completion,
     overlap,
+    permute_registers,
+    project_onto,
     random_state,
     tensor_product,
 )
@@ -356,3 +366,244 @@ class TestMergeRandomSweep:
         final = apply_merge_correction(proto, 0, post)
         assert set(final.ids) == {"R", "v1", "v2"}
         assert branch_matches(final.normalized(), psi, "v1")
+
+
+# -- batched kernels against their per-outcome loop references ------------------
+
+
+def solve_corrections_loop(big, g_mat, qcols, da, db, k, tol):
+    """Reference: the per-outcome correction solve the batched one replaced."""
+    n_out = qcols.shape[1]
+    dbk = db * k
+    dadb = da * db
+    corrections, probs, zero_mask = [], [], []
+    max_resid = 0.0
+    for m in range(n_out):
+        p_mat = np.einsum("rxz,x->rz", big, qcols[:, m].conj())
+        p_m = float(np.linalg.norm(p_mat) ** 2)
+        if p_m < PROB_TOL:
+            corrections.append(np.eye(dadb, dbk, dtype=complex))
+            probs.append(0.0)
+            zero_mask.append(True)
+            continue
+        t_mat = math.sqrt(p_m) * g_mat
+        s_mat = p_mat.T  # dbk × dR
+        v_s, sig, w_sh = np.linalg.svd(s_mat, full_matrices=False)
+        r = int(np.sum(sig > max(sig[0], 1e-300) * 1e-12))
+        v_s = v_s[:, :r]
+        w_img = t_mat.T @ w_sh[:r].conj().T / sig[:r][None, :]
+        iso_resid = float(np.abs(w_img.conj().T @ w_img - np.eye(r)).max())
+        w_comp = orthonormal_completion(w_img, dadb)[:, : dbk - r]
+        v_comp = orthonormal_completion(v_s, dbk)
+        u_m = w_img @ v_s.conj().T + w_comp @ v_comp.conj().T
+        resid = float(np.linalg.norm(u_m @ s_mat - t_mat.T))
+        max_resid = max(max_resid, resid, iso_resid)
+        corrections.append(u_m)
+        probs.append(p_m)
+        zero_mask.append(False)
+    return tuple(corrections), tuple(probs), tuple(zero_mask), max_resid
+
+
+def shift_columns_loop(frames, k):
+    """Reference: the nested-loop shift-injection builder."""
+    m, n, da = frames.shape
+    kj = m * k
+    y = np.zeros((kj, n, da * k), dtype=complex)
+    for c in range(kj):
+        unit = np.zeros(k, dtype=complex)
+        unit[c % k] = 1.0
+        for a in range(n):
+            y[c, a] = np.kron(frames[c // k, a], unit)
+    omega = np.exp(2j * np.pi / n)
+    cols = np.zeros((da * k, kj * n), dtype=complex)
+    for p in range(kj):
+        for q in range(n):
+            v = np.zeros(da * k, dtype=complex)
+            for a in range(n):
+                v += (omega ** (q * a)) * y[(p + a) % kj, a]
+            cols[:, p * n + q] = v / math.sqrt(n)
+    return cols
+
+
+def merge_post_state_loop(proto, psi, outcome):
+    """Reference: one outcome projected out of ψ ⊗ Φ⁺_K by project_onto."""
+    sender = psi.register(proto.a_ids[0]).owner
+    joint, group = psi, list(proto.a_ids)
+    if proto.k > 1:
+        a0 = Register(proto.a0_id, proto.k, sender)
+        b0 = Register(proto.b0_id, proto.k, proto.b0_owner)
+        joint = tensor_product(psi, max_entangled_pair(a0, b0))
+        group.append(proto.a0_id)
+    post = project_onto(joint, group, proto.measurement[:, outcome])
+    return float(post.norm() ** 2), post
+
+
+def solve_inputs(proto, psi):
+    """The (big, G, Q, dA, dB, K) a protocol's correction solve works on."""
+    perm = permute_registers(
+        psi.normalized(), list(proto.r_ids) + list(proto.a_ids) + list(proto.b_ids)
+    )
+    da, db = math.prod(proto.a_dims), math.prod(proto.b_dims)
+    psi3 = perm.amplitudes.reshape(-1, da, db)
+    g_mat = psi3.reshape(psi3.shape[0], da * db)
+    return _joint_tensor(psi3, proto.k), g_mat, proto.measurement, da, db, proto.k
+
+
+def padded_state():
+    """Rank-2 share padded to a qutrit: merging it at K = 3 leaves outcomes dead."""
+    rng = np.random.default_rng(41)
+    small = random_state(regs(("R", 2, "ref"), ("a", 2, "A"), ("b", 3, "B")), rng)
+    padded = np.zeros((2, 3, 3), dtype=complex)
+    padded[:, :2, :] = small.amplitudes.reshape(2, 2, 3)
+    return PureState(regs(("R", 2, "ref"), ("a", 3, "A"), ("b", 3, "B")), padded)
+
+
+def exact_merge_cases():
+    """(psi, roles, build kwargs) of exact protocols, builtin then seeded random."""
+    junk = max_entangled_pair(Register("jA", 2, "v2"), Register("jB", 2, "v1"))
+    pair = max_entangled_pair(Register("R", 2, "ref"), Register("v1", 2, "v1"))
+    dead = tensor_product(
+        PureState(regs(("v2", 2, "v2"),), np.array([1, 0], dtype=complex)), pair
+    )
+    star = {"R": ["R"], "A": ["v2"], "B": ["v1"]}
+    cases = [
+        (star_phi2(), star, {}),
+        (five_qubit_phi2(), star, {}),
+        (
+            encoded_pair(five_qubit_code()),
+            {"R": ["R"], "A": ["v3", "v4", "v5"], "B": ["v1", "v2"]},
+            {"mode": "fallback"},
+        ),
+        (
+            tensor_product(junk, star_phi2()),
+            {"R": ["R"], "A": ["jA", "v2"], "B": ["jB", "v1"]},
+            {},
+        ),
+        (dead, star, {}),
+        (padded_state(), {"R": ["R"], "A": ["a"], "B": ["b"]}, {"k": 3}),
+    ]
+    rng = np.random.default_rng(2024)
+    for dims in ((2, 2, 3), (3, 3, 2), (2, 4, 2)):
+        psi = random_state(
+            regs(("R", dims[0], "ref"), ("a", dims[1], "A"), ("b", dims[2], "B")), rng
+        )
+        roles = {"R": ["R"], "A": ["a"], "B": ["b"]}
+        cases.append((psi, roles, {"mode": "fallback"}))
+        cases.append((psi, roles, {"mode": "fallback", "k": dims[1]}))
+    return cases
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("psi,roles,kwargs", exact_merge_cases())
+    def test_matches_per_outcome_loop(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        args = solve_inputs(proto, psi)
+        corrections, probs, zero_mask, resid = _solve_corrections(*args, VERIFY_TOL)
+        ref_corr, ref_probs, ref_zero, ref_resid = solve_corrections_loop(
+            *args, VERIFY_TOL
+        )
+        assert zero_mask == ref_zero
+        assert np.allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        assert resid <= VERIFY_TOL and ref_resid <= VERIFY_TOL
+        big, g_mat, qcols, da, db, k = args
+        for m, u_m in enumerate(corrections):
+            assert np.abs(u_m.conj().T @ u_m - np.eye(db * k)).max() <= VERIFY_TOL
+            if zero_mask[m]:
+                assert np.array_equal(u_m, ref_corr[m])
+                continue
+            # the merge identity (1 ⊗ U_m)(⟨q_m| ⊗ 1)Ψ = √p_m G
+            p_mat = np.einsum("rxz,x->rz", big, qcols[:, m].conj())
+            lhs = (u_m @ p_mat.T).T
+            assert np.linalg.norm(lhs - math.sqrt(probs[m]) * g_mat) <= VERIFY_TOL
+
+    def test_outcomes_of_different_rank(self):
+        # measuring a in the computational basis leaves a rank-2 block for
+        # outcome 0 and a rank-1 block for outcome 1; no isometry fits both,
+        # so the residual is large, and both solvers must report the same one
+        amps = np.zeros((2, 2, 2), dtype=complex)
+        amps[0, 0, 0] = amps[1, 0, 1] = 0.6
+        amps[0, 1, 1] = math.sqrt(1 - 2 * 0.36)
+        big = amps
+        g_mat = amps.reshape(2, 4)
+        qcols = np.eye(2, dtype=complex)
+        ranks = [
+            np.linalg.matrix_rank(np.einsum("rxz,x->rz", big, qcols[:, m].conj()))
+            for m in range(2)
+        ]
+        assert ranks == [2, 1]
+        got = _solve_corrections(big, g_mat, qcols, 2, 2, 1, VERIFY_TOL)
+        ref = solve_corrections_loop(big, g_mat, qcols, 2, 2, 1, VERIFY_TOL)
+        assert got[2] == ref[2] == (False, False)
+        assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)
+        assert got[3] > 0.1
+        assert got[3] == pytest.approx(ref[3], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_measurements_match_loop(self, seed):
+        # an arbitrary basis is not a merge measurement: only the shared
+        # quantities (mask, probabilities, residual) are comparable
+        rng = np.random.default_rng(300 + seed)
+        psi = random_state(regs(("R", 3, "ref"), ("a", 2, "A"), ("b", 3, "B")), rng)
+        big = psi.amplitudes.reshape(3, 2, 3)
+        g_mat = big.reshape(3, 6)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        qcols = np.linalg.qr(g)[0]
+        got = _solve_corrections(big, g_mat, qcols, 2, 3, 1, VERIFY_TOL)
+        ref = solve_corrections_loop(big, g_mat, qcols, 2, 3, 1, VERIFY_TOL)
+        assert got[2] == ref[2]
+        assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)
+        assert got[3] == pytest.approx(ref[3], rel=1e-9)
+
+
+class TestShiftInjection:
+    @pytest.mark.parametrize(
+        "m,n,da,k", [(1, 2, 2, 2), (1, 3, 4, 3), (2, 2, 4, 1), (2, 3, 8, 2), (1, 1, 3, 2)]
+    )
+    def test_matches_loop_builder(self, m, n, da, k):
+        rng = np.random.default_rng(m * 100 + n * 10 + k)
+        g = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
+        frames = np.linalg.qr(g)[0][:, : m * n].T.reshape(m, n, da)
+        got = _shift_injection(frames, k)
+        assert got.shape == (da * k, m * k * n)
+        assert np.abs(got - shift_columns_loop(frames, k)).max() <= 1e-12
+        assert np.abs(got.conj().T @ got - np.eye(m * k * n)).max() <= 1e-12
+
+    def test_fallback_protocol_head_matches_loop_builder(self):
+        psi = encoded_pair(five_qubit_code())
+        roles = {"R": ["R"], "A": ["v4", "v5"], "B": ["v1", "v2", "v3"]}
+        proto = build_merge_protocol(psi, roles, mode="fallback", receiver="B")
+        rank = proto.kmin
+        vecs = np.linalg.eigh(marginal_matrix(psi, ["v4", "v5"]))[1][:, ::-1]
+        frames = np.stack([canonical_phase(vecs[:, a]) for a in range(rank)])
+        head = proto.measurement[:, : rank * proto.k]
+        ref = shift_columns_loop(frames[None], proto.k)
+        # equal up to each column's phase, which the protocol fixes canonically
+        overlaps = np.abs(np.einsum("xc,xc->c", head.conj(), ref))
+        assert np.allclose(overlaps, 1.0, atol=1e-12)
+
+
+class TestBatchedExpansion:
+    @pytest.mark.parametrize("psi,roles,kwargs", exact_merge_cases())
+    def test_post_states_match_per_outcome_projection(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        batched = merge_post_states(proto, psi)
+        assert len(batched) == proto.measurement.shape[1]
+        for m, (prob, post) in enumerate(batched):
+            ref_prob, ref_post = merge_post_state_loop(proto, psi, m)
+            assert post.registers == ref_post.registers
+            assert abs(prob - ref_prob) <= 1e-12
+            assert np.abs(post.amplitudes - ref_post.amplitudes).max() <= 1e-12
+            assert abs(prob - proto.probs[m]) <= 1e-12
+            single = merge_post_state(proto, psi, m)
+            assert single[0] == pytest.approx(prob, abs=1e-15)
+
+    def test_selected_outcomes_keep_their_order(self):
+        psi = star_phi2()
+        proto = build_merge_protocol(
+            psi, {"R": ["R"], "A": ["v2"], "B": ["v1"]}, receiver="v1"
+        )
+        picked = merge_post_states(proto, psi, [3, 1])
+        full = merge_post_states(proto, psi)
+        for (p, post), m in zip(picked, [3, 1]):
+            assert p == pytest.approx(full[m][0], abs=1e-15)
+            assert np.allclose(post.amplitudes, full[m][1].amplitudes, atol=1e-15)

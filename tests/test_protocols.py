@@ -1,9 +1,12 @@
 """Tree-level driver tests: spreading and concentrating end to end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from treecast.codes import (
+    IsometryCode,
     encoded_pair,
     five_qubit_code,
     ghz_code,
@@ -12,9 +15,12 @@ from treecast.codes import (
     random_code,
     star4_code,
 )
+from treecast import protocols
 from treecast.errors import (
     InsufficientResource,
     NotAscending,
+    NumericalDegeneracy,
+    SynthesisFailed,
     TooLarge,
     UnknownEdge,
 )
@@ -265,6 +271,30 @@ class TestConcentratingMore:
             for edge in res.cost_report.edges:
                 assert edge.k <= spread[edge.child]
 
+    def test_edge_retry_stops_at_share_dimension(self, five_line, monkeypatch):
+        # The first tight protocol at v4 claims one more dimension than its
+        # sibling branch, so the sibling is rebuilt at the raised K — and every
+        # rebuild reports an insufficient resource.  The retry loop must give
+        # up once K passes dim H^A = 2 instead of raising K forever.
+        real = protocols.build_merge_protocol
+        calls = []
+
+        def stub(state, roles, *, k=None, **kwargs):
+            calls.append(k)
+            if len(calls) > 50:
+                raise RuntimeError("retry loop did not stop")
+            if k is not None:
+                raise InsufficientResource("stub: never enough")
+            proto = real(state, roles, k=None, **kwargs)
+            if kwargs["a0_id"] == "ent:v4:A0" and calls.count(None) == 2:
+                return dataclasses.replace(proto, k=proto.k + 1)
+            return proto
+
+        monkeypatch.setattr(protocols, "build_merge_protocol", stub)
+        with pytest.raises(SynthesisFailed, match="K ≤ 2"):
+            run_concentrating(*five_line, replay=False)
+        assert [k for k in calls if k is not None] == [2]
+
     def test_single_vertex_tree(self):
         code, tree = identity_code(2, 1), line_tree(1)
         sp = run_spreading(code, tree)
@@ -305,6 +335,24 @@ class TestComparisonsAndSearch:
         assert best == ("v1", "v2", "v3")
         assert list(totals) == [("v1", "v2", "v3")]
         assert report.total_log2 == 0.0
+
+    def test_rank_tolerance_reaches_compare_and_search(self):
+        # v2 holds a 5e-11-weight sliver of the logical qubit: at the default
+        # rank tolerance the block analysis rejects the state, at 1e-14 the
+        # sliver counts and both edges' costs follow
+        eps = 5e-11
+        mat = np.zeros((4, 2), dtype=complex)
+        mat[0, 0] = mat[2, 1] = np.sqrt(1 - eps)
+        mat[3, 0] = mat[1, 1] = np.sqrt(eps)
+        code = IsometryCode(2, ("v1", "v2"), (2, 2), mat)
+        tree = line_tree(2)
+        cmp = compare_costs(code, tree, rank_rtol=1e-14)
+        assert cmp.spread.by_child() == {"v2": 2}
+        assert cmp.concentrate.by_child() == {"v2": 2}
+        _, report, _ = optimize_labeling(code, tree, rank_rtol=1e-14)
+        assert report.by_child() == {"v2": 2}
+        with pytest.raises(NumericalDegeneracy):
+            optimize_labeling(code, tree)
 
     def test_optimize_labeling_too_large(self):
         with pytest.raises(TooLarge):
