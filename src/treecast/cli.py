@@ -57,6 +57,8 @@ CHANNEL_SAMPLES = 20
 
 
 def _add_common(p, *, needs_inputs=True, inputs_required=True, run=False, concentrating=False):
+    """Shared flags; ``--tol-rank`` goes with the code and tree inputs, and
+    ``--tol-verify`` with the commands that verify (run-*, verify-trace)."""
     if needs_inputs:
         p.add_argument("--code", required=inputs_required, help="builtin name or JSON file")
         p.add_argument("--tree", required=inputs_required, help="line:N, star:N, edge list, or JSON file")
@@ -66,6 +68,7 @@ def _add_common(p, *, needs_inputs=True, inputs_required=True, run=False, concen
             default="auto",
             help="use the file's labeling, derive one, or search all of them",
         )
+        p.add_argument("--tol-rank", type=float, default=RANK_RTOL, dest="tol_rank")
     if concentrating:
         p.add_argument("--mode", choices=("tight", "fallback"), default="tight")
         p.add_argument(
@@ -74,10 +77,10 @@ def _add_common(p, *, needs_inputs=True, inputs_required=True, run=False, concen
             help="'all' for exhaustive outcome branches, or sample:N",
         )
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    p.add_argument("--tol-rank", type=float, default=RANK_RTOL, dest="tol_rank")
-    p.add_argument(
-        "--tol-verify", type=float, default=DEFAULT_CHANNEL_TOL, dest="tol_verify"
-    )
+    if run or not needs_inputs:
+        p.add_argument(
+            "--tol-verify", type=float, default=DEFAULT_CHANNEL_TOL, dest="tol_verify"
+        )
     p.add_argument("--format", choices=("human", "structured"), default="human")
     if run:
         p.add_argument("--trace-out", dest="trace_out", help="write the protocol trace here")

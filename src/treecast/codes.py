@@ -9,7 +9,9 @@ register R of dimension D alongside one physical register per party
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -22,11 +24,28 @@ from .errors import (
     NotIsometry,
     PartyMismatch,
     SchemaError,
+    TooLarge,
     UnknownBuiltin,
 )
 from .tensors import LinearMap, PureState, Register, apply_map, max_entangled_pair
 
 REFERENCE_ID = "R"
+
+# Largest code matrix accepted from a builtin description or a code file,
+# counted as D·∏ dims entries: 2**20 complex entries are 16 MiB.  Codes
+# this large are already far beyond what the protocols can decompose.
+MAX_CODE_ENTRIES = 2**20
+
+
+def _check_size(logical_dim: int, dims) -> None:
+    """Refuse a D·∏ dims code matrix past MAX_CODE_ENTRIES; stops at the first factor past it."""
+    entries = logical_dim
+    for d in dims:
+        entries *= d
+        if entries > MAX_CODE_ENTRIES:
+            raise TooLarge(
+                f"code matrix has more than {MAX_CODE_ENTRIES} entries (D·∏ dims)"
+            )
 
 
 @dataclass(frozen=True)
@@ -50,7 +69,7 @@ class IsometryCode:
         if self.logical_dim < 1 or any(d < 1 for d in dims):
             raise DimensionMismatch("dimensions must be positive")
         mat = np.array(self.matrix, dtype=complex)
-        total = int(np.prod(dims, dtype=object))
+        total = math.prod(dims)
         if mat.shape != (total, self.logical_dim):
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match ({total}, {self.logical_dim})"
@@ -95,7 +114,7 @@ def reference_pair(dim: int, ref_id: str = REFERENCE_ID, sys_id: str = "L") -> P
 def random_code(rng, logical_dim: int, physical_dims, parties=None) -> IsometryCode:
     """Haar-random isometry code over the given physical dimensions."""
     dims = tuple(int(d) for d in physical_dims)
-    total = int(np.prod(dims, dtype=object))
+    total = math.prod(dims)
     if total < logical_dim:
         raise DimensionMismatch(
             f"cannot embed dimension {logical_dim} into total dimension {total}"
@@ -153,6 +172,7 @@ def ghz_code(n: int) -> IsometryCode:
     """|0> -> |0...0>, |1> -> |1...1> over n qubit parties."""
     if n < 1:
         raise DimensionMismatch("ghz code needs at least one party")
+    _check_size(2, itertools.repeat(2, n))
     c0 = np.zeros(2**n, dtype=complex)
     c0[0] = 1.0
     c1 = np.zeros(2**n, dtype=complex)
@@ -165,6 +185,7 @@ def identity_code(dim: int, n: int) -> IsometryCode:
     if n < 1:
         raise DimensionMismatch("identity code needs at least one party")
     dims = (dim,) + (1,) * (n - 1)
+    _check_size(dim, dims)
     return IsometryCode(dim, tuple(f"v{k}" for k in range(1, n + 1)), dims, np.eye(dim))
 
 
@@ -174,7 +195,8 @@ def product_code(physical_dims) -> IsometryCode:
     if not dims:
         raise DimensionMismatch("product code needs at least one party")
     d = dims[0]
-    total = int(np.prod(dims, dtype=object))
+    _check_size(d, dims)
+    total = math.prod(dims)
     mat = np.zeros((total, d), dtype=complex)
     stride = total // d
     for j in range(d):
@@ -257,7 +279,8 @@ def code_from_json(payload) -> IsometryCode:
         dims.append(item["dim"])
     if len(set(parties)) != len(parties):
         raise SchemaError("field 'parties' repeats a party name")
-    total = int(np.prod(dims, dtype=object))
+    _check_size(d_logical, dims)
+    total = math.prod(dims)
     entries = payload["entries"]
     if not isinstance(entries, list):
         raise SchemaError("field 'entries' must be a list of [row, col, re, im]")

@@ -65,7 +65,7 @@ class NotAscending(InputError):
 
 
 class TooLarge(InputError):
-    """An exhaustive enumeration was requested beyond the configured size cap."""
+    """A request exceeds a size cap: labelings to enumerate, or code matrix entries."""
 
 
 # --- code layer --------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import ORTHONORMALITY_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch
-from .tensors import PureState, Register, canonical_phase, permute_registers
+from .tensors import PureState, Register, permute_registers, phase_fixed
 
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
@@ -106,9 +106,9 @@ def spread_rank_bound(dec: KiDecomposition) -> int:
 
 def rebuild(dec: KiDecomposition) -> PureState:
     """Reassemble ⊕_j √p_j ω_j ⊗ φ_j on the original registers (R′, A, B)."""
-    dR = int(np.prod([r.dim for r in dec.r_registers], dtype=object)) if dec.r_registers else 1
-    dA = int(np.prod([r.dim for r in dec.a_registers], dtype=object))
-    dB = int(np.prod([r.dim for r in dec.b_registers], dtype=object)) if dec.b_registers else 1
+    dR = math.prod(r.dim for r in dec.r_registers)
+    dA = math.prod(r.dim for r in dec.a_registers)
+    dB = math.prod(r.dim for r in dec.b_registers)
     out = np.zeros((dR, dA, dB), dtype=complex)
     for j, blk in enumerate(dec.blocks):
         m, n = blk.dimL_A, blk.dimR_A
@@ -146,7 +146,7 @@ def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
         )
     keep = vals > cut
     basis = vecs[:, keep]
-    return np.column_stack([canonical_phase(basis[:, k]) for k in range(basis.shape[1])])
+    return phase_fixed(basis)
 
 
 def _commutant_basis(ops, dim: int) -> list[np.ndarray]:
@@ -335,7 +335,7 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
         m_op = np.einsum("aqs,a,aqt->st", g.conj(), pos, g, optimize=True)
         _, u = np.linalg.eigh(m_op)
         lvecs[:, a:b] = lvecs[:, a:b] @ u
-    lvecs = np.column_stack([canonical_phase(lvecs[:, k]) for k in range(m)])
+    lvecs = phase_fixed(lvecs)
 
     flat = chi.transpose(0, 2, 1, 3).reshape(dR * n, m * dB)
     rho_c = flat @ flat.conj().T
@@ -353,7 +353,7 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
         sub = evecs[:, a:b]
         _, u = np.linalg.eigh(sub.conj().T @ big @ sub)
         evecs[:, a:b] = sub @ u
-    evecs = np.column_stack([canonical_phase(evecs[:, k]) for k in range(n_r)])
+    evecs = phase_fixed(evecs)
 
     ev3 = evecs.reshape(dR, n, n_r)
     w = np.einsum(
@@ -454,9 +454,9 @@ def ki_decompose(
     r_regs = tuple(perm.register(i) for i in r_ids)
     a_regs = tuple(perm.register(i) for i in a_ids)
     b_regs = tuple(perm.register(i) for i in b_ids)
-    dR = int(np.prod([r.dim for r in r_regs], dtype=object)) if r_regs else 1
-    dA = int(np.prod([r.dim for r in a_regs], dtype=object))
-    dB = int(np.prod([r.dim for r in b_regs], dtype=object)) if b_regs else 1
+    dR = math.prod(r.dim for r in r_regs)
+    dA = math.prod(r.dim for r in a_regs)
+    dB = math.prod(r.dim for r in b_regs)
     psi3 = perm.amplitudes.reshape(dR, dA, dB)
 
     rho_a = np.einsum("rab,rcb->ac", psi3, psi3.conj(), optimize=True)

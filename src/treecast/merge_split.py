@@ -44,6 +44,7 @@ from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientResource,
+    SchemaError,
     ShapeMismatch,
     SynthesisFailed,
     ZeroProbabilityBranch,
@@ -60,22 +61,92 @@ from .tensors import (
     Register,
     _group_first,
     apply_map,
-    canonical_phase,
     marginal_matrix,
     max_entangled_pair,
     numerical_rank,
     orthonormal_completion,
     permute_registers,
+    phase_fixed,
     project_onto,
     tensor_product,
 )
 
+# -- the event interpreter ----------------------------------------------------
+
+
+def apply_event(state: PureState, event: dict) -> tuple[PureState, float | None]:
+    """Advance ``state`` by one protocol event; a measurement also returns its probability.
+
+    Events are dicts keyed by ``type``, holding arrays and registers:
+
+    * ``resource-consumed`` — attach Φ⁺_K on (``a0``, ``b0``) when given
+      (a K = 1 resource attaches nothing);
+    * ``local-isometry`` / ``root-correction`` — apply ``matrix`` from the
+      ``in`` registers to the ``out`` registers;
+    * ``measurement`` — project ``targets`` onto column ``outcome`` of
+      ``basis``.  The projected state is left unnormalized and its squared
+      norm is returned: the outcome's probability for a normalized input.
+      Callers renormalize where they need to;
+    * ``broadcast`` — classical communication, no change to the state.
+    """
+    kind = event.get("type")
+    if kind == "resource-consumed":
+        if "a0" in event:
+            state = tensor_product(state, max_entangled_pair(event["a0"], event["b0"]))
+        return state, None
+    if kind in ("local-isometry", "root-correction"):
+        op = LinearMap(tuple(event["in"]), tuple(event["out"]), event["matrix"])
+        return apply_map(state, op), None
+    if kind == "measurement":
+        basis, outcome = event["basis"], int(event["outcome"])
+        if not 0 <= outcome < basis.shape[1]:
+            raise SchemaError(f"measurement outcome {outcome} outside basis")
+        post = project_onto(state, [r.id for r in event["targets"]], basis[:, outcome])
+        prob = float(post.norm() ** 2)
+        if prob < PROB_TOL:
+            raise ZeroProbabilityBranch(
+                f"outcome {outcome} at {event.get('party')!r} has zero probability"
+            )
+        return post, prob
+    if kind == "broadcast":
+        return state, None
+    raise SchemaError(f"unknown event type {kind!r}")
+
+
+def isometry_event(party, matrix, ins, outs, kind="local-isometry") -> dict:
+    """``matrix`` applied at ``party``, from the ``ins`` registers to the ``outs``."""
+    return {"type": kind, "party": party, "matrix": matrix, "in": list(ins), "out": list(outs)}
+
+
+def _resource_event(edge, k, a0=None, b0=None) -> dict:
+    event = {"type": "resource-consumed", "edge": list(edge), "k": k}
+    return event if a0 is None else event | {"a0": a0, "b0": b0}
+
+
+def _measured_events(party, basis, targets, outcome) -> list[dict]:
+    """A measurement and the broadcast of its outcome."""
+    return [
+        {
+            "type": "measurement",
+            "party": party,
+            "basis": basis,
+            "targets": list(targets),
+            "outcome": outcome,
+        },
+        {"type": "broadcast", "party": party, "outcome": outcome},
+    ]
+
+
+def _run_events(state: PureState, events) -> tuple[PureState, float]:
+    """Apply ``events`` in order; returns the state and its last measurement's probability."""
+    prob = 1.0
+    for event in events:
+        state, p = apply_event(state, event)
+        prob = prob if p is None else p
+    return state, prob
+
+
 # -- splitting ----------------------------------------------------------------
-
-
-def _phase_fixed(cols: np.ndarray) -> np.ndarray:
-    """Columns with their global phases fixed by :func:`canonical_phase`."""
-    return np.column_stack([canonical_phase(cols[:, c]) for c in range(cols.shape[1])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +204,7 @@ def build_split_protocol(
 ) -> SplitProtocol:
     moved_ids = tuple(moved_ids)
     regs = [psi.register(i) for i in moved_ids]
-    d_move = int(np.prod([r.dim for r in regs], dtype=object))
+    d_move = math.prod(r.dim for r in regs)
     rank = split_cost(psi, moved_ids, rank_rtol)
     k_eff = rank if k is None else int(k)
     if k_eff < rank:
@@ -143,7 +214,7 @@ def build_split_protocol(
     rho = marginal_matrix(psi, list(moved_ids))
     vals, vecs = np.linalg.eigh(rho)
     vecs = vecs[:, ::-1]
-    basis = _phase_fixed(vecs)
+    basis = phase_fixed(vecs)
     if k_eff <= d_move:
         compress = basis[:, :k_eff].conj().T
     else:
@@ -167,45 +238,59 @@ def build_split_protocol(
     )
 
 
-def execute_split(
-    protocol: SplitProtocol,
-    psi: PureState,
-    *,
-    outcomes=None,
-    a0_id: str = "split:A0",
-    b0_id: str = "split:B0",
-) -> list[SplitBranch]:
-    """Run the split; exhaustive over all K² outcomes unless given."""
-    k = protocol.k
+def split_events(
+    protocol: SplitProtocol, psi: PureState, outcome: int
+) -> tuple[list[dict], list[dict]]:
+    """The split's events for one outcome, as (prefix, tail).
+
+    The prefix does not depend on the outcome: the sender compresses the
+    moved block into a K-dimensional buffer, and Φ⁺_K is consumed on
+    (A₀, B₀).  The tail is the Bell measurement of (buffer, A₀), its
+    broadcast, the receiver's shift correction on B₀ and the
+    decompression of B₀ into the moved registers.  A block of trivial
+    registers needs no teleport: the prefix is the resource and a
+    relabel, and the tail is empty.
+    """
+    k, sender, receiver = protocol.k, protocol.sender, protocol.receiver
     moved = [psi.register(i) for i in protocol.moved_ids]
-    out_regs = tuple(r.with_owner(protocol.receiver) for r in moved)
+    moved_out = [r.with_owner(receiver) for r in moved]
+    edge = (sender, receiver)
     if all(r.dim == 1 for r in moved):
-        return [SplitBranch(0, 1.0, permute_and_reown(psi, out_regs))]
-    buffer = Register(f"buf:{protocol.moved_ids[0]}", k, protocol.sender)
-    compressed = apply_map(
-        psi, LinearMap(tuple(moved), (buffer,), protocol.compress)
-    )
-    a0 = Register(a0_id, k, protocol.sender)
-    b0 = Register(b0_id, k, protocol.receiver)
-    joint = tensor_product(compressed, max_entangled_pair(a0, b0))
+        relabel = isometry_event(receiver, np.eye(1, dtype=complex), moved, moved_out)
+        return [_resource_event(edge, k), relabel], []
+    buf = Register(f"buf:{protocol.moved_ids[0]}", k, sender)
+    a0 = Register(f"sp:{receiver}:A0", k, sender)
+    b0 = Register(f"sp:{receiver}:B0", k, receiver)
+    prefix = [
+        isometry_event(sender, protocol.compress, moved, [buf]),
+        _resource_event(edge, k, a0, b0),
+    ]
+    tail = _measured_events(sender, protocol.bell, [buf, a0], outcome) + [
+        isometry_event(receiver, protocol.corrections[outcome], [b0], [b0]),
+        isometry_event(receiver, protocol.decompress, [b0], moved_out),
+    ]
+    return prefix, tail
+
+
+def execute_split(
+    protocol: SplitProtocol, psi: PureState, *, outcomes=None
+) -> list[SplitBranch]:
+    """Run the split; exhaustive over all K² outcomes unless given.
+
+    The outcome-independent prefix runs once; each outcome's tail then
+    runs on the compressed state.
+    """
+    prefix, tail = split_events(protocol, psi, 0)
+    head, _ = _run_events(psi, prefix)
+    if not tail:
+        return [SplitBranch(0, 1.0, head)]
+    wanted = range(protocol.k**2) if outcomes is None else outcomes
     branches = []
-    wanted = range(k * k) if outcomes is None else outcomes
     for m in wanted:
-        post = project_onto(joint, [buffer.id, a0.id], protocol.bell[:, m])
-        prob = float(post.norm() ** 2)
-        if prob < PROB_TOL:
-            raise ZeroProbabilityBranch(f"split outcome {m} has zero probability")
-        fixed = apply_map(post, LinearMap((b0,), (b0,), protocol.corrections[m]))
-        final = apply_map(fixed, LinearMap((b0,), out_regs, protocol.decompress))
-        branches.append(SplitBranch(int(m), prob, final.normalized()))
+        _, tail = split_events(protocol, psi, int(m))
+        state, prob = _run_events(head, tail)
+        branches.append(SplitBranch(int(m), prob, state.normalized()))
     return branches
-
-
-def permute_and_reown(psi: PureState, out_regs) -> PureState:
-    """Relabel ownership of registers (ids and amplitudes unchanged)."""
-    table = {r.id: r for r in out_regs}
-    regs = tuple(table.get(r.id, r) for r in psi.registers)
-    return PureState(regs, psi.amplitudes)
 
 
 # -- merging ------------------------------------------------------------------
@@ -234,6 +319,7 @@ class MergeProtocol:
     zero_mask: tuple[bool, ...]
     a0_id: str
     b0_id: str
+    sender: str
     receiver: str
     b0_owner: str
     decomposition: KiDecomposition | None
@@ -281,7 +367,7 @@ def _block_frames(dec: KiDecomposition):
         mu = np.linalg.norm(omega, axis=0) ** 2
         lvecs = omega / np.sqrt(mu)[None, :]
         cols = emb.reshape(emb.shape[0], blk.dimL_A)[:, :] @ lvecs
-        frames.append(_phase_fixed(cols))
+        frames.append(phase_fixed(cols))
     return frames
 
 
@@ -292,7 +378,7 @@ def _fourier(n: int) -> np.ndarray:
 
 def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
     """Phase-fixed ``head`` columns followed by a completion to a basis of C^dim."""
-    head = _phase_fixed(head)
+    head = phase_fixed(head)
     return np.hstack([head, orthonormal_completion(head, dim)])
 
 
@@ -485,9 +571,9 @@ def build_merge_protocol(
     perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
     a_regs = [perm.register(i) for i in a_ids]
     b_regs = [perm.register(i) for i in b_ids]
-    dr = int(np.prod([perm.register(i).dim for i in r_ids], dtype=object)) if r_ids else 1
-    da = int(np.prod([r.dim for r in a_regs], dtype=object))
-    db = int(np.prod([r.dim for r in b_regs], dtype=object)) if b_regs else 1
+    dr = math.prod(perm.register(i).dim for i in r_ids)
+    da = math.prod(r.dim for r in a_regs)
+    db = math.prod(r.dim for r in b_regs)
     psi3 = perm.amplitudes.reshape(dr, da, db)
     g_mat = psi3.reshape(dr, da * db)
 
@@ -517,7 +603,7 @@ def build_merge_protocol(
         rho = marginal_matrix(psi, list(a_ids))
         vecs = np.linalg.eigh(rho)[1][:, ::-1]
         rank = numerical_rank(rho, rank_rtol)
-        xcols = _phase_fixed(vecs[:, :rank])
+        xcols = phase_fixed(vecs[:, :rank])
         qcols = _completed_basis(_shift_injection(xcols.T[None], k_eff), da * k_eff)
         tag = "fallback-teleport"
     else:
@@ -550,6 +636,7 @@ def build_merge_protocol(
         zero_mask=zero_mask,
         a0_id=a0_id,
         b0_id=b0_id,
+        sender=a_regs[0].owner,
         receiver=recv,
         b0_owner=b0_owner if b0_owner is not None else recv,
         decomposition=dec,
@@ -562,8 +649,8 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
         psi.normalized(),
         list(protocol.r_ids) + list(protocol.a_ids) + list(protocol.b_ids),
     )
-    da = int(np.prod(protocol.a_dims, dtype=object))
-    db = int(np.prod(protocol.b_dims, dtype=object)) if protocol.b_dims else 1
+    da = math.prod(protocol.a_dims)
+    db = math.prod(protocol.b_dims)
     dr = perm.dim // (da * db)
     psi3 = perm.amplitudes.reshape(dr, da, db)
     g_vec = psi3.reshape(-1)
@@ -639,20 +726,38 @@ def merge_post_state(
     return prob, post
 
 
+def merge_events(protocol: MergeProtocol, outcome: int) -> list[dict]:
+    """The merge's events for one outcome: resource, measurement, broadcast.
+
+    Φ⁺_K sits on the edge with A₀ at the sender and B₀ at ``b0_owner``
+    (no pair when K = 1); the sender measures its share and A₀ in the
+    protocol's basis and broadcasts the outcome.
+    """
+    sender, k = protocol.sender, protocol.k
+    targets = [Register(i, d, sender) for i, d in zip(protocol.a_ids, protocol.a_dims)]
+    pair = ()
+    if k > 1:
+        a0 = Register(protocol.a0_id, k, sender)
+        pair = (a0, Register(protocol.b0_id, k, protocol.b0_owner))
+        targets.append(a0)
+    resource = _resource_event((protocol.b0_owner, sender), k, *pair)
+    return [resource] + _measured_events(sender, protocol.measurement, targets, outcome)
+
+
+def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
+    """U_m at the receiver: (B…, B₀) → (B′ = A-copy…, B…), all held by the receiver."""
+    recv = protocol.receiver
+    b_regs = [Register(i, d, recv) for i, d in zip(protocol.b_ids, protocol.b_dims)]
+    b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
+    a_copy = [Register(i, d, recv) for i, d in zip(protocol.a_ids, protocol.a_dims)]
+    return isometry_event(recv, protocol.corrections[outcome], b_regs + b0, a_copy + b_regs)
+
+
 def apply_merge_correction(
     protocol: MergeProtocol, outcome: int, post: PureState
 ) -> PureState:
-    """Apply U_m: (B…, B₀) → (B′ = A-copy…, B…); B′ owned by the receiver."""
-    in_regs = [post.register(i) for i in protocol.b_ids]
-    if protocol.k > 1:
-        in_regs.append(post.register(protocol.b0_id))
-    out_regs = tuple(
-        Register(i, d, protocol.receiver)
-        for i, d in zip(protocol.a_ids, protocol.a_dims)
-    ) + tuple(post.register(i) for i in protocol.b_ids)
-    return apply_map(
-        post, LinearMap(tuple(in_regs), out_regs, protocol.corrections[outcome])
-    )
+    """Apply U_m to a post-measurement state of :func:`merge_post_states`."""
+    return apply_event(post, correction_event(protocol, outcome))[0]
 
 
 def execute_merge(

@@ -179,12 +179,7 @@ def run_spreading(
             receiver=child,
             rank_rtol=rank_rtol,
         )
-        branches = execute_split(
-            proto,
-            state,
-            a0_id=f"sp:{child}:A0",
-            b0_id=f"sp:{child}:B0",
-        )
+        branches = execute_split(proto, state)
         ref = branches[0].state
         for br in branches[1:]:
             dev = abs(abs(overlap(br.state, ref)) - 1.0)

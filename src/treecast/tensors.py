@@ -11,6 +11,7 @@ operations return new objects.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +68,7 @@ class PureState:
         regs = tuple(self.registers)
         _check_unique(regs)
         amps = _frozen(self.amplitudes)
-        dim = int(np.prod([r.dim for r in regs], dtype=object)) if regs else 1
+        dim = math.prod(r.dim for r in regs)
         if amps.size != dim:
             raise ShapeMismatch(
                 f"amplitude vector has length {amps.size}, registers give {dim}"
@@ -132,7 +133,7 @@ class DensityOp:
         regs = tuple(self.registers)
         _check_unique(regs)
         mat = np.array(self.matrix, dtype=complex)
-        dim = int(np.prod([r.dim for r in regs], dtype=object)) if regs else 1
+        dim = math.prod(r.dim for r in regs)
         if mat.shape != (dim, dim):
             raise ShapeMismatch(f"density matrix shape {mat.shape}, expected {(dim, dim)}")
         mat.setflags(write=False)
@@ -168,8 +169,8 @@ class LinearMap:
         _check_unique(ins)
         _check_unique(outs)
         mat = np.array(self.matrix, dtype=complex)
-        din = int(np.prod([r.dim for r in ins], dtype=object)) if ins else 1
-        dout = int(np.prod([r.dim for r in outs], dtype=object)) if outs else 1
+        din = math.prod(r.dim for r in ins)
+        dout = math.prod(r.dim for r in outs)
         if mat.shape != (dout, din):
             raise ShapeMismatch(f"map has shape {mat.shape}, expected {(dout, din)}")
         mat.setflags(write=False)
@@ -210,7 +211,7 @@ def basis_state(registers, index) -> PureState:
         if not 0 <= i < d:
             raise ShapeMismatch(f"basis label {i} out of range for dimension {d}")
         flat = flat * d + i
-    amps = np.zeros(int(np.prod(dims, dtype=object)) if regs else 1, dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[flat] = 1.0
     return PureState(regs, amps)
 
@@ -228,7 +229,7 @@ def max_entangled_pair(reg_a: Register, reg_b: Register) -> PureState:
 def random_state(registers, rng) -> PureState:
     """Haar-distributed pure state on the given registers."""
     regs = tuple(registers)
-    dim = int(np.prod([r.dim for r in regs], dtype=object)) if regs else 1
+    dim = math.prod(r.dim for r in regs)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(regs, v / np.linalg.norm(v))
 
@@ -262,7 +263,7 @@ def _group_first(state: PureState, rids) -> tuple[np.ndarray, list[Register], li
     rest = [k for k in range(len(state.registers)) if k not in set(pos)]
     kept_regs = [state.registers[k] for k in pos]
     rest_regs = [state.registers[k] for k in rest]
-    dk = int(np.prod([r.dim for r in kept_regs], dtype=object)) if kept_regs else 1
+    dk = math.prod(r.dim for r in kept_regs)
     tens = state.tensor().transpose(pos + rest) if state.registers else state.amplitudes
     return np.ascontiguousarray(tens).reshape(dk, -1), kept_regs, rest_regs
 
@@ -293,7 +294,7 @@ def schmidt(state: PureState, cut, rel_tol: float = RANK_RTOL) -> SchmidtDecompo
     if sorted(left_ids + right_ids) != sorted(state.ids):
         raise BadPermutation("cut does not partition the state's registers")
     perm = permute_registers(state, left_ids + right_ids)
-    dl = int(np.prod([perm.register(i).dim for i in left_ids], dtype=object)) if left_ids else 1
+    dl = math.prod(perm.register(i).dim for i in left_ids)
     mat = perm.amplitudes.reshape(dl, -1)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     cutoff = rel_tol * (s[0] if s.size else 0.0)
@@ -428,6 +429,11 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     if abs(piv) == 0.0:
         return vec.copy()
     return vec * (abs(piv) / piv)
+
+
+def phase_fixed(cols: np.ndarray) -> np.ndarray:
+    """Columns with their global phases fixed by :func:`canonical_phase`."""
+    return np.column_stack([canonical_phase(cols[:, c]) for c in range(cols.shape[1])])
 
 
 def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:

@@ -9,10 +9,13 @@ Replaying the stored events against the stored initial state re-derives
 every branch probability and the final state with no other context, so
 a trace can be verified long after the run that produced it.
 
-Builders evolve the state through the same event engine used by
-``replay_trace``, which makes the recorded hash reproducible by
-construction; an independent fidelity gate against the ideal target
-state keeps the builders honest.
+Events come from the protocols themselves (``split_events``,
+``merge_events``) and run through the one interpreter,
+``merge_split.apply_event``, both while a trace is built and when
+``replay_trace`` re-executes it, which makes the recorded hash
+reproducible by construction; an independent fidelity gate against the
+ideal target state keeps the builders honest.  This module only
+serializes, assembles and replays.
 """
 
 from __future__ import annotations
@@ -30,31 +33,21 @@ from .codes import (
     encoded_pair,
     reference_pair,
 )
-from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
-from .errors import (
-    InputError,
-    SchemaError,
-    ShapeMismatch,
-    VerificationFailed,
-    ZeroProbabilityBranch,
-)
+from .config import RANK_RTOL, VERIFY_TOL
+from .errors import InputError, SchemaError, ShapeMismatch, VerificationFailed
+from .merge_split import apply_event, isometry_event, merge_events, split_events
 from .network import RootedTree, tree_to_document
 from .protocols import (
     ConcentrateResult,
-    CostReport,
     SpreadResult,
     _replay_root_corrections,
 )
 from .tensors import (
-    LinearMap,
     PureState,
     Register,
-    apply_map,
     max_entangled_pair,
     overlap,
     permute_registers,
-    project_onto,
-    tensor_product,
 )
 
 TRACE_FORMAT = "treecast.trace/1"
@@ -88,9 +81,6 @@ class _OpTable:
             self._by_key[key] = ref
             self._ops[ref] = mat
         return ref
-
-    def __getitem__(self, ref: str) -> np.ndarray:
-        return self._ops[ref]
 
     def to_doc(self) -> dict:
         out = {}
@@ -146,122 +136,109 @@ def state_hash(state: PureState) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-# -- the event engine ----------------------------------------------------------
+# -- events ----------------------------------------------------------------------
 
 
-def _apply_event(state: PureState, ev: dict, ops) -> tuple[PureState, float | None]:
-    """Advance the state by one event; measurements return their probability."""
-    kind = ev.get("type")
-    if kind == "resource-consumed":
-        if "a0" in ev:
-            pair = max_entangled_pair(_reg_from(ev["a0"]), _reg_from(ev["b0"]))
-            state = tensor_product(state, pair)
-        return state, None
-    if kind in ("local-isometry", "root-correction"):
-        in_regs = tuple(state.register(s["id"]) for s in ev["in"])
-        for reg, spec in zip(in_regs, ev["in"]):
-            if reg.dim != int(spec["dim"]):
-                raise ShapeMismatch(
-                    f"event register {reg.id!r} has dim {reg.dim}, "
-                    f"trace says {spec['dim']}"
-                )
-        out_regs = tuple(_reg_from(s) for s in ev["out"])
-        return apply_map(state, LinearMap(in_regs, out_regs, ops[ev["matrix"]])), None
-    if kind == "measurement":
-        basis = ops[ev["basis"]]
-        outcome = int(ev["outcome"])
-        if not 0 <= outcome < basis.shape[1]:
-            raise SchemaError(f"measurement outcome {outcome} outside basis")
-        post = project_onto(
-            state, [s["id"] for s in ev["targets"]], basis[:, outcome]
-        )
-        prob = float(post.norm() ** 2)
-        if prob < PROB_TOL:
-            raise ZeroProbabilityBranch(
-                f"trace outcome {outcome} at {ev.get('party')!r} has zero probability"
-            )
-        return post.normalized(), prob
-    if kind == "broadcast":
-        return state, None
-    raise SchemaError(f"unknown trace event type {kind!r}")
+def _convert(event: dict, op, reg) -> dict:
+    """Map an event's operators through ``op`` and its registers through ``reg``."""
+    out = dict(event)
+    for key in event.keys() & {"matrix", "basis"}:
+        out[key] = op(event[key])
+    for key in event.keys() & {"a0", "b0"}:
+        out[key] = reg(event[key])
+    for key in event.keys() & {"in", "out", "targets"}:
+        out[key] = [reg(r) for r in event[key]]
+    return out
 
 
-def _emit(events: list, state: PureState, ev: dict, ops) -> PureState:
-    """Record the event and advance the state through the engine."""
-    state, prob = _apply_event(state, ev, ops)
-    if prob is not None:
-        ev["probability"] = prob
-    events.append(ev)
-    return state
+def _advance(state: PureState, event: dict) -> tuple[PureState, float | None]:
+    """One interpreter step; the state is renormalized after a measurement."""
+    state, prob = apply_event(state, event)
+    return (state if prob is None else state.normalized()), prob
+
+
+class _Recorder:
+    """Runs events through the interpreter and keeps their serialized form."""
+
+    def __init__(self, state: PureState):
+        self.initial = _state_doc(state)
+        self.state = state
+        self.events: list[dict] = []
+        self.ops = _OpTable()
+
+    def emit(self, *events: dict) -> None:
+        for event in events:
+            self.state, prob = _advance(self.state, event)
+            doc = _convert(event, self.ops.add, _regspec)
+            if prob is not None:
+                doc["probability"] = prob
+            self.events.append(doc)
 
 
 # -- builders -------------------------------------------------------------------
 
 
-def _metadata(
+def _fixed_outcomes(outcomes, count: int, per: str) -> tuple[int, ...]:
+    outcomes = (0,) * count if outcomes is None else tuple(int(m) for m in outcomes)
+    if len(outcomes) != count:
+        raise ShapeMismatch(f"need {count} outcomes (one per {per}), got {len(outcomes)}")
+    return outcomes
+
+
+def _assemble(
     task: str,
     code: IsometryCode,
     tree: RootedTree,
-    labeling,
+    result,
+    rec: _Recorder,
+    target: PureState,
     *,
-    code_name: str | None,
     mode: str,
+    outcomes: tuple[int, ...],
+    code_name: str | None,
     seed: int,
     tolerances: dict | None,
-    outcomes,
+    gate_tol: float,
 ) -> dict:
-    tols = {"rank_rtol": RANK_RTOL, "verify_tol": VERIFY_TOL}
-    if tolerances:
-        tols.update(tolerances)
-    return {
-        "task": task,
-        "code": code_to_document(code, name=code_name),
-        "code_name": code_name,
-        "tree": tree_to_document(tree),
-        "labeling": list(labeling),
-        "mode": mode,
-        "seed": int(seed),
-        "tolerances": {k: float(v) for k, v in sorted(tols.items())},
-        "outcomes": [int(m) for m in outcomes],
-    }
-
-
-def _cost_report_doc(report: CostReport) -> dict:
-    return {
-        "direction": report.direction,
-        "edges": [
-            {
-                "parent": e.parent,
-                "child": e.child,
-                "k": e.k,
-                "log2": e.log2,
-            }
-            for e in report.edges
-        ],
-        "total_log2": report.total_log2,
-    }
-
-
-def _assemble(metadata, initial, events, ops, report, state, target, gate_tol):
-    fid = abs(overlap(state.normalized(), target))
+    """The trace document, once the target-fidelity gate passes."""
+    fid = abs(overlap(rec.state.normalized(), target))
     if fid < 1.0 - gate_tol:
         raise VerificationFailed(
             f"trace construction drifted from the target state "
             f"(fidelity {fid:.12f})"
         )
+    tols = {"rank_rtol": RANK_RTOL, "verify_tol": VERIFY_TOL} | (tolerances or {})
+    report = result.cost_report
     return {
         "format": TRACE_FORMAT,
-        "metadata": metadata,
-        "initial_state": initial,
-        "events": events,
-        "operators": ops.to_doc(),
-        "cost_report": _cost_report_doc(report),
+        "metadata": {
+            "task": task,
+            "code": code_to_document(code, name=code_name),
+            "code_name": code_name,
+            "tree": tree_to_document(tree),
+            "labeling": list(result.labeling),
+            "mode": mode,
+            "seed": int(seed),
+            "tolerances": {k: float(v) for k, v in sorted(tols.items())},
+            "outcomes": list(outcomes),
+        },
+        "initial_state": rec.initial,
+        "events": rec.events,
+        "operators": rec.ops.to_doc(),
+        "cost_report": {
+            "direction": report.direction,
+            "edges": [
+                {"parent": e.parent, "child": e.child, "k": e.k, "log2": e.log2}
+                for e in report.edges
+            ],
+            "total_log2": report.total_log2,
+        },
         "final_state": {
             "registers": [
-                _regspec(r) for r in sorted(state.registers, key=lambda r: r.id)
+                _regspec(r) for r in sorted(rec.state.registers, key=lambda r: r.id)
             ],
             "fidelity": fid,
-            "hash": state_hash(state),
+            "hash": state_hash(rec.state),
         },
     }
 
@@ -279,148 +256,41 @@ def spread_trace(
 ) -> dict:
     """Trace one fixed-outcome spreading run (default: all outcomes 0).
 
-    Events: the encoder isometry at the root, then one teleportation
-    block per edge in execution order — resource consumption, the
-    sender's compression, the Bell-basis measurement and broadcast, and
-    the receiver's correction and decompression.
+    Events: the encoder isometry at the root, then each edge's split
+    events (:func:`~treecast.merge_split.split_events`) in execution
+    order — the sender's compression, resource consumption, the
+    Bell-basis measurement and broadcast, and the receiver's correction
+    and decompression.
     """
-    steps = result.steps
-    if outcomes is None:
-        outcomes = (0,) * len(steps)
-    outcomes = tuple(int(m) for m in outcomes)
-    if len(outcomes) != len(steps):
-        raise ShapeMismatch(
-            f"need {len(steps)} outcomes (one per edge), got {len(outcomes)}"
-        )
+    outcomes = _fixed_outcomes(outcomes, len(result.steps), "edge")
     root = result.labeling[0]
-    ops = _OpTable()
-    events: list[dict] = []
     logical = Register("L", code.logical_dim, root)
     ref = Register(REFERENCE_ID, code.logical_dim, "reference")
-    state = max_entangled_pair(ref, logical)
-    phys_at_root = tuple(
-        Register(p, d, root) for p, d in zip(code.parties, code.physical_dims)
-    )
-    state = _emit(
-        events,
-        state,
-        {
-            "type": "local-isometry",
-            "party": root,
-            "matrix": ops.add(code.matrix),
-            "in": [_regspec(logical)],
-            "out": [_regspec(r) for r in phys_at_root],
-        },
-        ops,
-    )
-    for step, m in zip(steps, outcomes):
+    rec = _Recorder(max_entangled_pair(ref, logical))
+    phys_at_root = [Register(p, d, root) for p, d in zip(code.parties, code.physical_dims)]
+    rec.emit(isometry_event(root, code.matrix, [logical], phys_at_root))
+    for step, m in zip(result.steps, outcomes):
         proto = step.protocol
         if not 0 <= m < proto.k**2:
             raise ShapeMismatch(
                 f"edge ({step.parent}, {step.child}) has {proto.k ** 2} outcomes, "
                 f"got {m}"
             )
-        moved = [state.register(i) for i in proto.moved_ids]
-        moved_out = [r.with_owner(step.child) for r in moved]
-        resource = {
-            "type": "resource-consumed",
-            "edge": [step.parent, step.child],
-            "k": proto.k,
-        }
-        if all(r.dim == 1 for r in moved):
-            state = _emit(events, state, resource, ops)
-            state = _emit(
-                events,
-                state,
-                {
-                    "type": "local-isometry",
-                    "party": step.child,
-                    "matrix": ops.add(np.eye(1, dtype=complex)),
-                    "in": [_regspec(r) for r in moved],
-                    "out": [_regspec(r) for r in moved_out],
-                },
-                ops,
-            )
-            continue
-        sender = proto.sender
-        buf = Register(f"buf:{proto.moved_ids[0]}", proto.k, sender)
-        a0 = Register(f"sp:{step.child}:A0", proto.k, sender)
-        b0 = Register(f"sp:{step.child}:B0", proto.k, step.child)
-        resource["a0"] = _regspec(a0)
-        resource["b0"] = _regspec(b0)
-        state = _emit(events, state, resource, ops)
-        state = _emit(
-            events,
-            state,
-            {
-                "type": "local-isometry",
-                "party": sender,
-                "matrix": ops.add(proto.compress),
-                "in": [_regspec(r) for r in moved],
-                "out": [_regspec(buf)],
-            },
-            ops,
-        )
-        state = _emit(
-            events,
-            state,
-            {
-                "type": "measurement",
-                "party": sender,
-                "basis": ops.add(proto.bell),
-                "targets": [_regspec(buf), _regspec(a0)],
-                "outcome": m,
-            },
-            ops,
-        )
-        state = _emit(
-            events, state, {"type": "broadcast", "party": sender, "outcome": m}, ops
-        )
-        state = _emit(
-            events,
-            state,
-            {
-                "type": "local-isometry",
-                "party": step.child,
-                "matrix": ops.add(proto.corrections[m]),
-                "in": [_regspec(b0)],
-                "out": [_regspec(b0)],
-            },
-            ops,
-        )
-        state = _emit(
-            events,
-            state,
-            {
-                "type": "local-isometry",
-                "party": step.child,
-                "matrix": ops.add(proto.decompress),
-                "in": [_regspec(b0)],
-                "out": [_regspec(r) for r in moved_out],
-            },
-            ops,
-        )
-    metadata = _metadata(
+        prefix, tail = split_events(proto, rec.state, m)
+        rec.emit(*prefix, *tail)
+    return _assemble(
         "spread",
         code,
         tree,
-        result.labeling,
-        code_name=code_name,
+        result,
+        rec,
+        encoded_pair(code),
         mode="exact",
+        outcomes=outcomes,
+        code_name=code_name,
         seed=seed,
         tolerances=tolerances,
-        outcomes=outcomes,
-    )
-    initial = _state_doc(max_entangled_pair(ref, logical))
-    return _assemble(
-        metadata,
-        initial,
-        events,
-        ops,
-        result.cost_report,
-        state,
-        encoded_pair(code),
-        gate_tol,
+        gate_tol=gate_tol,
     )
 
 
@@ -437,118 +307,60 @@ def concentrate_trace(
 ) -> dict:
     """Trace one branch of a concentrating run (default: all outcomes 0).
 
-    Events: per stage, descending — resource consumption on the stage
-    edge, the merging vertex's measurement, and its broadcast — then the
-    single composed correction isometry at the root, which also inverts
-    the encoding.
+    Events: per stage, descending, the merge events
+    (:func:`~treecast.merge_split.merge_events`) — resource consumption
+    on the stage edge, the merging vertex's measurement, and its
+    broadcast — then the single composed correction isometry at the
+    root, which also inverts the encoding.
     """
     labeling = result.labeling
     n = len(labeling)
-    if outcomes is None:
-        outcomes = (0,) * (n - 1)
-    outcomes = tuple(int(m) for m in outcomes)
-    if len(outcomes) != n - 1:
-        raise ShapeMismatch(
-            f"need {n - 1} outcomes (one per stage), got {len(outcomes)}"
-        )
-    ops = _OpTable()
-    events: list[dict] = []
-    state = encoded_pair(code)
-    initial = _state_doc(state)
+    outcomes = _fixed_outcomes(outcomes, n - 1, "stage")
+    rec = _Recorder(encoded_pair(code))
     for j in range(n, 1, -1):
         prefix = outcomes[: n - j]
-        stage = result.steps.get(j, {})
-        rec = stage.get(prefix)
-        if rec is None:
+        step = result.steps.get(j, {}).get(prefix)
+        if step is None:
             raise InputError(
                 f"branch {list(outcomes)} was not recorded in this run "
                 f"(stage {j} prefix {list(prefix)})"
             )
-        proto = rec.protocol
+        proto = step.protocol
         m = outcomes[n - j]
         if not 0 <= m < proto.measurement.shape[1]:
             raise ShapeMismatch(
                 f"stage {j} has {proto.measurement.shape[1]} outcomes, got {m}"
             )
-        resource = {
-            "type": "resource-consumed",
-            "edge": [rec.parent, rec.vertex],
-            "k": proto.k,
-        }
-        targets = [_regspec(state.register(i)) for i in proto.a_ids]
-        if proto.k > 1:
-            a0 = Register(proto.a0_id, proto.k, rec.vertex)
-            b0 = Register(proto.b0_id, proto.k, proto.b0_owner)
-            resource["a0"] = _regspec(a0)
-            resource["b0"] = _regspec(b0)
-            targets.append(_regspec(a0))
-        state = _emit(events, state, resource, ops)
-        state = _emit(
-            events,
-            state,
-            {
-                "type": "measurement",
-                "party": rec.vertex,
-                "basis": ops.add(proto.measurement),
-                "targets": targets,
-                "outcome": m,
-            },
-            ops,
-        )
-        state = _emit(
-            events,
-            state,
-            {"type": "broadcast", "party": rec.vertex, "outcome": m},
-            ops,
-        )
-    rest = [r for r in state.registers if r.id != REFERENCE_ID]
-    dim = int(np.prod([r.dim for r in rest], dtype=object))
-    columns = []
-    for idx in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[idx] = 1.0
-        pushed = _replay_root_corrections(
-            code, labeling, result.steps, outcomes, PureState(tuple(rest), amps)
-        )
-        if pushed.ids != ("L",):
-            raise VerificationFailed(
-                "root correction did not close onto the logical register"
-            )
-        columns.append(pushed.amplitudes)
-    composed = np.column_stack(columns)
+        rec.emit(*merge_events(proto, m))
+    # compose the root correction in one replay: the deferred corrections
+    # and the decoder act on the rest registers of Σ_i |i⟩_rest |i⟩_column,
+    # which leaves column i of the composed map entangled with |i⟩_column
+    rest = tuple(r for r in rec.state.registers if r.id != REFERENCE_ID)
+    dim = math.prod(r.dim for r in rest)
     root = labeling[0]
-    state = _emit(
-        events,
-        state,
-        {
-            "type": "root-correction",
-            "party": root,
-            "matrix": ops.add(composed),
-            "in": [_regspec(r) for r in rest],
-            "out": [_regspec(Register("L", code.logical_dim, root))],
-        },
-        ops,
-    )
-    metadata = _metadata(
+    column = Register("trace:column", dim, root)
+    basis = PureState(rest + (column,), np.eye(dim, dtype=complex))
+    pushed = _replay_root_corrections(code, labeling, result.steps, outcomes, basis)
+    if sorted(pushed.ids) != ["L", column.id]:
+        raise VerificationFailed(
+            "root correction did not close onto the logical register"
+        )
+    composed = permute_registers(pushed, ["L", column.id]).amplitudes.reshape(-1, dim)
+    logical = Register("L", code.logical_dim, root)
+    rec.emit(isometry_event(root, composed, rest, [logical], kind="root-correction"))
+    return _assemble(
         "concentrate",
         code,
         tree,
-        labeling,
-        code_name=code_name,
+        result,
+        rec,
+        reference_pair(code.logical_dim),
         mode=result.mode,
+        outcomes=outcomes,
+        code_name=code_name,
         seed=seed,
         tolerances=tolerances,
-        outcomes=outcomes,
-    )
-    return _assemble(
-        metadata,
-        initial,
-        events,
-        ops,
-        result.cost_report,
-        state,
-        reference_pair(code.logical_dim),
-        gate_tol,
+        gate_tol=gate_tol,
     )
 
 
@@ -580,7 +392,7 @@ def replay_trace(doc: dict) -> dict:
     max_pdev = 0.0
     consumed: list[tuple[str, str, int]] = []
     for ev in doc["events"]:
-        state, prob = _apply_event(state, ev, ops)
+        state, prob = _advance(state, _convert(ev, ops.__getitem__, _reg_from))
         if prob is not None:
             max_pdev = max(max_pdev, abs(prob - float(ev["probability"])))
         if ev.get("type") == "resource-consumed":

@@ -117,13 +117,7 @@ def verify_spreading_channel(
             for step in result.steps:
                 n_out = step.protocol.k**2
                 m = 0 if p == 0 else int(rng.integers(n_out))
-                (branch,) = execute_split(
-                    step.protocol,
-                    state,
-                    outcomes=[m],
-                    a0_id=f"sp:{step.child}:A0",
-                    b0_id=f"sp:{step.child}:B0",
-                )
+                (branch,) = execute_split(step.protocol, state, outcomes=[m])
                 worst_pdev = max(worst_pdev, abs(branch.probability - 1.0 / n_out))
                 state = branch.state
             worst_td = max(worst_td, trace_distance(marginal_matrix(state, phys), rho_target))

@@ -316,6 +316,21 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert doc["error"]["type"] == "NotIsometry"
 
+    def test_oversized_builtin_refused(self, capsys):
+        # 2·2**64 entries: refused by the size cap before any array is built
+        code, doc = run_json(capsys, "cost-spread", "--code", "ghz:64", "--tree", "line:64")
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "TooLarge"
+
+    def test_oversized_code_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        parties = [{"name": "p1", "dim": 2**32}, {"name": "p2", "dim": 2**32}]
+        path.write_text(json.dumps({"D": 2, "parties": parties, "entries": []}))
+        code, doc = run_json(capsys, "cost-spread", "--code", str(path), "--tree", "p1-p2")
+        assert code == 2
+        assert doc["error"]["type"] == "TooLarge"
+
     def test_labeling_given_violations(self, capsys, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(
@@ -529,6 +544,41 @@ class TestRankTolerance:
         assert doc["labeling_search"]["best_total_log2"] == 1
         code, doc = run_json(capsys, *argv)
         assert code == 3
+
+
+class TestToleranceFlags:
+    """Each tolerance flag is registered only on the subcommands that read it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cost-spread", "--code", "star4", "--tree", "star:4", "--tol-verify", "0.5"),
+            ("cost-concentrate", "--code", "star4", "--tree", "star:4", "--tol-verify", "0.5"),
+            ("compare", "--code", "star4", "--tree", "star:4", "--tol-verify", "0.5"),
+            ("ki", "--code", "star4", "--tree", "star:4", "--tol-verify", "0.5"),
+            ("verify-trace", "t.json", "--tol-rank", "0.9"),
+        ],
+    )
+    def test_unread_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_echoes_only_read_tolerances(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.json")
+        _, doc = run_json(
+            capsys, "run-spread", "--code", "star4", "--tree", "star:4",
+            "--tol-verify", "1e-7", "--tol-rank", "1e-9", "--trace-out", trace,
+        )
+        assert doc["config"]["tol_verify"] == 1e-7
+        assert doc["config"]["tol_rank"] == 1e-9
+        _, doc = run_json(capsys, "verify-trace", trace, "--tol-verify", "1e-7")
+        assert doc["config"]["tol_verify"] == 1e-7
+        assert "tol_rank" not in doc["config"]
+        _, doc = run_json(capsys, "compare", "--code", "star4", "--tree", "star:4")
+        assert "tol_verify" not in doc["config"]
+        assert "tol_rank" in doc["config"]
 
 
 class TestDeterminism:

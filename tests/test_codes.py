@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from treecast.codes import (
+    MAX_CODE_ENTRIES,
     IsometryCode,
     code_from_json,
     code_to_document,
@@ -32,6 +33,7 @@ from treecast.errors import (
     NotIsometry,
     PartyMismatch,
     SchemaError,
+    TooLarge,
     UnknownBuiltin,
 )
 from treecast.tensors import partial_trace
@@ -175,6 +177,30 @@ def test_code_from_json_and_load(tmp_path):
         load_code(str(bad))
     with pytest.raises(UnknownBuiltin):
         load_code("no_such_file.json")
+
+
+def test_oversized_codes_refused_before_allocation():
+    # every refused input here fails at once or costs at most ~50 MiB even
+    # without the size check: 2**64-sized arrays exceed numpy's index range
+    with pytest.raises(TooLarge):
+        parse_code_spec("ghz:64")
+    with pytest.raises(TooLarge):
+        product_code([2**32, 2**32])
+    huge = [{"name": "a", "dim": 2**32}, {"name": "b", "dim": 2**32}]
+    with pytest.raises(TooLarge):
+        code_from_json({"D": 2, "parties": huge, "entries": []})
+    # just above the cap: 1025² entries, and D·dim = cap + 1
+    with pytest.raises(TooLarge):
+        parse_code_spec("identity(1025)")
+    one = [[0, 0, 1.0, 0.0]]
+    with pytest.raises(TooLarge):
+        code_from_json(
+            {"D": 1, "parties": [{"name": "a", "dim": MAX_CODE_ENTRIES + 1}], "entries": one}
+        )
+    at_cap = code_from_json(
+        {"D": 1, "parties": [{"name": "a", "dim": MAX_CODE_ENTRIES}], "entries": one}
+    )
+    assert at_cap.matrix.shape == (MAX_CODE_ENTRIES, 1)
 
 
 def test_code_json_builtin_reference_and_roundtrip(tmp_path):

@@ -6,13 +6,28 @@ import math
 import numpy as np
 import pytest
 
-from treecast.codes import encoded_pair, five_qubit_code
+from treecast.codes import (
+    encoded_pair,
+    five_qubit_code,
+    identity_code,
+    random_code,
+    star4_code,
+)
 from treecast.config import PROB_TOL, VERIFY_TOL
-from treecast.errors import DimensionMismatch, InsufficientResource, SynthesisFailed
+from treecast.errors import (
+    DimensionMismatch,
+    InsufficientResource,
+    SchemaError,
+    ShapeMismatch,
+    SynthesisFailed,
+    ZeroProbabilityBranch,
+)
 from treecast.merge_split import (
+    SplitBranch,
     _joint_tensor,
     _shift_injection,
     _solve_corrections,
+    apply_event,
     apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
@@ -20,13 +35,19 @@ from treecast.merge_split import (
     execute_split,
     merge_cost,
     merge_post_state,
+    merge_events,
     merge_post_states,
     split_cost,
+    split_events,
     verify_merge,
 )
+from treecast.network import line_tree, star_tree
+from treecast.protocols import run_spreading
 from treecast.tensors import (
+    LinearMap,
     PureState,
     Register,
+    apply_map,
     canonical_phase,
     marginal_matrix,
     max_entangled_pair,
@@ -37,6 +58,7 @@ from treecast.tensors import (
     random_state,
     tensor_product,
 )
+from treecast.trace import _OpTable, _reg_from, _regspec, spread_trace, verify_trace
 
 
 def regs(*spec):
@@ -607,3 +629,345 @@ class TestBatchedExpansion:
         for (p, post), m in zip(picked, [3, 1]):
             assert p == pytest.approx(full[m][0], abs=1e-15)
             assert np.allclose(post.amplitudes, full[m][1].amplitudes, atol=1e-15)
+
+
+# -- the event interpreter against the direct calls it replaced ------------------
+
+
+def execute_split_reference(protocol, psi, *, outcomes=None, a0_id="split:A0", b0_id="split:B0"):
+    """Reference: the split spelled as direct calls, before it ran as events."""
+    k = protocol.k
+    moved = [psi.register(i) for i in protocol.moved_ids]
+    out_regs = tuple(r.with_owner(protocol.receiver) for r in moved)
+    if all(r.dim == 1 for r in moved):
+        table = {r.id: r for r in out_regs}
+        relabeled = tuple(table.get(r.id, r) for r in psi.registers)
+        return [SplitBranch(0, 1.0, PureState(relabeled, psi.amplitudes))]
+    buffer = Register(f"buf:{protocol.moved_ids[0]}", k, protocol.sender)
+    compressed = apply_map(psi, LinearMap(tuple(moved), (buffer,), protocol.compress))
+    a0 = Register(a0_id, k, protocol.sender)
+    b0 = Register(b0_id, k, protocol.receiver)
+    joint = tensor_product(compressed, max_entangled_pair(a0, b0))
+    branches = []
+    wanted = range(k * k) if outcomes is None else outcomes
+    for m in wanted:
+        post = project_onto(joint, [buffer.id, a0.id], protocol.bell[:, m])
+        prob = float(post.norm() ** 2)
+        if prob < PROB_TOL:
+            raise ZeroProbabilityBranch(f"split outcome {m} has zero probability")
+        fixed = apply_map(post, LinearMap((b0,), (b0,), protocol.corrections[m]))
+        final = apply_map(fixed, LinearMap((b0,), out_regs, protocol.decompress))
+        branches.append(SplitBranch(int(m), prob, final.normalized()))
+    return branches
+
+
+def apply_event_reference(state, ev, ops):
+    """Reference: the trace's former engine over serialized events."""
+    kind = ev["type"]
+    if kind == "resource-consumed":
+        if "a0" in ev:
+            pair = max_entangled_pair(_reg_from(ev["a0"]), _reg_from(ev["b0"]))
+            state = tensor_product(state, pair)
+        return state, None
+    if kind == "local-isometry":
+        in_regs = tuple(state.register(s["id"]) for s in ev["in"])
+        out_regs = tuple(_reg_from(s) for s in ev["out"])
+        return apply_map(state, LinearMap(in_regs, out_regs, ops[ev["matrix"]])), None
+    if kind == "measurement":
+        basis = ops[ev["basis"]]
+        post = project_onto(
+            state, [s["id"] for s in ev["targets"]], basis[:, int(ev["outcome"])]
+        )
+        return post.normalized(), float(post.norm() ** 2)
+    return state, None
+
+
+def spread_events_reference(code, result, outcomes):
+    """Reference: the hand-built spread-trace event list, resource-first blocks.
+
+    Returns the serialized events (probabilities included) and their
+    operator table, evolving the state through the former engine.
+    """
+    root = result.labeling[0]
+    table, matrices = _OpTable(), {}
+    events = []
+
+    def add(matrix):
+        ref = table.add(matrix)
+        matrices[ref] = matrix
+        return ref
+
+    def emit(state, ev):
+        state, prob = apply_event_reference(state, ev, matrices)
+        if prob is not None:
+            ev["probability"] = prob
+        events.append(ev)
+        return state
+
+    logical = Register("L", code.logical_dim, root)
+    ref = Register("R", code.logical_dim, "reference")
+    phys_at_root = tuple(Register(p, d, root) for p, d in zip(code.parties, code.physical_dims))
+    state = emit(
+        max_entangled_pair(ref, logical),
+        {
+            "type": "local-isometry",
+            "party": root,
+            "matrix": add(code.matrix),
+            "in": [_regspec(logical)],
+            "out": [_regspec(r) for r in phys_at_root],
+        },
+    )
+    for step, m in zip(result.steps, outcomes):
+        proto = step.protocol
+        moved = [state.register(i) for i in proto.moved_ids]
+        moved_out = [r.with_owner(step.child) for r in moved]
+        resource = {"type": "resource-consumed", "edge": [step.parent, step.child], "k": proto.k}
+        if all(r.dim == 1 for r in moved):
+            state = emit(state, resource)
+            state = emit(
+                state,
+                {
+                    "type": "local-isometry",
+                    "party": step.child,
+                    "matrix": add(np.eye(1, dtype=complex)),
+                    "in": [_regspec(r) for r in moved],
+                    "out": [_regspec(r) for r in moved_out],
+                },
+            )
+            continue
+        sender = proto.sender
+        buf = Register(f"buf:{proto.moved_ids[0]}", proto.k, sender)
+        a0 = Register(f"sp:{step.child}:A0", proto.k, sender)
+        b0 = Register(f"sp:{step.child}:B0", proto.k, step.child)
+        resource["a0"] = _regspec(a0)
+        resource["b0"] = _regspec(b0)
+        state = emit(state, resource)
+        state = emit(
+            state,
+            {
+                "type": "local-isometry",
+                "party": sender,
+                "matrix": add(proto.compress),
+                "in": [_regspec(r) for r in moved],
+                "out": [_regspec(buf)],
+            },
+        )
+        state = emit(
+            state,
+            {
+                "type": "measurement",
+                "party": sender,
+                "basis": add(proto.bell),
+                "targets": [_regspec(buf), _regspec(a0)],
+                "outcome": m,
+            },
+        )
+        state = emit(state, {"type": "broadcast", "party": sender, "outcome": m})
+        state = emit(
+            state,
+            {
+                "type": "local-isometry",
+                "party": step.child,
+                "matrix": add(proto.corrections[m]),
+                "in": [_regspec(b0)],
+                "out": [_regspec(b0)],
+            },
+        )
+        state = emit(
+            state,
+            {
+                "type": "local-isometry",
+                "party": step.child,
+                "matrix": add(proto.decompress),
+                "in": [_regspec(b0)],
+                "out": [_regspec(r) for r in moved_out],
+            },
+        )
+    return events, table.to_doc()
+
+
+def spreading_steps(code, tree):
+    """(state, protocol) before each split of a spreading run, via the reference."""
+    start = encoded_pair(code)
+    state = PureState(
+        tuple(r if r.id == "R" else r.with_owner(tree.root) for r in start.registers),
+        start.amplitudes,
+    )
+    order = tree.default_labeling()
+    cases = []
+    for child in order[1:]:
+        block = [v for v in order if v in set(tree.subtree(child))]
+        proto = build_split_protocol(state, block, receiver=child)
+        cases.append((state, proto))
+        state = execute_split_reference(proto, state)[0].state
+    return cases
+
+
+def spreading_codes():
+    rng = np.random.default_rng(77)
+    return [
+        (five_qubit_code(), line_tree(5)),
+        (star4_code(), star_tree(4)),
+        (identity_code(2, 3), line_tree(3)),  # all-trivial moved blocks
+        (random_code(rng, 2, (3, 3, 3, 3)), line_tree(4)),
+        (random_code(rng, 3, (2, 2, 2, 2)), star_tree(4)),
+    ]
+
+
+def split_cases():
+    """(state, protocol): spreading steps of builtin and random codes, plus single splits."""
+    cases = [c for code, tree in spreading_codes() for c in spreading_steps(code, tree)]
+    pair = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
+    product = tensor_product(
+        PureState(regs(("X", 2, "alice"),), np.array([1, 0], dtype=complex)), pair
+    )
+    rng = np.random.default_rng(7)
+    noisy = random_state(regs(("R", 2, "ref"), ("S", 2, "alice")), rng)
+    cases.append((pair, build_split_protocol(pair, ["S"], receiver="bob")))
+    cases.append((product, build_split_protocol(product, ["X"], receiver="bob")))  # K = 1
+    cases.append((noisy, build_split_protocol(noisy, ["S"], 3, receiver="bob")))  # K > rank
+    return cases
+
+
+def resolved(events, operators):
+    """Events with operator refs replaced by their matrices."""
+    out = []
+    for ev in events:
+        ev = dict(ev)
+        for key in ev.keys() & {"matrix", "basis"}:
+            item = operators[ev[key]]
+            ev[key] = np.array([complex(*x) for x in item["data"]]).reshape(item["shape"])
+        out.append(ev)
+    return out
+
+
+def compress_first(events):
+    """Swap each teleport block's resource event behind its compression."""
+    events = list(events)
+    for i in range(len(events) - 1):
+        ev, nxt = events[i], events[i + 1]
+        if ev["type"] == "resource-consumed" and "a0" in ev and nxt["type"] == "local-isometry":
+            events[i], events[i + 1] = nxt, ev
+    return events
+
+
+class TestSplitInterpreter:
+    @pytest.mark.parametrize("psi,proto", split_cases())
+    def test_matches_direct_calls_on_every_outcome(self, psi, proto):
+        got = execute_split(proto, psi)
+        want = execute_split_reference(proto, psi)
+        trivial = all(d == 1 for d in proto.moved_dims)
+        assert [b.outcome for b in got] == [b.outcome for b in want]
+        assert len(got) == (1 if trivial else proto.k**2)
+        for g, w in zip(got, want):
+            assert abs(g.probability - w.probability) <= 1e-12
+            assert set(g.state.registers) == set(w.state.registers)
+            aligned = permute_registers(g.state, list(w.state.ids))
+            assert np.abs(aligned.amplitudes - w.state.amplitudes).max() <= 1e-12
+
+    def test_selected_outcomes_match_the_exhaustive_run(self):
+        psi, proto = spreading_steps(five_qubit_code(), line_tree(5))[1]
+        full = execute_split(proto, psi)
+        picked = execute_split(proto, psi, outcomes=[63, 5])
+        assert [b.outcome for b in picked] == [63, 5]
+        for b in picked:
+            assert b.probability == full[b.outcome].probability
+            assert np.array_equal(b.state.amplitudes, full[b.outcome].state.amplitudes)
+
+    def test_trivial_block_is_resource_and_relabel(self):
+        psi, proto = spreading_steps(identity_code(2, 3), line_tree(3))[0]
+        prefix, tail = split_events(proto, psi, 0)
+        assert [e["type"] for e in prefix] == ["resource-consumed", "local-isometry"]
+        assert tail == []
+        (branch,) = execute_split(proto, psi)
+        assert branch.probability == 1.0
+        assert {r.id: r.owner for r in branch.state.registers}["v3"] == "v2"
+
+
+class TestSpreadTraceEvents:
+    @pytest.mark.parametrize("code,tree", spreading_codes())
+    def test_matches_hand_built_events(self, code, tree):
+        result = run_spreading(code, tree)
+        outcomes = [s.protocol.k**2 - 1 for s in result.steps]
+        doc = spread_trace(code, tree, result, outcomes=outcomes)
+        ref_events, ref_ops = spread_events_reference(code, result, outcomes)
+        got = resolved(doc["events"], doc["operators"])
+        want = compress_first(resolved(ref_events, ref_ops))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for key in g:
+                if key in ("matrix", "basis"):
+                    assert g[key].shape == w[key].shape
+                    assert np.abs(g[key] - w[key]).max() <= 1e-12
+                elif key == "probability":
+                    assert abs(g[key] - w[key]) <= 1e-12
+                else:
+                    assert g[key] == w[key]
+        # the interpreter runs the resource-first order to the same state
+        resource_first = dict(doc, events=ref_events, operators=ref_ops)
+        verdict = verify_trace(resource_first)
+        assert verdict["hash_match"] and verdict["passed"]
+
+
+class TestMergeEvents:
+    @pytest.mark.parametrize("psi,roles,kwargs", exact_merge_cases())
+    def test_events_reproduce_the_batched_expansion(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        batched = merge_post_states(proto, psi)
+        for m in np.flatnonzero(~np.array(proto.zero_mask))[:6]:
+            state, prob = psi, None
+            for event in merge_events(proto, int(m)):
+                state, p = apply_event(state, event)
+                prob = prob if p is None else p
+            ref_prob, ref_post = batched[m]
+            assert abs(prob - ref_prob) <= 1e-12
+            aligned = permute_registers(state, list(ref_post.ids))
+            assert np.abs(aligned.amplitudes - ref_post.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("psi,roles,kwargs", exact_merge_cases())
+    def test_correction_matches_direct_map(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        for m, (prob, post) in enumerate(merge_post_states(proto, psi)):
+            if prob < PROB_TOL:
+                continue
+            in_regs = [post.register(i) for i in proto.b_ids]
+            if proto.k > 1:
+                in_regs.append(post.register(proto.b0_id))
+            out_regs = tuple(
+                Register(i, d, proto.receiver) for i, d in zip(proto.a_ids, proto.a_dims)
+            ) + tuple(post.register(i) for i in proto.b_ids)
+            want = apply_map(post, LinearMap(tuple(in_regs), out_regs, proto.corrections[m]))
+            got = apply_merge_correction(proto, m, post)
+            assert set(got.ids) == set(want.ids)
+            aligned = permute_registers(got, list(want.ids))
+            assert np.abs(aligned.amplitudes - want.amplitudes).max() <= 1e-12
+
+
+class TestApplyEvent:
+    def test_measurement_leaves_the_state_unnormalized(self):
+        psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
+        basis = np.eye(2, dtype=complex)
+        event = {"type": "measurement", "basis": basis, "targets": [psi.register("S")], "outcome": 1}
+        post, prob = apply_event(psi, event)
+        assert prob == pytest.approx(0.5)
+        assert post.norm() ** 2 == pytest.approx(0.5)
+
+    def test_bad_events_rejected(self):
+        psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
+        target = [psi.register("S")]
+        with pytest.raises(SchemaError):
+            apply_event(psi, {"type": "teleport"})
+        with pytest.raises(SchemaError):
+            apply_event(psi, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 2})
+        zero = PureState(psi.registers, np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(ZeroProbabilityBranch):
+            apply_event(zero, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 1})
+        wrong = {
+            "type": "local-isometry",
+            "matrix": np.eye(3),
+            "in": [Register("S", 3, "alice")],
+            "out": [Register("S", 3, "alice")],
+        }
+        with pytest.raises(ShapeMismatch):
+            apply_event(psi, wrong)

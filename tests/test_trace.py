@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from treecast.codes import (
 )
 from treecast.errors import InputError, SchemaError, ShapeMismatch
 from treecast.network import line_tree, star_tree
-from treecast.protocols import run_concentrating, run_spreading
-from treecast.tensors import overlap, permute_registers
+from treecast.protocols import _replay_root_corrections, run_concentrating, run_spreading
+from treecast.tensors import PureState, overlap, permute_registers
 from treecast.trace import (
+    _reg_from,
     concentrate_trace,
     load_trace,
     replay_trace,
@@ -44,6 +46,8 @@ def five_concentrate(five_line):
     code, tree = five_line
     return run_concentrating(code, tree)
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 def events_of(doc, kind):
     return [e for e in doc["events"] if e["type"] == kind]
@@ -69,14 +73,14 @@ class TestSpreadTrace:
         assert ks == [4, 8, 4, 2]
         probs = [e["probability"] for e in events_of(doc, "measurement")]
         assert probs == pytest.approx([1 / 16, 1 / 64, 1 / 16, 1 / 4])
-        # each teleport block: resource, compress, measure, broadcast,
+        # each teleport block: compress, resource, measure, broadcast,
         # correction, decompress
         kinds = [e["type"] for e in events]
         assert len(kinds) == 1 + 4 * 6
         block = kinds[1:7]
         assert block == [
-            "resource-consumed",
             "local-isometry",
+            "resource-consumed",
             "measurement",
             "broadcast",
             "local-isometry",
@@ -153,6 +157,26 @@ class TestConcentrateTrace:
         assert np.allclose(np.abs(mat), np.eye(2), atol=1e-9)
         assert mat[1, 1] / mat[0, 0] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("outcomes", [(0, 0, 0, 0), (1, 0, 1, 1)])
+    def test_composed_correction_matches_per_column_replay(
+        self, five_line, five_concentrate, outcomes
+    ):
+        code, tree = five_line
+        doc = concentrate_trace(code, tree, five_concentrate, outcomes=outcomes)
+        root = doc["events"][-1]
+        item = doc["operators"][root["matrix"]]
+        composed = np.array([complex(a, b) for a, b in item["data"]]).reshape(item["shape"])
+        # reference: push each basis vector of the rest registers on its own
+        rest = tuple(_reg_from(spec) for spec in root["in"])
+        dim = composed.shape[1]
+        for idx in range(dim):
+            basis = PureState(rest, np.eye(dim, dtype=complex)[idx])
+            pushed = _replay_root_corrections(
+                code, five_concentrate.labeling, five_concentrate.steps, outcomes, basis
+            )
+            assert pushed.ids == ("L",)
+            assert np.abs(pushed.amplitudes - composed[:, idx]).max() <= 1e-12
+
     def test_every_branch_builds_a_passing_trace(self, five_line, five_concentrate):
         code, tree = five_line
         for outcomes in itertools.product(range(2), repeat=4):
@@ -206,6 +230,26 @@ class TestConcentrateTrace:
         sdoc = spread_trace(code, tree, run_spreading(code, tree))
         assert verify_trace(sdoc)["passed"]
         assert [e["type"] for e in sdoc["events"]] == ["local-isometry"]
+
+
+class TestStoredTraces:
+    """Traces written while split blocks consumed their resource before compressing."""
+
+    @pytest.mark.parametrize(
+        "name", ["star4-spread-resource-first.json", "star4-concentrate.json"]
+    )
+    def test_still_verify(self, name):
+        doc = load_trace(str(DATA / name))
+        verdict = verify_trace(doc)
+        assert verdict["hash_match"]
+        assert verdict["passed"]
+
+    def test_spread_blocks_are_resource_first(self):
+        doc = load_trace(str(DATA / "star4-spread-resource-first.json"))
+        assert [e["type"] for e in doc["events"][1:3]] == [
+            "resource-consumed",
+            "local-isometry",
+        ]
 
 
 class TestTamperDetection:
