@@ -26,7 +26,7 @@ from .koashi_imoto import ki_decompose, merge_cost_K
 from .merge_split import merge_post_state
 from .network import load_tree, tree_to_document
 from .protocols import (
-    compare_costs,
+    CostComparison,
     concentrating_cost,
     optimize_labeling,
     run_concentrating,
@@ -180,11 +180,15 @@ def _inputs(args):
 
 
 def _resolve_search(args, code, tree, labeling):
-    """For --labeling search on concentrating tasks: pick the best order."""
+    """For --labeling search on concentrating tasks: pick the best order.
+
+    Returns (labeling, the winner's cost report or None when no search
+    ran, the search section of the report).
+    """
     if labeling is not None:
-        return labeling, None
+        return labeling, None, None
     budget = _parse_branches(args.branches)
-    best, _report, totals = optimize_labeling(
+    best, report, totals = optimize_labeling(
         code,
         tree,
         mode=args.mode,
@@ -196,7 +200,27 @@ def _resolve_search(args, code, tree, labeling):
         "candidates": len(totals),
         "best_total_log2": _num(min(totals.values())),
     }
-    return best, search_doc
+    return best, report, search_doc
+
+
+def _concentrating_report(args, code, tree, labeling):
+    """(labeling, concentrating cost report, search section) for the cost tasks.
+
+    Under --labeling search the report is the search's own for its winner;
+    otherwise one ``concentrating_cost`` run on the labeling gives it.
+    """
+    labeling, report, search_doc = _resolve_search(args, code, tree, labeling)
+    if report is None:
+        report = concentrating_cost(
+            code,
+            tree,
+            labeling,
+            mode=args.mode,
+            branch_budget=_parse_branches(args.branches),
+            seed=_check_seed(args.seed),
+            rank_rtol=args.tol_rank,
+        )
+    return labeling, report, search_doc
 
 
 def _num(x):
@@ -303,17 +327,7 @@ def _cmd_cost_spread(args):
 
 def _cmd_cost_concentrate(args):
     code, name, tree, labeling = _inputs(args)
-    labeling, search_doc = _resolve_search(args, code, tree, labeling)
-    budget = _parse_branches(args.branches)
-    report = concentrating_cost(
-        code,
-        tree,
-        labeling,
-        mode=args.mode,
-        branch_budget=budget,
-        seed=_check_seed(args.seed),
-        rank_rtol=args.tol_rank,
-    )
+    labeling, report, search_doc = _concentrating_report(args, code, tree, labeling)
     doc = _base_doc("cost-concentrate", args, code, name, tree, labeling)
     doc["cost_report"] = _report_doc(report)
     doc["mode"] = args.mode
@@ -361,7 +375,7 @@ def _cmd_run_spread(args):
 
 def _cmd_run_concentrate(args):
     code, name, tree, labeling = _inputs(args)
-    labeling, search_doc = _resolve_search(args, code, tree, labeling)
+    labeling, _, search_doc = _resolve_search(args, code, tree, labeling)
     seed = _check_seed(args.seed)
     budget = _parse_branches(args.branches)
     result = run_concentrating(
@@ -414,16 +428,9 @@ def _cmd_run_concentrate(args):
 
 def _cmd_compare(args):
     code, name, tree, labeling = _inputs(args)
-    labeling, search_doc = _resolve_search(args, code, tree, labeling)
-    budget = _parse_branches(args.branches)
-    comparison = compare_costs(
-        code,
-        tree,
-        labeling,
-        mode=args.mode,
-        branch_budget=budget,
-        seed=_check_seed(args.seed),
-        rank_rtol=args.tol_rank,
+    labeling, report, search_doc = _concentrating_report(args, code, tree, labeling)
+    comparison = CostComparison(
+        spread=spreading_cost(code, tree, args.tol_rank), concentrate=report, labeling=labeling
     )
     sp = comparison.spread.by_child()
     doc = _base_doc("compare", args, code, name, tree, comparison.labeling)
@@ -486,7 +493,7 @@ def _cmd_ki(args):
         raise InputError("ki needs either --state or both --code and --tree")
     else:
         code, name, tree, labeling = _inputs(args)
-        labeling, _ = _resolve_search(args, code, tree, labeling)
+        labeling, _, _ = _resolve_search(args, code, tree, labeling)
         budget = _parse_branches(args.branches)
         prefix = tuple(
             int(x) for x in args.prefix.split(",") if x.strip() != ""

@@ -24,6 +24,7 @@ re-verified against the input state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,23 @@ from .tensors import PureState, Register, permute_registers, phase_fixed
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
 _RESAMPLE_BUDGET = 5
+_ALIGN_SWEEPS = 1000
+
+
+@functools.lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
+    operands = [np.empty(shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with its greedy path looked up by shapes.
+
+    The path depends only on the subscripts and the operand shapes, so
+    the contraction order, and every result bit, is that of the search.
+    """
+    path = _contraction_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -117,9 +135,7 @@ def rebuild(dec: KiDecomposition) -> PureState:
         phi = blk.phi.amplitudes.reshape(dR, n, nR)
         emb_a = dec.a_block_embed(j).reshape(dA, m, n)
         emb_b = dec.b_block_embed(j).reshape(dB, nL, nR)
-        out += math.sqrt(blk.p) * np.einsum(
-            "ls,rqt,alq,bst->rab", omega, phi, emb_a, emb_b, optimize=True
-        )
+        out += math.sqrt(blk.p) * _einsum("ls,rqt,alq,bst->rab", omega, phi, emb_a, emb_b)
     regs = dec.r_registers + dec.a_registers + dec.b_registers
     return PureState(regs, out.reshape(-1))
 
@@ -158,15 +174,28 @@ def _commutant_basis(ops, dim: int) -> list[np.ndarray]:
     is pure floating-point noise and a relative cutoff would mistake
     that noise for genuine constraints.
     """
-    eye = np.eye(dim)
     scale = max((float(np.linalg.norm(t)) for t in ops), default=0.0)
     if scale <= 0.0:
         return [_unit(dim, k) for k in range(dim * dim)]
-    stacked = np.vstack([np.kron(eye, t.T) - np.kron(t, eye) for t in ops])
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
+    _, sv, vh = np.linalg.svd(_commutator_stack(ops, dim), full_matrices=True)
     rank = int(np.sum(sv > 1e-10 * scale))
     ns = vh[rank:].conj().T
     return [ns[:, k].reshape(dim, dim) for k in range(ns.shape[1])]
+
+
+def _commutator_stack(ops, dim: int) -> np.ndarray:
+    """Rows of kron(1, Tᵀ) − kron(T, 1) for every T, from one broadcast.
+
+    Row (T, i, j), column (k, l) holds δ_ik T_lj − T_ik δ_jl, each entry
+    the same product and difference ``np.kron`` forms.
+    """
+    t = np.asarray(ops)
+    eye = np.eye(dim)
+    stacked = (
+        eye[None, :, None, :, None] * t.transpose(0, 2, 1)[:, None, :, None, :]
+        - t[:, :, None, :, None] * eye[None, None, :, None, :]
+    )
+    return stacked.reshape(-1, dim * dim)
 
 
 def _unit(dim: int, k: int) -> np.ndarray:
@@ -312,18 +341,18 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     pos = np.arange(dA, dtype=float)
     if n > 1:
         emb3 = emb.reshape(dA, m, n)
-        m_a = np.einsum("alp,a,alq->pq", emb3.conj(), pos, emb3, optimize=True)
+        m_a = _einsum("alp,a,alq->pq", emb3.conj(), pos, emb3)
         _, gauge = np.linalg.eigh(m_a)
         emb = (emb3 @ gauge).reshape(dA, m * n)
     emb3 = emb.reshape(dA, m, n)
 
-    chi = np.einsum("rab,ax->rxb", psi3, emb.conj(), optimize=True)
+    chi = _einsum("rab,ax->rxb", psi3, emb.conj())
     p = float(np.linalg.norm(chi) ** 2)
     if p < 1e-24:
         return None
     chi = (chi / math.sqrt(p)).reshape(dR, m, n, dB)
 
-    sigma = np.einsum("rlqb,rkqb->lk", chi, chi.conj(), optimize=True)
+    sigma = _einsum("rlqb,rkqb->lk", chi, chi.conj())
     mu, lvecs = np.linalg.eigh(sigma)
     mu, lvecs = mu[::-1].copy(), lvecs[:, ::-1].copy()
     if mu[-1] < rank_rtol * mu[0]:
@@ -331,8 +360,8 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     for a, b in _degenerate_groups(mu, 1e-9 * float(mu[0])):
         if b - a < 2:
             continue
-        g = np.einsum("alq,ls->aqs", emb3, lvecs[:, a:b], optimize=True)
-        m_op = np.einsum("aqs,a,aqt->st", g.conj(), pos, g, optimize=True)
+        g = _einsum("alq,ls->aqs", emb3, lvecs[:, a:b])
+        m_op = _einsum("aqs,a,aqt->st", g.conj(), pos, g)
         _, u = np.linalg.eigh(m_op)
         lvecs[:, a:b] = lvecs[:, a:b] @ u
     lvecs = phase_fixed(lvecs)
@@ -343,7 +372,7 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     nu, evecs = nu[::-1].copy(), evecs[:, ::-1].copy()
     n_r = int(np.sum(nu > rank_rtol * nu[0]))
     nu, evecs = nu[:n_r].copy(), evecs[:, :n_r].copy()
-    m_a = np.einsum("alp,a,alq->pq", emb3.conj(), pos, emb3, optimize=True)
+    m_a = _einsum("alp,a,alq->pq", emb3.conj(), pos, emb3)
     big = np.kron(np.diag(np.arange(dR, dtype=float)) * (dA + 1.0), np.eye(n)) + np.kron(
         np.eye(dR), m_a
     )
@@ -356,9 +385,8 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     evecs = phase_fixed(evecs)
 
     ev3 = evecs.reshape(dR, n, n_r)
-    w = np.einsum(
-        "rlqb,ls,rqt->stb", chi, lvecs.conj(), ev3.conj(), optimize=True
-    ) / np.sqrt(np.outer(mu, nu))[:, :, None]
+    norms = np.sqrt(np.outer(mu, nu))[:, :, None]
+    w = _einsum("rlqb,ls,rqt->stb", chi, lvecs.conj(), ev3.conj()) / norms
     w_mat = w.reshape(m * n_r, dB).T
     if np.abs(w_mat.conj().T @ w_mat - np.eye(m * n_r)).max() > 1e-8:
         return None
@@ -375,6 +403,11 @@ def _align_phis(bi: _BlockData, bj: _BlockData, dR: int, rng):
         uu, _, vv = np.linalg.svd(mat)
         return vv.conj().T @ uu.conj().T
 
+    def sweep(w):
+        u = polar_max(_einsum("rqs,ts,rpt->qp", fj, w, fi.conj()))
+        w = polar_max(_einsum("rqs,qp,rpt->st", fj, u.T, fi.conj()))
+        return u, w, abs(_einsum("rqs,qp,ts,rpt->", fj, u.T, w, fi.conj()))
+
     best = None
     inits = [np.eye(n_r, dtype=complex)]
     for _ in range(2):
@@ -383,20 +416,25 @@ def _align_phis(bi: _BlockData, bj: _BlockData, dR: int, rng):
     for w in inits:
         u = np.eye(n, dtype=complex)
         f = 0.0
-        for _ in range(60):
-            a_w = np.einsum("rqs,ts,rpt->qp", fj, w, fi.conj(), optimize=True)
-            u = polar_max(a_w)
-            b_u = np.einsum("rqs,qp,rpt->st", fj, u.T, fi.conj(), optimize=True)
-            w = polar_max(b_u)
-            f_new = abs(np.einsum("rqs,qp,ts,rpt->", fj, u.T, w, fi.conj(), optimize=True))
+        for _ in range(_ALIGN_SWEEPS):
+            u, w, f_new = sweep(w)
             if abs(f_new - f) < 1e-13:
                 f = f_new
                 break
             f = f_new
         if best is None or f > best[0]:
-            best = (f, u)
-    f, u = best
-    return u if f >= 1.0 - 1e-9 else None
+            best = (f, u, w)
+    f, u, w = best
+    if f < 1.0 - 1e-9:
+        return None
+    # near its maximum the overlap is flat to second order, so it pins u
+    # only to about 1e-8; sweep on until u itself settles
+    for _ in range(_ALIGN_SWEEPS):
+        u_new, w, _f = sweep(w)
+        if np.abs(u_new - u).max() < 1e-14:
+            return u_new
+        u = u_new
+    return u
 
 
 def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float, rng):
@@ -459,13 +497,13 @@ def ki_decompose(
     dB = math.prod(r.dim for r in b_regs)
     psi3 = perm.amplitudes.reshape(dR, dA, dB)
 
-    rho_a = np.einsum("rab,rcb->ac", psi3, psi3.conj(), optimize=True)
+    rho_a = _einsum("rab,rcb->ac", psi3, psi3.conj())
     e_a = _support_basis(rho_a, rank_rtol)
     s_a = e_a.shape[1]
-    rho_b = np.einsum("rab,rad->bd", psi3, psi3.conj(), optimize=True)
+    rho_b = _einsum("rab,rad->bd", psi3, psi3.conj())
     _support_basis(rho_b, rank_rtol)  # degeneracy guard on the B side
 
-    psi_r = np.einsum("rab,ax->rxb", psi3, e_a.conj(), optimize=True)
+    psi_r = _einsum("rab,ax->rxb", psi3, e_a.conj())
     t_ops = []
     for r in range(dR):
         for rp in range(dR):

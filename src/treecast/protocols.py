@@ -23,6 +23,7 @@ consumed in full.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -341,6 +342,113 @@ def _build_step(state, roles, *, mode, k, rng, tol, rank_rtol, ids, receiver, b0
         return build_merge_protocol(state, roles, mode="fallback", **common), True
 
 
+def _concentrate_start(code: IsometryCode, seed: int):
+    """The one live branch entering stage N, and the synthesis and sampling generators."""
+    live = [((), 1.0, encoded_pair(code).normalized())]
+    return live, np.random.default_rng(seed), np.random.default_rng(seed + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stage:
+    edge: EdgeCost
+    records: dict[tuple[int, ...], MergeStepRecord]
+    fell_back: bool
+    live: list[tuple[tuple[int, ...], float, PureState]]  # branches entering stage k−1
+    sampled: bool  # the branch budget cut the live set
+
+
+def _concentrate_stage(
+    live,
+    tree: RootedTree,
+    vertex: str,
+    root: str,
+    level: int,
+    *,
+    mode: str,
+    branch_budget: int | None,
+    rng,
+    sampler,
+    tol: float,
+    rank_rtol: float,
+) -> _Stage:
+    """Stage ``level``: ``vertex`` merges what it holds into the root's collective.
+
+    Every live branch gets a tight protocol first (to discover the edge's
+    worst-case resource dimension), then all branch protocols are rebuilt
+    at that dimension so each branch consumes the same, fully-provisioned
+    resource.  The result depends only on ``live``, the vertex and the
+    generators' state, so stages shared by several labelings can be run
+    once.
+    """
+    parent = tree.parent(vertex)
+
+    def build(state, k):
+        return _build_step(
+            state,
+            _roles_for(state, vertex),
+            mode=mode,
+            k=k,
+            rng=rng,
+            tol=tol,
+            rank_rtol=rank_rtol,
+            ids=(f"ent:{vertex}:A0", f"ent:{vertex}:B0"),
+            receiver=root,
+            b0_owner=parent,
+        )
+
+    tight = [build(state, None) for _, _, state in live]
+    k_edge = max(p.k for p, _ in tight)
+    edge_fell = any(f for _, f in tight)
+    share_dim = math.prod(r.dim for r in live[0][2].registers if r.owner == vertex)
+
+    # rebuild every branch at the shared, fully provisioned dimension
+    records: dict[tuple[int, ...], MergeStepRecord] = {}
+    while True:
+        try:
+            for (prefix, _, state), (tight_proto, _) in zip(live, tight):
+                if tight_proto.k == k_edge:
+                    proto, fell = tight_proto, False
+                else:
+                    proto, fell = build(state, k_edge)
+                edge_fell = edge_fell or fell
+                records[prefix] = MergeStepRecord(
+                    level=level,
+                    vertex=vertex,
+                    parent=parent,
+                    prefix=prefix,
+                    kmin=tight_proto.kmin,
+                    protocol=proto,
+                )
+            break
+        except InsufficientResource:
+            # a fallback rebuild needed more than another branch's tight
+            # maximum; raise the edge dimension and redo the stage, up to
+            # dim H^A, past which no correction isometry exists
+            k_edge += 1
+            records.clear()
+            if k_edge > share_dim:
+                raise SynthesisFailed(
+                    f"edge ({parent}, {vertex}) has no exact protocol at any "
+                    f"K ≤ {share_dim}, the merged share's dimension"
+                )
+
+    next_live = []
+    for prefix, p_acc, state in live:
+        posts = merge_post_states(records[prefix].protocol, state)
+        for m, (p_m, post) in enumerate(posts):
+            if p_m < PROB_TOL:
+                continue
+            next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
+    sampled = branch_budget is not None and len(next_live) > branch_budget
+    if sampled:
+        keep = [br for br in next_live if all(m == 0 for m in br[0])]
+        rest = [br for br in next_live if not all(m == 0 for m in br[0])]
+        take = min(len(rest), max(0, branch_budget - len(keep)))
+        picked = sampler.choice(len(rest), size=take, replace=False)
+        next_live = keep + [rest[int(i)] for i in sorted(picked)]
+    return _Stage(EdgeCost(parent, vertex, k_edge), records, edge_fell, next_live, sampled)
+
+
 def run_concentrating(
     code: IsometryCode,
     tree: RootedTree,
@@ -355,115 +463,42 @@ def run_concentrating(
 ) -> ConcentrateResult:
     """Synthesize and execute the concentrating protocol.
 
-    Stages run from the last label to the second.  Every explored branch
-    gets a tight protocol first (to discover the edge's worst-case
-    resource dimension), then all branch protocols for the stage are
-    rebuilt at that dimension so each branch consumes the same,
-    fully-provisioned resource.  ``branch_budget`` caps how many branches
-    stay live after each stage (the all-zero outcome path is always
-    kept); with no budget the walk is exhaustive.
+    Stages run from the last label to the second (``_concentrate_stage``).
+    ``branch_budget`` caps how many branches stay live after each stage
+    (the all-zero outcome path is always kept); with no budget the walk
+    is exhaustive.
     """
     _check_parties(code, tree)
     order = (
         tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
     )
     n = len(order)
-    rng = np.random.default_rng(seed)
-    sampler = np.random.default_rng(seed + 1)
-    enc = encoded_pair(code).normalized()
-    root = order[0]
-
-    live: list[tuple[tuple[int, ...], float, PureState]] = [((), 1.0, enc)]
+    live, rng, sampler = _concentrate_start(code, seed)
     store: dict[int, dict[tuple[int, ...], MergeStepRecord]] = {}
     items = []
     explored_all = True
     fallback_edges = []
 
     for k_stage in range(n, 1, -1):
-        vertex = order[k_stage - 1]
-        parent = tree.parent(vertex)
-        ids = (f"ent:{vertex}:A0", f"ent:{vertex}:B0")
-        tight: list[tuple[MergeProtocol, bool]] = []
-        for prefix, _, state in live:
-            proto, fell = _build_step(
-                state,
-                _roles_for(state, vertex),
-                mode=mode,
-                k=None,
-                rng=rng,
-                tol=tol,
-                rank_rtol=rank_rtol,
-                ids=ids,
-                receiver=root,
-                b0_owner=parent,
-            )
-            tight.append((proto, fell))
-        k_edge = max(p.k for p, _ in tight)
-        edge_fell = any(f for _, f in tight)
-        share_dim = math.prod(r.dim for r in live[0][2].registers if r.owner == vertex)
-
-        # rebuild every branch at the shared, fully provisioned dimension
-        records: dict[tuple[int, ...], MergeStepRecord] = {}
-        while True:
-            try:
-                for (prefix, _, state), (tight_proto, _) in zip(live, tight):
-                    if tight_proto.k == k_edge:
-                        proto, fell = tight_proto, False
-                    else:
-                        proto, fell = _build_step(
-                            state,
-                            _roles_for(state, vertex),
-                            mode=mode,
-                            k=k_edge,
-                            rng=rng,
-                            tol=tol,
-                            rank_rtol=rank_rtol,
-                            ids=ids,
-                            receiver=root,
-                            b0_owner=parent,
-                        )
-                    edge_fell = edge_fell or fell
-                    records[prefix] = MergeStepRecord(
-                        level=k_stage,
-                        vertex=vertex,
-                        parent=parent,
-                        prefix=prefix,
-                        kmin=tight_proto.kmin,
-                        protocol=proto,
-                    )
-                break
-            except InsufficientResource:
-                # a fallback rebuild needed more than another branch's tight
-                # maximum; raise the edge dimension and redo the stage, up to
-                # dim H^A, past which no correction isometry exists
-                k_edge += 1
-                records.clear()
-                if k_edge > share_dim:
-                    raise SynthesisFailed(
-                        f"edge ({parent}, {vertex}) has no exact protocol at any "
-                        f"K ≤ {share_dim}, the merged share's dimension"
-                    )
-
-        if edge_fell:
-            fallback_edges.append(vertex)
-        items.append(EdgeCost(parent, vertex, k_edge))
-
-        next_live = []
-        for prefix, p_acc, state in live:
-            posts = merge_post_states(records[prefix].protocol, state)
-            for m, (p_m, post) in enumerate(posts):
-                if p_m < PROB_TOL:
-                    continue
-                next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
-        if branch_budget is not None and len(next_live) > branch_budget:
-            explored_all = False
-            keep = [br for br in next_live if all(m == 0 for m in br[0])]
-            rest = [br for br in next_live if not all(m == 0 for m in br[0])]
-            take = min(len(rest), max(0, branch_budget - len(keep)))
-            picked = sampler.choice(len(rest), size=take, replace=False)
-            next_live = keep + [rest[int(i)] for i in sorted(picked)]
-        live = next_live
-        store[k_stage] = records
+        stage = _concentrate_stage(
+            live,
+            tree,
+            order[k_stage - 1],
+            order[0],
+            k_stage,
+            mode=mode,
+            branch_budget=branch_budget,
+            rng=rng,
+            sampler=sampler,
+            tol=tol,
+            rank_rtol=rank_rtol,
+        )
+        if stage.fell_back:
+            fallback_edges.append(stage.edge.child)
+        items.append(stage.edge)
+        explored_all = explored_all and not stage.sampled
+        live = stage.live
+        store[k_stage] = stage.records
 
     coverage = float(sum(p for _, p, _ in live))
     branches = []
@@ -599,21 +634,55 @@ def optimize_labeling(
 ) -> tuple[tuple[str, ...], CostReport, dict[tuple[str, ...], float]]:
     """Search all ascending labelings for the cheapest concentrating total.
 
-    Ties break lexicographically on the labeling tuple.  Raises TooLarge
-    when the labeling count exceeds ``limit``.
+    Returns the winner, its cost report (equal to ``concentrating_cost``
+    on it with the same arguments) and every candidate's total.  Ties
+    break lexicographically on the labeling tuple.  Raises TooLarge when
+    the labeling count exceeds ``limit``.
+
+    A stage depends only on the suffix v_N…v_k merged so far and on the
+    state of the two generators entering it, which ``run_concentrating``
+    creates afresh from ``seed``.  So the candidates are walked as a trie
+    of suffixes: each distinct suffix stage runs once, on copies of the
+    generators taken at its parent node.
     """
     candidates = tree.ascending_labelings(limit)
+    _check_parties(code, tree)
+    n = len(tree.vertices)
+    children: dict[tuple[str, ...], list[str]] = {}
+    for cand in candidates:
+        suffix = cand[:0:-1]
+        for i, vertex in enumerate(suffix):
+            kids = children.setdefault(suffix[:i], [])
+            if vertex not in kids:
+                kids.append(vertex)
+    edges: dict[tuple[str, ...], EdgeCost] = {}
+
+    def walk(suffix, live, rng, sampler):
+        for vertex in children.get(suffix, ()):
+            rng_v, sampler_v = copy.deepcopy(rng), copy.deepcopy(sampler)
+            stage = _concentrate_stage(
+                live,
+                tree,
+                vertex,
+                tree.root,
+                n - len(suffix),
+                mode=mode,
+                branch_budget=branch_budget,
+                rng=rng_v,
+                sampler=sampler_v,
+                tol=VERIFY_TOL,
+                rank_rtol=rank_rtol,
+            )
+            edges[suffix + (vertex,)] = stage.edge
+            walk(suffix + (vertex,), stage.live, rng_v, sampler_v)
+
+    walk((), *_concentrate_start(code, seed))
     best = None
     totals: dict[tuple[str, ...], float] = {}
     for cand in candidates:
-        report = concentrating_cost(
-            code,
-            tree,
-            cand,
-            mode=mode,
-            branch_budget=branch_budget,
-            seed=seed,
-            rank_rtol=rank_rtol,
+        suffix = cand[:0:-1]
+        report = _sorted_edge_costs(
+            "concentrate", [edges[suffix[: i + 1]] for i in range(len(suffix))]
         )
         totals[cand] = report.total_log2
         key = (report.total_log2, cand)

@@ -382,6 +382,8 @@ def _check_sections(doc) -> None:
     } - set(doc)
     if missing:
         raise SchemaError(f"trace document is missing sections {sorted(missing)}")
+    if not isinstance(doc["events"], list):
+        raise SchemaError("trace events must be a JSON list")
 
 
 def replay_trace(doc: dict) -> dict:
@@ -391,12 +393,17 @@ def replay_trace(doc: dict) -> dict:
     state = _state_from_doc(doc["initial_state"])
     max_pdev = 0.0
     consumed: list[tuple[str, str, int]] = []
-    for ev in doc["events"]:
-        state, prob = _advance(state, _convert(ev, ops.__getitem__, _reg_from))
-        if prob is not None:
-            max_pdev = max(max_pdev, abs(prob - float(ev["probability"])))
-        if ev.get("type") == "resource-consumed":
-            consumed.append((ev["edge"][0], ev["edge"][1], int(ev["k"])))
+    for i, ev in enumerate(doc["events"]):
+        try:
+            state, prob = _advance(state, _convert(ev, ops.__getitem__, _reg_from))
+            if prob is not None:
+                max_pdev = max(max_pdev, abs(prob - float(ev["probability"])))
+            if ev.get("type") == "resource-consumed":
+                consumed.append((ev["edge"][0], ev["edge"][1], int(ev["k"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"malformed trace event {i}: {type(exc).__name__}: {exc}"
+            ) from exc
     digest = state_hash(state)
     report = doc["cost_report"]
     recorded = sorted(

@@ -38,7 +38,7 @@ from .protocols import (
     run_concentrating,
     run_spreading,
 )
-from .tensors import PureState, Register, marginal_matrix, trace_distance
+from .tensors import PureState, Register, marginal_matrix, permute_registers, trace_distance
 
 DEFAULT_CHANNEL_TOL = 1e-8
 
@@ -97,7 +97,12 @@ def verify_spreading_channel(
     if result is None:
         result = run_spreading(code, tree, labeling)
     rng = np.random.default_rng(seed)
-    phys = list(code.parties)
+    # the splits may leave the physical registers out of code order (a
+    # labeling not in party order does); compare both marginals in the
+    # output's order, permuting the target only when the orders differ
+    phys_set = set(code.parties)
+    phys = [r.id for r in result.final_state.registers if r.id in phys_set]
+    reorder = phys != list(code.parties)
     worst_td = 0.0
     worst_pdev = 0.0
     n_paths = 1 + extra_paths
@@ -111,6 +116,8 @@ def verify_spreading_channel(
             ),
             target.amplitudes,
         )
+        if reorder:
+            target = permute_registers(target, [REFERENCE_ID] + phys)
         rho_target = marginal_matrix(target, phys)
         for p in range(n_paths):
             state = start

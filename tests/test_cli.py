@@ -106,6 +106,22 @@ class TestCostCommands:
         assert doc["labeling_search"]["best_total_log2"] == 1
         assert doc["cost_report"]["total_log2"] == 1
 
+    @pytest.mark.parametrize("task", ["cost-concentrate", "compare"])
+    def test_search_report_is_reused(self, capsys, monkeypatch, task):
+        # the winner's report comes from the search; no second synthesis runs
+        from treecast import cli
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("concentrating_cost ran again after the search")
+
+        monkeypatch.setattr(cli, "concentrating_cost", no_rerun)
+        argv = (task, "--code", "star4", "--tree", "star:4", "--labeling", "search")
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        report = doc["cost_report"] if task == "cost-concentrate" else doc["concentrate"]
+        assert report["total_log2"] == 1
+        assert doc["labeling"] == ["v1", "v2", "v3", "v4"]
+
     def test_paren_builtins_parse(self, capsys):
         code, doc = run_json(
             capsys, "cost-spread", "--code", "ghz(3)", "--tree", "line:3"
@@ -136,6 +152,27 @@ class TestRunCommands:
         assert trace_path.exists()
         code2, _, _ = run(capsys, "verify-trace", str(trace_path))
         assert code2 == 0
+
+    def test_run_spread_labeling_out_of_party_order(self, capsys, tmp_path):
+        # the splits leave the registers in labeling order (v1 v4 v2 v3 v5);
+        # the channel check must compare marginals in one order
+        path = tmp_path / "star5.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "root": "v1",
+                    "edges": [["v1", "v2"], ["v1", "v3"], ["v1", "v4"], ["v1", "v5"]],
+                    "labeling": ["v1", "v4", "v2", "v3", "v5"],
+                }
+            )
+        )
+        code, doc = run_json(
+            capsys, "run-spread", "--code", "five_qubit", "--tree", str(path), "--labeling", "given"
+        )
+        assert code == 0
+        assert doc["labeling"] == ["v1", "v4", "v2", "v3", "v5"]
+        assert doc["verification"]["channel"]["max_trace_distance"] < 1e-12
+        assert doc["verification"]["passed"] is True
 
     def test_run_concentrate_sampled(self, capsys):
         code, doc = run_json(
@@ -435,6 +472,54 @@ class TestErrorsAndExitCodes:
     def test_malformed_trace(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{\"format\": \"other\"}")
+        code, doc = run_json(capsys, "verify-trace", str(path))
+        assert code == 2
+        assert doc["error"]["type"] == "SchemaError"
+
+    @pytest.fixture
+    def spread_trace_doc(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        code, _ = run_json(
+            capsys, "run-spread", "--code", "star4", "--tree", "star:4", "--trace-out", str(path)
+        )
+        assert code == 0
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def missing_operator(doc):
+        ev = next(e for e in doc["events"] if e["type"] == "measurement")
+        ev["basis"] = "op99"
+
+    @staticmethod
+    def event_not_an_object(doc):
+        doc["events"][1] = 7
+
+    @pytest.mark.parametrize("damage", ["missing_operator", "event_not_an_object"])
+    def test_malformed_event_structured(self, capsys, tmp_path, spread_trace_doc, damage):
+        getattr(self, damage)(spread_trace_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spread_trace_doc))
+        code, doc = run_json(capsys, "verify-trace", str(path))
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "SchemaError"
+        assert "malformed trace event" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("damage", ["missing_operator", "event_not_an_object"])
+    def test_malformed_event_human(self, capsys, tmp_path, spread_trace_doc, damage):
+        getattr(self, damage)(spread_trace_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spread_trace_doc))
+        code, out, err = run(capsys, "verify-trace", str(path))
+        assert code == 2
+        assert out == ""
+        assert "SchemaError" in err and "malformed trace event" in err
+        assert "Traceback" not in err
+
+    def test_events_must_be_a_list(self, capsys, tmp_path, spread_trace_doc):
+        spread_trace_doc["events"] = 7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spread_trace_doc))
         code, doc = run_json(capsys, "verify-trace", str(path))
         assert code == 2
         assert doc["error"]["type"] == "SchemaError"

@@ -1,11 +1,13 @@
 """Tests for the tripartite block decomposition and merge-cost formula."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from treecast.codes import encoded_pair, five_qubit_code
+from treecast import koashi_imoto
+from treecast.codes import encoded_pair, five_qubit_code, random_code, star4_code
 from treecast.errors import BadPermutation
 from treecast.koashi_imoto import (
     KiDecomposition,
@@ -14,6 +16,8 @@ from treecast.koashi_imoto import (
     rebuild,
     spread_rank_bound,
 )
+from treecast.network import line_tree, star_tree
+from treecast.protocols import run_concentrating
 from treecast.tensors import (
     PureState,
     Register,
@@ -264,3 +268,196 @@ class TestRoleValidation:
         d1 = ki_decompose(psi, {"R": ["R"], "A": ["v2"], "B": ["v1"]})
         d2 = ki_decompose(rotated, {"R": ["R"], "A": ["v2"], "B": ["v1"]})
         assert states_equal_up_to_phase(rebuild(d1), rebuild(d2), tol=1e-9)
+
+
+# -- ground truth: decompositions built from known blocks ------------------------
+
+
+def haar_unitary(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_phi(rng, d_r, n, n_r):
+    """A random state φ on R′ ⊗ a^R ⊗ b^R, amplitudes shaped (d_r, n, n_r)."""
+    g = rng.standard_normal((d_r, n, n_r)) + 1j * rng.standard_normal((d_r, n, n_r))
+    return g / np.linalg.norm(g)
+
+
+def known_blocks_state(rng, d_r, blocks, extra_b=0):
+    """⊕_j √p_j ω_j ⊗ φ_j on (R, A, B), scrambled by random local unitaries.
+
+    ``blocks`` holds (p, junk spectrum μ, φ) per block; ω_j = Σ_l √μ_l |l⟩|l⟩
+    on a^L ⊗ b^L.  A holds ⊕_j a_j^L ⊗ a_j^R exactly; B holds ⊕_j b_j^L ⊗ b_j^R
+    plus ``extra_b`` unused dimensions.
+    """
+    d_a = sum(len(mu) * phi.shape[1] for _, mu, phi in blocks)
+    d_b = sum(len(mu) * phi.shape[2] for _, mu, phi in blocks) + extra_b
+    amps = np.zeros((d_r, d_a, d_b), dtype=complex)
+    off_a = off_b = 0
+    for p, mu, phi in blocks:
+        _, n, n_r = phi.shape
+        for l, weight in enumerate(mu):
+            a0, b0 = off_a + l * n, off_b + l * n_r
+            amps[:, a0 : a0 + n, b0 : b0 + n_r] = math.sqrt(p * weight) * phi
+        off_a += len(mu) * n
+        off_b += len(mu) * n_r
+    amps = np.einsum("xa,yb,rab->rxy", haar_unitary(rng, d_a), haar_unitary(rng, d_b), amps)
+    return PureState(regs(("R", d_r), ("A", d_a), ("B", d_b)), amps.reshape(-1))
+
+
+def expected_cost(truth):
+    """max_j ⌈λ₀(j)·dim a_j^R⌉ from the known blocks."""
+    return max(math.ceil(lam * n) for _, _, n, _, lam in truth)
+
+
+def assert_recovers(psi, truth):
+    """``truth`` lists (p, dimL_A, dimR_A, dimR_B, λ₀) per block, by falling p."""
+    dec = ki_decompose(psi, {"R": ["R"], "A": ["A"], "B": ["B"]}, rng=np.random.default_rng(3))
+    assert len(dec.blocks) == len(truth)
+    for blk, (p, m, n, n_r, lam) in zip(dec.blocks, truth):
+        assert (blk.dimL_A, blk.dimR_A, blk.dimR_B) == (m, n, n_r)
+        assert abs(blk.p - p) <= 1e-10
+        assert abs(blk.lambda0 - lam) <= 1e-10
+    assert merge_cost_K(dec) == expected_cost(truth)
+    check_invariants(psi, dec)
+
+
+class TestKnownBlocks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_block(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        psi = known_blocks_state(rng, 2, [(1.0, (0.8, 0.2), random_phi(rng, 2, 2, 2))], extra_b=1)
+        assert_recovers(psi, [(1.0, 2, 2, 2, 0.8)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_blocks_with_equal_phi_are_reunited(self, seed):
+        # the centre's spectral split separates the junk eigenvalues 0.6 and
+        # 0.4; the merge pass must see one ω ⊗ φ block with junk (0.6, 0.4)
+        rng = np.random.default_rng(3100 + seed)
+        phi = random_phi(rng, 2, 2, 2)
+        psi = known_blocks_state(rng, 2, [(0.6, (1.0,), phi), (0.4, (1.0,), phi)])
+        assert_recovers(psi, [(1.0, 2, 2, 2, 0.6)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_with_distinct_junk_spectra(self, seed):
+        rng = np.random.default_rng(3200 + seed)
+        blocks = [
+            (0.5, (0.7, 0.3), random_phi(rng, 2, 2, 3)),
+            (0.3, (0.9, 0.1), random_phi(rng, 2, 1, 2)),
+            (0.2, (1.0,), random_phi(rng, 2, 3, 2)),
+        ]
+        psi = known_blocks_state(rng, 2, blocks, extra_b=2)
+        truth = [(0.5, 2, 2, 3, 0.7), (0.3, 2, 1, 2, 0.9), (0.2, 1, 3, 2, 1.0)]
+        assert expected_cost(truth) == 3
+        assert_recovers(psi, truth)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reunited_block_costs_less_than_its_parts(self, seed):
+        # junk (0.6, 0.4) on a three-dimensional content part: one block needs
+        # K = ⌈0.6·3⌉ = 2, the two spectral pieces apart would need 3
+        rng = np.random.default_rng(3300 + seed)
+        psi = known_blocks_state(rng, 2, [(1.0, (0.6, 0.4), random_phi(rng, 2, 3, 2))])
+        assert_recovers(psi, [(1.0, 2, 3, 2, 0.6)])
+
+
+# -- the kernels against their former spelling -------------------------------------
+
+
+def kron_stack(ops, dim):
+    """The former commutator matrix: one pair of np.kron calls per operator."""
+    eye = np.eye(dim)
+    return np.vstack([np.kron(eye, t.T) - np.kron(t, eye) for t in ops])
+
+
+def bits(a):
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def record_ki_calls(monkeypatch, run):
+    """Every ki_decompose call ``run`` makes, with its generator's state on entry."""
+    from treecast import merge_split
+
+    calls = []
+    real = koashi_imoto.ki_decompose
+
+    def recording(psi, roles, **kwargs):
+        calls.append((psi, roles, dict(kwargs, rng=copy.deepcopy(kwargs["rng"]))))
+        return real(psi, roles, **kwargs)
+
+    monkeypatch.setattr(merge_split, "ki_decompose", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def stage_inputs(monkeypatch):
+    rng = np.random.default_rng(55)
+    runs = [
+        (five_qubit_code(), line_tree(5)),
+        (star4_code(), star_tree(4)),
+        (random_code(rng, 2, (2, 2, 2)), line_tree(3)),
+        (random_code(rng, 2, (3, 2, 2)), star_tree(3)),
+    ]
+    calls = []
+    for code, tree in runs:
+        calls += record_ki_calls(
+            monkeypatch, lambda: run_concentrating(code, tree, replay=False)
+        )
+    return calls
+
+
+class TestKernelsMatchFormerSpelling:
+    def test_commutator_stack_is_the_kron_stack_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = []
+        for dim in (1, 2, 3, 4):
+            for count in (1, 3, 8):
+                g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
+                    (count, dim, dim)
+                )
+                g[:, 0, 0] = -0.0  # signed zeros must come out as kron makes them
+                cases.append(list(g))
+                cases.append(list(g + g.conj().transpose(0, 2, 1)))
+        seen = []
+        real = koashi_imoto._commutant_basis
+
+        def recording(ops, dim):
+            seen.append((list(ops), dim))
+            return real(ops, dim)
+
+        monkeypatch.setattr(koashi_imoto, "_commutant_basis", recording)
+        for psi, roles, kwargs in stage_inputs(monkeypatch)[:12]:
+            koashi_imoto.ki_decompose(psi, roles, **kwargs)
+        assert seen
+        for ops, dim in [(c, c[0].shape[0]) for c in cases] + seen:
+            assert bits(koashi_imoto._commutator_stack(ops, dim)) == bits(kron_stack(ops, dim))
+
+    def test_cached_paths_decompose_bit_for_bit(self, monkeypatch):
+        calls = stage_inputs(monkeypatch)
+        rng = np.random.default_rng(21)
+        for d_a, d_b in ((2, 3), (3, 4), (4, 2)):
+            psi = random_state(regs(("R", 2), ("A", d_a), ("B", d_b)), rng)
+            roles = {"R": ["R"], "A": ["A"], "B": ["B"]}
+            calls.append((psi, roles, {"rng": np.random.default_rng(d_a)}))
+        assert len(calls) > 20
+
+        def decompose(psi, roles, kwargs):
+            rng = copy.deepcopy(kwargs["rng"])
+            dec = koashi_imoto.ki_decompose(psi, roles, **dict(kwargs, rng=rng))
+            return (
+                bits(dec.embed_A),
+                bits(dec.embed_B),
+                [(b.p, b.lambda0) for b in dec.blocks],
+            )
+
+        cached = [decompose(*call) for call in calls]
+        monkeypatch.setattr(
+            koashi_imoto,
+            "_einsum",
+            lambda subscripts, *ops: np.einsum(subscripts, *ops, optimize=True),
+        )
+        searched = [decompose(*call) for call in calls]
+        assert cached == searched

@@ -357,3 +357,95 @@ class TestComparisonsAndSearch:
     def test_optimize_labeling_too_large(self):
         with pytest.raises(TooLarge):
             optimize_labeling(ghz_code(9), star_tree(9), limit=100)
+
+
+# -- the shared-suffix labeling search ---------------------------------------------
+
+
+def reference_search(code, tree, **kwargs):
+    """The former optimize_labeling: one full concentrating_cost per candidate."""
+    best, totals = None, {}
+    for cand in tree.ascending_labelings():
+        report = concentrating_cost(code, tree, cand, **kwargs)
+        totals[cand] = report.total_log2
+        key = (report.total_log2, cand)
+        if best is None or key < best[0]:
+            best = (key, cand, report)
+    return best[1], best[2], totals
+
+
+def random_star4():
+    return random_code(np.random.default_rng(77), 2, (2, 2, 2, 2)), star_tree(4)
+
+
+SEARCH_INPUTS = {
+    "star4": lambda: (star4_code(), star_tree(4)),
+    "five_qubit": lambda: (five_qubit_code(), star_tree(5)),
+    "random": random_star4,
+}
+SEARCH_MODES = {
+    "tight": {},
+    "fallback": {"mode": "fallback"},
+    "fallback-sampled": {"mode": "fallback", "branch_budget": 6, "seed": 4},
+    "sampled": {"branch_budget": 2, "seed": 9},
+}
+
+
+class TestSharedSuffixSearch:
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    @pytest.mark.parametrize("name", SEARCH_INPUTS)
+    def test_matches_one_run_per_candidate(self, name, mode):
+        code, tree = SEARCH_INPUTS[name]()
+        kwargs = SEARCH_MODES[mode]
+        best, report, totals = optimize_labeling(code, tree, **kwargs)
+        ref_best, ref_report, ref_totals = reference_search(code, tree, **kwargs)
+        assert list(totals.items()) == list(ref_totals.items())
+        assert (best, report) == (ref_best, ref_report)
+        assert report == concentrating_cost(code, tree, best, **kwargs)
+        if "branch_budget" in kwargs:  # the budget cut branches, so the sampler ran
+            assert not run_concentrating(code, tree, best, replay=False, **kwargs).explored_all
+
+    def test_stages_enter_as_in_a_fresh_run(self, monkeypatch):
+        # every trie stage sees the live branches and both generators' states
+        # that a full run of any labeling with that suffix has entering it
+        real = protocols._concentrate_stage
+        seen = []
+
+        def recording(live, tree, vertex, root, level, *, rng, sampler, **kwargs):
+            branches = [(pre, p, state.amplitudes.tobytes()) for pre, p, state in live]
+            generators = (rng.bit_generator.state, sampler.bit_generator.state)
+            seen.append((level, vertex, branches, generators))
+            return real(live, tree, vertex, root, level, rng=rng, sampler=sampler, **kwargs)
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", recording)
+        code, tree = five_qubit_code(), star_tree(5)
+        kwargs = {"branch_budget": 3, "seed": 9}
+        optimize_labeling(code, tree, **kwargs)
+        walked, path = {}, []
+        for level, vertex, branches, generators in seen:
+            path = path[: len(tree.vertices) - level] + [vertex]
+            assert tuple(path) not in walked
+            walked[tuple(path)] = (branches, generators)
+        fresh = {}
+        for cand in tree.ascending_labelings():
+            seen.clear()
+            run_concentrating(code, tree, cand, replay=False, **kwargs)
+            for i, (_, _, branches, generators) in enumerate(seen):
+                fresh[cand[:0:-1][: i + 1]] = (branches, generators)
+        assert walked == fresh
+
+    def test_each_suffix_stage_is_built_once(self, monkeypatch):
+        real = protocols.build_merge_protocol
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        code, tree = five_qubit_code(), star_tree(5)
+        optimize_labeling(code, tree)
+        assert len(calls) == 316
+        calls.clear()
+        reference_search(code, tree)
+        assert len(calls) == 360

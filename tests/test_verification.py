@@ -60,6 +60,19 @@ class TestChannelReplay:
         assert verify_concentrating_channel(code, tree, con, samples=3).passed
 
 
+    def test_spreading_labelings_out_of_party_order(self):
+        # mixed party dimensions, so a register mix-up changes the marginal's shape
+        code = random_code(np.random.default_rng(31), 2, (2, 3, 2, 2))
+        tree = star_tree(4)
+        for labeling in tree.ascending_labelings():
+            check = verify_spreading_channel(code, tree, labeling=labeling, samples=2)
+            assert check.max_trace_distance <= 1e-10, labeling
+        check = verify_spreading_channel(
+            five_qubit_code(), star_tree(5), labeling=("v1", "v4", "v2", "v3", "v5"), samples=3
+        )
+        assert check.max_trace_distance <= 1e-10
+
+
 class TestNegativeControls:
     def test_wrong_code_spreading_fails(self):
         tree = line_tree(5)
