@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -138,6 +139,23 @@ def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise InputError(f"seed must fit in 64 bits, got {seed}")
     return int(seed)
+
+
+def _check_tolerances(args) -> None:
+    """--tol-rank must lie in (0, 1) and --tol-verify be finite and positive (NaN fails both)."""
+    if hasattr(args, "tol_rank") and not 0.0 < args.tol_rank < 1.0:
+        raise InputError(f"--tol-rank must be a finite number in (0, 1), got {args.tol_rank}")
+    if hasattr(args, "tol_verify") and not 0.0 < args.tol_verify < math.inf:
+        raise InputError(
+            f"--tol-verify must be a finite positive number, got {args.tol_verify}"
+        )
+
+
+def _parse_prefix(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise InputError(f"--prefix must be comma-separated outcome indices, got {text!r}")
 
 
 def _parse_branches(text: str) -> int | None:
@@ -495,9 +513,7 @@ def _cmd_ki(args):
         code, name, tree, labeling = _inputs(args)
         labeling, _, _ = _resolve_search(args, code, tree, labeling)
         budget = _parse_branches(args.branches)
-        prefix = tuple(
-            int(x) for x in args.prefix.split(",") if x.strip() != ""
-        )
+        prefix = _parse_prefix(args.prefix)
         n = len(labeling)
         if len(prefix) > n - 2:
             raise InputError(
@@ -521,6 +537,9 @@ def _cmd_ki(args):
                 raise InputError(
                     f"branch prefix {list(prefix)} was not explored; try --branches all"
                 )
+            outcomes = rec.protocol.measurement.shape[1]
+            if not 0 <= prefix[n - j] < outcomes:
+                raise InputError(f"stage {j} has outcomes 0..{outcomes - 1}, not {prefix[n - j]}")
             _p, post = merge_post_state(rec.protocol, psi, prefix[n - j])
             psi = post.normalized()
         stage = n - len(prefix)
@@ -692,6 +711,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed"):
             _check_seed(args.seed)
+        _check_tolerances(args)
         doc, exit_code = _HANDLERS[args.command](args)
     except InputError as exc:
         return _fail(args, exc, 2)

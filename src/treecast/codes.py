@@ -194,6 +194,8 @@ def product_code(physical_dims) -> IsometryCode:
     dims = tuple(int(d) for d in physical_dims)
     if not dims:
         raise DimensionMismatch("product code needs at least one party")
+    if min(dims) < 1:
+        raise DimensionMismatch(f"product code dimensions must be positive, got {dims}")
     d = dims[0]
     _check_size(d, dims)
     total = math.prod(dims)

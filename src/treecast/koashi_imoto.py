@@ -16,15 +16,19 @@ center by null-space linear algebra, split along the center's spectral
 projections, and factor each central block through the commutant's
 matrix-unit structure.  The spectral split can cut finer than the
 redundancy structure (it also separates distinct junk eigenvalues), so
-a greedy merge pass follows: block pairs whose φ parts agree up to
-local frame rotations are re-united, gated by a certificate that the
-united block still factors as ω ⊗ φ.  Every emitted decomposition is
-re-verified against the input state.
+a greedy merge pass follows.  Each block's content transfer operators
+φ_r φ_{r′}† act irreducibly on a^R, so by Schur's lemma the commutant of
+diag(T^i, T^j) has dimension 4 exactly when φ_i and φ_j agree up to
+local unitaries; its off-diagonal corner then gives the unitary that
+aligns the two frames, and the pair is re-united, gated by a
+certificate that the united block still factors as ω ⊗ φ.  Every
+emitted decomposition is re-verified against the input state.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +41,6 @@ from .tensors import PureState, Register, permute_registers, phase_fixed
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
 _RESAMPLE_BUDGET = 5
-_ALIGN_SWEEPS = 1000
 
 
 @functools.lru_cache(maxsize=256)
@@ -76,15 +79,12 @@ class KiDecomposition:
     """All blocks plus the isometries locating them inside H^A and H^B.
 
     ``embed_A`` has one column per (block, l, ρ) with l slowest within a
-    block; ``embed_B`` one column per (block, s, t).  Support projectors
-    are the corresponding P = E E†.
+    block; ``embed_B`` one column per (block, s, t).
     """
 
     blocks: tuple[KiBlock, ...]
     embed_A: np.ndarray
     embed_B: np.ndarray
-    proj_A: np.ndarray
-    proj_B: np.ndarray
     r_registers: tuple[Register, ...]
     a_registers: tuple[Register, ...]
     b_registers: tuple[Register, ...]
@@ -393,66 +393,51 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     return _BlockData(emb=emb, m=m, n=n, p=p, mu=mu, lvecs=lvecs, nu=nu, evecs=evecs, w=w_mat)
 
 
-def _align_phis(bi: _BlockData, bj: _BlockData, dR: int, rng):
-    """Search unitaries u (aR), w (bR) with (1⊗u⊗w)φ_j ≈ φ_i; None if overlap < 1."""
-    n, n_r = bi.n, bi.nu.size
-    fi = (bi.evecs * np.sqrt(bi.nu)).reshape(dR, n, n_r)
-    fj = (bj.evecs * np.sqrt(bj.nu)).reshape(dR, n, n_r)
+def _transfer_ops(slices: np.ndarray) -> list[np.ndarray]:
+    """Hermitian and anti-Hermitian parts of every T_{rr′} = X_r X_{r′}†."""
+    ops = []
+    for r in range(len(slices)):
+        for rp in range(len(slices)):
+            t = slices[r] @ slices[rp].conj().T
+            ops.append(t + t.conj().T)
+            ops.append(1j * (t - t.conj().T))
+    return ops
 
-    def polar_max(mat):
-        uu, _, vv = np.linalg.svd(mat)
-        return vv.conj().T @ uu.conj().T
 
-    def sweep(w):
-        u = polar_max(_einsum("rqs,ts,rpt->qp", fj, w, fi.conj()))
-        w = polar_max(_einsum("rqs,qp,rpt->st", fj, u.T, fi.conj()))
-        return u, w, abs(_einsum("rqs,qp,ts,rpt->", fj, u.T, w, fi.conj()))
+def _intertwiner(fi: np.ndarray, fj: np.ndarray) -> np.ndarray | None:
+    """Unitary u with T^i u = u T^j for every transfer operator of two contents.
 
-    best = None
-    inits = [np.eye(n_r, dtype=complex)]
-    for _ in range(2):
-        g = rng.standard_normal((n_r, n_r)) + 1j * rng.standard_normal((n_r, n_r))
-        inits.append(np.linalg.qr(g)[0])
-    for w in inits:
-        u = np.eye(n, dtype=complex)
-        f = 0.0
-        for _ in range(_ALIGN_SWEEPS):
-            u, w, f_new = sweep(w)
-            if abs(f_new - f) < 1e-13:
-                f = f_new
-                break
-            f = f_new
-        if best is None or f > best[0]:
-            best = (f, u, w)
-    f, u, w = best
-    if f < 1.0 - 1e-9:
+    ``fi`` and ``fj`` are shaped (R′, a^R, b^R), and each one's T act
+    irreducibly on a^R.  By Schur's lemma the commutant of diag(T^i, T^j)
+    then has dimension 4 if the contents agree up to local unitaries (the
+    upper-right corner of each element is a multiple of u) and 2 if not.
+    """
+    d_r, n, n_r = fi.shape
+    both = np.zeros((d_r, 2 * n, 2 * n_r), dtype=complex)
+    both[:, :n, :n_r] = fi
+    both[:, n:, n_r:] = fj
+    comm = _commutant_basis(_transfer_ops(both), 2 * n)
+    if len(comm) != 4:
         return None
-    # near its maximum the overlap is flat to second order, so it pins u
-    # only to about 1e-8; sweep on until u itself settles
-    for _ in range(_ALIGN_SWEEPS):
-        u_new, w, _f = sweep(w)
-        if np.abs(u_new - u).max() < 1e-14:
-            return u_new
-        u = u_new
-    return u
+    corner = max((x[:n, n:] for x in comm), key=np.linalg.norm)
+    uu, _, vh = np.linalg.svd(corner)
+    return uu @ vh
 
 
-def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float, rng):
-    """Candidate union of two blocks; None unless the union re-certifies."""
-    if bi.n != bj.n or bi.nu.size != bj.nu.size:
+def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float):
+    """Candidate union of two blocks; None unless the union re-certifies.
+
+    With T^i u = u T^j, block j's content in the frame bj.emb·(1 ⊗ u†)
+    equals φ_i up to a unitary on b^R, which ``_extract_block`` absorbs.
+    """
+    if bi.n != bj.n or bi.nu.size != bj.nu.size or not np.allclose(bi.nu, bj.nu, atol=1e-7):
         return None
-    if not np.allclose(bi.nu, bj.nu, atol=1e-7):
-        return None
-    u = _align_phis(bi, bj, dR, rng)
+    fi, fj = ((b.evecs * np.sqrt(b.nu)).reshape(dR, b.n, -1) for b in (bi, bj))
+    u = _intertwiner(fi, fj)
     if u is None:
         return None
-    eye_mj = np.eye(bj.m)
-    for variant in (u.conj(), u.T, u, u.conj().T):
-        emb = np.hstack([bi.emb, bj.emb @ np.kron(eye_mj, variant)])
-        data = _extract_block(psi3, emb, bi.m + bj.m, bi.n, rank_rtol)
-        if data is not None:
-            return data
-    return None
+    emb = np.hstack([bi.emb, bj.emb @ np.kron(np.eye(bj.m), u.conj().T)])
+    return _extract_block(psi3, emb, bi.m + bj.m, bi.n, rank_rtol)
 
 
 def _canonical_order(blocks: list[_BlockData]) -> list[_BlockData]:
@@ -504,13 +489,7 @@ def ki_decompose(
     _support_basis(rho_b, rank_rtol)  # degeneracy guard on the B side
 
     psi_r = _einsum("rab,ax->rxb", psi3, e_a.conj())
-    t_ops = []
-    for r in range(dR):
-        for rp in range(dR):
-            t = psi_r[r] @ psi_r[rp].conj().T
-            t_ops.append(t + t.conj().T)
-            t_ops.append(1j * (t - t.conj().T))
-
+    t_ops = _transfer_ops(psi_r)
     comm = _commutant_basis(t_ops, s_a)
     frames = _central_split(t_ops, comm, rng)
 
@@ -528,15 +507,11 @@ def ki_decompose(
     merged = True
     while merged:
         merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                union = _try_merge(psi3, blocks[i], blocks[j], dR, rank_rtol, rng)
-                if union is not None:
-                    rest = [b for k, b in enumerate(blocks) if k not in (i, j)]
-                    blocks = _canonical_order(rest + [union])
-                    merged = True
-                    break
-            if merged:
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            union = _try_merge(psi3, blocks[i], blocks[j], dR, rank_rtol)
+            if union is not None:
+                rest = [b for k, b in enumerate(blocks) if k not in (i, j)]
+                blocks, merged = _canonical_order(rest + [union]), True
                 break
 
     return _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol)
@@ -587,8 +562,6 @@ def _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol):
         blocks=tuple(ki_blocks),
         embed_A=embed_a,
         embed_B=embed_b,
-        proj_A=embed_a @ embed_a.conj().T,
-        proj_B=embed_b @ embed_b.conj().T,
         r_registers=r_regs,
         a_registers=a_regs,
         b_registers=b_regs,

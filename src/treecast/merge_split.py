@@ -322,7 +322,6 @@ class MergeProtocol:
     sender: str
     receiver: str
     b0_owner: str
-    decomposition: KiDecomposition | None
 
 
 @dataclass(frozen=True)
@@ -351,11 +350,24 @@ def merge_cost(
     rng=None,
 ) -> int:
     """Minimal resource dimension K for merging A's share into B."""
-    r_ids, a_ids, b_ids = _parse_roles(psi, roles)
+    return _min_resource(psi, _parse_roles(psi, roles), mode, rank_rtol, rng)[0]
+
+
+def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float, rng):
+    """(K, structure): K and what the merge measurement is built from.
+
+    Tight mode gives the KI decomposition, fallback mode the phase-fixed
+    eigenframe of supp(ρ^A), whose rank is K.
+    """
+    if mode == "tight":
+        dec = ki_decompose(psi, ids, rank_rtol=rank_rtol, rng=rng)
+        return merge_cost_K(dec), dec
     if mode == "fallback":
-        return numerical_rank(marginal_matrix(psi, list(a_ids)), rank_rtol)
-    dec = ki_decompose(psi, (r_ids, a_ids, b_ids), rank_rtol=rank_rtol, rng=rng)
-    return merge_cost_K(dec)
+        rho = marginal_matrix(psi, list(ids[1]))
+        rank = numerical_rank(rho, rank_rtol)
+        vecs = np.linalg.eigh(rho)[1][:, ::-1]
+        return rank, phase_fixed(vecs[:, :rank])
+    raise ValueError(f"unknown merge mode {mode!r}")
 
 
 def _block_frames(dec: KiDecomposition):
@@ -577,16 +589,7 @@ def build_merge_protocol(
     psi3 = perm.amplitudes.reshape(dr, da, db)
     g_mat = psi3.reshape(dr, da * db)
 
-    dec = None
-    if mode == "tight":
-        dec = ki_decompose(
-            psi, (r_ids, a_ids, b_ids), rank_rtol=rank_rtol, rng=rng
-        )
-        kmin = merge_cost_K(dec)
-    elif mode == "fallback":
-        kmin = numerical_rank(marginal_matrix(psi, list(a_ids)), rank_rtol)
-    else:
-        raise ValueError(f"unknown merge mode {mode!r}")
+    kmin, structure = _min_resource(psi, (r_ids, a_ids, b_ids), mode, rank_rtol, rng)
     k_eff = kmin if k is None else int(k)
     if k_eff < kmin:
         raise InsufficientResource(
@@ -600,14 +603,10 @@ def build_merge_protocol(
 
     big = _joint_tensor(psi3, k_eff)
     if mode == "fallback":
-        rho = marginal_matrix(psi, list(a_ids))
-        vecs = np.linalg.eigh(rho)[1][:, ::-1]
-        rank = numerical_rank(rho, rank_rtol)
-        xcols = phase_fixed(vecs[:, :rank])
-        qcols = _completed_basis(_shift_injection(xcols.T[None], k_eff), da * k_eff)
+        qcols = _completed_basis(_shift_injection(structure.T[None], k_eff), da * k_eff)
         tag = "fallback-teleport"
     else:
-        built = _tight_measurement(dec, da, k_eff, rng)
+        built = _tight_measurement(structure, da, k_eff, rng)
         if built is None:
             tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff, rng, tol)
         else:
@@ -639,7 +638,6 @@ def build_merge_protocol(
         sender=a_regs[0].owner,
         receiver=recv,
         b0_owner=b0_owner if b0_owner is not None else recv,
-        decomposition=dec,
     )
 
 

@@ -325,6 +325,13 @@ class TestKi:
             "0,0,0",
         )
         assert code == 2
+        # not a number, negative, and outside the first stage's two outcomes
+        for prefix in ("a", "-1", "5"):
+            code, doc = run_json(
+                capsys, "ki", "--code", "ghz:3", "--tree", "line:3", "--prefix", prefix
+            )
+            assert code == 2
+            assert doc["error"]["type"] == "InputError"
 
 
 class TestErrorsAndExitCodes:
@@ -434,6 +441,10 @@ class TestErrorsAndExitCodes:
             capsys, "cost-spread", "--code", "five_qubit", "--tree", "line:3"
         )
         assert code == 2
+        for spec in ("product:0,2", "product:2,0", "identity:0:1"):
+            code, doc = run_json(capsys, "cost-spread", "--code", spec, "--tree", "line:2")
+            assert code == 2
+            assert doc["error"]["type"] == "DimensionMismatch"
 
     def test_synthesis_failure_maps_to_3(self, capsys, monkeypatch):
         from treecast import cli as cli_mod
@@ -633,6 +644,19 @@ class TestRankTolerance:
 
 class TestToleranceFlags:
     """Each tolerance flag is registered only on the subcommands that read it."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("cost-spread", "--tol-rank", v) for v in ("nan", "inf", "-1", "0", "1")]
+        + [("run-spread", "--tol-verify", v) for v in ("nan", "inf", "-1e-9", "0")],
+    )
+    def test_out_of_range_tolerance_exits_2(self, capsys, command, flag, value):
+        code, doc = run_json(
+            capsys, command, "--code", "star4", "--tree", "star:4", f"{flag}={value}"
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "InputError"
+        assert flag in doc["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -324,42 +324,191 @@ def assert_recovers(psi, truth):
     check_invariants(psi, dec)
 
 
+def one_block_state(seed):
+    rng = np.random.default_rng(3000 + seed)
+    return known_blocks_state(rng, 2, [(1.0, (0.8, 0.2), random_phi(rng, 2, 2, 2))], extra_b=1)
+
+
+def equal_phi_state(seed):
+    rng = np.random.default_rng(3100 + seed)
+    phi = random_phi(rng, 2, 2, 2)
+    return known_blocks_state(rng, 2, [(0.6, (1.0,), phi), (0.4, (1.0,), phi)])
+
+
+def distinct_spectra_state(seed):
+    rng = np.random.default_rng(3200 + seed)
+    blocks = [
+        (0.5, (0.7, 0.3), random_phi(rng, 2, 2, 3)),
+        (0.3, (0.9, 0.1), random_phi(rng, 2, 1, 2)),
+        (0.2, (1.0,), random_phi(rng, 2, 3, 2)),
+    ]
+    return known_blocks_state(rng, 2, blocks, extra_b=2)
+
+
+def junk_on_qutrit_content_state(gen_seed, mu):
+    """One block: junk spectrum ``mu`` times a random three-dimensional content part."""
+    rng = np.random.default_rng(gen_seed)
+    return known_blocks_state(rng, 2, [(1.0, mu, random_phi(rng, 2, 3, 2))])
+
+
+# generator seed, junk spectrum; the first three are the original cases, the
+# (0.8, 0.2) seeds took the former alternating search 190-290 sweeps per frame
+REUNITED_CASES = [pytest.param(3300 + s, (0.6, 0.4), id=str(s)) for s in range(3)] + [
+    pytest.param(s, (0.8, 0.2), id=f"junk-0.8-0.2-{s}") for s in range(3005, 3009)
+] + [pytest.param(s, (0.5, 0.3, 0.2), id=f"junk-0.5-0.3-0.2-{s}") for s in (3310, 3311)]
+
+
 class TestKnownBlocks:
     @pytest.mark.parametrize("seed", range(3))
     def test_one_block(self, seed):
-        rng = np.random.default_rng(3000 + seed)
-        psi = known_blocks_state(rng, 2, [(1.0, (0.8, 0.2), random_phi(rng, 2, 2, 2))], extra_b=1)
-        assert_recovers(psi, [(1.0, 2, 2, 2, 0.8)])
+        assert_recovers(one_block_state(seed), [(1.0, 2, 2, 2, 0.8)])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_two_blocks_with_equal_phi_are_reunited(self, seed):
         # the centre's spectral split separates the junk eigenvalues 0.6 and
         # 0.4; the merge pass must see one ω ⊗ φ block with junk (0.6, 0.4)
-        rng = np.random.default_rng(3100 + seed)
-        phi = random_phi(rng, 2, 2, 2)
-        psi = known_blocks_state(rng, 2, [(0.6, (1.0,), phi), (0.4, (1.0,), phi)])
-        assert_recovers(psi, [(1.0, 2, 2, 2, 0.6)])
+        assert_recovers(equal_phi_state(seed), [(1.0, 2, 2, 2, 0.6)])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_blocks_with_distinct_junk_spectra(self, seed):
-        rng = np.random.default_rng(3200 + seed)
-        blocks = [
-            (0.5, (0.7, 0.3), random_phi(rng, 2, 2, 3)),
-            (0.3, (0.9, 0.1), random_phi(rng, 2, 1, 2)),
-            (0.2, (1.0,), random_phi(rng, 2, 3, 2)),
-        ]
-        psi = known_blocks_state(rng, 2, blocks, extra_b=2)
         truth = [(0.5, 2, 2, 3, 0.7), (0.3, 2, 1, 2, 0.9), (0.2, 1, 3, 2, 1.0)]
         assert expected_cost(truth) == 3
+        assert_recovers(distinct_spectra_state(seed), truth)
+
+    @pytest.mark.parametrize("gen_seed, mu", REUNITED_CASES)
+    def test_reunited_block_costs_less_than_its_parts(self, gen_seed, mu):
+        # junk μ on a three-dimensional content part: one block needs
+        # K = ⌈μ₀·3⌉, each spectral piece apart would need 3 (for μ₀ = 0.8
+        # that is no saving, but the pieces must still be re-united)
+        psi = junk_on_qutrit_content_state(gen_seed, mu)
+        truth = [(1.0, len(mu), 3, 2, mu[0])]
+        assert expected_cost(truth) == math.ceil(mu[0] * 3)
         assert_recovers(psi, truth)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_reunited_block_costs_less_than_its_parts(self, seed):
-        # junk (0.6, 0.4) on a three-dimensional content part: one block needs
-        # K = ⌈0.6·3⌉ = 2, the two spectral pieces apart would need 3
-        rng = np.random.default_rng(3300 + seed)
-        psi = known_blocks_state(rng, 2, [(1.0, (0.6, 0.4), random_phi(rng, 2, 3, 2))])
-        assert_recovers(psi, [(1.0, 2, 3, 2, 0.6)])
+
+# -- the merge pass against the former alternating search ------------------------
+
+
+def former_align_phis(bi, bj, dR, rng):
+    """Search unitaries u (aR), w (bR) with (1⊗u⊗w)φ_j ≈ φ_i; None if overlap < 1."""
+    n, n_r = bi.n, bi.nu.size
+    fi = (bi.evecs * np.sqrt(bi.nu)).reshape(dR, n, n_r)
+    fj = (bj.evecs * np.sqrt(bj.nu)).reshape(dR, n, n_r)
+
+    def polar_max(mat):
+        uu, _, vv = np.linalg.svd(mat)
+        return vv.conj().T @ uu.conj().T
+
+    def sweep(w):
+        u = polar_max(np.einsum("rqs,ts,rpt->qp", fj, w, fi.conj()))
+        w = polar_max(np.einsum("rqs,qp,rpt->st", fj, u.T, fi.conj()))
+        return u, w, abs(np.einsum("rqs,qp,ts,rpt->", fj, u.T, w, fi.conj()))
+
+    best = None
+    inits = [np.eye(n_r, dtype=complex)]
+    for _ in range(2):
+        g = rng.standard_normal((n_r, n_r)) + 1j * rng.standard_normal((n_r, n_r))
+        inits.append(np.linalg.qr(g)[0])
+    for w in inits:
+        u = np.eye(n, dtype=complex)
+        f = 0.0
+        for _ in range(1000):
+            u, w, f_new = sweep(w)
+            if abs(f_new - f) < 1e-13:
+                f = f_new
+                break
+            f = f_new
+        if best is None or f > best[0]:
+            best = (f, u, w)
+    f, u, w = best
+    if f < 1.0 - 1e-9:
+        return None
+    for _ in range(1000):
+        u_new, w, _f = sweep(w)
+        if np.abs(u_new - u).max() < 1e-14:
+            return u_new
+        u = u_new
+    return u
+
+
+def former_try_merge(psi3, bi, bj, dR, rank_rtol, rng):
+    """The former union test: alternating search, then four frame variants."""
+    if bi.n != bj.n or bi.nu.size != bj.nu.size:
+        return None
+    if not np.allclose(bi.nu, bj.nu, atol=1e-7):
+        return None
+    u = former_align_phis(bi, bj, dR, rng)
+    if u is None:
+        return None
+    eye_mj = np.eye(bj.m)
+    for variant in (u.conj(), u.T, u, u.conj().T):
+        emb = np.hstack([bi.emb, bj.emb @ np.kron(eye_mj, variant)])
+        data = koashi_imoto._extract_block(psi3, emb, bi.m + bj.m, bi.n, rank_rtol)
+        if data is not None:
+            return data
+    return None
+
+
+def former_decompose(monkeypatch, psi, roles, kwargs):
+    """ki_decompose with the former merge pass drawing from its generator."""
+    rng = copy.deepcopy(kwargs.get("rng", np.random.default_rng(0)))
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            koashi_imoto,
+            "_try_merge",
+            lambda psi3, bi, bj, dR, rank_rtol: former_try_merge(psi3, bi, bj, dR, rank_rtol, rng),
+        )
+        return koashi_imoto.ki_decompose(psi, roles, **dict(kwargs, rng=rng))
+
+
+def assert_same_blocks(dec, ref):
+    assert len(dec.blocks) == len(ref.blocks)
+    for b, r in zip(dec.blocks, ref.blocks):
+        assert (b.dimL_A, b.dimR_A, b.dimL_B, b.dimR_B) == (r.dimL_A, r.dimR_A, r.dimL_B, r.dimR_B)
+        assert abs(b.p - r.p) <= 1e-10
+        assert abs(b.lambda0 - r.lambda0) <= 1e-10
+    assert merge_cost_K(dec) == merge_cost_K(ref)
+
+
+class TestMergePassMatchesFormerSearch:
+    def test_recorded_stage_decompositions(self, monkeypatch):
+        calls = stage_inputs(monkeypatch)
+        assert len(calls) > 20
+        for psi, roles, kwargs in calls:
+            dec = koashi_imoto.ki_decompose(psi, roles, **dict(kwargs, rng=copy.deepcopy(kwargs["rng"])))
+            assert_same_blocks(dec, former_decompose(monkeypatch, psi, roles, kwargs))
+
+    def test_known_block_states(self, monkeypatch):
+        states = [f(seed) for f in (one_block_state, equal_phi_state, distinct_spectra_state)
+                  for seed in range(3)]
+        states += [junk_on_qutrit_content_state(*case.values) for case in REUNITED_CASES]
+        roles = {"R": ["R"], "A": ["A"], "B": ["B"]}
+        kwargs = {"rng": np.random.default_rng(3)}
+        for psi in states:
+            dec = ki_decompose(psi, roles, rng=np.random.default_rng(3))
+            assert_same_blocks(dec, former_decompose(monkeypatch, psi, roles, kwargs))
+
+
+class TestIntertwiner:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scrambled_copy_yields_its_unitary(self, seed):
+        rng = np.random.default_rng(3400 + seed)
+        n = 1 + seed
+        phi = random_phi(rng, 2, n, 2)
+        u, w = haar_unitary(rng, n), haar_unitary(rng, 2)
+        # φ_j = (1 ⊗ u† ⊗ wᵀ) φ_i, so T^j = u† T^i u and T^i u = u T^j
+        scrambled = np.einsum("pq,rqs,st->rpt", u.conj().T, phi, w)
+        got = koashi_imoto._intertwiner(phi, scrambled)
+        assert got is not None
+        phase = np.vdot(u, got) / n
+        assert abs(abs(phase) - 1.0) < 1e-10
+        assert np.abs(got - phase * u).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_contents_have_no_intertwiner(self, seed):
+        rng = np.random.default_rng(3500 + seed)
+        n = 1 + seed
+        assert koashi_imoto._intertwiner(random_phi(rng, 2, n, 2), random_phi(rng, 2, n, 2)) is None
 
 
 # -- the kernels against their former spelling -------------------------------------

@@ -279,6 +279,15 @@ class TestMergeResource:
             tight = merge_cost(psi, roles, mode="tight")
             loose = merge_cost(psi, roles, mode="fallback")
             assert 1 <= tight <= loose
+            proto = build_merge_protocol(psi, roles, mode="fallback", receiver="B")
+            assert proto.kmin == loose
+
+    def test_unknown_mode_is_refused(self):
+        psi = star_phi2()
+        roles = {"R": ["R"], "A": ["v2"], "B": ["v1"]}
+        for call in (merge_cost, build_merge_protocol):
+            with pytest.raises(ValueError, match="unknown merge mode"):
+                call(psi, roles, mode="loose")
 
 
 class TestMergeFallback:
