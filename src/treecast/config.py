@@ -13,6 +13,10 @@ from __future__ import annotations
 # Relative eigenvalue / singular-value threshold for every rank decision.
 RANK_RTOL = 1e-8
 
+# Largest share of an operator's trace a rank cut may drop.  More is real
+# weight, not rounding noise: no exact protocol exists at the cut's rank.
+DISCARD_TOL = 1e-10
+
 # Acceptance threshold for isometry validation (encodings, corrections).
 ISOMETRY_TOL = 1e-9
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ORTHONORMALITY_TOL, RANK_RTOL, VERIFY_TOL
+from .config import DISCARD_TOL, ORTHONORMALITY_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch
-from .tensors import PureState, Register, permute_registers, phase_fixed
+from .tensors import PureState, Register, check_rank_cut, permute_registers, phase_fixed
 
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
@@ -160,6 +160,7 @@ def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
         raise NumericalDegeneracy(
             "marginal eigenvalue falls inside the rank tolerance band"
         )
+    check_rank_cut(vals, cut)
     keep = vals > cut
     basis = vecs[:, keep]
     return phase_fixed(basis)
@@ -555,7 +556,7 @@ def _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol):
             )
         )
         p_total += b.p
-    if abs(p_total - 1.0) > 1e-10:
+    if abs(p_total - 1.0) > DISCARD_TOL:
         raise NumericalDegeneracy(f"block probabilities sum to {p_total}, not 1")
 
     dec = KiDecomposition(

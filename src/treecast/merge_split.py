@@ -43,6 +43,7 @@ import numpy as np
 from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import (
     DimensionMismatch,
+    InputError,
     InsufficientResource,
     SchemaError,
     ShapeMismatch,
@@ -137,13 +138,15 @@ def _measured_events(party, basis, targets, outcome) -> list[dict]:
     ]
 
 
-def _run_events(state: PureState, events) -> tuple[PureState, float]:
-    """Apply ``events`` in order; returns the state and its last measurement's probability."""
-    prob = 1.0
-    for event in events:
-        state, p = apply_event(state, event)
-        prob = prob if p is None else p
-    return state, prob
+def _outcome_indices(outcomes, n: int) -> np.ndarray:
+    """``outcomes`` as an index array, all ``n`` by default; InputError outside [0, n)."""
+    if outcomes is None:
+        return np.arange(n)
+    wanted = np.asarray(outcomes, dtype=int).reshape(-1)
+    bad = [m for m in wanted.tolist() if not 0 <= m < n]
+    if bad:
+        raise InputError(f"outcome {bad[0]} outside 0..{n - 1}")
+    return wanted
 
 
 # -- splitting ----------------------------------------------------------------
@@ -174,24 +177,27 @@ class SplitBranch:
 
 def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
     """Exact resource dimension for splitting: rank of the moved marginal."""
-    return numerical_rank(marginal_matrix(psi, list(moved_ids)), rank_rtol)
+    return numerical_rank(marginal_matrix(psi, list(moved_ids)), rank_rtol, lossless=True)
 
 
-def _pauli_shift(k: int, p: int, q: int) -> np.ndarray:
+def _pauli_shifts(k: int) -> np.ndarray:
+    """X^p Z^q at index p·K + q: entry ω^{qj} at ((j + p) mod K, j)."""
     omega = np.exp(2j * np.pi / k)
-    m = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        m[(j + p) % k, j] = omega ** (q * j)
-    return m
+    j = np.arange(k)
+    p, q = np.divmod(np.arange(k * k), k)
+    shifts = np.zeros((k * k, k, k), dtype=complex)
+    shifts[np.arange(k * k)[:, None], (j + p[:, None]) % k, j] = (omega ** np.outer(j, j))[q]
+    return shifts
 
 
-def _bell_columns(k: int) -> np.ndarray:
-    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
-    cols = []
-    for p in range(k):
-        for q in range(k):
-            cols.append(np.kron(_pauli_shift(k, p, q), np.eye(k)) @ phi)
-    return np.column_stack(cols)
+def _bell_columns(shifts: np.ndarray) -> np.ndarray:
+    """(X^p Z^q ⊗ 1)|Φ⁺_K⟩ at column p·K + q: each shift flattened, over √K.
+
+    Adding 0.0 turns the shifts' signed zeros into +0.0, as a sum of
+    products gives them.
+    """
+    k = shifts.shape[1]
+    return np.ascontiguousarray((shifts / math.sqrt(k) + 0.0).reshape(k * k, k * k).T)
 
 
 def build_split_protocol(
@@ -221,9 +227,7 @@ def build_split_protocol(
         compress = np.vstack(
             [basis.conj().T, np.zeros((k_eff - d_move, d_move), dtype=complex)]
         )
-    corrections = tuple(
-        _pauli_shift(k_eff, p, q) for p in range(k_eff) for q in range(k_eff)
-    )
+    shifts = _pauli_shifts(k_eff)
     return SplitProtocol(
         moved_ids=moved_ids,
         moved_dims=tuple(r.dim for r in regs),
@@ -233,8 +237,8 @@ def build_split_protocol(
         rank=rank,
         compress=compress,
         decompress=compress.conj().T,
-        bell=_bell_columns(k_eff),
-        corrections=corrections,
+        bell=_bell_columns(shifts),
+        corrections=tuple(shifts),
     )
 
 
@@ -272,25 +276,55 @@ def split_events(
     return prefix, tail
 
 
+def split_post_states(
+    protocol: SplitProtocol, psi: PureState, outcomes=None
+) -> list[tuple[float, PureState]]:
+    """Every requested split outcome at once, corrections applied.
+
+    Returns ``(probability, state)`` per outcome in ``outcomes`` (all K²
+    by default), each state normalized and in the register layout that
+    :func:`split_events` leaves under :func:`apply_event`.  The prefix
+    runs once through the interpreter; with its state grouped as
+    X = ((buf, A₀), rest…, B₀), one contraction bell† X, one batched
+    shift matmul along B₀ and one decompression give every outcome.  A
+    block of trivial registers has one branch, whatever ``outcomes`` asks.
+    """
+    wanted = _outcome_indices(outcomes, protocol.k**2)
+    prefix, tail = split_events(protocol, psi, 0)
+    head = psi
+    for event in prefix:  # compression and Φ⁺_K: no measurement
+        head = apply_event(head, event)[0]
+    if not tail:
+        return [(1.0, head)]
+    k, n = protocol.k, len(wanted)
+    buf, a0 = tail[0]["targets"]
+    mat, _, rest = _group_first(head, [buf.id, a0.id])
+    posts = protocol.bell[:, wanted].conj().T @ mat
+    probs = np.linalg.norm(posts, axis=1) ** 2
+    dead = probs < PROB_TOL
+    if dead.any():
+        raise ZeroProbabilityBranch(
+            f"outcome {wanted[dead][0]} at {protocol.sender!r} has zero probability"
+        )
+    shifts = np.stack([protocol.corrections[m] for m in wanted])
+    fixed = posts.reshape(n, -1, k) @ shifts.swapaxes(1, 2)
+    out = (fixed @ protocol.decompress.T).reshape(n, -1)
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    regs = tuple(rest[:-1]) + tuple(tail[-1]["out"])
+    return [(float(p), PureState(regs, amps)) for p, amps in zip(probs, out)]
+
+
 def execute_split(
     protocol: SplitProtocol, psi: PureState, *, outcomes=None
 ) -> list[SplitBranch]:
     """Run the split; exhaustive over all K² outcomes unless given.
 
-    The outcome-independent prefix runs once; each outcome's tail then
-    runs on the compressed state.
+    A block of trivial registers has one branch, outcome 0.
     """
-    prefix, tail = split_events(protocol, psi, 0)
-    head, _ = _run_events(psi, prefix)
-    if not tail:
-        return [SplitBranch(0, 1.0, head)]
-    wanted = range(protocol.k**2) if outcomes is None else outcomes
-    branches = []
-    for m in wanted:
-        _, tail = split_events(protocol, psi, int(m))
-        state, prob = _run_events(head, tail)
-        branches.append(SplitBranch(int(m), prob, state.normalized()))
-    return branches
+    posts = split_post_states(protocol, psi, outcomes)
+    trivial = all(d == 1 for d in protocol.moved_dims)
+    wanted = [0] if trivial else _outcome_indices(outcomes, protocol.k**2)
+    return [SplitBranch(int(m), p, state) for m, (p, state) in zip(wanted, posts)]
 
 
 # -- merging ------------------------------------------------------------------
@@ -364,7 +398,7 @@ def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float, rng):
         return merge_cost_K(dec), dec
     if mode == "fallback":
         rho = marginal_matrix(psi, list(ids[1]))
-        rank = numerical_rank(rho, rank_rtol)
+        rank = numerical_rank(rho, rank_rtol, lossless=True)
         vecs = np.linalg.eigh(rho)[1][:, ::-1]
         return rank, phase_fixed(vecs[:, :rank])
     raise ValueError(f"unknown merge mode {mode!r}")
@@ -703,7 +737,7 @@ def merge_post_states(
     q = protocol.measurement
     if mat.shape[0] * k != q.shape[0]:
         raise ShapeMismatch("measurement columns do not match the merged share")
-    wanted = np.arange(q.shape[1]) if outcomes is None else np.asarray(outcomes, dtype=int)
+    wanted = _outcome_indices(outcomes, q.shape[1])
     n = len(wanted)
     # Q†[(a, l), m] X[a, rest] Φ⁺[l, l′]  →  post[m, rest, l′]
     qh = q[:, wanted].conj().reshape(-1, k * n)

@@ -180,11 +180,15 @@ def run_spreading(
             receiver=child,
             rank_rtol=rank_rtol,
         )
-        branches = execute_split(proto, state)
-        ref = branches[0].state
-        for br in branches[1:]:
-            dev = abs(abs(overlap(br.state, ref)) - 1.0)
-            worst_dev = max(worst_dev, dev)
+        # each outcome against outcome 0, one Pauli-shift row of K at a time,
+        # so the K² branch states are never held at once
+        for p in range(proto.k):
+            row = range(p * proto.k, (p + 1) * proto.k)
+            for br in execute_split(proto, state, outcomes=row):
+                if br.outcome == 0:
+                    ref = br.state
+                else:
+                    worst_dev = max(worst_dev, abs(abs(overlap(br.state, ref)) - 1.0))
         if worst_dev > tol:
             raise VerificationFailed(
                 f"split outcomes at edge ({parent}, {child}) disagree by {worst_dev:.2e}"

@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RANK_RTOL
+from .config import DISCARD_TOL, RANK_RTOL
 from .errors import (
     BadPermutation,
     DuplicateRegister,
+    InputError,
     NonIsometry,
     ShapeMismatch,
     UnknownRegister,
@@ -309,14 +310,36 @@ def schmidt(state: PureState, cut, rel_tol: float = RANK_RTOL) -> SchmidtDecompo
     )
 
 
-def numerical_rank(op, rel_tol: float = RANK_RTOL) -> int:
-    """Rank of a Hermitian operator relative to its largest eigenvalue."""
+def numerical_rank(op, rel_tol: float = RANK_RTOL, *, lossless: bool = False) -> int:
+    """Rank of a Hermitian operator relative to its largest eigenvalue.
+
+    With ``lossless`` the cut must drop only rounding noise
+    (:func:`check_rank_cut`).
+    """
     mat = op.matrix if isinstance(op, DensityOp) else np.asarray(op)
     evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     top = float(evals.max(initial=0.0))
     if top <= 0.0:
         return 0
+    if lossless:
+        check_rank_cut(evals, rel_tol * top)
     return int(np.sum(evals > rel_tol * top))
+
+
+def check_rank_cut(evals: np.ndarray, cut: float) -> None:
+    """Refuse a rank cut that drops real weight, not just rounding noise.
+
+    Raises InputError when the eigenvalues at or below ``cut`` carry more
+    than DISCARD_TOL of the trace: no exact protocol exists at the rank
+    such a cut reports, so the rank tolerance is too loose for the input.
+    """
+    vals = evals.tolist()  # a few eigenvalues: plain floats beat NumPy calls here
+    dropped = sum(v for v in vals if 0.0 < v <= cut) / sum(v for v in vals if v > 0.0)
+    if dropped > DISCARD_TOL:
+        raise InputError(
+            f"the rank tolerance drops eigenvalue weight {dropped:.2e}, more than "
+            f"{DISCARD_TOL:g}: it is too loose for this input"
+        )
 
 
 def is_isometry(m, tol: float = 1e-9) -> bool:
@@ -414,6 +437,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     delta = np.asarray(rho) - np.asarray(sigma)
     delta = (delta + delta.conj().T) / 2
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+
+
+def range_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) * trace norm of (A A† − B B†), taken in the range of [A B].
+
+    With the reduced QR [A B] = Q [R_A R_B], A A† − B B† equals
+    Q (R_A R_A† − R_B R_B†) Q†, so one eigvalsh of a matrix with side at
+    most cols(A) + cols(B) gives the trace norm.
+    """
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    ra, rb = r[:, : a.shape[1]], r[:, a.shape[1] :]
+    return trace_distance(ra @ ra.conj().T, rb @ rb.conj().T)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -10,6 +10,12 @@ register, pushes the purification through the stored protocol operators
 along sampled outcome paths, and measures the trace distance between
 the output density operator and the target.
 
+A spreading run ends in a pure state on (R, physical registers), so both
+physical marginals are A A† and B B† for amplitude matrices A and B with
+at most D = dim R columns.  Their trace distance is taken in the range
+of [A B] (:func:`~treecast.tensors.range_trace_distance`): one reduced
+QR and one eigvalsh of side ≤ 2D, never a dense marginal.
+
 Two structural facts make the replay well-defined:
 
 * every intermediate branch state keeps the reference marginal
@@ -38,7 +44,14 @@ from .protocols import (
     run_concentrating,
     run_spreading,
 )
-from .tensors import PureState, Register, marginal_matrix, permute_registers, trace_distance
+from .tensors import (
+    PureState,
+    Register,
+    _group_first,
+    marginal_matrix,
+    range_trace_distance,
+    trace_distance,
+)
 
 DEFAULT_CHANNEL_TOL = 1e-8
 
@@ -92,17 +105,17 @@ def verify_spreading_channel(
     Each input is purified through the reference register, pushed
     through every split along the all-zero outcome path plus
     ``extra_paths`` uniformly sampled paths, and the reduced output on
-    the physical registers is compared to U rho U† in trace distance.
+    the physical registers is compared to U rho U† in trace distance,
+    taken in the range of the two amplitude matrices.
     """
     if result is None:
         result = run_spreading(code, tree, labeling)
     rng = np.random.default_rng(seed)
     # the splits may leave the physical registers out of code order (a
-    # labeling not in party order does); compare both marginals in the
-    # output's order, permuting the target only when the orders differ
+    # labeling not in party order does); group both states in the output's
+    # order, as (physical, rest) amplitude matrices with ≤ D columns
     phys_set = set(code.parties)
     phys = [r.id for r in result.final_state.registers if r.id in phys_set]
-    reorder = phys != list(code.parties)
     worst_td = 0.0
     worst_pdev = 0.0
     n_paths = 1 + extra_paths
@@ -116,9 +129,7 @@ def verify_spreading_channel(
             ),
             target.amplitudes,
         )
-        if reorder:
-            target = permute_registers(target, [REFERENCE_ID] + phys)
-        rho_target = marginal_matrix(target, phys)
+        target_amps = _group_first(target, phys)[0]
         for p in range(n_paths):
             state = start
             for step in result.steps:
@@ -127,7 +138,8 @@ def verify_spreading_channel(
                 (branch,) = execute_split(step.protocol, state, outcomes=[m])
                 worst_pdev = max(worst_pdev, abs(branch.probability - 1.0 / n_out))
                 state = branch.state
-            worst_td = max(worst_td, trace_distance(marginal_matrix(state, phys), rho_target))
+            out_amps = _group_first(state, phys)[0]
+            worst_td = max(worst_td, range_trace_distance(out_amps, target_amps))
     return ChannelCheck(
         direction="spread",
         samples=samples,

@@ -642,6 +642,48 @@ class TestRankTolerance:
         assert code == 3
 
 
+class TestLossyRankCut:
+    """A --tol-rank that cuts real weight is refused alike by every command."""
+
+    @pytest.fixture
+    def heavy_sliver_code(self, tmp_path):
+        # v2's share carries a 1e-5-weight sliver: --tol-rank 1e-3 would cut it
+        a, b = math.sqrt(1 - 1e-5), math.sqrt(1e-5)
+        path = tmp_path / "heavy.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "D": 2,
+                    "parties": [{"name": "v1", "dim": 2}, {"name": "v2", "dim": 2}],
+                    "entries": [[0, 0, a, 0.0], [3, 0, b, 0.0], [2, 1, a, 0.0], [1, 1, b, 0.0]],
+                }
+            )
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("cost-spread",),
+            ("compare",),
+            ("cost-concentrate", "--labeling", "search"),
+            ("cost-concentrate", "--mode", "fallback"),
+            ("run-spread",),
+            ("run-concentrate",),
+        ],
+    )
+    def test_every_command_exits_2(self, capsys, heavy_sliver_code, command):
+        argv = (*command, "--code", heavy_sliver_code, "--tree", "line:2")
+        code, doc = run_json(capsys, *argv, "--tol-rank", "1e-3")
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "InputError"
+        assert "rank tolerance" in doc["error"]["message"]
+        # a tolerance below the sliver counts it, and every command runs
+        code, _ = run_json(capsys, *argv, "--tol-rank", "1e-7")
+        assert code == 0
+
+
 class TestToleranceFlags:
     """Each tolerance flag is registered only on the subcommands that read it."""
 

@@ -9,6 +9,7 @@ import pytest
 from treecast.codes import (
     encoded_pair,
     five_qubit_code,
+    ghz_code,
     identity_code,
     random_code,
     star4_code,
@@ -16,6 +17,7 @@ from treecast.codes import (
 from treecast.config import PROB_TOL, VERIFY_TOL
 from treecast.errors import (
     DimensionMismatch,
+    InputError,
     InsufficientResource,
     SchemaError,
     ShapeMismatch,
@@ -24,7 +26,9 @@ from treecast.errors import (
 )
 from treecast.merge_split import (
     SplitBranch,
+    _bell_columns,
     _joint_tensor,
+    _pauli_shifts,
     _shift_injection,
     _solve_corrections,
     apply_event,
@@ -39,10 +43,11 @@ from treecast.merge_split import (
     merge_post_states,
     split_cost,
     split_events,
+    split_post_states,
     verify_merge,
 )
 from treecast.network import line_tree, star_tree
-from treecast.protocols import run_spreading
+from treecast.protocols import run_concentrating, run_spreading
 from treecast.tensors import (
     LinearMap,
     PureState,
@@ -795,7 +800,7 @@ def spread_events_reference(code, result, outcomes):
     return events, table.to_doc()
 
 
-def spreading_steps(code, tree):
+def spreading_steps(code, tree, k_overrides=None):
     """(state, protocol) before each split of a spreading run, via the reference."""
     start = encoded_pair(code)
     state = PureState(
@@ -806,7 +811,8 @@ def spreading_steps(code, tree):
     cases = []
     for child in order[1:]:
         block = [v for v in order if v in set(tree.subtree(child))]
-        proto = build_split_protocol(state, block, receiver=child)
+        k = (k_overrides or {}).get(child)
+        proto = build_split_protocol(state, block, k, receiver=child)
         cases.append((state, proto))
         state = execute_split_reference(proto, state)[0].state
     return cases
@@ -891,6 +897,101 @@ class TestSplitInterpreter:
         (branch,) = execute_split(proto, psi)
         assert branch.probability == 1.0
         assert {r.id: r.owner for r in branch.state.registers}["v3"] == "v2"
+
+
+def split_tail_reference(protocol, psi, outcomes=None):
+    """Reference: the former per-outcome interpreter tail of ``execute_split``."""
+    prefix, tail = split_events(protocol, psi, 0)
+    head = psi
+    for event in prefix:
+        head, _ = apply_event(head, event)
+    if not tail:
+        return [(1.0, head)]
+    out = []
+    for m in range(protocol.k**2) if outcomes is None else outcomes:
+        state, prob = head, None
+        for event in split_events(protocol, psi, int(m))[1]:
+            state, p = apply_event(state, event)
+            prob = prob if p is None else p
+        out.append((prob, state.normalized()))
+    return out
+
+
+def batched_split_cases():
+    """split_cases, plus spreading steps at K above the moved dimension."""
+    code = random_code(np.random.default_rng(5), 2, (2, 2, 2))
+    wide = spreading_steps(code, line_tree(3), k_overrides={"v3": 3})
+    assert wide[1][1].k > math.prod(wide[1][1].moved_dims)
+    return split_cases() + wide
+
+
+def shift_loop(k, p, q):
+    """Reference: X^p Z^q entry by entry."""
+    omega = np.exp(2j * np.pi / k)
+    m = np.zeros((k, k), dtype=complex)
+    for j in range(k):
+        m[(j + p) % k, j] = omega ** (q * j)
+    return m
+
+
+def bell_columns_loop(k):
+    """Reference: the Bell basis column by column, (X^p Z^q ⊗ 1)|Φ⁺_K⟩."""
+    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
+    cols = [np.kron(shift_loop(k, p, q), np.eye(k)) @ phi for p in range(k) for q in range(k)]
+    return np.column_stack(cols)
+
+
+class TestBatchedSplit:
+    @pytest.mark.parametrize("psi,proto", batched_split_cases())
+    def test_matches_per_outcome_interpreter_tail(self, psi, proto):
+        got = split_post_states(proto, psi)
+        want = split_tail_reference(proto, psi)
+        assert len(got) == len(want)
+        for (p, state), (ref_p, ref_state) in zip(got, want):
+            assert state.registers == ref_state.registers
+            assert abs(p - ref_p) <= 1e-12
+            assert np.abs(state.amplitudes - ref_state.amplitudes).max() <= 1e-12
+
+    def test_selected_outcomes_match_the_reference(self):
+        psi, proto = spreading_steps(five_qubit_code(), line_tree(5))[1]
+        picked = [63, 0, 5, 5]
+        got = split_post_states(proto, psi, picked)
+        for (p, state), (ref_p, ref_state) in zip(got, split_tail_reference(proto, psi, picked)):
+            assert state.registers == ref_state.registers
+            assert abs(p - ref_p) <= 1e-12
+            assert np.abs(state.amplitudes - ref_state.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_outcome_outside_range_is_refused(self, bad):
+        psi, proto = spreading_steps(five_qubit_code(), line_tree(5))[1]
+        assert proto.k**2 == 64
+        with pytest.raises(InputError):
+            split_post_states(proto, psi, [bad])
+        with pytest.raises(InputError):
+            execute_split(proto, psi, outcomes=[0, bad])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 18, 32])
+    def test_bell_columns_and_shifts_match_the_loops(self, k):
+        shifts = _pauli_shifts(k)
+        for p in range(k):
+            for q in range(k):
+                assert shifts[p * k + q].tobytes() == shift_loop(k, p, q).tobytes()
+        assert _bell_columns(shifts).tobytes() == bell_columns_loop(k).tobytes()
+
+
+class TestMergeOutcomeRange:
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_outcome_outside_range_is_refused(self, bad):
+        code = ghz_code(3)
+        result = run_concentrating(code, line_tree(3))
+        proto = result.steps[3][()].protocol
+        n = proto.measurement.shape[1]
+        bad = n if bad == "n" else bad
+        psi = encoded_pair(code)
+        with pytest.raises(InputError):
+            merge_post_states(proto, psi, [0, bad])
+        with pytest.raises(InputError):
+            merge_post_state(proto, psi, bad)
 
 
 class TestSpreadTraceEvents:

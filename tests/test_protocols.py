@@ -23,6 +23,7 @@ from treecast.errors import (
     SynthesisFailed,
     TooLarge,
     UnknownEdge,
+    VerificationFailed,
 )
 from treecast.merge_split import merge_post_state
 from treecast.network import line_tree, star_tree
@@ -162,6 +163,23 @@ class TestSpreading:
         for entry in report.values():
             assert entry["consumed"] == entry["rank"]
             assert entry["below_rank_rejected"] is True
+
+    @pytest.mark.parametrize("first_row", [True, False])
+    def test_swapped_correction_fails_the_outcome_check(self, five_line, monkeypatch, first_row):
+        # v3's split has K = 8: swap two shifts in the first or the last Pauli row
+        def swapped(*args, **kwargs):
+            proto = build(*args, **kwargs)
+            if proto.receiver != "v3":
+                return proto
+            i = 1 if first_row else proto.k**2 - 1
+            fixes = list(proto.corrections)
+            fixes[i], fixes[i - 1] = fixes[i - 1], fixes[i]
+            return dataclasses.replace(proto, corrections=tuple(fixes))
+
+        build = protocols.build_split_protocol
+        monkeypatch.setattr(protocols, "build_split_protocol", swapped)
+        with pytest.raises(VerificationFailed, match=r"\(v2, v3\)"):
+            run_spreading(*five_line)
 
     def test_party_mismatch(self):
         with pytest.raises(UnknownEdge):

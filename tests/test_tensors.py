@@ -28,6 +28,7 @@ from treecast.tensors import (
     permute_registers,
     project_onto,
     random_state,
+    range_trace_distance,
     schmidt,
     states_equal_up_to_phase,
     tensor_product,
@@ -234,6 +235,53 @@ def test_trace_distance_basics():
     z0 = np.diag([1.0, 0.0])
     z1 = np.diag([0.0, 1.0])
     assert trace_distance(z0, z1) == pytest.approx(1.0)
+
+
+def _factors(rng, rows, cols):
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return g / np.linalg.norm(g)
+
+
+@pytest.mark.parametrize(
+    "rows, cols_a, cols_b",
+    [
+        (6, 6, 6),  # full rank
+        (243, 2, 2),  # rank-deficient marginals, as in the spreading check
+        (128, 4, 4),
+        (12, 1, 3),  # unequal ranks
+        (3, 4, 5),  # more columns than rows
+    ],
+)
+def test_range_trace_distance_matches_full_marginals(rows, cols_a, cols_b):
+    rng = np.random.default_rng(rows + cols_a + cols_b)
+    for _ in range(3):
+        a, b = _factors(rng, rows, cols_a), _factors(rng, rows, cols_b)
+        want = trace_distance(a @ a.conj().T, b @ b.conj().T)
+        assert abs(range_trace_distance(a, b) - want) <= 1e-12
+
+
+def test_range_trace_distance_rank_deficient_factors():
+    # four columns spanning only two directions: R has zero rows to carry
+    rng = np.random.default_rng(11)
+    a = _factors(rng, 20, 2) @ _factors(rng, 2, 4)
+    b = _factors(rng, 20, 4)
+    for x, y in [(a, b), (b, a), (a, a[:, :2] * 2)]:
+        want = trace_distance(x @ x.conj().T, y @ y.conj().T)
+        assert abs(range_trace_distance(x, y) - want) <= 1e-12
+
+
+def test_range_trace_distance_extremes():
+    rng = np.random.default_rng(3)
+    a = _factors(rng, 40, 2)
+    assert range_trace_distance(a, a) <= 1e-12
+    # the same marginal from a different purification: a unitary on the columns
+    u = np.linalg.qr(_factors(rng, 2, 2))[0]
+    assert range_trace_distance(a, a @ u) <= 1e-12
+    # orthogonal supports
+    a, b = np.zeros((10, 2), dtype=complex), np.zeros((10, 2), dtype=complex)
+    a[:2] = _factors(rng, 2, 2)
+    b[5:7] = _factors(rng, 2, 2)
+    assert abs(range_trace_distance(a, b) - 1.0) <= 1e-12
 
 
 def test_is_isometry_and_completion():
