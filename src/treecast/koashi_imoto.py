@@ -146,8 +146,10 @@ def rebuild(dec: KiDecomposition) -> PureState:
 def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
     """Orthonormal eigenbasis of supp(rho), descending eigenvalues.
 
-    Raises NumericalDegeneracy when an eigenvalue sits inside the
-    ambiguity band around the rank cutoff.
+    Raises InputError when the rank cut drops real weight
+    (:func:`~treecast.tensors.check_rank_cut`), as every rank decision
+    does, and otherwise NumericalDegeneracy when an eigenvalue sits
+    inside the ambiguity band around the rank cutoff.
     """
     vals, vecs = np.linalg.eigh(rho)
     vals, vecs = vals[::-1], vecs[:, ::-1]
@@ -155,12 +157,12 @@ def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
     if top <= 0.0:
         raise ShapeMismatch("zero marginal has no support")
     cut = rank_rtol * top
+    check_rank_cut(vals, cut)
     band = (vals > cut / 16) & (vals < cut * 16)
     if band.any():
         raise NumericalDegeneracy(
             "marginal eigenvalue falls inside the rank tolerance band"
         )
-    check_rank_cut(vals, cut)
     keep = vals > cut
     basis = vecs[:, keep]
     return phase_fixed(basis)

@@ -62,9 +62,9 @@ from .tensors import (
     Register,
     _group_first,
     apply_map,
+    check_rank_cut,
     marginal_matrix,
     max_entangled_pair,
-    numerical_rank,
     orthonormal_completion,
     permute_registers,
     phase_fixed,
@@ -165,7 +165,7 @@ class SplitProtocol:
     compress: np.ndarray  # K × dA′
     decompress: np.ndarray  # dA′ × K
     bell: np.ndarray  # K² × K² Bell columns, outcome (p, q) at p·K + q
-    corrections: tuple[np.ndarray, ...]  # K × K shift fix at B₀
+    corrections: np.ndarray  # K² × K × K shift fixes at B₀, outcome (p, q) at p·K + q
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,23 @@ class SplitBranch:
     state: PureState
 
 
+def _support(psi: PureState, ids, rank_rtol: float) -> tuple[int, np.ndarray]:
+    """Numerical rank and phase-fixed eigenframe (largest first) of the ``ids`` marginal.
+
+    InputError when the rank cut drops real weight (:func:`check_rank_cut`).
+    """
+    vals, vecs = np.linalg.eigh(marginal_matrix(psi, list(ids)))
+    top = float(vals[-1])
+    rank = 0
+    if top > 0.0:
+        check_rank_cut(vals, rank_rtol * top)
+        rank = int(np.sum(vals > rank_rtol * top))
+    return rank, phase_fixed(vecs[:, ::-1])
+
+
 def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
     """Exact resource dimension for splitting: rank of the moved marginal."""
-    return numerical_rank(marginal_matrix(psi, list(moved_ids)), rank_rtol, lossless=True)
+    return _support(psi, moved_ids, rank_rtol)[0]
 
 
 def _pauli_shifts(k: int) -> np.ndarray:
@@ -211,16 +225,12 @@ def build_split_protocol(
     moved_ids = tuple(moved_ids)
     regs = [psi.register(i) for i in moved_ids]
     d_move = math.prod(r.dim for r in regs)
-    rank = split_cost(psi, moved_ids, rank_rtol)
+    rank, basis = _support(psi, moved_ids, rank_rtol)
     k_eff = rank if k is None else int(k)
     if k_eff < rank:
         raise InsufficientResource(
             f"splitting needs a rank-{rank} resource, got K={k_eff}"
         )
-    rho = marginal_matrix(psi, list(moved_ids))
-    vals, vecs = np.linalg.eigh(rho)
-    vecs = vecs[:, ::-1]
-    basis = phase_fixed(vecs)
     if k_eff <= d_move:
         compress = basis[:, :k_eff].conj().T
     else:
@@ -238,7 +248,7 @@ def build_split_protocol(
         compress=compress,
         decompress=compress.conj().T,
         bell=_bell_columns(shifts),
-        corrections=tuple(shifts),
+        corrections=shifts,
     )
 
 
@@ -278,40 +288,42 @@ def split_events(
 
 def split_post_states(
     protocol: SplitProtocol, psi: PureState, outcomes=None
-) -> list[tuple[float, PureState]]:
+) -> list[tuple[int, float, PureState]]:
     """Every requested split outcome at once, corrections applied.
 
-    Returns ``(probability, state)`` per outcome in ``outcomes`` (all K²
-    by default), each state normalized and in the register layout that
-    :func:`split_events` leaves under :func:`apply_event`.  The prefix
-    runs once through the interpreter; with its state grouped as
-    X = ((buf, A₀), rest…, B₀), one contraction bell† X, one batched
-    shift matmul along B₀ and one decompression give every outcome.  A
-    block of trivial registers has one branch, whatever ``outcomes`` asks.
+    Returns ``(outcome, probability, state)`` per outcome in ``outcomes``
+    (all K² by default), each state normalized and in the register
+    layout that :func:`split_events` leaves under :func:`apply_event`.
+    The compression runs through the interpreter; with its state grouped
+    as X = (buf, rest…) and Φ⁺_K = Σ_l |l⟩|l⟩/√K folded into the Bell
+    columns, one contraction bell† (X ⊗ Φ⁺_K), one batched shift matmul
+    along B₀ and one decompression give every outcome.  A block of
+    trivial registers has one branch, outcome 0, whatever ``outcomes``
+    asks.
     """
     wanted = _outcome_indices(outcomes, protocol.k**2)
     prefix, tail = split_events(protocol, psi, 0)
-    head = psi
-    for event in prefix:  # compression and Φ⁺_K: no measurement
-        head = apply_event(head, event)[0]
-    if not tail:
-        return [(1.0, head)]
+    if not tail:  # the resource and a relabel
+        for event in prefix:
+            psi = apply_event(psi, event)[0]
+        return [(0, 1.0, psi)]
     k, n = protocol.k, len(wanted)
-    buf, a0 = tail[0]["targets"]
-    mat, _, rest = _group_first(head, [buf.id, a0.id])
-    posts = protocol.bell[:, wanted].conj().T @ mat
-    probs = np.linalg.norm(posts, axis=1) ** 2
+    compressed = apply_event(psi, prefix[0])[0]
+    mat, _, rest = _group_first(compressed, [prefix[0]["out"][0].id])
+    # bell†[(buf, l), m] X[buf, rest] Φ⁺[l, l′]  →  post[m, rest, l′]
+    bh = protocol.bell[:, wanted].conj().reshape(k, k * n)
+    posts = (bh.T @ mat).reshape(k, n, -1).transpose(1, 2, 0) / math.sqrt(k)
+    probs = np.linalg.norm(posts.reshape(n, -1), axis=1) ** 2
     dead = probs < PROB_TOL
     if dead.any():
         raise ZeroProbabilityBranch(
             f"outcome {wanted[dead][0]} at {protocol.sender!r} has zero probability"
         )
-    shifts = np.stack([protocol.corrections[m] for m in wanted])
-    fixed = posts.reshape(n, -1, k) @ shifts.swapaxes(1, 2)
+    fixed = posts @ protocol.corrections[wanted].swapaxes(1, 2)
     out = (fixed @ protocol.decompress.T).reshape(n, -1)
     out /= np.linalg.norm(out, axis=1)[:, None]
-    regs = tuple(rest[:-1]) + tuple(tail[-1]["out"])
-    return [(float(p), PureState(regs, amps)) for p, amps in zip(probs, out)]
+    regs = tuple(rest) + tuple(tail[-1]["out"])
+    return [(m, float(p), PureState(regs, amps)) for m, p, amps in zip(wanted.tolist(), probs, out)]
 
 
 def execute_split(
@@ -321,10 +333,7 @@ def execute_split(
 
     A block of trivial registers has one branch, outcome 0.
     """
-    posts = split_post_states(protocol, psi, outcomes)
-    trivial = all(d == 1 for d in protocol.moved_dims)
-    wanted = [0] if trivial else _outcome_indices(outcomes, protocol.k**2)
-    return [SplitBranch(int(m), p, state) for m, (p, state) in zip(wanted, posts)]
+    return [SplitBranch(*branch) for branch in split_post_states(protocol, psi, outcomes)]
 
 
 # -- merging ------------------------------------------------------------------
@@ -348,7 +357,7 @@ class MergeProtocol:
     kmin: int
     strategy: str
     measurement: np.ndarray
-    corrections: tuple[np.ndarray, ...]
+    corrections: np.ndarray  # one isometry per outcome, stacked
     probs: tuple[float, ...]
     zero_mask: tuple[bool, ...]
     a0_id: str
@@ -397,10 +406,8 @@ def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float, rng):
         dec = ki_decompose(psi, ids, rank_rtol=rank_rtol, rng=rng)
         return merge_cost_K(dec), dec
     if mode == "fallback":
-        rho = marginal_matrix(psi, list(ids[1]))
-        rank = numerical_rank(rho, rank_rtol, lossless=True)
-        vecs = np.linalg.eigh(rho)[1][:, ::-1]
-        return rank, phase_fixed(vecs[:, :rank])
+        rank, frame = _support(psi, ids[1], rank_rtol)
+        return rank, frame[:, :rank]
     raise ValueError(f"unknown merge mode {mode!r}")
 
 
@@ -585,7 +592,7 @@ def _solve_corrections(big, g_mat, qcols, da, db, k, tol):
             ).max()
             corrections[live[sel]] = u
             max_resid = max(max_resid, float(resid), float(iso_resid))
-    return tuple(corrections), tuple(probs.tolist()), tuple(zero.tolist()), max_resid
+    return corrections, tuple(probs.tolist()), tuple(zero.tolist()), max_resid
 
 
 def _joint_tensor(psi3: np.ndarray, k: int) -> np.ndarray:
@@ -692,7 +699,7 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
         float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()),
     )
     blocks, probs = _outcome_blocks(_joint_tensor(psi3, protocol.k), q)
-    u = np.stack(protocol.corrections)
+    u = np.asarray(protocol.corrections)
     corr_resid = float(np.abs(_dagger(u) @ u - np.eye(u.shape[2])).max())
     # (U_m S_m)ᵀ flattened: the corrected branch on (R, A-copy, B)
     out = (u @ blocks.swapaxes(1, 2)).swapaxes(1, 2).reshape(len(probs), -1)

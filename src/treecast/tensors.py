@@ -310,19 +310,13 @@ def schmidt(state: PureState, cut, rel_tol: float = RANK_RTOL) -> SchmidtDecompo
     )
 
 
-def numerical_rank(op, rel_tol: float = RANK_RTOL, *, lossless: bool = False) -> int:
-    """Rank of a Hermitian operator relative to its largest eigenvalue.
-
-    With ``lossless`` the cut must drop only rounding noise
-    (:func:`check_rank_cut`).
-    """
+def numerical_rank(op, rel_tol: float = RANK_RTOL) -> int:
+    """Rank of a Hermitian operator relative to its largest eigenvalue."""
     mat = op.matrix if isinstance(op, DensityOp) else np.asarray(op)
     evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     top = float(evals.max(initial=0.0))
     if top <= 0.0:
         return 0
-    if lossless:
-        check_rank_cut(evals, rel_tol * top)
     return int(np.sum(evals > rel_tol * top))
 
 

@@ -14,7 +14,10 @@ A spreading run ends in a pure state on (R, physical registers), so both
 physical marginals are A A† and B B† for amplitude matrices A and B with
 at most D = dim R columns.  Their trace distance is taken in the range
 of [A B] (:func:`~treecast.tensors.range_trace_distance`): one reduced
-QR and one eigvalsh of side ≤ 2D, never a dense marginal.
+QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Each sampled
+split outcome comes from :func:`~treecast.merge_split.split_post_states`
+(through ``execute_split``): one compression and one Bell contraction
+with Φ⁺_K folded in, never the state with the resource attached.
 
 Two structural facts make the replay well-defined:
 

@@ -906,14 +906,14 @@ def split_tail_reference(protocol, psi, outcomes=None):
     for event in prefix:
         head, _ = apply_event(head, event)
     if not tail:
-        return [(1.0, head)]
+        return [(0, 1.0, head)]
     out = []
     for m in range(protocol.k**2) if outcomes is None else outcomes:
         state, prob = head, None
         for event in split_events(protocol, psi, int(m))[1]:
             state, p = apply_event(state, event)
             prob = prob if p is None else p
-        out.append((prob, state.normalized()))
+        out.append((int(m), prob, state.normalized()))
     return out
 
 
@@ -947,7 +947,8 @@ class TestBatchedSplit:
         got = split_post_states(proto, psi)
         want = split_tail_reference(proto, psi)
         assert len(got) == len(want)
-        for (p, state), (ref_p, ref_state) in zip(got, want):
+        for (m, p, state), (ref_m, ref_p, ref_state) in zip(got, want):
+            assert m == ref_m
             assert state.registers == ref_state.registers
             assert abs(p - ref_p) <= 1e-12
             assert np.abs(state.amplitudes - ref_state.amplitudes).max() <= 1e-12
@@ -956,7 +957,9 @@ class TestBatchedSplit:
         psi, proto = spreading_steps(five_qubit_code(), line_tree(5))[1]
         picked = [63, 0, 5, 5]
         got = split_post_states(proto, psi, picked)
-        for (p, state), (ref_p, ref_state) in zip(got, split_tail_reference(proto, psi, picked)):
+        want = split_tail_reference(proto, psi, picked)
+        assert [m for m, _, _ in got] == picked
+        for (m, p, state), (ref_m, ref_p, ref_state) in zip(got, want):
             assert state.registers == ref_state.registers
             assert abs(p - ref_p) <= 1e-12
             assert np.abs(state.amplitudes - ref_state.amplitudes).max() <= 1e-12

@@ -172,9 +172,9 @@ class TestSpreading:
             if proto.receiver != "v3":
                 return proto
             i = 1 if first_row else proto.k**2 - 1
-            fixes = list(proto.corrections)
-            fixes[i], fixes[i - 1] = fixes[i - 1], fixes[i]
-            return dataclasses.replace(proto, corrections=tuple(fixes))
+            fixes = proto.corrections.copy()
+            fixes[[i, i - 1]] = fixes[[i - 1, i]]
+            return dataclasses.replace(proto, corrections=fixes)
 
         build = protocols.build_split_protocol
         monkeypatch.setattr(protocols, "build_split_protocol", swapped)
