@@ -77,7 +77,13 @@ def _add_common(p, *, needs_inputs=True, inputs_required=True, run=False, concen
             default="all",
             help="'all' for exhaustive outcome branches, or sample:N",
         )
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="the seed for branch sampling and channel-check inputs; "
+        "protocols depend only on the state",
+    )
     if run or not needs_inputs:
         p.add_argument(
             "--tol-verify", type=float, default=DEFAULT_CHANNEL_TOL, dest="tol_verify"
@@ -502,7 +508,6 @@ def _load_state_file(path: str):
 
 def _cmd_ki(args):
     seed = _check_seed(args.seed)
-    rng = np.random.default_rng(seed)
     if args.state:
         psi, triple, a_label = _load_state_file(args.state)
         doc = _base_doc("ki", args)
@@ -555,7 +560,7 @@ def _cmd_ki(args):
         doc["A"] = vertex
         doc["prefix"] = list(prefix)
         doc["stage"] = stage
-    dec = ki_decompose(psi, triple, rank_rtol=args.tol_rank, rng=rng)
+    dec = ki_decompose(psi, triple, rank_rtol=args.tol_rank)
     doc["blocks"] = [
         {
             "j": blk.j,

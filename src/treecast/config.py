@@ -23,8 +23,5 @@ ISOMETRY_TOL = 1e-9
 # Maximum per-branch residual for a protocol to count as exact.
 VERIFY_TOL = 1e-9
 
-# Completeness / orthogonality residual for measurement bases.
-ORTHONORMALITY_TOL = 1e-10
-
 # Probability mass below this is treated as an impossible branch.
 PROB_TOL = 1e-12

@@ -34,10 +34,6 @@ class ShapeMismatch(InputError):
     """An operand's shape is inconsistent with its declared registers."""
 
 
-class NonIsometry(InputError):
-    """A linear map required to be an isometry is not one."""
-
-
 # --- network layer -----------------------------------------------------------
 
 class BadEdge(InputError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DISCARD_TOL, ORTHONORMALITY_TOL, RANK_RTOL, VERIFY_TOL
+from .config import DISCARD_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch
 from .tensors import PureState, Register, check_rank_cut, permute_registers, phase_fixed
 
@@ -470,11 +470,15 @@ def ki_decompose(
     *,
     rank_rtol: float = RANK_RTOL,
     tol: float = VERIFY_TOL,
-    rng=None,
 ) -> KiDecomposition:
-    """Decompose ψ^{R′AB}; ``roles`` maps "R"/"A"/"B" to register id sets."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """Decompose ψ^{R′AB}; ``roles`` maps "R"/"A"/"B" to register id sets.
+
+    The central split and the block factoring draw generic commutant
+    elements (Murota, Kanno, Kojima and Kojima, JJIAM 27, 125, 2010) from
+    a generator created afresh for each call, so the decomposition is a
+    function of the state alone.
+    """
+    rng = np.random.default_rng(0)
     r_ids, a_ids, b_ids = _parse_roles(psi, roles)
     perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
     r_regs = tuple(perm.register(i) for i in r_ids)

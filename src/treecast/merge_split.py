@@ -377,33 +377,25 @@ class MergeReport:
     deviations: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MergeBranch:
-    outcome: int
-    probability: float
-    state: PureState
-
-
 def merge_cost(
     psi: PureState,
     roles,
     *,
     mode: str = "tight",
     rank_rtol: float = RANK_RTOL,
-    rng=None,
 ) -> int:
     """Minimal resource dimension K for merging A's share into B."""
-    return _min_resource(psi, _parse_roles(psi, roles), mode, rank_rtol, rng)[0]
+    return _min_resource(psi, _parse_roles(psi, roles), mode, rank_rtol)[0]
 
 
-def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float, rng):
+def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float):
     """(K, structure): K and what the merge measurement is built from.
 
     Tight mode gives the KI decomposition, fallback mode the phase-fixed
     eigenframe of supp(ρ^A), whose rank is K.
     """
     if mode == "tight":
-        dec = ki_decompose(psi, ids, rank_rtol=rank_rtol, rng=rng)
+        dec = ki_decompose(psi, ids, rank_rtol=rank_rtol)
         return merge_cost_K(dec), dec
     if mode == "fallback":
         rank, frame = _support(psi, ids[1], rank_rtol)
@@ -450,7 +442,7 @@ def _shift_injection(frames: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("qa,pad->dpq", _fourier(n), shifted).reshape(da * k, kj * n)
 
 
-def _tight_measurement(dec: KiDecomposition, da: int, k: int, rng):
+def _tight_measurement(dec: KiDecomposition, da: int, k: int):
     """Measurement columns (dA·k × dA·k) and the strategy tag, or None."""
     ns = [blk.dimR_A for blk in dec.blocks]
     j_count = len(dec.blocks)
@@ -489,15 +481,17 @@ def _haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
-def _synthesize_measurement(big, g_mat, da, db, k, rng, tol):
+def _synthesize_measurement(big, g_mat, da, db, k, tol):
     """Alternating optimization for the measurement unitary (strategy d).
 
     A coarse phase maximizes the summed branch fidelity; a refinement
     phase keeps iterating the same fixed-point map but is stopped by the
     exact correction residual, which resolves far below the fidelity's
-    floating-point floor.
+    floating-point floor.  The random restarts come from a generator
+    created afresh for each call, so the result depends on the state alone.
     """
     n_out = da * k
+    rng = np.random.default_rng(0)
 
     def sweep(q_mat):
         c_cols = np.zeros((n_out, n_out), dtype=complex)
@@ -610,7 +604,6 @@ def build_merge_protocol(
     *,
     k: int | None = None,
     mode: str = "tight",
-    rng=None,
     tol: float = VERIFY_TOL,
     rank_rtol: float = RANK_RTOL,
     a0_id: str = "merge:A0",
@@ -618,8 +611,6 @@ def build_merge_protocol(
     receiver: str | None = None,
     b0_owner: str | None = None,
 ) -> MergeProtocol:
-    if rng is None:
-        rng = np.random.default_rng(0)
     r_ids, a_ids, b_ids = _parse_roles(psi, roles)
     perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
     a_regs = [perm.register(i) for i in a_ids]
@@ -630,7 +621,7 @@ def build_merge_protocol(
     psi3 = perm.amplitudes.reshape(dr, da, db)
     g_mat = psi3.reshape(dr, da * db)
 
-    kmin, structure = _min_resource(psi, (r_ids, a_ids, b_ids), mode, rank_rtol, rng)
+    kmin, structure = _min_resource(psi, (r_ids, a_ids, b_ids), mode, rank_rtol)
     k_eff = kmin if k is None else int(k)
     if k_eff < kmin:
         raise InsufficientResource(
@@ -647,9 +638,9 @@ def build_merge_protocol(
         qcols = _completed_basis(_shift_injection(structure.T[None], k_eff), da * k_eff)
         tag = "fallback-teleport"
     else:
-        built = _tight_measurement(structure, da, k_eff, rng)
+        built = _tight_measurement(structure, da, k_eff)
         if built is None:
-            tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff, rng, tol)
+            tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff, tol)
         else:
             tag, qcols = built
 
@@ -798,19 +789,3 @@ def apply_merge_correction(
     """Apply U_m to a post-measurement state of :func:`merge_post_states`."""
     return apply_event(post, correction_event(protocol, outcome))[0]
 
-
-def execute_merge(
-    protocol: MergeProtocol, psi: PureState, *, outcomes=None
-) -> list[MergeBranch]:
-    """Run the merge end to end (corrections applied), exhaustive by default."""
-    wanted = range(protocol.measurement.shape[1]) if outcomes is None else outcomes
-    branches = []
-    for m in wanted:
-        prob, post = merge_post_state(protocol, psi, int(m))
-        if prob < PROB_TOL:
-            if outcomes is not None:
-                raise ZeroProbabilityBranch(f"merge outcome {m} has zero probability")
-            continue
-        final = apply_merge_correction(protocol, int(m), post)
-        branches.append(MergeBranch(int(m), prob, final.normalized()))
-    return branches

@@ -23,7 +23,6 @@ consumed in full.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -207,33 +206,6 @@ def run_spreading(
     )
 
 
-def spreading_tightness(
-    code: IsometryCode, tree: RootedTree, rank_rtol: float = RANK_RTOL
-) -> dict[str, dict]:
-    """Per edge: the exact rank is achievable and rank−1 is not."""
-    psi = encoded_pair(code)
-    _check_parties(code, tree)
-    report = {}
-    for parent, child in tree.edges():
-        block = list(tree.subtree(child))
-        proto = build_split_protocol(psi, block, receiver=child, rank_rtol=rank_rtol)
-        below = None
-        if proto.rank > 1:
-            try:
-                build_split_protocol(
-                    psi, block, proto.rank - 1, receiver=child, rank_rtol=rank_rtol
-                )
-                below = False
-            except InsufficientResource:
-                below = True
-        report[child] = {
-            "rank": proto.rank,
-            "consumed": proto.k,
-            "below_rank_rejected": below,
-        }
-    return report
-
-
 def spreading_lower_bound_check(
     code: IsometryCode,
     tree: RootedTree,
@@ -325,12 +297,11 @@ def _roles_for(state: PureState, party: str):
     return (tuple(r_ids), tuple(a_ids), tuple(b_ids))
 
 
-def _build_step(state, roles, *, mode, k, rng, tol, rank_rtol, ids, receiver, b0_owner):
+def _build_step(state, roles, *, mode, k, tol, rank_rtol, ids, receiver, b0_owner):
     """Tight protocol with fallback on synthesis failure; returns (proto, fell_back)."""
     a0_id, b0_id = ids
     common = dict(
         k=k,
-        rng=rng,
         tol=tol,
         rank_rtol=rank_rtol,
         a0_id=a0_id,
@@ -344,12 +315,6 @@ def _build_step(state, roles, *, mode, k, rng, tol, rank_rtol, ids, receiver, b0
         return build_merge_protocol(state, roles, mode="tight", **common), False
     except SynthesisFailed:
         return build_merge_protocol(state, roles, mode="fallback", **common), True
-
-
-def _concentrate_start(code: IsometryCode, seed: int):
-    """The one live branch entering stage N, and the synthesis and sampling generators."""
-    live = [((), 1.0, encoded_pair(code).normalized())]
-    return live, np.random.default_rng(seed), np.random.default_rng(seed + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,8 +335,7 @@ def _concentrate_stage(
     *,
     mode: str,
     branch_budget: int | None,
-    rng,
-    sampler,
+    seed: int,
     tol: float,
     rank_rtol: float,
 ) -> _Stage:
@@ -380,9 +344,11 @@ def _concentrate_stage(
     Every live branch gets a tight protocol first (to discover the edge's
     worst-case resource dimension), then all branch protocols are rebuilt
     at that dimension so each branch consumes the same, fully-provisioned
-    resource.  The result depends only on ``live``, the vertex and the
-    generators' state, so stages shared by several labelings can be run
-    once.
+    resource.  Protocols depend only on the branch states.  When the live
+    branches that come out exceed ``branch_budget``, the kept ones are
+    drawn from a generator made from ``seed`` and ``level`` alone.  So the
+    stage is a function of (live, vertex, level, seed), and a stage that
+    several labelings share can be run once.
     """
     parent = tree.parent(vertex)
 
@@ -392,7 +358,6 @@ def _concentrate_stage(
             _roles_for(state, vertex),
             mode=mode,
             k=k,
-            rng=rng,
             tol=tol,
             rank_rtol=rank_rtol,
             ids=(f"ent:{vertex}:A0", f"ent:{vertex}:B0"),
@@ -448,6 +413,7 @@ def _concentrate_stage(
         keep = [br for br in next_live if all(m == 0 for m in br[0])]
         rest = [br for br in next_live if not all(m == 0 for m in br[0])]
         take = min(len(rest), max(0, branch_budget - len(keep)))
+        sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
         picked = sampler.choice(len(rest), size=take, replace=False)
         next_live = keep + [rest[int(i)] for i in sorted(picked)]
     return _Stage(EdgeCost(parent, vertex, k_edge), records, edge_fell, next_live, sampled)
@@ -477,7 +443,7 @@ def run_concentrating(
         tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
     )
     n = len(order)
-    live, rng, sampler = _concentrate_start(code, seed)
+    live = [((), 1.0, encoded_pair(code).normalized())]
     store: dict[int, dict[tuple[int, ...], MergeStepRecord]] = {}
     items = []
     explored_all = True
@@ -492,8 +458,7 @@ def run_concentrating(
             k_stage,
             mode=mode,
             branch_budget=branch_budget,
-            rng=rng,
-            sampler=sampler,
+            seed=seed,
             tol=tol,
             rank_rtol=rank_rtol,
         )
@@ -643,11 +608,9 @@ def optimize_labeling(
     break lexicographically on the labeling tuple.  Raises TooLarge when
     the labeling count exceeds ``limit``.
 
-    A stage depends only on the suffix v_N…v_k merged so far and on the
-    state of the two generators entering it, which ``run_concentrating``
-    creates afresh from ``seed``.  So the candidates are walked as a trie
-    of suffixes: each distinct suffix stage runs once, on copies of the
-    generators taken at its parent node.
+    A stage depends only on the suffix v_N…v_k merged so far and on
+    ``seed`` (``_concentrate_stage``).  So the candidates are walked as a
+    trie of suffixes, and each distinct suffix stage runs once.
     """
     candidates = tree.ascending_labelings(limit)
     _check_parties(code, tree)
@@ -661,9 +624,8 @@ def optimize_labeling(
                 kids.append(vertex)
     edges: dict[tuple[str, ...], EdgeCost] = {}
 
-    def walk(suffix, live, rng, sampler):
+    def walk(suffix, live):
         for vertex in children.get(suffix, ()):
-            rng_v, sampler_v = copy.deepcopy(rng), copy.deepcopy(sampler)
             stage = _concentrate_stage(
                 live,
                 tree,
@@ -672,15 +634,14 @@ def optimize_labeling(
                 n - len(suffix),
                 mode=mode,
                 branch_budget=branch_budget,
-                rng=rng_v,
-                sampler=sampler_v,
+                seed=seed,
                 tol=VERIFY_TOL,
                 rank_rtol=rank_rtol,
             )
             edges[suffix + (vertex,)] = stage.edge
-            walk(suffix + (vertex,), stage.live, rng_v, sampler_v)
+            walk(suffix + (vertex,), stage.live)
 
-    walk((), *_concentrate_start(code, seed))
+    walk((), [((), 1.0, encoded_pair(code).normalized())])
     best = None
     totals: dict[tuple[str, ...], float] = {}
     for cand in candidates:

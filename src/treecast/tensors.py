@@ -10,18 +10,16 @@ operations return new objects.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DISCARD_TOL, RANK_RTOL
+from .config import DISCARD_TOL
 from .errors import (
     BadPermutation,
     DuplicateRegister,
     InputError,
-    NonIsometry,
     ShapeMismatch,
     UnknownRegister,
 )
@@ -124,39 +122,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class DensityOp:
-    """A density operator over a register tuple (matrix in the joint basis)."""
-
-    registers: tuple[Register, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        regs = tuple(self.registers)
-        _check_unique(regs)
-        mat = np.array(self.matrix, dtype=complex)
-        dim = math.prod(r.dim for r in regs)
-        if mat.shape != (dim, dim):
-            raise ShapeMismatch(f"density matrix shape {mat.shape}, expected {(dim, dim)}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "registers", regs)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def validate(self, tol: float = 1e-8) -> None:
-        """Check Hermiticity, unit trace, and positivity within ``tol``."""
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
-            raise ShapeMismatch("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > tol:
-            raise ShapeMismatch("density matrix trace differs from 1")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -tol:
-            raise ShapeMismatch("density matrix has a negative eigenvalue")
-
-
-@dataclass(frozen=True)
 class LinearMap:
     """A linear map between register tuples; matrix rows index the outputs."""
 
@@ -180,41 +145,7 @@ class LinearMap:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Result of a bipartite Schmidt decomposition.
-
-    ``coefficients`` are the positive Schmidt coefficients in descending
-    order (entries below the relative rank tolerance dropped);
-    ``left_basis`` / ``right_basis`` hold the matching orthonormal
-    vectors as rows.  The state equals sum_k c_k |left_k> ⊗ |right_k>.
-    """
-
-    cut: tuple[tuple[Register, ...], tuple[Register, ...]]
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(self.coefficients.size)
-
-
 # -- construction helpers ------------------------------------------------------
-
-
-def basis_state(registers, index) -> PureState:
-    """Computational basis state; ``index`` is one label per register."""
-    regs = tuple(registers)
-    dims = [r.dim for r in regs]
-    flat = 0
-    for d, i in zip(dims, index):
-        if not 0 <= i < d:
-            raise ShapeMismatch(f"basis label {i} out of range for dimension {d}")
-        flat = flat * d + i
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    amps[flat] = 1.0
-    return PureState(regs, amps)
 
 
 def max_entangled_pair(reg_a: Register, reg_b: Register) -> PureState:
@@ -225,14 +156,6 @@ def max_entangled_pair(reg_a: Register, reg_b: Register) -> PureState:
     amps = np.zeros(k * k, dtype=complex)
     amps[np.arange(k) * k + np.arange(k)] = 1.0 / np.sqrt(k)
     return PureState((reg_a, reg_b), amps)
-
-
-def random_state(registers, rng) -> PureState:
-    """Haar-distributed pure state on the given registers."""
-    regs = tuple(registers)
-    dim = math.prod(r.dim for r in regs)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(regs, v / np.linalg.norm(v))
 
 
 # -- core operations -----------------------------------------------------------
@@ -269,55 +192,15 @@ def _group_first(state: PureState, rids) -> tuple[np.ndarray, list[Register], li
     return np.ascontiguousarray(tens).reshape(dk, -1), kept_regs, rest_regs
 
 
-def partial_trace(state: PureState, keep) -> DensityOp:
-    """Reduced density operator on ``keep`` (ids, original order preserved)."""
+def marginal_matrix(state: PureState, keep) -> np.ndarray:
+    """Reduced density matrix on ``keep`` (ids; the state's register order is kept)."""
     keep_set = set(keep)
     ordered = [r.id for r in state.registers if r.id in keep_set]
     missing = keep_set - set(ordered)
     if missing:
         raise UnknownRegister(f"no register {sorted(missing)[0]!r} in state")
-    mat, kept, _ = _group_first(state, ordered)
-    return DensityOp(tuple(kept), mat @ mat.conj().T)
-
-
-def marginal_matrix(state: PureState, keep) -> np.ndarray:
-    """Like :func:`partial_trace` but returning the bare matrix."""
-    return partial_trace(state, keep).matrix
-
-
-def schmidt(state: PureState, cut, rel_tol: float = RANK_RTOL) -> SchmidtDecomposition:
-    """Schmidt decomposition across ``cut = (left_ids, right_ids)``.
-
-    The two groups must partition the state's registers.  Register order
-    inside each group follows the order given in the cut.
-    """
-    left_ids, right_ids = list(cut[0]), list(cut[1])
-    if sorted(left_ids + right_ids) != sorted(state.ids):
-        raise BadPermutation("cut does not partition the state's registers")
-    perm = permute_registers(state, left_ids + right_ids)
-    dl = math.prod(perm.register(i).dim for i in left_ids)
-    mat = perm.amplitudes.reshape(dl, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
-    left = tuple(state.register(i) for i in left_ids)
-    right = tuple(state.register(i) for i in right_ids)
-    return SchmidtDecomposition(
-        cut=(left, right),
-        coefficients=s[:r].copy(),
-        left_basis=u[:, :r].T.copy(),
-        right_basis=vh[:r].copy(),
-    )
-
-
-def numerical_rank(op, rel_tol: float = RANK_RTOL) -> int:
-    """Rank of a Hermitian operator relative to its largest eigenvalue."""
-    mat = op.matrix if isinstance(op, DensityOp) else np.asarray(op)
-    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    top = float(evals.max(initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.sum(evals > rel_tol * top))
+    mat, _, _ = _group_first(state, ordered)
+    return mat @ mat.conj().T
 
 
 def check_rank_cut(evals: np.ndarray, cut: float) -> None:
@@ -336,20 +219,7 @@ def check_rank_cut(evals: np.ndarray, cut: float) -> None:
         )
 
 
-def is_isometry(m, tol: float = 1e-9) -> bool:
-    """True iff M†M = I on the input space within ``tol`` (entrywise)."""
-    mat = m.matrix if isinstance(m, LinearMap) else np.asarray(m)
-    gram = mat.conj().T @ mat
-    return bool(np.abs(gram - np.eye(gram.shape[0])).max() <= tol)
-
-
-def apply_map(
-    state: PureState,
-    m: LinearMap,
-    *,
-    enforce_isometry: bool = False,
-    tol: float = 1e-9,
-) -> PureState:
+def apply_map(state: PureState, m: LinearMap) -> PureState:
     """Apply ``m`` to its input registers inside ``state``.
 
     The output registers replace the inputs, spliced in at the position
@@ -357,8 +227,6 @@ def apply_map(
     relative order.  Maps with no input registers attach fresh
     registers (state preparation).
     """
-    if enforce_isometry and not is_isometry(m, tol):
-        raise NonIsometry("map is not an isometry within tolerance")
     _check_unique(m.out_registers)
     in_ids = [r.id for r in m.in_registers]
     for r in m.in_registers:
@@ -412,18 +280,6 @@ def overlap(a: PureState, b: PureState) -> complex:
     if a.dims != b.dims:
         raise ShapeMismatch(f"dims {a.dims} vs {b.dims} cannot be compared")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    """True iff |<a|b>| = |a||b| within ``tol`` (identical up to global phase).
-
-    Register orders are aligned by id when both states carry the same id
-    set; otherwise dims must already agree positionally.
-    """
-    na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        return False
-    return abs(abs(overlap(a, b)) / (na * nb) - 1.0) <= tol
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -481,7 +337,3 @@ def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:
     keep = u[:, np.argsort(-s)[:need]]
     return np.ascontiguousarray(keep)
 
-
-def mixed_radix_labels(dims) -> list[tuple[int, ...]]:
-    """All joint basis labels, first digit slowest (matching amplitude order)."""
-    return list(itertools.product(*[range(d) for d in dims]))

@@ -386,11 +386,28 @@ def _check_sections(doc) -> None:
         raise SchemaError("trace events must be a JSON list")
 
 
+def _section(doc: dict, name: str, parse):
+    """``parse(doc[name])``; a malformed section raises SchemaError."""
+    try:
+        return parse(doc[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"malformed trace section {name!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _recorded_costs(report: dict) -> tuple[list[tuple[str, str, int]], float]:
+    edges = sorted((e["parent"], e["child"], int(e["k"])) for e in report["edges"])
+    return edges, float(report["total_log2"])
+
+
 def replay_trace(doc: dict) -> dict:
     """Re-execute a trace's fixed outcomes from its stored initial state."""
     _check_sections(doc)
-    ops = _ops_from_doc(doc["operators"])
-    state = _state_from_doc(doc["initial_state"])
+    ops = _section(doc, "operators", _ops_from_doc)
+    state = _section(doc, "initial_state", _state_from_doc)
+    recorded, recorded_total = _section(doc, "cost_report", _recorded_costs)
+    recorded_hash = _section(doc, "final_state", lambda section: section["hash"])
     max_pdev = 0.0
     consumed: list[tuple[str, str, int]] = []
     for i, ev in enumerate(doc["events"]):
@@ -405,19 +422,13 @@ def replay_trace(doc: dict) -> dict:
                 f"malformed trace event {i}: {type(exc).__name__}: {exc}"
             ) from exc
     digest = state_hash(state)
-    report = doc["cost_report"]
-    recorded = sorted(
-        (e["parent"], e["child"], int(e["k"])) for e in report["edges"]
-    )
     total = float(sum(math.log2(k) for _, _, k in consumed))
-    cost_consistent = (
-        sorted(consumed) == recorded
-        and abs(total - float(report["total_log2"])) <= 1e-9
-    )
+    cost_consistent = sorted(consumed) == recorded and abs(total - recorded_total) <= 1e-9
     return {
         "final_state": state,
         "hash": digest,
-        "hash_match": digest == doc["final_state"]["hash"],
+        "recorded_hash": recorded_hash,
+        "hash_match": digest == recorded_hash,
         "max_probability_deviation": max_pdev,
         "cost_consistent": cost_consistent,
         "resource_total_log2": total,
@@ -440,7 +451,7 @@ def verify_trace(doc: dict, *, tol: float = VERIFY_TOL) -> dict:
         "max_probability_deviation": replay["max_probability_deviation"],
         "resource_total_log2": replay["resource_total_log2"],
         "events_replayed": replay["events_replayed"],
-        "recorded_hash": doc["final_state"]["hash"],
+        "recorded_hash": replay["recorded_hash"],
         "replayed_hash": replay["hash"],
     }
 

@@ -1,0 +1,29 @@
+"""Reference helpers the tests share: random states and phase-blind equality."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from treecast.tensors import PureState, overlap
+
+
+def random_state(registers, rng) -> PureState:
+    """Haar-distributed pure state on the given registers."""
+    regs = tuple(registers)
+    dim = math.prod(r.dim for r in regs)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return PureState(regs, v / np.linalg.norm(v))
+
+
+def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
+    """True iff |<a|b>| = |a||b| within ``tol`` (identical up to global phase).
+
+    Register orders are aligned by id when both states carry the same id
+    set; otherwise dims must already agree positionally.
+    """
+    na, nb = a.norm(), b.norm()
+    if na == 0.0 or nb == 0.0:
+        return False
+    return abs(abs(overlap(a, b)) / (na * nb) - 1.0) <= tol

@@ -527,6 +527,41 @@ class TestErrorsAndExitCodes:
         assert "SchemaError" in err and "malformed trace event" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def operator_without_shape(doc):
+        del doc["operators"]["op0"]["shape"]
+
+    @staticmethod
+    def operators_as_list(doc):
+        doc["operators"] = list(doc["operators"].values())
+
+    @staticmethod
+    def cost_report_without_edges(doc):
+        del doc["cost_report"]["edges"]
+
+    @staticmethod
+    def final_state_without_hash(doc):
+        del doc["final_state"]["hash"]
+
+    @pytest.mark.parametrize(
+        "damage, section",
+        [
+            ("operator_without_shape", "operators"),
+            ("operators_as_list", "operators"),
+            ("cost_report_without_edges", "cost_report"),
+            ("final_state_without_hash", "final_state"),
+        ],
+    )
+    def test_malformed_section(self, capsys, tmp_path, spread_trace_doc, damage, section):
+        getattr(self, damage)(spread_trace_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spread_trace_doc))
+        code, doc = run_json(capsys, "verify-trace", str(path))
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "SchemaError"
+        assert f"malformed trace section {section!r}" in doc["error"]["message"]
+
     def test_events_must_be_a_list(self, capsys, tmp_path, spread_trace_doc):
         spread_trace_doc["events"] = 7
         path = tmp_path / "bad.json"

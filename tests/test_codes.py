@@ -36,7 +36,7 @@ from treecast.errors import (
     TooLarge,
     UnknownBuiltin,
 )
-from treecast.tensors import partial_trace
+from treecast.tensors import marginal_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -113,7 +113,7 @@ def test_encoded_pair_layout():
     assert st.register("R").dim == 2
     assert st.norm() == pytest.approx(1.0)
     # reference marginal is maximally mixed for any isometry code
-    rho = partial_trace(st, ["R"]).matrix
+    rho = marginal_matrix(st, ["R"])
     assert np.allclose(rho, np.eye(2) / 2)
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import random_state
 
 from treecast.codes import (
     encoded_pair,
@@ -35,7 +36,6 @@ from treecast.merge_split import (
     apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
-    execute_merge,
     execute_split,
     merge_cost,
     merge_post_state,
@@ -60,7 +60,6 @@ from treecast.tensors import (
     overlap,
     permute_registers,
     project_onto,
-    random_state,
     tensor_product,
 )
 from treecast.trace import _OpTable, _reg_from, _regspec, spread_trace, verify_trace
@@ -87,6 +86,15 @@ def five_qubit_phi2():
     amps[0b101] = -0.5
     amps[0b110] = -0.5
     return PureState(regs(("R", 2, "ref"), ("v2", 2, "v2"), ("v1", 2, "v1")), amps)
+
+
+def corrected_branches(proto, psi):
+    """(outcome, probability, corrected state) of every live merge outcome."""
+    return [
+        (m, prob, apply_merge_correction(proto, m, post).normalized())
+        for m, (prob, post) in enumerate(merge_post_states(proto, psi))
+        if prob >= PROB_TOL
+    ]
 
 
 def branch_matches(branch_state, psi, receiver):
@@ -177,12 +185,12 @@ class TestMergeGolden:
         assert proto.kmin == 2 and proto.k == 2
         report = verify_merge(proto, psi)
         assert report.passed, report
-        branches = execute_merge(proto, psi)
+        branches = corrected_branches(proto, psi)
         assert len(branches) == 4
-        for br in branches:
-            assert abs(br.probability - 0.25) < 1e-9
-            assert branch_matches(br.state, psi, "v1")
-            assert br.state.register("v2").owner == "v1"
+        for _, prob, state in branches:
+            assert abs(prob - 0.25) < 1e-9
+            assert branch_matches(state, psi, "v1")
+            assert state.register("v2").owner == "v1"
 
     def test_five_qubit_step_is_scalar_fourier(self):
         psi = five_qubit_phi2()
@@ -196,8 +204,8 @@ class TestMergeGolden:
         assert np.allclose(sorted(proto.probs), [0.5, 0.5], atol=1e-9)
         report = verify_merge(proto, psi)
         assert report.passed, report
-        for br in execute_merge(proto, psi):
-            assert branch_matches(br.state, psi, "v1")
+        for _, _, state in corrected_branches(proto, psi):
+            assert branch_matches(state, psi, "v1")
 
     def test_five_qubit_last_vertex_junk_basis(self):
         psi = encoded_pair(five_qubit_code())
@@ -220,8 +228,8 @@ class TestMergeGolden:
         assert proto.k == 1
         report = verify_merge(proto, psi)
         assert report.passed, report
-        for br in execute_merge(proto, psi):
-            assert branch_matches(br.state, psi, "v1")
+        for _, _, state in corrected_branches(proto, psi):
+            assert branch_matches(state, psi, "v1")
 
 
 class TestMergeResource:
@@ -246,11 +254,11 @@ class TestMergeResource:
         assert proto.k == 3 and proto.kmin == 2
         report = verify_merge(proto, psi)
         assert report.passed, report
-        branches = execute_merge(proto, psi)
+        branches = corrected_branches(proto, psi)
         assert len(branches) == 6  # 2·3 live outcomes, 3 zero-probability
-        for br in branches:
-            assert abs(br.probability - 1 / 6) < 1e-9
-            assert branch_matches(br.state, psi, "B")
+        for _, prob, state in branches:
+            assert abs(prob - 1 / 6) < 1e-9
+            assert branch_matches(state, psi, "B")
 
     def test_resource_beyond_share_dimension_rejected(self):
         psi = star_phi2()
@@ -308,8 +316,8 @@ class TestMergeFallback:
         assert proto.kmin == 3
         report = verify_merge(proto, psi)
         assert report.passed, report
-        for br in execute_merge(proto, psi):
-            assert branch_matches(br.state, psi, "B")
+        for _, _, state in corrected_branches(proto, psi):
+            assert branch_matches(state, psi, "B")
 
     def test_skewed_junk_tight_or_fallback(self):
         # Non-uniform junk over an entangled content block: the tight
@@ -331,8 +339,8 @@ class TestMergeFallback:
             assert proto.k == 2
         report = verify_merge(proto, psi)
         assert report.passed, report
-        for br in execute_merge(proto, psi):
-            assert branch_matches(br.state, psi, "v1")
+        for _, _, state in corrected_branches(proto, psi):
+            assert branch_matches(state, psi, "v1")
 
 
 class TestMergeNegativeControl:
@@ -371,23 +379,21 @@ class TestMergeRandomSweep:
         )
         roles = {"R": ["R"], "A": ["a"], "B": ["b1", "b2"]}
         try:
-            proto = build_merge_protocol(psi, roles, rng=rng, receiver="B")
+            proto = build_merge_protocol(psi, roles, receiver="B")
         except SynthesisFailed:
-            proto = build_merge_protocol(
-                psi, roles, mode="fallback", rng=rng, receiver="B"
-            )
+            proto = build_merge_protocol(psi, roles, mode="fallback", receiver="B")
         report = verify_merge(proto, psi)
         assert report.passed, report
         total = 0.0
-        for br in execute_merge(proto, psi):
-            total += br.probability
-            assert branch_matches(br.state, psi, "B")
+        for _, prob, state in corrected_branches(proto, psi):
+            total += prob
+            assert branch_matches(state, psi, "B")
         assert abs(total - 1.0) < 1e-9
 
     def test_no_reference_register(self):
         rng = np.random.default_rng(5)
         psi = random_state(regs(("a", 2, "A"), ("b", 2, "B")), rng)
-        proto = build_merge_protocol(psi, ((), ("a",), ("b",)), rng=rng, receiver="B")
+        proto = build_merge_protocol(psi, ((), ("a",), ("b",)), receiver="B")
         report = verify_merge(proto, psi)
         assert report.passed, report
 

@@ -25,7 +25,7 @@ from treecast.errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from treecast.merge_split import merge_post_state
+from treecast.merge_split import build_split_protocol, merge_post_state
 from treecast.network import line_tree, star_tree
 from treecast.protocols import (
     compare_costs,
@@ -34,7 +34,6 @@ from treecast.protocols import (
     run_concentrating,
     run_spreading,
     spreading_cost,
-    spreading_tightness,
 )
 from treecast.tensors import PureState, Register, overlap
 
@@ -156,13 +155,18 @@ class TestSpreading:
         assert res.fidelity >= EXACT
 
     def test_tightness_report(self, five_line):
-        report = spreading_tightness(*five_line)
-        assert {c: r["rank"] for c, r in report.items()} == {
-            "v2": 4, "v3": 8, "v4": 4, "v5": 2,
-        }
-        for entry in report.values():
-            assert entry["consumed"] == entry["rank"]
-            assert entry["below_rank_rejected"] is True
+        # each edge's split consumes exactly the cut rank, and rank − 1 is refused
+        code, tree = five_line
+        psi = encoded_pair(code)
+        ranks = {}
+        for _, child in tree.edges():
+            block = list(tree.subtree(child))
+            proto = build_split_protocol(psi, block, receiver=child)
+            assert proto.k == proto.rank
+            ranks[child] = proto.rank
+            with pytest.raises(InsufficientResource):
+                build_split_protocol(psi, block, proto.rank - 1, receiver=child)
+        assert ranks == {"v2": 4, "v3": 8, "v4": 4, "v5": 2}
 
     @pytest.mark.parametrize("first_row", [True, False])
     def test_swapped_correction_fails_the_outcome_check(self, five_line, monkeypatch, first_row):
@@ -276,6 +280,25 @@ class TestConcentratingMore:
         report = concentrating_cost(*five_line)
         assert report.by_child() == five_concentrate.cost_report.by_child()
         assert report.direction == "concentrate"
+
+    @pytest.mark.parametrize(
+        "code, tree",
+        [(five_qubit_code(), line_tree(5)), (star4_code(), star_tree(4))],
+        ids=["five_qubit-line5", "star4-star4"],
+    )
+    def test_protocols_do_not_depend_on_the_seed(self, code, tree):
+        # the seed drives sampling and channel inputs only: an exhaustive run
+        # builds the same protocols, bit for bit, under any seed
+        a, b = (run_concentrating(code, tree, seed=s, replay=False) for s in (0, 12345))
+        assert {j: list(recs) for j, recs in a.steps.items()} == {
+            j: list(recs) for j, recs in b.steps.items()
+        }
+        for j, recs in a.steps.items():
+            for prefix, rec in recs.items():
+                other = b.steps[j][prefix].protocol
+                for field in ("measurement", "corrections"):
+                    x, y = getattr(rec.protocol, field), getattr(other, field)
+                    assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_codes_are_exact(self, seed):
@@ -424,32 +447,31 @@ class TestSharedSuffixSearch:
             assert not run_concentrating(code, tree, best, replay=False, **kwargs).explored_all
 
     def test_stages_enter_as_in_a_fresh_run(self, monkeypatch):
-        # every trie stage sees the live branches and both generators' states
-        # that a full run of any labeling with that suffix has entering it
+        # every trie stage sees the live branches that a full run of any
+        # labeling with that suffix has entering it
         real = protocols._concentrate_stage
         seen = []
 
-        def recording(live, tree, vertex, root, level, *, rng, sampler, **kwargs):
+        def recording(live, tree, vertex, root, level, **kwargs):
             branches = [(pre, p, state.amplitudes.tobytes()) for pre, p, state in live]
-            generators = (rng.bit_generator.state, sampler.bit_generator.state)
-            seen.append((level, vertex, branches, generators))
-            return real(live, tree, vertex, root, level, rng=rng, sampler=sampler, **kwargs)
+            seen.append((level, vertex, branches))
+            return real(live, tree, vertex, root, level, **kwargs)
 
         monkeypatch.setattr(protocols, "_concentrate_stage", recording)
         code, tree = five_qubit_code(), star_tree(5)
         kwargs = {"branch_budget": 3, "seed": 9}
         optimize_labeling(code, tree, **kwargs)
         walked, path = {}, []
-        for level, vertex, branches, generators in seen:
+        for level, vertex, branches in seen:
             path = path[: len(tree.vertices) - level] + [vertex]
             assert tuple(path) not in walked
-            walked[tuple(path)] = (branches, generators)
+            walked[tuple(path)] = branches
         fresh = {}
         for cand in tree.ascending_labelings():
             seen.clear()
             run_concentrating(code, tree, cand, replay=False, **kwargs)
-            for i, (_, _, branches, generators) in enumerate(seen):
-                fresh[cand[:0:-1][: i + 1]] = (branches, generators)
+            for i, (_, _, branches) in enumerate(seen):
+                fresh[cand[:0:-1][: i + 1]] = branches
         assert walked == fresh
 
     def test_each_suffix_stage_is_built_once(self, monkeypatch):
