@@ -57,6 +57,14 @@ CHANNEL_SAMPLES = 20
 # -- argument parsing -----------------------------------------------------------
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note in ``args.given`` that it was passed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
 def _add_common(p, *, needs_inputs=True, inputs_required=True, run=False, concentrating=False):
     """Shared flags; ``--tol-rank`` goes with the code and tree inputs, and
     ``--tol-verify`` with the commands that verify (run-*, verify-trace)."""
@@ -121,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, concentrating=True)
 
     p = sub.add_parser("ki", help="decompose a mid-protocol state")
+    p.register("action", None, _Given)  # plain flags note that they were passed
     _add_common(p, inputs_required=False, concentrating=True)
     p.add_argument(
         "--prefix",
@@ -506,9 +515,18 @@ def _load_state_file(path: str):
     return psi, triple, roles["A"]
 
 
+# flags that only the --code/--tree path of ``ki`` reads
+_STATE_UNREAD = frozenset(
+    {"--code", "--tree", "--labeling", "--mode", "--branches", "--prefix", "--seed"}
+)
+
+
 def _cmd_ki(args):
     seed = _check_seed(args.seed)
     if args.state:
+        unread = sorted(_STATE_UNREAD.intersection(getattr(args, "given", ())))
+        if unread:
+            raise InputError(f"ki --state does not read {', '.join(unread)}; drop it")
         psi, triple, a_label = _load_state_file(args.state)
         doc = _base_doc("ki", args)
         doc["A"] = list(a_label)

@@ -27,7 +27,6 @@ emitted decomposition is re-verified against the input state.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,22 +40,6 @@ from .tensors import PureState, Register, check_rank_cut, permute_registers, pha
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
 _RESAMPLE_BUDGET = 5
-
-
-@functools.lru_cache(maxsize=256)
-def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
-    operands = [np.empty(shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
-
-
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` with its greedy path looked up by shapes.
-
-    The path depends only on the subscripts and the operand shapes, so
-    the contraction order, and every result bit, is that of the search.
-    """
-    path = _contraction_path(subscripts, *(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -123,24 +106,63 @@ def spread_rank_bound(dec: KiDecomposition) -> int:
 
 
 def rebuild(dec: KiDecomposition) -> PureState:
-    """Reassemble ⊕_j √p_j ω_j ⊗ φ_j on the original registers (R′, A, B)."""
+    """Reassemble ⊕_j √p_j ω_j ⊗ φ_j on the original registers (R′, A, B).
+
+    Per reference index r the state is embed_A · (⊕_j √p_j ω_j ⊗ φ_j[r]) ·
+    embed_Bᵀ, so the whole sum is two matmuls over one block-diagonal core.
+    """
     dR = math.prod(r.dim for r in dec.r_registers)
-    dA = math.prod(r.dim for r in dec.a_registers)
-    dB = math.prod(r.dim for r in dec.b_registers)
-    out = np.zeros((dR, dA, dB), dtype=complex)
+    core = np.zeros((dR, dec.embed_A.shape[1], dec.embed_B.shape[1]), dtype=complex)
     for j, blk in enumerate(dec.blocks):
         m, n = blk.dimL_A, blk.dimR_A
         nL, nR = blk.dimL_B, blk.dimR_B
-        omega = blk.omega.amplitudes.reshape(m, nL)
-        phi = blk.phi.amplitudes.reshape(dR, n, nR)
-        emb_a = dec.a_block_embed(j).reshape(dA, m, n)
-        emb_b = dec.b_block_embed(j).reshape(dB, nL, nR)
-        out += math.sqrt(blk.p) * _einsum("ls,rqt,alq,bst->rab", omega, phi, emb_a, emb_b)
+        omega = blk.omega.amplitudes.reshape(1, m, 1, nL, 1)
+        phi = blk.phi.amplitudes.reshape(dR, 1, n, 1, nR)
+        a0, b0 = dec.a_offset(j), dec.b_offset(j)
+        core[:, a0 : a0 + m * n, b0 : b0 + nL * nR] = (
+            math.sqrt(blk.p) * (omega * phi).reshape(dR, m * n, nL * nR)
+        )
+    out = dec.embed_A @ core @ dec.embed_B.T
     regs = dec.r_registers + dec.a_registers + dec.b_registers
     return PureState(regs, out.reshape(-1))
 
 
 # -- internals ---------------------------------------------------------------
+
+
+def _marginal(x: np.ndarray, axis: int) -> np.ndarray:
+    """Reduced matrix of one axis of a pure-state tensor: Σ_rest x x*."""
+    rows = x.swapaxes(0, axis).reshape(x.shape[axis], -1)
+    return rows @ rows.conj().T
+
+
+def _frame_position(emb3: np.ndarray, axis: int) -> np.ndarray:
+    """The A position operator as one factor of a block frame sees it.
+
+    ``emb3`` is shaped (A, a^L, a^R).  Axis 1 gives
+    Σ_{a,q} emb3[a,l,q]* a emb3[a,k,q]; axis 2 gives
+    Σ_{a,l} emb3[a,l,p]* a emb3[a,l,q].  Either is one weighted Gram
+    matmul on the rows (a, other factor).
+    """
+    rows = emb3.swapaxes(axis, 2).reshape(-1, emb3.shape[axis])
+    pos = np.repeat(np.arange(emb3.shape[0], dtype=float), rows.shape[0] // emb3.shape[0])
+    return (rows.conj().T * pos) @ rows
+
+
+def _a_coords(psi3: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """ψ's A index in the columns of ``frame``: shape (R′, cols, B)."""
+    return frame.conj().T @ psi3
+
+
+def _b_frame(flat: np.ndarray, lvecs: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """w[s, t, b] = Σ_{r,l,q} χ[r,l,q,b] lvecs[l,s]* evecs[(r,q),t]*.
+
+    ``flat`` holds χ with rows (r, q) and columns (l, b); contracting
+    (r, q) and then l is two matmuls.
+    """
+    m = lvecs.shape[0]
+    per_t = (evecs.conj().T @ flat).reshape(evecs.shape[1], m, -1)
+    return (lvecs.conj().T @ per_t).transpose(1, 0, 2)
 
 
 def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
@@ -168,8 +190,8 @@ def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
     return phase_fixed(basis)
 
 
-def _commutant_basis(ops, dim: int) -> list[np.ndarray]:
-    """Basis of {X : [X, T] = 0 for all T} via one stacked null space.
+def _commutant_basis(ops, dim: int) -> np.ndarray:
+    """Basis of {X : [X, T] = 0 for all T} via one stacked null space, as a stack.
 
     Singular values are thresholded against the scale of the generating
     operators themselves, not of the stacked commutator matrix — when
@@ -177,13 +199,13 @@ def _commutant_basis(ops, dim: int) -> list[np.ndarray]:
     is pure floating-point noise and a relative cutoff would mistake
     that noise for genuine constraints.
     """
-    scale = max((float(np.linalg.norm(t)) for t in ops), default=0.0)
+    t = np.asarray(ops)
+    scale = float(np.linalg.norm(t, axis=(1, 2)).max())
     if scale <= 0.0:
-        return [_unit(dim, k) for k in range(dim * dim)]
-    _, sv, vh = np.linalg.svd(_commutator_stack(ops, dim), full_matrices=True)
+        return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    _, sv, vh = np.linalg.svd(_commutator_stack(t, dim), full_matrices=True)
     rank = int(np.sum(sv > 1e-10 * scale))
-    ns = vh[rank:].conj().T
-    return [ns[:, k].reshape(dim, dim) for k in range(ns.shape[1])]
+    return vh[rank:].conj().reshape(-1, dim, dim)
 
 
 def _commutator_stack(ops, dim: int) -> np.ndarray:
@@ -199,12 +221,6 @@ def _commutator_stack(ops, dim: int) -> np.ndarray:
         - t[:, :, None, :, None] * eye[None, None, :, None, :]
     )
     return stacked.reshape(-1, dim * dim)
-
-
-def _unit(dim: int, k: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[k // dim, k % dim] = 1.0
-    return m
 
 
 def _random_hermitian(basis, rng) -> np.ndarray:
@@ -241,12 +257,9 @@ def _cluster(vals: np.ndarray):
 
 def _central_split(t_ops, comm, rng) -> list[np.ndarray]:
     """Frames (columns orthonormal) of the minimal central subspaces."""
-    dim = comm[0].shape[0]
-    closure = list(t_ops)
-    for x in comm:
-        closure.append(x)
-        closure.append(x.conj().T)
-    center = _commutant_basis(closure, dim)
+    dim = comm.shape[1]
+    pairs = np.stack([comm, comm.conj().transpose(0, 2, 1)], axis=1)  # each x, then x†
+    center = _commutant_basis(np.concatenate([t_ops, pairs.reshape(-1, dim, dim)]), dim)
     for _ in range(_RESAMPLE_BUDGET):
         z = _random_hermitian(center, rng)
         vals, vecs = np.linalg.eigh(z)
@@ -266,7 +279,7 @@ def _factor_block(frame: np.ndarray, comm, rng) -> tuple[np.ndarray, int, int]:
     element.
     """
     s_c = frame.shape[1]
-    restricted = [frame.conj().T @ x @ frame for x in comm]
+    restricted = frame.conj().T @ comm @ frame
     for _ in range(_RESAMPLE_BUDGET):
         c = _random_hermitian(restricted, rng)
         vals, vecs = np.linalg.eigh(c)
@@ -341,32 +354,28 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     branch displays built on top) come out in a fixed basis.
     """
     dR, dA, dB = psi3.shape
-    pos = np.arange(dA, dtype=float)
     if n > 1:
         emb3 = emb.reshape(dA, m, n)
-        m_a = _einsum("alp,a,alq->pq", emb3.conj(), pos, emb3)
-        _, gauge = np.linalg.eigh(m_a)
+        _, gauge = np.linalg.eigh(_frame_position(emb3, 2))
         emb = (emb3 @ gauge).reshape(dA, m * n)
     emb3 = emb.reshape(dA, m, n)
 
-    chi = _einsum("rab,ax->rxb", psi3, emb.conj())
+    chi = _a_coords(psi3, emb)
     p = float(np.linalg.norm(chi) ** 2)
     if p < 1e-24:
         return None
     chi = (chi / math.sqrt(p)).reshape(dR, m, n, dB)
 
-    sigma = _einsum("rlqb,rkqb->lk", chi, chi.conj())
-    mu, lvecs = np.linalg.eigh(sigma)
+    mu, lvecs = np.linalg.eigh(_marginal(chi, 1))
     mu, lvecs = mu[::-1].copy(), lvecs[:, ::-1].copy()
     if mu[-1] < rank_rtol * mu[0]:
         return None  # junk marginal must fill the block
     for a, b in _degenerate_groups(mu, 1e-9 * float(mu[0])):
         if b - a < 2:
             continue
-        g = _einsum("alq,ls->aqs", emb3, lvecs[:, a:b])
-        m_op = _einsum("aqs,a,aqt->st", g.conj(), pos, g)
-        _, u = np.linalg.eigh(m_op)
-        lvecs[:, a:b] = lvecs[:, a:b] @ u
+        sub = lvecs[:, a:b]
+        _, u = np.linalg.eigh(sub.conj().T @ _frame_position(emb3, 1) @ sub)
+        lvecs[:, a:b] = sub @ u
     lvecs = phase_fixed(lvecs)
 
     flat = chi.transpose(0, 2, 1, 3).reshape(dR * n, m * dB)
@@ -375,36 +384,33 @@ def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol:
     nu, evecs = nu[::-1].copy(), evecs[:, ::-1].copy()
     n_r = int(np.sum(nu > rank_rtol * nu[0]))
     nu, evecs = nu[:n_r].copy(), evecs[:, :n_r].copy()
-    m_a = _einsum("alp,a,alq->pq", emb3.conj(), pos, emb3)
-    big = np.kron(np.diag(np.arange(dR, dtype=float)) * (dA + 1.0), np.eye(n)) + np.kron(
-        np.eye(dR), m_a
-    )
     for a, b in _degenerate_groups(nu, 1e-9 * float(nu[0])):
         if b - a < 2:
             continue
+        big = np.kron(np.diag(np.arange(dR, dtype=float)) * (dA + 1.0), np.eye(n)) + np.kron(
+            np.eye(dR), _frame_position(emb3, 2)
+        )
         sub = evecs[:, a:b]
         _, u = np.linalg.eigh(sub.conj().T @ big @ sub)
         evecs[:, a:b] = sub @ u
     evecs = phase_fixed(evecs)
 
-    ev3 = evecs.reshape(dR, n, n_r)
     norms = np.sqrt(np.outer(mu, nu))[:, :, None]
-    w = _einsum("rlqb,ls,rqt->stb", chi, lvecs.conj(), ev3.conj()) / norms
-    w_mat = w.reshape(m * n_r, dB).T
+    w_mat = (_b_frame(flat, lvecs, evecs) / norms).reshape(m * n_r, dB).T
     if np.abs(w_mat.conj().T @ w_mat - np.eye(m * n_r)).max() > 1e-8:
         return None
     return _BlockData(emb=emb, m=m, n=n, p=p, mu=mu, lvecs=lvecs, nu=nu, evecs=evecs, w=w_mat)
 
 
-def _transfer_ops(slices: np.ndarray) -> list[np.ndarray]:
-    """Hermitian and anti-Hermitian parts of every T_{rr′} = X_r X_{r′}†."""
-    ops = []
-    for r in range(len(slices)):
-        for rp in range(len(slices)):
-            t = slices[r] @ slices[rp].conj().T
-            ops.append(t + t.conj().T)
-            ops.append(1j * (t - t.conj().T))
-    return ops
+def _transfer_ops(slices: np.ndarray) -> np.ndarray:
+    """Hermitian and anti-Hermitian parts of every T_{rr′} = X_r X_{r′}†.
+
+    One broadcast matmul; the (2R², d, d) stack runs over (r, r′, part)
+    with the Hermitian part first.
+    """
+    t = slices[:, None] @ slices.conj().transpose(0, 2, 1)[None]
+    t_h = t.conj().swapaxes(-1, -2)
+    return np.stack([t + t_h, 1j * (t - t_h)], axis=2).reshape(-1, *t.shape[-2:])
 
 
 def _intertwiner(fi: np.ndarray, fj: np.ndarray) -> np.ndarray | None:
@@ -489,14 +495,11 @@ def ki_decompose(
     dB = math.prod(r.dim for r in b_regs)
     psi3 = perm.amplitudes.reshape(dR, dA, dB)
 
-    rho_a = _einsum("rab,rcb->ac", psi3, psi3.conj())
-    e_a = _support_basis(rho_a, rank_rtol)
+    e_a = _support_basis(_marginal(psi3, 1), rank_rtol)
     s_a = e_a.shape[1]
-    rho_b = _einsum("rab,rad->bd", psi3, psi3.conj())
-    _support_basis(rho_b, rank_rtol)  # degeneracy guard on the B side
+    _support_basis(_marginal(psi3, 2), rank_rtol)  # degeneracy guard on the B side
 
-    psi_r = _einsum("rab,ax->rxb", psi3, e_a.conj())
-    t_ops = _transfer_ops(psi_r)
+    t_ops = _transfer_ops(_a_coords(psi3, e_a))
     comm = _commutant_basis(t_ops, s_a)
     frames = _central_split(t_ops, comm, rng)
 

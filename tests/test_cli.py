@@ -308,6 +308,42 @@ class TestKi:
         (block,) = doc["blocks"]
         assert block["lambda0"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--branches", "bogus"),
+            ("--mode", "fallback"),
+            ("--labeling", "search"),
+            ("--prefix", "1,0"),
+            ("--seed", "5"),
+            ("--code", "five_qubit"),
+            ("--tree", "line:5"),
+        ],
+    )
+    def test_ki_state_refuses_unread_flags(self, capsys, tmp_path, flag, value):
+        # the --state path reads only the state file and --tol-rank; a flag
+        # it would ignore is refused instead of echoed in the report
+        s = 0.5 ** 0.5
+        spec = {
+            "registers": [
+                {"id": "R", "dim": 2, "owner": "reference"},
+                {"id": "a", "dim": 2, "owner": "A"},
+                {"id": "b", "dim": 2, "owner": "B"},
+            ],
+            "amplitudes": [[s, 0.0]] + [[0.0, 0.0]] * 6 + [[s, 0.0]],
+            "roles": {"R": ["R"], "A": ["a"], "B": ["b"]},
+        }
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(spec))
+        code, doc = run_json(capsys, "ki", "--state", str(path), flag, value)
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "InputError"
+        assert flag in doc["error"]["message"]
+        code, doc = run_json(capsys, "ki", "--state", str(path), "--tol-rank", "1e-9")
+        assert code == 0
+        assert doc["K"] == 1
+
     def test_ki_requires_inputs(self, capsys):
         code, doc = run_json(capsys, "ki")
         assert code == 2

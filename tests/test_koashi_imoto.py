@@ -1,6 +1,8 @@
 """Tests for the tripartite block decomposition and merge-cost formula."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from treecast.protocols import run_concentrating
 from treecast.tensors import (
     PureState,
     Register,
+    canonical_phase,
     permute_registers,
+    phase_fixed,
     tensor_product,
 )
 
@@ -554,6 +558,17 @@ def stage_inputs(monkeypatch):
     return calls
 
 
+REFERENCE = Path(__file__).parent / "data" / "ki-reference.npz"
+
+
+def ref_input_decomposition(ref, i):
+    """ki_decompose of the i-th recorded input."""
+    ids, dims = ref[f"{i}/ids"].tolist(), ref[f"{i}/dims"].tolist()
+    psi = PureState(tuple(Register(r, d, r) for r, d in zip(ids, dims)), ref[f"{i}/amplitudes"])
+    roles = tuple(ref[f"{i}/{side}"].tolist() for side in "RAB")
+    return ki_decompose(psi, roles, rank_rtol=float(ref[f"{i}/rank_rtol"]))
+
+
 class TestKernelsMatchFormerSpelling:
     def test_commutator_stack_is_the_kron_stack_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -580,28 +595,236 @@ class TestKernelsMatchFormerSpelling:
         for ops, dim in [(c, c[0].shape[0]) for c in cases] + seen:
             assert bits(koashi_imoto._commutator_stack(ops, dim)) == bits(kron_stack(ops, dim))
 
-    def test_cached_paths_decompose_bit_for_bit(self, monkeypatch):
-        calls = stage_inputs(monkeypatch)
-        rng = np.random.default_rng(21)
-        for d_a, d_b in ((2, 3), (3, 4), (4, 2)):
-            psi = random_state(regs(("R", 2), ("A", d_a), ("B", d_b)), rng)
-            roles = {"R": ["R"], "A": ["A"], "B": ["B"]}
-            calls.append((psi, roles, {}))
-        assert len(calls) > 20
+    def test_recorded_decompositions(self):
+        """The matmul kernels decompose a recorded corpus as the einsum spelling did.
 
-        def decompose(psi, roles, kwargs):
-            dec = koashi_imoto.ki_decompose(psi, roles, **kwargs)
-            return (
-                bits(dec.embed_A),
-                bits(dec.embed_B),
-                [(b.p, b.lambda0) for b in dec.blocks],
-            )
+        ``tests/data/ki-reference.npz`` holds, for every input of
+        ``stage_inputs()`` plus three random states, the input and the
+        decomposition that the former ``np.einsum(optimize=True)`` spelling
+        gave (NumPy 2.4.6).  It was written at the commit before the kernels
+        moved to matmul by running, from ``tests/`` with ``PYTHONPATH=../src``::
 
-        cached = [decompose(*call) for call in calls]
-        monkeypatch.setattr(
-            koashi_imoto,
-            "_einsum",
-            lambda subscripts, *ops: np.einsum(subscripts, *ops, optimize=True),
+            import numpy as np, pytest
+            from oracles import random_state
+            from test_koashi_imoto import regs, stage_inputs
+            from treecast.config import RANK_RTOL
+            from treecast.koashi_imoto import ki_decompose, merge_cost_K
+
+            calls = stage_inputs(pytest.MonkeyPatch())
+            rng = np.random.default_rng(21)
+            for d_a, d_b in ((2, 3), (3, 4), (4, 2)):
+                psi = random_state(regs(("R", 2), ("A", d_a), ("B", d_b)), rng)
+                calls.append((psi, {"R": ["R"], "A": ["A"], "B": ["B"]}, {}))
+            record = {}
+            for i, (psi, roles, kwargs) in enumerate(calls):
+                if isinstance(roles, dict):
+                    roles = (roles["R"], roles["A"], roles["B"])
+                rank_rtol = kwargs.get("rank_rtol", RANK_RTOL)
+                dec = ki_decompose(psi, roles, rank_rtol=rank_rtol)
+                record[f"{i}/ids"] = np.array(psi.ids)
+                record[f"{i}/dims"] = np.array(psi.dims)
+                record[f"{i}/amplitudes"] = psi.amplitudes
+                for side, ids in zip("RAB", roles):
+                    record[f"{i}/{side}"] = np.array(ids, dtype=str)
+                record[f"{i}/rank_rtol"] = np.array(rank_rtol)
+                record[f"{i}/blocks"] = np.array(
+                    [(b.dimL_A, b.dimR_A, b.dimL_B, b.dimR_B) for b in dec.blocks]
+                )
+                record[f"{i}/K"] = np.array(merge_cost_K(dec))
+                record[f"{i}/p"] = np.array([b.p for b in dec.blocks])
+                record[f"{i}/lambda0"] = np.array([b.lambda0 for b in dec.blocks])
+                record[f"{i}/embed_A"] = dec.embed_A
+                record[f"{i}/embed_B"] = dec.embed_B
+            np.savez_compressed("data/ki-reference.npz", **record)
+
+        Block shapes and K must be identical, and p and λ₀ agree to 1e-12.
+        The frames are compared through each block's projectors
+        E_j E_j† on both sides, to 1e-10: every block frame is free up to a
+        unitary on a^L and the phases of the a^R basis, which come from
+        LAPACK eigenvectors (the central split and the position gauge) and
+        move with the last bits of their input.  On this corpus 17 of the
+        35 recorded inputs get frames that differ by more than 1e-10, every
+        one of them by such a block gauge.
+        """
+        ref = np.load(REFERENCE)
+        cases = sorted({int(key.split("/")[0]) for key in ref.files})
+        assert len(cases) == 35
+        for i in cases:
+            got = ref_input_decomposition(ref, i)
+            blocks = [(b.dimL_A, b.dimR_A, b.dimL_B, b.dimR_B) for b in got.blocks]
+            assert blocks == [tuple(b) for b in ref[f"{i}/blocks"].tolist()], i
+            assert merge_cost_K(got) == int(ref[f"{i}/K"]), i
+            assert np.abs([b.p for b in got.blocks] - ref[f"{i}/p"]).max() <= 1e-12, i
+            assert np.abs([b.lambda0 for b in got.blocks] - ref[f"{i}/lambda0"]).max() <= 1e-12
+            widths_a = [b.dimL_A * b.dimR_A for b in got.blocks]
+            widths_b = [b.dimL_B * b.dimR_B for b in got.blocks]
+            for side, widths in (("embed_A", widths_a), ("embed_B", widths_b)):
+                mine, theirs = getattr(got, side), ref[f"{i}/{side}"]
+                assert mine.shape == theirs.shape, (i, side)
+                for cols in np.split(np.arange(mine.shape[1]), np.cumsum(widths)[:-1]):
+                    a, b = mine[:, cols], theirs[:, cols]
+                    assert np.abs(a @ a.conj().T - b @ b.conj().T).max() <= 1e-10, (i, side)
+
+
+# -- the matmul kernels against np.einsum ----------------------------------------
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+# every size-1 axis the search hits: one reference dimension, scalar junk
+# (m = 1), scalar content (n = 1), a single B dimension, and rank-1 content
+KERNEL_SHAPES = [
+    pytest.param(d_r, d_a, d_b, m, n, n_r, id=f"dR{d_r}-dA{d_a}-dB{d_b}-m{m}-n{n}-nr{n_r}")
+    for d_r, d_b, m, n, n_r in itertools.product((1, 2), (1, 3), (1, 2), (1, 3), (1, 2))
+    for d_a in (1, 5)
+]
+
+
+class TestMatmulKernelsMatchEinsum:
+    @pytest.mark.parametrize("d_r, d_a, d_b, m, n, n_r", KERNEL_SHAPES)
+    def test_contractions(self, d_r, d_a, d_b, m, n, n_r):
+        rng = np.random.default_rng([d_r, d_a, d_b, m, n, n_r])
+        psi3 = crandn(rng, d_r, d_a, d_b)
+        frame = crandn(rng, d_a, m * n)
+        emb3 = frame.reshape(d_a, m, n)
+        chi = crandn(rng, d_r, m, n, d_b)
+        lvecs = crandn(rng, m, m)
+        evecs = crandn(rng, d_r * n, n_r)
+        pos = np.arange(d_a, dtype=float)
+        conj = np.conj
+
+        assert_matches(koashi_imoto._marginal(psi3, 1), np.einsum("rab,rcb->ac", psi3, conj(psi3)))
+        assert_matches(koashi_imoto._marginal(psi3, 2), np.einsum("rab,rad->bd", psi3, conj(psi3)))
+        assert_matches(koashi_imoto._marginal(chi, 1), np.einsum("rlqb,rkqb->lk", chi, conj(chi)))
+        assert_matches(koashi_imoto._a_coords(psi3, frame), np.einsum("rab,ax->rxb", psi3, conj(frame)))
+        assert_matches(
+            koashi_imoto._frame_position(emb3, 2), np.einsum("alp,a,alq->pq", conj(emb3), pos, emb3)
         )
-        searched = [decompose(*call) for call in calls]
-        assert cached == searched
+        # the a^L gauge: the former spelling contracted the junk frame in first
+        g = np.einsum("alq,ls->aqs", emb3, lvecs)
+        assert_matches(
+            conj(lvecs).T @ koashi_imoto._frame_position(emb3, 1) @ lvecs,
+            np.einsum("aqs,a,aqt->st", conj(g), pos, g),
+        )
+        flat = chi.transpose(0, 2, 1, 3).reshape(d_r * n, m * d_b)
+        ev3 = evecs.reshape(d_r, n, n_r)
+        assert_matches(
+            koashi_imoto._b_frame(flat, lvecs, evecs),
+            np.einsum("rlqb,ls,rqt->stb", chi, conj(lvecs), conj(ev3)),
+        )
+
+    @pytest.mark.parametrize("d_r, d_a, d_b, m, n, n_r", KERNEL_SHAPES)
+    def test_rebuild(self, d_r, d_a, d_b, m, n, n_r):
+        rng = np.random.default_rng([7, d_r, d_a, d_b, m, n, n_r])
+        shapes = [(m, n, n_r), (1, 1, 1), (2, n, 1)]
+        blocks = []
+        for j, (mj, nj, rj) in enumerate(shapes):
+            omega = PureState(regs((f"aL{j}", mj), (f"bL{j}", mj)), crandn(rng, mj * mj))
+            phi = PureState(
+                regs(("R", d_r), (f"aR{j}", nj), (f"bR{j}", rj)), crandn(rng, d_r * nj * rj)
+            )
+            blocks.append(
+                koashi_imoto.KiBlock(j, rng.uniform(0.1, 1.0), mj, nj, mj, rj, omega, phi, 0.5)
+            )
+        width_a = sum(mj * nj for mj, nj, _ in shapes)
+        width_b = sum(mj * rj for mj, _, rj in shapes)
+        dec = KiDecomposition(
+            blocks=tuple(blocks),
+            embed_A=crandn(rng, d_a, width_a),
+            embed_B=crandn(rng, d_b, width_b),
+            r_registers=regs(("R", d_r)),
+            a_registers=regs(("A", d_a)),
+            b_registers=regs(("B", d_b)),
+        )
+        want = np.zeros((d_r, d_a, d_b), dtype=complex)
+        for j, blk in enumerate(dec.blocks):
+            mj, nj, rj = blk.dimL_A, blk.dimR_A, blk.dimR_B
+            want += math.sqrt(blk.p) * np.einsum(
+                "ls,rqt,alq,bst->rab",
+                blk.omega.amplitudes.reshape(mj, mj),
+                blk.phi.amplitudes.reshape(d_r, nj, rj),
+                dec.a_block_embed(j).reshape(d_a, mj, nj),
+                dec.b_block_embed(j).reshape(d_b, mj, rj),
+            )
+        assert_matches(rebuild(dec).amplitudes.reshape(d_r, d_a, d_b), want)
+
+    @pytest.mark.parametrize("d_r, d, k", [(1, 1, 1), (1, 3, 2), (2, 1, 4), (3, 4, 1), (2, 5, 3)])
+    def test_transfer_ops_match_the_double_loop(self, d_r, d, k):
+        rng = np.random.default_rng([11, d_r, d, k])
+        slices = crandn(rng, d_r, d, k)
+        former = []
+        for r in range(d_r):
+            for rp in range(d_r):
+                t = slices[r] @ slices[rp].conj().T
+                former.append(t + t.conj().T)
+                former.append(1j * (t - t.conj().T))
+        got = koashi_imoto._transfer_ops(slices)
+        assert got.shape == (2 * d_r * d_r, d, d)
+        assert_matches(got, np.array(former), rtol=1e-14)
+
+
+def former_phase_fixed(cols):
+    """The former column loop over :func:`canonical_phase`."""
+    return np.column_stack([canonical_phase(cols[:, c]) for c in range(cols.shape[1])])
+
+
+def phase_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for rows, width in ((1, 1), (1, 4), (3, 1), (4, 4), (16, 16), (9, 2)):
+        for scale in (1.0, 1e-150, 1e150):
+            cases.append(scale * crandn(rng, rows, width))
+    tie = crandn(rng, 4, 6)
+    tie[0] *= 10.0
+    # rows 0 and 2 lead each column, their magnitudes a relative offset apart
+    # on both sides of the 1e-9 whisker
+    offsets = np.array([0.0, 2e-10, -2e-10, 9.99e-10, 1.001e-9, -1.5e-9])
+    tie[2] = tie[0] * np.exp(1j * rng.uniform(0, 2 * np.pi, 6)) * (1.0 + offsets)
+    cases.append(tie)
+    exact = np.full((3, 3), 0.5 + 0.5j)
+    exact[:, 1] = [-0.5, 0.5j, -0.5j]
+    cases.append(exact)
+    zeros = crandn(rng, 4, 5)
+    zeros[:, 1] = 0.0  # an all-zero column
+    zeros[:, 3] = complex(-0.0, -0.0)  # an all-zero column of signed zeros
+    zeros[0, 4] = complex(-0.0, 0.0)
+    zeros[2, 0] = complex(0.0, -0.0)
+    cases.append(zeros)
+    cases.append(np.zeros((3, 4), dtype=complex))  # zero columns only
+    neg = crandn(rng, 5, 3)
+    neg[1:, 2] = -0.0  # a column whose pivot is its only nonzero entry
+    cases.append(neg)
+    fortran = np.asfortranarray(crandn(rng, 6, 5))
+    cases.append(fortran)
+    cases.append(rng.standard_normal((4, 3)))  # real input comes back complex
+    return cases
+
+
+def bits_of(a):
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestPhaseFixed:
+    @pytest.mark.parametrize("k", range(len(phase_cases())))
+    def test_matches_the_canonical_phase_loop_bit_for_bit(self, k):
+        cols = phase_cases()[k]
+        assert bits_of(phase_fixed(cols)) == bits_of(former_phase_fixed(cols))
+
+    def test_random_columns_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(500):
+            rows, width = rng.integers(1, 17, size=2)
+            cols = crandn(rng, rows, width) * 10.0 ** rng.uniform(-200, 200, size=width)
+            assert bits_of(phase_fixed(cols)) == bits_of(former_phase_fixed(cols))
+
+    def test_empty(self):
+        assert phase_fixed(np.zeros((0, 3))).shape == (0, 3)
+        assert phase_fixed(np.zeros((3, 0))).shape == (3, 0)
