@@ -4,7 +4,11 @@ A trace is a JSON document recording one fixed-outcome run of a
 spreading or concentrating protocol: the initial state, an ordered
 event list (local isometries, measurements, broadcasts, resource
 consumption, and the composed root correction), an operator side
-table, the per-edge cost report, and a hash of the final state.
+table, the per-edge cost report, and a hash of the final state.  The
+side table holds each operator densely, or as ``{"bell": K}`` when it is
+byte for byte the K²×K² Bell basis a split measures in, which replay
+rebuilds with the same function (format ``treecast.trace/2``; dense-only
+``treecast.trace/1`` documents are still read).
 Replaying the stored events against the stored initial state re-derives
 every branch probability and the final state with no other context, so
 a trace can be verified long after the run that produced it.
@@ -35,7 +39,14 @@ from .codes import (
 )
 from .config import RANK_RTOL, VERIFY_TOL
 from .errors import InputError, SchemaError, ShapeMismatch, VerificationFailed
-from .merge_split import apply_event, isometry_event, merge_events, split_events
+from .merge_split import (
+    _bell_columns,
+    _pauli_shifts,
+    apply_event,
+    isometry_event,
+    merge_events,
+    split_events,
+)
 from .network import RootedTree, tree_to_document
 from .protocols import (
     ConcentrateResult,
@@ -50,8 +61,12 @@ from .tensors import (
     permute_registers,
 )
 
-TRACE_FORMAT = "treecast.trace/1"
+TRACE_FORMAT = "treecast.trace/2"
+# dense operators only; still read and verified
+TRACE_FORMAT_V1 = "treecast.trace/1"
 HASH_DECIMALS = 12
+# largest Bell basis named by K, in entries (K⁴): K ≤ 32
+MAX_BELL_ENTRIES = 2**20
 
 
 # -- register and operator plumbing -------------------------------------------
@@ -63,6 +78,25 @@ def _regspec(reg: Register) -> dict:
 
 def _reg_from(spec: dict) -> Register:
     return Register(spec["id"], int(spec["dim"]), spec["owner"])
+
+
+def _bell_basis(k: int) -> np.ndarray:
+    """The K²×K² generalized Bell basis the split protocols measure in."""
+    return _bell_columns(_pauli_shifts(k))
+
+
+def _bell_k(rows: int, cols: int) -> int | None:
+    """K when a rows × cols operator could be the Bell basis named ``{"bell": K}``.
+
+    Only K ≥ 2 is named: the K = 1 basis is the 1×1 identity that also
+    relabels trivial blocks, and naming it saves nothing.  Only bases up
+    to ``MAX_BELL_ENTRIES``, the bound the reader enforces, are named, so
+    the writer never emits an operator the reader refuses.
+    """
+    k = math.isqrt(rows)
+    if rows == cols == k * k and k >= 2 and rows * cols <= MAX_BELL_ENTRIES:
+        return k
+    return None
 
 
 class _OpTable:
@@ -83,54 +117,77 @@ class _OpTable:
         return ref
 
     def to_doc(self) -> dict:
+        """Each operator as ``{"bell": K}`` when byte-identical to that basis, else dense."""
         out = {}
         for ref, mat in self._ops.items():
-            flat = mat.reshape(-1)
-            out[ref] = {
-                "shape": [int(mat.shape[0]), int(mat.shape[1])],
-                "data": [[float(x.real), float(x.imag)] for x in flat],
-            }
+            k = _bell_k(*mat.shape)
+            if k is not None and mat.tobytes() == _bell_basis(k).tobytes():
+                out[ref] = {"bell": k}
+            else:
+                out[ref] = {"shape": list(mat.shape), "data": _pairs(mat)}
         return out
 
 
-def _ops_from_doc(doc: dict) -> dict[str, np.ndarray]:
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    """The ``[re, im]`` float pairs of a contiguous complex array, in memory order."""
+    return values.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+
+
+def _complex_array(data, what: str) -> np.ndarray:
+    """Parse ``[[re, im], …]``: every entry a pair of JSON numbers, nothing else.
+
+    ``np.array`` would turn numeric strings into floats and ``null`` into
+    NaN under a float dtype, so the inferred dtype is checked first.
+    """
+    arr = np.array(data)
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        raise SchemaError(f"{what}: entries must be [re, im] pairs of numbers")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(complex).reshape(-1)
+
+
+def _ops_from_doc(doc: dict, *, named: bool) -> dict[str, np.ndarray]:
+    """Operators by name; ``{"bell": K}`` entries are read only when ``named`` (format /2)."""
     ops = {}
     for ref, item in doc.items():
+        if "bell" in item:
+            k = item["bell"]
+            if not named:
+                raise SchemaError(f"operator {ref!r}: {TRACE_FORMAT_V1} has no bell entries")
+            if type(k) is not int or k < 1 or k**4 > MAX_BELL_ENTRIES:
+                raise SchemaError(
+                    f"operator {ref!r}: bell must be an integer K >= 1 with "
+                    f"K^4 <= {MAX_BELL_ENTRIES}, got {k!r}"
+                )
+            ops[ref] = _bell_basis(k)
+            continue
         rows, cols = (int(x) for x in item["shape"])
         data = item["data"]
         if len(data) != rows * cols:
             raise SchemaError(f"operator {ref!r} data length does not match shape")
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-        ops[ref] = flat.reshape(rows, cols)
+        ops[ref] = _complex_array(data, f"operator {ref!r}").reshape(rows, cols)
     return ops
 
 
 def _state_doc(state: PureState) -> dict:
     return {
         "registers": [_regspec(r) for r in state.registers],
-        "amplitudes": [
-            [float(x.real), float(x.imag)] for x in state.amplitudes
-        ],
+        "amplitudes": _pairs(state.amplitudes),
     }
 
 
 def _state_from_doc(doc: dict) -> PureState:
     regs = tuple(_reg_from(s) for s in doc["registers"])
-    amps = np.array(
-        [complex(re, im) for re, im in doc["amplitudes"]], dtype=complex
-    )
-    return PureState(regs, amps)
+    return PureState(regs, _complex_array(doc["amplitudes"], "state amplitudes"))
 
 
 def state_hash(state: PureState) -> str:
     """Order-independent digest of a state, rounded to spare float dust."""
     ordered = permute_registers(state, sorted(state.ids))
-    amps = np.round(ordered.amplitudes, HASH_DECIMALS)
+    # adding 0.0 folds -0.0 into 0.0, so the sign of a rounded zero is not hashed
+    amps = np.round(ordered.amplitudes, HASH_DECIMALS) + 0.0
     payload = {
         "registers": [[r.id, r.dim] for r in ordered.registers],
-        "amplitudes": [
-            [float(x.real) + 0.0, float(x.imag) + 0.0] for x in amps
-        ],
+        "amplitudes": _pairs(amps),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
@@ -370,8 +427,8 @@ def concentrate_trace(
 def _check_sections(doc) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("trace document must be a JSON object")
-    if doc.get("format") != TRACE_FORMAT:
-        raise SchemaError(f"trace format must be {TRACE_FORMAT!r}")
+    if doc.get("format") not in (TRACE_FORMAT, TRACE_FORMAT_V1):
+        raise SchemaError(f"trace format must be {TRACE_FORMAT!r} or {TRACE_FORMAT_V1!r}")
     missing = {
         "metadata",
         "initial_state",
@@ -404,7 +461,8 @@ def _recorded_costs(report: dict) -> tuple[list[tuple[str, str, int]], float]:
 def replay_trace(doc: dict) -> dict:
     """Re-execute a trace's fixed outcomes from its stored initial state."""
     _check_sections(doc)
-    ops = _section(doc, "operators", _ops_from_doc)
+    named = doc["format"] == TRACE_FORMAT
+    ops = _section(doc, "operators", lambda section: _ops_from_doc(section, named=named))
     state = _section(doc, "initial_state", _state_from_doc)
     recorded, recorded_total = _section(doc, "cost_report", _recorded_costs)
     recorded_hash = _section(doc, "final_state", lambda section: section["hash"])

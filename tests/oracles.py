@@ -1,4 +1,4 @@
-"""Reference helpers the tests share: random states and phase-blind equality."""
+"""Reference helpers the tests share: random states, phase-blind equality, Bell bases."""
 
 from __future__ import annotations
 
@@ -27,3 +27,19 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     if na == 0.0 or nb == 0.0:
         return False
     return abs(abs(overlap(a, b)) / (na * nb) - 1.0) <= tol
+
+
+def shift_loop(k, p, q):
+    """Reference: X^p Z^q entry by entry."""
+    omega = np.exp(2j * np.pi / k)
+    m = np.zeros((k, k), dtype=complex)
+    for j in range(k):
+        m[(j + p) % k, j] = omega ** (q * j)
+    return m
+
+
+def bell_columns_loop(k):
+    """Reference: the Bell basis column by column, (X^p Z^q ⊗ 1)|Φ⁺_K⟩."""
+    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
+    cols = [np.kron(shift_loop(k, p, q), np.eye(k)) @ phi for p in range(k) for q in range(k)]
+    return np.column_stack(cols)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import treecast.trace as trace_mod
 from treecast.cli import main
 from treecast.errors import SynthesisFailed
 
@@ -605,6 +606,73 @@ class TestErrorsAndExitCodes:
         code, doc = run_json(capsys, "verify-trace", str(path))
         assert code == 2
         assert doc["error"]["type"] == "SchemaError"
+
+    @staticmethod
+    def refused(capsys, tmp_path, trace_doc):
+        """verify-trace exits 2 with a treecast.error/1 document and no traceback."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(trace_doc))
+        code, out, err = run(capsys, "verify-trace", str(path), "--format", "structured")
+        assert code == 2
+        assert json.loads(out)["format"] == "treecast.error/1"
+        assert "Traceback" not in err
+        return json.loads(out)["error"]
+
+    ENTRY_DAMAGE = {
+        "string": lambda d: [["0.5", "0.0"]] + d[1:],
+        "all-strings": lambda d: [[str(a), str(b)] for a, b in d],
+        "null": lambda d: [None] + d[1:],
+        "null-part": lambda d: [[None, 0.0]] + d[1:],
+        "triple": lambda d: [[0.5, 0.0, 0.0]] + d[1:],
+        "singleton": lambda d: [[0.5]] + d[1:],
+        "deeper": lambda d: [[pair] for pair in d],
+        "short": lambda d: d[:-1],
+    }
+
+    @pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
+    def test_bad_operator_entries_refused(self, capsys, tmp_path, spread_trace_doc, damage):
+        encoder = spread_trace_doc["operators"][spread_trace_doc["events"][0]["matrix"]]
+        encoder["data"] = self.ENTRY_DAMAGE[damage](encoder["data"])
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert "operator" in error["message"]
+
+    @pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
+    def test_bad_state_entries_refused(self, capsys, tmp_path, spread_trace_doc, damage):
+        state = spread_trace_doc["initial_state"]
+        state["amplitudes"] = self.ENTRY_DAMAGE[damage](state["amplitudes"])
+        self.refused(capsys, tmp_path, spread_trace_doc)
+
+    @staticmethod
+    def named_bell(doc):
+        return next(item for item in doc["operators"].values() if "bell" in item)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "4", True])
+    def test_bad_bell_values_refused(self, capsys, tmp_path, spread_trace_doc, value):
+        self.named_bell(spread_trace_doc)["bell"] = value
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert "bell must be an integer" in error["message"]
+
+    @pytest.mark.parametrize("value", [33, 10**9])
+    def test_bell_past_the_bound_refused_before_allocating(
+        self, capsys, tmp_path, monkeypatch, spread_trace_doc, value
+    ):
+        def allocate(k):
+            raise AssertionError(f"Bell basis K = {k} was built")
+
+        monkeypatch.setattr(trace_mod, "_bell_basis", allocate)
+        self.named_bell(spread_trace_doc)["bell"] = value
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert "bell must be an integer" in error["message"]
+
+    def test_bell_entry_in_format_1_refused(self, capsys, tmp_path, spread_trace_doc):
+        assert spread_trace_doc["format"] == "treecast.trace/2"
+        spread_trace_doc["format"] = "treecast.trace/1"
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert "has no bell entries" in error["message"]
 
     def test_human_errors_go_to_stderr(self, capsys):
         code, out, err = run(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import random_state
+from oracles import bell_columns_loop, random_state, shift_loop
 
 from treecast.codes import (
     encoded_pair,
@@ -851,13 +851,16 @@ def split_cases():
 
 
 def resolved(events, operators):
-    """Events with operator refs replaced by their matrices."""
+    """Events with operator refs replaced by their matrices; ``{"bell": K}`` via the loop."""
     out = []
     for ev in events:
         ev = dict(ev)
         for key in ev.keys() & {"matrix", "basis"}:
             item = operators[ev[key]]
-            ev[key] = np.array([complex(*x) for x in item["data"]]).reshape(item["shape"])
+            if "bell" in item:
+                ev[key] = bell_columns_loop(item["bell"])
+            else:
+                ev[key] = np.array([complex(*x) for x in item["data"]]).reshape(item["shape"])
         out.append(ev)
     return out
 
@@ -929,22 +932,6 @@ def batched_split_cases():
     wide = spreading_steps(code, line_tree(3), k_overrides={"v3": 3})
     assert wide[1][1].k > math.prod(wide[1][1].moved_dims)
     return split_cases() + wide
-
-
-def shift_loop(k, p, q):
-    """Reference: X^p Z^q entry by entry."""
-    omega = np.exp(2j * np.pi / k)
-    m = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        m[(j + p) % k, j] = omega ** (q * j)
-    return m
-
-
-def bell_columns_loop(k):
-    """Reference: the Bell basis column by column, (X^p Z^q ⊗ 1)|Φ⁺_K⟩."""
-    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
-    cols = [np.kron(shift_loop(k, p, q), np.eye(k)) @ phi for p in range(k) for q in range(k)]
-    return np.column_stack(cols)
 
 
 class TestBatchedSplit:

@@ -1,14 +1,18 @@
 """Trace documents: event grammar, replay, hashing, tamper detection."""
 
+import hashlib
 import itertools
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from oracles import bell_columns_loop
 
+import treecast.trace as trace_mod
 from treecast.codes import (
     five_qubit_code,
+    ghz_code,
     identity_code,
     random_code,
     star4_code,
@@ -18,7 +22,15 @@ from treecast.network import line_tree, star_tree
 from treecast.protocols import _replay_root_corrections, run_concentrating, run_spreading
 from treecast.tensors import PureState, overlap, permute_registers
 from treecast.trace import (
+    HASH_DECIMALS,
+    MAX_BELL_ENTRIES,
+    TRACE_FORMAT,
+    _bell_k,
+    _OpTable,
+    _ops_from_doc,
     _reg_from,
+    _state_doc,
+    _state_from_doc,
     concentrate_trace,
     load_trace,
     replay_trace,
@@ -347,3 +359,126 @@ class TestSerializationAndHash:
         p2.write_text("{}")
         with pytest.raises(SchemaError):
             load_trace(str(p2))
+
+
+def dense_pairs_loop(values):
+    """Reference: ``[[re, im], …]`` entry by entry, as format /1 wrote them."""
+    return [[float(x.real), float(x.imag)] for x in np.asarray(values).reshape(-1)]
+
+
+def state_hash_loop(state):
+    """Reference: the per-entry state hash of format /1."""
+    ordered = permute_registers(state, sorted(state.ids))
+    amps = np.round(ordered.amplitudes, HASH_DECIMALS)
+    payload = {
+        "registers": [[r.id, r.dim] for r in ordered.registers],
+        "amplitudes": [[float(x.real) + 0.0, float(x.imag) + 0.0] for x in amps],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+
+
+def as_dense_v1(doc):
+    """``doc`` with every ``{"bell": K}`` expanded by the loop oracle, as format /1."""
+    out = json.loads(trace_json(doc))
+    for item in out["operators"].values():
+        if "bell" in item:
+            bell = bell_columns_loop(item.pop("bell"))
+            item.update(shape=list(bell.shape), data=dense_pairs_loop(bell))
+    out["format"] = "treecast.trace/1"
+    return out
+
+
+def awkward_values(rng, shape):
+    """Random complex entries, the first four replaced by signed zeros and rounding edges."""
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = vals.reshape(-1)
+    flat[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1e-15, -4e-13), 0.5 + 5e-13j]
+    return vals
+
+
+class TestSerializerParity:
+    """The whole-array serializers give the bytes of the per-entry loops."""
+
+    def test_operator_table_matches_the_loop(self):
+        rng = np.random.default_rng(3)
+        table = _OpTable()
+        mats = [awkward_values(rng, (5, 3)), awkward_values(rng, (4, 6)).T, np.eye(1)]
+        refs = [table.add(m) for m in mats]
+        doc = table.to_doc()
+        for ref, mat in zip(refs, mats):
+            assert doc[ref] == {"shape": list(mat.shape), "data": dense_pairs_loop(mat)}
+        parsed = _ops_from_doc(json.loads(json.dumps(doc)), named=True)
+        for ref, mat in zip(refs, mats):
+            want = np.array([complex(re, im) for re, im in doc[ref]["data"]]).reshape(mat.shape)
+            assert parsed[ref].tobytes() == want.tobytes()
+
+    def test_state_serializers_and_hash_match_the_loop(self):
+        rng = np.random.default_rng(4)
+        regs = (_reg_from({"id": "b", "dim": 3, "owner": "x"}), _reg_from({"id": "a", "dim": 4, "owner": "y"}))
+        for vals in (awkward_values(rng, 12), -np.eye(12)[5] * 1e-14 + np.eye(12)[0]):
+            state = PureState(regs, vals)
+            doc = _state_doc(state)
+            assert doc["amplitudes"] == dense_pairs_loop(state.amplitudes)
+            back = _state_from_doc(json.loads(json.dumps(doc)))
+            assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert state_hash(state) == state_hash_loop(state)
+
+    def test_replayed_hash_matches_the_loop(self, five_line, five_spread):
+        code, tree = five_line
+        doc = spread_trace(code, tree, five_spread, outcomes=(5, 0, 11, 3))
+        state = replay_trace(doc)["final_state"]
+        assert state_hash(state) == state_hash_loop(state) == doc["final_state"]["hash"]
+
+
+def bell_compat_cases():
+    """Builtins, and seeded random codes whose splits reach K = 18."""
+    cases = [
+        ("five_qubit", five_qubit_code(), line_tree(5)),
+        ("star4", star4_code(), star_tree(4)),
+        ("ghz4", ghz_code(4), line_tree(4)),
+        ("identity", identity_code(2, 3), line_tree(3)),
+        ("qutrits-line", random_code(np.random.default_rng(71), 2, (3,) * 5), line_tree(5)),
+        ("qubits-line", random_code(np.random.default_rng(72), 4, (2,) * 7), line_tree(7)),
+        ("qutrits-star", random_code(np.random.default_rng(73), 2, (3,) * 5), star_tree(5)),
+    ]
+    return [pytest.param(name, code, tree, id=name) for name, code, tree in cases]
+
+
+class TestBellNaming:
+    def test_split_bases_are_named_by_k(self, five_line, five_spread):
+        code, tree = five_line
+        doc = spread_trace(code, tree, five_spread)
+        assert doc["format"] == TRACE_FORMAT
+        bases = {e["basis"] for e in events_of(doc, "measurement")}
+        named = {ref: item["bell"] for ref, item in doc["operators"].items() if "bell" in item}
+        assert set(named) == bases
+        assert sorted(named.values()) == [2, 4, 8]
+        for ref, item in doc["operators"].items():
+            assert ("bell" in item) == (ref in bases)
+
+    @pytest.mark.parametrize("name,code,tree", bell_compat_cases())
+    def test_dense_v1_form_verifies_with_the_same_hash(self, name, code, tree):
+        result = run_spreading(code, tree)
+        outcomes = [s.protocol.k**2 - 1 for s in result.steps]
+        doc = spread_trace(code, tree, result, outcomes=outcomes)
+        if name == "qutrits-line":
+            assert max(s.protocol.k for s in result.steps) == 18
+        named = verify_trace(doc)
+        dense = verify_trace(as_dense_v1(doc))
+        assert named["passed"] and dense["passed"]
+        assert dense["replayed_hash"] == named["replayed_hash"] == doc["final_state"]["hash"]
+
+    def test_writer_and_reader_share_the_bound(self, monkeypatch, five_line, five_spread):
+        assert _bell_k(32**2, 32**2) == 32 and 32**4 == MAX_BELL_ENTRIES
+        assert _bell_k(33**2, 33**2) is None
+        assert _bell_k(1, 1) is None and _bell_k(16, 8) is None
+        code, tree = five_line
+        monkeypatch.setattr(trace_mod, "MAX_BELL_ENTRIES", 4**4 - 1)
+        doc = spread_trace(code, tree, five_spread)
+        assert sorted(i["bell"] for i in doc["operators"].values() if "bell" in i) == [2]
+        assert verify_trace(doc)["passed"]
+        ref = next(r for r, i in doc["operators"].items() if "bell" in i)
+        doc["operators"][ref] = {"bell": 4}
+        with pytest.raises(SchemaError, match="bell must be an integer"):
+            verify_trace(doc)
