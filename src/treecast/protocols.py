@@ -591,6 +591,59 @@ def compare_costs(
     )
 
 
+def _set_stage_costs(
+    code: IsometryCode,
+    tree: RootedTree,
+    *,
+    mode: str,
+    branch_budget: int | None,
+    seed: int,
+    rank_rtol: float,
+) -> dict[tuple[frozenset[str], str], EdgeCost]:
+    """Edge cost of every stage, keyed by (set merged before it, its vertex).
+
+    After a set S has merged, each branch holds ψ with S's registers
+    regrouped at their nearest unmerged ancestors, up to local unitaries
+    and product junk.  Koashi–Imoto block structure, and so the tight K,
+    is invariant under local unitaries, as is the fallback's marginal
+    rank.  So the stage's K depends on S and the vertex, not on the order
+    S merged in nor on which branches a budget kept.  The walk builds each
+    (S, vertex) stage once and goes no deeper from a set it has already
+    walked.  Only the costs are kept, and a stage is freed once the walk
+    has moved past it, so at most n − 1 stages are alive at once.
+    """
+    n = len(tree.vertices)
+    edges: dict[tuple[frozenset[str], str], EdgeCost] = {}
+    walked: set[frozenset[str]] = set()
+
+    def walk(merged, live):
+        for vertex in tree.vertices:
+            # mergeable: not the root, not merged yet, every child merged
+            kids = tree.children(vertex)
+            if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
+                continue
+            stage = _concentrate_stage(
+                live,
+                tree,
+                vertex,
+                tree.root,
+                n - len(merged),
+                mode=mode,
+                branch_budget=branch_budget,
+                seed=seed,
+                tol=VERIFY_TOL,
+                rank_rtol=rank_rtol,
+            )
+            edges[merged, vertex] = stage.edge
+            grown = merged | {vertex}
+            if grown not in walked:
+                walked.add(grown)
+                walk(grown, stage.live)
+
+    walk(frozenset(), [((), 1.0, encoded_pair(code).normalized())])
+    return edges
+
+
 def optimize_labeling(
     code: IsometryCode,
     tree: RootedTree,
@@ -606,48 +659,21 @@ def optimize_labeling(
     Returns the winner, its cost report (equal to ``concentrating_cost``
     on it with the same arguments) and every candidate's total.  Ties
     break lexicographically on the labeling tuple.  Raises TooLarge when
-    the labeling count exceeds ``limit``.
-
-    A stage depends only on the suffix v_N…v_k merged so far and on
-    ``seed`` (``_concentrate_stage``).  So the candidates are walked as a
-    trie of suffixes, and each distinct suffix stage runs once.
+    the labeling count exceeds ``limit``.  Each candidate's edges are
+    read from the per-set stage costs of ``_set_stage_costs``.
     """
     candidates = tree.ascending_labelings(limit)
     _check_parties(code, tree)
-    n = len(tree.vertices)
-    children: dict[tuple[str, ...], list[str]] = {}
-    for cand in candidates:
-        suffix = cand[:0:-1]
-        for i, vertex in enumerate(suffix):
-            kids = children.setdefault(suffix[:i], [])
-            if vertex not in kids:
-                kids.append(vertex)
-    edges: dict[tuple[str, ...], EdgeCost] = {}
-
-    def walk(suffix, live):
-        for vertex in children.get(suffix, ()):
-            stage = _concentrate_stage(
-                live,
-                tree,
-                vertex,
-                tree.root,
-                n - len(suffix),
-                mode=mode,
-                branch_budget=branch_budget,
-                seed=seed,
-                tol=VERIFY_TOL,
-                rank_rtol=rank_rtol,
-            )
-            edges[suffix + (vertex,)] = stage.edge
-            walk(suffix + (vertex,), stage.live)
-
-    walk((), [((), 1.0, encoded_pair(code).normalized())])
+    edges = _set_stage_costs(
+        code, tree, mode=mode, branch_budget=branch_budget, seed=seed, rank_rtol=rank_rtol
+    )
     best = None
     totals: dict[tuple[str, ...], float] = {}
     for cand in candidates:
         suffix = cand[:0:-1]
         report = _sorted_edge_costs(
-            "concentrate", [edges[suffix[: i + 1]] for i in range(len(suffix))]
+            "concentrate",
+            [edges[frozenset(suffix[:i]), suffix[i]] for i in range(len(suffix))],
         )
         totals[cand] = report.total_log2
         key = (report.total_log2, cand)

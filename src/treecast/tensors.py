@@ -301,29 +301,19 @@ def range_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return trace_distance(ra @ ra.conj().T, rb @ rb.conj().T)
 
 
-def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest entry is real positive."""
-    vec = np.asarray(v, dtype=complex)
-    if not vec.size:
-        return vec
-    mags = np.abs(vec)
-    # earliest entry within a relative whisker of the max, so that exact
-    # ties broken only by floating-point noise pick a stable pivot
-    k = int(np.argmax(mags >= mags.max() * (1.0 - 1e-9)))
-    piv = vec[k]
-    if abs(piv) == 0.0:
-        return vec.copy()
-    return vec * (abs(piv) / piv)
-
-
 def phase_fixed(cols: np.ndarray) -> np.ndarray:
-    """Columns with their global phases fixed by :func:`canonical_phase`, all at once.
+    """Columns with their global phases fixed, all at once.
 
-    Bit for bit the column loop: the pivot magnitude is taken with
-    ``np.hypot``, which rounds as the scalar ``abs`` does (the array
-    ``np.abs`` kernel does not), and the scale is multiplied in as a
-    row so NumPy takes the same complex-multiply kernel as for a column
-    times a scalar.
+    Each column is rotated so that its pivot is real positive.  The pivot
+    is its earliest entry within a relative whisker of the column's
+    largest magnitude, so that exact ties broken only by floating-point
+    noise pick a stable pivot; an all-zero column is left as it is.
+
+    Bit for bit the same as fixing one column at a time with scalar
+    arithmetic: the pivot magnitude is taken with ``np.hypot``, which
+    rounds as the scalar ``abs`` does (the array ``np.abs`` kernel does
+    not), and the scale is multiplied in as a row so NumPy takes the same
+    complex-multiply kernel as for a column times a scalar.
     """
     cols = np.asarray(cols, dtype=complex)
     mags = np.abs(cols)

@@ -76,8 +76,16 @@ def _regspec(reg: Register) -> dict:
     return {"id": reg.id, "dim": reg.dim, "owner": reg.owner}
 
 
+def _size(value, what: str) -> int:
+    """A recorded size: a JSON integer ≥ 1, never a bool, string or float."""
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _reg_from(spec: dict) -> Register:
-    return Register(spec["id"], int(spec["dim"]), spec["owner"])
+    dim = _size(spec["dim"], f"register {spec['id']!r} dim")
+    return Register(spec["id"], dim, spec["owner"])
 
 
 def _bell_basis(k: int) -> np.ndarray:
@@ -160,7 +168,7 @@ def _ops_from_doc(doc: dict, *, named: bool) -> dict[str, np.ndarray]:
                 )
             ops[ref] = _bell_basis(k)
             continue
-        rows, cols = (int(x) for x in item["shape"])
+        rows, cols = (_size(x, f"operator {ref!r} shape") for x in item["shape"])
         data = item["data"]
         if len(data) != rows * cols:
             raise SchemaError(f"operator {ref!r} data length does not match shape")
@@ -454,7 +462,7 @@ def _section(doc: dict, name: str, parse):
 
 
 def _recorded_costs(report: dict) -> tuple[list[tuple[str, str, int]], float]:
-    edges = sorted((e["parent"], e["child"], int(e["k"])) for e in report["edges"])
+    edges = sorted((e["parent"], e["child"], _size(e["k"], "edge k")) for e in report["edges"])
     return edges, float(report["total_log2"])
 
 
@@ -474,7 +482,7 @@ def replay_trace(doc: dict) -> dict:
             if prob is not None:
                 max_pdev = max(max_pdev, abs(prob - float(ev["probability"])))
             if ev.get("type") == "resource-consumed":
-                consumed.append((ev["edge"][0], ev["edge"][1], int(ev["k"])))
+                consumed.append((ev["edge"][0], ev["edge"][1], _size(ev["k"], "resource k")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(
                 f"malformed trace event {i}: {type(exc).__name__}: {exc}"

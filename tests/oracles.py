@@ -1,4 +1,5 @@
-"""Reference helpers the tests share: random states, phase-blind equality, Bell bases."""
+"""Reference helpers the tests share: random states, phase-blind equality,
+Bell bases and the column phase rule."""
 
 from __future__ import annotations
 
@@ -43,3 +44,18 @@ def bell_columns_loop(k):
     phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
     cols = [np.kron(shift_loop(k, p, q), np.eye(k)) @ phi for p in range(k) for q in range(k)]
     return np.column_stack(cols)
+
+
+def canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its largest entry is real positive."""
+    vec = np.asarray(v, dtype=complex)
+    if not vec.size:
+        return vec
+    mags = np.abs(vec)
+    # earliest entry within a relative whisker of the max, so that exact
+    # ties broken only by floating-point noise pick a stable pivot
+    k = int(np.argmax(mags >= mags.max() * (1.0 - 1e-9)))
+    piv = vec[k]
+    if abs(piv) == 0.0:
+        return vec.copy()
+    return vec * (abs(piv) / piv)

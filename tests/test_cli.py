@@ -654,6 +654,36 @@ class TestErrorsAndExitCodes:
         assert error["type"] == "SchemaError"
         assert "bell must be an integer" in error["message"]
 
+    @staticmethod
+    def size_fields(doc):
+        """Where a trace records a size: (container, key) for each kind."""
+        encoder = doc["operators"][doc["events"][0]["matrix"]]
+        resource = next(e for e in doc["events"] if e["type"] == "resource-consumed")
+        return {
+            "state-dim": (doc["initial_state"]["registers"][0], "dim"),
+            "event-dim": (doc["events"][0]["out"][0], "dim"),
+            "shape": (encoder["shape"], 1),
+            "resource-k": (resource, "k"),
+            "edge-k": (doc["cost_report"]["edges"][0], "k"),
+        }
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None, 0, -1])
+    @pytest.mark.parametrize("field", ["state-dim", "event-dim", "shape", "resource-k", "edge-k"])
+    def test_bad_sizes_refused(self, capsys, tmp_path, spread_trace_doc, field, value):
+        container, key = self.size_fields(spread_trace_doc)[field]
+        container[key] = value
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert f"must be an integer >= 1, got {value!r}" in error["message"]
+
+    def test_numeric_string_and_float_shape_refused(self, capsys, tmp_path, spread_trace_doc):
+        encoder = spread_trace_doc["operators"][spread_trace_doc["events"][0]["matrix"]]
+        assert encoder["shape"] == [16, 2]
+        encoder["shape"] = ["16", 2.9]
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
+        assert "shape must be an integer >= 1, got '16'" in error["message"]
+
     @pytest.mark.parametrize("value", [33, 10**9])
     def test_bell_past_the_bound_refused_before_allocating(
         self, capsys, tmp_path, monkeypatch, spread_trace_doc, value

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import random_state, states_equal_up_to_phase
+from oracles import canonical_phase, random_state, states_equal_up_to_phase
 
 from treecast import koashi_imoto
 from treecast.codes import encoded_pair, five_qubit_code, random_code, star4_code
@@ -24,7 +24,6 @@ from treecast.protocols import run_concentrating
 from treecast.tensors import (
     PureState,
     Register,
-    canonical_phase,
     permute_registers,
     phase_fixed,
     tensor_product,

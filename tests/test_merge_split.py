@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bell_columns_loop, random_state, shift_loop
+from oracles import bell_columns_loop, canonical_phase, random_state, shift_loop
 
 from treecast.codes import (
     encoded_pair,
@@ -53,7 +53,6 @@ from treecast.tensors import (
     PureState,
     Register,
     apply_map,
-    canonical_phase,
     marginal_matrix,
     max_entangled_pair,
     orthonormal_completion,

@@ -1,6 +1,7 @@
 """Tree-level driver tests: spreading and concentrating end to end."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from treecast.codes import (
     star4_code,
 )
 from treecast import protocols
+from treecast.config import RANK_RTOL
 from treecast.errors import (
     InsufficientResource,
     NotAscending,
@@ -26,7 +28,7 @@ from treecast.errors import (
     VerificationFailed,
 )
 from treecast.merge_split import build_split_protocol, merge_post_state
-from treecast.network import line_tree, star_tree
+from treecast.network import line_tree, parse_tree, star_tree
 from treecast.protocols import (
     compare_costs,
     concentrating_cost,
@@ -400,7 +402,7 @@ class TestComparisonsAndSearch:
             optimize_labeling(ghz_code(9), star_tree(9), limit=100)
 
 
-# -- the shared-suffix labeling search ---------------------------------------------
+# -- the labeling search over merged sets ---------------------------------------------
 
 
 def reference_search(code, tree, **kwargs):
@@ -423,6 +425,15 @@ SEARCH_INPUTS = {
     "star4": lambda: (star4_code(), star_tree(4)),
     "five_qubit": lambda: (five_qubit_code(), star_tree(5)),
     "random": random_star4,
+    # v3 merges with the halves v4 and v5 parked on it, below the root
+    "five_qubit-branched": lambda: (
+        five_qubit_code(),
+        parse_tree("v1-v2,v1-v3,v3-v4,v3-v5"),
+    ),
+    "random-line": lambda: (
+        random_code(np.random.default_rng(78), 2, (2, 2, 2, 2)),
+        line_tree(4),
+    ),
 }
 SEARCH_MODES = {
     "tight": {},
@@ -446,46 +457,77 @@ class TestSharedSuffixSearch:
         if "branch_budget" in kwargs:  # the budget cut branches, so the sampler ran
             assert not run_concentrating(code, tree, best, replay=False, **kwargs).explored_all
 
-    def test_stages_enter_as_in_a_fresh_run(self, monkeypatch):
-        # every trie stage sees the live branches that a full run of any
-        # labeling with that suffix has entering it
-        real = protocols._concentrate_stage
-        seen = []
-
-        def recording(live, tree, vertex, root, level, **kwargs):
-            branches = [(pre, p, state.amplitudes.tobytes()) for pre, p, state in live]
-            seen.append((level, vertex, branches))
-            return real(live, tree, vertex, root, level, **kwargs)
-
-        monkeypatch.setattr(protocols, "_concentrate_stage", recording)
-        code, tree = five_qubit_code(), star_tree(5)
-        kwargs = {"branch_budget": 3, "seed": 9}
-        optimize_labeling(code, tree, **kwargs)
-        walked, path = {}, []
-        for level, vertex, branches in seen:
-            path = path[: len(tree.vertices) - level] + [vertex]
-            assert tuple(path) not in walked
-            walked[tuple(path)] = branches
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    @pytest.mark.parametrize("name", SEARCH_INPUTS)
+    def test_set_stage_costs_match_fresh_runs(self, name, mode):
+        # every fresh run that merges vertex after set pays the K the
+        # search recorded for (set, vertex), whatever order set merged in
+        code, tree = SEARCH_INPUTS[name]()
+        kwargs = SEARCH_MODES[mode]
         fresh = {}
         for cand in tree.ascending_labelings():
-            seen.clear()
-            run_concentrating(code, tree, cand, replay=False, **kwargs)
-            for i, (_, _, branches) in enumerate(seen):
-                fresh[cand[:0:-1][: i + 1]] = branches
-        assert walked == fresh
+            report = concentrating_cost(code, tree, cand, **kwargs)
+            for i in range(1, len(cand)):
+                key = (frozenset(cand[i + 1 :]), cand[i])
+                fresh.setdefault(key, set()).add(report.cost_of(cand[i]))
+        costs = protocols._set_stage_costs(
+            code,
+            tree,
+            mode=kwargs.get("mode", "tight"),
+            branch_budget=kwargs.get("branch_budget"),
+            seed=kwargs.get("seed", 0),
+            rank_rtol=RANK_RTOL,
+        )
+        assert {key: {edge.k} for key, edge in costs.items()} == fresh
 
-    def test_each_suffix_stage_is_built_once(self, monkeypatch):
-        real = protocols.build_merge_protocol
-        calls = []
+    def test_each_set_stage_is_built_once(self, monkeypatch):
+        # one stage per (set, vertex) key: a star with n − 1 leaves has
+        # (n − 1)·2^(n − 2) of them
+        real_stage, real_build = protocols._concentrate_stage, protocols.build_merge_protocol
+        stages, builds = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return real(*args, **kwargs)
+        def counting_stage(live, tree, vertex, *args, **kwargs):
+            stages.append(vertex)
+            return real_stage(live, tree, vertex, *args, **kwargs)
 
-        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs.get("k"))
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", counting_stage)
+        monkeypatch.setattr(protocols, "build_merge_protocol", counting_build)
+        optimize_labeling(five_qubit_code(), star_tree(5))
+        assert (len(stages), len(builds)) == (32, 108)
+        stages.clear()
+        optimize_labeling(ghz_code(6), star_tree(6))
+        assert len(stages) == 80
+        builds.clear()
+        reference_search(five_qubit_code(), star_tree(5))
+        assert len(builds) == 360
+
+    def test_stages_are_freed_as_the_walk_unwinds(self, monkeypatch):
+        # the memo keeps costs only: no branch state or step record
+        # outlives its place on the depth-first path
+        real = protocols._concentrate_stage
+        alive = {"stages": 0, "held": 0}
+        peak = [0]
+
+        def release(kind):
+            alive[kind] -= 1
+
+        def tracked(*args, **kwargs):
+            stage = real(*args, **kwargs)
+            alive["stages"] += 1
+            peak[0] = max(peak[0], alive["stages"])
+            weakref.finalize(stage, release, "stages")
+            held = [*stage.records.values(), *(state for _, _, state in stage.live)]
+            alive["held"] += len(held)
+            for obj in held:
+                weakref.finalize(obj, release, "held")
+            return stage
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", tracked)
         code, tree = five_qubit_code(), star_tree(5)
         optimize_labeling(code, tree)
-        assert len(calls) == 316
-        calls.clear()
-        reference_search(code, tree)
-        assert len(calls) == 360
+        assert peak[0] <= len(tree.vertices) - 1
+        assert alive == {"stages": 0, "held": 0}

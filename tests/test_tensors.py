@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_state, states_equal_up_to_phase
+from oracles import canonical_phase, random_state, states_equal_up_to_phase
 from treecast.errors import (
     BadPermutation,
     DuplicateRegister,
@@ -15,7 +15,6 @@ from treecast.tensors import (
     PureState,
     Register,
     apply_map,
-    canonical_phase,
     marginal_matrix,
     max_entangled_pair,
     orthonormal_completion,
