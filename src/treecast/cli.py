@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .codes import REFERENCE_ID, code_to_document, encoded_pair, load_code_named
+from .codes import code_to_document, encoded_pair, load_code_named
 from .config import RANK_RTOL
 from .errors import InputError, NumericalDegeneracy, SynthesisFailed, VerificationFailed
 from .koashi_imoto import ki_decompose, merge_cost_K
@@ -28,6 +28,7 @@ from .merge_split import merge_post_state
 from .network import load_tree, tree_to_document
 from .protocols import (
     CostComparison,
+    _roles_for,
     concentrating_cost,
     optimize_labeling,
     run_concentrating,
@@ -220,14 +221,11 @@ def _resolve_search(args, code, tree, labeling):
     """
     if labeling is not None:
         return labeling, None, None
-    budget = _parse_branches(args.branches)
+    # the search follows one branch per merged set and reads neither
+    # --branches nor --seed; both are still checked (--seed in main) and echoed
+    _parse_branches(args.branches)
     best, report, totals = optimize_labeling(
-        code,
-        tree,
-        mode=args.mode,
-        branch_budget=budget,
-        seed=_check_seed(args.seed),
-        rank_rtol=args.tol_rank,
+        code, tree, mode=args.mode, rank_rtol=args.tol_rank
     )
     search_doc = {
         "candidates": len(totals),
@@ -567,13 +565,7 @@ def _cmd_ki(args):
             psi = post.normalized()
         stage = n - len(prefix)
         vertex = result.steps[stage][prefix].vertex
-        a_ids = tuple(r.id for r in psi.registers if r.owner == vertex)
-        b_ids = tuple(
-            r.id
-            for r in psi.registers
-            if r.id != REFERENCE_ID and r.owner != vertex
-        )
-        triple = ((REFERENCE_ID,), a_ids, b_ids)
+        triple = _roles_for(psi, vertex)
         doc = _base_doc("ki", args, code, name, tree, labeling)
         doc["A"] = vertex
         doc["prefix"] = list(prefix)

@@ -344,11 +344,13 @@ def _concentrate_stage(
     Every live branch gets a tight protocol first (to discover the edge's
     worst-case resource dimension), then all branch protocols are rebuilt
     at that dimension so each branch consumes the same, fully-provisioned
-    resource.  Protocols depend only on the branch states.  When the live
-    branches that come out exceed ``branch_budget``, the kept ones are
-    drawn from a generator made from ``seed`` and ``level`` alone.  So the
-    stage is a function of (live, vertex, level, seed), and a stage that
-    several labelings share can be run once.
+    resource.  Protocols depend only on the branch states.  Post-states
+    are built only for the outcomes a protocol's ``zero_mask`` leaves
+    live.  When the live branches that come out exceed ``branch_budget``,
+    the kept ones are drawn from a generator made from ``seed`` and
+    ``level`` alone.  So the stage is a function of (live, vertex, level,
+    seed).  The labeling search passes a single branch and no budget,
+    since every branch of a stage has the same K.
     """
     parent = tree.parent(vertex)
 
@@ -403,8 +405,9 @@ def _concentrate_stage(
 
     next_live = []
     for prefix, p_acc, state in live:
-        posts = merge_post_states(records[prefix].protocol, state)
-        for m, (p_m, post) in enumerate(posts):
+        proto = records[prefix].protocol
+        wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
+        for m, (p_m, post) in zip(wanted, merge_post_states(proto, state, wanted)):
             if p_m < PROB_TOL:
                 continue
             next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
@@ -592,13 +595,7 @@ def compare_costs(
 
 
 def _set_stage_costs(
-    code: IsometryCode,
-    tree: RootedTree,
-    *,
-    mode: str,
-    branch_budget: int | None,
-    seed: int,
-    rank_rtol: float,
+    code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol: float
 ) -> dict[tuple[frozenset[str], str], EdgeCost]:
     """Edge cost of every stage, keyed by (set merged before it, its vertex).
 
@@ -607,10 +604,12 @@ def _set_stage_costs(
     and product junk.  Koashi–Imoto block structure, and so the tight K,
     is invariant under local unitaries, as is the fallback's marginal
     rank.  So the stage's K depends on S and the vertex, not on the order
-    S merged in nor on which branches a budget kept.  The walk builds each
-    (S, vertex) stage once and goes no deeper from a set it has already
-    walked.  Only the costs are kept, and a stage is freed once the walk
-    has moved past it, so at most n − 1 stages are alive at once.
+    S merged in nor on which branches a budget kept, and one branch gives
+    it: the walk carries only the first live outcome of each stage, and
+    builds one merge protocol per (S, vertex) stage.  It goes no deeper
+    from a set it has already walked.  Only the costs are kept, and a
+    stage is freed once the walk has moved past it, so at most n − 1
+    stages are alive at once.
     """
     n = len(tree.vertices)
     edges: dict[tuple[frozenset[str], str], EdgeCost] = {}
@@ -629,8 +628,8 @@ def _set_stage_costs(
                 tree.root,
                 n - len(merged),
                 mode=mode,
-                branch_budget=branch_budget,
-                seed=seed,
+                branch_budget=None,
+                seed=0,
                 tol=VERIFY_TOL,
                 rank_rtol=rank_rtol,
             )
@@ -638,7 +637,7 @@ def _set_stage_costs(
             grown = merged | {vertex}
             if grown not in walked:
                 walked.add(grown)
-                walk(grown, stage.live)
+                walk(grown, stage.live[:1])
 
     walk(frozenset(), [((), 1.0, encoded_pair(code).normalized())])
     return edges
@@ -649,24 +648,21 @@ def optimize_labeling(
     tree: RootedTree,
     *,
     mode: str = "tight",
-    branch_budget: int | None = None,
-    seed: int = 0,
     limit: int = LABELING_ENUMERATION_LIMIT,
     rank_rtol: float = RANK_RTOL,
 ) -> tuple[tuple[str, ...], CostReport, dict[tuple[str, ...], float]]:
     """Search all ascending labelings for the cheapest concentrating total.
 
     Returns the winner, its cost report (equal to ``concentrating_cost``
-    on it with the same arguments) and every candidate's total.  Ties
-    break lexicographically on the labeling tuple.  Raises TooLarge when
-    the labeling count exceeds ``limit``.  Each candidate's edges are
-    read from the per-set stage costs of ``_set_stage_costs``.
+    on it in the same mode, with any branch budget and seed) and every
+    candidate's total.  Ties break lexicographically on the labeling
+    tuple.  Raises TooLarge when the labeling count exceeds ``limit``.
+    Each candidate's edges are read from the per-set stage costs of
+    ``_set_stage_costs``, which follow one branch per merged set.
     """
     candidates = tree.ascending_labelings(limit)
     _check_parties(code, tree)
-    edges = _set_stage_costs(
-        code, tree, mode=mode, branch_budget=branch_budget, seed=seed, rank_rtol=rank_rtol
-    )
+    edges = _set_stage_costs(code, tree, mode=mode, rank_rtol=rank_rtol)
     best = None
     totals: dict[tuple[str, ...], float] = {}
     for cand in candidates:

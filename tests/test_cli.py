@@ -123,6 +123,23 @@ class TestCostCommands:
         assert report["total_log2"] == 1
         assert doc["labeling"] == ["v1", "v2", "v3", "v4"]
 
+    def test_search_ignores_branches_and_seed(self, capsys):
+        # the search follows one branch per merged set, so the branch policy
+        # and seed are checked and echoed but change no part of the result
+        argv = ("cost-concentrate", "--code", "five_qubit", "--tree", "star:5",
+                "--labeling", "search")
+        docs = []
+        for extra in (("--branches", "all"), ("--branches", "sample:2", "--seed", "9")):
+            code, doc = run_json(capsys, *argv, *extra)
+            assert code == 0
+            docs.append(doc)
+        for key in ("cost_report", "labeling_search", "labeling"):
+            assert docs[0][key] == docs[1][key]
+        assert (docs[1]["config"]["branches"], docs[1]["config"]["seed"]) == ("sample:2", 9)
+        code, doc = run_json(capsys, *argv, "--branches", "sample:0")
+        assert code == 2
+        assert doc["error"]["type"] == "InputError"
+
     def test_paren_builtins_parse(self, capsys):
         code, doc = run_json(
             capsys, "cost-spread", "--code", "ghz(3)", "--tree", "line:3"
