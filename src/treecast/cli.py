@@ -20,14 +20,14 @@ import sys
 
 import numpy as np
 
-from .codes import code_to_document, encoded_pair, load_code_named
+from .codes import code_to_document, load_code_named
 from .config import RANK_RTOL
 from .errors import InputError, NumericalDegeneracy, SynthesisFailed, VerificationFailed
 from .koashi_imoto import ki_decompose, merge_cost_K
-from .merge_split import merge_post_state
 from .network import load_tree, tree_to_document
 from .protocols import (
     CostComparison,
+    _branch_state,
     _roles_for,
     concentrating_cost,
     optimize_labeling,
@@ -217,13 +217,13 @@ def _resolve_search(args, code, tree, labeling):
     """For --labeling search on concentrating tasks: pick the best order.
 
     Returns (labeling, the winner's cost report or None when no search
-    ran, the search section of the report).
+    ran, the search section of the report).  Costs follow one branch per
+    stage, so only run-concentrate reads --branches and --seed; every
+    concentrating task checks both (--seed in main) and echoes them.
     """
+    _parse_branches(args.branches)
     if labeling is not None:
         return labeling, None, None
-    # the search follows one branch per merged set and reads neither
-    # --branches nor --seed; both are still checked (--seed in main) and echoed
-    _parse_branches(args.branches)
     best, report, totals = optimize_labeling(
         code, tree, mode=args.mode, rank_rtol=args.tol_rank
     )
@@ -238,18 +238,12 @@ def _concentrating_report(args, code, tree, labeling):
     """(labeling, concentrating cost report, search section) for the cost tasks.
 
     Under --labeling search the report is the search's own for its winner;
-    otherwise one ``concentrating_cost`` run on the labeling gives it.
+    otherwise ``concentrating_cost`` on the labeling gives it.
     """
     labeling, report, search_doc = _resolve_search(args, code, tree, labeling)
     if report is None:
         report = concentrating_cost(
-            code,
-            tree,
-            labeling,
-            mode=args.mode,
-            branch_budget=_parse_branches(args.branches),
-            seed=_check_seed(args.seed),
-            rank_rtol=args.tol_rank,
+            code, tree, labeling, mode=args.mode, rank_rtol=args.tol_rank
         )
     return labeling, report, search_doc
 
@@ -520,7 +514,6 @@ _STATE_UNREAD = frozenset(
 
 
 def _cmd_ki(args):
-    seed = _check_seed(args.seed)
     if args.state:
         unread = sorted(_STATE_UNREAD.intersection(getattr(args, "given", ())))
         if unread:
@@ -533,7 +526,6 @@ def _cmd_ki(args):
     else:
         code, name, tree, labeling = _inputs(args)
         labeling, _, _ = _resolve_search(args, code, tree, labeling)
-        budget = _parse_branches(args.branches)
         prefix = _parse_prefix(args.prefix)
         n = len(labeling)
         if len(prefix) > n - 2:
@@ -541,30 +533,11 @@ def _cmd_ki(args):
                 f"prefix of length {len(prefix)} leaves no merge to analyze "
                 f"({n} parties)"
             )
-        result = run_concentrating(
-            code,
-            tree,
-            labeling,
-            mode=args.mode,
-            branch_budget=budget,
-            seed=seed,
-            rank_rtol=args.tol_rank,
-            replay=False,
+        psi = _branch_state(
+            code, tree, labeling, prefix, mode=args.mode, rank_rtol=args.tol_rank
         )
-        psi = encoded_pair(code)
-        for j in range(n, n - len(prefix), -1):
-            rec = result.steps[j].get(prefix[: n - j])
-            if rec is None:
-                raise InputError(
-                    f"branch prefix {list(prefix)} was not explored; try --branches all"
-                )
-            outcomes = rec.protocol.measurement.shape[1]
-            if not 0 <= prefix[n - j] < outcomes:
-                raise InputError(f"stage {j} has outcomes 0..{outcomes - 1}, not {prefix[n - j]}")
-            _p, post = merge_post_state(rec.protocol, psi, prefix[n - j])
-            psi = post.normalized()
         stage = n - len(prefix)
-        vertex = result.steps[stage][prefix].vertex
+        vertex = labeling[stage - 1]
         triple = _roles_for(psi, vertex)
         doc = _base_doc("ki", args, code, name, tree, labeling)
         doc["A"] = vertex

@@ -84,7 +84,7 @@ class IsometryCode:
 
     def physical_registers(self) -> tuple[Register, ...]:
         return tuple(
-            Register(p, d, p, role="physical")
+            Register(p, d, p)
             for p, d in zip(self.parties, self.physical_dims)
         )
 
@@ -96,22 +96,21 @@ class IsometryCode:
         return LinearMap((logical,), self.physical_registers(), self.matrix)
 
 
-def encoded_pair(code: IsometryCode, ref_id: str = REFERENCE_ID) -> PureState:
+def encoded_pair(code: IsometryCode) -> PureState:
     """(1 ⊗ U)|Phi+_D>: reference register first, then one per party."""
-    ref = Register(ref_id, code.logical_dim, "reference", role="reference")
-    logical = Register("__logical__", code.logical_dim, code.parties[0], role="logical")
+    ref = Register(REFERENCE_ID, code.logical_dim, "reference")
+    logical = Register("__logical__", code.logical_dim, code.parties[0])
     pair = max_entangled_pair(ref, logical)
     return apply_map(pair, code.as_map(logical))
 
 
-def reference_pair(dim: int, ref_id: str = REFERENCE_ID, sys_id: str = "L") -> PureState:
-    """Bare |Phi+_D> between the reference and a logical register."""
-    ref = Register(ref_id, dim, "reference", role="reference")
-    sys = Register(sys_id, dim, "logical", role="logical")
-    return max_entangled_pair(ref, sys)
+def reference_pair(dim: int) -> PureState:
+    """Bare |Phi+_D> between the reference and a logical register L."""
+    ref = Register(REFERENCE_ID, dim, "reference")
+    return max_entangled_pair(ref, Register("L", dim, "logical"))
 
 
-def random_code(rng, logical_dim: int, physical_dims, parties=None) -> IsometryCode:
+def random_code(rng, logical_dim: int, physical_dims) -> IsometryCode:
     """Haar-random isometry code over the given physical dimensions."""
     dims = tuple(int(d) for d in physical_dims)
     total = math.prod(dims)
@@ -119,14 +118,12 @@ def random_code(rng, logical_dim: int, physical_dims, parties=None) -> IsometryC
         raise DimensionMismatch(
             f"cannot embed dimension {logical_dim} into total dimension {total}"
         )
-    if parties is None:
-        parties = tuple(f"v{k + 1}" for k in range(len(dims)))
     g = rng.standard_normal((total, logical_dim)) + 1j * rng.standard_normal(
         (total, logical_dim)
     )
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # make distribution Haar
-    return IsometryCode(logical_dim, tuple(parties), dims, q)
+    return IsometryCode(logical_dim, tuple(f"v{k + 1}" for k in range(len(dims))), dims, q)
 
 
 # -- builtin codes ---------------------------------------------------------------

@@ -83,11 +83,6 @@ class KiDecomposition:
         off = self.a_offset(j)
         return self.embed_A[:, off : off + blk.dimL_A * blk.dimR_A]
 
-    def b_block_embed(self, j: int) -> np.ndarray:
-        blk = self.blocks[j]
-        off = self.b_offset(j)
-        return self.embed_B[:, off : off + blk.dimL_B * blk.dimR_B]
-
 
 def merge_cost_K(dec: KiDecomposition) -> int:
     """K = max_j ⌈λ₀(j) · dim a_j^R⌉ (at least 1)."""
@@ -475,7 +470,6 @@ def ki_decompose(
     roles,
     *,
     rank_rtol: float = RANK_RTOL,
-    tol: float = VERIFY_TOL,
 ) -> KiDecomposition:
     """Decompose ψ^{R′AB}; ``roles`` maps "R"/"A"/"B" to register id sets.
 
@@ -524,10 +518,10 @@ def ki_decompose(
                 blocks, merged = _canonical_order(rest + [union]), True
                 break
 
-    return _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol)
+    return _assemble(perm, blocks, r_regs, a_regs, b_regs, s_a)
 
 
-def _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol):
+def _assemble(perm, blocks, r_regs, a_regs, b_regs, s_a):
     embed_a = np.hstack([b.emb for b in blocks])
     embed_b = np.hstack([b.w for b in blocks])
     if np.abs(embed_a.conj().T @ embed_a - np.eye(embed_a.shape[1])).max() > 1e-7:
@@ -542,13 +536,13 @@ def _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol):
     for j, b in enumerate(blocks):
         n_r = b.nu.size
         omega_regs = (
-            Register(f"aL{j}", b.m, "A", role="ki"),
-            Register(f"bL{j}", b.m, "B", role="ki"),
+            Register(f"aL{j}", b.m, "A"),
+            Register(f"bL{j}", b.m, "B"),
         )
         omega = PureState(omega_regs, (b.lvecs * np.sqrt(b.mu)).reshape(-1))
         phi_regs = r_regs + (
-            Register(f"aR{j}", b.n, "A", role="ki"),
-            Register(f"bR{j}", n_r, "B", role="ki"),
+            Register(f"aR{j}", b.n, "A"),
+            Register(f"bR{j}", n_r, "B"),
         )
         phi = PureState(phi_regs, (b.evecs * np.sqrt(b.nu)).reshape(-1))
         ki_blocks.append(
@@ -577,6 +571,8 @@ def _assemble(perm, psi3, blocks, r_regs, a_regs, b_regs, dR, dA, dB, s_a, tol):
         b_registers=b_regs,
     )
     residual = float(np.linalg.norm(rebuild(dec).amplitudes - perm.amplitudes))
-    if residual > tol:
-        raise NumericalDegeneracy(f"reconstruction residual {residual:.2e} exceeds {tol}")
+    if residual > VERIFY_TOL:
+        raise NumericalDegeneracy(
+            f"reconstruction residual {residual:.2e} exceeds {VERIFY_TOL}"
+        )
     return dec

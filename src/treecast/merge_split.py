@@ -138,6 +138,18 @@ def _measured_events(party, basis, targets, outcome) -> list[dict]:
     ]
 
 
+def _bell_folded(columns: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
+    """columns†[(a, l), m] X[a, rest] Φ⁺_K[l, l′]  →  post[m, rest, l′].
+
+    ``columns`` are measurement columns on (a, l), l fastest, and X is
+    ``mat``; Φ⁺_K = Σ_l |l⟩|l⟩/√K is folded into one matmul, so the
+    resource pair is never attached.
+    """
+    n = columns.shape[1]
+    ch = columns.conj().reshape(-1, k * n)
+    return (ch.T @ mat).reshape(k, n, -1).transpose(1, 2, 0) / math.sqrt(k)
+
+
 def _outcome_indices(outcomes, n: int) -> np.ndarray:
     """``outcomes`` as an index array, all ``n`` by default; InputError outside [0, n)."""
     if outcomes is None:
@@ -295,9 +307,9 @@ def split_post_states(
     (all K² by default), each state normalized and in the register
     layout that :func:`split_events` leaves under :func:`apply_event`.
     The compression runs through the interpreter; with its state grouped
-    as X = (buf, rest…) and Φ⁺_K = Σ_l |l⟩|l⟩/√K folded into the Bell
-    columns, one contraction bell† (X ⊗ Φ⁺_K), one batched shift matmul
-    along B₀ and one decompression give every outcome.  A block of
+    as X = (buf, rest…), one contraction bell† (X ⊗ Φ⁺_K)
+    (``_bell_folded``), one batched shift matmul along B₀ and one
+    decompression give every outcome.  A block of
     trivial registers has one branch, outcome 0, whatever ``outcomes``
     asks.
     """
@@ -310,9 +322,7 @@ def split_post_states(
     k, n = protocol.k, len(wanted)
     compressed = apply_event(psi, prefix[0])[0]
     mat, _, rest = _group_first(compressed, [prefix[0]["out"][0].id])
-    # bell†[(buf, l), m] X[buf, rest] Φ⁺[l, l′]  →  post[m, rest, l′]
-    bh = protocol.bell[:, wanted].conj().reshape(k, k * n)
-    posts = (bh.T @ mat).reshape(k, n, -1).transpose(1, 2, 0) / math.sqrt(k)
+    posts = _bell_folded(protocol.bell[:, wanted], mat, k)
     probs = np.linalg.norm(posts.reshape(n, -1), axis=1) ** 2
     dead = probs < PROB_TOL
     if dead.any():
@@ -481,7 +491,7 @@ def _haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
-def _synthesize_measurement(big, g_mat, da, db, k, tol):
+def _synthesize_measurement(big, g_mat, da, db, k):
     """Alternating optimization for the measurement unitary (strategy d).
 
     A coarse phase maximizes the summed branch fidelity; a refinement
@@ -530,10 +540,10 @@ def _synthesize_measurement(big, g_mat, da, db, k, tol):
     q_mat, best_resid = best_q, np.inf
     for it in range(6000):
         if it % 40 == 0:
-            _, _, _, resid = _solve_corrections(big, g_mat, q_mat, da, db, k, tol)
+            _, _, _, resid = _solve_corrections(big, g_mat, q_mat, da, db, k)
             if resid < best_resid:
                 best_resid, best_q = resid, q_mat.copy()
-            if best_resid <= 0.3 * tol:
+            if best_resid <= 0.3 * VERIFY_TOL:
                 break
         _, q_mat = sweep(q_mat)
     return "synthesized", best_q
@@ -552,7 +562,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _solve_corrections(big, g_mat, qcols, da, db, k, tol):
+def _solve_corrections(big, g_mat, qcols, da, db, k):
     """Exact isometries from (1⊗U_m)(⟨q_m|⊗1)Ψ = √p_m G, all outcomes at once.
 
     One batched SVD of the stacked S_m = (⟨q_m|Ψ)ᵀ gives V_m with the
@@ -604,7 +614,6 @@ def build_merge_protocol(
     *,
     k: int | None = None,
     mode: str = "tight",
-    tol: float = VERIFY_TOL,
     rank_rtol: float = RANK_RTOL,
     a0_id: str = "merge:A0",
     b0_id: str = "merge:B0",
@@ -640,16 +649,14 @@ def build_merge_protocol(
     else:
         built = _tight_measurement(structure, da, k_eff)
         if built is None:
-            tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff, tol)
+            tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff)
         else:
             tag, qcols = built
 
-    corrections, probs, zero_mask, resid = _solve_corrections(
-        big, g_mat, qcols, da, db, k_eff, tol
-    )
-    if resid > tol:
+    corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
+    if resid > VERIFY_TOL:
         raise SynthesisFailed(
-            f"strategy {tag!r} correction residual {resid:.2e} exceeds {tol}"
+            f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
         )
     recv = receiver if receiver is not None else (b_regs[0].owner if b_regs else "B")
     return MergeProtocol(
@@ -727,8 +734,8 @@ def merge_post_states(
     Returns ``(probability, post-state)`` per outcome in ``outcomes``
     (all of them by default): the exact branch probability and the
     unnormalized post-measurement state on (rest…, B…, B₀) — B₀ only when
-    k > 1.  With ψ grouped as X = (A…, rest) and Φ⁺_K = Σ_l |l⟩|l⟩/√K,
-    every outcome comes from one contraction Q† (X ⊗ Φ⁺_K).
+    k > 1.  With ψ grouped as X = (A…, rest), every outcome comes from one
+    contraction Q† (X ⊗ Φ⁺_K) (``_bell_folded``).
     """
     k = protocol.k
     mat, _, rest = _group_first(psi, protocol.a_ids)
@@ -736,12 +743,8 @@ def merge_post_states(
     if mat.shape[0] * k != q.shape[0]:
         raise ShapeMismatch("measurement columns do not match the merged share")
     wanted = _outcome_indices(outcomes, q.shape[1])
-    n = len(wanted)
-    # Q†[(a, l), m] X[a, rest] Φ⁺[l, l′]  →  post[m, rest, l′]
-    qh = q[:, wanted].conj().reshape(-1, k * n)
-    posts = (qh.T @ mat).reshape(k, n, -1).transpose(1, 2, 0).reshape(n, -1)
+    posts = _bell_folded(q[:, wanted], mat, k).reshape(len(wanted), -1)
     if k > 1:
-        posts /= math.sqrt(k)
         rest.append(Register(protocol.b0_id, k, protocol.b0_owner))
     probs = np.linalg.norm(posts, axis=1) ** 2
     rest = tuple(rest)

@@ -112,9 +112,6 @@ class RootedTree:
         """All (parent, child) pairs, sorted by child name."""
         return tuple((p, c) for c, p in sorted(self.parent_of.items()))
 
-    def is_leaf(self, v: str) -> bool:
-        return not self.children(v)
-
     # -- labelings ------------------------------------------------------------
 
     def check_ascending(self, labeling) -> tuple[str, ...]:
@@ -176,20 +173,18 @@ class RootedTree:
         return out
 
 
-def line_tree(n: int, prefix: str = "v") -> RootedTree:
+def line_tree(n: int) -> RootedTree:
     """Path v1 - v2 - ... - vN rooted at v1."""
     if n < 1:
         raise BadEdge("a tree needs at least one vertex")
-    edges = [(f"{prefix}{k}", f"{prefix}{k + 1}") for k in range(1, n)]
-    return RootedTree.from_edges(f"{prefix}1", edges)
+    return RootedTree.from_edges("v1", [(f"v{k}", f"v{k + 1}") for k in range(1, n)])
 
 
-def star_tree(n: int, prefix: str = "v") -> RootedTree:
+def star_tree(n: int) -> RootedTree:
     """Center v1 with leaves v2..vN."""
     if n < 1:
         raise BadEdge("a tree needs at least one vertex")
-    edges = [(f"{prefix}1", f"{prefix}{k}") for k in range(2, n + 1)]
-    return RootedTree.from_edges(f"{prefix}1", edges)
+    return RootedTree.from_edges("v1", [("v1", f"v{k}") for k in range(2, n + 1)])
 
 
 def parse_tree(text: str) -> RootedTree:
@@ -254,17 +249,9 @@ def tree_from_json(payload) -> tuple[RootedTree, tuple[str, ...] | None]:
     return tree, labeling
 
 
-def tree_to_document(
-    tree: RootedTree, labeling: tuple[str, ...] | None = None
-) -> dict:
-    """JSON document for a tree (inverse of tree_from_json)."""
-    doc: dict = {
-        "root": tree.root,
-        "edges": [[a, b] for a, b in tree.edges()],
-    }
-    if labeling is not None:
-        doc["labeling"] = list(labeling)
-    return doc
+def tree_to_document(tree: RootedTree) -> dict:
+    """JSON document for a tree (inverse of tree_from_json, without a labeling)."""
+    return {"root": tree.root, "edges": [[a, b] for a, b in tree.edges()]}
 
 
 def load_tree(text: str) -> tuple[RootedTree, tuple[str, ...] | None]:

@@ -18,7 +18,9 @@ correction isometries in ascending order, resurrecting every register
 locally, and finally inverts the encoding.  The per-edge cost is the
 worst tight K over all measurement branches, and every branch's
 protocol is rebuilt at that dimension so the provisioned resource is
-consumed in full.
+consumed in full.  Every branch of a stage has the same K, so the cost
+reports (``concentrating_cost``, ``compare_costs``, the labeling search)
+follow one branch per stage; only ``run_concentrating`` builds them all.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .codes import REFERENCE_ID, IsometryCode, encoded_pair, reference_pair
 from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import (
+    InputError,
     InsufficientResource,
     SynthesisFailed,
     UnknownEdge,
@@ -145,13 +148,17 @@ def _check_parties(code: IsometryCode, tree: RootedTree) -> None:
         )
 
 
+def _ordered(tree: RootedTree, labeling) -> tuple[str, ...]:
+    """``labeling`` checked to be ascending, or the tree's default one."""
+    return tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
+
+
 def run_spreading(
     code: IsometryCode,
     tree: RootedTree,
     labeling=None,
     *,
     k_overrides: dict[str, int] | None = None,
-    tol: float = VERIFY_TOL,
     rank_rtol: float = RANK_RTOL,
 ) -> SpreadResult:
     """Execute the spreading protocol with exhaustive per-split checking.
@@ -161,9 +168,7 @@ def run_spreading(
     InsufficientResource (no exact protocol exists there).
     """
     _check_parties(code, tree)
-    order = (
-        tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
-    )
+    order = _ordered(tree, labeling)
     state, target = _root_held(code, tree)
     overrides = dict(k_overrides or {})
     steps = []
@@ -188,7 +193,7 @@ def run_spreading(
                     ref = br.state
                 else:
                     worst_dev = max(worst_dev, abs(abs(overlap(br.state, ref)) - 1.0))
-        if worst_dev > tol:
+        if worst_dev > VERIFY_TOL:
             raise VerificationFailed(
                 f"split outcomes at edge ({parent}, {child}) disagree by {worst_dev:.2e}"
             )
@@ -254,10 +259,9 @@ def spreading_lower_bound_check(
 
 @dataclass(frozen=True, eq=False)
 class MergeStepRecord:
-    level: int  # index k in the labeling (2-based; v_k merges at stage k)
+    """The merge of one branch, stored at ``steps[k][outcomes of stages N..k+1]``."""
+
     vertex: str
-    parent: str
-    prefix: tuple[int, ...]  # outcomes of stages N..k+1 leading here
     kmin: int  # tight minimum for this branch
     protocol: MergeProtocol  # built at the edge-wide resource dimension
 
@@ -297,12 +301,11 @@ def _roles_for(state: PureState, party: str):
     return (tuple(r_ids), tuple(a_ids), tuple(b_ids))
 
 
-def _build_step(state, roles, *, mode, k, tol, rank_rtol, ids, receiver, b0_owner):
+def _build_step(state, roles, *, mode, k, rank_rtol, ids, receiver, b0_owner):
     """Tight protocol with fallback on synthesis failure; returns (proto, fell_back)."""
     a0_id, b0_id = ids
     common = dict(
         k=k,
-        tol=tol,
         rank_rtol=rank_rtol,
         a0_id=a0_id,
         b0_id=b0_id,
@@ -330,13 +333,11 @@ def _concentrate_stage(
     live,
     tree: RootedTree,
     vertex: str,
-    root: str,
     level: int,
     *,
     mode: str,
     branch_budget: int | None,
     seed: int,
-    tol: float,
     rank_rtol: float,
 ) -> _Stage:
     """Stage ``level``: ``vertex`` merges what it holds into the root's collective.
@@ -349,7 +350,7 @@ def _concentrate_stage(
     live.  When the live branches that come out exceed ``branch_budget``,
     the kept ones are drawn from a generator made from ``seed`` and
     ``level`` alone.  So the stage is a function of (live, vertex, level,
-    seed).  The labeling search passes a single branch and no budget,
+    seed).  Costs pass a single branch and no budget (``_branch_stage``),
     since every branch of a stage has the same K.
     """
     parent = tree.parent(vertex)
@@ -360,10 +361,9 @@ def _concentrate_stage(
             _roles_for(state, vertex),
             mode=mode,
             k=k,
-            tol=tol,
             rank_rtol=rank_rtol,
             ids=(f"ent:{vertex}:A0", f"ent:{vertex}:B0"),
-            receiver=root,
+            receiver=tree.root,
             b0_owner=parent,
         )
 
@@ -382,14 +382,7 @@ def _concentrate_stage(
                 else:
                     proto, fell = build(state, k_edge)
                 edge_fell = edge_fell or fell
-                records[prefix] = MergeStepRecord(
-                    level=level,
-                    vertex=vertex,
-                    parent=parent,
-                    prefix=prefix,
-                    kmin=tight_proto.kmin,
-                    protocol=proto,
-                )
+                records[prefix] = MergeStepRecord(vertex, tight_proto.kmin, proto)
             break
         except InsufficientResource:
             # a fallback rebuild needed more than another branch's tight
@@ -430,23 +423,21 @@ def run_concentrating(
     mode: str = "tight",
     branch_budget: int | None = None,
     seed: int = 0,
-    tol: float = VERIFY_TOL,
     rank_rtol: float = RANK_RTOL,
     replay: bool = True,
 ) -> ConcentrateResult:
-    """Synthesize and execute the concentrating protocol.
+    """Synthesize and execute the concentrating protocol on every branch.
 
     Stages run from the last label to the second (``_concentrate_stage``).
     ``branch_budget`` caps how many branches stay live after each stage
     (the all-zero outcome path is always kept); with no budget the walk
-    is exhaustive.
+    is exhaustive.  Its cost report equals ``concentrating_cost``, which
+    follows one branch.
     """
     _check_parties(code, tree)
-    order = (
-        tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
-    )
+    order = _ordered(tree, labeling)
     n = len(order)
-    live = [((), 1.0, encoded_pair(code).normalized())]
+    live = [_first_branch(code)]
     store: dict[int, dict[tuple[int, ...], MergeStepRecord]] = {}
     items = []
     explored_all = True
@@ -457,12 +448,10 @@ def run_concentrating(
             live,
             tree,
             order[k_stage - 1],
-            order[0],
             k_stage,
             mode=mode,
             branch_budget=branch_budget,
             seed=seed,
-            tol=tol,
             rank_rtol=rank_rtol,
         )
         if stage.fell_back:
@@ -513,7 +502,7 @@ def _replay_root_corrections(
         proto = store[j][prefix].protocol
         state = apply_merge_correction(proto, m_j, state)
     phys = tuple(state.register(p) for p in code.parties)
-    logical = Register("L", code.logical_dim, order[0], role="logical")
+    logical = Register("L", code.logical_dim, order[0])
     decoder = LinearMap(phys, (logical,), code.matrix.conj().T)
     return apply_map(state, decoder)
 
@@ -526,29 +515,75 @@ def _fidelity_to_reference(code: IsometryCode, final: PureState) -> float:
     return abs(overlap(final.normalized(), target))
 
 
+def _first_branch(code: IsometryCode):
+    """The branch entering the first stage: no outcomes yet, the encoded pair."""
+    return ((), 1.0, encoded_pair(code).normalized())
+
+
+def _branch_stage(
+    branch, tree: RootedTree, vertex: str, level: int, *, mode: str, rank_rtol: float
+) -> _Stage:
+    """Stage ``level`` built on the one branch ``branch``, with no budget.
+
+    After a set S has merged, each branch holds ψ with S's registers
+    regrouped at their nearest unmerged ancestors, up to local unitaries
+    and product junk.  Koashi–Imoto block structure, and so the tight K,
+    is invariant under local unitaries, as is the fallback's marginal
+    rank.  So the stage's K depends on S and the vertex, not on the order
+    S merged in nor on the branch, and one branch gives it.  Every
+    concentrating cost is read from this step.
+    """
+    return _concentrate_stage(
+        [branch], tree, vertex, level, mode=mode, branch_budget=None, seed=0, rank_rtol=rank_rtol
+    )
+
+
 def concentrating_cost(
     code: IsometryCode,
     tree: RootedTree,
     labeling=None,
     *,
     mode: str = "tight",
-    branch_budget: int | None = None,
-    seed: int = 0,
-    tol: float = VERIFY_TOL,
     rank_rtol: float = RANK_RTOL,
 ) -> CostReport:
-    """Concentrating cost report (protocol synthesis without the replay)."""
-    return run_concentrating(
-        code,
-        tree,
-        labeling,
-        mode=mode,
-        branch_budget=branch_budget,
-        seed=seed,
-        tol=tol,
-        rank_rtol=rank_rtol,
-        replay=False,
-    ).cost_report
+    """Concentrating cost report, one branch per stage (``_branch_stage``).
+
+    Each stage runs on the first live outcome of the stage before, so a
+    labeling of N vertices builds N − 1 merge protocols.  The report
+    equals the ``cost_report`` of ``run_concentrating`` in the same mode,
+    under any branch budget and seed.
+    """
+    _check_parties(code, tree)
+    order = _ordered(tree, labeling)
+    branch = _first_branch(code)
+    items = []
+    for level in range(len(order), 1, -1):
+        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
+        items.append(stage.edge)
+        branch = stage.live[0]
+    return _sorted_edge_costs("concentrate", items)
+
+
+def _branch_state(
+    code: IsometryCode, tree: RootedTree, order, outcomes, *, mode: str, rank_rtol: float
+) -> PureState:
+    """The state entering stage N − len(``outcomes``) on the branch they name.
+
+    Walks the stages of ``order`` on that one branch (``_branch_stage``).
+    An outcome outside a stage's range, or of zero probability, raises
+    InputError.
+    """
+    branch = _first_branch(code)
+    for level, m in zip(range(len(order), 1, -1), outcomes):
+        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
+        count = stage.records[branch[0]].protocol.measurement.shape[1]
+        if not 0 <= m < count:
+            raise InputError(f"stage {level} has outcomes 0..{count - 1}, not {m}")
+        taken = [br for br in stage.live if br[0][-1] == m]
+        if not taken:
+            raise InputError(f"stage {level} outcome {m} has zero probability")
+        branch = taken[0]
+    return branch[2]
 
 
 # -- comparisons and labeling search -------------------------------------------
@@ -572,24 +607,12 @@ def compare_costs(
     labeling=None,
     *,
     mode: str = "tight",
-    branch_budget: int | None = None,
-    seed: int = 0,
     rank_rtol: float = RANK_RTOL,
 ) -> CostComparison:
-    order = (
-        tree.check_ascending(labeling) if labeling is not None else tree.default_labeling()
-    )
+    order = _ordered(tree, labeling)
     return CostComparison(
         spread=spreading_cost(code, tree, rank_rtol),
-        concentrate=concentrating_cost(
-            code,
-            tree,
-            order,
-            mode=mode,
-            branch_budget=branch_budget,
-            seed=seed,
-            rank_rtol=rank_rtol,
-        ),
+        concentrate=concentrating_cost(code, tree, order, mode=mode, rank_rtol=rank_rtol),
         labeling=order,
     )
 
@@ -599,47 +622,33 @@ def _set_stage_costs(
 ) -> dict[tuple[frozenset[str], str], EdgeCost]:
     """Edge cost of every stage, keyed by (set merged before it, its vertex).
 
-    After a set S has merged, each branch holds ψ with S's registers
-    regrouped at their nearest unmerged ancestors, up to local unitaries
-    and product junk.  Koashi–Imoto block structure, and so the tight K,
-    is invariant under local unitaries, as is the fallback's marginal
-    rank.  So the stage's K depends on S and the vertex, not on the order
-    S merged in nor on which branches a budget kept, and one branch gives
-    it: the walk carries only the first live outcome of each stage, and
-    builds one merge protocol per (S, vertex) stage.  It goes no deeper
-    from a set it has already walked.  Only the costs are kept, and a
-    stage is freed once the walk has moved past it, so at most n − 1
-    stages are alive at once.
+    A stage's K depends on the set and the vertex alone
+    (``_branch_stage``), so the walk carries only the first live outcome
+    of each stage, and builds one merge protocol per (set, vertex) stage.
+    It goes no deeper from a set it has already walked.  Only the costs
+    are kept, and a stage is freed once the walk has moved past it, so at
+    most n − 1 stages are alive at once.
     """
     n = len(tree.vertices)
     edges: dict[tuple[frozenset[str], str], EdgeCost] = {}
     walked: set[frozenset[str]] = set()
 
-    def walk(merged, live):
+    def walk(merged, branch):
         for vertex in tree.vertices:
             # mergeable: not the root, not merged yet, every child merged
             kids = tree.children(vertex)
             if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
                 continue
-            stage = _concentrate_stage(
-                live,
-                tree,
-                vertex,
-                tree.root,
-                n - len(merged),
-                mode=mode,
-                branch_budget=None,
-                seed=0,
-                tol=VERIFY_TOL,
-                rank_rtol=rank_rtol,
+            stage = _branch_stage(
+                branch, tree, vertex, n - len(merged), mode=mode, rank_rtol=rank_rtol
             )
             edges[merged, vertex] = stage.edge
             grown = merged | {vertex}
             if grown not in walked:
                 walked.add(grown)
-                walk(grown, stage.live[:1])
+                walk(grown, stage.live[0])
 
-    walk(frozenset(), [((), 1.0, encoded_pair(code).normalized())])
+    walk(frozenset(), _first_branch(code))
     return edges
 
 
@@ -654,9 +663,8 @@ def optimize_labeling(
     """Search all ascending labelings for the cheapest concentrating total.
 
     Returns the winner, its cost report (equal to ``concentrating_cost``
-    on it in the same mode, with any branch budget and seed) and every
-    candidate's total.  Ties break lexicographically on the labeling
-    tuple.  Raises TooLarge when the labeling count exceeds ``limit``.
+    on it in the same mode) and every candidate's total.  Ties break
+    lexicographically on the labeling tuple.  Raises TooLarge when the labeling count exceeds ``limit``.
     Each candidate's edges are read from the per-set stage costs of
     ``_set_stage_costs``, which follow one branch per merged set.
     """

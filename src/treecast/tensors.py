@@ -27,12 +27,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Register:
-    """One named subsystem: identity, dimension, owning party, and a role tag."""
+    """One named subsystem: identity, dimension and owning party."""
 
     id: str
     dim: int
     owner: str
-    role: str = "physical"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -116,9 +115,6 @@ class PureState:
         if n == 0.0:
             raise ShapeMismatch("cannot normalize the zero vector")
         return PureState(self.registers, self.amplitudes / n)
-
-    def with_amplitudes(self, amps: np.ndarray) -> PureState:
-        return PureState(self.registers, amps)
 
 
 @dataclass(frozen=True)

@@ -263,11 +263,10 @@ def _assemble(
     code_name: str | None,
     seed: int,
     tolerances: dict | None,
-    gate_tol: float,
 ) -> dict:
     """The trace document, once the target-fidelity gate passes."""
     fid = abs(overlap(rec.state.normalized(), target))
-    if fid < 1.0 - gate_tol:
+    if fid < 1.0 - VERIFY_TOL:
         raise VerificationFailed(
             f"trace construction drifted from the target state "
             f"(fidelity {fid:.12f})"
@@ -317,7 +316,6 @@ def spread_trace(
     code_name: str | None = None,
     seed: int = 0,
     tolerances: dict | None = None,
-    gate_tol: float = VERIFY_TOL,
 ) -> dict:
     """Trace one fixed-outcome spreading run (default: all outcomes 0).
 
@@ -355,7 +353,6 @@ def spread_trace(
         code_name=code_name,
         seed=seed,
         tolerances=tolerances,
-        gate_tol=gate_tol,
     )
 
 
@@ -368,7 +365,6 @@ def concentrate_trace(
     code_name: str | None = None,
     seed: int = 0,
     tolerances: dict | None = None,
-    gate_tol: float = VERIFY_TOL,
 ) -> dict:
     """Trace one branch of a concentrating run (default: all outcomes 0).
 
@@ -425,7 +421,6 @@ def concentrate_trace(
         code_name=code_name,
         seed=seed,
         tolerances=tolerances,
-        gate_tol=gate_tol,
     )
 
 

@@ -57,6 +57,8 @@ from .tensors import (
 )
 
 DEFAULT_CHANNEL_TOL = 1e-8
+# outcome paths sampled per input beside the all-zero one
+EXTRA_PATHS = 2
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def random_input(rng, dim: int) -> np.ndarray:
 def _encoded_input(code: IsometryCode, psi: np.ndarray) -> PureState:
     """(1 ⊗ U)|psi⟩ on (R, physical registers), same ids as encoded_pair."""
     amps = np.einsum("pl,rl->rp", code.matrix, psi).reshape(-1)
-    ref = Register(REFERENCE_ID, code.logical_dim, "reference", role="reference")
+    ref = Register(REFERENCE_ID, code.logical_dim, "reference")
     return PureState((ref,) + code.physical_registers(), amps)
 
 
@@ -98,7 +100,6 @@ def verify_spreading_channel(
     result: SpreadResult | None = None,
     *,
     samples: int = 20,
-    extra_paths: int = 2,
     seed: int = 0,
     tol: float = DEFAULT_CHANNEL_TOL,
     labeling=None,
@@ -107,7 +108,7 @@ def verify_spreading_channel(
 
     Each input is purified through the reference register, pushed
     through every split along the all-zero outcome path plus
-    ``extra_paths`` uniformly sampled paths, and the reduced output on
+    ``EXTRA_PATHS`` uniformly sampled paths, and the reduced output on
     the physical registers is compared to U rho U† in trace distance,
     taken in the range of the two amplitude matrices.
     """
@@ -121,7 +122,7 @@ def verify_spreading_channel(
     phys = [r.id for r in result.final_state.registers if r.id in phys_set]
     worst_td = 0.0
     worst_pdev = 0.0
-    n_paths = 1 + extra_paths
+    n_paths = 1 + EXTRA_PATHS
     for _ in range(samples):
         psi = random_input(rng, code.logical_dim)
         target = _encoded_input(code, psi)
@@ -153,7 +154,7 @@ def verify_spreading_channel(
     )
 
 
-def _pick_branch_paths(result: ConcentrateResult, extra_paths: int, rng):
+def _pick_branch_paths(result: ConcentrateResult, rng):
     """The all-zero branch when present, plus sampled distinct others."""
     all_paths = [br.outcomes for br in result.branches]
     if not all_paths:
@@ -161,7 +162,7 @@ def _pick_branch_paths(result: ConcentrateResult, extra_paths: int, rng):
     zeros = [p for p in all_paths if all(m == 0 for m in p)]
     first = zeros[0] if zeros else all_paths[0]
     rest = [p for p in all_paths if p != first]
-    take = min(extra_paths, len(rest))
+    take = min(EXTRA_PATHS, len(rest))
     picked = rng.choice(len(rest), size=take, replace=False) if take else []
     return [first] + [rest[int(i)] for i in sorted(picked)]
 
@@ -172,7 +173,6 @@ def verify_concentrating_channel(
     result: ConcentrateResult | None = None,
     *,
     samples: int = 20,
-    extra_paths: int = 2,
     seed: int = 0,
     tol: float = DEFAULT_CHANNEL_TOL,
     labeling=None,
@@ -191,7 +191,7 @@ def verify_concentrating_channel(
     order = result.labeling
     n = len(order)
     by_path = {br.outcomes: br.probability for br in result.branches}
-    paths = _pick_branch_paths(result, extra_paths, rng)
+    paths = _pick_branch_paths(result, rng)
     worst_td = 0.0
     worst_pdev = 0.0
     for _ in range(samples):
@@ -226,32 +226,12 @@ def verify_channels(
     *,
     labeling=None,
     samples: int = 20,
-    extra_paths: int = 2,
     seed: int = 0,
     tol: float = DEFAULT_CHANNEL_TOL,
-    spread_result: SpreadResult | None = None,
-    concentrate_result: ConcentrateResult | None = None,
 ) -> dict[str, ChannelCheck]:
-    """Both directions at once; builds any result not supplied."""
+    """Both directions at once, each on a fresh run."""
+    common = dict(samples=samples, seed=seed, tol=tol, labeling=labeling)
     return {
-        "spread": verify_spreading_channel(
-            code,
-            tree,
-            spread_result,
-            samples=samples,
-            extra_paths=extra_paths,
-            seed=seed,
-            tol=tol,
-            labeling=labeling,
-        ),
-        "concentrate": verify_concentrating_channel(
-            code,
-            tree,
-            concentrate_result,
-            samples=samples,
-            extra_paths=extra_paths,
-            seed=seed,
-            tol=tol,
-            labeling=labeling,
-        ),
+        "spread": verify_spreading_channel(code, tree, **common),
+        "concentrate": verify_concentrating_channel(code, tree, **common),
     }

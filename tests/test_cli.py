@@ -387,6 +387,28 @@ class TestKi:
             assert code == 2
             assert doc["error"]["type"] == "InputError"
 
+    def test_ki_prefix_of_zero_probability(self, capsys):
+        # v3 of product:2,2,2 holds a fixed |0>: outcome 1 of its merge never occurs
+        code, doc = run_json(
+            capsys, "ki", "--code", "product:2,2,2", "--tree", "line:3", "--prefix", "1"
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "InputError"
+        assert doc["error"]["message"] == "stage 3 outcome 1 has zero probability"
+
+    def test_ki_ignores_branches_and_seed(self, capsys):
+        # ki follows the branch --prefix names, so a branch sample that would
+        # not keep it changes nothing; both flags are still checked
+        argv = ("ki", "--code", "five_qubit", "--tree", "line:5", "--prefix", "1,1")
+        docs = []
+        for extra in ((), ("--branches", "sample:2"), ("--branches", "sample:1", "--seed", "5")):
+            code, doc = run_json(capsys, *argv, *extra)
+            assert code == 0
+            docs.append({k: doc[k] for k in ("A", "K", "blocks", "stage")})
+        assert docs[1:] == docs[:1] * 2
+        code, doc = run_json(capsys, *argv, "--branches", "sample:0")
+        assert code == 2
+
 
 class TestErrorsAndExitCodes:
     def test_unknown_builtin(self, capsys):

@@ -539,7 +539,7 @@ class TestBatchedSolve:
     def test_matches_per_outcome_loop(self, psi, roles, kwargs):
         proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
         args = solve_inputs(proto, psi)
-        corrections, probs, zero_mask, resid = _solve_corrections(*args, VERIFY_TOL)
+        corrections, probs, zero_mask, resid = _solve_corrections(*args)
         ref_corr, ref_probs, ref_zero, ref_resid = solve_corrections_loop(
             *args, VERIFY_TOL
         )
@@ -572,7 +572,7 @@ class TestBatchedSolve:
             for m in range(2)
         ]
         assert ranks == [2, 1]
-        got = _solve_corrections(big, g_mat, qcols, 2, 2, 1, VERIFY_TOL)
+        got = _solve_corrections(big, g_mat, qcols, 2, 2, 1)
         ref = solve_corrections_loop(big, g_mat, qcols, 2, 2, 1, VERIFY_TOL)
         assert got[2] == ref[2] == (False, False)
         assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)
@@ -589,7 +589,7 @@ class TestBatchedSolve:
         g_mat = big.reshape(3, 6)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         qcols = np.linalg.qr(g)[0]
-        got = _solve_corrections(big, g_mat, qcols, 2, 3, 1, VERIFY_TOL)
+        got = _solve_corrections(big, g_mat, qcols, 2, 3, 1)
         ref = solve_corrections_loop(big, g_mat, qcols, 2, 3, 1, VERIFY_TOL)
         assert got[2] == ref[2]
         assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)

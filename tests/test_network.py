@@ -38,7 +38,7 @@ def test_structure_maps_on_a_small_tree():
     assert t.subtree("b") == ("b", "c")
     assert t.subtree("r") == ("a", "b", "c", "r")
     assert t.edges() == (("r", "a"), ("r", "b"), ("b", "c"))
-    assert t.is_leaf("a") and not t.is_leaf("b")
+    assert not t.children("a") and t.children("b")
 
 
 def test_construction_rejects_malformed_inputs():

@@ -19,6 +19,7 @@ from treecast.codes import (
 from treecast import protocols
 from treecast.config import RANK_RTOL
 from treecast.errors import (
+    InputError,
     InsufficientResource,
     NotAscending,
     NumericalDegeneracy,
@@ -50,7 +51,7 @@ def state_on(names, table):
     The first bit indexes R, the rest the named registers in order; each
     named register is owned by the party of the same name.
     """
-    regs = (Register("R", 2, "reference", role="reference"),) + tuple(
+    regs = (Register("R", 2, "reference"),) + tuple(
         Register(n, 2, n) for n in names
     )
     amps = np.zeros(2 ** len(regs), dtype=complex)
@@ -406,10 +407,10 @@ class TestComparisonsAndSearch:
 
 
 def reference_search(code, tree, **kwargs):
-    """The former optimize_labeling: one full concentrating_cost per candidate."""
+    """The former optimize_labeling: one run on every branch per candidate."""
     best, totals = None, {}
     for cand in tree.ascending_labelings():
-        report = concentrating_cost(code, tree, cand, **kwargs)
+        report = run_concentrating(code, tree, cand, replay=False, **kwargs).cost_report
         totals[cand] = report.total_log2
         key = (report.total_log2, cand)
         if best is None or key < best[0]:
@@ -454,9 +455,11 @@ class TestSharedSuffixSearch:
         ref_best, ref_report, ref_totals = reference_search(code, tree, **kwargs)
         assert list(totals.items()) == list(ref_totals.items())
         assert (best, report) == (ref_best, ref_report)
-        assert report == concentrating_cost(code, tree, best, **kwargs)
+        full = run_concentrating(code, tree, best, replay=False, **kwargs)
+        assert report == full.cost_report
+        assert report == concentrating_cost(code, tree, best, mode=kwargs.get("mode", "tight"))
         if "branch_budget" in kwargs:  # the budget cut branches, so the sampler ran
-            assert not run_concentrating(code, tree, best, replay=False, **kwargs).explored_all
+            assert not full.explored_all
 
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     @pytest.mark.parametrize("name", SEARCH_INPUTS)
@@ -467,7 +470,7 @@ class TestSharedSuffixSearch:
         kwargs = SEARCH_MODES[mode]
         fresh = {}
         for cand in tree.ascending_labelings():
-            report = concentrating_cost(code, tree, cand, **kwargs)
+            report = run_concentrating(code, tree, cand, replay=False, **kwargs).cost_report
             for i in range(1, len(cand)):
                 key = (frozenset(cand[i + 1 :]), cand[i])
                 fresh.setdefault(key, set()).add(report.cost_of(cand[i]))
@@ -529,3 +532,134 @@ class TestSharedSuffixSearch:
         optimize_labeling(code, tree)
         assert peak[0] <= len(tree.vertices) - 1
         assert alive == {"stages": 0, "held": 0}
+
+
+# -- one branch per stage --------------------------------------------------------------
+
+
+def random_inputs():
+    """Seeded Haar-random qubit codes on 2–4-vertex lines and stars."""
+    out = {}
+    for n in (2, 3, 4):
+        for star, (shape, make) in enumerate((("line", line_tree), ("star", star_tree))):
+            out[f"random-{shape}{n}"] = lambda n=n, star=star, make=make: (
+                random_code(np.random.default_rng([91, n, star]), 2, (2,) * n),
+                make(n),
+            )
+    return out
+
+
+# five_qubit on line:5 in fallback mode has 65,536 branches; it is checked
+# under a branch budget only
+BRANCH_INPUTS = {
+    "five_qubit-line": lambda: (five_qubit_code(), line_tree(5)),
+    "five_qubit-star": lambda: (five_qubit_code(), star_tree(5)),
+    "five_qubit-branched": lambda: (five_qubit_code(), parse_tree("v1-v2,v1-v3,v3-v4,v3-v5")),
+    "star4": lambda: (star4_code(), star_tree(4)),
+    "ghz4-line": lambda: (ghz_code(4), line_tree(4)),
+    "identity": lambda: (identity_code(2, 3), star_tree(3)),
+    "product": lambda: (product_code((2, 2, 2)), line_tree(3)),
+    **random_inputs(),
+}
+EXHAUSTIVE = [
+    (name, mode)
+    for name in BRANCH_INPUTS
+    for mode in ("tight", "fallback")
+    if (name, mode) != ("five_qubit-line", "fallback")
+]
+
+
+class TestOneBranchCosts:
+    @pytest.mark.parametrize("name, mode", EXHAUSTIVE)
+    def test_every_branch_of_a_stage_has_one_k(self, name, mode):
+        # the invariance the cost walk rests on: in an exhaustive run all
+        # records of a stage share the tight minimum and the built K, and the
+        # one-branch cost equals the all-branch one
+        code, tree = BRANCH_INPUTS[name]()
+        full = run_concentrating(code, tree, mode=mode, replay=False)
+        assert full.explored_all
+        for level, records in full.steps.items():
+            assert len({rec.kmin for rec in records.values()}) == 1, level
+            assert len({rec.protocol.k for rec in records.values()}) == 1, level
+        assert concentrating_cost(code, tree, mode=mode) == full.cost_report
+
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    @pytest.mark.parametrize("name", BRANCH_INPUTS)
+    def test_cost_equals_budgeted_runs(self, name, mode):
+        code, tree = BRANCH_INPUTS[name]()
+        report = concentrating_cost(code, tree, mode=mode)
+        for budget, seed in ((1, 0), (3, 5), (8, 13)):
+            sampled = run_concentrating(
+                code, tree, mode=mode, branch_budget=budget, seed=seed, replay=False
+            )
+            assert report == sampled.cost_report, (budget, seed)
+        assert compare_costs(code, tree, mode=mode).concentrate == report
+
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    def test_cost_builds_one_protocol_per_stage(self, monkeypatch, mode):
+        real = protocols.build_merge_protocol
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs.get("k"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        report = concentrating_cost(five_qubit_code(), line_tree(5), mode=mode)
+        assert len(builds) == 4
+        expected = (1, 1, 1, 1) if mode == "tight" else (4, 8, 4, 2)
+        assert tuple(report.by_child()[v] for v in ("v2", "v3", "v4", "v5")) == expected
+
+    def test_ki_walks_only_the_prefix_stages(self, monkeypatch, capsys):
+        from treecast import cli
+
+        real = protocols.build_merge_protocol
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs.get("k"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        argv = ["ki", "--code", "five_qubit", "--tree", "line:5", "--mode", "fallback",
+                "--prefix", "0,0", "--format", "structured"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # stages 5 and 4 name the branch; stage 3 is decomposed, not built
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    @pytest.mark.parametrize("name", ["five_qubit-star", "star4", "random-line4"])
+    def test_branch_state_matches_the_full_run(self, name, mode):
+        # the state ki decomposes: walking one branch reaches the state the
+        # all-branch run's own records lead to on that branch (every prefix
+        # of eight branches spread over the run)
+        code, tree = BRANCH_INPUTS[name]()
+        full = run_concentrating(code, tree, mode=mode, replay=False)
+        order, n = full.labeling, len(full.labeling)
+        for br in full.branches[:: max(1, len(full.branches) // 8)]:
+            state = encoded_pair(code).normalized()
+            for j in range(n, 2, -1):
+                prefix = br.outcomes[: n - j + 1]
+                rec = full.steps[j][prefix[:-1]]
+                state = merge_post_state(rec.protocol, state, prefix[-1])[1].normalized()
+                got = protocols._branch_state(
+                    code, tree, order, prefix, mode=mode, rank_rtol=RANK_RTOL
+                )
+                assert got.ids == state.ids
+                assert np.allclose(got.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
+
+    def test_branch_state_refuses_bad_outcomes(self):
+        # product:2,2,2 on line:3: v3 holds a fixed |0>, so outcome 1 of its
+        # two-outcome merge has zero probability
+        code, tree = product_code((2, 2, 2)), line_tree(3)
+        order = tree.default_labeling()
+        full = run_concentrating(code, tree, replay=False)
+        assert full.steps[3][()].protocol.zero_mask == (False, True)
+        walk = dict(code=code, tree=tree, order=order, mode="tight", rank_rtol=RANK_RTOL)
+        assert protocols._branch_state(outcomes=(0,), **walk).ids == ("R", "v1", "v2")
+        with pytest.raises(InputError, match="stage 3 outcome 1 has zero probability"):
+            protocols._branch_state(outcomes=(1,), **walk)
+        for bad in (2, -1):
+            with pytest.raises(InputError, match=f"stage 3 has outcomes 0..1, not {bad}"):
+                protocols._branch_state(outcomes=(bad,), **walk)
