@@ -27,7 +27,7 @@ from .koashi_imoto import ki_decompose, merge_cost_K
 from .network import load_tree, tree_to_document
 from .protocols import (
     CostComparison,
-    _branch_state,
+    _branch_walk,
     _roles_for,
     concentrating_cost,
     optimize_labeling,
@@ -533,7 +533,7 @@ def _cmd_ki(args):
                 f"prefix of length {len(prefix)} leaves no merge to analyze "
                 f"({n} parties)"
             )
-        psi = _branch_state(
+        _, (_, _, psi) = _branch_walk(
             code, tree, labeling, prefix, mode=args.mode, rank_rtol=args.tol_rank
         )
         stage = n - len(prefix)

@@ -538,6 +538,38 @@ def _branch_stage(
     )
 
 
+def _branch_walk(
+    code: IsometryCode, tree: RootedTree, order, outcomes=None, *, mode: str, rank_rtol: float
+):
+    """Stages of ``order`` on one branch: (their edge costs, the branch reached).
+
+    Each stage is built on the one branch the walk carries
+    (``_branch_stage``).  With ``outcomes`` None the walk runs all N − 1
+    stages, carrying each one's first live outcome; otherwise it runs one
+    stage per outcome named and carries that outcome.  An outcome outside
+    a stage's range, or of zero probability, raises InputError.
+    """
+    _check_parties(code, tree)
+    if outcomes is None:
+        outcomes = (None,) * (len(order) - 1)
+    branch = _first_branch(code)
+    edges = []
+    for level, m in zip(range(len(order), 1, -1), outcomes):
+        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
+        edges.append(stage.edge)
+        if m is None:
+            branch = stage.live[0]
+            continue
+        count = stage.records[branch[0]].protocol.measurement.shape[1]
+        if not 0 <= m < count:
+            raise InputError(f"stage {level} has outcomes 0..{count - 1}, not {m}")
+        taken = [br for br in stage.live if br[0][-1] == m]
+        if not taken:
+            raise InputError(f"stage {level} outcome {m} has zero probability")
+        branch = taken[0]
+    return edges, branch
+
+
 def concentrating_cost(
     code: IsometryCode,
     tree: RootedTree,
@@ -546,44 +578,15 @@ def concentrating_cost(
     mode: str = "tight",
     rank_rtol: float = RANK_RTOL,
 ) -> CostReport:
-    """Concentrating cost report, one branch per stage (``_branch_stage``).
+    """Concentrating cost report, one branch per stage (``_branch_walk``).
 
-    Each stage runs on the first live outcome of the stage before, so a
-    labeling of N vertices builds N − 1 merge protocols.  The report
+    A labeling of N vertices builds N − 1 merge protocols.  The report
     equals the ``cost_report`` of ``run_concentrating`` in the same mode,
     under any branch budget and seed.
     """
-    _check_parties(code, tree)
     order = _ordered(tree, labeling)
-    branch = _first_branch(code)
-    items = []
-    for level in range(len(order), 1, -1):
-        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
-        items.append(stage.edge)
-        branch = stage.live[0]
-    return _sorted_edge_costs("concentrate", items)
-
-
-def _branch_state(
-    code: IsometryCode, tree: RootedTree, order, outcomes, *, mode: str, rank_rtol: float
-) -> PureState:
-    """The state entering stage N − len(``outcomes``) on the branch they name.
-
-    Walks the stages of ``order`` on that one branch (``_branch_stage``).
-    An outcome outside a stage's range, or of zero probability, raises
-    InputError.
-    """
-    branch = _first_branch(code)
-    for level, m in zip(range(len(order), 1, -1), outcomes):
-        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
-        count = stage.records[branch[0]].protocol.measurement.shape[1]
-        if not 0 <= m < count:
-            raise InputError(f"stage {level} has outcomes 0..{count - 1}, not {m}")
-        taken = [br for br in stage.live if br[0][-1] == m]
-        if not taken:
-            raise InputError(f"stage {level} outcome {m} has zero probability")
-        branch = taken[0]
-    return branch[2]
+    edges, _ = _branch_walk(code, tree, order, mode=mode, rank_rtol=rank_rtol)
+    return _sorted_edge_costs("concentrate", edges)
 
 
 # -- comparisons and labeling search -------------------------------------------

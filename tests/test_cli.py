@@ -396,6 +396,13 @@ class TestKi:
         assert doc["error"]["type"] == "InputError"
         assert doc["error"]["message"] == "stage 3 outcome 1 has zero probability"
 
+    @pytest.mark.parametrize("prefix", [(), ("--prefix", "0")])
+    def test_ki_refuses_a_code_that_does_not_fit_the_tree(self, capsys, prefix):
+        # five_qubit has five parties and line:4 four vertices
+        code, doc = run_json(capsys, "ki", "--code", "five_qubit", "--tree", "line:4", *prefix)
+        assert code == 2
+        assert doc["error"]["type"] == "UnknownEdge"
+
     def test_ki_ignores_branches_and_seed(self, capsys):
         # ki follows the branch --prefix names, so a branch sample that would
         # not keep it changes nothing; both flags are still checked

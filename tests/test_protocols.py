@@ -572,15 +572,26 @@ EXHAUSTIVE = [
 class TestOneBranchCosts:
     @pytest.mark.parametrize("name, mode", EXHAUSTIVE)
     def test_every_branch_of_a_stage_has_one_k(self, name, mode):
-        # the invariance the cost walk rests on: in an exhaustive run all
-        # records of a stage share the tight minimum and the built K, and the
-        # one-branch cost equals the all-branch one
+        # the invariance the cost walk rests on: each live branch of a stage,
+        # built alone at its own K (its fallback, if any, included), needs
+        # the K the exhaustive run charges the edge; the run's records share
+        # one tight minimum; and the one-branch cost equals the run's report
         code, tree = BRANCH_INPUTS[name]()
         full = run_concentrating(code, tree, mode=mode, replay=False)
         assert full.explored_all
-        for level, records in full.steps.items():
-            assert len({rec.kmin for rec in records.values()}) == 1, level
-            assert len({rec.protocol.k for rec in records.values()}) == 1, level
+        charged = full.cost_report.by_child()
+        order = full.labeling
+        live = [protocols._first_branch(code)]
+        for level in range(len(order), 1, -1):
+            vertex = order[level - 1]
+            assert len({rec.kmin for rec in full.steps[level].values()}) == 1, level
+            alone = [
+                protocols._branch_stage(br, tree, vertex, level, mode=mode, rank_rtol=RANK_RTOL)
+                for br in live
+            ]
+            assert {stage.edge.k for stage in alone} == {charged[vertex]}, level
+            live = [br for stage in alone for br in stage.live]
+        assert len(live) == len(full.branches)
         assert concentrating_cost(code, tree, mode=mode) == full.cost_report
 
     @pytest.mark.parametrize("mode", ["tight", "fallback"])
@@ -630,7 +641,7 @@ class TestOneBranchCosts:
 
     @pytest.mark.parametrize("mode", ["tight", "fallback"])
     @pytest.mark.parametrize("name", ["five_qubit-star", "star4", "random-line4"])
-    def test_branch_state_matches_the_full_run(self, name, mode):
+    def test_branch_walk_matches_the_full_run(self, name, mode):
         # the state ki decomposes: walking one branch reaches the state the
         # all-branch run's own records lead to on that branch (every prefix
         # of eight branches spread over the run)
@@ -643,13 +654,13 @@ class TestOneBranchCosts:
                 prefix = br.outcomes[: n - j + 1]
                 rec = full.steps[j][prefix[:-1]]
                 state = merge_post_state(rec.protocol, state, prefix[-1])[1].normalized()
-                got = protocols._branch_state(
+                _, (_, _, got) = protocols._branch_walk(
                     code, tree, order, prefix, mode=mode, rank_rtol=RANK_RTOL
                 )
                 assert got.ids == state.ids
                 assert np.allclose(got.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
 
-    def test_branch_state_refuses_bad_outcomes(self):
+    def test_branch_walk_refuses_bad_outcomes(self):
         # product:2,2,2 on line:3: v3 holds a fixed |0>, so outcome 1 of its
         # two-outcome merge has zero probability
         code, tree = product_code((2, 2, 2)), line_tree(3)
@@ -657,9 +668,10 @@ class TestOneBranchCosts:
         full = run_concentrating(code, tree, replay=False)
         assert full.steps[3][()].protocol.zero_mask == (False, True)
         walk = dict(code=code, tree=tree, order=order, mode="tight", rank_rtol=RANK_RTOL)
-        assert protocols._branch_state(outcomes=(0,), **walk).ids == ("R", "v1", "v2")
+        _, (_, _, state) = protocols._branch_walk(outcomes=(0,), **walk)
+        assert state.ids == ("R", "v1", "v2")
         with pytest.raises(InputError, match="stage 3 outcome 1 has zero probability"):
-            protocols._branch_state(outcomes=(1,), **walk)
+            protocols._branch_walk(outcomes=(1,), **walk)
         for bad in (2, -1):
             with pytest.raises(InputError, match=f"stage 3 has outcomes 0..1, not {bad}"):
-                protocols._branch_state(outcomes=(bad,), **walk)
+                protocols._branch_walk(outcomes=(bad,), **walk)
