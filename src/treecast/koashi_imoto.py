@@ -198,7 +198,9 @@ def _commutant_basis(ops, dim: int) -> np.ndarray:
     scale = float(np.linalg.norm(t, axis=(1, 2)).max())
     if scale <= 0.0:
         return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    _, sv, vh = np.linalg.svd(_commutator_stack(t, dim), full_matrices=True)
+    stack = _commutator_stack(t, dim)
+    # only vh is read: a tall stack's reduced SVD already holds all of it
+    _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
     rank = int(np.sum(sv > 1e-10 * scale))
     return vh[rank:].conj().reshape(-1, dim, dim)
 

@@ -15,7 +15,8 @@ dimension K on the tree edge (parent(v_k), v_k).  Outcome-conditioned
 corrections are deferred: the branch state is just the projected,
 uncorrected leftover, and after the last stage the root replays the
 correction isometries in ascending order, resurrecting every register
-locally, and finally inverts the encoding.  The per-edge cost is the
+locally, and finally inverts the encoding; all leaves share one register
+layout, so they are replayed together as rows of one array.  The per-edge cost is the
 worst tight K over all measurement branches, and every branch's
 protocol is rebuilt at that dimension so the provisioned resource is
 consumed in full.  Every branch of a stage has the same K, so the cost
@@ -25,6 +26,7 @@ follow one branch per stage; only ``run_concentrating`` builds them all.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,15 +44,18 @@ from .errors import (
 from .merge_split import (
     MergeProtocol,
     SplitProtocol,
-    apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
+    correction_event,
     execute_split,
     merge_post_states,
     split_cost,
 )
 from .network import LABELING_ENUMERATION_LIMIT, RootedTree
-from .tensors import LinearMap, PureState, Register, apply_map, overlap
+from .tensors import PureState, Register, _group_rows, overlap
+
+# leaves replayed at once by run_concentrating: bounds the replay's arrays
+REPLAY_ROWS = 1024
 
 # -- cost reports -------------------------------------------------------------
 
@@ -326,32 +331,20 @@ class _Stage:
     records: dict[tuple[int, ...], MergeStepRecord]
     fell_back: bool
     live: list[tuple[tuple[int, ...], float, PureState]]  # branches entering stage k−1
-    sampled: bool  # the branch budget cut the live set
 
 
 def _concentrate_stage(
-    live,
-    tree: RootedTree,
-    vertex: str,
-    level: int,
-    *,
-    mode: str,
-    branch_budget: int | None,
-    seed: int,
-    rank_rtol: float,
+    live, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float
 ) -> _Stage:
-    """Stage ``level``: ``vertex`` merges what it holds into the root's collective.
+    """``vertex`` merges what it holds into the root's collective, on every live branch.
 
     Every live branch gets a tight protocol first (to discover the edge's
     worst-case resource dimension), then all branch protocols are rebuilt
     at that dimension so each branch consumes the same, fully-provisioned
-    resource.  Protocols depend only on the branch states.  Post-states
-    are built only for the outcomes a protocol's ``zero_mask`` leaves
-    live.  When the live branches that come out exceed ``branch_budget``,
-    the kept ones are drawn from a generator made from ``seed`` and
-    ``level`` alone.  So the stage is a function of (live, vertex, level,
-    seed).  Costs pass a single branch and no budget (``_branch_stage``),
-    since every branch of a stage has the same K.
+    resource.  Protocols depend only on the branch states, so the stage
+    is a function of (live, vertex).  Post-states are built only for the
+    outcomes a protocol's ``zero_mask`` leaves live.  Costs pass a single
+    branch (``_branch_walk``), since every branch of a stage has the same K.
     """
     parent = tree.parent(vertex)
 
@@ -404,15 +397,7 @@ def _concentrate_stage(
             if p_m < PROB_TOL:
                 continue
             next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
-    sampled = branch_budget is not None and len(next_live) > branch_budget
-    if sampled:
-        keep = [br for br in next_live if all(m == 0 for m in br[0])]
-        rest = [br for br in next_live if not all(m == 0 for m in br[0])]
-        take = min(len(rest), max(0, branch_budget - len(keep)))
-        sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
-        picked = sampler.choice(len(rest), size=take, replace=False)
-        next_live = keep + [rest[int(i)] for i in sorted(picked)]
-    return _Stage(EdgeCost(parent, vertex, k_edge), records, edge_fell, next_live, sampled)
+    return _Stage(EdgeCost(parent, vertex, k_edge), records, edge_fell, next_live)
 
 
 def run_concentrating(
@@ -424,95 +409,113 @@ def run_concentrating(
     branch_budget: int | None = None,
     seed: int = 0,
     rank_rtol: float = RANK_RTOL,
-    replay: bool = True,
 ) -> ConcentrateResult:
     """Synthesize and execute the concentrating protocol on every branch.
 
     Stages run from the last label to the second (``_concentrate_stage``).
-    ``branch_budget`` caps how many branches stay live after each stage
-    (the all-zero outcome path is always kept); with no budget the walk
-    is exhaustive.  Its cost report equals ``concentrating_cost``, which
-    follows one branch.
+    ``branch_budget`` caps how many branches stay live after each stage:
+    the all-zero outcome path is always kept, and the others are drawn
+    from a generator made from ``seed`` and the stage alone.  With no
+    budget the walk is exhaustive.  Every leaf is replayed and decoded,
+    ``REPLAY_ROWS`` leaves at a time (``_replay_root_corrections``).  The
+    cost report equals ``concentrating_cost``, which follows one branch.
     """
     _check_parties(code, tree)
     order = _ordered(tree, labeling)
-    n = len(order)
     live = [_first_branch(code)]
     store: dict[int, dict[tuple[int, ...], MergeStepRecord]] = {}
     items = []
     explored_all = True
     fallback_edges = []
 
-    for k_stage in range(n, 1, -1):
-        stage = _concentrate_stage(
-            live,
-            tree,
-            order[k_stage - 1],
-            k_stage,
-            mode=mode,
-            branch_budget=branch_budget,
-            seed=seed,
-            rank_rtol=rank_rtol,
-        )
+    for level in range(len(order), 1, -1):
+        stage = _concentrate_stage(live, tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
         if stage.fell_back:
             fallback_edges.append(stage.edge.child)
         items.append(stage.edge)
-        explored_all = explored_all and not stage.sampled
-        live = stage.live
-        store[k_stage] = stage.records
+        store[level], live = stage.records, stage.live
+        del stage  # so a sampled-out branch is freed before the next stage
+        if branch_budget is not None and len(live) > branch_budget:
+            explored_all = False
+            live = _sampled(live, branch_budget, seed, level)
 
-    coverage = float(sum(p for _, p, _ in live))
+    layout = live[0][2].registers  # every leaf ends in the same register layout
     branches = []
-    min_fid = 1.0
-    if replay:
-        for prefix, p_acc, state in live:
-            final = _replay_root_corrections(code, order, store, prefix, state)
-            fid = _fidelity_to_reference(code, final)
-            min_fid = min(min_fid, fid)
-            branches.append(ConcentrateBranch(prefix, p_acc, fid))
-    else:
-        branches = [ConcentrateBranch(prefix, p, float("nan")) for prefix, p, _ in live]
-        min_fid = float("nan")
+    for lo in range(0, len(live), REPLAY_ROWS):
+        chunk = live[lo : lo + REPLAY_ROWS]
+        paths = [prefix for prefix, _, _ in chunk]
+        amps = np.stack([state.amplitudes for _, _, state in chunk])
+        final, regs = _replay_root_corrections(code, order, store, paths, amps, layout)
+        fids = _fidelities(code, final, regs).tolist()
+        branches += [ConcentrateBranch(br[0], br[1], fid) for br, fid in zip(chunk, fids)]
 
     return ConcentrateResult(
         cost_report=_sorted_edge_costs("concentrate", items),
         labeling=order,
         steps=store,
         branches=tuple(branches),
-        coverage=coverage,
+        coverage=float(sum(p for _, p, _ in live)),
         explored_all=explored_all,
-        min_fidelity=min_fid,
+        min_fidelity=min([1.0] + [br.fidelity for br in branches]),
         mode=mode,
         fallback_edges=tuple(sorted(set(fallback_edges))),
     )
 
 
-def _replay_root_corrections(
-    code: IsometryCode,
-    order,
-    store,
-    outcomes: tuple[int, ...],
-    state: PureState,
-) -> PureState:
-    """Ascending replay of the deferred isometries, then decode at the root."""
+def _sampled(live, budget: int, seed: int, level: int):
+    """``budget`` of the ``live`` branches, in their order, the all-zero one kept if live.
+
+    The others are drawn from a generator made from ``seed`` and ``level`` alone.
+    """
+    keep = [br for br in live if all(m == 0 for m in br[0])]
+    rest = [br for br in live if not all(m == 0 for m in br[0])]
+    take = min(len(rest), max(0, budget - len(keep)))
+    sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
+    picked = sampler.choice(len(rest), size=take, replace=False)
+    return keep + [rest[int(i)] for i in sorted(picked)]
+
+
+def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs):
+    """Ascending replay of the deferred isometries on rows, then decode at the root.
+
+    Row b of ``amps`` is a branch state over the registers ``regs`` that
+    followed the outcomes ``paths[b]`` = (m_N, …, m_2).  No correction
+    acts on the reference register.  Per stage the rows are regrouped once
+    as (rows, in, rest), and each record's corrections act on the run of
+    consecutive rows it recorded in one matmul.  Returns the decoded rows
+    and their registers, the logical register first.
+    """
     n = len(order)
+    count = len(paths)
     for j in range(2, n + 1):
-        prefix = outcomes[: n - j]
-        m_j = outcomes[n - j]
-        proto = store[j][prefix].protocol
-        state = apply_merge_correction(proto, m_j, state)
-    phys = tuple(state.register(p) for p in code.parties)
+        event = correction_event(store[j][paths[0][: n - j]].protocol, 0)
+        grouped, _, rest = _group_rows(amps, regs, [r.id for r in event["in"]])
+        out = np.empty((count, event["matrix"].shape[0], grouped.shape[2]), dtype=complex)
+        prefixes = [path[: n - j] for path in paths]
+        for prefix, run in itertools.groupby(range(count), key=prefixes.__getitem__):
+            rows = list(run)
+            ms = [paths[b][n - j] for b in rows]
+            lo, hi = rows[0], rows[-1] + 1
+            out[lo:hi] = store[j][prefix].protocol.corrections[ms] @ grouped[lo:hi]
+        amps, regs = out.reshape(count, -1), (*event["out"], *rest)
+    grouped, _, rest = _group_rows(amps, regs, code.parties)
+    decoded = code.matrix.conj().T @ grouped
     logical = Register("L", code.logical_dim, order[0])
-    decoder = LinearMap(phys, (logical,), code.matrix.conj().T)
-    return apply_map(state, decoder)
+    return decoded.reshape(count, -1), (logical, *rest)
 
 
-def _fidelity_to_reference(code: IsometryCode, final: PureState) -> float:
-    target = reference_pair(code.logical_dim)
-    norm = final.norm()
-    if abs(norm - 1.0) > 1e-6:
-        return 0.0
-    return abs(overlap(final.normalized(), target))
+def _fidelities(code: IsometryCode, final: np.ndarray, regs) -> np.ndarray:
+    """|⟨leaf|Φ⁺_D⟩| per decoded row, 0 where the row's norm is off by over 1e-6.
+
+    Norms and overlaps are one-row dot products on (R, L), so every digit
+    equals that of ``np.linalg.norm`` and ``np.vdot`` on the leaf alone.
+    """
+    x = _group_rows(final, regs, [REFERENCE_ID, "L"])[0].reshape(len(final), 1, -1)
+    norms = np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))
+    held = np.abs(norms - 1.0) <= 1e-6
+    target = reference_pair(code.logical_dim).amplitudes[:, None]
+    overlaps = np.abs((x / np.where(held, norms, 1.0)).conj() @ target)
+    return np.where(held, overlaps, 0.0).reshape(-1)
 
 
 def _first_branch(code: IsometryCode):
@@ -520,34 +523,22 @@ def _first_branch(code: IsometryCode):
     return ((), 1.0, encoded_pair(code).normalized())
 
 
-def _branch_stage(
-    branch, tree: RootedTree, vertex: str, level: int, *, mode: str, rank_rtol: float
-) -> _Stage:
-    """Stage ``level`` built on the one branch ``branch``, with no budget.
-
-    After a set S has merged, each branch holds ψ with S's registers
-    regrouped at their nearest unmerged ancestors, up to local unitaries
-    and product junk.  Koashi–Imoto block structure, and so the tight K,
-    is invariant under local unitaries, as is the fallback's marginal
-    rank.  So the stage's K depends on S and the vertex, not on the order
-    S merged in nor on the branch, and one branch gives it.  Every
-    concentrating cost is read from this step.
-    """
-    return _concentrate_stage(
-        [branch], tree, vertex, level, mode=mode, branch_budget=None, seed=0, rank_rtol=rank_rtol
-    )
-
-
 def _branch_walk(
     code: IsometryCode, tree: RootedTree, order, outcomes=None, *, mode: str, rank_rtol: float
 ):
     """Stages of ``order`` on one branch: (their edge costs, the branch reached).
 
-    Each stage is built on the one branch the walk carries
-    (``_branch_stage``).  With ``outcomes`` None the walk runs all N − 1
-    stages, carrying each one's first live outcome; otherwise it runs one
-    stage per outcome named and carries that outcome.  An outcome outside
-    a stage's range, or of zero probability, raises InputError.
+    After a set S has merged, each branch holds ψ with S's registers
+    regrouped at their nearest unmerged ancestors, up to local unitaries
+    and product junk.  Koashi–Imoto block structure, and so the tight K,
+    is invariant under local unitaries, as is the fallback's marginal
+    rank.  So a stage's K depends on S and the vertex, not on the order
+    S merged in nor on the branch, and each stage is built on the one
+    branch the walk carries.  With ``outcomes`` None the walk runs all
+    N − 1 stages, carrying each one's first live outcome; otherwise it
+    runs one stage per outcome named and carries that outcome.  An
+    outcome outside a stage's range, or of zero probability, raises
+    InputError.
     """
     _check_parties(code, tree)
     if outcomes is None:
@@ -555,7 +546,7 @@ def _branch_walk(
     branch = _first_branch(code)
     edges = []
     for level, m in zip(range(len(order), 1, -1), outcomes):
-        stage = _branch_stage(branch, tree, order[level - 1], level, mode=mode, rank_rtol=rank_rtol)
+        stage = _concentrate_stage([branch], tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
         edges.append(stage.edge)
         if m is None:
             branch = stage.live[0]
@@ -626,13 +617,12 @@ def _set_stage_costs(
     """Edge cost of every stage, keyed by (set merged before it, its vertex).
 
     A stage's K depends on the set and the vertex alone
-    (``_branch_stage``), so the walk carries only the first live outcome
+    (``_branch_walk``), so the walk carries only the first live outcome
     of each stage, and builds one merge protocol per (set, vertex) stage.
     It goes no deeper from a set it has already walked.  Only the costs
     are kept, and a stage is freed once the walk has moved past it, so at
     most n − 1 stages are alive at once.
     """
-    n = len(tree.vertices)
     edges: dict[tuple[frozenset[str], str], EdgeCost] = {}
     walked: set[frozenset[str]] = set()
 
@@ -642,9 +632,7 @@ def _set_stage_costs(
             kids = tree.children(vertex)
             if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
                 continue
-            stage = _branch_stage(
-                branch, tree, vertex, n - len(merged), mode=mode, rank_rtol=rank_rtol
-            )
+            stage = _concentrate_stage([branch], tree, vertex, mode=mode, rank_rtol=rank_rtol)
             edges[merged, vertex] = stage.edge
             grown = merged | {vertex}
             if grown not in walked:

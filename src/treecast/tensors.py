@@ -94,15 +94,6 @@ class PureState:
                 return r
         raise UnknownRegister(f"no register {rid!r} in state")
 
-    def positions(self, rids) -> list[int]:
-        index = {r.id: k for k, r in enumerate(self.registers)}
-        out = []
-        for rid in rids:
-            if rid not in index:
-                raise UnknownRegister(f"no register {rid!r} in state")
-            out.append(index[rid])
-        return out
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per register (C order)."""
         return self.amplitudes.reshape(self.dims if self.registers else (1,))
@@ -177,15 +168,28 @@ def permute_registers(state: PureState, order) -> PureState:
 
 def _group_first(state: PureState, rids) -> tuple[np.ndarray, list[Register], list[Register]]:
     """Tensor reshaped to (dim(rids), dim(rest)); returns kept/rest registers."""
-    pos = state.positions(rids)
-    if len(set(pos)) != len(pos):
+    rows, kept, rest = _group_rows(state.amplitudes[None], state.registers, rids)
+    return rows[0], kept, rest
+
+
+def _group_rows(
+    amps: np.ndarray, registers, rids
+) -> tuple[np.ndarray, list[Register], list[Register]]:
+    """Rows over ``registers`` as (rows, dim(rids), dim(rest)), and the kept/rest registers."""
+    index = {r.id: k for k, r in enumerate(registers)}
+    try:
+        pos = [index[rid] for rid in rids]
+    except KeyError as exc:
+        raise UnknownRegister(f"no register {exc.args[0]!r} in state") from None
+    kept = set(pos)
+    if len(kept) != len(pos):
         raise BadPermutation("repeated register id in group")
-    rest = [k for k in range(len(state.registers)) if k not in set(pos)]
-    kept_regs = [state.registers[k] for k in pos]
-    rest_regs = [state.registers[k] for k in rest]
-    dk = math.prod(r.dim for r in kept_regs)
-    tens = state.tensor().transpose(pos + rest) if state.registers else state.amplitudes
-    return np.ascontiguousarray(tens).reshape(dk, -1), kept_regs, rest_regs
+    rest = [k for k in range(len(registers)) if k not in kept]
+    dims = [r.dim for r in registers]
+    tens = amps.reshape([len(amps), *dims]).transpose([0, *(k + 1 for k in pos + rest)])
+    dk = math.prod([dims[k] for k in pos])
+    grouped = np.ascontiguousarray(tens).reshape(len(amps), dk, -1)
+    return grouped, [registers[k] for k in pos], [registers[k] for k in rest]
 
 
 def marginal_matrix(state: PureState, keep) -> np.ndarray:
@@ -243,7 +247,7 @@ def apply_map(state: PureState, m: LinearMap) -> PureState:
     produced = PureState(new_regs, out.reshape(-1))
 
     # splice outputs where the first input register sat
-    first = min(state.positions(in_ids))
+    first = min(map(state.ids.index, in_ids))
     order: list[str] = []
     for k, r in enumerate(state.registers):
         if k == first:

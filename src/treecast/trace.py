@@ -393,22 +393,18 @@ def concentrate_trace(
                 f"stage {j} has {proto.measurement.shape[1]} outcomes, got {m}"
             )
         rec.emit(*merge_events(proto, m))
-    # compose the root correction in one replay: the deferred corrections
-    # and the decoder act on the rest registers of Σ_i |i⟩_rest |i⟩_column,
-    # which leaves column i of the composed map entangled with |i⟩_column
+    # compose the root correction in one replay: row i holds basis vector i
+    # of the rest registers, so it comes out as column i of the composed map
     rest = tuple(r for r in rec.state.registers if r.id != REFERENCE_ID)
     dim = math.prod(r.dim for r in rest)
-    root = labeling[0]
-    column = Register("trace:column", dim, root)
-    basis = PureState(rest + (column,), np.eye(dim, dtype=complex))
-    pushed = _replay_root_corrections(code, labeling, result.steps, outcomes, basis)
-    if sorted(pushed.ids) != ["L", column.id]:
+    pushed, regs = _replay_root_corrections(
+        code, labeling, result.steps, [outcomes] * dim, np.eye(dim, dtype=complex), rest
+    )
+    if [r.id for r in regs] != ["L"]:
         raise VerificationFailed(
             "root correction did not close onto the logical register"
         )
-    composed = permute_registers(pushed, ["L", column.id]).amplitudes.reshape(-1, dim)
-    logical = Register("L", code.logical_dim, root)
-    rec.emit(isometry_event(root, composed, rest, [logical], kind="root-correction"))
+    rec.emit(isometry_event(labeling[0], pushed.T, rest, regs, kind="root-correction"))
     return _assemble(
         "concentrate",
         code,

@@ -19,6 +19,10 @@ split outcome comes from :func:`~treecast.merge_split.split_post_states`
 (through ``execute_split``): one compression and one Bell contraction
 with Φ⁺_K folded in, never the state with the resource attached.
 
+The concentrating check stacks its samples on the reference register,
+which no merge or correction touches: each sampled path is one walk and
+one replayed row for all samples at once.
+
 Two structural facts make the replay well-defined:
 
 * every intermediate branch state keeps the reference marginal
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import REFERENCE_ID, IsometryCode
-from .errors import VerificationFailed
+from .errors import InputError, VerificationFailed
 from .merge_split import execute_split, merge_post_state
 from .network import RootedTree
 from .protocols import (
@@ -51,7 +55,7 @@ from .tensors import (
     PureState,
     Register,
     _group_first,
-    marginal_matrix,
+    _group_rows,
     range_trace_distance,
     trace_distance,
 )
@@ -88,9 +92,9 @@ def random_input(rng, dim: int) -> np.ndarray:
 
 
 def _encoded_input(code: IsometryCode, psi: np.ndarray) -> PureState:
-    """(1 ⊗ U)|psi⟩ on (R, physical registers), same ids as encoded_pair."""
+    """(1 ⊗ U)|psi⟩ on (R, physical registers), ids as in encoded_pair; R indexes psi's rows."""
     amps = np.einsum("pl,rl->rp", code.matrix, psi).reshape(-1)
-    ref = Register(REFERENCE_ID, code.logical_dim, "reference")
+    ref = Register(REFERENCE_ID, psi.shape[0], "reference")
     return PureState((ref,) + code.physical_registers(), amps)
 
 
@@ -183,39 +187,44 @@ def verify_concentrating_channel(
     stored measurement records along sampled recorded branches, replayed
     through the deferred corrections, decoded, and compared to rho on
     the logical register in trace distance.  The recorded branch
-    probability must reappear identically for every input.
+    probability must reappear identically for every input.  The inputs
+    ride the reference register stacked (R has dimension samples·D), and
+    each sample's path probability is its block's squared norm.
     """
+    if samples < 1:
+        raise InputError("the stacked concentrating check needs at least one sample")
     if result is None:
         result = run_concentrating(code, tree, labeling)
     rng = np.random.default_rng(seed)
-    order = result.labeling
-    n = len(order)
-    by_path = {br.outcomes: br.probability for br in result.branches}
+    n = len(result.labeling)
     paths = _pick_branch_paths(result, rng)
-    worst_td = 0.0
-    worst_pdev = 0.0
-    for _ in range(samples):
-        psi = random_input(rng, code.logical_dim)
-        start = _encoded_input(code, psi)
-        rho_target = np.einsum("rl,rm->lm", psi, psi.conj())
-        for path in paths:
-            state = start
-            p_acc = 1.0
-            for k in range(n, 1, -1):
-                rec = result.steps[k][path[: n - k]]
-                p_m, post = merge_post_state(rec.protocol, state, path[n - k])
-                p_acc *= p_m
-                state = post.normalized()
-            final = _replay_root_corrections(code, order, result.steps, path, state)
-            worst_pdev = max(worst_pdev, abs(p_acc - by_path[path]))
-            rho_out = marginal_matrix(final.normalized(), ["L"])
-            worst_td = max(worst_td, trace_distance(rho_out, rho_target))
+    psis = np.stack([random_input(rng, code.logical_dim) for _ in range(samples)])
+    start = _encoded_input(code, psis.reshape(-1, code.logical_dim))
+    walked = []
+    for path in paths:
+        state = start
+        for k in range(n, 1, -1):
+            rec = result.steps[k][path[: n - k]]
+            state = merge_post_state(rec.protocol, state, path[n - k])[1]
+        walked.append(state.amplitudes)
+    amps, regs = np.stack(walked), state.registers
+    # sample s holds reference indices s·D … s·D + D − 1
+    per_ref = _group_rows(amps, regs, [REFERENCE_ID])[0].reshape(len(paths), samples, -1)
+    by_path = {br.outcomes: br.probability for br in result.branches}
+    pdev = np.linalg.norm(per_ref, axis=2) ** 2 - np.array([[by_path[p]] for p in paths])
+    final, regs = _replay_root_corrections(code, result.labeling, result.steps, paths, amps, regs)
+    per_l = _group_rows(final, regs, ["L", REFERENCE_ID])[0]
+    outs = per_l.reshape(len(paths), code.logical_dim, samples, -1).transpose(0, 2, 1, 3)
+    outs = outs / np.linalg.norm(outs, axis=(2, 3), keepdims=True)
+    rho_out = outs @ outs.conj().swapaxes(2, 3)
+    rho_target = np.einsum("srl,srm->slm", psis, psis.conj())
+    distances = [trace_distance(*pair) for row in rho_out for pair in zip(row, rho_target)]
     return ChannelCheck(
         direction="concentrate",
         samples=samples,
         paths_per_sample=len(paths),
-        max_trace_distance=worst_td,
-        max_probability_deviation=worst_pdev,
+        max_trace_distance=float(np.max(distances)),
+        max_probability_deviation=float(np.abs(pdev).max()),
         tol=tol,
     )
 

@@ -1,5 +1,6 @@
 """Reference helpers the tests share: random states, phase-blind equality,
-Bell bases and the column phase rule."""
+Bell bases, the column phase rule, the per-leaf root replay and the
+per-sample concentrating channel check."""
 
 from __future__ import annotations
 
@@ -7,7 +8,25 @@ import math
 
 import numpy as np
 
-from treecast.tensors import PureState, overlap
+from treecast.codes import IsometryCode, reference_pair
+from treecast.merge_split import apply_merge_correction, merge_post_state
+from treecast.protocols import run_concentrating
+from treecast.tensors import (
+    LinearMap,
+    PureState,
+    Register,
+    apply_map,
+    marginal_matrix,
+    overlap,
+    trace_distance,
+)
+from treecast.verification import (
+    DEFAULT_CHANNEL_TOL,
+    ChannelCheck,
+    _encoded_input,
+    _pick_branch_paths,
+    random_input,
+)
 
 
 def random_state(registers, rng) -> PureState:
@@ -59,3 +78,78 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     if abs(piv) == 0.0:
         return vec.copy()
     return vec * (abs(piv) / piv)
+
+
+def replay_root_corrections(
+    code: IsometryCode,
+    order,
+    store,
+    outcomes: tuple[int, ...],
+    state: PureState,
+) -> PureState:
+    """Reference: one leaf's ascending replay of the deferred isometries, then decode."""
+    n = len(order)
+    for j in range(2, n + 1):
+        prefix = outcomes[: n - j]
+        m_j = outcomes[n - j]
+        proto = store[j][prefix].protocol
+        state = apply_merge_correction(proto, m_j, state)
+    phys = tuple(state.register(p) for p in code.parties)
+    logical = Register("L", code.logical_dim, order[0])
+    decoder = LinearMap(phys, (logical,), code.matrix.conj().T)
+    return apply_map(state, decoder)
+
+
+def fidelity_to_reference(code: IsometryCode, final: PureState) -> float:
+    """Reference: |<final|Φ⁺_D>| on (R, L), 0 when the decoded norm is off."""
+    target = reference_pair(code.logical_dim)
+    norm = final.norm()
+    if abs(norm - 1.0) > 1e-6:
+        return 0.0
+    return abs(overlap(final.normalized(), target))
+
+
+def verify_concentrating_channel(
+    code,
+    tree,
+    result=None,
+    *,
+    samples: int = 20,
+    seed: int = 0,
+    tol: float = DEFAULT_CHANNEL_TOL,
+    labeling=None,
+) -> ChannelCheck:
+    """Reference: the concentrating channel check with one walk per (sample, path)."""
+    if result is None:
+        result = run_concentrating(code, tree, labeling)
+    rng = np.random.default_rng(seed)
+    order = result.labeling
+    n = len(order)
+    by_path = {br.outcomes: br.probability for br in result.branches}
+    paths = _pick_branch_paths(result, rng)
+    worst_td = 0.0
+    worst_pdev = 0.0
+    for _ in range(samples):
+        psi = random_input(rng, code.logical_dim)
+        start = _encoded_input(code, psi)
+        rho_target = np.einsum("rl,rm->lm", psi, psi.conj())
+        for path in paths:
+            state = start
+            p_acc = 1.0
+            for k in range(n, 1, -1):
+                rec = result.steps[k][path[: n - k]]
+                p_m, post = merge_post_state(rec.protocol, state, path[n - k])
+                p_acc *= p_m
+                state = post.normalized()
+            final = replay_root_corrections(code, order, result.steps, path, state)
+            worst_pdev = max(worst_pdev, abs(p_acc - by_path[path]))
+            rho_out = marginal_matrix(final.normalized(), ["L"])
+            worst_td = max(worst_td, trace_distance(rho_out, rho_target))
+    return ChannelCheck(
+        direction="concentrate",
+        samples=samples,
+        paths_per_sample=len(paths),
+        max_trace_distance=worst_td,
+        max_probability_deviation=worst_pdev,
+        tol=tol,
+    )

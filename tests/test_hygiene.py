@@ -1,6 +1,8 @@
-"""Static checks on the package source: no dead parameters, no unused imports."""
+"""Static checks on the package source: no dead parameters, no unused imports,
+no private module-level definition that nothing in the package references."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,35 @@ def _unused_imports(path: Path) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def _references(node) -> Counter:
+    """Names ``node`` loads, reads as an attribute or imports, with their counts."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name] += 1
+    return found
+
+
+def _unreferenced_private(paths) -> list[str]:
+    """Module-level ``_name`` functions and classes that only refer to themselves."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _references(node)[node.name]
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
@@ -81,6 +112,10 @@ def test_every_parameter_is_read(path):
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private(MODULES) == []
 
 
 def test_the_checks_catch_what_they_look_for(tmp_path):
@@ -102,3 +137,16 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "C.m.<lambda>(y)",
     ]
     assert _unused_imports(src) == ["os", "pi"]
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def _called(): pass\n"
+        "def _imported(): pass\n"
+        "def _dead(): return _dead()\n"
+        "class _Read: pass\n"
+        "class _Unread: pass\n"
+        "def __getattr__(name): pass\n"
+        "x = _called()\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from lib import _imported\nimport lib\ny = lib._Read\n")
+    assert _unreferenced_private([lib, user]) == ["lib.py:_dead", "lib.py:_Unread"]

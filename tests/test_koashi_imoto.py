@@ -552,7 +552,7 @@ def stage_inputs(monkeypatch):
     calls = []
     for code, tree in runs:
         calls += record_ki_calls(
-            monkeypatch, lambda: run_concentrating(code, tree, replay=False)
+            monkeypatch, lambda: run_concentrating(code, tree)
         )
     return calls
 

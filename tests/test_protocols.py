@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import fidelity_to_reference, replay_root_corrections
 
 from treecast.codes import (
     IsometryCode,
@@ -38,7 +39,7 @@ from treecast.protocols import (
     run_spreading,
     spreading_cost,
 )
-from treecast.tensors import PureState, Register, overlap
+from treecast.tensors import PureState, Register, overlap, permute_registers
 
 EXACT = 1.0 - 1e-9
 
@@ -292,7 +293,7 @@ class TestConcentratingMore:
     def test_protocols_do_not_depend_on_the_seed(self, code, tree):
         # the seed drives sampling and channel inputs only: an exhaustive run
         # builds the same protocols, bit for bit, under any seed
-        a, b = (run_concentrating(code, tree, seed=s, replay=False) for s in (0, 12345))
+        a, b = (run_concentrating(code, tree, seed=s) for s in (0, 12345))
         assert {j: list(recs) for j, recs in a.steps.items()} == {
             j: list(recs) for j, recs in b.steps.items()
         }
@@ -336,7 +337,7 @@ class TestConcentratingMore:
 
         monkeypatch.setattr(protocols, "build_merge_protocol", stub)
         with pytest.raises(SynthesisFailed, match="K ≤ 2"):
-            run_concentrating(*five_line, replay=False)
+            run_concentrating(*five_line)
         assert [k for k in calls if k is not None] == [2]
 
     def test_single_vertex_tree(self):
@@ -410,7 +411,7 @@ def reference_search(code, tree, **kwargs):
     """The former optimize_labeling: one run on every branch per candidate."""
     best, totals = None, {}
     for cand in tree.ascending_labelings():
-        report = run_concentrating(code, tree, cand, replay=False, **kwargs).cost_report
+        report = run_concentrating(code, tree, cand, **kwargs).cost_report
         totals[cand] = report.total_log2
         key = (report.total_log2, cand)
         if best is None or key < best[0]:
@@ -455,7 +456,7 @@ class TestSharedSuffixSearch:
         ref_best, ref_report, ref_totals = reference_search(code, tree, **kwargs)
         assert list(totals.items()) == list(ref_totals.items())
         assert (best, report) == (ref_best, ref_report)
-        full = run_concentrating(code, tree, best, replay=False, **kwargs)
+        full = run_concentrating(code, tree, best, **kwargs)
         assert report == full.cost_report
         assert report == concentrating_cost(code, tree, best, mode=kwargs.get("mode", "tight"))
         if "branch_budget" in kwargs:  # the budget cut branches, so the sampler ran
@@ -470,7 +471,7 @@ class TestSharedSuffixSearch:
         kwargs = SEARCH_MODES[mode]
         fresh = {}
         for cand in tree.ascending_labelings():
-            report = run_concentrating(code, tree, cand, replay=False, **kwargs).cost_report
+            report = run_concentrating(code, tree, cand, **kwargs).cost_report
             for i in range(1, len(cand)):
                 key = (frozenset(cand[i + 1 :]), cand[i])
                 fresh.setdefault(key, set()).add(report.cost_of(cand[i]))
@@ -577,7 +578,7 @@ class TestOneBranchCosts:
         # the K the exhaustive run charges the edge; the run's records share
         # one tight minimum; and the one-branch cost equals the run's report
         code, tree = BRANCH_INPUTS[name]()
-        full = run_concentrating(code, tree, mode=mode, replay=False)
+        full = run_concentrating(code, tree, mode=mode)
         assert full.explored_all
         charged = full.cost_report.by_child()
         order = full.labeling
@@ -586,7 +587,7 @@ class TestOneBranchCosts:
             vertex = order[level - 1]
             assert len({rec.kmin for rec in full.steps[level].values()}) == 1, level
             alone = [
-                protocols._branch_stage(br, tree, vertex, level, mode=mode, rank_rtol=RANK_RTOL)
+                protocols._concentrate_stage([br], tree, vertex, mode=mode, rank_rtol=RANK_RTOL)
                 for br in live
             ]
             assert {stage.edge.k for stage in alone} == {charged[vertex]}, level
@@ -600,9 +601,7 @@ class TestOneBranchCosts:
         code, tree = BRANCH_INPUTS[name]()
         report = concentrating_cost(code, tree, mode=mode)
         for budget, seed in ((1, 0), (3, 5), (8, 13)):
-            sampled = run_concentrating(
-                code, tree, mode=mode, branch_budget=budget, seed=seed, replay=False
-            )
+            sampled = run_concentrating(code, tree, mode=mode, branch_budget=budget, seed=seed)
             assert report == sampled.cost_report, (budget, seed)
         assert compare_costs(code, tree, mode=mode).concentrate == report
 
@@ -646,7 +645,7 @@ class TestOneBranchCosts:
         # all-branch run's own records lead to on that branch (every prefix
         # of eight branches spread over the run)
         code, tree = BRANCH_INPUTS[name]()
-        full = run_concentrating(code, tree, mode=mode, replay=False)
+        full = run_concentrating(code, tree, mode=mode)
         order, n = full.labeling, len(full.labeling)
         for br in full.branches[:: max(1, len(full.branches) // 8)]:
             state = encoded_pair(code).normalized()
@@ -665,7 +664,7 @@ class TestOneBranchCosts:
         # two-outcome merge has zero probability
         code, tree = product_code((2, 2, 2)), line_tree(3)
         order = tree.default_labeling()
-        full = run_concentrating(code, tree, replay=False)
+        full = run_concentrating(code, tree)
         assert full.steps[3][()].protocol.zero_mask == (False, True)
         walk = dict(code=code, tree=tree, order=order, mode="tight", rank_rtol=RANK_RTOL)
         _, (_, _, state) = protocols._branch_walk(outcomes=(0,), **walk)
@@ -675,3 +674,115 @@ class TestOneBranchCosts:
         for bad in (2, -1):
             with pytest.raises(InputError, match=f"stage 3 has outcomes 0..1, not {bad}"):
                 protocols._branch_walk(outcomes=(bad,), **walk)
+
+
+# -- every leaf replayed as rows of one array ----------------------------------------
+
+
+def walked_leaves(code, result):
+    """(outcomes, leaf state) of every branch, walked down the run's records alone."""
+    n = len(result.labeling)
+    leaves = []
+    for br in result.branches:
+        state = encoded_pair(code).normalized()
+        for j in range(n, 1, -1):
+            rec = result.steps[j][br.outcomes[: n - j]]
+            state = merge_post_state(rec.protocol, state, br.outcomes[n - j])[1].normalized()
+        leaves.append((br.outcomes, state))
+    return leaves
+
+
+REPLAY_INPUTS = {
+    "five_qubit-line-tight": (five_qubit_code, lambda: line_tree(5), {}),
+    "star4": (star4_code, lambda: star_tree(4), {}),
+    "ghz3-line-fallback": (lambda: ghz_code(3), lambda: line_tree(3), {"mode": "fallback"}),
+    "random-star3-fallback": (
+        lambda: random_code(np.random.default_rng(41), 2, (2, 2, 2)),
+        lambda: star_tree(3),
+        {"mode": "fallback"},
+    ),
+    # 12 leaves, replayed 5 rows at a time
+    "five_qubit-line-sampled": (
+        five_qubit_code,
+        lambda: line_tree(5),
+        {"mode": "fallback", "branch_budget": 12, "seed": 3},
+    ),
+}
+
+
+class TestRowReplay:
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_rows_match_the_per_leaf_replay(self, name, monkeypatch):
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        sampled = "branch_budget" in kwargs
+        if sampled:
+            monkeypatch.setattr(protocols, "REPLAY_ROWS", 5)
+        result = run_concentrating(code, tree, **kwargs)
+        assert result.explored_all != sampled
+        assert len(result.branches) > protocols.REPLAY_ROWS or not sampled
+        leaves = walked_leaves(code, result)
+        amps = np.stack([state.amplitudes for _, state in leaves])
+        paths = [path for path, _ in leaves]
+        final, regs = protocols._replay_root_corrections(
+            code, result.labeling, result.steps, paths, amps, leaves[0][1].registers
+        )
+        fids = protocols._fidelities(code, final, regs)
+        for (path, state), row, fid, br in zip(leaves, final, fids, result.branches):
+            ref = replay_root_corrections(code, result.labeling, result.steps, path, state)
+            aligned = permute_registers(ref, [r.id for r in regs])
+            assert np.abs(aligned.amplitudes - row).max() <= 1e-12, path
+            assert fid == fidelity_to_reference(code, ref), path
+            assert abs(br.fidelity - fid) <= 1e-12, path
+        assert result.min_fidelity >= EXACT
+
+    def test_chunks_do_not_change_the_branches(self, monkeypatch):
+        code, tree = five_qubit_code(), line_tree(5)
+        kwargs = {"mode": "fallback", "branch_budget": 12, "seed": 3}
+        whole = run_concentrating(code, tree, **kwargs)
+        monkeypatch.setattr(protocols, "REPLAY_ROWS", 5)
+        chunked = run_concentrating(code, tree, **kwargs)
+        assert len(chunked.branches) == 12
+        assert chunked.branches == whole.branches
+        assert chunked.min_fidelity == whole.min_fidelity
+
+
+# The outcome paths the branch budget kept, recorded before the sampling
+# moved from the stage function into run_concentrating.
+SAMPLED_PATHS = {
+    "fallback-budget-96-seed-911": (
+        {"mode": "fallback", "branch_budget": 96, "seed": 911},
+        2.0**-16,
+        """
+        0,0,0,0 0,0,0,2 0,0,0,9 0,2,36,1 0,2,48,14 0,3,31,3 0,3,31,9 0,3,43,2
+        0,3,43,4 0,4,16,13 0,5,3,3 0,5,29,12 0,7,13,15 0,8,38,7 0,8,38,13 0,8,38,15
+        0,9,13,1 0,11,6,2 0,11,59,5 0,11,59,12 0,11,59,13 0,14,12,1 0,14,12,5
+        0,14,22,11 0,14,22,13 0,15,33,2 0,15,54,15 1,0,53,10 1,1,51,2 1,1,51,3
+        1,1,51,11 1,1,51,13 1,4,44,0 1,4,44,10 1,4,44,11 1,4,47,15 1,6,62,1 1,6,62,6
+        1,6,62,10 1,6,62,11 1,7,36,10 1,9,28,3 1,9,28,8 1,11,16,6 1,11,16,9
+        1,11,24,13 1,11,50,13 1,11,58,14 1,11,62,15 2,0,47,1 2,0,47,8 2,2,0,11
+        2,2,56,13 2,4,9,10 2,4,9,11 2,4,11,9 2,6,21,1 2,6,21,13 2,7,6,10 2,7,44,0
+        2,7,44,2 2,7,44,10 2,8,28,8 2,8,28,13 2,9,1,13 2,11,12,8 2,11,12,9
+        2,13,45,12 2,14,31,0 2,14,31,9 2,15,3,7 2,15,38,4 2,15,38,11 2,15,41,5
+        2,15,41,13 3,2,36,13 3,2,56,5 3,5,9,1 3,5,9,2 3,5,9,13 3,5,9,14 3,5,20,7
+        3,8,48,11 3,9,1,1 3,9,1,5 3,9,10,14 3,9,29,1 3,9,46,14 3,10,27,6 3,11,0,6
+        3,11,24,2 3,11,24,13 3,12,0,3 3,12,26,3 3,14,37,13 3,14,37,14
+        """,
+    ),
+    # the run-concentrate --branches sample:6 --seed 9 of acceptance criterion 10
+    "tight-budget-6-seed-9": (
+        {"branch_budget": 6, "seed": 9},
+        1 / 16,
+        "0,0,0,0 0,0,0,1 0,0,1,1 0,1,1,1 1,0,0,1 1,1,0,1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_PATHS)
+def test_sampling_keeps_its_draws(name):
+    kwargs, prob, text = SAMPLED_PATHS[name]
+    result = run_concentrating(five_qubit_code(), line_tree(5), **kwargs)
+    got = sorted((br.outcomes, br.probability) for br in result.branches)
+    assert [o for o, _ in got] == [tuple(map(int, t.split(","))) for t in text.split()]
+    # every kept path has the same probability, recorded to the last few bits
+    assert np.allclose([p for _, p in got], prob, rtol=1e-14, atol=0)

@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from oracles import bell_columns_loop
+from oracles import bell_columns_loop, replay_root_corrections
 
 import treecast.trace as trace_mod
 from treecast.codes import (
@@ -19,7 +19,7 @@ from treecast.codes import (
 )
 from treecast.errors import InputError, SchemaError, ShapeMismatch
 from treecast.network import line_tree, star_tree
-from treecast.protocols import _replay_root_corrections, run_concentrating, run_spreading
+from treecast.protocols import run_concentrating, run_spreading
 from treecast.tensors import PureState, overlap, permute_registers
 from treecast.trace import (
     HASH_DECIMALS,
@@ -183,7 +183,7 @@ class TestConcentrateTrace:
         dim = composed.shape[1]
         for idx in range(dim):
             basis = PureState(rest, np.eye(dim, dtype=complex)[idx])
-            pushed = _replay_root_corrections(
+            pushed = replay_root_corrections(
                 code, five_concentrate.labeling, five_concentrate.steps, outcomes, basis
             )
             assert pushed.ids == ("L",)

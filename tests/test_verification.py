@@ -1,6 +1,7 @@
 """Random-input channel replay checks for stored protocols."""
 
 import numpy as np
+import oracles
 import pytest
 
 from treecast.codes import (
@@ -10,6 +11,7 @@ from treecast.codes import (
     random_code,
     star4_code,
 )
+from treecast.errors import InputError
 from treecast.network import line_tree, star_tree
 from treecast.protocols import run_concentrating, run_spreading
 from treecast.verification import (
@@ -71,6 +73,72 @@ class TestChannelReplay:
             five_qubit_code(), star_tree(5), labeling=("v1", "v4", "v2", "v3", "v5"), samples=3
         )
         assert check.max_trace_distance <= 1e-10
+
+
+def _wrong_five():
+    return random_code(np.random.default_rng(9), 2, (2,) * 5)
+
+
+# (stored code, tree, run options, code the check is given)
+STACKED_INPUTS = {
+    "five_qubit-line": (five_qubit_code, lambda: line_tree(5), {}, None),
+    "five_qubit-line-fallback-sampled": (
+        five_qubit_code,
+        lambda: line_tree(5),
+        {"mode": "fallback", "branch_budget": 20, "seed": 2},
+        None,
+    ),
+    "star4": (star4_code, lambda: star_tree(4), {}, None),
+    "ghz3-line": (lambda: ghz_code(3), lambda: line_tree(3), {"mode": "fallback"}, None),
+    "single-vertex": (lambda: identity_code(2, 1), lambda: line_tree(1), {}, None),
+    "random-line3": (
+        lambda: random_code(np.random.default_rng(0), 2, (2, 2, 2)), lambda: line_tree(3), {}, None
+    ),
+    "random-qutrit-star3": (
+        lambda: random_code(np.random.default_rng(5), 3, (3, 3, 2)),
+        lambda: star_tree(3),
+        {"mode": "fallback"},
+        None,
+    ),
+    "wrong-code": (five_qubit_code, lambda: line_tree(5), {}, _wrong_five),
+}
+
+
+class TestStackedConcentratingCheck:
+    @pytest.mark.parametrize("name", STACKED_INPUTS)
+    def test_matches_the_per_sample_walk(self, name, monkeypatch):
+        # the samples ride the reference register; the former walk, one per
+        # (sample, path), must report the same figures from the same draws
+        make_code, make_tree, kwargs, make_checked = STACKED_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        stored = run_concentrating(code, tree, **kwargs)
+        checked = make_checked() if make_checked else code
+        generators = []
+        real = np.random.default_rng
+
+        def recording(seed):
+            generators.append(real(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        got = verify_concentrating_channel(checked, tree, stored, samples=5, seed=7)
+        ref = oracles.verify_concentrating_channel(checked, tree, stored, samples=5, seed=7)
+        monkeypatch.undo()
+        assert abs(got.max_trace_distance - ref.max_trace_distance) <= 1e-12
+        assert abs(got.max_probability_deviation - ref.max_probability_deviation) <= 1e-12
+        assert (got.passed, got.paths_per_sample, got.samples) == (
+            ref.passed,
+            ref.paths_per_sample,
+            ref.samples,
+        )
+        assert got.passed == (make_checked is None)
+        first, second = generators
+        assert first.bit_generator.state == second.bit_generator.state
+
+    def test_refuses_zero_samples(self):
+        code, tree = star4_code(), star_tree(4)
+        with pytest.raises(InputError, match="at least one sample"):
+            verify_concentrating_channel(code, tree, samples=0)
 
 
 class TestNegativeControls:
