@@ -533,12 +533,13 @@ def _cmd_ki(args):
                 f"prefix of length {len(prefix)} leaves no merge to analyze "
                 f"({n} parties)"
             )
-        _, (_, _, psi) = _branch_walk(
+        _, branch = _branch_walk(
             code, tree, labeling, prefix, mode=args.mode, rank_rtol=args.tol_rank
         )
+        psi = PureState(branch.regs, branch.amps[0])
         stage = n - len(prefix)
         vertex = labeling[stage - 1]
-        triple = _roles_for(psi, vertex)
+        triple = _roles_for(branch.regs, vertex)
         doc = _base_doc("ki", args, code, name, tree, labeling)
         doc["A"] = vertex
         doc["prefix"] = list(prefix)

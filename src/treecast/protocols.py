@@ -15,13 +15,14 @@ dimension K on the tree edge (parent(v_k), v_k).  Outcome-conditioned
 corrections are deferred: the branch state is just the projected,
 uncorrected leftover, and after the last stage the root replays the
 correction isometries in ascending order, resurrecting every register
-locally, and finally inverts the encoding; all leaves share one register
-layout, so they are replayed together as rows of one array.  The per-edge cost is the
-worst tight K over all measurement branches, and every branch's
-protocol is rebuilt at that dimension so the provisioned resource is
-consumed in full.  Every branch of a stage has the same K, so the cost
-reports (``concentrating_cost``, ``compare_costs``, the labeling search)
-follow one branch per stage; only ``run_concentrating`` builds them all.
+locally, and finally inverts the encoding.  All branches of a stage
+share one register layout, so they are carried, and replayed, as rows of
+one array.  Every branch of a stage needs the same K, so the per-edge
+cost is the K of the first branch's protocol, and every other branch's
+protocol is built at that K, consuming the provisioned resource in full.
+The cost reports (``concentrating_cost``, ``compare_costs``, the
+labeling search) follow one branch per stage; only
+``run_concentrating`` builds them all.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from .errors import (
 from .merge_split import (
     MergeProtocol,
     SplitProtocol,
+    _merge_post_rows,
     build_merge_protocol,
     build_split_protocol,
     correction_event,
     execute_split,
-    merge_post_states,
     split_cost,
 )
 from .network import LABELING_ENUMERATION_LIMIT, RootedTree
@@ -267,7 +268,6 @@ class MergeStepRecord:
     """The merge of one branch, stored at ``steps[k][outcomes of stages N..k+1]``."""
 
     vertex: str
-    kmin: int  # tight minimum for this branch
     protocol: MergeProtocol  # built at the edge-wide resource dimension
 
 
@@ -295,109 +295,84 @@ class ConcentrateResult:
         return self.min_fidelity >= 1.0 - 1e-9
 
 
-def _holdings(state: PureState, party: str) -> list[str]:
-    return [r.id for r in state.registers if r.owner == party]
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Live branches as rows of one array, all over the register layout ``regs``."""
+
+    paths: list[tuple[int, ...]]  # outcomes so far, (m_N, …), per row
+    probs: np.ndarray  # path probability per row
+    amps: np.ndarray  # (rows, dim): the normalized branch states
+    regs: tuple[Register, ...]
+
+    def take(self, rows) -> _Rows:
+        """The rows at the indices ``rows``, in that order."""
+        rows = list(rows)
+        return _Rows([self.paths[i] for i in rows], self.probs[rows], self.amps[rows], self.regs)
 
 
-def _roles_for(state: PureState, party: str):
-    a_ids = _holdings(state, party)
-    r_ids = [REFERENCE_ID]
-    b_ids = [r.id for r in state.registers if r.id != REFERENCE_ID and r.id not in a_ids]
-    return (tuple(r_ids), tuple(a_ids), tuple(b_ids))
+def _roles_for(regs, party: str):
+    """(R, A, B) register ids for ``party`` merging what it holds in ``regs``."""
+    a_ids = tuple(r.id for r in regs if r.owner == party)
+    b_ids = tuple(r.id for r in regs if r.id != REFERENCE_ID and r.owner != party)
+    return ((REFERENCE_ID,), a_ids, b_ids)
 
 
-def _build_step(state, roles, *, mode, k, rank_rtol, ids, receiver, b0_owner):
-    """Tight protocol with fallback on synthesis failure; returns (proto, fell_back)."""
-    a0_id, b0_id = ids
-    common = dict(
-        k=k,
-        rank_rtol=rank_rtol,
-        a0_id=a0_id,
-        b0_id=b0_id,
-        receiver=receiver,
-        b0_owner=b0_owner,
-    )
+def _build_step(state, roles, *, mode, **common) -> MergeProtocol:
+    """Tight protocol, or the fallback in fallback mode or on synthesis failure."""
     if mode == "fallback":
-        return build_merge_protocol(state, roles, mode="fallback", **common), True
+        return build_merge_protocol(state, roles, mode="fallback", **common)
     try:
-        return build_merge_protocol(state, roles, mode="tight", **common), False
+        return build_merge_protocol(state, roles, mode="tight", **common)
     except SynthesisFailed:
-        return build_merge_protocol(state, roles, mode="fallback", **common), True
+        return build_merge_protocol(state, roles, mode="fallback", **common)
 
 
 @dataclass(frozen=True, eq=False)
 class _Stage:
     edge: EdgeCost
     records: dict[tuple[int, ...], MergeStepRecord]
-    fell_back: bool
-    live: list[tuple[tuple[int, ...], float, PureState]]  # branches entering stage k−1
+    live: _Rows  # branches entering stage k−1
 
 
 def _concentrate_stage(
-    live, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float
+    live: _Rows, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float
 ) -> _Stage:
     """``vertex`` merges what it holds into the root's collective, on every live branch.
 
-    Every live branch gets a tight protocol first (to discover the edge's
-    worst-case resource dimension), then all branch protocols are rebuilt
-    at that dimension so each branch consumes the same, fully-provisioned
-    resource.  Protocols depend only on the branch states, so the stage
-    is a function of (live, vertex).  Post-states are built only for the
-    outcomes a protocol's ``zero_mask`` leaves live.  Costs pass a single
-    branch (``_branch_walk``), since every branch of a stage has the same K.
+    The first branch's protocol is built as the cost walk builds it, and
+    its K is the edge's: every branch of a stage needs the same K
+    (``_branch_walk``), so every other branch is built at that K, and
+    one that needs more raises SynthesisFailed.  Protocols depend only
+    on the branch states, so the stage is a function of (live, vertex).
+    Post-states are built only for the outcomes a protocol's
+    ``zero_mask`` leaves live.
     """
     parent = tree.parent(vertex)
-
-    def build(state, k):
-        return _build_step(
-            state,
-            _roles_for(state, vertex),
-            mode=mode,
-            k=k,
-            rank_rtol=rank_rtol,
-            ids=(f"ent:{vertex}:A0", f"ent:{vertex}:B0"),
-            receiver=tree.root,
-            b0_owner=parent,
-        )
-
-    tight = [build(state, None) for _, _, state in live]
-    k_edge = max(p.k for p, _ in tight)
-    edge_fell = any(f for _, f in tight)
-    share_dim = math.prod(r.dim for r in live[0][2].registers if r.owner == vertex)
-
-    # rebuild every branch at the shared, fully provisioned dimension
+    roles = _roles_for(live.regs, vertex)
+    common = dict(mode=mode, rank_rtol=rank_rtol, receiver=tree.root, b0_owner=parent,
+                  a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
+    k_edge = None
     records: dict[tuple[int, ...], MergeStepRecord] = {}
-    while True:
+    paths, probs, blocks = [], [], []
+    for prefix, p_acc, amps in zip(live.paths, live.probs, live.amps):
+        state = PureState(live.regs, amps)
         try:
-            for (prefix, _, state), (tight_proto, _) in zip(live, tight):
-                if tight_proto.k == k_edge:
-                    proto, fell = tight_proto, False
-                else:
-                    proto, fell = build(state, k_edge)
-                edge_fell = edge_fell or fell
-                records[prefix] = MergeStepRecord(vertex, tight_proto.kmin, proto)
-            break
+            proto = _build_step(state, roles, k=k_edge, **common)
         except InsufficientResource:
-            # a fallback rebuild needed more than another branch's tight
-            # maximum; raise the edge dimension and redo the stage, up to
-            # dim H^A, past which no correction isometry exists
-            k_edge += 1
-            records.clear()
-            if k_edge > share_dim:
-                raise SynthesisFailed(
-                    f"edge ({parent}, {vertex}) has no exact protocol at any "
-                    f"K ≤ {share_dim}, the merged share's dimension"
-                )
-
-    next_live = []
-    for prefix, p_acc, state in live:
-        proto = records[prefix].protocol
+            msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
+            raise SynthesisFailed(msg) from None
+        k_edge = proto.k
+        records[prefix] = MergeStepRecord(vertex, proto)
         wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
-        for m, (p_m, post) in zip(wanted, merge_post_states(proto, state, wanted)):
-            if p_m < PROB_TOL:
-                continue
-            next_live.append((prefix + (m,), p_acc * p_m, post.normalized()))
-    return _Stage(EdgeCost(parent, vertex, k_edge), records, edge_fell, next_live)
+        ms, p_m, posts, regs = _merge_post_rows(proto, state, wanted)
+        kept = p_m >= PROB_TOL
+        paths += [prefix + (m,) for m in ms[kept].tolist()]
+        probs.append(p_acc * p_m[kept])
+        # each row by its own 1-D norm, as PureState.normalized divides
+        norms = [np.linalg.norm(post) for post in posts[kept]]
+        blocks.append(posts[kept] / np.array(norms)[:, None])
+    rows = _Rows(paths, np.concatenate(probs), np.concatenate(blocks), regs)
+    return _Stage(EdgeCost(parent, vertex, k_edge), records, rows)
 
 
 def run_concentrating(
@@ -413,16 +388,19 @@ def run_concentrating(
     """Synthesize and execute the concentrating protocol on every branch.
 
     Stages run from the last label to the second (``_concentrate_stage``).
-    ``branch_budget`` caps how many branches stay live after each stage:
-    the all-zero outcome path is always kept, and the others are drawn
-    from a generator made from ``seed`` and the stage alone.  With no
-    budget the walk is exhaustive.  Every leaf is replayed and decoded,
-    ``REPLAY_ROWS`` leaves at a time (``_replay_root_corrections``).  The
-    cost report equals ``concentrating_cost``, which follows one branch.
+    ``branch_budget`` (at least 1) caps how many branches stay live after
+    each stage: the all-zero outcome path is always kept, and the others
+    are drawn from a generator made from ``seed`` and the stage alone.
+    With no budget the walk is exhaustive.  Every leaf is replayed and
+    decoded, ``REPLAY_ROWS`` leaves at a time
+    (``_replay_root_corrections``).  The cost report equals
+    ``concentrating_cost``, which follows one branch.
     """
+    if branch_budget is not None and branch_budget < 1:
+        raise InputError(f"a branch budget keeps at least one branch, not {branch_budget}")
     _check_parties(code, tree)
     order = _ordered(tree, labeling)
-    live = [_first_branch(code)]
+    live = _first_branch(code)
     store: dict[int, dict[tuple[int, ...], MergeStepRecord]] = {}
     items = []
     explored_all = True
@@ -430,45 +408,43 @@ def run_concentrating(
 
     for level in range(len(order), 1, -1):
         stage = _concentrate_stage(live, tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
-        if stage.fell_back:
+        if any(rec.protocol.strategy == "fallback-teleport" for rec in stage.records.values()):
             fallback_edges.append(stage.edge.child)
         items.append(stage.edge)
         store[level], live = stage.records, stage.live
         del stage  # so a sampled-out branch is freed before the next stage
-        if branch_budget is not None and len(live) > branch_budget:
+        if branch_budget is not None and len(live.paths) > branch_budget:
             explored_all = False
-            live = _sampled(live, branch_budget, seed, level)
+            live = live.take(_sampled(live.paths, branch_budget, seed, level))
 
-    layout = live[0][2].registers  # every leaf ends in the same register layout
     branches = []
-    for lo in range(0, len(live), REPLAY_ROWS):
-        chunk = live[lo : lo + REPLAY_ROWS]
-        paths = [prefix for prefix, _, _ in chunk]
-        amps = np.stack([state.amplitudes for _, _, state in chunk])
-        final, regs = _replay_root_corrections(code, order, store, paths, amps, layout)
+    for lo in range(0, len(live.paths), REPLAY_ROWS):
+        chunk = live.take(range(lo, min(lo + REPLAY_ROWS, len(live.paths))))
+        paths, probs = chunk.paths, chunk.probs.tolist()
+        final, regs = _replay_root_corrections(code, order, store, paths, chunk.amps, chunk.regs)
         fids = _fidelities(code, final, regs).tolist()
-        branches += [ConcentrateBranch(br[0], br[1], fid) for br, fid in zip(chunk, fids)]
+        branches += map(ConcentrateBranch, paths, probs, fids)
 
     return ConcentrateResult(
         cost_report=_sorted_edge_costs("concentrate", items),
         labeling=order,
         steps=store,
         branches=tuple(branches),
-        coverage=float(sum(p for _, p, _ in live)),
+        coverage=float(sum(live.probs.tolist())),
         explored_all=explored_all,
         min_fidelity=min([1.0] + [br.fidelity for br in branches]),
         mode=mode,
-        fallback_edges=tuple(sorted(set(fallback_edges))),
+        fallback_edges=tuple(sorted(fallback_edges)),
     )
 
 
-def _sampled(live, budget: int, seed: int, level: int):
-    """``budget`` of the ``live`` branches, in their order, the all-zero one kept if live.
+def _sampled(paths, budget: int, seed: int, level: int) -> list[int]:
+    """Indices of ``budget`` of the ``paths``, in order, the all-zero one kept if live.
 
     The others are drawn from a generator made from ``seed`` and ``level`` alone.
     """
-    keep = [br for br in live if all(m == 0 for m in br[0])]
-    rest = [br for br in live if not all(m == 0 for m in br[0])]
+    keep = [i for i, path in enumerate(paths) if not any(path)]
+    rest = [i for i, path in enumerate(paths) if any(path)]
     take = min(len(rest), max(0, budget - len(keep)))
     sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
     picked = sampler.choice(len(rest), size=take, replace=False)
@@ -518,15 +494,16 @@ def _fidelities(code: IsometryCode, final: np.ndarray, regs) -> np.ndarray:
     return np.where(held, overlaps, 0.0).reshape(-1)
 
 
-def _first_branch(code: IsometryCode):
+def _first_branch(code: IsometryCode) -> _Rows:
     """The branch entering the first stage: no outcomes yet, the encoded pair."""
-    return ((), 1.0, encoded_pair(code).normalized())
+    psi = encoded_pair(code).normalized()
+    return _Rows([()], np.ones(1), psi.amplitudes[None], psi.registers)
 
 
 def _branch_walk(
     code: IsometryCode, tree: RootedTree, order, outcomes=None, *, mode: str, rank_rtol: float
 ):
-    """Stages of ``order`` on one branch: (their edge costs, the branch reached).
+    """Stages of ``order`` on one branch: (their edge costs, the one-row branch reached).
 
     After a set S has merged, each branch holds ψ with S's registers
     regrouped at their nearest unmerged ancestors, up to local unitaries
@@ -546,18 +523,18 @@ def _branch_walk(
     branch = _first_branch(code)
     edges = []
     for level, m in zip(range(len(order), 1, -1), outcomes):
-        stage = _concentrate_stage([branch], tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
+        stage = _concentrate_stage(branch, tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
         edges.append(stage.edge)
         if m is None:
-            branch = stage.live[0]
+            branch = stage.live.take([0])
             continue
-        count = stage.records[branch[0]].protocol.measurement.shape[1]
+        count = stage.records[branch.paths[0]].protocol.measurement.shape[1]
         if not 0 <= m < count:
             raise InputError(f"stage {level} has outcomes 0..{count - 1}, not {m}")
-        taken = [br for br in stage.live if br[0][-1] == m]
+        taken = [row for row, path in enumerate(stage.live.paths) if path[-1] == m]
         if not taken:
             raise InputError(f"stage {level} outcome {m} has zero probability")
-        branch = taken[0]
+        branch = stage.live.take(taken)
     return edges, branch
 
 
@@ -632,12 +609,12 @@ def _set_stage_costs(
             kids = tree.children(vertex)
             if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
                 continue
-            stage = _concentrate_stage([branch], tree, vertex, mode=mode, rank_rtol=rank_rtol)
+            stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol)
             edges[merged, vertex] = stage.edge
             grown = merged | {vertex}
             if grown not in walked:
                 walked.add(grown)
-                walk(grown, stage.live[0])
+                walk(grown, stage.live.take([0]))
 
     walk(frozenset(), _first_branch(code))
     return edges

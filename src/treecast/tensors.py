@@ -274,8 +274,10 @@ def project_onto(state: PureState, rids, vector: np.ndarray) -> PureState:
 
 
 def overlap(a: PureState, b: PureState) -> complex:
-    """<a|b> after aligning register order by id."""
-    if set(a.ids) == set(b.ids) and a.ids != b.ids:
+    """<a|b> after aligning register order by id; UnknownRegister if the id sets differ."""
+    if set(a.ids) != set(b.ids):
+        raise UnknownRegister(f"states on {a.ids!r} and {b.ids!r} cannot be compared")
+    if a.ids != b.ids:
         b = permute_registers(b, list(a.ids))
     if a.dims != b.dims:
         raise ShapeMismatch(f"dims {a.dims} vs {b.dims} cannot be compared")

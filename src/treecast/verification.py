@@ -116,6 +116,8 @@ def verify_spreading_channel(
     the physical registers is compared to U rho U† in trace distance,
     taken in the range of the two amplitude matrices.
     """
+    if samples < 1:
+        raise InputError("the spreading check needs at least one sample")
     if result is None:
         result = run_spreading(code, tree, labeling)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
 """Reference helpers the tests share: random states, phase-blind equality,
-Bell bases, the column phase rule, the per-leaf root replay and the
-per-sample concentrating channel check."""
+Bell bases, the column phase rule, the per-branch stage expansion, the
+per-leaf root replay and the per-sample concentrating channel check."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from treecast.codes import IsometryCode, reference_pair
-from treecast.merge_split import apply_merge_correction, merge_post_state
+from treecast.config import PROB_TOL
+from treecast.merge_split import apply_merge_correction, merge_post_state, merge_post_states
 from treecast.protocols import run_concentrating
 from treecast.tensors import (
     LinearMap,
@@ -40,8 +41,8 @@ def random_state(registers, rng) -> PureState:
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
     """True iff |<a|b>| = |a||b| within ``tol`` (identical up to global phase).
 
-    Register orders are aligned by id when both states carry the same id
-    set; otherwise dims must already agree positionally.
+    Register orders are aligned by id; states over different id sets
+    raise UnknownRegister.
     """
     na, nb = a.norm(), b.norm()
     if na == 0.0 or nb == 0.0:
@@ -78,6 +79,24 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     if abs(piv) == 0.0:
         return vec.copy()
     return vec * (abs(piv) / piv)
+
+
+def expanded_branches(live, records):
+    """Reference: a concentrating stage's outcomes, one post-state per branch outcome.
+
+    ``live`` holds (outcome path, path probability, state) triples; each
+    branch is measured by its record's protocol on the outcomes its
+    ``zero_mask`` leaves live, and every post-state of probability at
+    least PROB_TOL is normalized on its own.
+    """
+    out = []
+    for prefix, p_acc, state in live:
+        proto = records[prefix].protocol
+        wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
+        for m, (p_m, post) in zip(wanted, merge_post_states(proto, state, wanted)):
+            if p_m >= PROB_TOL:
+                out.append((prefix + (m,), p_acc * p_m, post.normalized()))
+    return out
 
 
 def replay_root_corrections(

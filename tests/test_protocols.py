@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import fidelity_to_reference, replay_root_corrections
+from oracles import expanded_branches, fidelity_to_reference, replay_root_corrections
 
 from treecast.codes import (
     IsometryCode,
@@ -232,7 +232,7 @@ class TestConcentratingFiveQubit:
             for rec in records.values():
                 proto = rec.protocol
                 assert proto.k == 1
-                assert rec.kmin == 1
+                assert proto.kmin == 1
                 assert proto.measurement.shape == (2, 2)
                 assert np.allclose(np.abs(proto.measurement), np.eye(2), atol=1e-9)
 
@@ -316,29 +316,24 @@ class TestConcentratingMore:
             for edge in res.cost_report.edges:
                 assert edge.k <= spread[edge.child]
 
-    def test_edge_retry_stops_at_share_dimension(self, five_line, monkeypatch):
-        # The first tight protocol at v4 claims one more dimension than its
-        # sibling branch, so the sibling is rebuilt at the raised K — and every
-        # rebuild reports an insufficient resource.  The retry loop must give
-        # up once K passes dim H^A = 2 instead of raising K forever.
+    def test_sibling_needing_more_k_fails_the_edge(self, five_line, monkeypatch):
+        # The edge's K is the first branch's.  Here the sibling branch at v4
+        # needs more than that K: the stage fails loudly, naming the edge,
+        # after one build per branch and no retry at a raised K.
         real = protocols.build_merge_protocol
         calls = []
 
         def stub(state, roles, *, k=None, **kwargs):
-            calls.append(k)
-            if len(calls) > 50:
-                raise RuntimeError("retry loop did not stop")
-            if k is not None:
-                raise InsufficientResource("stub: never enough")
-            proto = real(state, roles, k=None, **kwargs)
-            if kwargs["a0_id"] == "ent:v4:A0" and calls.count(None) == 2:
-                return dataclasses.replace(proto, k=proto.k + 1)
-            return proto
+            if kwargs["a0_id"] == "ent:v4:A0":
+                calls.append(k)
+                if k is not None:
+                    raise InsufficientResource("stub: the sibling needs K + 1")
+            return real(state, roles, k=k, **kwargs)
 
         monkeypatch.setattr(protocols, "build_merge_protocol", stub)
-        with pytest.raises(SynthesisFailed, match="K ≤ 2"):
+        with pytest.raises(SynthesisFailed, match=r"edge \(v3, v4\).* K=1"):
             run_concentrating(*five_line)
-        assert [k for k in calls if k is not None] == [2]
+        assert calls == [None, 1]
 
     def test_single_vertex_tree(self):
         code, tree = identity_code(2, 1), line_tree(1)
@@ -522,7 +517,7 @@ class TestSharedSuffixSearch:
             alive["stages"] += 1
             peak[0] = max(peak[0], alive["stages"])
             weakref.finalize(stage, release, "stages")
-            held = [*stage.records.values(), *(state for _, _, state in stage.live)]
+            held = [*stage.records.values(), stage.live.amps]
             alive["held"] += len(held)
             for obj in held:
                 weakref.finalize(obj, release, "held")
@@ -585,13 +580,13 @@ class TestOneBranchCosts:
         live = [protocols._first_branch(code)]
         for level in range(len(order), 1, -1):
             vertex = order[level - 1]
-            assert len({rec.kmin for rec in full.steps[level].values()}) == 1, level
+            assert len({rec.protocol.kmin for rec in full.steps[level].values()}) == 1, level
             alone = [
-                protocols._concentrate_stage([br], tree, vertex, mode=mode, rank_rtol=RANK_RTOL)
+                protocols._concentrate_stage(br, tree, vertex, mode=mode, rank_rtol=RANK_RTOL)
                 for br in live
             ]
             assert {stage.edge.k for stage in alone} == {charged[vertex]}, level
-            live = [br for stage in alone for br in stage.live]
+            live = [st.live.take([row]) for st in alone for row in range(len(st.live.paths))]
         assert len(live) == len(full.branches)
         assert concentrating_cost(code, tree, mode=mode) == full.cost_report
 
@@ -653,9 +648,11 @@ class TestOneBranchCosts:
                 prefix = br.outcomes[: n - j + 1]
                 rec = full.steps[j][prefix[:-1]]
                 state = merge_post_state(rec.protocol, state, prefix[-1])[1].normalized()
-                _, (_, _, got) = protocols._branch_walk(
+                _, branch = protocols._branch_walk(
                     code, tree, order, prefix, mode=mode, rank_rtol=RANK_RTOL
                 )
+                got = PureState(branch.regs, branch.amps[0])
+                assert branch.paths == [prefix]
                 assert got.ids == state.ids
                 assert np.allclose(got.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
 
@@ -667,8 +664,8 @@ class TestOneBranchCosts:
         full = run_concentrating(code, tree)
         assert full.steps[3][()].protocol.zero_mask == (False, True)
         walk = dict(code=code, tree=tree, order=order, mode="tight", rank_rtol=RANK_RTOL)
-        _, (_, _, state) = protocols._branch_walk(outcomes=(0,), **walk)
-        assert state.ids == ("R", "v1", "v2")
+        _, branch = protocols._branch_walk(outcomes=(0,), **walk)
+        assert [r.id for r in branch.regs] == ["R", "v1", "v2"]
         with pytest.raises(InputError, match="stage 3 outcome 1 has zero probability"):
             protocols._branch_walk(outcomes=(1,), **walk)
         for bad in (2, -1):
@@ -735,6 +732,30 @@ class TestRowReplay:
             assert fid == fidelity_to_reference(code, ref), path
             assert abs(br.fidelity - fid) <= 1e-12, path
         assert result.min_fidelity >= EXACT
+
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_stage_rows_match_the_per_branch_expansion(self, name):
+        # every stage's rows hold, bit for bit, the paths, probabilities and
+        # normalized post-states of expanding each branch on its own
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        order = tree.default_labeling()
+        budget = kwargs.get("branch_budget")
+        live = protocols._first_branch(code)
+        for level in range(len(order), 1, -1):
+            stage = protocols._concentrate_stage(
+                live, tree, order[level - 1], mode=kwargs.get("mode", "tight"), rank_rtol=RANK_RTOL
+            )
+            states = [PureState(live.regs, row) for row in live.amps]
+            triples = list(zip(live.paths, live.probs.tolist(), states))
+            ref = expanded_branches(triples, stage.records)
+            assert stage.live.paths == [path for path, _, _ in ref], level
+            assert np.array_equal(stage.live.probs, [p for _, p, _ in ref]), level
+            assert np.array_equal(stage.live.amps, [st.amplitudes for _, _, st in ref]), level
+            assert {st.registers for _, _, st in ref} == {stage.live.regs}, level
+            live = stage.live
+            if budget is not None and len(live.paths) > budget:
+                live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
 
     def test_chunks_do_not_change_the_branches(self, monkeypatch):
         code, tree = five_qubit_code(), line_tree(5)

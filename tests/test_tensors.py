@@ -18,6 +18,7 @@ from treecast.tensors import (
     marginal_matrix,
     max_entangled_pair,
     orthonormal_completion,
+    overlap,
     permute_registers,
     project_onto,
     range_trace_distance,
@@ -174,6 +175,18 @@ def test_equality_up_to_phase_aligns_by_id():
     assert states_equal_up_to_phase(st, permute_registers(rot, ["b", "a"]))
     other = random_state(st.registers, rng)
     assert not states_equal_up_to_phase(st, other)
+
+
+def test_overlap_refuses_different_registers():
+    # (x, y) and (x, z) have equal dims, so a positional <a|b> would read 1
+    zero = np.array([1, 0, 0, 0], dtype=complex)
+    a = PureState(regs(("x", 2, "v1"), ("y", 2, "v1")), zero)
+    b = PureState(regs(("x", 2, "v1"), ("z", 2, "v1")), zero)
+    assert overlap(a, permute_registers(a, ["y", "x"])) == 1
+    with pytest.raises(UnknownRegister, match="cannot be compared"):
+        overlap(a, b)
+    with pytest.raises(UnknownRegister):
+        states_equal_up_to_phase(a, b)
 
 
 def test_trace_distance_basics():

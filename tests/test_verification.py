@@ -136,9 +136,16 @@ class TestStackedConcentratingCheck:
         assert first.bit_generator.state == second.bit_generator.state
 
     def test_refuses_zero_samples(self):
+        # both channel checks, and the branch budget: none of them may
+        # pass having checked nothing
         code, tree = star4_code(), star_tree(4)
-        with pytest.raises(InputError, match="at least one sample"):
-            verify_concentrating_channel(code, tree, samples=0)
+        for check in (verify_spreading_channel, verify_concentrating_channel):
+            for samples in (0, -3):
+                with pytest.raises(InputError, match="at least one sample"):
+                    check(code, tree, samples=samples)
+        for budget in (0, -3):
+            with pytest.raises(InputError, match=f"at least one branch, not {budget}"):
+                run_concentrating(code, tree, branch_budget=budget)
 
 
 class TestNegativeControls:
