@@ -737,12 +737,12 @@ def merge_post_states(
     k > 1.  With ψ grouped as X = (A…, rest), every outcome comes from one
     contraction Q† (X ⊗ Φ⁺_K) (``_bell_folded``).
     """
-    _, probs, posts, rest = _merge_post_rows(protocol, psi, outcomes)
+    probs, posts, rest = _merge_post_rows(protocol, psi, outcomes)
     return [(float(p), PureState(rest, post)) for p, post in zip(probs, posts)]
 
 
 def _merge_post_rows(protocol: MergeProtocol, psi: PureState, outcomes=None):
-    """:func:`merge_post_states` as arrays: (outcomes, probabilities, post rows, registers)."""
+    """:func:`merge_post_states` as arrays: (probabilities, post rows, registers)."""
     k = protocol.k
     mat, _, rest = _group_first(psi, protocol.a_ids)
     q = protocol.measurement
@@ -753,7 +753,7 @@ def _merge_post_rows(protocol: MergeProtocol, psi: PureState, outcomes=None):
     if k > 1:
         rest.append(Register(protocol.b0_id, k, protocol.b0_owner))
     probs = np.linalg.norm(posts, axis=1) ** 2
-    return wanted, probs, posts, tuple(rest)
+    return probs, posts, tuple(rest)
 
 
 def merge_post_state(

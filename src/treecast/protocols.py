@@ -364,9 +364,9 @@ def _concentrate_stage(
         k_edge = proto.k
         records[prefix] = MergeStepRecord(vertex, proto)
         wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
-        ms, p_m, posts, regs = _merge_post_rows(proto, state, wanted)
+        p_m, posts, regs = _merge_post_rows(proto, state, wanted)
         kept = p_m >= PROB_TOL
-        paths += [prefix + (m,) for m in ms[kept].tolist()]
+        paths += [prefix + (m,) for m, keep in zip(wanted, kept) if keep]
         probs.append(p_acc * p_m[kept])
         # each row by its own 1-D norm, as PureState.normalized divides
         norms = [np.linalg.norm(post) for post in posts[kept]]

@@ -512,12 +512,13 @@ class TestSharedSuffixSearch:
         def release(kind):
             alive[kind] -= 1
 
-        def tracked(*args, **kwargs):
-            stage = real(*args, **kwargs)
+        def tracked(live, *args, **kwargs):
+            stage = real(live, *args, **kwargs)
             alive["stages"] += 1
             peak[0] = max(peak[0], alive["stages"])
             weakref.finalize(stage, release, "stages")
-            held = [*stage.records.values(), stage.live.amps]
+            # the rows a stage receives: the branch carried down to it
+            held = [*stage.records.values(), stage.live.amps, live.amps]
             alive["held"] += len(held)
             for obj in held:
                 weakref.finalize(obj, release, "held")
