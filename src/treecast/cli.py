@@ -6,8 +6,8 @@ Subcommands: ``cost-spread``, ``cost-concentrate``, ``run-spread``,
 Structured output is a single self-describing JSON document per run,
 dumped with sorted keys and no whitespace so identical inputs and seed
 produce byte-identical bytes; the human format is rendered from that
-same document.  Exit codes: 0 success, 2 input/validation error,
-3 protocol synthesis failure or numerical breakdown, 4 verification
+same document.  Exit codes: 0 success, 2 input/validation error or
+an input too large for memory, 3 protocol synthesis failure or numerical breakdown, 4 verification
 failure.
 """
 
@@ -702,7 +702,7 @@ def main(argv=None) -> int:
             _check_seed(args.seed)
         _check_tolerances(args)
         doc, exit_code = _HANDLERS[args.command](args)
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:
         return _fail(args, exc, 2)
     except (SynthesisFailed, NumericalDegeneracy, np.linalg.LinAlgError) as exc:
         return _fail(args, exc, 3)

@@ -25,12 +25,13 @@ Measurement strategies, picked by block structure:
                       pair and Φ⁺_K act as one larger resource.
   * synthesized     — anything else at the tight K: alternating
                       optimization over the measurement unitary.
-  * fallback-teleport — rank-of-A teleport, always available.
+  * fallback-teleport — rank-of-A teleport, always available, with its
+                      corrections written in closed form.
 
-Corrections for every strategy are solved exactly per outcome from the
-linear constraint (1⊗U_m)(⟨q_m|⊗1)(ψ⊗Φ⁺_K) = √p_m ψ^{R′B′B} and
-extended to isometries; a residual above tolerance raises
-SynthesisFailed rather than shipping a broken protocol.
+The tight strategies' corrections are solved exactly per outcome from
+the linear constraint (1⊗U_m)(⟨q_m|⊗1)(ψ⊗Φ⁺_K) = √p_m ψ^{R′B′B} and
+extended to isometries.  Every build checks that constraint on every
+live outcome; a residual above tolerance raises SynthesisFailed.
 """
 
 from __future__ import annotations
@@ -402,14 +403,13 @@ def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float):
     """(K, structure): K and what the merge measurement is built from.
 
     Tight mode gives the KI decomposition, fallback mode the phase-fixed
-    eigenframe of supp(ρ^A), whose rank is K.
+    eigenframe of ρ^A (largest first), whose rank is K.
     """
     if mode == "tight":
         dec = ki_decompose(psi, ids, rank_rtol=rank_rtol)
         return merge_cost_K(dec), dec
     if mode == "fallback":
-        rank, frame = _support(psi, ids[1], rank_rtol)
-        return rank, frame[:, :rank]
+        return _support(psi, ids[1], rank_rtol)
     raise ValueError(f"unknown merge mode {mode!r}")
 
 
@@ -599,6 +599,40 @@ def _solve_corrections(big, g_mat, qcols, da, db, k):
     return corrections, tuple(probs.tolist()), tuple(zero.tolist()), max_resid
 
 
+def _teleport_merge(big, g_mat, frame, n, da, db, k):
+    """The fallback merge in closed form: a rank-n teleport of A through Φ⁺_K.
+
+    With f the eigenframe of ρ^A (rank n ≤ K ≤ dA), the head is the shift
+    injection of f[:, :n], v_{p,q} = n^{-1/2} Σ_a ω_n^{qa} f_a ⊗ |p + a⟩, and
+    outcome m = p·n + q is corrected by U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]
+    with w_m[x, t] = ω_n^{qa} f[x, a], a = (t − p) mod K (phase 1 where
+    a ≥ n).  w_m is f[:, :K] composed with a shift and phases, so f's
+    orthonormality makes U_m an isometry.  Exactly the K·n head outcomes
+    must be live; the worst residual ‖U_m S_m − √p_m G‖ over them is
+    returned as ``_solve_corrections`` returns it.
+    """
+    live = k * n
+    head = _shift_injection(frame[:, :n].T[None], k)
+    qcols = np.hstack([head, orthonormal_completion(head, da * k)])
+    blocks, probs = _outcome_blocks(big, qcols)
+    zero = probs < PROB_TOL
+    if zero[:live].any() or not zero[live:].all():
+        raise SynthesisFailed(f"the teleport leaves {np.sum(~zero)} outcomes live, not {live}")
+    probs[zero] = 0.0
+    p, q = np.divmod(np.arange(live), n)
+    a = (np.arange(k) - p[:, None]) % k  # (live, K): the frame column t reads
+    w = frame[:, a] * np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
+    w = w.transpose(1, 0, 2)  # (live, dA, K)
+    s_mats = blocks[:live].reshape(live, -1, db, k).transpose(0, 3, 2, 1)  # S_m as (t, y, r)
+    out = (w @ s_mats.reshape(live, k, -1)).reshape(live, -1)  # U_m S_m on (x, y, r)
+    resid = np.linalg.norm(out - np.sqrt(probs[:live])[:, None] * g_mat.T.reshape(-1), axis=1)
+    iso = np.abs(_dagger(frame[:, :k]) @ frame[:, :k] - np.eye(k)).max()
+    corrections = np.zeros((len(probs), da * db, db * k), dtype=complex)
+    corrections[live:] = np.eye(da * db, db * k)
+    corrections.reshape(-1, da, db, db, k)[:live, :, np.arange(db), np.arange(db)] = w[:, :, None]
+    return qcols, corrections, tuple(probs.tolist()), tuple(zero.tolist()), max(resid.max(), iso)
+
+
 def _joint_tensor(psi3: np.ndarray, k: int) -> np.ndarray:
     """ψ ⊗ Φ⁺_K arranged as (dR, dA·k, dB·k)."""
     dr, da, db = psi3.shape
@@ -644,16 +678,17 @@ def build_merge_protocol(
 
     big = _joint_tensor(psi3, k_eff)
     if mode == "fallback":
-        qcols = _completed_basis(_shift_injection(structure.T[None], k_eff), da * k_eff)
         tag = "fallback-teleport"
+        qcols, corrections, probs, zero_mask, resid = _teleport_merge(
+            big, g_mat, structure, kmin, da, db, k_eff
+        )
     else:
         built = _tight_measurement(structure, da, k_eff)
         if built is None:
             tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff)
         else:
             tag, qcols = built
-
-    corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
+        corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
     if resid > VERIFY_TOL:
         raise SynthesisFailed(
             f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"

@@ -331,16 +331,11 @@ def phase_fixed(cols: np.ndarray) -> np.ndarray:
 def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the complement of ``cols``'s column space in C^dim.
 
-    Deterministic: projects the standard basis and orthonormalizes by SVD.
+    Deterministic: the trailing columns of one complete QR of ``cols``,
+    which must have full column rank (orthonormal columns always do).
     """
     have = 0 if cols.size == 0 else cols.shape[1]
-    need = dim - have
-    if need <= 0:
+    if dim <= have:
         return np.zeros((dim, 0), dtype=complex)
-    proj = np.eye(dim, dtype=complex)
-    if have:
-        proj -= cols @ cols.conj().T
-    u, s, _ = np.linalg.svd(proj)
-    keep = u[:, np.argsort(-s)[:need]]
-    return np.ascontiguousarray(keep)
-
+    q = np.linalg.qr(np.reshape(cols, (dim, have)).astype(complex), mode="complete")[0]
+    return np.ascontiguousarray(q[:, have:])

@@ -1,6 +1,7 @@
 """Reference helpers the tests share: random states, phase-blind equality,
-Bell bases, the column phase rule, the per-branch stage expansion, the
-per-leaf root replay and the per-sample concentrating channel check."""
+Bell bases, the column phase rule, the solved fallback merge, the
+per-branch stage expansion, the per-leaf root replay and the per-sample
+concentrating channel check."""
 
 from __future__ import annotations
 
@@ -9,8 +10,19 @@ import math
 import numpy as np
 
 from treecast.codes import IsometryCode, reference_pair
-from treecast.config import PROB_TOL
-from treecast.merge_split import apply_merge_correction, merge_post_state, merge_post_states
+from treecast.config import PROB_TOL, RANK_RTOL, VERIFY_TOL
+from treecast.koashi_imoto import _parse_roles
+from treecast.merge_split import (
+    MergeProtocol,
+    _completed_basis,
+    _joint_tensor,
+    _shift_injection,
+    _solve_corrections,
+    _support,
+    apply_merge_correction,
+    merge_post_state,
+    merge_post_states,
+)
 from treecast.protocols import run_concentrating
 from treecast.tensors import (
     LinearMap,
@@ -19,6 +31,7 @@ from treecast.tensors import (
     apply_map,
     marginal_matrix,
     overlap,
+    permute_registers,
     trace_distance,
 )
 from treecast.verification import (
@@ -79,6 +92,49 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     if abs(piv) == 0.0:
         return vec.copy()
     return vec * (abs(piv) / piv)
+
+
+def fallback_merge_reference(psi: PureState, roles, k=None) -> MergeProtocol:
+    """Reference: the fallback merge with every outcome's correction solved.
+
+    The phase-fixed shift injection of supp(ρ^A)'s eigenframe, completed
+    to a basis, and ``_solve_corrections`` over all outcomes, as
+    ``build_merge_protocol`` built the fallback before its closed form.
+    """
+    r_ids, a_ids, b_ids = _parse_roles(psi, roles)
+    perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
+    a_regs = [perm.register(i) for i in a_ids]
+    b_regs = [perm.register(i) for i in b_ids]
+    dr = math.prod(perm.register(i).dim for i in r_ids)
+    da = math.prod(r.dim for r in a_regs)
+    db = math.prod(r.dim for r in b_regs)
+    psi3 = perm.amplitudes.reshape(dr, da, db)
+    g_mat = psi3.reshape(dr, da * db)
+    rank, frame = _support(psi, a_ids, RANK_RTOL)
+    k_eff = rank if k is None else int(k)
+    big = _joint_tensor(psi3, k_eff)
+    qcols = _completed_basis(_shift_injection(frame[:, :rank].T[None], k_eff), da * k_eff)
+    corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
+    assert resid <= VERIFY_TOL
+    return MergeProtocol(
+        r_ids=r_ids,
+        a_ids=tuple(a_ids),
+        b_ids=tuple(b_ids),
+        a_dims=tuple(r.dim for r in a_regs),
+        b_dims=tuple(r.dim for r in b_regs),
+        k=k_eff,
+        kmin=rank,
+        strategy="fallback-teleport",
+        measurement=qcols,
+        corrections=corrections,
+        probs=probs,
+        zero_mask=zero_mask,
+        a0_id="merge:A0",
+        b0_id="merge:B0",
+        sender=a_regs[0].owner,
+        receiver="B",
+        b0_owner="B",
+    )
 
 
 def expanded_branches(live, records):

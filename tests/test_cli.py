@@ -542,6 +542,21 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert doc["error"]["type"] == "SynthesisFailed"
 
+    def test_memory_error_maps_to_2(self, capsys, monkeypatch):
+        from treecast import cli as cli_mod
+
+        def boom(args):
+            raise MemoryError("Unable to allocate 97.0 GiB")
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "run-concentrate", boom)
+        code, doc = run_json(capsys, "run-concentrate", "--code", "star4", "--tree", "star:4")
+        assert code == 2
+        assert doc == {
+            "format": "treecast.error/1",
+            "error": {"type": "MemoryError", "message": "Unable to allocate 97.0 GiB"},
+            "exit_code": 2,
+        }
+
     def test_tampered_trace_fails_verification(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
         code, _ = run_json(

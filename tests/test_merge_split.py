@@ -5,8 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bell_columns_loop, canonical_phase, random_state, shift_loop
+from oracles import (
+    bell_columns_loop,
+    canonical_phase,
+    fallback_merge_reference,
+    random_state,
+    shift_loop,
+)
 
+from treecast import merge_split
 from treecast.codes import (
     encoded_pair,
     five_qubit_code,
@@ -531,6 +538,9 @@ def exact_merge_cases():
         roles = {"R": ["R"], "A": ["a"], "B": ["b"]}
         cases.append((psi, roles, {"mode": "fallback"}))
         cases.append((psi, roles, {"mode": "fallback", "k": dims[1]}))
+    # fallback at K = 1, and at K = dA above the rank, where U_m reads f[:, a ≥ n]
+    cases.append((dead, star, {"mode": "fallback"}))
+    cases.append((padded_state(), {"R": ["R"], "A": ["a"], "B": ["b"]}, {"mode": "fallback", "k": 3}))
     return cases
 
 
@@ -618,9 +628,42 @@ class TestShiftInjection:
         frames = np.stack([canonical_phase(vecs[:, a]) for a in range(rank)])
         head = proto.measurement[:, : rank * proto.k]
         ref = shift_columns_loop(frames[None], proto.k)
-        # equal up to each column's phase, which the protocol fixes canonically
-        overlaps = np.abs(np.einsum("xc,xc->c", head.conj(), ref))
-        assert np.allclose(overlaps, 1.0, atol=1e-12)
+        # the head is the raw injection of the phase-fixed frame
+        assert np.abs(head - ref).max() <= 1e-12
+
+
+class TestClosedFormFallback:
+    CASES = [case for case in exact_merge_cases() if case[2].get("mode") == "fallback"]
+
+    @pytest.mark.parametrize("psi,roles,kwargs", CASES)
+    def test_matches_the_solved_reference(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        ref = fallback_merge_reference(psi, roles, kwargs.get("k"))
+        assert (proto.k, proto.kmin, proto.zero_mask) == (ref.k, ref.kmin, ref.zero_mask)
+        assert np.abs(np.subtract(proto.probs, ref.probs)).max() <= 1e-12
+        assert verify_merge(proto, psi).passed
+
+    def test_cases_cover_k_one_and_k_at_da(self):
+        protos = [build_merge_protocol(psi, roles, **kw) for psi, roles, kw in self.CASES]
+        shapes = [(p.k, p.kmin, math.prod(p.a_dims)) for p in protos]
+        assert any(k == 1 for k, _, _ in shapes)
+        assert any(k == da > kmin for k, kmin, da in shapes)
+        assert any(k == da == kmin for k, kmin, da in shapes)
+
+    def test_shift_off_by_one_fails_the_residual_check(self, monkeypatch):
+        # outcome 0 = (p, q) = (0, 0) is measured at shift 1 (its column
+        # swapped with outcome n's), so its closed-form U_0 no longer fits
+        psi, roles, kwargs = self.CASES[0]
+        n = build_merge_protocol(psi, roles, **kwargs).kmin
+        injection = merge_split._shift_injection
+
+        def off_by_one(frames, k):
+            head = injection(frames, k)
+            return head[:, [n, *range(1, n), 0, *range(n + 1, head.shape[1])]]
+
+        monkeypatch.setattr(merge_split, "_shift_injection", off_by_one)
+        with pytest.raises(SynthesisFailed, match="correction residual"):
+            build_merge_protocol(psi, roles, **kwargs)
 
 
 class TestBatchedExpansion:

@@ -5,7 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import expanded_branches, fidelity_to_reference, replay_root_corrections
+from oracles import (
+    expanded_branches,
+    fallback_merge_reference,
+    fidelity_to_reference,
+    replay_root_corrections,
+)
 
 from treecast.codes import (
     IsometryCode,
@@ -29,7 +34,7 @@ from treecast.errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from treecast.merge_split import build_split_protocol, merge_post_state
+from treecast.merge_split import build_split_protocol, merge_post_state, verify_merge
 from treecast.network import line_tree, parse_tree, star_tree
 from treecast.protocols import (
     compare_costs,
@@ -757,6 +762,31 @@ class TestRowReplay:
             live = stage.live
             if budget is not None and len(live.paths) > budget:
                 live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
+
+    @pytest.mark.parametrize(
+        "name", [name for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"]
+    )
+    def test_fallback_records_match_the_solved_reference(self, name):
+        # every record a kept branch walks through, against the fallback
+        # arm that solved each outcome's correction
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code = make_code()
+        result = run_concentrating(code, make_tree(), **kwargs)
+        n = len(result.labeling)
+        checked = set()
+        for br in result.branches:
+            state = encoded_pair(code).normalized()
+            for j in range(n, 1, -1):
+                prefix = br.outcomes[: n - j]
+                proto = result.steps[j][prefix].protocol
+                if (j, prefix) not in checked:
+                    checked.add((j, prefix))
+                    ref = fallback_merge_reference(state, (proto.r_ids, proto.a_ids, proto.b_ids), proto.k)
+                    assert (proto.kmin, proto.zero_mask) == (ref.kmin, ref.zero_mask), (j, prefix)
+                    assert np.abs(np.subtract(proto.probs, ref.probs)).max() <= 1e-12
+                    assert verify_merge(proto, state).passed, (j, prefix)
+                state = merge_post_state(proto, state, br.outcomes[n - j])[1].normalized()
+        assert len(checked) >= n - 1
 
     def test_chunks_do_not_change_the_branches(self, monkeypatch):
         code, tree = five_qubit_code(), line_tree(5)
