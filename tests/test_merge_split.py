@@ -654,7 +654,9 @@ class TestClosedFormFallback:
         # outcome 0 = (p, q) = (0, 0) is measured at shift 1 (its column
         # swapped with outcome n's), so its closed-form U_0 no longer fits
         psi, roles, kwargs = self.CASES[0]
-        n = build_merge_protocol(psi, roles, **kwargs).kmin
+        proto = build_merge_protocol(psi, roles, **kwargs)
+        n = proto.kmin
+        assert proto.k > 1 and proto.measurement.shape[1] > n
         injection = merge_split._shift_injection
 
         def off_by_one(frames, k):
