@@ -46,7 +46,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     InsufficientResource,
-    SchemaError,
     ShapeMismatch,
     SynthesisFailed,
     ZeroProbabilityBranch,
@@ -58,61 +57,18 @@ from .koashi_imoto import (
     merge_cost_K,
 )
 from .tensors import (
-    LinearMap,
     PureState,
     Register,
-    _group_first,
-    apply_map,
+    _group_rows,
+    apply_event,
     check_rank_cut,
     marginal_matrix,
-    max_entangled_pair,
     orthonormal_completion,
     permute_registers,
     phase_fixed,
-    project_onto,
-    tensor_product,
 )
 
-# -- the event interpreter ----------------------------------------------------
-
-
-def apply_event(state: PureState, event: dict) -> tuple[PureState, float | None]:
-    """Advance ``state`` by one protocol event; a measurement also returns its probability.
-
-    Events are dicts keyed by ``type``, holding arrays and registers:
-
-    * ``resource-consumed`` — attach Φ⁺_K on (``a0``, ``b0``) when given
-      (a K = 1 resource attaches nothing);
-    * ``local-isometry`` / ``root-correction`` — apply ``matrix`` from the
-      ``in`` registers to the ``out`` registers;
-    * ``measurement`` — project ``targets`` onto column ``outcome`` of
-      ``basis``.  The projected state is left unnormalized and its squared
-      norm is returned: the outcome's probability for a normalized input.
-      Callers renormalize where they need to;
-    * ``broadcast`` — classical communication, no change to the state.
-    """
-    kind = event.get("type")
-    if kind == "resource-consumed":
-        if "a0" in event:
-            state = tensor_product(state, max_entangled_pair(event["a0"], event["b0"]))
-        return state, None
-    if kind in ("local-isometry", "root-correction"):
-        op = LinearMap(tuple(event["in"]), tuple(event["out"]), event["matrix"])
-        return apply_map(state, op), None
-    if kind == "measurement":
-        basis, outcome = event["basis"], int(event["outcome"])
-        if not 0 <= outcome < basis.shape[1]:
-            raise SchemaError(f"measurement outcome {outcome} outside basis")
-        post = project_onto(state, [r.id for r in event["targets"]], basis[:, outcome])
-        prob = float(post.norm() ** 2)
-        if prob < PROB_TOL:
-            raise ZeroProbabilityBranch(
-                f"outcome {outcome} at {event.get('party')!r} has zero probability"
-            )
-        return post, prob
-    if kind == "broadcast":
-        return state, None
-    raise SchemaError(f"unknown event type {kind!r}")
+# -- protocol events ------------------------------------------------------------
 
 
 def isometry_event(party, matrix, ins, outs, kind="local-isometry") -> dict:
@@ -140,15 +96,16 @@ def _measured_events(party, basis, targets, outcome) -> list[dict]:
 
 
 def _bell_folded(columns: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
-    """columns†[(a, l), m] X[a, rest] Φ⁺_K[l, l′]  →  post[m, rest, l′].
+    """columns_b†[(a, l), m] X_b[a, rest] Φ⁺_K[l, l′]  →  post[b, m, rest, l′], per row b.
 
-    ``columns`` are measurement columns on (a, l), l fastest, and X is
-    ``mat``; Φ⁺_K = Σ_l |l⟩|l⟩/√K is folded into one matmul, so the
-    resource pair is never attached.
+    ``mat`` holds X_b as (rows, a, rest) and ``columns`` each row's
+    measurement columns on (a, l), l fastest, as (rows, a·l, m).
+    Φ⁺_K = Σ_l |l⟩|l⟩/√K is folded into one matmul, so the resource pair
+    is never attached.
     """
-    n = columns.shape[1]
-    ch = columns.conj().reshape(-1, k * n)
-    return (ch.T @ mat).reshape(k, n, -1).transpose(1, 2, 0) / math.sqrt(k)
+    n = columns.shape[2]
+    posts = columns.conj().reshape(len(mat), -1, k * n).swapaxes(1, 2) @ mat
+    return posts.reshape(len(mat), k, n, -1).transpose(0, 2, 3, 1) / math.sqrt(k)
 
 
 def _outcome_indices(outcomes, n: int) -> np.ndarray:
@@ -265,10 +222,8 @@ def build_split_protocol(
     )
 
 
-def split_events(
-    protocol: SplitProtocol, psi: PureState, outcome: int
-) -> tuple[list[dict], list[dict]]:
-    """The split's events for one outcome, as (prefix, tail).
+def split_events(protocol: SplitProtocol, registers, outcome: int) -> tuple[list[dict], list[dict]]:
+    """The split's events for one outcome on a state over ``registers``, as (prefix, tail).
 
     The prefix does not depend on the outcome: the sender compresses the
     moved block into a K-dimensional buffer, and Φ⁺_K is consumed on
@@ -279,7 +234,8 @@ def split_events(
     relabel, and the tail is empty.
     """
     k, sender, receiver = protocol.k, protocol.sender, protocol.receiver
-    moved = [psi.register(i) for i in protocol.moved_ids]
+    held = {r.id: r for r in registers}
+    moved = [held[i] for i in protocol.moved_ids]
     moved_out = [r.with_owner(receiver) for r in moved]
     edge = (sender, receiver)
     if all(r.dim == 1 for r in moved):
@@ -299,42 +255,49 @@ def split_events(
     return prefix, tail
 
 
+def _split_rows(protocol: SplitProtocol, amps: np.ndarray, regs, outcomes: np.ndarray):
+    """Row b through the split on each of its outcomes ``outcomes[b]``.
+
+    Returns (probabilities, states, registers); states are normalized,
+    indexed [row, outcome], in the layout that
+    :func:`split_events` leaves under :func:`apply_event`.  After the
+    compression (an event), one contraction bell† (X ⊗ Φ⁺_K) with each
+    row's Bell columns gathered, one shift matmul along B₀ and one
+    decompression give every outcome.  A block of trivial registers has
+    one branch per row, outcome 0.
+    """
+    prefix, tail = split_events(protocol, regs, 0)
+    if not tail:  # the resource and a relabel
+        for event in prefix:
+            amps, regs, _ = apply_event(amps, regs, event)
+        return np.ones((len(amps), 1)), amps[:, None], regs
+    k, (rows, n) = protocol.k, outcomes.shape
+    amps, regs, _ = apply_event(amps, regs, prefix[0])
+    mat, rest = _group_rows(amps, regs, [prefix[0]["out"][0].id])
+    posts = _bell_folded(np.moveaxis(protocol.bell[:, outcomes], 0, 1), mat, k)
+    probs = np.linalg.norm(posts.reshape(rows, n, -1), axis=2) ** 2
+    if (probs < PROB_TOL).any():
+        m = outcomes[probs < PROB_TOL][0]
+        raise ZeroProbabilityBranch(f"outcome {m} at {protocol.sender!r} has zero probability")
+    fixed = posts @ protocol.corrections[outcomes].swapaxes(-1, -2)
+    out = (fixed @ protocol.decompress.T).reshape(rows, n, -1)
+    out /= np.linalg.norm(out, axis=2)[..., None]
+    return probs, out, (*rest, *tail[-1]["out"])
+
+
 def split_post_states(
     protocol: SplitProtocol, psi: PureState, outcomes=None
 ) -> list[tuple[int, float, PureState]]:
-    """Every requested split outcome at once, corrections applied.
+    """``(outcome, probability, state)`` per outcome in ``outcomes``, all K² by default.
 
-    Returns ``(outcome, probability, state)`` per outcome in ``outcomes``
-    (all K² by default), each state normalized and in the register
-    layout that :func:`split_events` leaves under :func:`apply_event`.
-    The compression runs through the interpreter; with its state grouped
-    as X = (buf, rest…), one contraction bell† (X ⊗ Φ⁺_K)
-    (``_bell_folded``), one batched shift matmul along B₀ and one
-    decompression give every outcome.  A block of
-    trivial registers has one branch, outcome 0, whatever ``outcomes``
-    asks.
+    One row of ``_split_rows``.  A block of trivial registers has one
+    branch, outcome 0, whatever ``outcomes`` asks.
     """
     wanted = _outcome_indices(outcomes, protocol.k**2)
-    prefix, tail = split_events(protocol, psi, 0)
-    if not tail:  # the resource and a relabel
-        for event in prefix:
-            psi = apply_event(psi, event)[0]
-        return [(0, 1.0, psi)]
-    k, n = protocol.k, len(wanted)
-    compressed = apply_event(psi, prefix[0])[0]
-    mat, _, rest = _group_first(compressed, [prefix[0]["out"][0].id])
-    posts = _bell_folded(protocol.bell[:, wanted], mat, k)
-    probs = np.linalg.norm(posts.reshape(n, -1), axis=1) ** 2
-    dead = probs < PROB_TOL
-    if dead.any():
-        raise ZeroProbabilityBranch(
-            f"outcome {wanted[dead][0]} at {protocol.sender!r} has zero probability"
-        )
-    fixed = posts @ protocol.corrections[wanted].swapaxes(1, 2)
-    out = (fixed @ protocol.decompress.T).reshape(n, -1)
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    regs = tuple(rest) + tuple(tail[-1]["out"])
-    return [(m, float(p), PureState(regs, amps)) for m, p, amps in zip(wanted.tolist(), probs, out)]
+    probs, out, regs = _split_rows(protocol, psi.amplitudes[None], psi.registers, wanted[None])
+    if all(d == 1 for d in protocol.moved_dims):
+        wanted = [0]
+    return [(int(m), float(p), PureState(regs, amps)) for m, p, amps in zip(wanted, probs[0], out[0])]
 
 
 def execute_split(
@@ -603,7 +566,8 @@ def _teleport_merge(big, g_mat, frame, n, da, db, k):
     """The fallback merge in closed form: a rank-n teleport of A through Φ⁺_K.
 
     With f the eigenframe of ρ^A (rank n ≤ K ≤ dA), the head is the shift
-    injection of f[:, :n], v_{p,q} = n^{-1/2} Σ_a ω_n^{qa} f_a ⊗ |p + a⟩, and
+    injection of f[:, :n], v_{p,q} = n^{-1/2} Σ_a ω_n^{qa} f_a ⊗ |p + a⟩, which
+    spans supp(ρ^A) ⊗ C^K, so f[:, n:] ⊗ C^K completes it to a basis.  Head
     outcome m = p·n + q is corrected by U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]
     with w_m[x, t] = ω_n^{qa} f[x, a], a = (t − p) mod K (phase 1 where
     a ≥ n).  w_m is f[:, :K] composed with a shift and phases, so f's
@@ -613,7 +577,7 @@ def _teleport_merge(big, g_mat, frame, n, da, db, k):
     """
     live = k * n
     head = _shift_injection(frame[:, :n].T[None], k)
-    qcols = np.hstack([head, orthonormal_completion(head, da * k)])
+    qcols = np.hstack([head, np.kron(frame[:, n:], np.eye(k))])
     blocks, probs = _outcome_blocks(big, qcols)
     zero = probs < PROB_TOL
     if zero[:live].any() or not zero[live:].all():
@@ -764,13 +728,11 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
 def merge_post_states(
     protocol: MergeProtocol, psi: PureState, outcomes=None
 ) -> list[tuple[float, PureState]]:
-    """Measure (A…, A₀) for every outcome at once; corrections NOT applied.
+    """``(probability, post-state)`` of every outcome in ``outcomes`` (all by default).
 
-    Returns ``(probability, post-state)`` per outcome in ``outcomes``
-    (all of them by default): the exact branch probability and the
-    unnormalized post-measurement state on (rest…, B…, B₀) — B₀ only when
-    k > 1.  With ψ grouped as X = (A…, rest), every outcome comes from one
-    contraction Q† (X ⊗ Φ⁺_K) (``_bell_folded``).
+    The post-state is unnormalized and uncorrected, on (rest…, B…, B₀), B₀
+    only when k > 1: with ψ grouped as X = (A…, rest), one contraction
+    Q† (X ⊗ Φ⁺_K) (``_bell_folded``) gives every outcome.
     """
     probs, posts, rest = _merge_post_rows(protocol, psi, outcomes)
     return [(float(p), PureState(rest, post)) for p, post in zip(probs, posts)]
@@ -779,12 +741,12 @@ def merge_post_states(
 def _merge_post_rows(protocol: MergeProtocol, psi: PureState, outcomes=None):
     """:func:`merge_post_states` as arrays: (probabilities, post rows, registers)."""
     k = protocol.k
-    mat, _, rest = _group_first(psi, protocol.a_ids)
+    mat, rest = _group_rows(psi.amplitudes[None], psi.registers, protocol.a_ids)
     q = protocol.measurement
-    if mat.shape[0] * k != q.shape[0]:
+    if mat.shape[1] * k != q.shape[0]:
         raise ShapeMismatch("measurement columns do not match the merged share")
     wanted = _outcome_indices(outcomes, q.shape[1])
-    posts = _bell_folded(q[:, wanted], mat, k).reshape(len(wanted), -1)
+    posts = _bell_folded(q[None, :, wanted], mat, k)[0].reshape(len(wanted), -1)
     if k > 1:
         rest.append(Register(protocol.b0_id, k, protocol.b0_owner))
     probs = np.linalg.norm(posts, axis=1) ** 2
@@ -826,9 +788,9 @@ def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
     return isometry_event(recv, protocol.corrections[outcome], b_regs + b0, a_copy + b_regs)
 
 
-def apply_merge_correction(
-    protocol: MergeProtocol, outcome: int, post: PureState
-) -> PureState:
-    """Apply U_m to a post-measurement state of :func:`merge_post_states`."""
-    return apply_event(post, correction_event(protocol, outcome))[0]
+def apply_merge_correction(protocol: MergeProtocol, outcome: int, post: PureState) -> PureState:
+    """Apply U_m to a post-measurement state of :func:`merge_post_states` (one row)."""
+    event = correction_event(protocol, outcome)
+    amps, regs, _ = apply_event(post.amplitudes[None], post.registers, event)
+    return PureState(regs, amps[0])
 

@@ -27,7 +27,6 @@ labeling search) follow one branch per stage; only
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,10 +49,11 @@ from .merge_split import (
     build_split_protocol,
     correction_event,
     execute_split,
+    isometry_event,
     split_cost,
 )
 from .network import LABELING_ENUMERATION_LIMIT, RootedTree
-from .tensors import PureState, Register, _group_rows, overlap
+from .tensors import PureState, Register, _group_rows, apply_event, overlap
 
 # leaves replayed at once by run_concentrating: bounds the replay's arrays
 REPLAY_ROWS = 1024
@@ -456,28 +456,27 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
 
     Row b of ``amps`` is a branch state over the registers ``regs`` that
     followed the outcomes ``paths[b]`` = (m_N, …, m_2).  No correction
-    acts on the reference register.  Per stage the rows are regrouped once
-    as (rows, in, rest), and each record's corrections act on the run of
-    consecutive rows it recorded in one matmul.  Returns the decoded rows
-    and their registers, the logical register first.
+    acts on the reference register.  Each stage is one ``root-correction``
+    event whose matrix stacks every row's own correction, and the decoder
+    is one more.  Returns the decoded rows and their registers.
     """
     n = len(order)
-    count = len(paths)
+    # the reference register last, so every event's outputs splice in at
+    # the front, with no transposed copy
+    front = [r for r in regs if r.id != REFERENCE_ID]
+    grouped, rest = _group_rows(amps, regs, [r.id for r in front])
+    amps, regs = grouped.reshape(len(amps), -1), (*front, *rest)
     for j in range(2, n + 1):
-        event = correction_event(store[j][paths[0][: n - j]].protocol, 0)
-        grouped, _, rest = _group_rows(amps, regs, [r.id for r in event["in"]])
-        out = np.empty((count, event["matrix"].shape[0], grouped.shape[2]), dtype=complex)
-        prefixes = [path[: n - j] for path in paths]
-        for prefix, run in itertools.groupby(range(count), key=prefixes.__getitem__):
-            rows = list(run)
-            ms = [paths[b][n - j] for b in rows]
-            lo, hi = rows[0], rows[-1] + 1
-            out[lo:hi] = store[j][prefix].protocol.corrections[ms] @ grouped[lo:hi]
-        amps, regs = out.reshape(count, -1), (*event["out"], *rest)
-    grouped, _, rest = _group_rows(amps, regs, code.parties)
-    decoded = code.matrix.conj().T @ grouped
-    logical = Register("L", code.logical_dim, order[0])
-    return decoded.reshape(count, -1), (logical, *rest)
+        records = store[j]
+        event = correction_event(records[paths[0][: n - j]].protocol, 0)
+        event["matrix"] = np.stack(
+            [records[path[: n - j]].protocol.corrections[path[n - j]] for path in paths]
+        )
+        amps, regs, _ = apply_event(amps, regs, event)
+    held = {r.id: r for r in regs}
+    phys, logical = [held[p] for p in code.parties], Register("L", code.logical_dim, order[0])
+    decode = isometry_event(order[0], code.matrix.conj().T, phys, [logical], kind="root-correction")
+    return apply_event(amps, regs, decode)[:2]
 
 
 def _fidelities(code: IsometryCode, final: np.ndarray, regs) -> np.ndarray:

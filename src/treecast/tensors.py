@@ -5,7 +5,9 @@ complex amplitude per joint computational-basis label.  The first
 register is the slowest-varying (most significant) digit of the
 mixed-radix index, which makes the flat amplitude vector the C-order
 flattening of the dims-shaped tensor.  All values are immutable;
-operations return new objects.
+operations return new objects.  Rows are states stacked as an (rows, dim)
+array over one register layout: ``apply_rows`` applies every operator to
+them, and ``apply_event`` runs protocol events through it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DISCARD_TOL
+from .config import DISCARD_TOL, PROB_TOL
 from .errors import (
     BadPermutation,
     DuplicateRegister,
     InputError,
+    SchemaError,
     ShapeMismatch,
     UnknownRegister,
+    ZeroProbabilityBranch,
 )
 
 
@@ -148,12 +152,6 @@ def max_entangled_pair(reg_a: Register, reg_b: Register) -> PureState:
 # -- core operations -----------------------------------------------------------
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Joint state with ``a``'s registers first (slowest-varying)."""
-    _check_unique(a.registers + b.registers)
-    return PureState(a.registers + b.registers, np.kron(a.amplitudes, b.amplitudes))
-
-
 def permute_registers(state: PureState, order) -> PureState:
     """Reorder registers to the id sequence ``order`` (a bijection)."""
     ids = list(state.ids)
@@ -166,16 +164,8 @@ def permute_registers(state: PureState, order) -> PureState:
     return PureState(regs, tens.reshape(-1))
 
 
-def _group_first(state: PureState, rids) -> tuple[np.ndarray, list[Register], list[Register]]:
-    """Tensor reshaped to (dim(rids), dim(rest)); returns kept/rest registers."""
-    rows, kept, rest = _group_rows(state.amplitudes[None], state.registers, rids)
-    return rows[0], kept, rest
-
-
-def _group_rows(
-    amps: np.ndarray, registers, rids
-) -> tuple[np.ndarray, list[Register], list[Register]]:
-    """Rows over ``registers`` as (rows, dim(rids), dim(rest)), and the kept/rest registers."""
+def _group_rows(amps: np.ndarray, registers, rids) -> tuple[np.ndarray, list[Register]]:
+    """Rows over ``registers`` as (rows, dim(rids), dim(rest)), and the rest registers."""
     index = {r.id: k for k, r in enumerate(registers)}
     try:
         pos = [index[rid] for rid in rids]
@@ -189,7 +179,7 @@ def _group_rows(
     tens = amps.reshape([len(amps), *dims]).transpose([0, *(k + 1 for k in pos + rest)])
     dk = math.prod([dims[k] for k in pos])
     grouped = np.ascontiguousarray(tens).reshape(len(amps), dk, -1)
-    return grouped, [registers[k] for k in pos], [registers[k] for k in rest]
+    return grouped, [registers[k] for k in rest]
 
 
 def marginal_matrix(state: PureState, keep) -> np.ndarray:
@@ -199,7 +189,7 @@ def marginal_matrix(state: PureState, keep) -> np.ndarray:
     missing = keep_set - set(ordered)
     if missing:
         raise UnknownRegister(f"no register {sorted(missing)[0]!r} in state")
-    mat, _, _ = _group_first(state, ordered)
+    mat = _group_rows(state.amplitudes[None], state.registers, ordered)[0][0]
     return mat @ mat.conj().T
 
 
@@ -219,58 +209,89 @@ def check_rank_cut(evals: np.ndarray, cut: float) -> None:
         )
 
 
-def apply_map(state: PureState, m: LinearMap) -> PureState:
-    """Apply ``m`` to its input registers inside ``state``.
+def apply_rows(amps: np.ndarray, registers, ins, outs, matrix) -> tuple[np.ndarray, tuple]:
+    """Apply one map to every row of ``amps``, or row b's own map to row b: (rows, registers).
 
-    The output registers replace the inputs, spliced in at the position
-    of the earliest input register; untouched registers keep their
-    relative order.  Maps with no input registers attach fresh
-    registers (state preparation).
+    ``amps`` holds one state per row over ``registers``; ``matrix`` maps
+    the ``ins`` to the ``outs``, one (dout, din) map or a (rows, dout, din)
+    stack.  The outputs are spliced in where the first input sat, and
+    untouched registers keep their order.  A map with no inputs appends
+    its outputs (state preparation); one with no outputs contracts its
+    inputs away (a measurement's 1 × din row ⟨v|).
     """
-    _check_unique(m.out_registers)
-    in_ids = [r.id for r in m.in_registers]
-    for r in m.in_registers:
-        have = state.register(r.id)
-        if have.dim != r.dim:
-            raise ShapeMismatch(
-                f"register {r.id!r} has dimension {have.dim}, map expects {r.dim}"
-            )
-    if not in_ids:
-        extra = PureState(m.out_registers, m.matrix[:, 0])
-        _check_unique(state.registers + extra.registers)
-        return tensor_product(state, extra)
+    mat = np.asarray(matrix, dtype=complex)
+    din, dout = math.prod(r.dim for r in ins), math.prod(r.dim for r in outs)
+    if mat.shape[-2:] != (dout, din) or (mat.ndim != 2 and mat.shape[:-2] != (len(amps),)):
+        raise ShapeMismatch(f"map has shape {mat.shape}, expected {(dout, din)} per row")
+    dims = {r.id: r.dim for r in registers}
+    for r in ins:
+        if dims.get(r.id, r.dim) != r.dim:
+            raise ShapeMismatch(f"register {r.id!r} has dimension {dims[r.id]}, map expects {r.dim}")
+    in_ids = [r.id for r in ins]
+    grouped, rest = _group_rows(amps, registers, in_ids)
+    first = next((k for k, r in enumerate(registers) if r.id in in_ids), len(registers))
+    new = (*rest[:first], *outs, *rest[first:])
+    _check_unique(new)
+    before = math.prod(r.dim for r in rest[:first])
+    out = (mat @ grouped).reshape(len(amps), dout, before, -1).transpose(0, 2, 1, 3)
+    return out.reshape(len(amps), -1), new
 
-    mat, _, rest_regs = _group_first(state, in_ids)
-    out = m.matrix @ mat
-    new_regs = m.out_registers + tuple(rest_regs)
-    _check_unique(new_regs)
-    produced = PureState(new_regs, out.reshape(-1))
 
-    # splice outputs where the first input register sat
-    first = min(map(state.ids.index, in_ids))
-    order: list[str] = []
-    for k, r in enumerate(state.registers):
-        if k == first:
-            order.extend(o.id for o in m.out_registers)
-        if r.id in set(in_ids):
-            continue
-        order.append(r.id)
-    return permute_registers(produced, order) if order else produced
+def apply_event(amps: np.ndarray, regs, event: dict):
+    """Advance rows by one protocol event: (rows, registers, per-row probabilities or None).
+
+    Row b of ``amps`` is a state over the registers ``regs`` (one state is
+    one row), and every operator runs through :func:`apply_rows`.  Events
+    are dicts keyed by ``type``:
+
+    * ``resource-consumed`` — attach Φ⁺_K on (``a0``, ``b0``) when given,
+      a map with no inputs (a K = 1 resource attaches nothing);
+    * ``local-isometry`` / ``root-correction`` — apply ``matrix``, one map
+      or a (rows, dout, din) stack, from the ``in`` to the ``out`` registers;
+    * ``measurement`` — contract ``targets`` with ⟨v| for column ``outcome``
+      of ``basis``; ``outcome`` is one integer or one per row.  The rows are
+      left unnormalized and each row's squared norm is returned: its
+      outcome's probability for a normalized row;
+    * ``broadcast`` — classical communication, no change to the rows.
+    """
+    kind = event.get("type")
+    if kind == "resource-consumed":
+        if "a0" in event:
+            pair = max_entangled_pair(event["a0"], event["b0"])
+            amps, regs = apply_rows(amps, regs, (), pair.registers, pair.amplitudes[:, None])
+        return amps, regs, None
+    if kind in ("local-isometry", "root-correction"):
+        return (*apply_rows(amps, regs, event["in"], event["out"], event["matrix"]), None)
+    if kind == "measurement":
+        basis, outcome = event["basis"], np.asarray(event["outcome"])
+        if outcome.dtype.kind not in "iu" or ((outcome < 0) | (outcome >= basis.shape[1])).any():
+            raise SchemaError(f"measurement outcome {outcome} is not a column of the basis")
+        amps, regs = apply_rows(amps, regs, event["targets"], (), basis.T[outcome].conj()[..., None, :])
+        # each row by its own 1-D norm, as PureState.norm takes it
+        probs = np.array([np.linalg.norm(row) for row in amps]) ** 2
+        if (probs < PROB_TOL).any():
+            msg = f"outcome {outcome} at {event.get('party')!r} has zero probability"
+            raise ZeroProbabilityBranch(msg)
+        return amps, regs, probs
+    if kind == "broadcast":
+        return amps, regs, None
+    raise SchemaError(f"unknown event type {kind!r}")
+
+
+def apply_map(state: PureState, m: LinearMap) -> PureState:
+    """Apply ``m`` to its input registers inside ``state``: a one-row :func:`apply_rows`."""
+    amps, regs = apply_rows(
+        state.amplitudes[None], state.registers, m.in_registers, m.out_registers, m.matrix
+    )
+    return PureState(regs, amps[0])
 
 
 def project_onto(state: PureState, rids, vector: np.ndarray) -> PureState:
-    """Contract <vector| against the group ``rids`` (unnormalized result).
-
-    The projector vector is indexed with the first id in ``rids``
-    slowest.  The contracted registers are removed.
-    """
-    mat, kept, rest = _group_first(state, rids)
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
-    if vec.size != mat.shape[0]:
-        raise ShapeMismatch("projector vector length does not match register group")
-    amps = vec.conj() @ mat
-    produced = PureState(tuple(rest), amps)
-    return produced
+    """Contract <vector| against the group ``rids``, first id slowest: a one-row :func:`apply_rows`."""
+    ins = [state.register(rid) for rid in rids]
+    bra = np.asarray(vector, dtype=complex).reshape(-1).conj()
+    amps, regs = apply_rows(state.amplitudes[None], state.registers, ins, (), bra[None])
+    return PureState(regs, amps[0])
 
 
 def overlap(a: PureState, b: PureState) -> complex:

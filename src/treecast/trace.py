@@ -15,11 +15,13 @@ a trace can be verified long after the run that produced it.
 
 Events come from the protocols themselves (``split_events``,
 ``merge_events``) and run through the one interpreter,
-``merge_split.apply_event``, both while a trace is built and when
-``replay_trace`` re-executes it, which makes the recorded hash
+``tensors.apply_event``, on one row, both while a trace is built and
+when ``replay_trace`` re-executes it, which makes the recorded hash
 reproducible by construction; an independent fidelity gate against the
-ideal target state keeps the builders honest.  This module only
-serializes, assembles and replays.
+ideal target state keeps the builders honest.  The reader refuses an
+outcome that is not a JSON integer, a probability that is not a JSON
+number, and a broadcast that does not repeat its measurement's outcome.
+This module only serializes, assembles and replays.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import InputError, SchemaError, ShapeMismatch, VerificationFailed
 from .merge_split import (
     _bell_columns,
     _pauli_shifts,
-    apply_event,
     isometry_event,
     merge_events,
     split_events,
@@ -56,6 +57,7 @@ from .protocols import (
 from .tensors import (
     PureState,
     Register,
+    apply_event,
     max_entangled_pair,
     overlap,
     permute_registers,
@@ -217,9 +219,10 @@ def _convert(event: dict, op, reg) -> dict:
 
 
 def _advance(state: PureState, event: dict) -> tuple[PureState, float | None]:
-    """One interpreter step; the state is renormalized after a measurement."""
-    state, prob = apply_event(state, event)
-    return (state if prob is None else state.normalized()), prob
+    """One interpreter step on one row; the state is renormalized after a measurement."""
+    amps, regs, probs = apply_event(state.amplitudes[None], state.registers, event)
+    state = PureState(regs, amps[0])
+    return (state, None) if probs is None else (state.normalized(), float(probs[0]))
 
 
 class _Recorder:
@@ -339,7 +342,7 @@ def spread_trace(
                 f"edge ({step.parent}, {step.child}) has {proto.k ** 2} outcomes, "
                 f"got {m}"
             )
-        prefix, tail = split_events(proto, rec.state, m)
+        prefix, tail = split_events(proto, rec.state.registers, m)
         rec.emit(*prefix, *tail)
     return _assemble(
         "spread",
@@ -457,6 +460,22 @@ def _recorded_costs(report: dict) -> tuple[list[tuple[str, str, int]], float]:
     return edges, float(report["total_log2"])
 
 
+def _announced(ev: dict, pending: int | None) -> int | None:
+    """The measured outcome awaiting its broadcast once ``ev`` is read.
+
+    SchemaError unless an outcome is a JSON integer (never a bool), a
+    probability a JSON number, and a broadcast repeats its measurement's outcome.
+    """
+    kind, outcome = ev.get("type"), ev.get("outcome")
+    if kind not in ("measurement", "broadcast"):
+        return pending
+    if type(outcome) is not int or kind == "measurement" and type(ev["probability"]) not in (int, float):
+        raise SchemaError(f"{kind}: an outcome must be an integer and a probability a number")
+    if kind == "broadcast" and outcome != pending:
+        raise SchemaError(f"a broadcast announces {outcome}, but the measurement gave {pending}")
+    return outcome if kind == "measurement" else None
+
+
 def replay_trace(doc: dict) -> dict:
     """Re-execute a trace's fixed outcomes from its stored initial state."""
     _check_sections(doc)
@@ -467,11 +486,13 @@ def replay_trace(doc: dict) -> dict:
     recorded_hash = _section(doc, "final_state", lambda section: section["hash"])
     max_pdev = 0.0
     consumed: list[tuple[str, str, int]] = []
+    pending = None  # the outcome of the last measurement, until its broadcast
     for i, ev in enumerate(doc["events"]):
         try:
             state, prob = _advance(state, _convert(ev, ops.__getitem__, _reg_from))
+            pending = _announced(ev, pending)
             if prob is not None:
-                max_pdev = max(max_pdev, abs(prob - float(ev["probability"])))
+                max_pdev = max(max_pdev, abs(prob - ev["probability"]))
             if ev.get("type") == "resource-consumed":
                 consumed.append((ev["edge"][0], ev["edge"][1], _size(ev["k"], "resource k")))
         except (KeyError, TypeError, ValueError) as exc:

@@ -14,14 +14,13 @@ A spreading run ends in a pure state on (R, physical registers), so both
 physical marginals are A A† and B B† for amplitude matrices A and B with
 at most D = dim R columns.  Their trace distance is taken in the range
 of [A B] (:func:`~treecast.tensors.range_trace_distance`): one reduced
-QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Each sampled
-split outcome comes from :func:`~treecast.merge_split.split_post_states`
-(through ``execute_split``): one compression and one Bell contraction
-with Φ⁺_K folded in, never the state with the resource attached.
-
-The concentrating check stacks its samples on the reference register,
-which no merge or correction touches: each sampled path is one walk and
-one replayed row for all samples at once.
+QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Every
+(sample, path) is one row of one array, and each edge is walked once for
+all rows (``merge_split._split_rows``): one compression event and one Bell
+contraction with each row's columns gathered and Φ⁺_K folded in.  The
+concentrating check stacks its samples on the reference register, which
+no merge or correction touches: each sampled path is one walk and one
+replayed row for all samples at once.
 
 Two structural facts make the replay well-defined:
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .codes import REFERENCE_ID, IsometryCode
 from .errors import InputError, VerificationFailed
-from .merge_split import execute_split, merge_post_state
+from .merge_split import _split_rows, merge_post_state
 from .network import RootedTree
 from .protocols import (
     ConcentrateResult,
@@ -54,7 +53,6 @@ from .protocols import (
 from .tensors import (
     PureState,
     Register,
-    _group_first,
     _group_rows,
     range_trace_distance,
     trace_distance,
@@ -121,35 +119,33 @@ def verify_spreading_channel(
     if result is None:
         result = run_spreading(code, tree, labeling)
     rng = np.random.default_rng(seed)
+    # the draws in sample order: the input, then an outcome per edge on
+    # each path beside the all-zero one
+    targets, paths = [], []
+    for _ in range(samples):
+        targets.append(_encoded_input(code, random_input(rng, code.logical_dim)))
+        paths.append([0] * len(result.steps))
+        for _ in range(EXTRA_PATHS):
+            paths.append([int(rng.integers(step.protocol.k**2)) for step in result.steps])
+    # one row per (sample, path), every edge walked once for all of them
+    n_paths = 1 + EXTRA_PATHS
+    inputs, ins = np.stack([t.amplitudes for t in targets]), targets[0].registers
+    amps = np.repeat(inputs, n_paths, axis=0)
+    regs = tuple(r if r.id == REFERENCE_ID else r.with_owner(tree.root) for r in ins)
+    outcomes = np.array(paths, dtype=int)
+    worst_pdev = 0.0
+    for i, step in enumerate(result.steps):
+        probs, amps, regs = _split_rows(step.protocol, amps, regs, outcomes[:, i : i + 1])
+        amps = amps[:, 0]
+        worst_pdev = max(worst_pdev, float(np.abs(probs - 1.0 / step.protocol.k**2).max()))
     # the splits may leave the physical registers out of code order (a
-    # labeling not in party order does); group both states in the output's
+    # labeling not in party order does); group both sides in the output's
     # order, as (physical, rest) amplitude matrices with ≤ D columns
     phys_set = set(code.parties)
     phys = [r.id for r in result.final_state.registers if r.id in phys_set]
-    worst_td = 0.0
-    worst_pdev = 0.0
-    n_paths = 1 + EXTRA_PATHS
-    for _ in range(samples):
-        psi = random_input(rng, code.logical_dim)
-        target = _encoded_input(code, psi)
-        start = PureState(
-            tuple(
-                r if r.id == REFERENCE_ID else r.with_owner(tree.root)
-                for r in target.registers
-            ),
-            target.amplitudes,
-        )
-        target_amps = _group_first(target, phys)[0]
-        for p in range(n_paths):
-            state = start
-            for step in result.steps:
-                n_out = step.protocol.k**2
-                m = 0 if p == 0 else int(rng.integers(n_out))
-                (branch,) = execute_split(step.protocol, state, outcomes=[m])
-                worst_pdev = max(worst_pdev, abs(branch.probability - 1.0 / n_out))
-                state = branch.state
-            out_amps = _group_first(state, phys)[0]
-            worst_td = max(worst_td, range_trace_distance(out_amps, target_amps))
+    outs = _group_rows(amps, regs, phys)[0]
+    ideal = _group_rows(inputs, ins, phys)[0]
+    worst_td = max(range_trace_distance(out, ideal[b // n_paths]) for b, out in enumerate(outs))
     return ChannelCheck(
         direction="spread",
         samples=samples,

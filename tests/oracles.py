@@ -1,7 +1,7 @@
 """Reference helpers the tests share: random states, phase-blind equality,
 Bell bases, the column phase rule, the solved fallback merge, the
-per-branch stage expansion, the per-leaf root replay and the per-sample
-concentrating channel check."""
+per-branch stage expansion, the per-leaf root replay, the per-state event
+interpreter and the per-sample channel checks."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from treecast.codes import IsometryCode, reference_pair
+from treecast.codes import REFERENCE_ID, IsometryCode, reference_pair
 from treecast.config import PROB_TOL, RANK_RTOL, VERIFY_TOL
+from treecast.errors import SchemaError, ZeroProbabilityBranch
 from treecast.koashi_imoto import _parse_roles
 from treecast.merge_split import (
     MergeProtocol,
@@ -20,22 +21,29 @@ from treecast.merge_split import (
     _solve_corrections,
     _support,
     apply_merge_correction,
+    execute_split,
     merge_post_state,
     merge_post_states,
 )
-from treecast.protocols import run_concentrating
+from treecast.protocols import run_concentrating, run_spreading
 from treecast.tensors import (
     LinearMap,
     PureState,
     Register,
+    _check_unique,
+    _group_rows,
     apply_map,
     marginal_matrix,
+    max_entangled_pair,
     overlap,
     permute_registers,
+    project_onto,
+    range_trace_distance,
     trace_distance,
 )
 from treecast.verification import (
     DEFAULT_CHANNEL_TOL,
+    EXTRA_PATHS,
     ChannelCheck,
     _encoded_input,
     _pick_branch_paths,
@@ -224,6 +232,89 @@ def verify_concentrating_channel(
         direction="concentrate",
         samples=samples,
         paths_per_sample=len(paths),
+        max_trace_distance=worst_td,
+        max_probability_deviation=worst_pdev,
+        tol=tol,
+    )
+
+
+def tensor_product(a: PureState, b: PureState) -> PureState:
+    """Joint state with ``a``'s registers first (slowest-varying)."""
+    _check_unique(a.registers + b.registers)
+    return PureState(a.registers + b.registers, np.kron(a.amplitudes, b.amplitudes))
+
+
+def apply_event(state: PureState, event: dict) -> tuple[PureState, float | None]:
+    """Reference: the event interpreter on one state, through tensor_product,
+    apply_map and project_onto, as it ran before it ran on rows."""
+    kind = event.get("type")
+    if kind == "resource-consumed":
+        if "a0" in event:
+            state = tensor_product(state, max_entangled_pair(event["a0"], event["b0"]))
+        return state, None
+    if kind in ("local-isometry", "root-correction"):
+        op = LinearMap(tuple(event["in"]), tuple(event["out"]), event["matrix"])
+        return apply_map(state, op), None
+    if kind == "measurement":
+        basis, outcome = event["basis"], int(event["outcome"])
+        if not 0 <= outcome < basis.shape[1]:
+            raise SchemaError(f"measurement outcome {outcome} outside basis")
+        post = project_onto(state, [r.id for r in event["targets"]], basis[:, outcome])
+        prob = float(post.norm() ** 2)
+        if prob < PROB_TOL:
+            raise ZeroProbabilityBranch(
+                f"outcome {outcome} at {event.get('party')!r} has zero probability"
+            )
+        return post, prob
+    if kind == "broadcast":
+        return state, None
+    raise SchemaError(f"unknown event type {kind!r}")
+
+
+def verify_spreading_channel(
+    code,
+    tree,
+    result=None,
+    *,
+    samples: int = 20,
+    seed: int = 0,
+    tol: float = DEFAULT_CHANNEL_TOL,
+    labeling=None,
+) -> ChannelCheck:
+    """Reference: the spreading channel check with one walk per (sample, path)."""
+    if result is None:
+        result = run_spreading(code, tree, labeling)
+    rng = np.random.default_rng(seed)
+    phys_set = set(code.parties)
+    phys = [r.id for r in result.final_state.registers if r.id in phys_set]
+    worst_td = 0.0
+    worst_pdev = 0.0
+    n_paths = 1 + EXTRA_PATHS
+    for _ in range(samples):
+        psi = random_input(rng, code.logical_dim)
+        target = _encoded_input(code, psi)
+        start = PureState(
+            tuple(
+                r if r.id == REFERENCE_ID else r.with_owner(tree.root)
+                for r in target.registers
+            ),
+            target.amplitudes,
+        )
+        target_amps = _group_rows(target.amplitudes[None], target.registers, phys)[0][0]
+        for p in range(n_paths):
+            state = start
+            for step in result.steps:
+                n_out = step.protocol.k**2
+                m = 0 if p == 0 else int(rng.integers(n_out))
+                (branch,) = execute_split(step.protocol, state, outcomes=[m])
+                worst_pdev = max(worst_pdev, abs(branch.probability - 1.0 / n_out))
+                state = branch.state
+            out_amps = _group_rows(state.amplitudes[None], state.registers, phys)[0][0]
+            worst_td = max(worst_td, range_trace_distance(out_amps, target_amps))
+    return ChannelCheck(
+        direction="spread",
+        samples=samples,
+        paths_per_sample=n_paths,
         max_trace_distance=worst_td,
         max_probability_deviation=worst_pdev,
         tol=tol,

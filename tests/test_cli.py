@@ -571,8 +571,10 @@ class TestErrorsAndExitCodes:
         )
         assert code == 0
         doc = json.loads(trace_path.read_text())
-        ev = next(e for e in doc["events"] if e["type"] == "measurement")
-        ev["outcome"] = (ev["outcome"] + 1) % 4
+        # the measurement and its broadcast, so the trace still reads
+        at = next(i for i, e in enumerate(doc["events"]) if e["type"] == "measurement")
+        for ev in doc["events"][at : at + 2]:
+            ev["outcome"] = (ev["outcome"] + 1) % 4
         trace_path.write_text(json.dumps(doc))
         code, out = run_json(capsys, "verify-trace", str(trace_path))
         assert code == 4
@@ -697,6 +699,25 @@ class TestErrorsAndExitCodes:
         error = self.refused(capsys, tmp_path, spread_trace_doc)
         assert error["type"] == "SchemaError"
         assert "operator" in error["message"]
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("measurement", "outcome", True),
+            ("measurement", "outcome", "0"),
+            ("measurement", "outcome", 0.9),
+            ("measurement", "probability", "0.25"),
+            ("broadcast", "outcome", 7),
+        ],
+    )
+    def test_bad_outcomes_and_probabilities_refused(
+        self, capsys, tmp_path, spread_trace_doc, kind, key, value
+    ):
+        # an outcome is a JSON integer that its broadcast repeats, and a
+        # probability a JSON number
+        next(e for e in spread_trace_doc["events"] if e["type"] == kind)[key] = value
+        error = self.refused(capsys, tmp_path, spread_trace_doc)
+        assert error["type"] == "SchemaError"
 
     @pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
     def test_bad_state_entries_refused(self, capsys, tmp_path, spread_trace_doc, damage):

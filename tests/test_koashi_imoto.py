@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import canonical_phase, random_state, states_equal_up_to_phase
+from oracles import canonical_phase, random_state, states_equal_up_to_phase, tensor_product
 
 from treecast import koashi_imoto
 from treecast.codes import encoded_pair, five_qubit_code, random_code, star4_code
@@ -26,7 +26,6 @@ from treecast.tensors import (
     Register,
     permute_registers,
     phase_fixed,
-    tensor_product,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     bell_columns_loop,
@@ -11,6 +12,7 @@ from oracles import (
     fallback_merge_reference,
     random_state,
     shift_loop,
+    tensor_product,
 )
 
 from treecast import merge_split
@@ -39,11 +41,11 @@ from treecast.merge_split import (
     _pauli_shifts,
     _shift_injection,
     _solve_corrections,
-    apply_event,
     apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
     execute_split,
+    isometry_event,
     merge_cost,
     merge_post_state,
     merge_events,
@@ -59,6 +61,7 @@ from treecast.tensors import (
     LinearMap,
     PureState,
     Register,
+    apply_event,
     apply_map,
     marginal_matrix,
     max_entangled_pair,
@@ -66,9 +69,18 @@ from treecast.tensors import (
     overlap,
     permute_registers,
     project_onto,
-    tensor_product,
 )
-from treecast.trace import _OpTable, _reg_from, _regspec, spread_trace, verify_trace
+from treecast.trace import (
+    _convert,
+    _ops_from_doc,
+    _OpTable,
+    _reg_from,
+    _regspec,
+    _state_from_doc,
+    concentrate_trace,
+    spread_trace,
+    verify_trace,
+)
 
 
 def regs(*spec):
@@ -944,7 +956,7 @@ class TestSplitInterpreter:
 
     def test_trivial_block_is_resource_and_relabel(self):
         psi, proto = spreading_steps(identity_code(2, 3), line_tree(3))[0]
-        prefix, tail = split_events(proto, psi, 0)
+        prefix, tail = split_events(proto, psi.registers, 0)
         assert [e["type"] for e in prefix] == ["resource-consumed", "local-isometry"]
         assert tail == []
         (branch,) = execute_split(proto, psi)
@@ -954,17 +966,17 @@ class TestSplitInterpreter:
 
 def split_tail_reference(protocol, psi, outcomes=None):
     """Reference: the former per-outcome interpreter tail of ``execute_split``."""
-    prefix, tail = split_events(protocol, psi, 0)
+    prefix, tail = split_events(protocol, psi.registers, 0)
     head = psi
     for event in prefix:
-        head, _ = apply_event(head, event)
+        head, _ = oracles.apply_event(head, event)
     if not tail:
         return [(0, 1.0, head)]
     out = []
     for m in range(protocol.k**2) if outcomes is None else outcomes:
         state, prob = head, None
-        for event in split_events(protocol, psi, int(m))[1]:
-            state, p = apply_event(state, event)
+        for event in split_events(protocol, psi.registers, int(m))[1]:
+            state, p = oracles.apply_event(state, event)
             prob = prob if p is None else p
         out.append((int(m), prob, state.normalized()))
     return out
@@ -1068,7 +1080,7 @@ class TestMergeEvents:
         for m in np.flatnonzero(~np.array(proto.zero_mask))[:6]:
             state, prob = psi, None
             for event in merge_events(proto, int(m)):
-                state, p = apply_event(state, event)
+                state, p = one_row(state, event)
                 prob = prob if p is None else p
             ref_prob, ref_post = batched[m]
             assert abs(prob - ref_prob) <= 1e-12
@@ -1094,12 +1106,18 @@ class TestMergeEvents:
             assert np.abs(aligned.amplitudes - want.amplitudes).max() <= 1e-12
 
 
+def one_row(state, event):
+    """``apply_event`` on the one row ``state``: (state, probability or None)."""
+    amps, regs, probs = apply_event(state.amplitudes[None], state.registers, event)
+    return PureState(regs, amps[0]), None if probs is None else float(probs[0])
+
+
 class TestApplyEvent:
     def test_measurement_leaves_the_state_unnormalized(self):
         psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
         basis = np.eye(2, dtype=complex)
         event = {"type": "measurement", "basis": basis, "targets": [psi.register("S")], "outcome": 1}
-        post, prob = apply_event(psi, event)
+        post, prob = one_row(psi, event)
         assert prob == pytest.approx(0.5)
         assert post.norm() ** 2 == pytest.approx(0.5)
 
@@ -1107,12 +1125,12 @@ class TestApplyEvent:
         psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
         target = [psi.register("S")]
         with pytest.raises(SchemaError):
-            apply_event(psi, {"type": "teleport"})
+            one_row(psi, {"type": "teleport"})
         with pytest.raises(SchemaError):
-            apply_event(psi, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 2})
+            one_row(psi, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 2})
         zero = PureState(psi.registers, np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(ZeroProbabilityBranch):
-            apply_event(zero, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 1})
+            one_row(zero, {"type": "measurement", "basis": np.eye(2), "targets": target, "outcome": 1})
         wrong = {
             "type": "local-isometry",
             "matrix": np.eye(3),
@@ -1120,4 +1138,101 @@ class TestApplyEvent:
             "out": [Register("S", 3, "alice")],
         }
         with pytest.raises(ShapeMismatch):
-            apply_event(psi, wrong)
+            one_row(psi, wrong)
+
+    @pytest.mark.parametrize("outcome", [True, 0.9, "0", [0.0], -1, 2])
+    def test_outcome_is_an_integer_column(self, outcome):
+        psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
+        event = {"type": "measurement", "basis": np.eye(2), "targets": [psi.register("S")]}
+        with pytest.raises(SchemaError, match="is not a column of the basis"):
+            one_row(psi, event | {"outcome": outcome})
+
+    def test_per_row_maps_and_outcomes_must_match_the_rows(self):
+        psi = max_entangled_pair(Register("R", 2, "ref"), Register("S", 2, "alice"))
+        rows, target = np.stack([psi.amplitudes] * 3), [psi.register("S")]
+        stack = isometry_event("alice", np.stack([np.eye(2)] * 2), target, target)
+        measured = {"type": "measurement", "basis": np.eye(2), "targets": target}
+        for event in (stack, measured | {"outcome": [0, 1]}, measured | {"outcome": [[0, 1, 0]]}):
+            with pytest.raises(ShapeMismatch):
+                apply_event(rows, psi.registers, event)
+
+
+
+
+def _traced(kind, code, tree, **run):
+    def make():
+        c, t = code(), tree()
+        if kind == "spread":
+            result = run_spreading(c, t)
+            # the last outcome of every split, so shifts and phases all act
+            return spread_trace(c, t, result, outcomes=[s.protocol.k**2 - 1 for s in result.steps])
+        result = run_concentrating(c, t, **run)
+        return concentrate_trace(c, t, result, outcomes=result.branches[-1].outcomes)
+
+    return make
+
+
+TRACED = {
+    "spread-five_qubit-line": _traced("spread", five_qubit_code, lambda: line_tree(5)),
+    "spread-star4": _traced("spread", star4_code, lambda: star_tree(4)),
+    "concentrate-five_qubit-line": _traced("concentrate", five_qubit_code, lambda: line_tree(5)),
+    "concentrate-star4": _traced("concentrate", star4_code, lambda: star_tree(4)),
+    "concentrate-ghz4-fallback": _traced(
+        "concentrate", lambda: ghz_code(4), lambda: line_tree(4), mode="fallback"
+    ),
+}
+
+
+def traced_events(doc):
+    """A trace's initial state and its events with operators and registers resolved."""
+    ops = _ops_from_doc(doc["operators"], named=True)
+    events = [_convert(ev, ops.__getitem__, _reg_from) for ev in doc["events"]]
+    return _state_from_doc(doc["initial_state"]), events
+
+
+def oracle_step(state, event):
+    """The reference interpreter's step, renormalized after a measurement as replay does."""
+    state, prob = oracles.apply_event(state, event)
+    return state if prob is None else state.normalized()
+
+
+class TestRowInterpreter:
+    @pytest.mark.parametrize("name", TRACED)
+    def test_one_row_is_the_state_interpreter(self, name):
+        state, events = traced_events(TRACED[name]())
+        for event in events:
+            want, want_p = oracles.apply_event(state, event)
+            got, got_p = one_row(state, event)
+            assert got.registers == want.registers
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert got_p == want_p
+            state = oracle_step(state, event)
+
+    @pytest.mark.parametrize("name", TRACED)
+    def test_rows_are_row_by_row_calls(self, name):
+        # the traced row and three random ones: once with the event as
+        # recorded, once with per-row outcomes or per-row maps
+        rng = np.random.default_rng(3)
+        state, events = traced_events(TRACED[name]())
+        for event in events:
+            rows = [state.amplitudes] + [random_state(state.registers, rng).amplitudes for _ in range(3)]
+            own = [dict(event) for _ in rows]
+            if event["type"] == "measurement":
+                for ev in own[1:]:
+                    ev["outcome"] = int(rng.integers(event["basis"].shape[1]))
+                stacked = dict(event, outcome=np.array([ev["outcome"] for ev in own]))
+            elif "matrix" in event:
+                shape = event["matrix"].shape
+                for ev in own[1:]:
+                    ev["matrix"] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                stacked = dict(event, matrix=np.stack([ev["matrix"] for ev in own]))
+            else:
+                stacked = event
+            for batched, per_row in ((event, [event] * len(rows)), (stacked, own)):
+                amps, regs, probs = apply_event(np.stack(rows), state.registers, batched)
+                for b, (row, ev) in enumerate(zip(rows, per_row)):
+                    want, want_p = oracles.apply_event(PureState(state.registers, row), ev)
+                    assert regs == want.registers
+                    assert np.array_equal(amps[b], want.amplitudes)
+                    assert (None if probs is None else probs[b]) == want_p
+            state = oracle_step(state, event)

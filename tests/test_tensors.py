@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import canonical_phase, random_state, states_equal_up_to_phase
+from oracles import canonical_phase, random_state, states_equal_up_to_phase, tensor_product
 from treecast.errors import (
     BadPermutation,
     DuplicateRegister,
@@ -22,7 +22,6 @@ from treecast.tensors import (
     permute_registers,
     project_onto,
     range_trace_distance,
-    tensor_product,
     trace_distance,
 )
 

@@ -256,6 +256,38 @@ class TestStoredTraces:
         assert verdict["hash_match"]
         assert verdict["passed"]
 
+    @pytest.mark.parametrize(
+        "event, key, value",
+        [
+            (1, "outcome", "0"),
+            (1, "outcome", 0.9),
+            (1, "outcome", 0.0),
+            (1, "outcome", True),
+            (1, "outcome", [0]),
+            (1, "probability", "0.25"),
+            (1, "probability", True),
+            (2, "outcome", 7),
+            (2, "outcome", False),
+        ],
+    )
+    def test_reader_refuses_malformed_values(self, event, key, value):
+        # star4-concentrate.json: event 1 is a measurement of 0, event 2 its broadcast
+        doc = load_trace(str(DATA / "star4-concentrate.json"))
+        assert [doc["events"][i]["type"] for i in (1, 2)] == ["measurement", "broadcast"]
+        doc["events"][event][key] = value
+        with pytest.raises(SchemaError):
+            verify_trace(doc)
+
+    def test_reader_refuses_a_broadcast_without_its_measurement(self):
+        doc = load_trace(str(DATA / "star4-concentrate.json"))
+        early = dict(doc, events=[doc["events"][2]] + doc["events"])
+        with pytest.raises(SchemaError, match="announces 0, but the measurement gave None"):
+            verify_trace(early)
+        flipped = json.loads(json.dumps(doc))
+        flipped["events"][1]["outcome"] = 1
+        with pytest.raises(SchemaError, match="announces 0, but the measurement gave 1"):
+            verify_trace(flipped)
+
     def test_spread_blocks_are_resource_first(self):
         doc = load_trace(str(DATA / "star4-spread-resource-first.json"))
         assert [e["type"] for e in doc["events"][1:3]] == [
@@ -275,8 +307,10 @@ class TestTamperDetection:
         doc = concentrate_trace(code, tree, five_concentrate)
 
         def flip(d):
-            ev = next(e for e in d["events"] if e["type"] == "measurement")
-            ev["outcome"] = 1 - ev["outcome"]
+            # the measurement and its broadcast, so the trace still reads
+            at = next(i for i, e in enumerate(d["events"]) if e["type"] == "measurement")
+            for ev in d["events"][at : at + 2]:
+                ev["outcome"] = 1 - ev["outcome"]
 
         verdict = verify_trace(self.tampered(doc, flip))
         assert not verdict["passed"]

@@ -148,6 +148,49 @@ class TestStackedConcentratingCheck:
                 run_concentrating(code, tree, branch_budget=budget)
 
 
+# (stored code, tree, labeling, code the check is given)
+SPREAD_INPUTS = {
+    "five_qubit-line": (five_qubit_code, lambda: line_tree(5), None, None),
+    "star4": (star4_code, lambda: star_tree(4), None, None),
+    # mixed party dimensions, labeled out of party order
+    "mixed-dims-star": (
+        lambda: random_code(np.random.default_rng(31), 2, (2, 3, 2, 2)),
+        lambda: star_tree(4),
+        ("v1", "v4", "v2", "v3"),
+        None,
+    ),
+    "single-vertex": (lambda: identity_code(2, 1), lambda: line_tree(1), None, None),
+    "wrong-code": (five_qubit_code, lambda: line_tree(5), None, _wrong_five),
+}
+
+
+class TestStackedSpreadingCheck:
+    @pytest.mark.parametrize("name", SPREAD_INPUTS)
+    def test_matches_the_per_sample_walk(self, name, monkeypatch):
+        # every (sample, path) is a row walked once per edge; the former
+        # walk, one per (sample, path), must report the same figures from
+        # the same draws
+        make_code, make_tree, labeling, make_checked = SPREAD_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        stored = run_spreading(code, tree, labeling)
+        checked = make_checked() if make_checked else code
+        generators = []
+        real = np.random.default_rng
+
+        def recording(seed):
+            generators.append(real(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        got = verify_spreading_channel(checked, tree, stored, samples=5, seed=7)
+        ref = oracles.verify_spreading_channel(checked, tree, stored, samples=5, seed=7)
+        monkeypatch.undo()
+        assert got == ref
+        assert got.passed == (make_checked is None)
+        first, second = generators
+        assert first.bit_generator.state == second.bit_generator.state
+
+
 class TestNegativeControls:
     def test_wrong_code_spreading_fails(self):
         tree = line_tree(5)
