@@ -59,41 +59,17 @@ from .koashi_imoto import (
 from .tensors import (
     PureState,
     Register,
+    _dagger,
     _group_rows,
+    _measured_events,
+    _resource_event,
     apply_event,
     check_rank_cut,
-    marginal_matrix,
+    isometry_event,
     orthonormal_completion,
-    permute_registers,
     phase_fixed,
+    row_norms,
 )
-
-# -- protocol events ------------------------------------------------------------
-
-
-def isometry_event(party, matrix, ins, outs, kind="local-isometry") -> dict:
-    """``matrix`` applied at ``party``, from the ``ins`` registers to the ``outs``."""
-    return {"type": kind, "party": party, "matrix": matrix, "in": list(ins), "out": list(outs)}
-
-
-def _resource_event(edge, k, a0=None, b0=None) -> dict:
-    event = {"type": "resource-consumed", "edge": list(edge), "k": k}
-    return event if a0 is None else event | {"a0": a0, "b0": b0}
-
-
-def _measured_events(party, basis, targets, outcome) -> list[dict]:
-    """A measurement and the broadcast of its outcome."""
-    return [
-        {
-            "type": "measurement",
-            "party": party,
-            "basis": basis,
-            "targets": list(targets),
-            "outcome": outcome,
-        },
-        {"type": "broadcast", "party": party, "outcome": outcome},
-    ]
-
 
 def _bell_folded(columns: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
     """columns_b†[(a, l), m] X_b[a, rest] Φ⁺_K[l, l′]  →  post[b, m, rest, l′], per row b.
@@ -145,23 +121,24 @@ class SplitBranch:
     state: PureState
 
 
-def _support(psi: PureState, ids, rank_rtol: float) -> tuple[int, np.ndarray]:
-    """Numerical rank and phase-fixed eigenframe (largest first) of the ``ids`` marginal.
+def _support(amps, regs, ids, rank_rtol: float) -> tuple[list[int], np.ndarray]:
+    """Numerical rank and phase-fixed eigenframe (largest first) of each row's ``ids`` marginal.
 
-    InputError when the rank cut drops real weight (:func:`check_rank_cut`).
+    Rows of ``amps`` are states over ``regs``.  InputError when a rank cut
+    drops real weight (:func:`check_rank_cut`).
     """
-    vals, vecs = np.linalg.eigh(marginal_matrix(psi, list(ids)))
-    top = float(vals[-1])
-    rank = 0
-    if top > 0.0:
-        check_rank_cut(vals, rank_rtol * top)
-        rank = int(np.sum(vals > rank_rtol * top))
-    return rank, phase_fixed(vecs[:, ::-1])
+    order = {r.id: i for i, r in enumerate(regs)}
+    mats = _group_rows(amps, regs, sorted(ids, key=lambda i: order.get(i, -1)))[0]
+    vals, vecs = np.linalg.eigh(mats @ _dagger(mats))
+    for row in vals[vals[:, -1] > 0.0]:
+        check_rank_cut(row, rank_rtol * float(row[-1]))
+    ranks = np.where(vals[:, -1] > 0.0, np.sum(vals > rank_rtol * vals[:, -1:], axis=1), 0)
+    return ranks.tolist(), phase_fixed(vecs[..., ::-1])
 
 
 def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
     """Exact resource dimension for splitting: rank of the moved marginal."""
-    return _support(psi, moved_ids, rank_rtol)[0]
+    return _support(psi.amplitudes[None], psi.registers, moved_ids, rank_rtol)[0][0]
 
 
 def _pauli_shifts(k: int) -> np.ndarray:
@@ -195,7 +172,7 @@ def build_split_protocol(
     moved_ids = tuple(moved_ids)
     regs = [psi.register(i) for i in moved_ids]
     d_move = math.prod(r.dim for r in regs)
-    rank, basis = _support(psi, moved_ids, rank_rtol)
+    (rank,), (basis,) = _support(psi.amplitudes[None], psi.registers, moved_ids, rank_rtol)
     k_eff = rank if k is None else int(k)
     if k_eff < rank:
         raise InsufficientResource(
@@ -319,7 +296,9 @@ class MergeProtocol:
 
     ``measurement`` columns live on (a registers…, A₀) with A₀ omitted
     when k == 1; ``corrections[m]`` maps (b registers…, B₀) to
-    (a-copy registers…, b registers…).
+    (a-copy registers…, b registers…).  Every outcome at or past
+    ``len(corrections)`` is dead: the fallback keeps only its K·n head
+    outcomes' corrections, the tight strategies one per outcome.
     """
 
     r_ids: tuple[str, ...]
@@ -331,7 +310,7 @@ class MergeProtocol:
     kmin: int
     strategy: str
     measurement: np.ndarray
-    corrections: np.ndarray  # one isometry per outcome, stacked
+    corrections: np.ndarray  # one isometry per covered outcome, stacked
     probs: tuple[float, ...]
     zero_mask: tuple[bool, ...]
     a0_id: str
@@ -358,22 +337,18 @@ def merge_cost(
     mode: str = "tight",
     rank_rtol: float = RANK_RTOL,
 ) -> int:
-    """Minimal resource dimension K for merging A's share into B."""
-    return _min_resource(psi, _parse_roles(psi, roles), mode, rank_rtol)[0]
-
-
-def _min_resource(psi: PureState, ids, mode: str, rank_rtol: float):
-    """(K, structure): K and what the merge measurement is built from.
-
-    Tight mode gives the KI decomposition, fallback mode the phase-fixed
-    eigenframe of ρ^A (largest first), whose rank is K.
-    """
-    if mode == "tight":
-        dec = ki_decompose(psi, ids, rank_rtol=rank_rtol)
-        return merge_cost_K(dec), dec
+    """Minimal resource dimension K for merging A's share into B (fallback: the rank of ρ^A)."""
+    ids = _parse_roles(psi, roles)
     if mode == "fallback":
-        return _support(psi, ids[1], rank_rtol)
-    raise ValueError(f"unknown merge mode {mode!r}")
+        return _support(psi.amplitudes[None], psi.registers, ids[1], rank_rtol)[0][0]
+    return merge_cost_K(_decomposed(psi, ids, mode, rank_rtol))
+
+
+def _decomposed(psi: PureState, ids, mode: str, rank_rtol: float) -> KiDecomposition:
+    """The KI decomposition a tight merge is built from; ValueError for an unknown mode."""
+    if mode != "tight":
+        raise ValueError(f"unknown merge mode {mode!r}")
+    return ki_decompose(psi, ids, rank_rtol=rank_rtol)
 
 
 def _block_frames(dec: KiDecomposition):
@@ -401,18 +376,18 @@ def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _shift_injection(frames: np.ndarray, k: int) -> np.ndarray:
-    """Shift-injection measurement columns on (share, A₀).
+    """Shift-injection measurement columns on (share, A₀); a stack (…, m, n, dA) slice by slice.
 
     ``frames[j, a]`` holds orthonormal share vectors (j < m, a < n).  With
     y[c, a] = frames[c // k, a] ⊗ |c mod k⟩ and kj = m·k, the head columns
     are v_{p,q} = n^{-1/2} Σ_a ω^{qa} y[(p+a) mod kj, a] at p·n + q: a
     teleport whose resource index is offset by the content index a.
     """
-    m, n, da = frames.shape
+    *lead, m, n, da = frames.shape
     kj = m * k
-    y = np.einsum("jax,st->jsaxt", frames, np.eye(k)).reshape(kj, n, da * k)
-    shifted = y[(np.arange(kj)[:, None] + np.arange(n)) % kj, np.arange(n)]
-    return np.einsum("qa,pad->dpq", _fourier(n), shifted).reshape(da * k, kj * n)
+    y = np.einsum("...jax,st->...jsaxt", frames, np.eye(k)).reshape(*lead, kj, n, da * k)
+    shifted = y[..., (np.arange(kj)[:, None] + np.arange(n)) % kj, np.arange(n), :]
+    return np.einsum("qa,...pad->...dpq", _fourier(n), shifted).reshape(*lead, da * k, kj * n)
 
 
 def _tight_measurement(dec: KiDecomposition, da: int, k: int):
@@ -513,16 +488,15 @@ def _synthesize_measurement(big, g_mat, da, db, k):
 
 
 def _outcome_blocks(big: np.ndarray, qcols: np.ndarray):
-    """Every outcome's block ⟨q_m|Ψ as (n_out, dR, dB·k), and its probability."""
-    dr, dak, dbk = big.shape
-    flat = big.transpose(1, 0, 2).reshape(dak, dr * dbk)
-    blocks = (qcols.conj().T @ flat).reshape(-1, dr, dbk)
-    probs = np.linalg.norm(blocks.reshape(len(blocks), -1), axis=1) ** 2
+    """Every outcome's block ⟨q_m|Ψ as (…, n_out, dR, dB·k), and its probability.
+
+    A stack of Ψ and of measurements is taken slice by slice.
+    """
+    *lead, dr, dak, dbk = big.shape
+    flat = big.swapaxes(-3, -2).reshape(*lead, dak, dr * dbk)
+    blocks = (_dagger(qcols) @ flat).reshape(*lead, -1, dr, dbk)
+    probs = np.linalg.norm(blocks.reshape(*blocks.shape[:-2], -1), axis=-1) ** 2
     return blocks, probs
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _solve_corrections(big, g_mat, qcols, da, db, k):
@@ -562,48 +536,104 @@ def _solve_corrections(big, g_mat, qcols, da, db, k):
     return corrections, tuple(probs.tolist()), tuple(zero.tolist()), max_resid
 
 
-def _teleport_merge(big, g_mat, frame, n, da, db, k):
-    """The fallback merge in closed form: a rank-n teleport of A through Φ⁺_K.
+def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> list[MergeProtocol]:
+    """The fallback merge of each row of ``amps`` (states over ``regs``), built together.
 
-    With f the eigenframe of ρ^A (rank n ≤ K ≤ dA), the head is the shift
-    injection of f[:, :n], v_{p,q} = n^{-1/2} Σ_a ω_n^{qa} f_a ⊗ |p + a⟩, which
-    spans supp(ρ^A) ⊗ C^K, so f[:, n:] ⊗ C^K completes it to a basis.  Head
-    outcome m = p·n + q is corrected by U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]
-    with w_m[x, t] = ω_n^{qa} f[x, a], a = (t − p) mod K (phase 1 where
-    a ≥ n).  w_m is f[:, :K] composed with a shift and phases, so f's
-    orthonormality makes U_m an isometry.  Exactly the K·n head outcomes
-    must be live; the worst residual ‖U_m S_m − √p_m G‖ over them is
-    returned as ``_solve_corrections`` returns it.
+    A rank-n teleport of A through Φ⁺_K, in closed form.  With f the
+    phase-fixed eigenframe of a row's ρ^A (rank n ≤ K ≤ dA), the head is the
+    shift injection of f[:, :n], which spans supp(ρ^A) ⊗ C^K, and f[:, n:] ⊗
+    C^K completes it to a basis.  Head outcome m = p·n + q is corrected by
+    U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t], w_m[x, t] = ω_n^{qa} f[x, a] with
+    a = (t − p) mod K (phase 1 where a ≥ n): f[:, :K] composed with a shift
+    and phases, an isometry.  Exactly the K·n head outcomes are live, and
+    only their corrections are kept.  K is ``k``, or the first row's n.
+    Every row is checked as a build on its own is: the rank cut, n ≤ K ≤ dA,
+    the live count, ‖U_m S_m − √p_m G‖ ≤ VERIFY_TOL per live outcome and
+    f[:, :K] orthonormal.  Rows of one n are stacked, and each protocol
+    equals this function's one-row call on its row, bit for bit.
     """
-    live = k * n
-    head = _shift_injection(frame[:, :n].T[None], k)
-    qcols = np.hstack([head, np.kron(frame[:, n:], np.eye(k))])
-    blocks, probs = _outcome_blocks(big, qcols)
-    zero = probs < PROB_TOL
-    if zero[:live].any() or not zero[live:].all():
-        raise SynthesisFailed(f"the teleport leaves {np.sum(~zero)} outcomes live, not {live}")
-    probs[zero] = 0.0
-    p, q = np.divmod(np.arange(live), n)
-    a = (np.arange(k) - p[:, None]) % k  # (live, K): the frame column t reads
-    w = frame[:, a] * np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
-    w = w.transpose(1, 0, 2)  # (live, dA, K)
-    s_mats = blocks[:live].reshape(live, -1, db, k).transpose(0, 3, 2, 1)  # S_m as (t, y, r)
-    out = (w @ s_mats.reshape(live, k, -1)).reshape(live, -1)  # U_m S_m on (x, y, r)
-    resid = np.linalg.norm(out - np.sqrt(probs[:live])[:, None] * g_mat.T.reshape(-1), axis=1)
-    iso = np.abs(_dagger(frame[:, :k]) @ frame[:, :k] - np.eye(k)).max()
-    corrections = np.zeros((len(probs), da * db, db * k), dtype=complex)
-    corrections[live:] = np.eye(da * db, db * k)
-    corrections.reshape(-1, da, db, db, k)[:live, :, np.arange(db), np.arange(db)] = w[:, :, None]
-    return qcols, corrections, tuple(probs.tolist()), tuple(zero.tolist()), max(resid.max(), iso)
+    r_ids, a_ids, b_ids = _parse_roles(PureState(regs, amps[0]), roles)
+    norms = row_norms(amps)
+    if not norms.all():
+        raise ShapeMismatch("cannot normalize the zero vector")
+    psi3, held = _merge_tensor(amps / norms, regs, r_ids, a_ids, b_ids)
+    dr, da, db = psi3.shape[1:]
+    ranks, frames = _support(amps, regs, a_ids, rank_rtol)  # of ρ^A, each row as given
+    for rank in ranks:
+        k = _resource_dim(rank, k, da, "fallback")
+    fields, protos = _merge_fields(held, r_ids, a_ids, b_ids, **ids), [None] * len(amps)
+    for n in sorted(set(ranks)):
+        sel = [i for i, rank in enumerate(ranks) if rank == n]
+        f, g, live, rows = frames[sel], psi3[sel], k * n, len(sel)
+        tail = (f[:, :, None, n:, None] * np.eye(k)[:, None, :]).reshape(rows, da * k, -1)
+        qcols = np.concatenate([_shift_injection(f[:, None, :, :n].swapaxes(2, 3), k), tail], axis=2)
+        blocks, probs = _outcome_blocks(_joint_tensor(g, k), qcols)
+        zero = probs < PROB_TOL
+        probs[zero] = 0.0
+        p, q = np.divmod(np.arange(live), n)
+        a = (np.arange(k) - p[:, None]) % k  # (live, K): the frame column t reads
+        w = f[:, :, a] * np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
+        w = w.transpose(0, 2, 1, 3)  # (rows, live, dA, K)
+        s_mats = blocks[:, :live].reshape(rows, live, -1, db, k).transpose(0, 1, 4, 3, 2)  # (t, y, r)
+        out = (w @ s_mats.reshape(rows, live, k, -1)).reshape(rows, live, -1)  # U_m S_m on (x, y, r)
+        g_vec = g.reshape(rows, dr, -1).swapaxes(1, 2).reshape(rows, 1, -1)
+        resid = np.linalg.norm(out - np.sqrt(probs[:, :live, None]) * g_vec, axis=2).max(axis=1)
+        iso = np.abs(_dagger(f[:, :, :k]) @ f[:, :, :k] - np.eye(k)).max(axis=(1, 2))
+        corrections = np.zeros((rows, live, da, db, db, k), dtype=complex)
+        corrections[..., np.arange(db), np.arange(db), :] = w[:, :, :, None]
+        corrections = corrections.reshape(rows, live, da * db, db * k)
+        for j, i in enumerate(sel):
+            if zero[j, :live].any() or not zero[j, live:].all():
+                msg = f"the teleport leaves {np.sum(~zero[j])} outcomes live, not {live}"
+                raise SynthesisFailed(msg)
+            if max(resid[j], iso[j]) > VERIFY_TOL:
+                raise SynthesisFailed(f"strategy 'fallback-teleport' correction residual "
+                                      f"{max(resid[j], iso[j]):.2e} exceeds {VERIFY_TOL}")
+            protos[i] = MergeProtocol(
+                **fields, k=k, kmin=n, strategy="fallback-teleport", measurement=qcols[j],
+                corrections=corrections[j], probs=tuple(probs[j].tolist()),
+                zero_mask=tuple(zero[j].tolist()),
+            )
+    return protos
+
+
+def _merge_tensor(amps, regs, r_ids, a_ids, b_ids):
+    """Rows of ``amps`` (states over ``regs``) as (rows, dR, dA, dB), and the registers by id."""
+    held = {r.id: r for r in regs}
+    dims = [math.prod(held[i].dim for i in part) for part in (r_ids, a_ids, b_ids)]
+    psi3 = _group_rows(amps, regs, [*r_ids, *a_ids, *b_ids])[0]
+    return psi3.reshape(len(amps), *dims), held
 
 
 def _joint_tensor(psi3: np.ndarray, k: int) -> np.ndarray:
-    """ψ ⊗ Φ⁺_K arranged as (dR, dA·k, dB·k)."""
-    dr, da, db = psi3.shape
+    """ψ ⊗ Φ⁺_K arranged as (…, dR, dA·k, dB·k); a stack of ψ slice by slice."""
+    *lead, dr, da, db = psi3.shape
     if k == 1:
         return psi3
     eye = np.eye(k) / math.sqrt(k)
-    return np.einsum("rab,xy->raxby", psi3, eye).reshape(dr, da * k, db * k)
+    return np.einsum("...rab,xy->...raxby", psi3, eye).reshape(*lead, dr, da * k, db * k)
+
+
+def _resource_dim(kmin: int, k, da: int, mode: str) -> int:
+    """K: ``k``, or ``kmin`` when None; below ``kmin`` or above dA it is refused."""
+    k_eff = kmin if k is None else int(k)
+    if k_eff < kmin:
+        raise InsufficientResource(f"merging needs K ≥ {kmin} in mode {mode!r}, got K={k_eff}")
+    if k_eff > da:
+        raise DimensionMismatch(f"resource dimension K={k_eff} exceeds the merged share dimension "
+                                f"{da}; the correction isometry requires K ≤ dim H^A")
+    return k_eff
+
+
+def _merge_fields(held, r_ids, a_ids, b_ids, *, a0_id, b0_id, receiver, b0_owner) -> dict:
+    """The MergeProtocol fields set by the roles, the registers ``held`` (by id) and the ids."""
+    recv = receiver if receiver is not None else (held[b_ids[0]].owner if b_ids else "B")
+    return dict(
+        r_ids=r_ids, a_ids=tuple(a_ids), b_ids=tuple(b_ids), a0_id=a0_id, b0_id=b0_id,
+        a_dims=tuple(held[i].dim for i in a_ids), b_dims=tuple(held[i].dim for i in b_ids),
+        sender=held[a_ids[0]].owner, receiver=recv,
+        b0_owner=b0_owner if b0_owner is not None else recv,
+    )
 
 
 def build_merge_protocol(
@@ -618,77 +648,48 @@ def build_merge_protocol(
     receiver: str | None = None,
     b0_owner: str | None = None,
 ) -> MergeProtocol:
+    """The merge of ψ's A share into B at K = ``k`` (the mode's minimal K by default).
+
+    The fallback is the one-row call of :func:`_fallback_rows`.
+    """
+    ids = dict(a0_id=a0_id, b0_id=b0_id, receiver=receiver, b0_owner=b0_owner)
+    if mode == "fallback":
+        amps, regs = psi.amplitudes[None], psi.registers
+        return _fallback_rows(amps, regs, roles, k=k, rank_rtol=rank_rtol, **ids)[0]
     r_ids, a_ids, b_ids = _parse_roles(psi, roles)
-    perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
-    a_regs = [perm.register(i) for i in a_ids]
-    b_regs = [perm.register(i) for i in b_ids]
-    dr = math.prod(perm.register(i).dim for i in r_ids)
-    da = math.prod(r.dim for r in a_regs)
-    db = math.prod(r.dim for r in b_regs)
-    psi3 = perm.amplitudes.reshape(dr, da, db)
+    amps = psi.normalized().amplitudes[None]
+    (psi3,), held = _merge_tensor(amps, psi.registers, r_ids, a_ids, b_ids)
+    dr, da, db = psi3.shape
     g_mat = psi3.reshape(dr, da * db)
 
-    kmin, structure = _min_resource(psi, (r_ids, a_ids, b_ids), mode, rank_rtol)
-    k_eff = kmin if k is None else int(k)
-    if k_eff < kmin:
-        raise InsufficientResource(
-            f"merging needs K ≥ {kmin} in mode {mode!r}, got K={k_eff}"
-        )
-    if k_eff > da:
-        raise DimensionMismatch(
-            f"resource dimension K={k_eff} exceeds the merged share dimension "
-            f"{da}; the correction isometry requires K ≤ dim H^A"
-        )
-
+    dec = _decomposed(psi, (r_ids, a_ids, b_ids), mode, rank_rtol)
+    kmin = merge_cost_K(dec)
+    k_eff = _resource_dim(kmin, k, da, mode)
     big = _joint_tensor(psi3, k_eff)
-    if mode == "fallback":
-        tag = "fallback-teleport"
-        qcols, corrections, probs, zero_mask, resid = _teleport_merge(
-            big, g_mat, structure, kmin, da, db, k_eff
-        )
+    built = _tight_measurement(dec, da, k_eff)
+    if built is None:
+        tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff)
     else:
-        built = _tight_measurement(structure, da, k_eff)
-        if built is None:
-            tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff)
-        else:
-            tag, qcols = built
-        corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
+        tag, qcols = built
+    corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
     if resid > VERIFY_TOL:
         raise SynthesisFailed(
             f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
         )
-    recv = receiver if receiver is not None else (b_regs[0].owner if b_regs else "B")
     return MergeProtocol(
-        r_ids=r_ids,
-        a_ids=tuple(a_ids),
-        b_ids=tuple(b_ids),
-        a_dims=tuple(r.dim for r in a_regs),
-        b_dims=tuple(r.dim for r in b_regs),
-        k=k_eff,
-        kmin=kmin,
-        strategy=tag,
-        measurement=qcols,
-        corrections=corrections,
-        probs=probs,
-        zero_mask=zero_mask,
-        a0_id=a0_id,
-        b0_id=b0_id,
-        sender=a_regs[0].owner,
-        receiver=recv,
-        b0_owner=b0_owner if b0_owner is not None else recv,
+        **_merge_fields(held, r_ids, a_ids, b_ids, **ids), k=k_eff, kmin=kmin, strategy=tag,
+        measurement=qcols, corrections=corrections, probs=probs, zero_mask=zero_mask,
     )
 
 
 def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TOL) -> MergeReport:
-    """Exhaustively check every outcome against the merge identity."""
-    perm = permute_registers(
-        psi.normalized(),
-        list(protocol.r_ids) + list(protocol.a_ids) + list(protocol.b_ids),
-    )
-    da = math.prod(protocol.a_dims)
-    db = math.prod(protocol.b_dims)
-    dr = perm.dim // (da * db)
-    psi3 = perm.amplitudes.reshape(dr, da, db)
+    """Exhaustively check every outcome against the merge identity.
+
+    An outcome at or past ``len(protocol.corrections)`` has no correction,
+    so it fails unless it is dead.
+    """
+    ids = (protocol.r_ids, protocol.a_ids, protocol.b_ids)
+    psi3 = _merge_tensor(psi.normalized().amplitudes[None], psi.registers, *ids)[0][0]
     g_vec = psi3.reshape(-1)
     q = protocol.measurement
     comp = max(
@@ -699,30 +700,20 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
     u = np.asarray(protocol.corrections)
     corr_resid = float(np.abs(_dagger(u) @ u - np.eye(u.shape[2])).max())
     # (U_m S_m)ᵀ flattened: the corrected branch on (R, A-copy, B)
-    out = (u @ blocks.swapaxes(1, 2)).swapaxes(1, 2).reshape(len(probs), -1)
-    targets = np.sqrt(probs)[:, None] * g_vec
-    inner = out @ g_vec.conj() * np.sqrt(probs)
+    out = (u @ blocks[: len(u)].swapaxes(1, 2)).swapaxes(1, 2).reshape(len(u), -1)
+    targets = np.sqrt(probs[: len(u)])[:, None] * g_vec
+    inner = out @ g_vec.conj() * np.sqrt(probs[: len(u)])
     phases = np.ones_like(inner)
     resolved = np.abs(inner) > 1e-300
     phases[resolved] = inner[resolved] / np.abs(inner[resolved])
     deviations = np.linalg.norm(out - phases[:, None] * targets, axis=1)
+    deviations = np.append(deviations, np.full(len(probs) - len(u), np.inf))
     deviations[probs < PROB_TOL] = 0.0
     max_dev = float(deviations.max()) if deviations.size else 0.0
     prob_sum = float(probs.sum())
-    passed = (
-        max_dev <= tol
-        and comp <= 100 * tol
-        and corr_resid <= 100 * tol
-        and abs(prob_sum - 1.0) <= 1e-9
-    )
-    return MergeReport(
-        passed=passed,
-        max_deviation=max_dev,
-        completeness=comp,
-        prob_sum=prob_sum,
-        correction_residual=corr_resid,
-        deviations=tuple(deviations.tolist()),
-    )
+    passed = max_dev <= tol and comp <= 100 * tol and corr_resid <= 100 * tol
+    passed = passed and abs(prob_sum - 1.0) <= 1e-9
+    return MergeReport(passed, max_dev, comp, prob_sum, corr_resid, tuple(deviations.tolist()))
 
 
 def merge_post_states(
@@ -734,31 +725,34 @@ def merge_post_states(
     only when k > 1: with ψ grouped as X = (A…, rest), one contraction
     Q† (X ⊗ Φ⁺_K) (``_bell_folded``) gives every outcome.
     """
-    probs, posts, rest = _merge_post_rows(protocol, psi, outcomes)
-    return [(float(p), PureState(rest, post)) for p, post in zip(probs, posts)]
+    probs, posts, rest = _merge_post_rows([protocol], psi.amplitudes[None], psi.registers, outcomes)
+    return [(float(p), PureState(rest, post)) for p, post in zip(probs[0], posts[0])]
 
 
-def _merge_post_rows(protocol: MergeProtocol, psi: PureState, outcomes=None):
-    """:func:`merge_post_states` as arrays: (probabilities, post rows, registers)."""
-    k = protocol.k
-    mat, rest = _group_rows(psi.amplitudes[None], psi.registers, protocol.a_ids)
-    q = protocol.measurement
+def _merge_post_rows(protos, amps, regs, outcomes=None):
+    """Row b of ``amps`` (over ``regs``) through the measurement of ``protos[b]``.
+
+    The protocols share K and their merged share.  Returns (probabilities,
+    post rows, registers), indexed [row, outcome] for each outcome in
+    ``outcomes`` (all by default), as :func:`merge_post_states` gives them.
+    """
+    k, q = protos[0].k, protos[0].measurement
+    mat, rest = _group_rows(amps, regs, protos[0].a_ids)
     if mat.shape[1] * k != q.shape[0]:
         raise ShapeMismatch("measurement columns do not match the merged share")
     wanted = _outcome_indices(outcomes, q.shape[1])
-    posts = _bell_folded(q[None, :, wanted], mat, k)[0].reshape(len(wanted), -1)
+    posts = _bell_folded(np.array([p.measurement[:, wanted] for p in protos]), mat, k)
     if k > 1:
-        rest.append(Register(protocol.b0_id, k, protocol.b0_owner))
-    probs = np.linalg.norm(posts, axis=1) ** 2
-    return probs, posts, tuple(rest)
+        rest.append(Register(protos[0].b0_id, k, protos[0].b0_owner))
+    posts = posts.reshape(len(protos), len(wanted), -1)
+    return np.linalg.norm(posts, axis=-1) ** 2, posts, tuple(rest)
 
 
 def merge_post_state(
     protocol: MergeProtocol, psi: PureState, outcome: int
 ) -> tuple[float, PureState]:
     """One outcome of :func:`merge_post_states`."""
-    ((prob, post),) = merge_post_states(protocol, psi, [outcome])
-    return prob, post
+    return merge_post_states(protocol, psi, [outcome])[0]
 
 
 def merge_events(protocol: MergeProtocol, outcome: int) -> list[dict]:
@@ -780,7 +774,13 @@ def merge_events(protocol: MergeProtocol, outcome: int) -> list[dict]:
 
 
 def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
-    """U_m at the receiver: (B…, B₀) → (B′ = A-copy…, B…), all held by the receiver."""
+    """U_m at the receiver: (B…, B₀) → (B′ = A-copy…, B…), all held by the receiver.
+
+    A dead outcome has no correction: it raises ZeroProbabilityBranch.
+    """
+    if protocol.zero_mask[outcome]:
+        msg = f"outcome {outcome} at {protocol.sender!r} has zero probability"
+        raise ZeroProbabilityBranch(msg)
     recv = protocol.receiver
     b_regs = [Register(i, d, recv) for i, d in zip(protocol.b_ids, protocol.b_dims)]
     b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []

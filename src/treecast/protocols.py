@@ -17,7 +17,8 @@ uncorrected leftover, and after the last stage the root replays the
 correction isometries in ascending order, resurrecting every register
 locally, and finally inverts the encoding.  All branches of a stage
 share one register layout, so they are carried, and replayed, as rows of
-one array.  Every branch of a stage needs the same K, so the per-edge
+one array; a fallback stage also builds their merges together, a chunk of
+rows at a time.  Every branch of a stage needs the same K, so the per-edge
 cost is the K of the first branch's protocol, and every other branch's
 protocol is built at that K, consuming the provisioned resource in full.
 The cost reports (``concentrating_cost``, ``compare_costs``, the
@@ -44,6 +45,7 @@ from .errors import (
 from .merge_split import (
     MergeProtocol,
     SplitProtocol,
+    _fallback_rows,
     _merge_post_rows,
     build_merge_protocol,
     build_split_protocol,
@@ -53,10 +55,12 @@ from .merge_split import (
     split_cost,
 )
 from .network import LABELING_ENUMERATION_LIMIT, RootedTree
-from .tensors import PureState, Register, _group_rows, apply_event, overlap
+from .tensors import PureState, Register, _group_rows, apply_event, overlap, row_norms
 
 # leaves replayed at once by run_concentrating: bounds the replay's arrays
 REPLAY_ROWS = 1024
+# live rows a fallback stage builds at once: bounds the build's arrays
+STAGE_ROWS = 16
 
 # -- cost reports -------------------------------------------------------------
 
@@ -317,14 +321,47 @@ def _roles_for(regs, party: str):
     return ((REFERENCE_ID,), a_ids, b_ids)
 
 
-def _build_step(state, roles, *, mode, **common) -> MergeProtocol:
-    """Tight protocol, or the fallback in fallback mode or on synthesis failure."""
+def _stage_protocols(amps, regs, roles, *, mode, k, **common) -> list[MergeProtocol]:
+    """Each row's merge protocol at K = ``k``, or the first row's own K when None.
+
+    Fallback mode builds the rows together (``_fallback_rows``); tight mode
+    builds each on its own, falling back where synthesis fails.
+    """
     if mode == "fallback":
-        return build_merge_protocol(state, roles, mode="fallback", **common)
-    try:
-        return build_merge_protocol(state, roles, mode="tight", **common)
-    except SynthesisFailed:
-        return build_merge_protocol(state, roles, mode="fallback", **common)
+        return _fallback_rows(amps, regs, roles, k=k, **common)
+    protos = []
+    for row in amps:
+        state = PureState(regs, row)
+        try:
+            protos.append(build_merge_protocol(state, roles, k=k, mode="tight", **common))
+        except SynthesisFailed:
+            protos.append(build_merge_protocol(state, roles, k=k, mode="fallback", **common))
+        k = protos[0].k
+    return protos
+
+
+def _merged_rows(protos, amps, regs):
+    """Row b measured by ``protos[b]`` on each outcome its ``zero_mask`` leaves live.
+
+    Returns (source row, outcome, probability, unnormalized post row) per
+    branch, in row order then outcome order, and the post rows'
+    registers.  Rows with the same live outcomes are measured together
+    (``_merge_post_rows``).
+    """
+    groups: dict[tuple[bool, ...], list[int]] = {}
+    for b, proto in enumerate(protos):
+        groups.setdefault(proto.zero_mask, []).append(b)
+    parts = []
+    for mask, rows in groups.items():
+        wanted = [m for m, dead in enumerate(mask) if not dead]
+        picked = amps if len(rows) == len(amps) else amps[rows]
+        probs, posts, post_regs = _merge_post_rows([protos[b] for b in rows], picked, regs, wanted)
+        parts.append((np.array(rows).repeat(len(wanted)), np.array(wanted * len(rows)),
+                      probs.reshape(-1), posts.reshape(probs.size, -1)))
+    if len(parts) > 1:
+        order = np.argsort(np.concatenate([part[0] for part in parts]), kind="stable")
+        parts = [[np.concatenate(column)[order] for column in zip(*parts)]]
+    return (*parts[0], post_regs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,33 +381,36 @@ def _concentrate_stage(
     (``_branch_walk``), so every other branch is built at that K, and
     one that needs more raises SynthesisFailed.  Protocols depend only
     on the branch states, so the stage is a function of (live, vertex).
-    Post-states are built only for the outcomes a protocol's
+    After the first, rows are built ``STAGE_ROWS`` at a time, and
+    post-states are built only for the outcomes a protocol's
     ``zero_mask`` leaves live.
     """
     parent = tree.parent(vertex)
     roles = _roles_for(live.regs, vertex)
-    common = dict(mode=mode, rank_rtol=rank_rtol, receiver=tree.root, b0_owner=parent,
+    common = dict(rank_rtol=rank_rtol, receiver=tree.root, b0_owner=parent,
                   a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
     k_edge = None
     records: dict[tuple[int, ...], MergeStepRecord] = {}
     paths, probs, blocks = [], [], []
-    for prefix, p_acc, amps in zip(live.paths, live.probs, live.amps):
-        state = PureState(live.regs, amps)
+    # the first row alone, as the cost walk builds it, then the rest at its K
+    bounds = [0, *range(1, len(live.paths), STAGE_ROWS), len(live.paths)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        prefixes, amps = live.paths[lo:hi], live.amps[lo:hi]
         try:
-            proto = _build_step(state, roles, k=k_edge, **common)
+            protos = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
         except InsufficientResource:
             msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
             raise SynthesisFailed(msg) from None
-        k_edge = proto.k
-        records[prefix] = MergeStepRecord(vertex, proto)
-        wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
-        p_m, posts, regs = _merge_post_rows(proto, state, wanted)
+        k_edge = protos[0].k
+        records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
+        src, outcomes, p_m, posts, regs = _merged_rows(protos, amps, live.regs)
         kept = p_m >= PROB_TOL
-        paths += [prefix + (m,) for m, keep in zip(wanted, kept) if keep]
-        probs.append(p_acc * p_m[kept])
-        # each row by its own 1-D norm, as PureState.normalized divides
-        norms = [np.linalg.norm(post) for post in posts[kept]]
-        blocks.append(posts[kept] / np.array(norms)[:, None])
+        if not kept.all():
+            src, outcomes, p_m, posts = src[kept], outcomes[kept], p_m[kept], posts[kept]
+        paths += [prefixes[b] + (m,) for b, m in zip(src.tolist(), outcomes.tolist())]
+        probs.append(live.probs[lo + src] * p_m)
+        posts /= row_norms(posts)
+        blocks.append(posts)
     rows = _Rows(paths, np.concatenate(probs), np.concatenate(blocks), regs)
     return _Stage(EdgeCost(parent, vertex, k_edge), records, rows)
 
@@ -457,8 +497,9 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
     Row b of ``amps`` is a branch state over the registers ``regs`` that
     followed the outcomes ``paths[b]`` = (m_N, …, m_2).  No correction
     acts on the reference register.  Each stage is one ``root-correction``
-    event whose matrix stacks every row's own correction, and the decoder
-    is one more.  Returns the decoded rows and their registers.
+    event: the one correction every row walks, or else a stack of each
+    row's own, and the decoder is one more.  Returns the decoded rows and
+    their registers.
     """
     n = len(order)
     # the reference register last, so every event's outputs splice in at
@@ -466,12 +507,19 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
     front = [r for r in regs if r.id != REFERENCE_ID]
     grouped, rest = _group_rows(amps, regs, [r.id for r in front])
     amps, regs = grouped.reshape(len(amps), -1), (*front, *rest)
+    table = np.array(paths).reshape(len(paths), n - 1)
     for j in range(2, n + 1):
-        records = store[j]
-        event = correction_event(records[paths[0][: n - j]].protocol, 0)
-        event["matrix"] = np.stack(
-            [records[path[: n - j]].protocol.corrections[path[n - j]] for path in paths]
-        )
+        event = correction_event(store[j][paths[0][: n - j]].protocol, paths[0][n - j])
+        outcomes = table[:, n - j]
+        # the first row of each run of rows through the same record
+        heads = [0, *(np.flatnonzero((table[1:, : n - j] != table[:-1, : n - j]).any(axis=1)) + 1)]
+        if len(heads) > 1 or (outcomes != outcomes[0]).any():
+            # rows that walk different corrections: one gather per run
+            parts = [
+                store[j][paths[lo][: n - j]].protocol.corrections.take(outcomes[lo:hi], axis=0)
+                for lo, hi in zip(heads, [*heads[1:], len(paths)])
+            ]
+            event["matrix"] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         amps, regs, _ = apply_event(amps, regs, event)
     held = {r.id: r for r in regs}
     phys, logical = [held[p] for p in code.parties], Register("L", code.logical_dim, order[0])
@@ -486,7 +534,7 @@ def _fidelities(code: IsometryCode, final: np.ndarray, regs) -> np.ndarray:
     equals that of ``np.linalg.norm`` and ``np.vdot`` on the leaf alone.
     """
     x = _group_rows(final, regs, [REFERENCE_ID, "L"])[0].reshape(len(final), 1, -1)
-    norms = np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))
+    norms = row_norms(x)[:, :, None]
     held = np.abs(norms - 1.0) <= 1e-6
     target = reference_pair(code.logical_dim).amplitudes[:, None]
     overlaps = np.abs((x / np.where(held, norms, 1.0)).conj() @ target)

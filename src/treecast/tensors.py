@@ -7,7 +7,8 @@ mixed-radix index, which makes the flat amplitude vector the C-order
 flattening of the dims-shaped tensor.  All values are immutable;
 operations return new objects.  Rows are states stacked as an (rows, dim)
 array over one register layout: ``apply_rows`` applies every operator to
-them, and ``apply_event`` runs protocol events through it.
+them, and ``apply_event`` runs protocol events, built by the constructors
+beside it, through it.
 """
 
 from __future__ import annotations
@@ -237,6 +238,33 @@ def apply_rows(amps: np.ndarray, registers, ins, outs, matrix) -> tuple[np.ndarr
     return out.reshape(len(amps), -1), new
 
 
+# -- protocol events ------------------------------------------------------------
+
+
+def isometry_event(party, matrix, ins, outs, kind="local-isometry") -> dict:
+    """``matrix`` applied at ``party``, from the ``ins`` registers to the ``outs``."""
+    return {"type": kind, "party": party, "matrix": matrix, "in": list(ins), "out": list(outs)}
+
+
+def _resource_event(edge, k, a0=None, b0=None) -> dict:
+    event = {"type": "resource-consumed", "edge": list(edge), "k": k}
+    return event if a0 is None else event | {"a0": a0, "b0": b0}
+
+
+def _measured_events(party, basis, targets, outcome) -> list[dict]:
+    """A measurement and the broadcast of its outcome."""
+    return [
+        {
+            "type": "measurement",
+            "party": party,
+            "basis": basis,
+            "targets": list(targets),
+            "outcome": outcome,
+        },
+        {"type": "broadcast", "party": party, "outcome": outcome},
+    ]
+
+
 def apply_event(amps: np.ndarray, regs, event: dict):
     """Advance rows by one protocol event: (rows, registers, per-row probabilities or None).
 
@@ -267,8 +295,7 @@ def apply_event(amps: np.ndarray, regs, event: dict):
         if outcome.dtype.kind not in "iu" or ((outcome < 0) | (outcome >= basis.shape[1])).any():
             raise SchemaError(f"measurement outcome {outcome} is not a column of the basis")
         amps, regs = apply_rows(amps, regs, event["targets"], (), basis.T[outcome].conj()[..., None, :])
-        # each row by its own 1-D norm, as PureState.norm takes it
-        probs = np.array([np.linalg.norm(row) for row in amps]) ** 2
+        probs = row_norms(amps)[:, 0] ** 2
         if (probs < PROB_TOL).any():
             msg = f"outcome {outcome} at {event.get('party')!r} has zero probability"
             raise ZeroProbabilityBranch(msg)
@@ -325,7 +352,7 @@ def range_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def phase_fixed(cols: np.ndarray) -> np.ndarray:
-    """Columns with their global phases fixed, all at once.
+    """Columns with their global phases fixed, all at once; a stack (…, d, c) slice by slice.
 
     Each column is rotated so that its pivot is real positive.  The pivot
     is its earliest entry within a relative whisker of the column's
@@ -336,9 +363,14 @@ def phase_fixed(cols: np.ndarray) -> np.ndarray:
     arithmetic: the pivot magnitude is taken with ``np.hypot``, which
     rounds as the scalar ``abs`` does (the array ``np.abs`` kernel does
     not), and the scale is multiplied in as a row so NumPy takes the same
-    complex-multiply kernel as for a column times a scalar.
+    complex-multiply kernel as for a column times a scalar.  A stack is
+    fixed as one matrix holding its slices' columns side by side.
     """
     cols = np.asarray(cols, dtype=complex)
+    if cols.ndim > 2:
+        d, c = cols.shape[-2:]
+        wide = phase_fixed(np.moveaxis(cols, -2, 0).reshape(d, math.prod(cols.shape[:-2]) * c))
+        return np.moveaxis(wide.reshape(d, *cols.shape[:-2], c), 0, -2)
     mags = np.abs(cols)
     if not mags.size:
         return cols.copy()
@@ -347,6 +379,22 @@ def phase_fixed(cols: np.ndarray) -> np.ndarray:
     live = piv != 0.0
     scale = np.hypot(piv.real, piv.imag) / np.where(live, piv, 1.0)
     return np.where(live, cols * scale[None, :], cols)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def row_norms(amps: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm, as (rows, 1).
+
+    One-row dot products of the real and imaginary parts, so every digit
+    equals that of ``np.linalg.norm`` on the row alone (``axis=1`` norms
+    sum in another order).
+    """
+    x = amps.reshape(len(amps), 1, -1)
+    return np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))[:, 0]
 
 
 def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:

@@ -118,7 +118,7 @@ def fallback_merge_reference(psi: PureState, roles, k=None) -> MergeProtocol:
     db = math.prod(r.dim for r in b_regs)
     psi3 = perm.amplitudes.reshape(dr, da, db)
     g_mat = psi3.reshape(dr, da * db)
-    rank, frame = _support(psi, a_ids, RANK_RTOL)
+    (rank,), (frame,) = _support(psi.amplitudes[None], psi.registers, a_ids, RANK_RTOL)
     k_eff = rank if k is None else int(k)
     big = _joint_tensor(psi3, k_eff)
     qcols = _completed_basis(_shift_injection(frame[:, :rank].T[None], k_eff), da * k_eff)

@@ -44,6 +44,7 @@ from treecast.merge_split import (
     apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
+    correction_event,
     execute_split,
     isometry_event,
     merge_cost,
@@ -655,6 +656,25 @@ class TestClosedFormFallback:
         assert np.abs(np.subtract(proto.probs, ref.probs)).max() <= 1e-12
         assert verify_merge(proto, psi).passed
 
+    @pytest.mark.parametrize("psi,roles,kwargs", CASES)
+    def test_live_head_matches_the_solved_reference(self, psi, roles, kwargs):
+        # the stack holds exactly the reference's live outcomes, the first K·n,
+        # and on each the closed-form U_m restores √p_m ψ as the solved one does
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        ref = fallback_merge_reference(psi, roles, kwargs.get("k"))
+        live = proto.k * proto.kmin
+        assert proto.corrections.shape == (live, *ref.corrections.shape[1:])
+        assert ref.zero_mask == (False,) * live + (True,) * (len(ref.zero_mask) - live)
+        ids = list(proto.r_ids) + list(proto.a_ids) + list(proto.b_ids)
+        perm = permute_registers(psi.normalized(), ids)
+        da, db = math.prod(proto.a_dims), math.prod(proto.b_dims)
+        psi3 = perm.amplitudes.reshape(-1, da, db)
+        for p in (proto, ref):
+            blocks, probs = merge_split._outcome_blocks(_joint_tensor(psi3, p.k), p.measurement)
+            fixed = p.corrections[:live] @ blocks[:live].swapaxes(1, 2)  # U_m S_m
+            want = np.sqrt(probs[:live])[:, None, None] * psi3.reshape(len(psi3), -1).T
+            assert np.abs(fixed - want).max() <= 1e-9
+
     def test_cases_cover_k_one_and_k_at_da(self):
         protos = [build_merge_protocol(psi, roles, **kw) for psi, roles, kw in self.CASES]
         shapes = [(p.k, p.kmin, math.prod(p.a_dims)) for p in protos]
@@ -673,11 +693,42 @@ class TestClosedFormFallback:
 
         def off_by_one(frames, k):
             head = injection(frames, k)
-            return head[:, [n, *range(1, n), 0, *range(n + 1, head.shape[1])]]
+            return head[..., [n, *range(1, n), 0, *range(n + 1, head.shape[-1])]]
 
         monkeypatch.setattr(merge_split, "_shift_injection", off_by_one)
         with pytest.raises(SynthesisFailed, match="correction residual"):
             build_merge_protocol(psi, roles, **kwargs)
+
+
+class TestLiveCorrections:
+    def fallback_with_dead_outcomes(self):
+        """The first fallback case with K > 1 and dead outcomes, and its protocol."""
+        for psi, roles, kwargs in TestClosedFormFallback.CASES:
+            proto = build_merge_protocol(psi, roles, **kwargs)
+            if proto.k > 1 and any(proto.zero_mask):
+                assert len(proto.corrections) == proto.zero_mask.index(True)
+                return psi, proto
+        raise AssertionError("no fallback case has dead outcomes")
+
+    def test_a_truncated_stack_fails_verification(self):
+        psi, proto = self.fallback_with_dead_outcomes()
+        assert verify_merge(proto, psi).passed
+        short = dataclasses.replace(proto, corrections=proto.corrections[:-1])
+        report = verify_merge(short, psi)
+        assert not report.passed
+        assert report.deviations[len(short.corrections)] == math.inf
+        assert report.deviations[len(proto.corrections):] == (0.0,) * proto.zero_mask.count(True)
+
+    def test_correction_event_refuses_a_dead_outcome(self):
+        _, proto = self.fallback_with_dead_outcomes()
+        live = len(proto.corrections)
+        assert correction_event(proto, live - 1)["matrix"] is not None
+        with pytest.raises(ZeroProbabilityBranch, match=f"outcome {live} "):
+            correction_event(proto, live)
+        tight = build_merge_protocol(*exact_merge_cases()[4][:2])  # the dead-share case
+        dead = tight.zero_mask.index(True)
+        with pytest.raises(ZeroProbabilityBranch):
+            correction_event(tight, dead)
 
 
 class TestBatchedExpansion:

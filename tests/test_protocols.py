@@ -34,7 +34,13 @@ from treecast.errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from treecast.merge_split import build_split_protocol, merge_post_state, verify_merge
+from treecast.merge_split import (
+    MergeProtocol,
+    build_merge_protocol,
+    build_split_protocol,
+    merge_post_state,
+    verify_merge,
+)
 from treecast.network import line_tree, parse_tree, star_tree
 from treecast.protocols import (
     compare_costs,
@@ -571,6 +577,24 @@ EXHAUSTIVE = [
 ]
 
 
+def counted_builds(monkeypatch) -> list:
+    """The ``k`` of every merge protocol the stages build, one row or stacked rows at a time."""
+    real_one, real_rows = protocols.build_merge_protocol, protocols._fallback_rows
+    builds = []
+
+    def one(*args, **kwargs):
+        builds.append(kwargs.get("k"))
+        return real_one(*args, **kwargs)
+
+    def rows(amps, *args, **kwargs):
+        builds.extend([kwargs.get("k")] * len(amps))
+        return real_rows(amps, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "build_merge_protocol", one)
+    monkeypatch.setattr(protocols, "_fallback_rows", rows)
+    return builds
+
+
 class TestOneBranchCosts:
     @pytest.mark.parametrize("name, mode", EXHAUSTIVE)
     def test_every_branch_of_a_stage_has_one_k(self, name, mode):
@@ -608,14 +632,7 @@ class TestOneBranchCosts:
 
     @pytest.mark.parametrize("mode", ["tight", "fallback"])
     def test_cost_builds_one_protocol_per_stage(self, monkeypatch, mode):
-        real = protocols.build_merge_protocol
-        builds = []
-
-        def counting(*args, **kwargs):
-            builds.append(kwargs.get("k"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        builds = counted_builds(monkeypatch)
         report = concentrating_cost(five_qubit_code(), line_tree(5), mode=mode)
         assert len(builds) == 4
         expected = (1, 1, 1, 1) if mode == "tight" else (4, 8, 4, 2)
@@ -624,14 +641,7 @@ class TestOneBranchCosts:
     def test_ki_walks_only_the_prefix_stages(self, monkeypatch, capsys):
         from treecast import cli
 
-        real = protocols.build_merge_protocol
-        builds = []
-
-        def counting(*args, **kwargs):
-            builds.append(kwargs.get("k"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(protocols, "build_merge_protocol", counting)
+        builds = counted_builds(monkeypatch)
         argv = ["ki", "--code", "five_qubit", "--tree", "line:5", "--mode", "fallback",
                 "--prefix", "0,0", "--format", "structured"]
         assert cli.main(argv) == 0
@@ -713,6 +723,14 @@ REPLAY_INPUTS = {
 }
 
 
+# the fixed cases of acceptance criterion 9 that REPLAY_INPUTS lacks, in fallback mode
+CRITERION_9_FALLBACK = {
+    "five_qubit-line-fallback": (five_qubit_code, lambda: line_tree(5), {"mode": "fallback"}),
+    "star4-fallback": (star4_code, lambda: star_tree(4), {"mode": "fallback"}),
+}
+EXPANSION_INPUTS = {**REPLAY_INPUTS, **CRITERION_9_FALLBACK}
+
+
 class TestRowReplay:
     @pytest.mark.parametrize("name", REPLAY_INPUTS)
     def test_rows_match_the_per_leaf_replay(self, name, monkeypatch):
@@ -739,11 +757,11 @@ class TestRowReplay:
             assert abs(br.fidelity - fid) <= 1e-12, path
         assert result.min_fidelity >= EXACT
 
-    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    @pytest.mark.parametrize("name", EXPANSION_INPUTS)
     def test_stage_rows_match_the_per_branch_expansion(self, name):
         # every stage's rows hold, bit for bit, the paths, probabilities and
         # normalized post-states of expanding each branch on its own
-        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        make_code, make_tree, kwargs = EXPANSION_INPUTS[name]
         code, tree = make_code(), make_tree()
         order = tree.default_labeling()
         budget = kwargs.get("branch_budget")
@@ -797,6 +815,117 @@ class TestRowReplay:
         assert len(chunked.branches) == 12
         assert chunked.branches == whole.branches
         assert chunked.min_fidelity == whole.min_fidelity
+
+
+# Fallback runs whose stages are checked against one-row builds: the fallback
+# inputs of REPLAY_INPUTS, and the fixed cases of acceptance criterion 9.
+STAGE_INPUTS = {
+    **{name: case for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"},
+    **CRITERION_9_FALLBACK,
+}
+
+
+def fallback_stages(name):
+    """(rows entering it, tree, vertex, stage) of each stage of the run ``STAGE_INPUTS[name]``."""
+    make_code, make_tree, kwargs = STAGE_INPUTS[name]
+    code, tree = make_code(), make_tree()
+    order = tree.default_labeling()
+    budget = kwargs.get("branch_budget")
+    live = protocols._first_branch(code)
+    for level in range(len(order), 1, -1):
+        vertex = order[level - 1]
+        stage = protocols._concentrate_stage(live, tree, vertex, mode="fallback", rank_rtol=RANK_RTOL)
+        yield live, tree, vertex, stage
+        live = stage.live
+        if budget is not None and len(live.paths) > budget:
+            live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
+
+
+def one_row_builds(live, tree, vertex, k):
+    """``build_merge_protocol`` on each row alone, as the stage asks for it: the first at its own K."""
+    kwargs = dict(mode="fallback", receiver=tree.root, b0_owner=tree.parent(vertex),
+                  a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
+    roles = protocols._roles_for(live.regs, vertex)
+    return [
+        build_merge_protocol(PureState(live.regs, row), roles, k=k if b else None, **kwargs)
+        for b, row in enumerate(live.amps)
+    ]
+
+
+def assert_same_protocol(got: MergeProtocol, want: MergeProtocol, where) -> None:
+    """Every field equal; arrays equal to the byte, so signed zeros count."""
+    for field in dataclasses.fields(MergeProtocol):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b) and a.shape == b.shape, (where, field.name)
+            assert a.tobytes() == b.tobytes(), (where, field.name)
+        else:
+            assert a == b, (where, field.name)
+
+
+def assert_same_rows(got, want, where) -> None:
+    assert got.paths == want.paths and got.regs == want.regs, where
+    assert got.probs.tobytes() == want.probs.tobytes(), where
+    assert got.amps.tobytes() == want.amps.tobytes(), where
+
+
+def rank_rows(ranks):
+    """Branches of a ``line:2`` GHZ-code run whose v2 shares have the given ρ^A ranks.
+
+    Rank 2: the encoded GHZ pair; rank 1: the R–v1 Bell pair with v2 in |0⟩.
+    """
+    regs = encoded_pair(ghz_code(2)).registers
+    amps = np.zeros((len(ranks), 8), dtype=complex)
+    for b, rank in enumerate(ranks):
+        amps[b, [0, 7 if rank == 2 else 6]] = S2  # index r·4 + v1·2 + v2
+    paths = [(b,) for b in range(len(ranks))]
+    return protocols._Rows(paths, np.full(len(ranks), 1 / len(ranks)), amps, regs)
+
+
+class TestStageWideFallback:
+    @pytest.mark.parametrize("name", STAGE_INPUTS)
+    def test_records_equal_one_row_builds(self, name):
+        # every record of every stage, to the byte, against the build of its
+        # row alone (the stage rows are checked by the expansion test)
+        for live, tree, vertex, stage in fallback_stages(name):
+            assert list(stage.records) == live.paths, vertex
+            for path, want in zip(live.paths, one_row_builds(live, tree, vertex, stage.edge.k)):
+                assert_same_protocol(stage.records[path].protocol, want, (vertex, path))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunk_size_does_not_change_the_stages(self, rows, monkeypatch):
+        # the sampled five-qubit run has stages of 1, 4, 12 and 12 rows
+        whole = [stage for *_, stage in fallback_stages("five_qubit-line-sampled")]
+        monkeypatch.setattr(protocols, "STAGE_ROWS", rows)
+        chunked = [stage for *_, stage in fallback_stages("five_qubit-line-sampled")]
+        assert [len(stage.records) for stage in whole] == [1, 4, 12, 12]
+        for a, b in zip(whole, chunked):
+            assert a.edge == b.edge and list(a.records) == list(b.records)
+            for path, rec in a.records.items():
+                assert_same_protocol(b.records[path].protocol, rec.protocol, path)
+            assert_same_rows(b.live, a.live, a.edge)
+
+    def test_rows_of_different_rank_keep_their_order(self):
+        # after the first row alone, one chunk holds rows of rank 2, 1, 2: the
+        # rank-1 row is built, and expanded, apart from the rank-2 rows on
+        # either side of it, yet the records and the branches keep row order
+        live, tree = rank_rows((2, 2, 1, 2)), line_tree(2)
+        stage = protocols._concentrate_stage(live, tree, "v2", mode="fallback", rank_rtol=RANK_RTOL)
+        assert stage.edge.k == 2
+        assert [stage.records[p].protocol.kmin for p in live.paths] == [2, 2, 1, 2]
+        for path, want in zip(live.paths, one_row_builds(live, tree, "v2", 2)):
+            assert_same_protocol(stage.records[path].protocol, want, path)
+        assert stage.live.paths == [(b, m) for b in (0, 1) for m in range(4)] + [
+            (2, 0), (2, 1), *((3, m) for m in range(4))
+        ]
+        states = [PureState(live.regs, row) for row in live.amps]
+        ref = expanded_branches(list(zip(live.paths, live.probs.tolist(), states)), stage.records)
+        assert np.array_equal(stage.live.amps, [st.amplitudes for _, _, st in ref])
+
+    def test_row_needing_more_k_fails_the_edge(self):
+        live, tree = rank_rows((1, 2)), line_tree(2)
+        with pytest.raises(SynthesisFailed, match=r"edge \(v1, v2\).* K=1"):
+            protocols._concentrate_stage(live, tree, "v2", mode="fallback", rank_rtol=RANK_RTOL)
 
 
 # The outcome paths the branch budget kept, recorded before the sampling
