@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -294,11 +295,11 @@ def execute_split(
 class MergeProtocol:
     """One exact merge step: measurement at A, isometry at the receiver.
 
-    ``measurement`` columns live on (a registers…, A₀) with A₀ omitted
-    when k == 1; ``corrections[m]`` maps (b registers…, B₀) to
-    (a-copy registers…, b registers…).  Every outcome at or past
-    ``len(corrections)`` is dead: the fallback keeps only its K·n head
-    outcomes' corrections, the tight strategies one per outcome.
+    ``measurement`` columns live on (a registers…, A₀), A₀ omitted when
+    k == 1.  U_m maps (b registers…, B₀) to (a-copy registers…, b registers…);
+    ``corrections[m]`` holds it for the tight strategies, and its dA × K block
+    w_m for the fallback (:func:`correction_matrices` gives U_m).  Outcomes at
+    or past ``len(corrections)`` are dead: the fallback keeps its K·n head only.
     """
 
     r_ids: tuple[str, ...]
@@ -310,7 +311,7 @@ class MergeProtocol:
     kmin: int
     strategy: str
     measurement: np.ndarray
-    corrections: np.ndarray  # one isometry per covered outcome, stacked
+    corrections: np.ndarray  # U_m or (fallback) w_m per covered outcome, stacked
     probs: tuple[float, ...]
     zero_mask: tuple[bool, ...]
     a0_id: str
@@ -546,7 +547,7 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> 
     U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t], w_m[x, t] = ω_n^{qa} f[x, a] with
     a = (t − p) mod K (phase 1 where a ≥ n): f[:, :K] composed with a shift
     and phases, an isometry.  Exactly the K·n head outcomes are live, and
-    only their corrections are kept.  K is ``k``, or the first row's n.
+    only their w_m are kept.  K is ``k``, or the first row's n.
     Every row is checked as a build on its own is: the rank cut, n ≤ K ≤ dA,
     the live count, ‖U_m S_m − √p_m G‖ ≤ VERIFY_TOL per live outcome and
     f[:, :K] orthonormal.  Rows of one n are stacked, and each protocol
@@ -579,9 +580,6 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> 
         g_vec = g.reshape(rows, dr, -1).swapaxes(1, 2).reshape(rows, 1, -1)
         resid = np.linalg.norm(out - np.sqrt(probs[:, :live, None]) * g_vec, axis=2).max(axis=1)
         iso = np.abs(_dagger(f[:, :, :k]) @ f[:, :, :k] - np.eye(k)).max(axis=(1, 2))
-        corrections = np.zeros((rows, live, da, db, db, k), dtype=complex)
-        corrections[..., np.arange(db), np.arange(db), :] = w[:, :, :, None]
-        corrections = corrections.reshape(rows, live, da * db, db * k)
         for j, i in enumerate(sel):
             if zero[j, :live].any() or not zero[j, live:].all():
                 msg = f"the teleport leaves {np.sum(~zero[j])} outcomes live, not {live}"
@@ -591,7 +589,7 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> 
                                       f"{max(resid[j], iso[j]):.2e} exceeds {VERIFY_TOL}")
             protos[i] = MergeProtocol(
                 **fields, k=k, kmin=n, strategy="fallback-teleport", measurement=qcols[j],
-                corrections=corrections[j], probs=tuple(probs[j].tolist()),
+                corrections=w[j], probs=tuple(probs[j].tolist()),
                 zero_mask=tuple(zero[j].tolist()),
             )
     return protos
@@ -697,7 +695,7 @@ def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TO
         float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()),
     )
     blocks, probs = _outcome_blocks(_joint_tensor(psi3, protocol.k), q)
-    u = np.asarray(protocol.corrections)
+    u = correction_matrices(protocol)
     corr_resid = float(np.abs(_dagger(u) @ u - np.eye(u.shape[2])).max())
     # (U_m S_m)ᵀ flattened: the corrected branch on (R, A-copy, B)
     out = (u @ blocks[: len(u)].swapaxes(1, 2)).swapaxes(1, 2).reshape(len(u), -1)
@@ -785,7 +783,25 @@ def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
     b_regs = [Register(i, d, recv) for i, d in zip(protocol.b_ids, protocol.b_dims)]
     b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
     a_copy = [Register(i, d, recv) for i, d in zip(protocol.a_ids, protocol.a_dims)]
-    return isometry_event(recv, protocol.corrections[outcome], b_regs + b0, a_copy + b_regs)
+    return isometry_event(recv, correction_matrices(protocol, [outcome])[0], b_regs + b0, a_copy + b_regs)
+
+
+def correction_matrices(protocol: MergeProtocol, outcomes=slice(None), *runs) -> np.ndarray:
+    """U_m of ``protocol`` at the ``outcomes`` it covers (all by default), stacked.
+
+    Each further (protocol, outcomes) pair in ``runs`` appends its own.  A fallback keeps
+    w_m, U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]: consecutive fallback parts expand at once.
+    """
+    db, mats = math.prod(protocol.b_dims), []
+    parts = groupby(((protocol, outcomes), *runs), lambda run: run[0].strategy == "fallback-teleport")
+    for teleport, part in parts:
+        kept = np.concatenate([np.asarray(p.corrections)[m] for p, m in part])
+        if teleport:
+            dense = np.zeros((len(kept), kept.shape[1], db * db, kept.shape[2]), dtype=complex)
+            dense[:, :, :: db + 1] = kept[:, :, None]  # the diagonal y = y′
+            kept = dense.reshape(len(kept), -1, db * kept.shape[2])
+        mats.append(kept)
+    return mats[0] if len(mats) == 1 else np.concatenate(mats)
 
 
 def apply_merge_correction(protocol: MergeProtocol, outcome: int, post: PureState) -> PureState:

@@ -50,6 +50,7 @@ from .merge_split import (
     build_merge_protocol,
     build_split_protocol,
     correction_event,
+    correction_matrices,
     execute_split,
     isometry_event,
     split_cost,
@@ -515,11 +516,9 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
         heads = [0, *(np.flatnonzero((table[1:, : n - j] != table[:-1, : n - j]).any(axis=1)) + 1)]
         if len(heads) > 1 or (outcomes != outcomes[0]).any():
             # rows that walk different corrections: one gather per run
-            parts = [
-                store[j][paths[lo][: n - j]].protocol.corrections.take(outcomes[lo:hi], axis=0)
-                for lo, hi in zip(heads, [*heads[1:], len(paths)])
-            ]
-            event["matrix"] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            bounds = zip(heads, [*heads[1:], len(paths)])
+            runs = [(store[j][paths[lo][: n - j]].protocol, outcomes[lo:hi]) for lo, hi in bounds]
+            event["matrix"] = correction_matrices(*runs[0], *runs[1:])
         amps, regs, _ = apply_event(amps, regs, event)
     held = {r.id: r for r in regs}
     phys, logical = [held[p] for p in code.parties], Register("L", code.logical_dim, order[0])

@@ -1,7 +1,7 @@
-"""Reference helpers the tests share: random states, phase-blind equality,
-Bell bases, the column phase rule, the solved fallback merge, the
-per-branch stage expansion, the per-leaf root replay, the per-state event
-interpreter and the per-sample channel checks."""
+"""Reference helpers the tests share: random states, phase-blind and byte
+equality, Bell bases, the column phase rule, the solved fallback merge and
+its dense corrections, the per-branch stage expansion, the per-leaf root
+replay, the per-state event interpreter and the per-sample channel checks."""
 
 from __future__ import annotations
 
@@ -57,6 +57,12 @@ def random_state(registers, rng) -> PureState:
     dim = math.prod(r.dim for r in regs)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(regs, v / np.linalg.norm(v))
+
+
+def same_bytes(got, want):
+    """Equal under ``np.array_equal`` and in every byte, so a signed-zero flip shows."""
+    assert np.array_equal(got, want)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
@@ -143,6 +149,21 @@ def fallback_merge_reference(psi: PureState, roles, k=None) -> MergeProtocol:
         receiver="B",
         b0_owner="B",
     )
+
+
+def dense_fallback_corrections(protocol: MergeProtocol) -> np.ndarray:
+    """Reference: a fallback protocol's dense U_m stack, from the w_m blocks it keeps.
+
+    The zeros and diagonal write ``_fallback_rows`` stored each record's
+    corrections with before it kept w_m alone, on a stack of one row.
+    """
+    w = np.asarray(protocol.corrections)[None]
+    rows, live, da, k = w.shape
+    db = math.prod(protocol.b_dims)
+    corrections = np.zeros((rows, live, da, db, db, k), dtype=complex)
+    corrections[..., np.arange(db), np.arange(db), :] = w[:, :, :, None]
+    corrections = corrections.reshape(rows, live, da * db, db * k)
+    return corrections[0]
 
 
 def expanded_branches(live, records):

@@ -11,6 +11,7 @@ from oracles import (
     canonical_phase,
     fallback_merge_reference,
     random_state,
+    same_bytes,
     shift_loop,
     tensor_product,
 )
@@ -45,6 +46,7 @@ from treecast.merge_split import (
     build_merge_protocol,
     build_split_protocol,
     correction_event,
+    correction_matrices,
     execute_split,
     isometry_event,
     merge_cost,
@@ -663,15 +665,16 @@ class TestClosedFormFallback:
         proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
         ref = fallback_merge_reference(psi, roles, kwargs.get("k"))
         live = proto.k * proto.kmin
-        assert proto.corrections.shape == (live, *ref.corrections.shape[1:])
+        dense = correction_matrices(proto)
+        assert dense.shape == (live, *ref.corrections.shape[1:])
         assert ref.zero_mask == (False,) * live + (True,) * (len(ref.zero_mask) - live)
         ids = list(proto.r_ids) + list(proto.a_ids) + list(proto.b_ids)
         perm = permute_registers(psi.normalized(), ids)
         da, db = math.prod(proto.a_dims), math.prod(proto.b_dims)
         psi3 = perm.amplitudes.reshape(-1, da, db)
-        for p in (proto, ref):
+        for p, u in ((proto, dense), (ref, ref.corrections)):
             blocks, probs = merge_split._outcome_blocks(_joint_tensor(psi3, p.k), p.measurement)
-            fixed = p.corrections[:live] @ blocks[:live].swapaxes(1, 2)  # U_m S_m
+            fixed = u[:live] @ blocks[:live].swapaxes(1, 2)  # U_m S_m
             want = np.sqrt(probs[:live])[:, None, None] * psi3.reshape(len(psi3), -1).T
             assert np.abs(fixed - want).max() <= 1e-9
 
@@ -698,6 +701,34 @@ class TestClosedFormFallback:
         monkeypatch.setattr(merge_split, "_shift_injection", off_by_one)
         with pytest.raises(SynthesisFailed, match="correction residual"):
             build_merge_protocol(psi, roles, **kwargs)
+
+
+class TestTeleportBlocks:
+    @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
+    def test_record_keeps_the_teleport_block(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        assert proto.corrections.shape == (proto.k * proto.kmin, math.prod(proto.a_dims), proto.k)
+
+    @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
+    def test_dense_stack_equals_the_former_one(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        want = oracles.dense_fallback_corrections(proto)
+        same_bytes(correction_matrices(proto), want)
+        picked = [len(want) - 1, 0, len(want) // 2]
+        same_bytes(correction_matrices(proto, picked[:2], (proto, picked[2:])), want[picked])
+        # a tuple of blocks reads as their stack
+        as_tuple = dataclasses.replace(proto, corrections=tuple(proto.corrections))
+        same_bytes(correction_matrices(as_tuple), want)
+
+    def test_tight_and_fallback_runs_stack_in_order(self):
+        padded, roles = padded_state(), {"R": ["R"], "A": ["a"], "B": ["b"]}
+        tight = build_merge_protocol(padded, roles, k=3)
+        fallback = build_merge_protocol(padded, roles, k=3, mode="fallback")
+        assert tight.strategy != fallback.strategy
+        same_bytes(correction_matrices(tight), tight.corrections)
+        got = correction_matrices(tight, [1, 0], (fallback, [2, 0]), (tight, [2]))
+        dense = oracles.dense_fallback_corrections(fallback)
+        same_bytes(got, np.concatenate([tight.corrections[[1, 0]], dense[[2, 0]], tight.corrections[[2]]]))
 
 
 class TestLiveCorrections:
@@ -1150,7 +1181,8 @@ class TestMergeEvents:
             out_regs = tuple(
                 Register(i, d, proto.receiver) for i, d in zip(proto.a_ids, proto.a_dims)
             ) + tuple(post.register(i) for i in proto.b_ids)
-            want = apply_map(post, LinearMap(tuple(in_regs), out_regs, proto.corrections[m]))
+            u_m = correction_matrices(proto, [m])[0]
+            want = apply_map(post, LinearMap(tuple(in_regs), out_regs, u_m))
             got = apply_merge_correction(proto, m, post)
             assert set(got.ids) == set(want.ids)
             aligned = permute_registers(got, list(want.ids))

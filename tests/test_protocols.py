@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 from oracles import (
+    dense_fallback_corrections,
     expanded_branches,
     fallback_merge_reference,
     fidelity_to_reference,
     replay_root_corrections,
+    same_bytes,
 )
 
 from treecast.codes import (
@@ -22,7 +24,7 @@ from treecast.codes import (
     random_code,
     star4_code,
 )
-from treecast import protocols
+from treecast import merge_split, protocols
 from treecast.config import RANK_RTOL
 from treecast.errors import (
     InputError,
@@ -38,6 +40,7 @@ from treecast.merge_split import (
     MergeProtocol,
     build_merge_protocol,
     build_split_protocol,
+    correction_matrices,
     merge_post_state,
     verify_merge,
 )
@@ -50,7 +53,7 @@ from treecast.protocols import (
     run_spreading,
     spreading_cost,
 )
-from treecast.tensors import PureState, Register, overlap, permute_registers
+from treecast.tensors import PureState, Register, apply_event, overlap, permute_registers
 
 EXACT = 1.0 - 1e-9
 
@@ -731,6 +734,41 @@ CRITERION_9_FALLBACK = {
 EXPANSION_INPUTS = {**REPLAY_INPUTS, **CRITERION_9_FALLBACK}
 
 
+def dense_record(proto):
+    """A record's dense U_m stack: the oracle's expansion for a fallback, else as kept."""
+    return dense_fallback_corrections(proto) if proto.strategy == "fallback-teleport" else proto.corrections
+
+
+def check_row_replay(code, result, monkeypatch):
+    """Replay every leaf of ``result`` as rows, against the per-leaf replay.
+
+    Each stage's correction event must carry, byte for byte, the dense U_m
+    of every row's record: one map when all rows walk the same one.
+    """
+    seen = []
+
+    def spy(amps, regs, event):
+        seen.append(event["matrix"])
+        return apply_event(amps, regs, event)
+
+    monkeypatch.setattr(protocols, "apply_event", spy)
+    leaves = walked_leaves(code, result)
+    paths, n = [path for path, _ in leaves], len(result.labeling)
+    amps = np.stack([state.amplitudes for _, state in leaves])
+    final, regs = protocols._replay_root_corrections(
+        code, result.labeling, result.steps, paths, amps, leaves[0][1].registers
+    )
+    for j, matrix in zip(range(2, n + 1), seen):
+        want = np.stack([dense_record(result.steps[j][p[: n - j]].protocol)[p[n - j]] for p in paths])
+        same_bytes(matrix, want if matrix.ndim == 3 else want[0])
+        assert matrix.ndim == 3 or (want == want[0]).all(), j
+    for (path, state), row in zip(leaves, final):
+        ref = replay_root_corrections(code, result.labeling, result.steps, path, state)
+        aligned = permute_registers(ref, [r.id for r in regs])
+        assert np.abs(aligned.amplitudes - row).max() <= 1e-12, path
+    assert protocols._fidelities(code, final, regs).min() >= EXACT
+
+
 class TestRowReplay:
     @pytest.mark.parametrize("name", REPLAY_INPUTS)
     def test_rows_match_the_per_leaf_replay(self, name, monkeypatch):
@@ -780,6 +818,47 @@ class TestRowReplay:
             live = stage.live
             if budget is not None and len(live.paths) > budget:
                 live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
+
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_replayed_corrections_are_the_dense_records(self, name, monkeypatch):
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code = make_code()
+        check_row_replay(code, run_concentrating(code, make_tree(), **kwargs), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"]
+    )
+    def test_fallback_records_expand_to_the_former_stacks(self, name):
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        result = run_concentrating(make_code(), make_tree(), **kwargs)
+        for j, recs in result.steps.items():
+            for prefix, rec in recs.items():
+                proto = rec.protocol
+                shape = (proto.k * proto.kmin, np.prod(proto.a_dims), proto.k)
+                assert proto.corrections.shape == shape, (j, prefix)
+                same_bytes(correction_matrices(proto), dense_fallback_corrections(proto))
+
+    def test_a_stage_of_mixed_strategies_replays_exactly(self, monkeypatch):
+        # star4 tight: stage 2 builds four rows at K = 2, the fallback's rank;
+        # the third row's tight build is made to fail, so it alone falls back
+        calls, tight = [], merge_split._tight_measurement
+
+        def third_row_of_stage_2(dec, da, k):
+            calls.append(k)
+            return None if len(calls) == 6 else tight(dec, da, k)
+
+        def no_synthesis(*args):
+            raise SynthesisFailed("synthesis off")
+
+        monkeypatch.setattr(merge_split, "_tight_measurement", third_row_of_stage_2)
+        monkeypatch.setattr(merge_split, "_synthesize_measurement", no_synthesis)
+        code = star4_code()
+        result = run_concentrating(code, star_tree(4))
+        strategies = [rec.protocol.strategy for rec in result.steps[2].values()]
+        assert strategies == ["single-block", "single-block", "fallback-teleport", "single-block"]
+        assert result.fallback_edges == ("v2",)
+        assert result.min_fidelity >= EXACT
+        check_row_replay(code, result, monkeypatch)
 
     @pytest.mark.parametrize(
         "name", [name for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"]
