@@ -57,6 +57,7 @@ from .koashi_imoto import (
     ki_decompose,
     merge_cost_K,
 )
+from .teleport import _fourier, _teleport_blocks, _teleport_columns
 from .tensors import (
     PureState,
     Register,
@@ -295,11 +296,11 @@ def execute_split(
 class MergeProtocol:
     """One exact merge step: measurement at A, isometry at the receiver.
 
-    ``measurement`` columns live on (a registers…, A₀), A₀ omitted when
-    k == 1.  U_m maps (b registers…, B₀) to (a-copy registers…, b registers…);
-    ``corrections[m]`` holds it for the tight strategies, and its dA × K block
-    w_m for the fallback (:func:`correction_matrices` gives U_m).  Outcomes at
-    or past ``len(corrections)`` are dead: the fallback keeps its K·n head only.
+    :func:`measurement_matrix` reads the columns, on (a registers…, A₀) (no A₀
+    when k == 1), and :func:`correction_matrices` each U_m, (b registers…, B₀) →
+    (a-copy registers…, b registers…).  A tight strategy stores both.  The
+    fallback stores only ``frame``, from which both follow in closed form
+    (``teleport``), and covers its K·n head outcomes; the rest are dead.
     """
 
     r_ids: tuple[str, ...]
@@ -310,8 +311,8 @@ class MergeProtocol:
     k: int
     kmin: int
     strategy: str
-    measurement: np.ndarray
-    corrections: np.ndarray  # U_m or (fallback) w_m per covered outcome, stacked
+    measurement: np.ndarray | None  # tight: the columns
+    corrections: np.ndarray | None  # tight: U_m per outcome, stacked
     probs: tuple[float, ...]
     zero_mask: tuple[bool, ...]
     a0_id: str
@@ -319,6 +320,7 @@ class MergeProtocol:
     sender: str
     receiver: str
     b0_owner: str
+    frame: np.ndarray | None = None  # fallback: the phase-fixed eigenframe f of ρ^A, dA × dA
 
 
 @dataclass(frozen=True)
@@ -363,11 +365,6 @@ def _block_frames(dec: KiDecomposition):
         cols = emb.reshape(emb.shape[0], blk.dimL_A)[:, :] @ lvecs
         frames.append(phase_fixed(cols))
     return frames
-
-
-def _fourier(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
 
 
 def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
@@ -537,21 +534,17 @@ def _solve_corrections(big, g_mat, qcols, da, db, k):
     return corrections, tuple(probs.tolist()), tuple(zero.tolist()), max_resid
 
 
-def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> list[MergeProtocol]:
+def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids):
     """The fallback merge of each row of ``amps`` (states over ``regs``), built together.
 
-    A rank-n teleport of A through Φ⁺_K, in closed form.  With f the
-    phase-fixed eigenframe of a row's ρ^A (rank n ≤ K ≤ dA), the head is the
-    shift injection of f[:, :n], which spans supp(ρ^A) ⊗ C^K, and f[:, n:] ⊗
-    C^K completes it to a basis.  Head outcome m = p·n + q is corrected by
-    U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t], w_m[x, t] = ω_n^{qa} f[x, a] with
-    a = (t − p) mod K (phase 1 where a ≥ n): f[:, :K] composed with a shift
-    and phases, an isometry.  Exactly the K·n head outcomes are live, and
-    only their w_m are kept.  K is ``k``, or the first row's n.
-    Every row is checked as a build on its own is: the rank cut, n ≤ K ≤ dA,
-    the live count, ‖U_m S_m − √p_m G‖ ≤ VERIFY_TOL per live outcome and
-    f[:, :K] orthonormal.  Rows of one n are stacked, and each protocol
-    equals this function's one-row call on its row, bit for bit.
+    A rank-n teleport of A through Φ⁺_K in closed form (``_teleport_columns``,
+    ``_teleport_blocks``); exactly the K·n head outcomes are live.  K is
+    ``k``, or the first row's n.  Every row is checked as a build on its own
+    is: the rank cut, n ≤ K ≤ dA, the live count, ‖U_m S_m − √p_m G‖ ≤
+    VERIFY_TOL per live outcome and f[:, :K] orthonormal; its record keeps f
+    alone.  Rows of one n are stacked, and each protocol equals the one-row
+    call on its row, bit for bit.  Returns the protocols and each row's
+    measurement columns.
     """
     r_ids, a_ids, b_ids = _parse_roles(PureState(regs, amps[0]), roles)
     norms = row_norms(amps)
@@ -562,19 +555,16 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> 
     ranks, frames = _support(amps, regs, a_ids, rank_rtol)  # of ρ^A, each row as given
     for rank in ranks:
         k = _resource_dim(rank, k, da, "fallback")
-    fields, protos = _merge_fields(held, r_ids, a_ids, b_ids, **ids), [None] * len(amps)
+    fields = _merge_fields(held, r_ids, a_ids, b_ids, **ids)
+    protos, columns = [None] * len(amps), [None] * len(amps)
     for n in sorted(set(ranks)):
         sel = [i for i, rank in enumerate(ranks) if rank == n]
         f, g, live, rows = frames[sel], psi3[sel], k * n, len(sel)
-        tail = (f[:, :, None, n:, None] * np.eye(k)[:, None, :]).reshape(rows, da * k, -1)
-        qcols = np.concatenate([_shift_injection(f[:, None, :, :n].swapaxes(2, 3), k), tail], axis=2)
+        qcols = _teleport_columns(f, n, k)
         blocks, probs = _outcome_blocks(_joint_tensor(g, k), qcols)
         zero = probs < PROB_TOL
         probs[zero] = 0.0
-        p, q = np.divmod(np.arange(live), n)
-        a = (np.arange(k) - p[:, None]) % k  # (live, K): the frame column t reads
-        w = f[:, :, a] * np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
-        w = w.transpose(0, 2, 1, 3)  # (rows, live, dA, K)
+        w = _teleport_blocks(f, n, k, np.arange(rows)[:, None], np.arange(live))  # (rows, live, dA, K)
         s_mats = blocks[:, :live].reshape(rows, live, -1, db, k).transpose(0, 1, 4, 3, 2)  # (t, y, r)
         out = (w @ s_mats.reshape(rows, live, k, -1)).reshape(rows, live, -1)  # U_m S_m on (x, y, r)
         g_vec = g.reshape(rows, dr, -1).swapaxes(1, 2).reshape(rows, 1, -1)
@@ -588,11 +578,12 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids) -> 
                 raise SynthesisFailed(f"strategy 'fallback-teleport' correction residual "
                                       f"{max(resid[j], iso[j]):.2e} exceeds {VERIFY_TOL}")
             protos[i] = MergeProtocol(
-                **fields, k=k, kmin=n, strategy="fallback-teleport", measurement=qcols[j],
-                corrections=w[j], probs=tuple(probs[j].tolist()),
+                **fields, k=k, kmin=n, strategy="fallback-teleport", measurement=None,
+                corrections=None, frame=f[j], probs=tuple(probs[j].tolist()),
                 zero_mask=tuple(zero[j].tolist()),
             )
-    return protos
+            columns[i] = qcols[j]
+    return protos, columns
 
 
 def _merge_tensor(amps, regs, r_ids, a_ids, b_ids):
@@ -653,7 +644,7 @@ def build_merge_protocol(
     ids = dict(a0_id=a0_id, b0_id=b0_id, receiver=receiver, b0_owner=b0_owner)
     if mode == "fallback":
         amps, regs = psi.amplitudes[None], psi.registers
-        return _fallback_rows(amps, regs, roles, k=k, rank_rtol=rank_rtol, **ids)[0]
+        return _fallback_rows(amps, regs, roles, k=k, rank_rtol=rank_rtol, **ids)[0][0]
     r_ids, a_ids, b_ids = _parse_roles(psi, roles)
     amps = psi.normalized().amplitudes[None]
     (psi3,), held = _merge_tensor(amps, psi.registers, r_ids, a_ids, b_ids)
@@ -683,13 +674,13 @@ def build_merge_protocol(
 def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TOL) -> MergeReport:
     """Exhaustively check every outcome against the merge identity.
 
-    An outcome at or past ``len(protocol.corrections)`` has no correction,
+    An outcome :func:`correction_matrices` does not cover has no correction,
     so it fails unless it is dead.
     """
     ids = (protocol.r_ids, protocol.a_ids, protocol.b_ids)
     psi3 = _merge_tensor(psi.normalized().amplitudes[None], psi.registers, *ids)[0][0]
     g_vec = psi3.reshape(-1)
-    q = protocol.measurement
+    q = measurement_matrix(protocol)
     comp = max(
         float(np.abs(q @ q.conj().T - np.eye(q.shape[0])).max()),
         float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()),
@@ -727,19 +718,23 @@ def merge_post_states(
     return [(float(p), PureState(rest, post)) for p, post in zip(probs[0], posts[0])]
 
 
-def _merge_post_rows(protos, amps, regs, outcomes=None):
+def _merge_post_rows(protos, amps, regs, outcomes=None, columns=None):
     """Row b of ``amps`` (over ``regs``) through the measurement of ``protos[b]``.
 
-    The protocols share K and their merged share.  Returns (probabilities,
-    post rows, registers), indexed [row, outcome] for each outcome in
-    ``outcomes`` (all by default), as :func:`merge_post_states` gives them.
+    The protocols share K and their merged share; ``columns`` holds their
+    measurement columns at ``outcomes`` when the caller has them.  Returns
+    (probabilities, post rows, registers), indexed [row, outcome] for each
+    outcome in ``outcomes`` (all by default), as :func:`merge_post_states`
+    gives them.
     """
-    k, q = protos[0].k, protos[0].measurement
+    k = protos[0].k
     mat, rest = _group_rows(amps, regs, protos[0].a_ids)
-    if mat.shape[1] * k != q.shape[0]:
+    if mat.shape[1] != math.prod(protos[0].a_dims):
         raise ShapeMismatch("measurement columns do not match the merged share")
-    wanted = _outcome_indices(outcomes, q.shape[1])
-    posts = _bell_folded(np.array([p.measurement[:, wanted] for p in protos]), mat, k)
+    wanted = _outcome_indices(outcomes, len(protos[0].probs))
+    if columns is None:
+        columns = [measurement_matrix(p)[:, wanted] for p in protos]
+    posts = _bell_folded(np.array(columns), mat, k)
     if k > 1:
         rest.append(Register(protos[0].b0_id, k, protos[0].b0_owner))
     posts = posts.reshape(len(protos), len(wanted), -1)
@@ -768,13 +763,14 @@ def merge_events(protocol: MergeProtocol, outcome: int) -> list[dict]:
         pair = (a0, Register(protocol.b0_id, k, protocol.b0_owner))
         targets.append(a0)
     resource = _resource_event((protocol.b0_owner, sender), k, *pair)
-    return [resource] + _measured_events(sender, protocol.measurement, targets, outcome)
+    return [resource] + _measured_events(sender, measurement_matrix(protocol), targets, outcome)
 
 
-def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
+def correction_event(protocol: MergeProtocol, outcome: int, matrix=None) -> dict:
     """U_m at the receiver: (B…, B₀) → (B′ = A-copy…, B…), all held by the receiver.
 
     A dead outcome has no correction: it raises ZeroProbabilityBranch.
+    ``matrix`` stands in for U_m when given (the replay's per-row stack).
     """
     if protocol.zero_mask[outcome]:
         msg = f"outcome {outcome} at {protocol.sender!r} has zero probability"
@@ -783,24 +779,46 @@ def correction_event(protocol: MergeProtocol, outcome: int) -> dict:
     b_regs = [Register(i, d, recv) for i, d in zip(protocol.b_ids, protocol.b_dims)]
     b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
     a_copy = [Register(i, d, recv) for i, d in zip(protocol.a_ids, protocol.a_dims)]
-    return isometry_event(recv, correction_matrices(protocol, [outcome])[0], b_regs + b0, a_copy + b_regs)
+    if matrix is None:
+        matrix = correction_matrices(protocol, [outcome])[0]
+    return isometry_event(recv, matrix, b_regs + b0, a_copy + b_regs)
+
+
+def measurement_matrix(protocol: MergeProtocol) -> np.ndarray:
+    """The measurement columns of ``protocol``: a fallback's from its frame (:func:`_teleport_columns`)."""
+    if protocol.frame is None:
+        return protocol.measurement
+    return _teleport_columns(protocol.frame[None], protocol.kmin, protocol.k)[0]
 
 
 def correction_matrices(protocol: MergeProtocol, outcomes=slice(None), *runs) -> np.ndarray:
     """U_m of ``protocol`` at the ``outcomes`` it covers (all by default), stacked.
 
-    Each further (protocol, outcomes) pair in ``runs`` appends its own.  A fallback keeps
-    w_m, U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]: consecutive fallback parts expand at once.
+    Each further (protocol, outcomes) pair in ``runs`` appends its own.  A
+    fallback's U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t] come from its frame:
+    each run of consecutive fallback parts derives and expands every distinct
+    (record, outcome) once, then gathers the rows.
     """
     db, mats = math.prod(protocol.b_dims), []
-    parts = groupby(((protocol, outcomes), *runs), lambda run: run[0].strategy == "fallback-teleport")
-    for teleport, part in parts:
-        kept = np.concatenate([np.asarray(p.corrections)[m] for p, m in part])
-        if teleport:
-            dense = np.zeros((len(kept), kept.shape[1], db * db, kept.shape[2]), dtype=complex)
-            dense[:, :, :: db + 1] = kept[:, :, None]  # the diagonal y = y′
-            kept = dense.reshape(len(kept), -1, db * kept.shape[2])
-        mats.append(kept)
+    for teleport, part in groupby(((protocol, outcomes), *runs), lambda run: run[0].frame is not None):
+        if not teleport:
+            mats.append(np.concatenate([np.asarray(p.corrections)[m] for p, m in part]))
+            continue
+        part = list(part)
+        covered = [np.arange(p.k * p.kmin)[m] for p, m in part]
+        width = max(p.k * p.kmin for p, _ in part)
+        record = np.repeat(np.arange(len(part)), [len(c) for c in covered])
+        keys, gather = np.unique(record * width + np.concatenate(covered), return_inverse=True)
+        record, outs = np.divmod(keys, width)
+        frames, k = np.array([p.frame for p, _ in part]), part[0][0].k
+        ranks = np.array([p.kmin for p, _ in part])[record]
+        w = np.empty((len(keys), frames.shape[1], k), dtype=complex)
+        for n in set(ranks.tolist()):  # one rank, unless the rows of a stage differ
+            w[ranks == n] = _teleport_blocks(frames, n, k, record[ranks == n], outs[ranks == n])
+        dense = np.zeros((len(w), w.shape[1], db * db, k), dtype=complex)
+        dense[:, :, :: db + 1] = w[:, :, None]  # the diagonal y = y′
+        dense = dense.reshape(len(w), -1, db * k)
+        mats.append(dense if np.array_equal(gather, np.arange(len(gather))) else dense[gather])
     return mats[0] if len(mats) == 1 else np.concatenate(mats)
 
 

@@ -322,11 +322,12 @@ def _roles_for(regs, party: str):
     return ((REFERENCE_ID,), a_ids, b_ids)
 
 
-def _stage_protocols(amps, regs, roles, *, mode, k, **common) -> list[MergeProtocol]:
+def _stage_protocols(amps, regs, roles, *, mode, k, **common):
     """Each row's merge protocol at K = ``k``, or the first row's own K when None.
 
-    Fallback mode builds the rows together (``_fallback_rows``); tight mode
-    builds each on its own, falling back where synthesis fails.
+    Fallback mode builds the rows together (``_fallback_rows``) and also
+    returns each row's measurement columns; tight mode builds each on its
+    own, falling back where synthesis fails, and returns None for them.
     """
     if mode == "fallback":
         return _fallback_rows(amps, regs, roles, k=k, **common)
@@ -338,16 +339,17 @@ def _stage_protocols(amps, regs, roles, *, mode, k, **common) -> list[MergeProto
         except SynthesisFailed:
             protos.append(build_merge_protocol(state, roles, k=k, mode="fallback", **common))
         k = protos[0].k
-    return protos
+    return protos, None
 
 
-def _merged_rows(protos, amps, regs):
+def _merged_rows(protos, columns, amps, regs):
     """Row b measured by ``protos[b]`` on each outcome its ``zero_mask`` leaves live.
 
     Returns (source row, outcome, probability, unnormalized post row) per
     branch, in row order then outcome order, and the post rows'
     registers.  Rows with the same live outcomes are measured together
-    (``_merge_post_rows``).
+    (``_merge_post_rows``), with the measurement ``columns`` of each row when
+    the build gave them.
     """
     groups: dict[tuple[bool, ...], list[int]] = {}
     for b, proto in enumerate(protos):
@@ -356,7 +358,8 @@ def _merged_rows(protos, amps, regs):
     for mask, rows in groups.items():
         wanted = [m for m, dead in enumerate(mask) if not dead]
         picked = amps if len(rows) == len(amps) else amps[rows]
-        probs, posts, post_regs = _merge_post_rows([protos[b] for b in rows], picked, regs, wanted)
+        cols = None if columns is None else [columns[b][:, wanted] for b in rows]
+        probs, posts, post_regs = _merge_post_rows([protos[b] for b in rows], picked, regs, wanted, cols)
         parts.append((np.array(rows).repeat(len(wanted)), np.array(wanted * len(rows)),
                       probs.reshape(-1), posts.reshape(probs.size, -1)))
     if len(parts) > 1:
@@ -398,13 +401,13 @@ def _concentrate_stage(
     for lo, hi in zip(bounds, bounds[1:]):
         prefixes, amps = live.paths[lo:hi], live.amps[lo:hi]
         try:
-            protos = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
+            protos, columns = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
         except InsufficientResource:
             msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
             raise SynthesisFailed(msg) from None
         k_edge = protos[0].k
         records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
-        src, outcomes, p_m, posts, regs = _merged_rows(protos, amps, live.regs)
+        src, outcomes, p_m, posts, regs = _merged_rows(protos, columns, amps, live.regs)
         kept = p_m >= PROB_TOL
         if not kept.all():
             src, outcomes, p_m, posts = src[kept], outcomes[kept], p_m[kept], posts[kept]
@@ -510,15 +513,15 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
     amps, regs = grouped.reshape(len(amps), -1), (*front, *rest)
     table = np.array(paths).reshape(len(paths), n - 1)
     for j in range(2, n + 1):
-        event = correction_event(store[j][paths[0][: n - j]].protocol, paths[0][n - j])
-        outcomes = table[:, n - j]
+        outcomes, matrix = table[:, n - j], None
         # the first row of each run of rows through the same record
         heads = [0, *(np.flatnonzero((table[1:, : n - j] != table[:-1, : n - j]).any(axis=1)) + 1)]
         if len(heads) > 1 or (outcomes != outcomes[0]).any():
-            # rows that walk different corrections: one gather per run
+            # rows that walk different corrections: one batch over the runs
             bounds = zip(heads, [*heads[1:], len(paths)])
             runs = [(store[j][paths[lo][: n - j]].protocol, outcomes[lo:hi]) for lo, hi in bounds]
-            event["matrix"] = correction_matrices(*runs[0], *runs[1:])
+            matrix = correction_matrices(*runs[0], *runs[1:])
+        event = correction_event(store[j][paths[0][: n - j]].protocol, paths[0][n - j], matrix)
         amps, regs, _ = apply_event(amps, regs, event)
     held = {r.id: r for r in regs}
     phys, logical = [held[p] for p in code.parties], Register("L", code.logical_dim, order[0])
@@ -574,7 +577,7 @@ def _branch_walk(
         if m is None:
             branch = stage.live.take([0])
             continue
-        count = stage.records[branch.paths[0]].protocol.measurement.shape[1]
+        count = len(stage.records[branch.paths[0]].protocol.probs)
         if not 0 <= m < count:
             raise InputError(f"stage {level} has outcomes 0..{count - 1}, not {m}")
         taken = [row for row, path in enumerate(stage.live.paths) if path[-1] == m]

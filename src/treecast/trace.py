@@ -391,10 +391,8 @@ def concentrate_trace(
             )
         proto = step.protocol
         m = outcomes[n - j]
-        if not 0 <= m < proto.measurement.shape[1]:
-            raise ShapeMismatch(
-                f"stage {j} has {proto.measurement.shape[1]} outcomes, got {m}"
-            )
+        if not 0 <= m < len(proto.probs):
+            raise ShapeMismatch(f"stage {j} has {len(proto.probs)} outcomes, got {m}")
         rec.emit(*merge_events(proto, m))
     # compose the root correction in one replay: row i holds basis vector i
     # of the rest registers, so it comes out as column i of the composed map

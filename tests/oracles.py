@@ -1,7 +1,8 @@
 """Reference helpers the tests share: random states, phase-blind and byte
-equality, Bell bases, the column phase rule, the solved fallback merge and
-its dense corrections, the per-branch stage expansion, the per-leaf root
-replay, the per-state event interpreter and the per-sample channel checks."""
+equality, Bell bases, the column phase rule, the solved fallback merge, the
+stored closed-form fallback arrays and dense corrections, the per-branch
+stage expansion, the per-leaf root replay, the per-state event interpreter
+and the per-sample channel checks."""
 
 from __future__ import annotations
 
@@ -151,13 +152,30 @@ def fallback_merge_reference(psi: PureState, roles, k=None) -> MergeProtocol:
     )
 
 
+def fallback_closed_form(protocol: MergeProtocol) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: a fallback record's measurement columns and (K·n, dA, K) teleport blocks w_m.
+
+    The closed form ``_fallback_rows`` stored in each record before records
+    kept the frame f alone, unchanged, on a stack of one row.
+    """
+    f, n, k = protocol.frame[None], protocol.kmin, protocol.k
+    rows, da, live = 1, f.shape[1], k * n
+    tail = (f[:, :, None, n:, None] * np.eye(k)[:, None, :]).reshape(rows, da * k, -1)
+    qcols = np.concatenate([_shift_injection(f[:, None, :, :n].swapaxes(2, 3), k), tail], axis=2)
+    p, q = np.divmod(np.arange(live), n)
+    a = (np.arange(k) - p[:, None]) % k  # (live, K): the frame column t reads
+    w = f[:, :, a] * np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
+    w = w.transpose(0, 2, 1, 3)  # (rows, live, dA, K)
+    return qcols[0], w[0]
+
+
 def dense_fallback_corrections(protocol: MergeProtocol) -> np.ndarray:
-    """Reference: a fallback protocol's dense U_m stack, from the w_m blocks it keeps.
+    """Reference: a fallback protocol's dense U_m stack, from its closed-form w_m blocks.
 
     The zeros and diagonal write ``_fallback_rows`` stored each record's
     corrections with before it kept w_m alone, on a stack of one row.
     """
-    w = np.asarray(protocol.corrections)[None]
+    w = fallback_closed_form(protocol)[1][None]
     rows, live, da, k = w.shape
     db = math.prod(protocol.b_dims)
     corrections = np.zeros((rows, live, da, db, db, k), dtype=complex)

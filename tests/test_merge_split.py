@@ -16,7 +16,7 @@ from oracles import (
     tensor_product,
 )
 
-from treecast import merge_split
+from treecast import merge_split, teleport
 from treecast.codes import (
     encoded_pair,
     five_qubit_code,
@@ -52,6 +52,7 @@ from treecast.merge_split import (
     merge_cost,
     merge_post_state,
     merge_events,
+    measurement_matrix,
     merge_post_states,
     split_cost,
     split_events,
@@ -497,7 +498,7 @@ def merge_post_state_loop(proto, psi, outcome):
         b0 = Register(proto.b0_id, proto.k, proto.b0_owner)
         joint = tensor_product(psi, max_entangled_pair(a0, b0))
         group.append(proto.a0_id)
-    post = project_onto(joint, group, proto.measurement[:, outcome])
+    post = project_onto(joint, group, measurement_matrix(proto)[:, outcome])
     return float(post.norm() ** 2), post
 
 
@@ -509,7 +510,7 @@ def solve_inputs(proto, psi):
     da, db = math.prod(proto.a_dims), math.prod(proto.b_dims)
     psi3 = perm.amplitudes.reshape(-1, da, db)
     g_mat = psi3.reshape(psi3.shape[0], da * db)
-    return _joint_tensor(psi3, proto.k), g_mat, proto.measurement, da, db, proto.k
+    return _joint_tensor(psi3, proto.k), g_mat, measurement_matrix(proto), da, db, proto.k
 
 
 def padded_state():
@@ -641,7 +642,7 @@ class TestShiftInjection:
         rank = proto.kmin
         vecs = np.linalg.eigh(marginal_matrix(psi, ["v4", "v5"]))[1][:, ::-1]
         frames = np.stack([canonical_phase(vecs[:, a]) for a in range(rank)])
-        head = proto.measurement[:, : rank * proto.k]
+        head = measurement_matrix(proto)[:, : rank * proto.k]
         ref = shift_columns_loop(frames[None], proto.k)
         # the head is the raw injection of the phase-fixed frame
         assert np.abs(head - ref).max() <= 1e-12
@@ -673,7 +674,7 @@ class TestClosedFormFallback:
         da, db = math.prod(proto.a_dims), math.prod(proto.b_dims)
         psi3 = perm.amplitudes.reshape(-1, da, db)
         for p, u in ((proto, dense), (ref, ref.corrections)):
-            blocks, probs = merge_split._outcome_blocks(_joint_tensor(psi3, p.k), p.measurement)
+            blocks, probs = merge_split._outcome_blocks(_joint_tensor(psi3, p.k), measurement_matrix(p))
             fixed = u[:live] @ blocks[:live].swapaxes(1, 2)  # U_m S_m
             want = np.sqrt(probs[:live])[:, None, None] * psi3.reshape(len(psi3), -1).T
             assert np.abs(fixed - want).max() <= 1e-9
@@ -691,14 +692,14 @@ class TestClosedFormFallback:
         psi, roles, kwargs = self.CASES[0]
         proto = build_merge_protocol(psi, roles, **kwargs)
         n = proto.kmin
-        assert proto.k > 1 and proto.measurement.shape[1] > n
-        injection = merge_split._shift_injection
+        assert proto.k > 1 and len(proto.probs) > n
+        columns = merge_split._teleport_columns
 
-        def off_by_one(frames, k):
-            head = injection(frames, k)
-            return head[..., [n, *range(1, n), 0, *range(n + 1, head.shape[-1])]]
+        def off_by_one(*args):
+            cols = columns(*args)
+            return cols[..., [n, *range(1, n), 0, *range(n + 1, cols.shape[-1])]]
 
-        monkeypatch.setattr(merge_split, "_shift_injection", off_by_one)
+        monkeypatch.setattr(merge_split, "_teleport_columns", off_by_one)
         with pytest.raises(SynthesisFailed, match="correction residual"):
             build_merge_protocol(psi, roles, **kwargs)
 
@@ -706,8 +707,26 @@ class TestClosedFormFallback:
 class TestTeleportBlocks:
     @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
     def test_record_keeps_the_teleport_block(self, psi, roles, kwargs):
+        # the record's frame gives each live w_m as the former stored stack held it
         proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
-        assert proto.corrections.shape == (proto.k * proto.kmin, math.prod(proto.a_dims), proto.k)
+        live = np.arange(proto.k * proto.kmin)
+        w = teleport._teleport_blocks(proto.frame[None], proto.kmin, proto.k, 0, live)
+        assert w.shape == (proto.k * proto.kmin, math.prod(proto.a_dims), proto.k)
+        same_bytes(w, oracles.fallback_closed_form(proto)[1])
+
+    @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
+    def test_record_holds_its_frame_only(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        da = math.prod(proto.a_dims)
+        assert proto.frame.shape == (da, da)
+        assert proto.measurement is None and proto.corrections is None
+        arrays = [v for v in vars(proto).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= da * da * 16
+
+    @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
+    def test_measurement_equals_the_stored_closed_form(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        same_bytes(measurement_matrix(proto), oracles.fallback_closed_form(proto)[0])
 
     @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
     def test_dense_stack_equals_the_former_one(self, psi, roles, kwargs):
@@ -716,9 +735,9 @@ class TestTeleportBlocks:
         same_bytes(correction_matrices(proto), want)
         picked = [len(want) - 1, 0, len(want) // 2]
         same_bytes(correction_matrices(proto, picked[:2], (proto, picked[2:])), want[picked])
-        # a tuple of blocks reads as their stack
-        as_tuple = dataclasses.replace(proto, corrections=tuple(proto.corrections))
-        same_bytes(correction_matrices(as_tuple), want)
+        # repeated outcomes of one record are derived once and gathered
+        repeated = [0, len(want) - 1, 0, 0, len(want) - 1]
+        same_bytes(correction_matrices(proto, repeated[:3], (proto, repeated[3:])), want[repeated])
 
     def test_tight_and_fallback_runs_stack_in_order(self):
         padded, roles = padded_state(), {"R": ["R"], "A": ["a"], "B": ["b"]}
@@ -726,9 +745,27 @@ class TestTeleportBlocks:
         fallback = build_merge_protocol(padded, roles, k=3, mode="fallback")
         assert tight.strategy != fallback.strategy
         same_bytes(correction_matrices(tight), tight.corrections)
+        # a tuple of matrices reads as their stack
+        as_tuple = dataclasses.replace(tight, corrections=tuple(tight.corrections))
+        same_bytes(correction_matrices(as_tuple), tight.corrections)
+        same_bytes(measurement_matrix(tight), tight.measurement)
         got = correction_matrices(tight, [1, 0], (fallback, [2, 0]), (tight, [2]))
         dense = oracles.dense_fallback_corrections(fallback)
         same_bytes(got, np.concatenate([tight.corrections[[1, 0]], dense[[2, 0]], tight.corrections[[2]]]))
+
+    def test_records_of_different_rank_derive_together(self):
+        # one run over fallback records of ranks 2 and 1 at K = 2
+        rank2 = random_state(regs(("R", 2, "ref"), ("a", 2, "A"), ("b", 2, "B")), np.random.default_rng(8))
+        rank1 = tensor_product(
+            PureState(regs(("a", 2, "A"),), np.array([0.6, 0.8j])),
+            random_state(regs(("R", 2, "ref"), ("b", 2, "B")), np.random.default_rng(9)),
+        )
+        roles = {"R": ["R"], "A": ["a"], "B": ["b"]}
+        two, one = (build_merge_protocol(p, roles, k=2, mode="fallback") for p in (rank2, rank1))
+        assert (two.kmin, one.kmin) == (2, 1)
+        got = correction_matrices(two, [3, 0], (one, [1, 0, 1]), (two, [2]))
+        want2, want1 = (oracles.dense_fallback_corrections(p) for p in (two, one))
+        same_bytes(got, np.concatenate([want2[[3, 0]], want1[[1, 0, 1]], want2[[2]]]))
 
 
 class TestLiveCorrections:
@@ -737,22 +774,32 @@ class TestLiveCorrections:
         for psi, roles, kwargs in TestClosedFormFallback.CASES:
             proto = build_merge_protocol(psi, roles, **kwargs)
             if proto.k > 1 and any(proto.zero_mask):
-                assert len(proto.corrections) == proto.zero_mask.index(True)
+                assert len(correction_matrices(proto)) == proto.zero_mask.index(True)
                 return psi, proto
         raise AssertionError("no fallback case has dead outcomes")
 
-    def test_a_truncated_stack_fails_verification(self):
+    def test_a_swapped_frame_fails_verification(self):
+        # the measurement and the corrections both follow from the frame, so
+        # reordering the support columns is only a relabeled teleport; moving
+        # a column off the support loses its branch and leaves tail outcomes
+        # live that no correction covers
         psi, proto = self.fallback_with_dead_outcomes()
         assert verify_merge(proto, psi).passed
-        short = dataclasses.replace(proto, corrections=proto.corrections[:-1])
-        report = verify_merge(short, psi)
+        n, f = proto.kmin, proto.frame
+        if n > 1:
+            inside = dataclasses.replace(proto, frame=f[:, [1, 0, *range(2, f.shape[1])]])
+            assert verify_merge(inside, psi).passed
+        swapped = dataclasses.replace(proto, frame=f[:, [n, *range(1, n), 0, *range(n + 1, f.shape[1])]])
+        report = verify_merge(swapped, psi)
         assert not report.passed
-        assert report.deviations[len(short.corrections)] == math.inf
-        assert report.deviations[len(proto.corrections):] == (0.0,) * proto.zero_mask.count(True)
+        assert report.max_deviation >= 0.1
+        live = proto.k * n
+        assert min(report.deviations[:live]) >= 0.1  # every covered outcome misses its branch
+        assert math.inf in report.deviations[live:]
 
     def test_correction_event_refuses_a_dead_outcome(self):
         _, proto = self.fallback_with_dead_outcomes()
-        live = len(proto.corrections)
+        live = len(correction_matrices(proto))
         assert correction_event(proto, live - 1)["matrix"] is not None
         with pytest.raises(ZeroProbabilityBranch, match=f"outcome {live} "):
             correction_event(proto, live)
@@ -767,7 +814,7 @@ class TestBatchedExpansion:
     def test_post_states_match_per_outcome_projection(self, psi, roles, kwargs):
         proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
         batched = merge_post_states(proto, psi)
-        assert len(batched) == proto.measurement.shape[1]
+        assert len(batched) == measurement_matrix(proto).shape[1] == len(proto.probs)
         for m, (prob, post) in enumerate(batched):
             ref_prob, ref_post = merge_post_state_loop(proto, psi, m)
             assert post.registers == ref_post.registers

@@ -1,6 +1,7 @@
 """Tree-level driver tests: spreading and concentrating end to end."""
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from oracles import (
     dense_fallback_corrections,
     expanded_branches,
+    fallback_closed_form,
     fallback_merge_reference,
     fidelity_to_reference,
     replay_root_corrections,
@@ -41,6 +43,7 @@ from treecast.merge_split import (
     build_merge_protocol,
     build_split_protocol,
     correction_matrices,
+    measurement_matrix,
     merge_post_state,
     verify_merge,
 )
@@ -834,8 +837,10 @@ class TestRowReplay:
         for j, recs in result.steps.items():
             for prefix, rec in recs.items():
                 proto = rec.protocol
-                shape = (proto.k * proto.kmin, np.prod(proto.a_dims), proto.k)
-                assert proto.corrections.shape == shape, (j, prefix)
+                da = math.prod(proto.a_dims)
+                assert proto.frame.shape == (da, da), (j, prefix)
+                assert proto.measurement is None and proto.corrections is None, (j, prefix)
+                same_bytes(measurement_matrix(proto), fallback_closed_form(proto)[0])
                 same_bytes(correction_matrices(proto), dense_fallback_corrections(proto))
 
     def test_a_stage_of_mixed_strategies_replays_exactly(self, monkeypatch):

@@ -213,6 +213,14 @@ class TestConcentrateTrace:
         ks = [e["k"] for e in events_of(doc, "resource-consumed")]
         assert ks == [2, 4, 8, 4]  # descending stages v5, v4, v3, v2
 
+    def test_outcome_past_a_stage_is_refused(self, five_line):
+        # the count comes from the record's probabilities, not a built matrix
+        code, tree = five_line
+        result = run_concentrating(code, tree, mode="fallback", branch_budget=8)
+        count = len(result.steps[5][()].protocol.probs)
+        with pytest.raises(ShapeMismatch, match=f"^stage 5 has {count} outcomes, got {count}$"):
+            concentrate_trace(code, tree, result, outcomes=(count, 0, 0, 0))
+
     def test_unrecorded_branch_rejected(self, five_line):
         code, tree = five_line
         result = run_concentrating(code, tree, branch_budget=2)
