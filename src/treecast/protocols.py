@@ -408,6 +408,7 @@ def _concentrate_stage(
         k_edge = protos[0].k
         records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
         src, outcomes, p_m, posts, regs = _merged_rows(protos, columns, amps, live.regs)
+        del columns  # the chunk's measurements, freed before the next chunk builds its own
         kept = p_m >= PROB_TOL
         if not kept.all():
             src, outcomes, p_m, posts = src[kept], outcomes[kept], p_m[kept], posts[kept]
