@@ -57,7 +57,7 @@ from .koashi_imoto import (
     ki_decompose,
     merge_cost_K,
 )
-from .teleport import _fourier, _teleport_blocks, _teleport_columns
+from .teleport import _fourier, _teleport_blocks, _teleport_columns, _teleport_posts
 from .tensors import (
     PureState,
     Register,
@@ -537,38 +537,46 @@ def _solve_corrections(big, g_mat, qcols, da, db, k):
 def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids):
     """The fallback merge of each row of ``amps`` (states over ``regs``), built together.
 
-    A rank-n teleport of A through Φ⁺_K in closed form (``_teleport_columns``,
-    ``_teleport_blocks``); exactly the K·n head outcomes are live.  K is
-    ``k``, or the first row's n.  Every row is checked as a build on its own
-    is: the rank cut, n ≤ K ≤ dA, the live count, ‖U_m S_m − √p_m G‖ ≤
-    VERIFY_TOL per live outcome and f[:, :K] orthonormal; its record keeps f
-    alone.  Rows of one n are stacked, and each protocol equals the one-row
-    call on its row, bit for bit.  Returns the protocols and each row's
-    measurement columns.
+    A rank-n teleport of A through Φ⁺_K in closed form (``teleport``);
+    exactly the K·n head outcomes are live.  K is ``k``, or the first row's
+    n.  Every row is checked as a build on its own is: the rank cut,
+    n ≤ K ≤ dA, the live count, ‖U_m S_m − √p_m G‖ ≤ VERIFY_TOL per live
+    outcome and f[:, :K] orthonormal; its record keeps f alone.  S_m and the
+    head's p_m come from the post rows gathered from C = f† X
+    (``_teleport_posts``), the tail's p_m are ‖C[n + j]‖² / K.  Rows of one n
+    are stacked, and each protocol equals the one-row call on its row, bit
+    for bit.  Returns the protocols and, per n, (its rows, their live
+    outcomes, and there the squared norms and post rows
+    :func:`_merge_post_rows` gives).
     """
     r_ids, a_ids, b_ids = _parse_roles(PureState(regs, amps[0]), roles)
     norms = row_norms(amps)
     if not norms.all():
         raise ShapeMismatch("cannot normalize the zero vector")
-    psi3, held = _merge_tensor(amps / norms, regs, r_ids, a_ids, b_ids)
-    dr, da, db = psi3.shape[1:]
+    mat = _group_rows(amps, regs, a_ids)[0]  # X of each row as given, (rows, dA, rest)
+    da = mat.shape[1]
     ranks, frames = _support(amps, regs, a_ids, rank_rtol)  # of ρ^A, each row as given
     for rank in ranks:
         k = _resource_dim(rank, k, da, "fallback")
-    fields = _merge_fields(held, r_ids, a_ids, b_ids, **ids)
-    protos, columns = [None] * len(amps), [None] * len(amps)
+    fields = _merge_fields({r.id: r for r in regs}, r_ids, a_ids, b_ids, **ids)
+    protos, posts = [None] * len(amps), []
     for n in sorted(set(ranks)):
         sel = [i for i, rank in enumerate(ranks) if rank == n]
-        f, g, live, rows = frames[sel], psi3[sel], k * n, len(sel)
-        qcols = _teleport_columns(f, n, k)
-        blocks, probs = _outcome_blocks(_joint_tensor(g, k), qcols)
+        f, x, live, rows = frames[sel], mat[sel], k * n, len(sel)
+        block, c = _teleport_posts(f, n, k, x, np.arange(live))
+        head = np.linalg.norm(block, axis=2) ** 2  # as _merge_post_rows gives them
+        tail = np.linalg.norm(c[:, n:da], axis=2) ** 2 / k
+        probs = np.concatenate([head, tail.repeat(k, axis=1)], axis=1) / norms[sel] ** 2
         zero = probs < PROB_TOL
         probs[zero] = 0.0
         w = _teleport_blocks(f, n, k, np.arange(rows)[:, None], np.arange(live))  # (rows, live, dA, K)
-        s_mats = blocks[:, :live].reshape(rows, live, -1, db, k).transpose(0, 1, 4, 3, 2)  # (t, y, r)
-        out = (w @ s_mats.reshape(rows, live, k, -1)).reshape(rows, live, -1)  # U_m S_m on (x, y, r)
-        g_vec = g.reshape(rows, dr, -1).swapaxes(1, 2).reshape(rows, 1, -1)
-        resid = np.linalg.norm(out - np.sqrt(probs[:, :live, None]) * g_vec, axis=2).max(axis=1)
+        # ‖U_m S_m − √p_m G‖ = √p_m ‖U_m S̃_m / √p_m − X‖ / ‖X‖, with S̃_m and X of ψ as given
+        root = np.sqrt(np.where(zero[:, :live], 1.0, probs[:, :live]))
+        out = w @ block.reshape(rows, live, -1, k).swapaxes(2, 3)  # on (x, rest)
+        out /= root[..., None, None]
+        out -= x[:, None]
+        dev = out.reshape(rows, live, -1).view(float)
+        resid = (np.sqrt(np.einsum("bmi,bmi->bm", dev, dev)) * root).max(axis=1) / norms[sel, 0]
         iso = np.abs(_dagger(f[:, :, :k]) @ f[:, :, :k] - np.eye(k)).max(axis=(1, 2))
         for j, i in enumerate(sel):
             if zero[j, :live].any() or not zero[j, live:].all():
@@ -582,8 +590,8 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids):
                 corrections=None, frame=f[j], probs=tuple(probs[j].tolist()),
                 zero_mask=tuple(zero[j].tolist()),
             )
-            columns[i] = qcols[j]
-    return protos, columns
+        posts.append((sel, list(range(live)), head, block))
+    return protos, posts
 
 
 def _merge_tensor(amps, regs, r_ids, a_ids, b_ids):
@@ -711,34 +719,41 @@ def merge_post_states(
     """``(probability, post-state)`` of every outcome in ``outcomes`` (all by default).
 
     The post-state is unnormalized and uncorrected, on (rest…, B…, B₀), B₀
-    only when k > 1: with ψ grouped as X = (A…, rest), one contraction
-    Q† (X ⊗ Φ⁺_K) (``_bell_folded``) gives every outcome.
+    only when k > 1, with ψ grouped as X = (A…, rest): a fallback's is
+    gathered from f† X, a tight one's is one contraction Q† (X ⊗ Φ⁺_K)
+    (:func:`_merge_post_rows`).
     """
     probs, posts, rest = _merge_post_rows([protocol], psi.amplitudes[None], psi.registers, outcomes)
     return [(float(p), PureState(rest, post)) for p, post in zip(probs[0], posts[0])]
 
 
-def _merge_post_rows(protos, amps, regs, outcomes=None, columns=None):
+def _merge_post_rows(protos, amps, regs, outcomes=None):
     """Row b of ``amps`` (over ``regs``) through the measurement of ``protos[b]``.
 
-    The protocols share K and their merged share; ``columns`` holds their
-    measurement columns at ``outcomes`` when the caller has them.  Returns
+    The protocols share K, their merged share and their kind: fallback
+    rows of one rank are gathered from f† X (``_teleport_posts``), tight
+    rows take one ``_bell_folded`` contraction with their columns.  Returns
     (probabilities, post rows, registers), indexed [row, outcome] for each
     outcome in ``outcomes`` (all by default), as :func:`merge_post_states`
     gives them.
     """
     k = protos[0].k
-    mat, rest = _group_rows(amps, regs, protos[0].a_ids)
+    mat = _group_rows(amps, regs, protos[0].a_ids)[0]
     if mat.shape[1] != math.prod(protos[0].a_dims):
         raise ShapeMismatch("measurement columns do not match the merged share")
     wanted = _outcome_indices(outcomes, len(protos[0].probs))
-    if columns is None:
-        columns = [measurement_matrix(p)[:, wanted] for p in protos]
-    posts = _bell_folded(np.array(columns), mat, k)
-    if k > 1:
-        rest.append(Register(protos[0].b0_id, k, protos[0].b0_owner))
-    posts = posts.reshape(len(protos), len(wanted), -1)
-    return np.linalg.norm(posts, axis=-1) ** 2, posts, tuple(rest)
+    if protos[0].frame is not None:
+        posts = _teleport_posts(np.array([p.frame for p in protos]), protos[0].kmin, k, mat, wanted)[0]
+    else:
+        posts = _bell_folded(np.array([measurement_matrix(p)[:, wanted] for p in protos]), mat, k)
+        posts = posts.reshape(len(protos), len(wanted), -1)
+    return np.linalg.norm(posts, axis=-1) ** 2, posts, _post_registers(protos[0], regs)
+
+
+def _post_registers(protocol: MergeProtocol, regs) -> tuple[Register, ...]:
+    """The registers of ``protocol``'s post rows on states over ``regs``: (rest…, B₀), B₀ when K > 1."""
+    b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
+    return (*(r for r in regs if r.id not in protocol.a_ids), *b0)
 
 
 def merge_post_state(

@@ -47,6 +47,7 @@ from .merge_split import (
     SplitProtocol,
     _fallback_rows,
     _merge_post_rows,
+    _post_registers,
     build_merge_protocol,
     build_split_protocol,
     correction_event,
@@ -326,8 +327,8 @@ def _stage_protocols(amps, regs, roles, *, mode, k, **common):
     """Each row's merge protocol at K = ``k``, or the first row's own K when None.
 
     Fallback mode builds the rows together (``_fallback_rows``) and also
-    returns each row's measurement columns; tight mode builds each on its
-    own, falling back where synthesis fails, and returns None for them.
+    returns their live post rows; tight mode builds each on its own,
+    falling back where synthesis fails, and returns None for them.
     """
     if mode == "fallback":
         return _fallback_rows(amps, regs, roles, k=k, **common)
@@ -342,30 +343,33 @@ def _stage_protocols(amps, regs, roles, *, mode, k, **common):
     return protos, None
 
 
-def _merged_rows(protos, columns, amps, regs):
+def _merged_rows(protos, posts, amps, regs):
     """Row b measured by ``protos[b]`` on each outcome its ``zero_mask`` leaves live.
 
-    Returns (source row, outcome, probability, unnormalized post row) per
-    branch, in row order then outcome order, and the post rows'
-    registers.  Rows with the same live outcomes are measured together
-    (``_merge_post_rows``), with the measurement ``columns`` of each row when
-    the build gave them.
+    ``posts`` holds (rows, live outcomes, probabilities, post rows) per
+    group of rows when the build gave them; otherwise rows of one kind
+    (tight or fallback) with the same live outcomes are measured together
+    (``_merge_post_rows``).  Returns (source row, outcome, probability,
+    unnormalized post row) per branch, in row order then outcome order,
+    and the post rows' registers.
     """
-    groups: dict[tuple[bool, ...], list[int]] = {}
-    for b, proto in enumerate(protos):
-        groups.setdefault(proto.zero_mask, []).append(b)
-    parts = []
-    for mask, rows in groups.items():
-        wanted = [m for m, dead in enumerate(mask) if not dead]
-        picked = amps if len(rows) == len(amps) else amps[rows]
-        cols = None if columns is None else [columns[b][:, wanted] for b in rows]
-        probs, posts, post_regs = _merge_post_rows([protos[b] for b in rows], picked, regs, wanted, cols)
-        parts.append((np.array(rows).repeat(len(wanted)), np.array(wanted * len(rows)),
-                      probs.reshape(-1), posts.reshape(probs.size, -1)))
+    if posts is None:
+        groups: dict[tuple, list[int]] = {}
+        for b, proto in enumerate(protos):
+            groups.setdefault((proto.zero_mask, proto.frame is None), []).append(b)
+        posts = []
+        for (mask, _), rows in groups.items():
+            wanted = [m for m, dead in enumerate(mask) if not dead]
+            picked = amps if len(rows) == len(amps) else amps[rows]
+            probs, block, _ = _merge_post_rows([protos[b] for b in rows], picked, regs, wanted)
+            posts.append((rows, wanted, probs, block))
+    parts = [(np.array(rows).repeat(len(wanted)), np.array(wanted * len(rows)),
+              probs.reshape(-1), block.reshape(probs.size, -1))
+             for rows, wanted, probs, block in posts]
     if len(parts) > 1:
         order = np.argsort(np.concatenate([part[0] for part in parts]), kind="stable")
         parts = [[np.concatenate(column)[order] for column in zip(*parts)]]
-    return (*parts[0], post_regs)
+    return (*parts[0], _post_registers(protos[0], regs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,14 +405,13 @@ def _concentrate_stage(
     for lo, hi in zip(bounds, bounds[1:]):
         prefixes, amps = live.paths[lo:hi], live.amps[lo:hi]
         try:
-            protos, columns = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
+            protos, built = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
         except InsufficientResource:
             msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
             raise SynthesisFailed(msg) from None
         k_edge = protos[0].k
         records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
-        src, outcomes, p_m, posts, regs = _merged_rows(protos, columns, amps, live.regs)
-        del columns  # the chunk's measurements, freed before the next chunk builds its own
+        src, outcomes, p_m, posts, regs = _merged_rows(protos, built, amps, live.regs)
         kept = p_m >= PROB_TOL
         if not kept.all():
             src, outcomes, p_m, posts = src[kept], outcomes[kept], p_m[kept], posts[kept]

@@ -3,8 +3,10 @@
 With f the phase-fixed eigenframe of ρ^A (rank n ≤ K ≤ dA), the fallback's
 measurement columns and the teleport block w_m of each head outcome's
 correction are functions of (f, n, K) alone, computed here for a stack of
-frames at once.  A fallback record keeps f, and the accessors in
-``merge_split`` derive the rest.
+frames at once.  So is each outcome's post-state: a shifted, phased copy
+of the frame coordinates C = f† X, gathered with no measurement formed.
+A fallback record keeps f, and the accessors in ``merge_split`` derive
+the rest.
 """
 
 from __future__ import annotations
@@ -40,6 +42,45 @@ def _teleport_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+@cache
+def _post_tables(n: int, k: int, da: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables over every outcome m and B₀ index t: the row of C that post entry (m, t) reads, and its factor.
+
+    Head outcome m = p·n + q reads C[a] · conj(ω_n^{qa}) / √(n·K) at
+    a = (t − p) mod K where a < n; tail outcome m = K·n + j·K + l reads
+    C[n + j] / √K at t = l.  Every other entry reads row dA, a zero pad,
+    at a positive real factor, so it is +0.0.
+    """
+    reads, _, phases = _teleport_tables(n, k)
+    j, l = np.divmod(np.arange((da - n) * k), k)
+    index = np.concatenate([np.where(reads.T < n, reads.T, da),
+                            np.where(np.arange(k) == l[:, None], n + j[:, None], da)])
+    scale = np.concatenate([phases.conj() / math.sqrt(n * k), np.full((len(j), k), 1 / math.sqrt(k))])
+    tables = (index, scale)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _teleport_posts(f: np.ndarray, n: int, k: int, mat: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Uncorrected post rows of each rank-n frame in the stack ``f`` at ``outcomes``, and C = f† X.
+
+    ``mat`` holds each row's X as (rows, dA, rest).  One matmul per row
+    gives C, (rows, dA + 1, rest) with a zero pad row last; the posts,
+    (rows, len(outcomes), rest·K) with B₀ fastest, are a gather from it
+    (:func:`_post_tables`), as ``merge_split._bell_folded`` would give them
+    from the measurement columns.
+    """
+    rows, da, rest = mat.shape
+    c = np.zeros((rows, da + 1, rest), dtype=complex)
+    np.matmul(f.conj().swapaxes(1, 2), mat, out=c[:, :da])
+    index, scale = (table[outcomes] for table in _post_tables(n, k, da))
+    flat = index[:, None, :] * rest + np.arange(rest)[:, None]  # (outcome, rest, t) into C
+    posts = np.take(c.reshape(rows, -1), flat, axis=1)
+    posts *= scale[:, None, :]
+    return posts.reshape(rows, len(index), -1), c
 
 
 def _teleport_columns(f: np.ndarray, n: int, k: int) -> np.ndarray:

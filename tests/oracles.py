@@ -1,8 +1,9 @@
 """Reference helpers the tests share: random states, phase-blind and byte
 equality, Bell bases, the column phase rule, the solved fallback merge, the
-stored closed-form fallback arrays and dense corrections, the per-branch
-stage expansion, the per-leaf root replay, the per-state event interpreter
-and the per-sample channel checks."""
+stored closed-form fallback arrays and dense corrections, the measured
+fallback post rows, the per-branch stage expansion, the per-leaf root
+replay, the per-state event interpreter and the per-sample channel
+checks."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from treecast.errors import SchemaError, ZeroProbabilityBranch
 from treecast.koashi_imoto import _parse_roles
 from treecast.merge_split import (
     MergeProtocol,
+    _bell_folded,
     _completed_basis,
     _joint_tensor,
     _shift_injection,
@@ -23,6 +25,7 @@ from treecast.merge_split import (
     _support,
     apply_merge_correction,
     execute_split,
+    measurement_matrix,
     merge_post_state,
     merge_post_states,
 )
@@ -182,6 +185,20 @@ def dense_fallback_corrections(protocol: MergeProtocol) -> np.ndarray:
     corrections[..., np.arange(db), np.arange(db), :] = w[:, :, :, None]
     corrections = corrections.reshape(rows, live, da * db, db * k)
     return corrections[0]
+
+
+def measured_post_rows(protocol: MergeProtocol, psi: PureState) -> tuple[np.ndarray, tuple[Register, ...]]:
+    """Reference: every outcome's uncorrected post row, (outcomes, rest·K), and its registers.
+
+    One contraction of the measurement columns with ψ grouped as X = (A…, rest)
+    and Φ⁺_K folded in (``_bell_folded``), as ``merge_post_states`` expanded
+    every record before fallback rows were gathered from f† X.
+    """
+    mat, rest = _group_rows(psi.amplitudes[None], psi.registers, protocol.a_ids)
+    posts = _bell_folded(measurement_matrix(protocol)[None], mat, protocol.k)
+    if protocol.k > 1:
+        rest.append(Register(protocol.b0_id, protocol.k, protocol.b0_owner))
+    return posts.reshape(posts.shape[1], -1), tuple(rest)
 
 
 def expanded_branches(live, records):

@@ -85,6 +85,7 @@ from treecast.trace import (
     spread_trace,
     verify_trace,
 )
+from treecast.verification import verify_concentrating_channel
 
 
 def regs(*spec):
@@ -687,19 +688,19 @@ class TestClosedFormFallback:
         assert any(k == da == kmin for k, kmin, da in shapes)
 
     def test_shift_off_by_one_fails_the_residual_check(self, monkeypatch):
-        # outcome 0 = (p, q) = (0, 0) is measured at shift 1 (its column
+        # outcome 0 = (p, q) = (0, 0) is gathered at shift 1 (its post row
         # swapped with outcome n's), so its closed-form U_0 no longer fits
         psi, roles, kwargs = self.CASES[0]
         proto = build_merge_protocol(psi, roles, **kwargs)
         n = proto.kmin
         assert proto.k > 1 and len(proto.probs) > n
-        columns = merge_split._teleport_columns
+        gather = merge_split._teleport_posts
 
         def off_by_one(*args):
-            cols = columns(*args)
-            return cols[..., [n, *range(1, n), 0, *range(n + 1, cols.shape[-1])]]
+            posts, c = gather(*args)
+            return posts[:, [n, *range(1, n), 0, *range(n + 1, posts.shape[1])]], c
 
-        monkeypatch.setattr(merge_split, "_teleport_columns", off_by_one)
+        monkeypatch.setattr(merge_split, "_teleport_posts", off_by_one)
         with pytest.raises(SynthesisFailed, match="correction residual"):
             build_merge_protocol(psi, roles, **kwargs)
 
@@ -766,6 +767,58 @@ class TestTeleportBlocks:
         got = correction_matrices(two, [3, 0], (one, [1, 0, 1]), (two, [2]))
         want2, want1 = (oracles.dense_fallback_corrections(p) for p in (two, one))
         same_bytes(got, np.concatenate([want2[[3, 0]], want1[[1, 0, 1]], want2[[2]]]))
+
+
+def assert_gathered_posts_match_the_oracle(proto, psi):
+    """Every outcome's post row, head and tail, as the measured contraction gives it, within 1e-12."""
+    probs, posts, rest = merge_split._merge_post_rows([proto], psi.amplitudes[None], psi.registers)
+    want, want_regs = oracles.measured_post_rows(proto, psi)
+    assert posts.shape == (1, *want.shape) == (1, len(proto.probs), want.shape[1])
+    assert rest == want_regs
+    assert np.abs(posts[0] - want).max() <= 1e-12
+    assert np.abs(probs[0] - np.linalg.norm(want, axis=1) ** 2).max() <= 1e-12
+
+
+class TestGatheredPosts:
+    @pytest.mark.parametrize("psi,roles,kwargs", TestClosedFormFallback.CASES)
+    def test_fallback_rows_match_the_measured_oracle(self, psi, roles, kwargs):
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        assert proto.frame is not None
+        assert_gathered_posts_match_the_oracle(proto, psi)
+
+    def test_an_off_by_one_shift_fails_the_oracle(self, monkeypatch):
+        # the mutant gathers head outcome p·n + q at shift p + 1
+        tables = teleport._post_tables
+
+        def shifted(n, k, da):
+            index, scale = (t.copy() for t in tables(n, k, da))
+            index[: k * n], scale[: k * n] = np.roll(index[: k * n], 1, axis=1), np.roll(scale[: k * n], 1, axis=1)
+            return index, scale
+
+        cases = [(psi, build_merge_protocol(psi, roles, **kw)) for psi, roles, kw in TestClosedFormFallback.CASES]
+        monkeypatch.setattr(teleport, "_post_tables", shifted)
+        caught = 0
+        for psi, proto in cases:
+            if proto.k > 1:
+                with pytest.raises(AssertionError):
+                    assert_gathered_posts_match_the_oracle(proto, psi)
+                caught += 1
+        assert caught >= 3
+
+    def test_fallback_stages_form_no_measurement(self, monkeypatch):
+        # a fallback stage, its expansion and the channel check read frames only
+        def refused(*args, **kwargs):
+            raise AssertionError("a fallback stage formed a measurement")
+
+        code, tree = ghz_code(3), line_tree(3)
+        for name in ("_teleport_columns", "_joint_tensor", "_outcome_blocks", "measurement_matrix"):
+            monkeypatch.setattr(merge_split, name, refused)
+        result = run_concentrating(code, tree, mode="fallback")
+        assert result.fallback_edges and result.min_fidelity >= 1.0 - 1e-9
+        assert verify_concentrating_channel(code, tree, result, samples=2).passed
+        psi = encoded_pair(code)
+        proto = build_merge_protocol(psi, {"R": ["R"], "A": ["v3"], "B": ["v1", "v2"]}, mode="fallback")
+        assert len(merge_post_states(proto, psi)) == len(proto.probs)
 
 
 class TestLiveCorrections:

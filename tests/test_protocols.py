@@ -12,6 +12,7 @@ from oracles import (
     fallback_closed_form,
     fallback_merge_reference,
     fidelity_to_reference,
+    measured_post_rows,
     replay_root_corrections,
     same_bytes,
 )
@@ -45,6 +46,7 @@ from treecast.merge_split import (
     correction_matrices,
     measurement_matrix,
     merge_post_state,
+    merge_post_states,
     verify_merge,
 )
 from treecast.network import line_tree, parse_tree, star_tree
@@ -976,6 +978,20 @@ class TestStageWideFallback:
             for path, want in zip(live.paths, one_row_builds(live, tree, vertex, stage.edge.k)):
                 assert_same_protocol(stage.records[path].protocol, want, (vertex, path))
 
+    @pytest.mark.parametrize(
+        "name", [name for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"]
+    )
+    def test_records_gather_the_measured_post_rows(self, name):
+        # every outcome of every record, head and tail, on the row it was built
+        # on: the gather from f† X against the contraction with its measurement
+        for live, _, vertex, stage in fallback_stages(name):
+            for path, row in zip(live.paths, live.amps):
+                proto = stage.records[path].protocol
+                _, posts, regs = merge_split._merge_post_rows([proto], row[None], live.regs)
+                want, want_regs = measured_post_rows(proto, PureState(live.regs, row))
+                assert regs == want_regs and posts.shape == (1, *want.shape), (vertex, path)
+                assert np.abs(posts[0] - want).max() <= 1e-12, (vertex, path)
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_chunk_size_does_not_change_the_stages(self, rows, monkeypatch):
         # the sampled five-qubit run has stages of 1, 4, 12 and 12 rows
@@ -1005,6 +1021,25 @@ class TestStageWideFallback:
         states = [PureState(live.regs, row) for row in live.amps]
         ref = expanded_branches(list(zip(live.paths, live.probs.tolist(), states)), stage.records)
         assert np.array_equal(stage.live.amps, [st.amplitudes for _, _, st in ref])
+
+    def test_rows_of_mixed_kinds_expand_as_each_alone(self):
+        # tight and fallback records of one chunk are measured apart, by kind,
+        # and each row's branches equal its own expansion, in row order
+        live = rank_rows((2, 2, 2, 2))
+        roles = protocols._roles_for(live.regs, "v2")
+        tight, fallback = (build_merge_protocol(PureState(live.regs, live.amps[0]), roles, k=2, mode=mode)
+                           for mode in ("tight", "fallback"))
+        assert tight.frame is None and fallback.frame is not None
+        protos = [fallback, tight, tight, fallback]
+        src, outcomes, probs, posts, regs = protocols._merged_rows(protos, None, live.amps, live.regs)
+        assert src.tolist() == sorted(src.tolist())
+        for b, proto in enumerate(protos):
+            wanted = [m for m, dead in enumerate(proto.zero_mask) if not dead]
+            ref = merge_post_states(proto, PureState(live.regs, live.amps[b]), wanted)
+            assert outcomes[src == b].tolist() == wanted
+            assert probs[src == b].tobytes() == np.array([p for p, _ in ref]).tobytes()
+            assert posts[src == b].tobytes() == np.array([st.amplitudes for _, st in ref]).tobytes()
+            assert {st.registers for _, st in ref} == {regs}
 
     def test_row_needing_more_k_fails_the_edge(self):
         live, tree = rank_rows((1, 2)), line_tree(2)
