@@ -25,3 +25,7 @@ VERIFY_TOL = 1e-9
 
 # Probability mass below this is treated as an impossible branch.
 PROB_TOL = 1e-12
+
+# Largest Bell basis, in entries (K⁴), that a trace names as {"bell": K}
+# and that the split tables are kept for, once per K: K ≤ 32.
+MAX_BELL_ENTRIES = 2**20

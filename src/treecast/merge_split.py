@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 
 import numpy as np
 
-from .config import PROB_TOL, RANK_RTOL, VERIFY_TOL
+from .config import MAX_BELL_ENTRIES, PROB_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -102,7 +103,11 @@ def _outcome_indices(outcomes, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SplitProtocol:
-    """Move the ``moved_ids`` block to ``receiver`` through Φ⁺_K."""
+    """Move the ``moved_ids`` block to ``receiver`` through Φ⁺_K.
+
+    ``bell`` and ``corrections`` are K's shared read-only tables
+    (:func:`_bell_basis`, :func:`_pauli_shifts`), not copies.
+    """
 
     moved_ids: tuple[str, ...]
     moved_dims: tuple[int, ...]
@@ -143,7 +148,7 @@ def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
     return _support(psi.amplitudes[None], psi.registers, moved_ids, rank_rtol)[0][0]
 
 
-def _pauli_shifts(k: int) -> np.ndarray:
+def _shift_table(k: int) -> np.ndarray:
     """X^p Z^q at index p·K + q: entry ω^{qj} at ((j + p) mod K, j)."""
     omega = np.exp(2j * np.pi / k)
     j = np.arange(k)
@@ -161,6 +166,28 @@ def _bell_columns(shifts: np.ndarray) -> np.ndarray:
     """
     k = shifts.shape[1]
     return np.ascontiguousarray((shifts / math.sqrt(k) + 0.0).reshape(k * k, k * k).T)
+
+
+def _bell_table(k: int) -> np.ndarray:
+    return _bell_columns(_pauli_shifts(k))
+
+
+@cache
+def _shared(build, k: int) -> np.ndarray:
+    """``build(k)``, read-only: built once per (builder, K) and shared by every caller."""
+    table = build(k)
+    table.flags.writeable = False
+    return table
+
+
+def _pauli_shifts(k: int) -> np.ndarray:
+    """The K² shifts of :func:`_shift_table`, shared per K while K⁴ ≤ ``MAX_BELL_ENTRIES``."""
+    return _shared(_shift_table, k) if k**4 <= MAX_BELL_ENTRIES else _shift_table(k)
+
+
+def _bell_basis(k: int) -> np.ndarray:
+    """The K²×K² generalized Bell basis a split measures in, shared as :func:`_pauli_shifts` is."""
+    return _shared(_bell_table, k) if k**4 <= MAX_BELL_ENTRIES else _bell_table(k)
 
 
 def build_split_protocol(
@@ -186,7 +213,6 @@ def build_split_protocol(
         compress = np.vstack(
             [basis.conj().T, np.zeros((k_eff - d_move, d_move), dtype=complex)]
         )
-    shifts = _pauli_shifts(k_eff)
     return SplitProtocol(
         moved_ids=moved_ids,
         moved_dims=tuple(r.dim for r in regs),
@@ -196,8 +222,8 @@ def build_split_protocol(
         rank=rank,
         compress=compress,
         decompress=compress.conj().T,
-        bell=_bell_columns(shifts),
-        corrections=shifts,
+        bell=_bell_basis(k_eff),
+        corrections=_pauli_shifts(k_eff),
     )
 
 

@@ -332,23 +332,29 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) * trace norm of (rho - sigma) for Hermitian inputs."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """(1/2) * trace norm of (rho - sigma) for Hermitian inputs.
+
+    Stacks (…, d, d), broadcast together, go slice by slice into an array
+    of distances, each the bits the 2-D call gives; 2-D inputs give a float.
+    """
     delta = np.asarray(rho) - np.asarray(sigma)
-    delta = (delta + delta.conj().T) / 2
-    return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+    delta = (delta + _dagger(delta)) / 2
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
-def range_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def range_trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """(1/2) * trace norm of (A A† − B B†), taken in the range of [A B].
 
     With the reduced QR [A B] = Q [R_A R_B], A A† − B B† equals
     Q (R_A R_A† − R_B R_B†) Q†, so one eigvalsh of a matrix with side at
-    most cols(A) + cols(B) gives the trace norm.
+    most cols(A) + cols(B) gives the trace norm.  Stacks of A and B with
+    one leading shape go slice by slice, as in :func:`trace_distance`.
     """
-    r = np.linalg.qr(np.hstack([a, b]), mode="r")
-    ra, rb = r[:, : a.shape[1]], r[:, a.shape[1] :]
-    return trace_distance(ra @ ra.conj().T, rb @ rb.conj().T)
+    r = np.linalg.qr(np.concatenate([a, b], axis=-1), mode="r")
+    ra, rb = r[..., : a.shape[-1]], r[..., a.shape[-1] :]
+    return trace_distance(ra @ _dagger(ra), rb @ _dagger(rb))
 
 
 def phase_fixed(cols: np.ndarray) -> np.ndarray:

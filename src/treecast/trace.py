@@ -7,8 +7,9 @@ consumption, and the composed root correction), an operator side
 table, the per-edge cost report, and a hash of the final state.  The
 side table holds each operator densely, or as ``{"bell": K}`` when it is
 byte for byte the K²×K² Bell basis a split measures in, which replay
-rebuilds with the same function (format ``treecast.trace/2``; dense-only
-``treecast.trace/1`` documents are still read).
+reads from the split protocols' own per-K table (format
+``treecast.trace/2``; dense-only ``treecast.trace/1`` documents are
+still read).
 Replaying the stored events against the stored initial state re-derives
 every branch probability and the final state with no other context, so
 a trace can be verified long after the run that produced it.
@@ -39,11 +40,10 @@ from .codes import (
     encoded_pair,
     reference_pair,
 )
-from .config import RANK_RTOL, VERIFY_TOL
+from .config import MAX_BELL_ENTRIES, RANK_RTOL, VERIFY_TOL
 from .errors import InputError, SchemaError, ShapeMismatch, VerificationFailed
 from .merge_split import (
-    _bell_columns,
-    _pauli_shifts,
+    _bell_basis,
     isometry_event,
     merge_events,
     split_events,
@@ -67,8 +67,6 @@ TRACE_FORMAT = "treecast.trace/2"
 # dense operators only; still read and verified
 TRACE_FORMAT_V1 = "treecast.trace/1"
 HASH_DECIMALS = 12
-# largest Bell basis named by K, in entries (K⁴): K ≤ 32
-MAX_BELL_ENTRIES = 2**20
 
 
 # -- register and operator plumbing -------------------------------------------
@@ -88,11 +86,6 @@ def _size(value, what: str) -> int:
 def _reg_from(spec: dict) -> Register:
     dim = _size(spec["dim"], f"register {spec['id']!r} dim")
     return Register(spec["id"], dim, spec["owner"])
-
-
-def _bell_basis(k: int) -> np.ndarray:
-    """The K²×K² generalized Bell basis the split protocols measure in."""
-    return _bell_columns(_pauli_shifts(k))
 
 
 def _bell_k(rows: int, cols: int) -> int | None:

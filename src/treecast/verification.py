@@ -14,7 +14,9 @@ A spreading run ends in a pure state on (R, physical registers), so both
 physical marginals are A A† and B B† for amplitude matrices A and B with
 at most D = dim R columns.  Their trace distance is taken in the range
 of [A B] (:func:`~treecast.tensors.range_trace_distance`): one reduced
-QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Every
+QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Each check
+takes all of its distances in one stacked call and reports their
+``np.max``, so a NaN distance fails it.  Every
 (sample, path) is one row of one array, and each edge is walked once for
 all rows (``merge_split._split_rows``): one compression event and one Bell
 contraction with each row's columns gathered and Φ⁺_K folded in.  The
@@ -145,12 +147,12 @@ def verify_spreading_channel(
     phys = [r.id for r in result.final_state.registers if r.id in phys_set]
     outs = _group_rows(amps, regs, phys)[0]
     ideal = _group_rows(inputs, ins, phys)[0]
-    worst_td = max(range_trace_distance(out, ideal[b // n_paths]) for b, out in enumerate(outs))
+    distances = range_trace_distance(outs, np.repeat(ideal, n_paths, axis=0))
     return ChannelCheck(
         direction="spread",
         samples=samples,
         paths_per_sample=n_paths,
-        max_trace_distance=worst_td,
+        max_trace_distance=float(np.max(distances)),
         max_probability_deviation=worst_pdev,
         tol=tol,
     )
@@ -216,7 +218,7 @@ def verify_concentrating_channel(
     outs = outs / np.linalg.norm(outs, axis=(2, 3), keepdims=True)
     rho_out = outs @ outs.conj().swapaxes(2, 3)
     rho_target = np.einsum("srl,srm->slm", psis, psis.conj())
-    distances = [trace_distance(*pair) for row in rho_out for pair in zip(row, rho_target)]
+    distances = trace_distance(rho_out, rho_target)
     return ChannelCheck(
         direction="concentrate",
         samples=samples,

@@ -2,8 +2,8 @@
 equality, Bell bases, the column phase rule, the solved fallback merge, the
 stored closed-form fallback arrays and dense corrections, the measured
 fallback post rows, the per-branch stage expansion, the per-leaf root
-replay, the per-state event interpreter and the per-sample channel
-checks."""
+replay, the per-state event interpreter, the per-sample channel checks
+and the per-row trace distances."""
 
 from __future__ import annotations
 
@@ -375,3 +375,29 @@ def verify_spreading_channel(
         max_probability_deviation=worst_pdev,
         tol=tol,
     )
+
+
+def trace_distance_2d(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Reference: the trace distance of one pair of matrices, as it was before it took stacks."""
+    delta = np.asarray(rho) - np.asarray(sigma)
+    delta = (delta + delta.conj().T) / 2
+    return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+
+
+def range_trace_distance_2d(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference: the range trace distance of one pair of factors, as it was before it took stacks."""
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    ra, rb = r[:, : a.shape[1]], r[:, a.shape[1] :]
+    return trace_distance_2d(ra @ ra.conj().T, rb @ rb.conj().T)
+
+
+def per_row(distance):
+    """Reference: ``distance`` of each pair of 2-D slices, a list in a Python loop, as the channel
+    checks took their distances before one stacked call; the leading axes broadcast."""
+
+    def looped(a, b):
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a, b = (np.broadcast_to(x, lead + x.shape[-2:]).reshape(-1, *x.shape[-2:]) for x in (a, b))
+        return [distance(x, y) for x, y in zip(a, b)]
+
+    return looped

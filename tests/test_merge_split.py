@@ -25,7 +25,7 @@ from treecast.codes import (
     random_code,
     star4_code,
 )
-from treecast.config import PROB_TOL, VERIFY_TOL
+from treecast.config import MAX_BELL_ENTRIES, PROB_TOL, VERIFY_TOL
 from treecast.errors import (
     DimensionMismatch,
     InputError,
@@ -37,6 +37,7 @@ from treecast.errors import (
 )
 from treecast.merge_split import (
     SplitBranch,
+    _bell_basis,
     _bell_columns,
     _joint_tensor,
     _pauli_shifts,
@@ -1211,6 +1212,66 @@ class TestBatchedSplit:
             for q in range(k):
                 assert shifts[p * k + q].tobytes() == shift_loop(k, p, q).tobytes()
         assert _bell_columns(shifts).tobytes() == bell_columns_loop(k).tobytes()
+
+
+class TestSharedSplitTables:
+    """Each K's Pauli shifts and Bell basis are built once and shared read-only."""
+
+    @pytest.mark.parametrize("table", [_pauli_shifts, _bell_basis])
+    @pytest.mark.parametrize("k", [1, 2, 5, 18, 32])
+    def test_repeated_calls_share_one_read_only_array(self, table, k):
+        first = table(k)
+        assert table(k) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first += 0.0
+
+    @pytest.mark.parametrize("table", [_pauli_shifts, _bell_basis])
+    def test_past_the_bound_built_per_call(self, table):
+        assert 33**4 > MAX_BELL_ENTRIES >= 32**4
+        first = table(33)
+        second = table(33)
+        assert first is not second and first.flags.writeable
+        same_bytes(first, second)
+        del first, second
+        assert table(32) is table(32)
+
+    def test_a_second_call_builds_nothing(self, monkeypatch):
+        built = []
+
+        def counted(builder):
+            def build(*args):
+                built.append(builder.__name__)
+                return builder(*args)
+            return build
+
+        monkeypatch.setattr(merge_split, "_shift_table", counted(merge_split._shift_table))
+        monkeypatch.setattr(merge_split, "_bell_columns", counted(merge_split._bell_columns))
+        merge_split._shared.cache_clear()
+        try:
+            for k in (2, 3, 18, 2, 3, 18):
+                _bell_basis(k)
+                _pauli_shifts(k)
+            assert sorted(built) == sorted(["_shift_table", "_bell_columns"] * 3)
+            # past the bound (lowered here, so K = 5 stays cheap) every call builds
+            monkeypatch.setattr(merge_split, "MAX_BELL_ENTRIES", 4**4)
+            built.clear()
+            _bell_basis(5)
+            _pauli_shifts(5)
+            assert sorted(built) == ["_bell_columns", "_shift_table", "_shift_table"]
+        finally:
+            merge_split._shared.cache_clear()
+
+    def test_protocols_hold_the_shared_tables(self):
+        for psi, proto in spreading_steps(five_qubit_code(), line_tree(5)):
+            assert proto.bell is _bell_basis(proto.k)
+            assert proto.corrections is _pauli_shifts(proto.k)
+        psi = random_state(regs(("a", 3, "A"), ("b", 3, "B")), np.random.default_rng(4))
+        wide = build_split_protocol(psi, ["a"], k=5, receiver="B")
+        assert wide.bell is _bell_basis(5) and wide.corrections is _pauli_shifts(5)
+        same_bytes(wide.bell, bell_columns_loop(5))
 
 
 class TestMergeOutcomeRange:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import canonical_phase, random_state, states_equal_up_to_phase, tensor_product
+from oracles import (
+    canonical_phase,
+    random_state,
+    same_bytes,
+    states_equal_up_to_phase,
+    tensor_product,
+)
 from treecast.errors import (
     BadPermutation,
     DuplicateRegister,
@@ -240,6 +246,55 @@ def test_range_trace_distance_extremes():
     a[:2] = _factors(rng, 2, 2)
     b[5:7] = _factors(rng, 2, 2)
     assert abs(range_trace_distance(a, b) - 1.0) <= 1e-12
+
+
+def _factor_stacks(rng, kind):
+    """(A, B) stacks of 5 slices, 24 × 3 and 24 × 2 each, of one kind."""
+    a = np.stack([_factors(rng, 24, 3) for _ in range(5)])
+    b = np.stack([_factors(rng, 24, 2) for _ in range(5)])
+    if kind == "rank-deficient":
+        # three columns spanning two directions
+        a = b @ np.stack([_factors(rng, 2, 3) for _ in range(5)])
+    elif kind == "equal":
+        b = a.copy()
+    elif kind == "orthogonal":
+        a[:, 12:], b[:, :12] = 0.0, 0.0
+        a, b = (x / np.linalg.norm(x, axis=(1, 2), keepdims=True) for x in (a, b))
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "equal", "orthogonal"])
+def test_stacked_distances_are_the_slices_bits(kind):
+    a, b = _factor_stacks(np.random.default_rng(17), kind)
+    got = range_trace_distance(a, b)
+    assert got.shape == (5,)
+    for x, y, dist in zip(a, b, got):
+        single = range_trace_distance(x, y)
+        assert type(single) is float
+        same_bytes(np.float64(single), dist)
+    rho, sigma = a @ a.conj().swapaxes(1, 2), b @ b.conj().swapaxes(1, 2)
+    got = trace_distance(rho, sigma)
+    assert got.shape == (5,)
+    for x, y, dist in zip(rho, sigma, got):
+        single = trace_distance(x, y)
+        assert type(single) is float
+        same_bytes(np.float64(single), dist)
+    if kind == "equal":
+        assert (got == 0.0).all()
+    if kind == "orthogonal":
+        assert np.abs(got - 1.0).max() <= 1e-12
+
+
+def test_trace_distance_broadcasts_over_leading_axes():
+    # (path, sample) pairs against one target per sample, as the concentrating check has them
+    rng = np.random.default_rng(23)
+    rho = np.stack([[f @ f.conj().T for f in (_factors(rng, 4, 4) for _ in range(3))] for _ in range(2)])
+    sigma = rho[0]
+    got = trace_distance(rho, sigma)
+    assert got.shape == (2, 3)
+    assert (got[0] == 0.0).all()
+    for s in range(3):
+        same_bytes(np.float64(trace_distance(rho[1, s], sigma[s])), got[1, s])
 
 
 def test_is_isometry_and_completion():

@@ -10,6 +10,7 @@ import pytest
 from oracles import bell_columns_loop, replay_root_corrections
 
 import treecast.trace as trace_mod
+from treecast import config, merge_split
 from treecast.codes import (
     five_qubit_code,
     ghz_code,
@@ -18,6 +19,7 @@ from treecast.codes import (
     star4_code,
 )
 from treecast.errors import InputError, SchemaError, ShapeMismatch
+from treecast.merge_split import _bell_basis
 from treecast.network import line_tree, star_tree
 from treecast.protocols import run_concentrating, run_spreading
 from treecast.tensors import PureState, overlap, permute_registers
@@ -510,6 +512,23 @@ class TestBellNaming:
         dense = verify_trace(as_dense_v1(doc))
         assert named["passed"] and dense["passed"]
         assert dense["replayed_hash"] == named["replayed_hash"] == doc["final_state"]["hash"]
+
+    def test_bytes_do_not_hang_on_the_table_cache(self, five_line):
+        code, tree = five_line
+        warm = trace_json(spread_trace(code, tree, run_spreading(code, tree)))
+        merge_split._shared.cache_clear()
+        cold = spread_trace(code, tree, run_spreading(code, tree))
+        assert trace_json(cold) == warm
+        merge_split._shared.cache_clear()
+        assert verify_trace(json.loads(warm))["passed"]
+
+    def test_reader_resolves_names_to_the_shared_basis(self, five_line, five_spread):
+        code, tree = five_line
+        doc = spread_trace(code, tree, five_spread)
+        ops = _ops_from_doc(doc["operators"], named=True)
+        named = {ref: item["bell"] for ref, item in doc["operators"].items() if "bell" in item}
+        assert named and all(ops[ref] is _bell_basis(k) for ref, k in named.items())
+        assert trace_mod._bell_basis is _bell_basis and trace_mod.MAX_BELL_ENTRIES is config.MAX_BELL_ENTRIES
 
     def test_writer_and_reader_share_the_bound(self, monkeypatch, five_line, five_spread):
         assert _bell_k(32**2, 32**2) == 32 and 32**4 == MAX_BELL_ENTRIES

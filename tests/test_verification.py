@@ -3,11 +3,14 @@
 import numpy as np
 import oracles
 import pytest
+from test_protocols import REPLAY_INPUTS
 
+from treecast import verification
 from treecast.codes import (
     five_qubit_code,
     ghz_code,
     identity_code,
+    product_code,
     random_code,
     star4_code,
 )
@@ -218,3 +221,88 @@ class TestTraceDistance:
     def test_identical(self):
         rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         assert trace_distance(rho, rho) == 0.0
+
+
+def acceptance_corpus():
+    """Acceptance criterion 5's codes: five named, then 50 random ones drawn as it draws them."""
+    cases = [
+        (identity_code(2, 1), line_tree(1)),
+        (product_code([2, 2]), line_tree(2)),
+        (star4_code(), star_tree(4)),
+        (five_qubit_code(), line_tree(5)),
+        (ghz_code(3), line_tree(3)),
+    ]
+    rng = np.random.default_rng(20260821)
+    while len(cases) < 55:
+        n = int(rng.choice((2, 3, 4)))
+        code = random_code(rng, 2, (2,) * n)
+        cases.append((code, line_tree(n) if n == 2 or int(rng.integers(2)) == 0 else star_tree(n)))
+    return cases
+
+
+def both_checks(code, tree, spread, conc, **options):
+    return (
+        verify_spreading_channel(code, tree, spread, **options),
+        verify_concentrating_channel(code, tree, conc, **options),
+    )
+
+
+def assert_stacked_is_the_loop(monkeypatch, code, tree, spread, conc, **options):
+    got = both_checks(code, tree, spread, conc, **options)
+    with monkeypatch.context() as patched:
+        patched.setattr(verification, "range_trace_distance", oracles.per_row(oracles.range_trace_distance_2d))
+        patched.setattr(verification, "trace_distance", oracles.per_row(oracles.trace_distance_2d))
+        want = both_checks(code, tree, spread, conc, **options)
+    for g, w in zip(got, want):
+        assert type(g.max_trace_distance) is float
+        oracles.same_bytes(np.float64(g.max_trace_distance), np.float64(w.max_trace_distance))
+        assert g == w
+
+
+class TestStackedDistances:
+    """Each check takes its distances in one stacked call, to the per-row loop's bits."""
+
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_replay_inputs(self, name, monkeypatch):
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        spread, conc = run_spreading(code, tree), run_concentrating(code, tree, **kwargs)
+        assert_stacked_is_the_loop(monkeypatch, code, tree, spread, conc, samples=6, seed=3)
+
+    def test_acceptance_corpus(self, monkeypatch):
+        for code, tree in acceptance_corpus():
+            spread, conc = run_spreading(code, tree), run_concentrating(code, tree)
+            assert_stacked_is_the_loop(monkeypatch, code, tree, spread, conc, samples=20, seed=11)
+
+    def test_one_distance_call_per_check(self, monkeypatch):
+        code, tree = five_qubit_code(), line_tree(5)
+        calls = []
+
+        def counted(name, distance):
+            def call(a, b):
+                calls.append((name, a.shape))
+                return distance(a, b)
+            return call
+
+        for name in ("range_trace_distance", "trace_distance"):
+            monkeypatch.setattr(verification, name, counted(name, getattr(verification, name)))
+        spread, _ = both_checks(code, tree, run_spreading(code, tree), run_concentrating(code, tree), samples=20)
+        assert calls == [("range_trace_distance", (60, 32, 2)), ("trace_distance", (3, 20, 2, 2))]
+        assert spread.paths_per_sample * spread.samples == 60
+
+    def test_a_nan_distance_fails_the_check(self, monkeypatch):
+        # Python's max would skip a NaN after the first row; np.max carries it
+        code, tree = five_qubit_code(), line_tree(5)
+        spread, conc = run_spreading(code, tree), run_concentrating(code, tree)
+
+        def nan_in_row_one(distance):
+            def call(a, b):
+                out = np.array(distance(a, b))
+                out.reshape(-1)[1] = np.nan
+                return out
+            return call
+
+        monkeypatch.setattr(verification, "range_trace_distance", nan_in_row_one(verification.range_trace_distance))
+        monkeypatch.setattr(verification, "trace_distance", nan_in_row_one(verification.trace_distance))
+        for check in both_checks(code, tree, spread, conc, samples=3):
+            assert np.isnan(check.max_trace_distance) and not check.passed
