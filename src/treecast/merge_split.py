@@ -260,25 +260,33 @@ def split_events(protocol: SplitProtocol, registers, outcome: int) -> tuple[list
     return prefix, tail
 
 
-def _split_rows(protocol: SplitProtocol, amps: np.ndarray, regs, outcomes: np.ndarray):
-    """Row b through the split on each of its outcomes ``outcomes[b]``.
+def _split_compress(protocol: SplitProtocol, amps: np.ndarray, regs):
+    """Rows through the split's outcome-free prefix: (X, the registers the split leaves).
 
-    Returns (probabilities, states, registers); states are normalized,
-    indexed [row, outcome], in the layout that
-    :func:`split_events` leaves under :func:`apply_event`.  After the
-    compression (an event), one contraction bell† (X ⊗ Φ⁺_K) with each
-    row's Bell columns gathered, one shift matmul along B₀ and one
-    decompression give every outcome.  A block of trivial registers has
-    one branch per row, outcome 0.
+    X is (rows, buffer, rest) after the compression event.  A block of
+    trivial registers has no buffer: X is (rows, 1, dim) after the relabel.
     """
     prefix, tail = split_events(protocol, regs, 0)
-    if not tail:  # the resource and a relabel
+    if not tail:
         for event in prefix:
             amps, regs, _ = apply_event(amps, regs, event)
-        return np.ones((len(amps), 1)), amps[:, None], regs
-    k, (rows, n) = protocol.k, outcomes.shape
+        return amps[:, None], regs
     amps, regs, _ = apply_event(amps, regs, prefix[0])
     mat, rest = _group_rows(amps, regs, [prefix[0]["out"][0].id])
+    return mat, (*rest, *tail[-1]["out"])
+
+
+def _split_fan_out(protocol: SplitProtocol, mat: np.ndarray, outcomes: np.ndarray):
+    """(probabilities, normalized states)[b, m]: row b of X on ``outcomes[b, m]``.
+
+    X is from :func:`_split_compress`.  One contraction bell† (X ⊗ Φ⁺_K)
+    with each row's Bell columns gathered, one shift matmul along B₀ and
+    one decompression.  A block of trivial registers has one branch per
+    row, outcome 0.
+    """
+    if all(d == 1 for d in protocol.moved_dims):
+        return np.ones((len(mat), 1)), mat
+    k, (rows, n) = protocol.k, outcomes.shape
     posts = _bell_folded(np.moveaxis(protocol.bell[:, outcomes], 0, 1), mat, k)
     probs = np.linalg.norm(posts.reshape(rows, n, -1), axis=2) ** 2
     if (probs < PROB_TOL).any():
@@ -287,7 +295,7 @@ def _split_rows(protocol: SplitProtocol, amps: np.ndarray, regs, outcomes: np.nd
     fixed = posts @ protocol.corrections[outcomes].swapaxes(-1, -2)
     out = (fixed @ protocol.decompress.T).reshape(rows, n, -1)
     out /= np.linalg.norm(out, axis=2)[..., None]
-    return probs, out, (*rest, *tail[-1]["out"])
+    return probs, out
 
 
 def split_post_states(
@@ -295,11 +303,12 @@ def split_post_states(
 ) -> list[tuple[int, float, PureState]]:
     """``(outcome, probability, state)`` per outcome in ``outcomes``, all K² by default.
 
-    One row of ``_split_rows``.  A block of trivial registers has one
-    branch, outcome 0, whatever ``outcomes`` asks.
+    One row through :func:`_split_compress` and :func:`_split_fan_out`.  A block
+    of trivial registers has one branch, outcome 0, whatever ``outcomes`` asks.
     """
     wanted = _outcome_indices(outcomes, protocol.k**2)
-    probs, out, regs = _split_rows(protocol, psi.amplitudes[None], psi.registers, wanted[None])
+    mat, regs = _split_compress(protocol, psi.amplitudes[None], psi.registers)
+    probs, out = _split_fan_out(protocol, mat, wanted[None])
     if all(d == 1 for d in protocol.moved_dims):
         wanted = [0]
     return [(int(m), float(p), PureState(regs, amps)) for m, p, amps in zip(wanted, probs[0], out[0])]

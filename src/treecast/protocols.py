@@ -48,11 +48,12 @@ from .merge_split import (
     _fallback_rows,
     _merge_post_rows,
     _post_registers,
+    _split_compress,
+    _split_fan_out,
     build_merge_protocol,
     build_split_protocol,
     correction_event,
     correction_matrices,
-    execute_split,
     isometry_event,
     split_cost,
 )
@@ -175,6 +176,11 @@ def run_spreading(
 ) -> SpreadResult:
     """Execute the spreading protocol with exhaustive per-split checking.
 
+    Each edge compresses the state once (``_split_compress``), then fans
+    out one Pauli-shift row of K outcomes at a time (``_split_fan_out``),
+    so at most K branch states are alive at once, and compares each
+    outcome with outcome 0 by ``np.vdot`` on the rows.  A deviation above
+    ``VERIFY_TOL``, or a NaN one, raises VerificationFailed.
     ``k_overrides`` maps a child vertex name to a forced resource
     dimension for its edge; below the marginal rank this raises
     InsufficientResource (no exact protocol exists there).
@@ -196,20 +202,18 @@ def run_spreading(
             receiver=child,
             rank_rtol=rank_rtol,
         )
-        # each outcome against outcome 0, one Pauli-shift row of K at a time,
-        # so the K² branch states are never held at once
-        for p in range(proto.k):
-            row = range(p * proto.k, (p + 1) * proto.k)
-            for br in execute_split(proto, state, outcomes=row):
-                if br.outcome == 0:
-                    ref = br.state
-                else:
-                    worst_dev = max(worst_dev, abs(abs(overlap(br.state, ref)) - 1.0))
-        if worst_dev > VERIFY_TOL:
-            raise VerificationFailed(
-                f"split outcomes at edge ({parent}, {child}) disagree by {worst_dev:.2e}"
-            )
-        state = ref
+        mat, regs = _split_compress(proto, state.amplitudes[None], state.registers)
+        k, ref, devs = mat.shape[1], None, [0.0]  # the buffer: K, or 1 for trivial registers
+        for row in np.arange(k * k).reshape(k, 1, k):
+            out = _split_fan_out(proto, mat, row)[1][0]
+            if ref is None:
+                ref, out = out[0], out[1:]
+            devs += [abs(abs(np.vdot(branch, ref)) - 1.0) for branch in out]
+        dev = float(np.max(devs))
+        if not dev <= VERIFY_TOL:
+            raise VerificationFailed(f"split outcomes at edge ({parent}, {child}) disagree by {dev:.2e}")
+        worst_dev = max(worst_dev, dev)
+        state = PureState(regs, ref)
         steps.append(SpreadStep(parent, child, tuple(block), proto))
         items.append(EdgeCost(parent, child, proto.k))
     fid = abs(overlap(state, target.normalized()))

@@ -18,11 +18,13 @@ QR and one eigvalsh of side ≤ 2D, never a dense marginal.  Each check
 takes all of its distances in one stacked call and reports their
 ``np.max``, so a NaN distance fails it.  Every
 (sample, path) is one row of one array, and each edge is walked once for
-all rows (``merge_split._split_rows``): one compression event and one Bell
-contraction with each row's columns gathered and Φ⁺_K folded in.  The
-concentrating check stacks its samples on the reference register, which
-no merge or correction touches: each sampled path is one walk and one
-replayed row for all samples at once.
+all rows by the two steps ``run_spreading`` checks its outcomes with: one
+compression event (``merge_split._split_compress``) and one fan-out
+(``merge_split._split_fan_out``), a Bell contraction with each row's
+columns gathered and Φ⁺_K folded in.  The concentrating check stacks its
+samples on the reference register, which no merge or correction touches:
+each sampled path is one walk and one replayed row for all samples at
+once.
 
 Two structural facts make the replay well-defined:
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from .codes import REFERENCE_ID, IsometryCode
 from .errors import InputError, VerificationFailed
-from .merge_split import _split_rows, merge_post_state
+from .merge_split import _split_compress, _split_fan_out, merge_post_state
 from .network import RootedTree
 from .protocols import (
     ConcentrateResult,
@@ -137,8 +139,10 @@ def verify_spreading_channel(
     outcomes = np.array(paths, dtype=int)
     worst_pdev = 0.0
     for i, step in enumerate(result.steps):
-        probs, amps, regs = _split_rows(step.protocol, amps, regs, outcomes[:, i : i + 1])
+        mat, regs = _split_compress(step.protocol, amps, regs)
+        probs, amps = _split_fan_out(step.protocol, mat, outcomes[:, i : i + 1])
         amps = amps[:, 0]
+        del mat  # as large as the rows: freed before the next edge's compression
         worst_pdev = max(worst_pdev, float(np.abs(probs - 1.0 / step.protocol.k**2).max()))
     # the splits may leave the physical registers out of code order (a
     # labeling not in party order does); group both sides in the output's

@@ -2,8 +2,9 @@
 equality, Bell bases, the column phase rule, the solved fallback merge, the
 stored closed-form fallback arrays and dense corrections, the measured
 fallback post rows, the per-branch stage expansion, the per-leaf root
-replay, the per-state event interpreter, the per-sample channel checks
-and the per-row trace distances."""
+replay, the per-state event interpreter, the per-sample channel checks,
+the per-row trace distances, the per-outcome spreading run and acceptance
+criterion 5's codes."""
 
 from __future__ import annotations
 
@@ -11,9 +12,19 @@ import math
 
 import numpy as np
 
-from treecast.codes import REFERENCE_ID, IsometryCode, reference_pair
+from treecast.codes import (
+    REFERENCE_ID,
+    IsometryCode,
+    five_qubit_code,
+    ghz_code,
+    identity_code,
+    product_code,
+    random_code,
+    reference_pair,
+    star4_code,
+)
 from treecast.config import PROB_TOL, RANK_RTOL, VERIFY_TOL
-from treecast.errors import SchemaError, ZeroProbabilityBranch
+from treecast.errors import SchemaError, VerificationFailed, ZeroProbabilityBranch
 from treecast.koashi_imoto import _parse_roles
 from treecast.merge_split import (
     MergeProtocol,
@@ -24,12 +35,24 @@ from treecast.merge_split import (
     _solve_corrections,
     _support,
     apply_merge_correction,
+    build_split_protocol,
     execute_split,
     measurement_matrix,
     merge_post_state,
     merge_post_states,
 )
-from treecast.protocols import run_concentrating, run_spreading
+from treecast.network import line_tree, star_tree
+from treecast.protocols import (
+    EdgeCost,
+    SpreadResult,
+    SpreadStep,
+    _check_parties,
+    _ordered,
+    _root_held,
+    _sorted_edge_costs,
+    run_concentrating,
+    run_spreading,
+)
 from treecast.tensors import (
     LinearMap,
     PureState,
@@ -401,3 +424,54 @@ def per_row(distance):
         return [distance(x, y) for x, y in zip(a, b)]
 
     return looped
+
+
+def run_spreading_per_outcome(code, tree, labeling=None, *, k_overrides=None, rank_rtol=RANK_RTOL):
+    """Reference: ``run_spreading`` as one ``execute_split`` per Pauli row and an ``overlap``
+    per outcome, each outcome a ``PureState``.  Its Python ``max`` skips a NaN deviation."""
+    _check_parties(code, tree)
+    order = _ordered(tree, labeling)
+    state, target = _root_held(code, tree)
+    overrides = dict(k_overrides or {})
+    steps, items, worst_dev = [], [], 0.0
+    for child in order[1:]:
+        parent = tree.parent(child)
+        block = [v for v in order if v in set(tree.subtree(child))]
+        proto = build_split_protocol(state, block, overrides.get(child), receiver=child, rank_rtol=rank_rtol)
+        for p in range(proto.k):
+            row = range(p * proto.k, (p + 1) * proto.k)
+            for br in execute_split(proto, state, outcomes=row):
+                if br.outcome == 0:
+                    ref = br.state
+                else:
+                    worst_dev = max(worst_dev, abs(abs(overlap(br.state, ref)) - 1.0))
+        if worst_dev > VERIFY_TOL:
+            raise VerificationFailed(f"split outcomes at edge ({parent}, {child}) disagree by {worst_dev:.2e}")
+        state = ref
+        steps.append(SpreadStep(parent, child, tuple(block), proto))
+        items.append(EdgeCost(parent, child, proto.k))
+    return SpreadResult(
+        cost_report=_sorted_edge_costs("spread", items),
+        steps=tuple(steps),
+        final_state=state,
+        fidelity=abs(overlap(state, target.normalized())),
+        branch_deviation=worst_dev,
+        labeling=order,
+    )
+
+
+def acceptance_corpus():
+    """Acceptance criterion 5's codes: five named, then 50 random ones drawn as it draws them."""
+    cases = [
+        (identity_code(2, 1), line_tree(1)),
+        (product_code([2, 2]), line_tree(2)),
+        (star4_code(), star_tree(4)),
+        (five_qubit_code(), line_tree(5)),
+        (ghz_code(3), line_tree(3)),
+    ]
+    rng = np.random.default_rng(20260821)
+    while len(cases) < 55:
+        n = int(rng.choice((2, 3, 4)))
+        code = random_code(rng, 2, (2,) * n)
+        cases.append((code, line_tree(n) if n == 2 or int(rng.integers(2)) == 0 else star_tree(n)))
+    return cases

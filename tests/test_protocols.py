@@ -5,8 +5,10 @@ import math
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
+    acceptance_corpus,
     dense_fallback_corrections,
     expanded_branches,
     fallback_closed_form,
@@ -14,6 +16,7 @@ from oracles import (
     fidelity_to_reference,
     measured_post_rows,
     replay_root_corrections,
+    run_spreading_per_outcome,
     same_bytes,
 )
 
@@ -38,12 +41,14 @@ from treecast.errors import (
     TooLarge,
     UnknownEdge,
     VerificationFailed,
+    ZeroProbabilityBranch,
 )
 from treecast.merge_split import (
     MergeProtocol,
     build_merge_protocol,
     build_split_protocol,
     correction_matrices,
+    execute_split,
     measurement_matrix,
     merge_post_state,
     merge_post_states,
@@ -737,6 +742,142 @@ CRITERION_9_FALLBACK = {
     "star4-fallback": (star4_code, lambda: star_tree(4), {"mode": "fallback"}),
 }
 EXPANSION_INPUTS = {**REPLAY_INPUTS, **CRITERION_9_FALLBACK}
+
+
+# -- spreading checks each edge's outcomes as rows ---------------------------------
+
+
+def assert_same_spread(got, want) -> None:
+    """Every field the run reports, to the byte: deviation, final state, fidelity, costs."""
+    assert type(got.branch_deviation) is type(want.branch_deviation) is float
+    same_bytes(np.float64(got.branch_deviation), np.float64(want.branch_deviation))
+    assert got.final_state.registers == want.final_state.registers
+    same_bytes(got.final_state.amplitudes, want.final_state.amplitudes)
+    same_bytes(np.float64(got.fidelity), np.float64(want.fidelity))
+    assert got.cost_report == want.cost_report and got.labeling == want.labeling
+    assert [(s.parent, s.child, s.moved_ids, s.protocol.k) for s in got.steps] == [
+        (s.parent, s.child, s.moved_ids, s.protocol.k) for s in want.steps
+    ]
+
+
+def planted(monkeypatch, receiver, plant) -> list:
+    """Make ``run_spreading`` and its per-outcome oracle build the split to ``receiver``
+    as ``plant(protocol)``; the planted protocols land in the returned list."""
+    build, made = protocols.build_split_protocol, []
+
+    def patched(*args, **kwargs):
+        proto = build(*args, **kwargs)
+        if proto.receiver == receiver:
+            proto = plant(proto)
+            made.append(proto)
+        return proto
+
+    monkeypatch.setattr(protocols, "build_split_protocol", patched)
+    monkeypatch.setattr(oracles, "build_split_protocol", patched)
+    return made
+
+
+def with_corrections(proto, change):
+    fixes = proto.corrections.copy()
+    change(fixes)
+    return dataclasses.replace(proto, corrections=fixes)
+
+
+class TestSpreadingRows:
+    """``run_spreading`` compresses once per edge and checks outcomes on array rows,
+    to the bits of one ``execute_split`` per Pauli row and an ``overlap`` per outcome."""
+
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_replay_inputs(self, name):
+        make_code, make_tree, _ = REPLAY_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        assert_same_spread(run_spreading(code, tree), run_spreading_per_outcome(code, tree))
+
+    def test_acceptance_corpus(self):
+        for code, tree in acceptance_corpus():
+            assert_same_spread(run_spreading(code, tree), run_spreading_per_outcome(code, tree))
+
+    def test_padded_edge(self):
+        # K = 3 above v5's rank 2: the compression has a zero row
+        code, tree, overrides = five_qubit_code(), line_tree(5), {"v5": 3}
+        got = run_spreading(code, tree, k_overrides=overrides)
+        assert got.steps[-1].protocol.rank == 2 and got.cost_report.cost_of("v5") == 3
+        assert_same_spread(got, run_spreading_per_outcome(code, tree, k_overrides=overrides))
+
+    @pytest.mark.parametrize("overrides", [None, {"v2": 3}])
+    def test_trivial_registers(self, overrides):
+        # v2 holds one dimension-1 register: one branch, even at K = 3
+        code, tree = product_code((2, 1, 2)), star_tree(3)
+        got = run_spreading(code, tree, k_overrides=overrides)
+        assert got.steps[0].child == "v2" and got.steps[0].protocol.moved_dims == (1,)
+        assert_same_spread(got, run_spreading_per_outcome(code, tree, k_overrides=overrides))
+
+    def test_one_compression_per_edge(self, monkeypatch):
+        code, tree = five_qubit_code(), line_tree(5)
+        calls = {"compress": 0, "fan_out": [], "states": 0}
+        compress, fan_out = protocols._split_compress, protocols._split_fan_out
+
+        def counted_compress(*args):
+            calls["compress"] += 1
+            return compress(*args)
+
+        def counted_fan_out(proto, mat, outcomes):
+            calls["fan_out"].append(outcomes.tolist())
+            return fan_out(proto, mat, outcomes)
+
+        def counted_state(*args):
+            calls["states"] += 1
+            return PureState(*args)
+
+        monkeypatch.setattr(protocols, "_split_compress", counted_compress)
+        monkeypatch.setattr(protocols, "_split_fan_out", counted_fan_out)
+        monkeypatch.setattr(protocols, "PureState", counted_state)
+        res = run_spreading(code, tree)
+        ks = [step.protocol.k for step in res.steps]
+        assert calls["compress"] == len(res.steps) == 4
+        # K outcomes per call, Pauli row by Pauli row, so at most K branch states at once
+        assert calls["fan_out"] == [[list(range(p * k, p * k + k))] for k in ks for p in range(k)]
+        # the root-held state and one per edge: none per outcome
+        assert calls["states"] == 1 + len(res.steps)
+
+    def test_nan_deviation_fails(self, monkeypatch):
+        # Python's max(0.0, nan) is 0.0, so the per-outcome loop let a NaN outcome pass
+        def nan_outcome(proto):
+            return with_corrections(proto, lambda fixes: fixes.__setitem__(5, np.nan))
+
+        code, tree = five_qubit_code(), line_tree(5)
+        planted(monkeypatch, "v3", nan_outcome)
+        with np.errstate(invalid="ignore"):
+            assert run_spreading_per_outcome(code, tree).branch_deviation <= 1e-9
+            with pytest.raises(VerificationFailed, match=r"\(v2, v3\) disagree by nan"):
+                run_spreading(code, tree)
+
+    def test_another_outcomes_correction_fails(self, monkeypatch):
+        # outcome 19 of v3's K = 8 (Pauli row 2) corrected by outcome 42's shift (row 5)
+        def copied(proto):
+            return with_corrections(proto, lambda fixes: fixes.__setitem__(19, fixes[42]))
+
+        code, tree = five_qubit_code(), line_tree(5)
+        planted(monkeypatch, "v3", copied)
+        with pytest.raises(VerificationFailed, match=r"\(v2, v3\)"):
+            run_spreading(code, tree)
+        with pytest.raises(VerificationFailed, match=r"\(v2, v3\)"):
+            run_spreading_per_outcome(code, tree)
+
+    def test_zero_probability_outcome(self, monkeypatch):
+        # v2's first split, with outcome 6's Bell column zeroed
+        def dead_outcome(proto):
+            bell = proto.bell.copy()
+            bell[:, 6] = 0.0
+            return dataclasses.replace(proto, bell=bell)
+
+        code, tree = five_qubit_code(), line_tree(5)
+        made = planted(monkeypatch, "v2", dead_outcome)
+        with pytest.raises(ZeroProbabilityBranch) as got:
+            run_spreading(code, tree)
+        with pytest.raises(ZeroProbabilityBranch) as want:
+            execute_split(made[0], protocols._root_held(code, tree)[0])
+        assert str(got.value) == str(want.value) == "outcome 6 at 'v1' has zero probability"
 
 
 def dense_record(proto):

@@ -10,7 +10,6 @@ from treecast.codes import (
     five_qubit_code,
     ghz_code,
     identity_code,
-    product_code,
     random_code,
     star4_code,
 )
@@ -223,23 +222,6 @@ class TestTraceDistance:
         assert trace_distance(rho, rho) == 0.0
 
 
-def acceptance_corpus():
-    """Acceptance criterion 5's codes: five named, then 50 random ones drawn as it draws them."""
-    cases = [
-        (identity_code(2, 1), line_tree(1)),
-        (product_code([2, 2]), line_tree(2)),
-        (star4_code(), star_tree(4)),
-        (five_qubit_code(), line_tree(5)),
-        (ghz_code(3), line_tree(3)),
-    ]
-    rng = np.random.default_rng(20260821)
-    while len(cases) < 55:
-        n = int(rng.choice((2, 3, 4)))
-        code = random_code(rng, 2, (2,) * n)
-        cases.append((code, line_tree(n) if n == 2 or int(rng.integers(2)) == 0 else star_tree(n)))
-    return cases
-
-
 def both_checks(code, tree, spread, conc, **options):
     return (
         verify_spreading_channel(code, tree, spread, **options),
@@ -270,7 +252,7 @@ class TestStackedDistances:
         assert_stacked_is_the_loop(monkeypatch, code, tree, spread, conc, samples=6, seed=3)
 
     def test_acceptance_corpus(self, monkeypatch):
-        for code, tree in acceptance_corpus():
+        for code, tree in oracles.acceptance_corpus():
             spread, conc = run_spreading(code, tree), run_concentrating(code, tree)
             assert_stacked_is_the_loop(monkeypatch, code, tree, spread, conc, samples=20, seed=11)
 
