@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import code_to_document, load_code_named
 from .config import RANK_RTOL
-from .errors import InputError, NumericalDegeneracy, SynthesisFailed, VerificationFailed
+from .errors import InputError, NumericalDegeneracy, SchemaError, SynthesisFailed, VerificationFailed
 from .koashi_imoto import ki_decompose, merge_cost_K
 from .network import load_tree, tree_to_document
 from .protocols import (
@@ -38,6 +38,7 @@ from .protocols import (
 )
 from .tensors import PureState, Register
 from .trace import (
+    _size,
     concentrate_trace,
     load_trace,
     save_trace,
@@ -217,19 +218,19 @@ def _resolve_search(args, code, tree, labeling):
     """For --labeling search on concentrating tasks: pick the best order.
 
     Returns (labeling, the winner's cost report or None when no search
-    ran, the search section of the report).  Costs follow one branch per
+    ran, the search section of the report).  The section counts every
+    ascending labeling as a candidate (the search walks merged sets, not
+    labelings) and gives the winner's total.  Costs follow one branch per
     stage, so only run-concentrate reads --branches and --seed; every
     concentrating task checks both (--seed in main) and echoes them.
     """
     _parse_branches(args.branches)
     if labeling is not None:
         return labeling, None, None
-    best, report, totals = optimize_labeling(
-        code, tree, mode=args.mode, rank_rtol=args.tol_rank
-    )
+    best, report = optimize_labeling(code, tree, mode=args.mode, rank_rtol=args.tol_rank)
     search_doc = {
-        "candidates": len(totals),
-        "best_total_log2": _num(min(totals.values())),
+        "candidates": tree.count_ascending_labelings(),
+        "best_total_log2": _num(report.total_log2),
     }
     return best, report, search_doc
 
@@ -477,6 +478,12 @@ def _cmd_compare(args):
     return doc, 0
 
 
+def _is_amplitude(x) -> bool:
+    """A JSON number, or an [re, im] pair of them (never a bool or string)."""
+    pair = x if isinstance(x, list) and len(x) == 2 else [x]
+    return all(type(v) in (int, float) for v in pair)
+
+
 def _load_state_file(path: str):
     try:
         with open(path) as fh:
@@ -490,14 +497,18 @@ def _load_state_file(path: str):
     missing = {"registers", "amplitudes", "roles"} - set(payload)
     if missing:
         raise InputError(f"state file is missing fields {sorted(missing)}")
+    specs, amps = payload["registers"], payload["amplitudes"]
+    if not isinstance(specs, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("id"), str) for s in specs
+    ):
+        raise SchemaError("state 'registers' must be a list of objects, each with a string 'id'")
     regs = tuple(
-        Register(s["id"], int(s["dim"]), s.get("owner", s["id"]))
-        for s in payload["registers"]
+        Register(s["id"], _size(s.get("dim"), f"register {s['id']!r} dim"), s.get("owner", s["id"]))
+        for s in specs
     )
-    amps = np.array(
-        [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in payload["amplitudes"]],
-        dtype=complex,
-    )
+    if not isinstance(amps, list) or not all(map(_is_amplitude, amps)):
+        raise SchemaError("state 'amplitudes' must list numbers or [re, im] pairs of numbers")
+    amps = np.array([complex(*x) if isinstance(x, list) else complex(x) for x in amps], dtype=complex)
     psi = PureState(regs, amps).normalized()
     roles = payload["roles"]
     try:

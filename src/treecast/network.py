@@ -20,11 +20,8 @@ from .errors import (
     NotAscending,
     NotConnected,
     SchemaError,
-    TooLarge,
     UnknownVertex,
 )
-
-LABELING_ENUMERATION_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,31 +143,14 @@ class RootedTree:
             denom *= len(self.subtree(v))
         return math.factorial(n) // denom
 
-    def ascending_labelings(self, limit: int = LABELING_ENUMERATION_LIMIT):
-        """All ascending labelings, lexicographically by vertex name.
-
-        Raises TooLarge when the count exceeds ``limit`` — callers that
-        search over labelings must bound the enumeration up front.
-        """
-        total = self.count_ascending_labelings()
-        if total > limit:
-            raise TooLarge(
-                f"{total} ascending labelings exceed the enumeration limit {limit}"
-            )
-        out: list[tuple[str, ...]] = []
-
-        def grow(prefix: list[str], available: set[str]):
-            if not available:
-                out.append(tuple(prefix))
-                return
-            for v in sorted(available):
-                nxt = available - {v} | set(self.children(v))
-                prefix.append(v)
-                grow(prefix, nxt)
-                prefix.pop()
-
-        grow([self.root], set(self.children(self.root)))
-        return out
+    def count_merged_sets(self) -> int:
+        """Sets of non-root vertices holding every child of each member: the
+        sets a concentrating walk can have merged.  h(v) = 1 + ∏ h(child)
+        counts them within subtree(v); the root never merges."""
+        ways: dict[str, int] = {}
+        for v in reversed(self.default_labeling()):
+            ways[v] = 1 + math.prod(ways[w] for w in self.children(v))
+        return ways[self.root] - 1
 
 
 def line_tree(n: int) -> RootedTree:

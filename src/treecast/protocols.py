@@ -39,6 +39,7 @@ from .errors import (
     InputError,
     InsufficientResource,
     SynthesisFailed,
+    TooLarge,
     UnknownEdge,
     VerificationFailed,
 )
@@ -57,13 +58,15 @@ from .merge_split import (
     isometry_event,
     split_cost,
 )
-from .network import LABELING_ENUMERATION_LIMIT, RootedTree
+from .network import RootedTree
 from .tensors import PureState, Register, _group_rows, apply_event, overlap, row_norms
 
 # leaves replayed at once by run_concentrating: bounds the replay's arrays
 REPLAY_ROWS = 1024
 # live rows a fallback stage builds at once: bounds the build's arrays
 STAGE_ROWS = 16
+# merged sets the labeling search walks at most: star:11 has 1,024
+MERGED_SET_LIMIT = 1024
 
 # -- cost reports -------------------------------------------------------------
 
@@ -645,68 +648,46 @@ def compare_costs(
     )
 
 
-def _set_stage_costs(
-    code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol: float
-) -> dict[tuple[frozenset[str], str], EdgeCost]:
-    """Edge cost of every stage, keyed by (set merged before it, its vertex).
+def optimize_labeling(
+    code: IsometryCode,
+    tree: RootedTree,
+    *,
+    mode: str = "tight",
+    rank_rtol: float = RANK_RTOL,
+) -> tuple[tuple[str, ...], CostReport]:
+    """The ascending labeling of least concentrating cost, and its cost report.
 
-    A stage's K depends on the set and the vertex alone
-    (``_branch_walk``), so the walk carries only the first live outcome
-    of each stage, and builds one merge protocol per (set, vertex) stage.
-    It goes no deeper from a set it has already walked.  Only the costs
-    are kept, and a stage is freed once the walk has moved past it, so at
-    most n − 1 stages are alive at once.
+    A stage's K depends on the set merged before it and its vertex alone
+    (``_branch_walk``), so one depth-first walk over merged sets builds
+    each (set, vertex) stage once, on the first live branch, and keeps
+    per set the cheapest way to merge the vertices left: the least exact
+    product of K, ties going to the lexicographically first labeling.
+    The report equals ``concentrating_cost`` on the winner in the same
+    mode.  A stage is freed once the walk has moved past it, so at most
+    n − 1 are alive at once.  Raises TooLarge, before any stage is built,
+    when the tree has more than ``MERGED_SET_LIMIT`` merged sets.
     """
-    edges: dict[tuple[frozenset[str], str], EdgeCost] = {}
-    walked: set[frozenset[str]] = set()
+    sets = tree.count_merged_sets()
+    if sets > MERGED_SET_LIMIT:
+        raise TooLarge(f"{sets} merged sets exceed the labeling search limit {MERGED_SET_LIMIT}")
+    _check_parties(code, tree)
+    best: dict[frozenset[str], tuple[int, tuple[str, ...], tuple[EdgeCost, ...]]] = {}
 
     def walk(merged, branch):
+        """(product of K, labeling of the vertices left, their edges) at its least."""
+        options = []
         for vertex in tree.vertices:
             # mergeable: not the root, not merged yet, every child merged
             kids = tree.children(vertex)
             if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
                 continue
             stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol)
-            edges[merged, vertex] = stage.edge
             grown = merged | {vertex}
-            if grown not in walked:
-                walked.add(grown)
-                walk(grown, stage.live.take([0]))
+            if grown not in best:
+                best[grown] = walk(grown, stage.live.take([0]))
+            product, head, edges = best[grown]
+            options.append((stage.edge.k * product, head + (vertex,), (stage.edge, *edges)))
+        return min(options, default=(1, (tree.root,), ()))
 
-    walk(frozenset(), _first_branch(code))
-    return edges
-
-
-def optimize_labeling(
-    code: IsometryCode,
-    tree: RootedTree,
-    *,
-    mode: str = "tight",
-    limit: int = LABELING_ENUMERATION_LIMIT,
-    rank_rtol: float = RANK_RTOL,
-) -> tuple[tuple[str, ...], CostReport, dict[tuple[str, ...], float]]:
-    """Search all ascending labelings for the cheapest concentrating total.
-
-    Returns the winner, its cost report (equal to ``concentrating_cost``
-    on it in the same mode) and every candidate's total.  Ties break
-    lexicographically on the labeling tuple.  Raises TooLarge when the labeling count exceeds ``limit``.
-    Each candidate's edges are read from the per-set stage costs of
-    ``_set_stage_costs``, which follow one branch per merged set.
-    """
-    candidates = tree.ascending_labelings(limit)
-    _check_parties(code, tree)
-    edges = _set_stage_costs(code, tree, mode=mode, rank_rtol=rank_rtol)
-    best = None
-    totals: dict[tuple[str, ...], float] = {}
-    for cand in candidates:
-        suffix = cand[:0:-1]
-        report = _sorted_edge_costs(
-            "concentrate",
-            [edges[frozenset(suffix[:i]), suffix[i]] for i in range(len(suffix))],
-        )
-        totals[cand] = report.total_log2
-        key = (report.total_log2, cand)
-        if best is None or key < best[0]:
-            best = (key, cand, report)
-    assert best is not None
-    return best[1], best[2], totals
+    _, labeling, edges = walk(frozenset(), _first_branch(code))
+    return labeling, _sorted_edge_costs("concentrate", edges)

@@ -3,8 +3,8 @@ equality, Bell bases, the column phase rule, the solved fallback merge, the
 stored closed-form fallback arrays and dense corrections, the measured
 fallback post rows, the per-branch stage expansion, the per-leaf root
 replay, the per-state event interpreter, the per-sample channel checks,
-the per-row trace distances, the per-outcome spreading run and acceptance
-criterion 5's codes."""
+the per-row trace distances, the per-outcome spreading run, the
+ascending-labeling enumeration and acceptance criterion 5's codes."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from treecast.codes import (
     star4_code,
 )
 from treecast.config import PROB_TOL, RANK_RTOL, VERIFY_TOL
-from treecast.errors import SchemaError, VerificationFailed, ZeroProbabilityBranch
+from treecast.errors import SchemaError, TooLarge, VerificationFailed, ZeroProbabilityBranch
 from treecast.koashi_imoto import _parse_roles
 from treecast.merge_split import (
     MergeProtocol,
@@ -76,6 +76,8 @@ from treecast.verification import (
     _pick_branch_paths,
     random_input,
 )
+
+LABELING_ENUMERATION_LIMIT = 100_000
 
 
 def random_state(registers, rng) -> PureState:
@@ -475,3 +477,30 @@ def acceptance_corpus():
         code = random_code(rng, 2, (2,) * n)
         cases.append((code, line_tree(n) if n == 2 or int(rng.integers(2)) == 0 else star_tree(n)))
     return cases
+
+
+def ascending_labelings(tree, limit: int = LABELING_ENUMERATION_LIMIT):
+    """All ascending labelings, lexicographically by vertex name.
+
+    Raises TooLarge when the count exceeds ``limit`` — callers that
+    search over labelings must bound the enumeration up front.
+    """
+    total = tree.count_ascending_labelings()
+    if total > limit:
+        raise TooLarge(
+            f"{total} ascending labelings exceed the enumeration limit {limit}"
+        )
+    out: list[tuple[str, ...]] = []
+
+    def grow(prefix: list[str], available: set[str]):
+        if not available:
+            out.append(tuple(prefix))
+            return
+        for v in sorted(available):
+            nxt = available - {v} | set(tree.children(v))
+            prefix.append(v)
+            grow(prefix, nxt)
+            prefix.pop()
+
+    grow([tree.root], set(tree.children(tree.root)))
+    return out

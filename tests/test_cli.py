@@ -362,6 +362,37 @@ class TestKi:
         assert code == 0
         assert doc["K"] == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda spec: spec["registers"][1].pop("id"),
+            lambda spec: spec["registers"][1].update(dim="x"),
+            lambda spec: spec["registers"][1].update(dim=2.7),
+            lambda spec: spec.update(registers=5),
+            lambda spec: spec["amplitudes"].__setitem__(0, ["a", "b"]),
+        ],
+        ids=["no-id", "dim-string", "dim-float", "registers-int", "amplitude-strings"],
+    )
+    def test_ki_state_file_schema_errors(self, capsys, tmp_path, damage):
+        # a malformed state file is a schema error (exit 2), not a traceback
+        s = 0.5 ** 0.5
+        spec = {
+            "registers": [
+                {"id": "R", "dim": 2, "owner": "reference"},
+                {"id": "a", "dim": 2, "owner": "A"},
+                {"id": "b", "dim": 2, "owner": "B"},
+            ],
+            "amplitudes": [[s, 0.0]] + [[0.0, 0.0]] * 6 + [[s, 0.0]],
+            "roles": {"R": ["R"], "A": ["a"], "B": ["b"]},
+        }
+        damage(spec)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(spec))
+        code, doc = run_json(capsys, "ki", "--state", str(path))
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "SchemaError"
+
     def test_ki_requires_inputs(self, capsys):
         code, doc = run_json(capsys, "ki")
         assert code == 2
@@ -449,6 +480,18 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert doc["format"] == "treecast.error/1"
         assert doc["error"]["type"] == "TooLarge"
+
+    def test_search_past_the_merged_set_bound_refused(self, capsys, monkeypatch):
+        # star:12 has 2^11 merged sets, one past the search's bound of 1,024
+        from treecast import protocols
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", None)  # any stage would fail
+        for task in ("cost-concentrate", "compare", "run-concentrate", "ki"):
+            code, doc = run_json(capsys, task, "--code", "ghz:12", "--tree", "star:12", "--labeling", "search")
+            assert code == 2
+            assert doc["format"] == "treecast.error/1"
+            assert doc["error"]["type"] == "TooLarge"
+            assert "2048 merged sets" in doc["error"]["message"]
 
     def test_oversized_code_file_refused(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

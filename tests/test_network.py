@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from oracles import ascending_labelings
 
 from treecast.errors import (
     BadEdge,
@@ -61,8 +62,9 @@ def test_single_vertex_tree():
     t = RootedTree.from_edges("solo", [])
     assert t.size == 1
     assert t.edges() == ()
-    assert t.ascending_labelings() == [("solo",)]
+    assert ascending_labelings(t) == [("solo",)]
     assert t.count_ascending_labelings() == 1
+    assert t.count_merged_sets() == 1
 
 
 def test_ascending_validation():
@@ -86,7 +88,7 @@ def test_labeling_enumeration_matches_brute_force_and_hook_count():
         RootedTree.from_edges("r", [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")]),
     ]
     for t in trees:
-        got = t.ascending_labelings()
+        got = ascending_labelings(t)
         want = brute_force_labelings(t)
         assert got == want
         assert len(got) == t.count_ascending_labelings()
@@ -100,7 +102,40 @@ def test_hook_count_closed_forms():
 def test_enumeration_limit():
     t = star_tree(10)  # 9! = 362880 labelings
     with pytest.raises(TooLarge):
-        t.ascending_labelings(limit=1000)
+        ascending_labelings(t, limit=1000)
+
+
+def brute_force_merged_sets(tree):
+    """Subsets of the non-root vertices holding every child of each member."""
+    rest = [v for v in tree.vertices if v != tree.root]
+    return [
+        subset
+        for n in range(len(rest) + 1)
+        for subset in map(set, itertools.combinations(rest, n))
+        if all(subset.issuperset(tree.children(v)) for v in subset)
+    ]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        line_tree(1),
+        line_tree(2),
+        line_tree(5),
+        star_tree(3),
+        star_tree(6),
+        parse_tree("v1-v2,v1-v3,v3-v4,v3-v5"),
+        RootedTree.from_edges("r", [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("d", "e")]),
+    ],
+    ids=lambda t: ",".join(f"{p}-{c}" for p, c in t.edges()) or t.root,
+)
+def test_merged_set_count_matches_brute_force(tree):
+    assert tree.count_merged_sets() == len(brute_force_merged_sets(tree))
+
+
+def test_merged_set_closed_forms():
+    assert line_tree(6).count_merged_sets() == 6
+    assert star_tree(11).count_merged_sets() == 2**10
 
 
 def test_default_labeling_is_ascending_bfs():

@@ -54,7 +54,7 @@ from treecast.merge_split import (
     merge_post_states,
     verify_merge,
 )
-from treecast.network import line_tree, parse_tree, star_tree
+from treecast.network import RootedTree, line_tree, parse_tree, star_tree
 from treecast.protocols import (
     compare_costs,
     concentrating_cost,
@@ -388,16 +388,17 @@ class TestComparisonsAndSearch:
         assert cmp.concentrate_never_exceeds
 
     def test_optimize_labeling_star4(self):
-        best, report, totals = optimize_labeling(star4_code(), star_tree(4))
+        code, tree = star4_code(), star_tree(4)
+        best, report = optimize_labeling(code, tree)
         assert best == ("v1", "v2", "v3", "v4")
         assert report.total_log2 == 1.0
-        assert len(totals) == 6
-        assert all(abs(t - 1.0) <= 1e-12 for t in totals.values())
+        # every one of the 6 candidates costs one ebit: the first wins the tie
+        for cand in oracles.ascending_labelings(tree):
+            assert concentrating_cost(code, tree, cand).total_log2 == 1.0
 
     def test_optimize_labeling_line_is_unique(self):
-        best, report, totals = optimize_labeling(ghz_code(3), line_tree(3))
-        assert best == ("v1", "v2", "v3")
-        assert list(totals) == [("v1", "v2", "v3")]
+        best, report = optimize_labeling(ghz_code(3), line_tree(3))
+        assert oracles.ascending_labelings(line_tree(3)) == [best] == [("v1", "v2", "v3")]
         assert report.total_log2 == 0.0
 
     def test_rank_tolerance_reaches_compare_and_search(self):
@@ -413,29 +414,56 @@ class TestComparisonsAndSearch:
         cmp = compare_costs(code, tree, rank_rtol=1e-14)
         assert cmp.spread.by_child() == {"v2": 2}
         assert cmp.concentrate.by_child() == {"v2": 2}
-        _, report, _ = optimize_labeling(code, tree, rank_rtol=1e-14)
+        _, report = optimize_labeling(code, tree, rank_rtol=1e-14)
         assert report.by_child() == {"v2": 2}
         with pytest.raises(NumericalDegeneracy):
             optimize_labeling(code, tree)
 
-    def test_optimize_labeling_too_large(self):
-        with pytest.raises(TooLarge):
-            optimize_labeling(ghz_code(9), star_tree(9), limit=100)
+    def test_optimize_labeling_too_large(self, monkeypatch):
+        # star:12 has 2^11 = 2,048 merged sets, past the bound of 1,024
+        stages = []
+        monkeypatch.setattr(protocols, "_concentrate_stage", lambda *args, **kwargs: stages.append(args))
+        with pytest.raises(TooLarge, match="2048 merged sets"):
+            optimize_labeling(ghz_code(12), star_tree(12))
+        assert stages == []
+
+    def test_ties_break_on_exact_products(self, monkeypatch):
+        # both labelings of star:3 cost K products of 15: (v1, v2, v3) pays
+        # K(∅, v3) = 1 and K({v3}, v2) = 15, (v1, v3, v2) pays K(∅, v2) = 3
+        # and K({v2}, v3) = 5.  Summed as floats, the second total is one ulp
+        # below the first; on the exact products the first labeling wins
+        real = protocols._concentrate_stage
+        ks = {(0, "v3"): 1, (1, "v2"): 15, (0, "v2"): 3, (1, "v3"): 5}
+
+        def rewritten(live, tree, vertex, **kwargs):
+            stage = real(live, tree, vertex, **kwargs)
+            k = ks[len(live.paths[0]), vertex]
+            return dataclasses.replace(stage, edge=dataclasses.replace(stage.edge, k=k))
+
+        assert math.log2(15) > math.log2(3) + math.log2(5)
+        monkeypatch.setattr(protocols, "_concentrate_stage", rewritten)
+        best, report = optimize_labeling(ghz_code(3), star_tree(3))
+        assert best == ("v1", "v2", "v3")
+        assert report.by_child() == {"v2": 15, "v3": 1}
+        assert report.total_log2 == math.log2(15)
 
 
 # -- the labeling search over merged sets ---------------------------------------------
 
 
 def reference_search(code, tree, **kwargs):
-    """The former optimize_labeling: one run on every branch per candidate."""
-    best, totals = None, {}
-    for cand in tree.ascending_labelings():
+    """The cheapest labeling by enumeration: one run per candidate.
+
+    Ties go to the lexicographically first labeling on the exact product
+    of K.  Returns (winner, its cost report, the number of candidates).
+    """
+    best, candidates = None, oracles.ascending_labelings(tree)
+    for cand in candidates:
         report = run_concentrating(code, tree, cand, **kwargs).cost_report
-        totals[cand] = report.total_log2
-        key = (report.total_log2, cand)
+        key = (math.prod(e.k for e in report.edges), cand)
         if best is None or key < best[0]:
             best = (key, cand, report)
-    return best[1], best[2], totals
+    return best[1], best[2], len(candidates)
 
 
 def random_star4():
@@ -464,6 +492,29 @@ SEARCH_MODES = {
 }
 
 
+def random_tree(rng, n):
+    """A tree on v1..vn rooted at v1, each later vertex under an earlier one."""
+    return RootedTree.from_edges("v1", [(f"v{rng.integers(1, k)}", f"v{k}") for k in range(2, n + 1)])
+
+
+def random_tree_input(seed):
+    """A random qubit code on a seeded random tree of 3 to 7 vertices."""
+    rng = np.random.default_rng([2002, seed])
+    tree = random_tree(rng, 3 + seed % 5)
+    return random_code(rng, 2, (2,) * tree.size), tree
+
+
+MORE_SEARCH_INPUTS = {
+    # qubit and qutrit parties, so K is not always a power of 2
+    "mixed-star4": lambda: (random_code(np.random.default_rng(2000), 2, (2, 3, 2, 3)), star_tree(4)),
+    "qutrit-branched": lambda: (
+        random_code(np.random.default_rng(2001), 2, (2, 2, 3, 2, 2)),
+        parse_tree("v1-v2,v1-v3,v3-v4,v3-v5"),
+    ),
+    **{f"random-tree{seed}": lambda seed=seed: random_tree_input(seed) for seed in range(6)},
+}
+
+
 class TestSharedSuffixSearch:
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     @pytest.mark.parametrize("name", SEARCH_INPUTS)
@@ -471,33 +522,53 @@ class TestSharedSuffixSearch:
         code, tree = SEARCH_INPUTS[name]()
         kwargs = SEARCH_MODES[mode]
         # the search takes the mode only; the reference runs keep the budget
-        best, report, totals = optimize_labeling(code, tree, mode=kwargs.get("mode", "tight"))
-        ref_best, ref_report, ref_totals = reference_search(code, tree, **kwargs)
-        assert list(totals.items()) == list(ref_totals.items())
+        best, report = optimize_labeling(code, tree, mode=kwargs.get("mode", "tight"))
+        ref_best, ref_report, candidates = reference_search(code, tree, **kwargs)
         assert (best, report) == (ref_best, ref_report)
+        assert candidates == tree.count_ascending_labelings()
         full = run_concentrating(code, tree, best, **kwargs)
         assert report == full.cost_report
         assert report == concentrating_cost(code, tree, best, mode=kwargs.get("mode", "tight"))
         if "branch_budget" in kwargs:  # the budget cut branches, so the sampler ran
             assert not full.explored_all
 
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    @pytest.mark.parametrize("name", MORE_SEARCH_INPUTS)
+    def test_matches_the_enumeration_on_more_trees(self, name, mode):
+        # one branch per stage in the reference runs too (a budget of 1):
+        # the exhaustive runs of random 7-party codes have too many branches
+        code, tree = MORE_SEARCH_INPUTS[name]()
+        best, report = optimize_labeling(code, tree, mode=mode)
+        ref_best, ref_report, candidates = reference_search(code, tree, mode=mode, branch_budget=1)
+        assert (best, report) == (ref_best, ref_report)
+        assert candidates == tree.count_ascending_labelings()
+
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     @pytest.mark.parametrize("name", SEARCH_INPUTS)
-    def test_set_stage_costs_match_fresh_runs(self, name, mode):
+    def test_set_stage_costs_match_fresh_runs(self, name, mode, monkeypatch):
         # every fresh run that merges vertex after set pays the K the
-        # search recorded for (set, vertex), whatever order set merged in
+        # search built for (set, vertex), whatever order set merged in
         code, tree = SEARCH_INPUTS[name]()
         kwargs = SEARCH_MODES[mode]
         fresh = {}
-        for cand in tree.ascending_labelings():
+        for cand in oracles.ascending_labelings(tree):
             report = run_concentrating(code, tree, cand, **kwargs).cost_report
             for i in range(1, len(cand)):
                 key = (frozenset(cand[i + 1 :]), cand[i])
                 fresh.setdefault(key, set()).add(report.cost_of(cand[i]))
-        costs = protocols._set_stage_costs(
-            code, tree, mode=kwargs.get("mode", "tight"), rank_rtol=RANK_RTOL
-        )
-        assert {key: {edge.k} for key, edge in costs.items()} == fresh
+        real, built = protocols._concentrate_stage, {}
+
+        def recorded(live, tree, vertex, **kwargs):
+            stage = real(live, tree, vertex, **kwargs)
+            # a vertex that has merged holds no register any more
+            held = {r.owner for r in live.regs}
+            merged = frozenset(v for v in tree.vertices if v not in held)
+            built.setdefault((merged, vertex), set()).add(stage.edge.k)
+            return stage
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", recorded)
+        optimize_labeling(code, tree, mode=kwargs.get("mode", "tight"))
+        assert built == fresh
 
     def test_each_set_stage_is_built_once(self, monkeypatch):
         # one stage per (set, vertex) key: a star with n − 1 leaves has

@@ -68,7 +68,7 @@ class TestChannelReplay:
         # mixed party dimensions, so a register mix-up changes the marginal's shape
         code = random_code(np.random.default_rng(31), 2, (2, 3, 2, 2))
         tree = star_tree(4)
-        for labeling in tree.ascending_labelings():
+        for labeling in oracles.ascending_labelings(tree):
             check = verify_spreading_channel(code, tree, labeling=labeling, samples=2)
             assert check.max_trace_distance <= 1e-10, labeling
         check = verify_spreading_channel(
