@@ -36,11 +36,22 @@ REFERENCE_ID = "R"
 # this large are already far beyond what the protocols can decompose.
 MAX_CODE_ENTRIES = 2**20
 
+# Most parties a code may have.  NumPy arrays have at most 64 axes, and the
+# most a run reshapes rows to is 4 + N: the rows axis, R, one per party, and
+# the resource halves A₀ and B₀ a split (or a traced merge) attaches while
+# every other register is still held.
+MAX_PARTIES = 60
+
 
 def _check_size(logical_dim: int, dims) -> None:
-    """Refuse a D·∏ dims code matrix past MAX_CODE_ENTRIES; stops at the first factor past it."""
+    """Refuse more than MAX_PARTIES dims, or a D·∏ dims code matrix past MAX_CODE_ENTRIES.
+
+    Stops at the first factor past either, so nothing is allocated.
+    """
     entries = logical_dim
-    for d in dims:
+    for count, d in enumerate(dims, 1):
+        if count > MAX_PARTIES:
+            raise TooLarge(f"code has more than {MAX_PARTIES} parties")
         entries *= d
         if entries > MAX_CODE_ENTRIES:
             raise TooLarge(
@@ -66,6 +77,8 @@ class IsometryCode:
             raise DimensionMismatch(
                 f"{len(parties)} parties but {len(dims)} physical dimensions"
             )
+        if len(parties) > MAX_PARTIES:
+            raise TooLarge(f"code has more than {MAX_PARTIES} parties")
         if self.logical_dim < 1 or any(d < 1 for d in dims):
             raise DimensionMismatch("dimensions must be positive")
         mat = np.array(self.matrix, dtype=complex)

@@ -787,8 +787,7 @@ def _merge_post_rows(protos, amps, regs, outcomes=None):
 
 def _post_registers(protocol: MergeProtocol, regs) -> tuple[Register, ...]:
     """The registers of ``protocol``'s post rows on states over ``regs``: (rest…, B₀), B₀ when K > 1."""
-    b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
-    return (*(r for r in regs if r.id not in protocol.a_ids), *b0)
+    return (*(r for r in regs if r.id not in protocol.a_ids), *_b0(protocol))
 
 
 def merge_post_state(
@@ -820,18 +819,41 @@ def correction_event(protocol: MergeProtocol, outcome: int, matrix=None) -> dict
     """U_m at the receiver: (B…, B₀) → (B′ = A-copy…, B…), all held by the receiver.
 
     A dead outcome has no correction: it raises ZeroProbabilityBranch.
-    ``matrix`` stands in for U_m when given (the replay's per-row stack).
+    ``matrix`` stands in for U_m when given (a per-row stack).
     """
     if protocol.zero_mask[outcome]:
         msg = f"outcome {outcome} at {protocol.sender!r} has zero probability"
         raise ZeroProbabilityBranch(msg)
     recv = protocol.receiver
     b_regs = [Register(i, d, recv) for i, d in zip(protocol.b_ids, protocol.b_dims)]
-    b0 = [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
     a_copy = [Register(i, d, recv) for i, d in zip(protocol.a_ids, protocol.a_dims)]
     if matrix is None:
         matrix = correction_matrices(protocol, [outcome])[0]
-    return isometry_event(recv, matrix, b_regs + b0, a_copy + b_regs)
+    return isometry_event(recv, matrix, b_regs + _b0(protocol), a_copy + b_regs)
+
+
+def correction_rows_event(runs) -> dict:
+    """One event applying each row's U_m: ``runs`` holds (protocol, outcomes) per run of rows.
+
+    The rows' maps are stacked, or one map when every row walks the same
+    (record, outcome).  A run of fallback records only acts on B₀:
+    U_m = w_m ⊗ 1_B, so the event maps B₀ to the A-copy registers by
+    w_m (:func:`_teleport_rows`), and nothing dense is built.  Otherwise
+    it carries the dense U_m (:func:`correction_event`).  Every outcome
+    must be live: the replay only walks live branches.
+    """
+    proto, outcomes = runs[0][0], np.asarray(runs[0][1])
+    if any(p.frame is None for p, _ in runs):
+        one = len(runs) == 1 and (outcomes == outcomes[0]).all()
+        return correction_event(proto, int(outcomes[0]), None if one else correction_matrices(*runs[0], *runs[1:]))
+    w, gather = _teleport_rows(runs)
+    a_copy = [Register(i, d, proto.receiver) for i, d in zip(proto.a_ids, proto.a_dims)]
+    return isometry_event(proto.receiver, w[0] if len(w) == 1 else w[gather], _b0(proto), a_copy)
+
+
+def _b0(protocol: MergeProtocol) -> list[Register]:
+    """The receiver's resource half B₀, when K > 1."""
+    return [Register(protocol.b0_id, protocol.k, protocol.b0_owner)] if protocol.k > 1 else []
 
 
 def measurement_matrix(protocol: MergeProtocol) -> np.ndarray:
@@ -841,33 +863,42 @@ def measurement_matrix(protocol: MergeProtocol) -> np.ndarray:
     return _teleport_columns(protocol.frame[None], protocol.kmin, protocol.k)[0]
 
 
+def _teleport_rows(runs) -> tuple[np.ndarray, np.ndarray]:
+    """w_m (dA × K) of fallback ``runs``, (protocol, outcomes) each: (distinct blocks, gather).
+
+    Each distinct (record, outcome) is derived once, in (record, outcome)
+    order; ``blocks[gather]`` lists every run's outcomes in turn.
+    """
+    covered = [np.arange(p.k * p.kmin)[m] for p, m in runs]
+    width = max(p.k * p.kmin for p, _ in runs)
+    record = np.repeat(np.arange(len(runs)), [len(c) for c in covered])
+    keys, gather = np.unique(record * width + np.concatenate(covered), return_inverse=True)
+    record, outs = np.divmod(keys, width)
+    frames, k = np.array([p.frame for p, _ in runs]), runs[0][0].k
+    ranks = np.array([p.kmin for p, _ in runs])[record]
+    w = np.empty((len(keys), frames.shape[1], k), dtype=complex)
+    for n in set(ranks.tolist()):  # one rank, unless the rows of a stage differ
+        w[ranks == n] = _teleport_blocks(frames, n, k, record[ranks == n], outs[ranks == n])
+    return w, gather
+
+
 def correction_matrices(protocol: MergeProtocol, outcomes=slice(None), *runs) -> np.ndarray:
     """U_m of ``protocol`` at the ``outcomes`` it covers (all by default), stacked.
 
     Each further (protocol, outcomes) pair in ``runs`` appends its own.  A
     fallback's U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t] come from its frame:
     each run of consecutive fallback parts derives and expands every distinct
-    (record, outcome) once, then gathers the rows.
+    (record, outcome) once (:func:`_teleport_rows`), then gathers the rows.
     """
     db, mats = math.prod(protocol.b_dims), []
     for teleport, part in groupby(((protocol, outcomes), *runs), lambda run: run[0].frame is not None):
         if not teleport:
             mats.append(np.concatenate([np.asarray(p.corrections)[m] for p, m in part]))
             continue
-        part = list(part)
-        covered = [np.arange(p.k * p.kmin)[m] for p, m in part]
-        width = max(p.k * p.kmin for p, _ in part)
-        record = np.repeat(np.arange(len(part)), [len(c) for c in covered])
-        keys, gather = np.unique(record * width + np.concatenate(covered), return_inverse=True)
-        record, outs = np.divmod(keys, width)
-        frames, k = np.array([p.frame for p, _ in part]), part[0][0].k
-        ranks = np.array([p.kmin for p, _ in part])[record]
-        w = np.empty((len(keys), frames.shape[1], k), dtype=complex)
-        for n in set(ranks.tolist()):  # one rank, unless the rows of a stage differ
-            w[ranks == n] = _teleport_blocks(frames, n, k, record[ranks == n], outs[ranks == n])
-        dense = np.zeros((len(w), w.shape[1], db * db, k), dtype=complex)
+        w, gather = _teleport_rows(list(part))
+        dense = np.zeros((len(w), w.shape[1], db * db, w.shape[2]), dtype=complex)
         dense[:, :, :: db + 1] = w[:, :, None]  # the diagonal y = y′
-        dense = dense.reshape(len(w), -1, db * k)
+        dense = dense.reshape(len(w), -1, db * w.shape[2])
         mats.append(dense if np.array_equal(gather, np.arange(len(gather))) else dense[gather])
     return mats[0] if len(mats) == 1 else np.concatenate(mats)
 

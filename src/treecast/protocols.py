@@ -53,8 +53,7 @@ from .merge_split import (
     _split_fan_out,
     build_merge_protocol,
     build_split_protocol,
-    correction_event,
-    correction_matrices,
+    correction_rows_event,
     isometry_event,
     split_cost,
 )
@@ -384,10 +383,12 @@ class _Stage:
     edge: EdgeCost
     records: dict[tuple[int, ...], MergeStepRecord]
     live: _Rows  # branches entering stage k−1
+    explored_all: bool = True  # no branch was sampled out
 
 
 def _concentrate_stage(
-    live: _Rows, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float
+    live: _Rows, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float,
+    budget: int | None = None, seed: int = 0, level: int = 0,
 ) -> _Stage:
     """``vertex`` merges what it holds into the root's collective, on every live branch.
 
@@ -398,7 +399,10 @@ def _concentrate_stage(
     on the branch states, so the stage is a function of (live, vertex).
     After the first, rows are built ``STAGE_ROWS`` at a time, and
     post-states are built only for the outcomes a protocol's
-    ``zero_mask`` leaves live.
+    ``zero_mask`` leaves live.  When more than ``budget`` branches are
+    live, ``budget`` of them are kept before any gets its path,
+    probability or normalized row: the all-zero path if live, and others
+    drawn from a generator made from ``seed`` and ``level`` alone.
     """
     parent = tree.parent(vertex)
     roles = _roles_for(live.regs, vertex)
@@ -406,7 +410,7 @@ def _concentrate_stage(
                   a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
     k_edge = None
     records: dict[tuple[int, ...], MergeStepRecord] = {}
-    paths, probs, blocks = [], [], []
+    chunks = []  # (source row, outcome, probability, unnormalized post row) per live branch
     # the first row alone, as the cost walk builds it, then the rest at its K
     bounds = [0, *range(1, len(live.paths), STAGE_ROWS), len(live.paths)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -420,14 +424,27 @@ def _concentrate_stage(
         records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
         src, outcomes, p_m, posts, regs = _merged_rows(protos, built, amps, live.regs)
         kept = p_m >= PROB_TOL
-        if not kept.all():
-            src, outcomes, p_m, posts = src[kept], outcomes[kept], p_m[kept], posts[kept]
-        paths += [prefixes[b] + (m,) for b, m in zip(src.tolist(), outcomes.tolist())]
-        probs.append(live.probs[lo + src] * p_m)
-        posts /= row_norms(posts)
-        blocks.append(posts)
-    rows = _Rows(paths, np.concatenate(probs), np.concatenate(blocks), regs)
-    return _Stage(EdgeCost(parent, vertex, k_edge), records, rows)
+        chunks.append((lo + src, outcomes, p_m, posts) if kept.all() else
+                      (lo + src[kept], outcomes[kept], p_m[kept], posts[kept]))
+    *columns, blocks = zip(*chunks)
+    src, outcomes, p_m = map(np.concatenate, columns)
+    explored_all = budget is None or len(src) <= budget
+    if not explored_all:
+        zero = np.array([not any(path) for path in live.paths])[src] & (outcomes == 0)
+        keep, rest = np.flatnonzero(zero), np.flatnonzero(~zero)
+        sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
+        drawn = sampler.choice(len(rest), size=min(len(rest), max(0, budget - len(keep))), replace=False)
+        # rows keep lexicographic path order, so the all-zero path, if live, is the first
+        picked = np.concatenate([keep, rest[np.sort(drawn)]])
+        ends = np.cumsum([len(block) for block in blocks])
+        parts = np.split(picked, np.searchsorted(picked, ends[:-1]))
+        blocks = [block[part - end + len(block)] for block, part, end in zip(blocks, parts, ends)]
+        src, outcomes, p_m = src[picked], outcomes[picked], p_m[picked]
+    posts = np.concatenate(blocks)
+    posts /= row_norms(posts)
+    paths = [live.paths[b] + (m,) for b, m in zip(src.tolist(), outcomes.tolist())]
+    rows = _Rows(paths, live.probs[src] * p_m, posts, regs)
+    return _Stage(EdgeCost(parent, vertex, k_edge), records, rows, explored_all)
 
 
 def run_concentrating(
@@ -445,11 +462,11 @@ def run_concentrating(
     Stages run from the last label to the second (``_concentrate_stage``).
     ``branch_budget`` (at least 1) caps how many branches stay live after
     each stage: the all-zero outcome path is always kept, and the others
-    are drawn from a generator made from ``seed`` and the stage alone.
-    With no budget the walk is exhaustive.  Every leaf is replayed and
-    decoded, ``REPLAY_ROWS`` leaves at a time
-    (``_replay_root_corrections``).  The cost report equals
-    ``concentrating_cost``, which follows one branch.
+    are drawn from a generator made from ``seed`` and the stage alone,
+    before the stage expands them.  With no budget the walk is
+    exhaustive.  Every leaf is replayed and decoded, ``REPLAY_ROWS``
+    leaves at a time (``_replay_root_corrections``).  The cost report
+    equals ``concentrating_cost``, which follows one branch.
     """
     if branch_budget is not None and branch_budget < 1:
         raise InputError(f"a branch budget keeps at least one branch, not {branch_budget}")
@@ -462,15 +479,13 @@ def run_concentrating(
     fallback_edges = []
 
     for level in range(len(order), 1, -1):
-        stage = _concentrate_stage(live, tree, order[level - 1], mode=mode, rank_rtol=rank_rtol)
+        stage = _concentrate_stage(live, tree, order[level - 1], mode=mode, rank_rtol=rank_rtol,
+                                   budget=branch_budget, seed=seed, level=level)
         if any(rec.protocol.strategy == "fallback-teleport" for rec in stage.records.values()):
             fallback_edges.append(stage.edge.child)
         items.append(stage.edge)
         store[level], live = stage.records, stage.live
-        del stage  # so a sampled-out branch is freed before the next stage
-        if branch_budget is not None and len(live.paths) > branch_budget:
-            explored_all = False
-            live = live.take(_sampled(live.paths, branch_budget, seed, level))
+        explored_all = explored_all and stage.explored_all
 
     branches = []
     for lo in range(0, len(live.paths), REPLAY_ROWS):
@@ -493,28 +508,17 @@ def run_concentrating(
     )
 
 
-def _sampled(paths, budget: int, seed: int, level: int) -> list[int]:
-    """Indices of ``budget`` of the ``paths``, in order, the all-zero one kept if live.
-
-    The others are drawn from a generator made from ``seed`` and ``level`` alone.
-    """
-    keep = [i for i, path in enumerate(paths) if not any(path)]
-    rest = [i for i, path in enumerate(paths) if any(path)]
-    take = min(len(rest), max(0, budget - len(keep)))
-    sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
-    picked = sampler.choice(len(rest), size=take, replace=False)
-    return keep + [rest[int(i)] for i in sorted(picked)]
-
-
 def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs):
     """Ascending replay of the deferred isometries on rows, then decode at the root.
 
     Row b of ``amps`` is a branch state over the registers ``regs`` that
     followed the outcomes ``paths[b]`` = (m_N, …, m_2).  No correction
-    acts on the reference register.  Each stage is one ``root-correction``
-    event: the one correction every row walks, or else a stack of each
-    row's own, and the decoder is one more.  Returns the decoded rows and
-    their registers.
+    acts on the reference register.  Each stage is one event
+    (``correction_rows_event``): the one correction every row walks, or
+    else a stack of each row's own.  A stage whose records all fell back
+    acts on B₀ alone, by w_m, with U_m = w_m ⊗ 1_B never formed; a tight
+    or mixed stage carries the dense U_m.  The decoder is one more event.
+    Returns the decoded rows and their registers.
     """
     n = len(order)
     # the reference register last, so every event's outputs splice in at
@@ -524,16 +528,12 @@ def _replay_root_corrections(code: IsometryCode, order, store, paths, amps, regs
     amps, regs = grouped.reshape(len(amps), -1), (*front, *rest)
     table = np.array(paths).reshape(len(paths), n - 1)
     for j in range(2, n + 1):
-        outcomes, matrix = table[:, n - j], None
+        outcomes = table[:, n - j]
         # the first row of each run of rows through the same record
         heads = [0, *(np.flatnonzero((table[1:, : n - j] != table[:-1, : n - j]).any(axis=1)) + 1)]
-        if len(heads) > 1 or (outcomes != outcomes[0]).any():
-            # rows that walk different corrections: one batch over the runs
-            bounds = zip(heads, [*heads[1:], len(paths)])
-            runs = [(store[j][paths[lo][: n - j]].protocol, outcomes[lo:hi]) for lo, hi in bounds]
-            matrix = correction_matrices(*runs[0], *runs[1:])
-        event = correction_event(store[j][paths[0][: n - j]].protocol, paths[0][n - j], matrix)
-        amps, regs, _ = apply_event(amps, regs, event)
+        bounds = zip(heads, [*heads[1:], len(paths)])
+        runs = [(store[j][paths[lo][: n - j]].protocol, outcomes[lo:hi]) for lo, hi in bounds]
+        amps, regs, _ = apply_event(amps, regs, correction_rows_event(runs))
     held = {r.id: r for r in regs}
     phys, logical = [held[p] for p in code.parties], Register("L", code.logical_dim, order[0])
     decode = isometry_event(order[0], code.matrix.conj().T, phys, [logical], kind="root-correction")

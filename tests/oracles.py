@@ -1,10 +1,11 @@
 """Reference helpers the tests share: random states, phase-blind and byte
 equality, Bell bases, the column phase rule, the solved fallback merge, the
 stored closed-form fallback arrays and dense corrections, the measured
-fallback post rows, the per-branch stage expansion, the per-leaf root
-replay, the per-state event interpreter, the per-sample channel checks,
-the per-row trace distances, the per-outcome spreading run, the
-ascending-labeling enumeration and acceptance criterion 5's codes."""
+fallback post rows, the per-branch stage expansion, the branch budget's
+draw, the per-leaf root replay (on B₀ alone or dense), the per-state event
+interpreter, the per-sample channel checks, the per-row trace distances,
+the per-outcome spreading run, the ascending-labeling enumeration and
+acceptance criterion 5's codes."""
 
 from __future__ import annotations
 
@@ -250,18 +251,45 @@ def replay_root_corrections(
     store,
     outcomes: tuple[int, ...],
     state: PureState,
+    *,
+    dense: bool = False,
 ) -> PureState:
-    """Reference: one leaf's ascending replay of the deferred isometries, then decode."""
+    """Reference: one leaf's ascending replay of the deferred isometries, then decode.
+
+    A fallback record's U_m = w_m ⊗ 1_B acts as its closed-form w_m on B₀
+    alone, as the row replay applies a stage whose records all fell back;
+    with ``dense``, every record applies its dense U_m, as the row replay
+    did before.
+    """
     n = len(order)
     for j in range(2, n + 1):
-        prefix = outcomes[: n - j]
+        proto = store[j][outcomes[: n - j]].protocol
         m_j = outcomes[n - j]
-        proto = store[j][prefix].protocol
-        state = apply_merge_correction(proto, m_j, state)
+        if dense or proto.frame is None:
+            state = apply_merge_correction(proto, m_j, state)
+            continue
+        b0 = (Register(proto.b0_id, proto.k, proto.b0_owner),) if proto.k > 1 else ()
+        a_copy = tuple(Register(i, d, proto.receiver) for i, d in zip(proto.a_ids, proto.a_dims))
+        state = apply_map(state, LinearMap(b0, a_copy, fallback_closed_form(proto)[1][m_j]))
     phys = tuple(state.register(p) for p in code.parties)
     logical = Register("L", code.logical_dim, order[0])
     decoder = LinearMap(phys, (logical,), code.matrix.conj().T)
     return apply_map(state, decoder)
+
+
+def _sampled(paths, budget: int, seed: int, level: int) -> list[int]:
+    """Reference: indices of ``budget`` of the expanded ``paths``, in order, the all-zero one kept if live.
+
+    The others are drawn from a generator made from ``seed`` and ``level``
+    alone: the draw ``run_concentrating`` made on a stage's expanded rows
+    before it drew them ahead of the expansion.
+    """
+    keep = [i for i, path in enumerate(paths) if not any(path)]
+    rest = [i for i, path in enumerate(paths) if any(path)]
+    take = min(len(rest), max(0, budget - len(keep)))
+    sampler = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level,)))
+    picked = sampler.choice(len(rest), size=take, replace=False)
+    return keep + [rest[int(i)] for i in sorted(picked)]
 
 
 def fidelity_to_reference(code: IsometryCode, final: PureState) -> float:

@@ -501,6 +501,33 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert doc["error"]["type"] == "TooLarge"
 
+    def test_code_past_the_party_bound_refused(self, capsys, tmp_path):
+        # product:2,1,…,1 with 70 parties: a 2 × 2 matrix, but rows over R
+        # and 70 parties have 72 axes, past NumPy's 64; refused at load
+        path = tmp_path / "wide.json"
+        parties = [{"name": f"v{k}", "dim": 2 if k == 1 else 1} for k in range(1, 71)]
+        entries = [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]
+        path.write_text(json.dumps({"D": 2, "parties": parties, "entries": entries}))
+        code, doc = run_json(capsys, "cost-spread", "--code", str(path), "--tree", "line:70")
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "TooLarge"
+        assert "more than 60 parties" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("tree", ["line:60", "star:60"])
+    def test_code_at_the_party_bound_runs(self, capsys, tmp_path, tree):
+        # 60 parties, a GHZ pair on v1 and v60: the K = 2 split to v60 holds
+        # rows over R, 59 parties, the buffer, A₀ and B₀ (64 axes)
+        path = tmp_path / "wide.json"
+        parties = [{"name": f"v{k}", "dim": 2 if k in (1, 60) else 1} for k in range(1, 61)]
+        entries = [[0, 0, 1.0, 0.0], [3, 1, 1.0, 0.0]]
+        path.write_text(json.dumps({"D": 2, "parties": parties, "entries": entries}))
+        trace = str(tmp_path / "spread.json")
+        code, doc = run_json(capsys, "run-spread", "--code", str(path), "--tree", tree, "--trace-out", trace)
+        assert code == 0 and edge_ks(doc)["v60"] == 2
+        code, doc = run_json(capsys, "verify-trace", trace)
+        assert code == 0
+
     def test_labeling_given_violations(self, capsys, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(

@@ -14,6 +14,7 @@ import pytest
 
 from treecast.codes import (
     MAX_CODE_ENTRIES,
+    MAX_PARTIES,
     IsometryCode,
     code_from_json,
     code_to_document,
@@ -177,6 +178,23 @@ def test_code_from_json_and_load(tmp_path):
         load_code(str(bad))
     with pytest.raises(UnknownBuiltin):
         load_code("no_such_file.json")
+
+
+def test_codes_past_the_party_bound_refused():
+    # a 2 × 2 matrix over MAX_PARTIES + 1 parties: every builtin, a code file
+    # and a direct construction refuse it; MAX_PARTIES parties load
+    wide = (2,) + (1,) * MAX_PARTIES
+    parties = [{"name": f"v{k}", "dim": d} for k, d in enumerate(wide, 1)]
+    for build in (
+        lambda: product_code(wide),
+        lambda: identity_code(2, len(wide)),
+        lambda: parse_code_spec(f"identity:2:{len(wide)}"),
+        lambda: code_from_json({"D": 2, "parties": parties, "entries": []}),
+        lambda: IsometryCode(2, tuple(f"v{k}" for k in range(len(wide))), wide, np.eye(2)),
+    ):
+        with pytest.raises(TooLarge, match=f"more than {MAX_PARTIES} parties"):
+            build()
+    assert len(product_code(wide[:-1]).parties) == MAX_PARTIES
 
 
 def test_oversized_codes_refused_before_allocation():

@@ -8,6 +8,7 @@ import numpy as np
 import oracles
 import pytest
 from oracles import (
+    _sampled,
     acceptance_corpus,
     dense_fallback_corrections,
     expanded_branches,
@@ -45,6 +46,7 @@ from treecast.errors import (
 )
 from treecast.merge_split import (
     MergeProtocol,
+    apply_merge_correction,
     build_merge_protocol,
     build_split_protocol,
     correction_matrices,
@@ -64,6 +66,7 @@ from treecast.protocols import (
     spreading_cost,
 )
 from treecast.tensors import PureState, Register, apply_event, overlap, permute_registers
+from test_merge_split import exact_merge_cases
 
 EXACT = 1.0 - 1e-9
 
@@ -956,16 +959,26 @@ def dense_record(proto):
     return dense_fallback_corrections(proto) if proto.strategy == "fallback-teleport" else proto.corrections
 
 
+def lifted(w, db):
+    """w_m ⊗ 1_B of each w_m in the stack ``w``: U_m[(x, y), (y′, t)] = δ_{yy′} w_m[x, t]."""
+    rows, da, k = w.shape
+    dense = np.zeros((rows, da, db, db, k), dtype=complex)
+    dense[:, :, np.arange(db), np.arange(db)] = w[:, :, None]
+    return dense.reshape(rows, da * db, db * k)
+
+
 def check_row_replay(code, result, monkeypatch):
     """Replay every leaf of ``result`` as rows, against the per-leaf replay.
 
-    Each stage's correction event must carry, byte for byte, the dense U_m
-    of every row's record: one map when all rows walk the same one.
+    A stage whose records all fell back is one event on B₀ alone, whose w_m,
+    lifted to w_m ⊗ 1_B, is byte for byte each row's ``correction_matrices``;
+    any other stage's event carries, byte for byte, the dense U_m of every
+    row's record.  Either is one map when all rows walk the same one.
     """
     seen = []
 
     def spy(amps, regs, event):
-        seen.append(event["matrix"])
+        seen.append(event)
         return apply_event(amps, regs, event)
 
     monkeypatch.setattr(protocols, "apply_event", spy)
@@ -975,8 +988,16 @@ def check_row_replay(code, result, monkeypatch):
     final, regs = protocols._replay_root_corrections(
         code, result.labeling, result.steps, paths, amps, leaves[0][1].registers
     )
-    for j, matrix in zip(range(2, n + 1), seen):
-        want = np.stack([dense_record(result.steps[j][p[: n - j]].protocol)[p[n - j]] for p in paths])
+    for j, event in zip(range(2, n + 1), seen):
+        protos, matrix = [result.steps[j][p[: n - j]].protocol for p in paths], event["matrix"]
+        if all(proto.frame is not None for proto in protos):
+            b0 = [protos[0].b0_id] if protos[0].k > 1 else []
+            assert [r.id for r in event["in"]] == b0 and [r.id for r in event["out"]] == list(protos[0].a_ids), j
+            lift = lifted(matrix.reshape(-1, *matrix.shape[-2:]), math.prod(protos[0].b_dims))
+            matrix = lift if matrix.ndim == 3 else lift[0]
+            want = np.concatenate([correction_matrices(proto, [p[n - j]]) for proto, p in zip(protos, paths)])
+        else:
+            want = np.stack([dense_record(proto)[p[n - j]] for proto, p in zip(protos, paths)])
         same_bytes(matrix, want if matrix.ndim == 3 else want[0])
         assert matrix.ndim == 3 or (want == want[0]).all(), j
     for (path, state), row in zip(leaves, final):
@@ -1034,13 +1055,47 @@ class TestRowReplay:
             assert {st.registers for _, _, st in ref} == {stage.live.regs}, level
             live = stage.live
             if budget is not None and len(live.paths) > budget:
-                live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
+                live = live.take(_sampled(live.paths, budget, kwargs["seed"], level))
 
     @pytest.mark.parametrize("name", REPLAY_INPUTS)
-    def test_replayed_corrections_are_the_dense_records(self, name, monkeypatch):
+    def test_replayed_corrections_lift_to_the_records(self, name, monkeypatch):
         make_code, make_tree, kwargs = REPLAY_INPUTS[name]
         code = make_code()
         check_row_replay(code, run_concentrating(code, make_tree(), **kwargs), monkeypatch)
+
+    @pytest.mark.parametrize("name", REPLAY_INPUTS)
+    def test_rows_match_the_dense_replay(self, name):
+        # the replay as it ran before fallback stages acted on B₀ alone:
+        # every record's dense U_m, leaf by leaf
+        make_code, make_tree, kwargs = REPLAY_INPUTS[name]
+        code = make_code()
+        result = run_concentrating(code, make_tree(), **kwargs)
+        leaves = walked_leaves(code, result)
+        paths, amps = [path for path, _ in leaves], np.stack([state.amplitudes for _, state in leaves])
+        final, regs = protocols._replay_root_corrections(
+            code, result.labeling, result.steps, paths, amps, leaves[0][1].registers
+        )
+        for (path, state), row in zip(leaves, final):
+            ref = replay_root_corrections(code, result.labeling, result.steps, path, state, dense=True)
+            aligned = permute_registers(ref, [r.id for r in regs])
+            assert np.abs(aligned.amplitudes - row).max() <= 1e-12, path
+
+    @pytest.mark.parametrize(
+        "psi,roles,kwargs", [case for case in exact_merge_cases() if case[2].get("mode") == "fallback"]
+    )
+    def test_b0_step_matches_the_dense_correction(self, psi, roles, kwargs):
+        # every live outcome's post row as one row, corrected by one event on
+        # B₀ alone, against the dense U_m applied to each on its own
+        proto = build_merge_protocol(psi, roles, receiver="B", **kwargs)
+        live = [m for m, dead in enumerate(proto.zero_mask) if not dead]
+        _, posts, regs = merge_split._merge_post_rows([proto], psi.amplitudes[None], psi.registers, live)
+        event = merge_split.correction_rows_event([(proto, np.array(live))])
+        assert [r.id for r in event["in"]] == ([proto.b0_id] if proto.k > 1 else []), kwargs
+        rows, out_regs, _ = apply_event(posts[0], regs, event)
+        for m, post, row in zip(live, posts[0], rows):
+            ref = apply_merge_correction(proto, m, PureState(regs, post))
+            aligned = permute_registers(ref, [r.id for r in out_regs])
+            assert np.abs(aligned.amplitudes - row).max() <= 1e-12, m
 
     @pytest.mark.parametrize(
         "name", [name for name, case in REPLAY_INPUTS.items() if case[2].get("mode") == "fallback"]
@@ -1136,7 +1191,7 @@ def fallback_stages(name):
         yield live, tree, vertex, stage
         live = stage.live
         if budget is not None and len(live.paths) > budget:
-            live = live.take(protocols._sampled(live.paths, budget, kwargs["seed"], level))
+            live = live.take(_sampled(live.paths, budget, kwargs["seed"], level))
 
 
 def one_row_builds(live, tree, vertex, k):
@@ -1298,3 +1353,104 @@ def test_sampling_keeps_its_draws(name):
     assert [o for o, _ in got] == [tuple(map(int, t.split(","))) for t in text.split()]
     # every kept path has the same probability, recorded to the last few bits
     assert np.allclose([p for _, p in got], prob, rtol=1e-14, atol=0)
+
+
+# -- a branch budget keeps its rows before the stage expands them ----------------------
+
+
+def sampled_walk(code, tree, budget, seed, mode):
+    """Reference: (rows entering it, vertex, level, the rows the budget keeps, explored) per stage.
+
+    Each stage is expanded in full, then ``budget`` of its rows are kept by
+    ``_sampled``, as ``run_concentrating`` sampled before it drew ahead of
+    the expansion.
+    """
+    order, live = tree.default_labeling(), protocols._first_branch(code)
+    for level in range(len(order), 1, -1):
+        vertex = order[level - 1]
+        rows = protocols._concentrate_stage(live, tree, vertex, mode=mode, rank_rtol=RANK_RTOL).live
+        explored = len(rows.paths) <= budget
+        kept = rows if explored else rows.take(_sampled(rows.paths, budget, seed, level))
+        yield live, vertex, level, kept, explored
+        live = kept
+
+
+# (code, tree, mode) of the sampled walks; five_qubit on line:5 in fallback
+# mode expands 4, 64, 4,096 and 1,536 rows at budget 96
+SAMPLED_INPUTS = {
+    "five_qubit-line-fallback": (five_qubit_code, lambda: line_tree(5), "fallback"),
+    "five_qubit-line-tight": (five_qubit_code, lambda: line_tree(5), "tight"),
+    "star4-fallback": (star4_code, lambda: star_tree(4), "fallback"),
+    "random-star3-fallback": (
+        lambda: random_code(np.random.default_rng(41), 2, (2, 2, 2)), lambda: star_tree(3), "fallback"
+    ),
+}
+
+
+class TestSampledStages:
+    @pytest.mark.parametrize("seed", [3, 911])
+    @pytest.mark.parametrize("budget", [1, 5, 96])
+    @pytest.mark.parametrize("name", SAMPLED_INPUTS)
+    def test_stages_keep_the_oracle_rows(self, name, budget, seed):
+        # the kept paths, probabilities and rows, to the byte, against the
+        # full expansion sampled afterwards
+        make_code, make_tree, mode = SAMPLED_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        for live, vertex, level, want, explored in sampled_walk(code, tree, budget, seed, mode):
+            stage = protocols._concentrate_stage(live, tree, vertex, mode=mode, rank_rtol=RANK_RTOL,
+                                                 budget=budget, seed=seed, level=level)
+            assert_same_rows(stage.live, want, (vertex, budget))
+            assert stage.explored_all == explored, (vertex, budget)
+
+    @pytest.mark.parametrize("name", SAMPLED_INPUTS)
+    def test_a_budget_at_the_expanded_count(self, name):
+        # at a stage's expanded count every row stays; one less samples one out
+        make_code, make_tree, mode = SAMPLED_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        order, live = tree.default_labeling(), protocols._first_branch(code)
+        for level in range(len(order), 2, -1):
+            vertex = order[level - 1]
+            full = protocols._concentrate_stage(live, tree, vertex, mode=mode, rank_rtol=RANK_RTOL)
+            count = len(full.live.paths)
+            assert count > 1, vertex
+            for budget in (count, count + 1, count - 1):
+                stage = protocols._concentrate_stage(live, tree, vertex, mode=mode, rank_rtol=RANK_RTOL,
+                                                     budget=budget, seed=5, level=level)
+                want = full.live if budget >= count else full.live.take(_sampled(full.live.paths, budget, 5, level))
+                assert_same_rows(stage.live, want, (vertex, budget))
+                assert stage.explored_all == (budget >= count), (vertex, budget)
+            live = full.live.take(range(min(count, 24)))
+
+    @pytest.mark.parametrize("budget", [1, 5, 96, 4096])
+    def test_a_stage_whose_all_zero_path_is_dead(self, budget):
+        # no row's path is all zero, so every kept row is drawn
+        live = rank_rows((2, 2, 1, 2) * 8)
+        live = dataclasses.replace(live, paths=[(b + 1,) for b in range(len(live.paths))])
+        tree = line_tree(2)
+        full = protocols._concentrate_stage(live, tree, "v2", mode="fallback", rank_rtol=RANK_RTOL)
+        assert all(any(path) for path in full.live.paths) and len(full.live.paths) == 112
+        stage = protocols._concentrate_stage(live, tree, "v2", mode="fallback", rank_rtol=RANK_RTOL,
+                                             budget=budget, seed=7, level=2)
+        explored = budget >= len(full.live.paths)
+        want = full.live if explored else full.live.take(_sampled(full.live.paths, budget, 7, 2))
+        assert_same_rows(stage.live, want, budget)
+        assert stage.explored_all == explored and len(stage.live.paths) == min(budget, 112)
+
+    # a budget of 70,000 keeps every branch; five_qubit's 65,536 fallback
+    # leaves are left to the exhaustive runs
+    @pytest.mark.parametrize("name, budget", [
+        (name, budget) for name in SAMPLED_INPUTS for budget in (1, 5, 96, 70_000)
+        if (name, budget) != ("five_qubit-line-fallback", 70_000)
+    ])
+    def test_runs_keep_the_oracle_branches(self, name, budget):
+        # coverage, explored_all and every branch's path and probability, to
+        # the byte, against the sampled walk
+        make_code, make_tree, mode = SAMPLED_INPUTS[name]
+        code, tree = make_code(), make_tree()
+        walk = list(sampled_walk(code, tree, budget, 911, mode))
+        result = run_concentrating(code, tree, mode=mode, branch_budget=budget, seed=911)
+        final = walk[-1][3]
+        assert [br.outcomes for br in result.branches] == final.paths
+        same_bytes(np.array([br.probability for br in result.branches]), final.probs)
+        assert result.coverage == float(sum(final.probs.tolist()))
+        assert result.explored_all == all(explored for *_, explored in walk)
