@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -705,9 +706,14 @@ def _fail(args, exc, exit_code: int) -> int:
     return exit_code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "seed"):
             _check_seed(args.seed)

@@ -11,18 +11,21 @@ handing A's share to B is K = max_j ⌈λ₀(j)·dim a_j^R⌉ with λ₀ the top
 junk eigenvalue.
 
 Algorithm: restrict to the marginal supports, form the B-contracted
-transfer operators T_{rr′}, compute their joint commutant and its
-center by null-space linear algebra, split along the center's spectral
-projections, and factor each central block through the commutant's
-matrix-unit structure.  The spectral split can cut finer than the
-redundancy structure (it also separates distinct junk eigenvalues), so
-a greedy merge pass follows.  Each block's content transfer operators
-φ_r φ_{r′}† act irreducibly on a^R, so by Schur's lemma the commutant of
-diag(T^i, T^j) has dimension 4 exactly when φ_i and φ_j agree up to
-local unitaries; its off-diagonal corner then gives the unitary that
-aligns the two frames, and the pair is re-united, gated by a
-certificate that the united block still factors as ω ⊗ φ.  Every
-emitted decomposition is re-verified against the input state.
+transfer operators T_{rr′}, and compute their joint commutant by one
+null-space solve.  The commutant is ⊕_c M_m ⊗ 1_n in some frame, and
+one pass over two generic elements of it reads off every block: the
+eigenspaces of a Hermitian one are the (c, l) slots, another links the
+slots of one c and aligns their n-side frames.  These blocks can cut
+finer than the redundancy structure (they also separate distinct junk
+eigenvalues), so a greedy merge pass follows.  Each block's content
+transfer operators φ_r φ_{r′}† act irreducibly on a^R, so by Schur's
+lemma the commutant of diag(T^i, T^j) has dimension 4 exactly when φ_i
+and φ_j agree up to local unitaries; its off-diagonal corner then gives
+the unitary that aligns the two frames, and the pair is re-united, gated
+by a certificate that the united block still factors as ω ⊗ φ.  A pair
+whose R′ marginals differ cannot agree so, and is rejected before the
+commutant is solved.  Every emitted decomposition is re-verified
+against the input state.
 """
 
 from __future__ import annotations
@@ -161,15 +164,20 @@ def _b_frame(flat: np.ndarray, lvecs: np.ndarray, evecs: np.ndarray) -> np.ndarr
 
 
 def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
-    """Orthonormal eigenbasis of supp(rho), descending eigenvalues.
-
-    Raises InputError when the rank cut drops real weight
-    (:func:`~treecast.tensors.check_rank_cut`), as every rank decision
-    does, and otherwise NumericalDegeneracy when an eigenvalue sits
-    inside the ambiguity band around the rank cutoff.
-    """
+    """Orthonormal eigenbasis of supp(rho), descending eigenvalues, cut by :func:`_rank_cut`."""
     vals, vecs = np.linalg.eigh(rho)
     vals, vecs = vals[::-1], vecs[:, ::-1]
+    return phase_fixed(vecs[:, vals > _rank_cut(vals, rank_rtol)])
+
+
+def _rank_cut(vals: np.ndarray, rank_rtol: float) -> float:
+    """The rank cutoff of a descending marginal spectrum.
+
+    Raises InputError when the cut drops real weight
+    (:func:`~treecast.tensors.check_rank_cut`), as every rank decision
+    does, and otherwise NumericalDegeneracy when an eigenvalue sits
+    inside the ambiguity band around the cutoff.
+    """
     top = max(float(vals[0]), 0.0)
     if top <= 0.0:
         raise ShapeMismatch("zero marginal has no support")
@@ -180,9 +188,7 @@ def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
         raise NumericalDegeneracy(
             "marginal eigenvalue falls inside the rank tolerance band"
         )
-    keep = vals > cut
-    basis = vecs[:, keep]
-    return phase_fixed(basis)
+    return cut
 
 
 def _commutant_basis(ops, dim: int) -> np.ndarray:
@@ -220,21 +226,10 @@ def _commutator_stack(ops, dim: int) -> np.ndarray:
     return stacked.reshape(-1, dim * dim)
 
 
-def _random_hermitian(basis, rng) -> np.ndarray:
-    dim = basis[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for x in basis:
-        acc += rng.standard_normal() * (x + x.conj().T)
-        acc += rng.standard_normal() * 1j * (x - x.conj().T)
-    return acc
-
-
-def _random_element(basis, rng) -> np.ndarray:
-    dim = basis[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for x in basis:
-        acc += (rng.standard_normal() + 1j * rng.standard_normal()) * x
-    return acc
+def _generic_element(basis, rng) -> np.ndarray:
+    """Σ_x (a_x + i b_x) x, with every a_x, b_x from one draw."""
+    a, b = rng.standard_normal((2, len(basis)))
+    return ((a + 1j * b) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
 
 
 def _cluster(vals: np.ndarray):
@@ -252,65 +247,64 @@ def _cluster(vals: np.ndarray):
     return groups
 
 
-def _central_split(t_ops, comm, rng) -> list[np.ndarray]:
-    """Frames (columns orthonormal) of the minimal central subspaces."""
-    dim = comm.shape[1]
-    pairs = np.stack([comm, comm.conj().transpose(0, 2, 1)], axis=1)  # each x, then x†
-    center = _commutant_basis(np.concatenate([t_ops, pairs.reshape(-1, dim, dim)]), dim)
-    for _ in range(_RESAMPLE_BUDGET):
-        z = _random_hermitian(center, rng)
-        vals, vecs = np.linalg.eigh(z)
-        groups = _cluster(vals)
-        if groups is None:
-            continue
-        return [vecs[:, a:b] for a, b in groups]
-    raise NumericalDegeneracy("central eigenvalue clustering stayed ambiguous")
+def _block_frames(comm, rng) -> list[tuple[np.ndarray, int, int]]:
+    """Tensor frame V, m and n of each block of the commutant ⊕_c M_m ⊗ 1_n.
 
-
-def _factor_block(frame: np.ndarray, comm, rng) -> tuple[np.ndarray, int, int]:
-    """Tensor frame V of one central block: columns (l, ρ), l slowest.
-
-    On the block, the commutant is a full matrix algebra M_m ⊗ 1_n; m
-    is recovered from the spectrum of a random Hermitian commutant
-    element and the n-side frames are aligned through a generic linking
-    element.
+    V's columns run over (l, ρ), l slowest.  A generic Hermitian element
+    is ⊕_c h_c ⊗ 1_n with simple spectra, so its eigenspaces are one slot
+    per (c, l), each of dimension n.  A generic element G links slots a
+    and b (V_a† G V_b ≠ 0) exactly when they lie in one c, and P_a G w₀,
+    normalized, carries the first slot's frame w₀ onto slot a.
     """
-    s_c = frame.shape[1]
-    restricted = frame.conj().T @ comm @ frame
     for _ in range(_RESAMPLE_BUDGET):
-        c = _random_hermitian(restricted, rng)
-        vals, vecs = np.linalg.eigh(c)
+        y = _generic_element(comm, rng)
+        vals, vecs = np.linalg.eigh(y + y.conj().T)
         groups = _cluster(vals)
-        if groups is None:
+        if groups is not None:
+            frames = _linked_frames(vecs, groups, _generic_element(comm, rng))
+            if frames is not None:
+                return frames
+    raise NumericalDegeneracy("commutant block structure could not be resolved")
+
+
+def _linked_frames(vecs, groups, g):
+    """Group the eigenspace slots ``groups`` of ``vecs`` into blocks through ``g``.
+
+    None when the links do not describe a block structure: slots of
+    unequal size in one block, a link between two blocks, or a frame
+    that is not orthonormal.
+    """
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(g)))
+    starts = [a for a, _ in groups]
+    links = vecs.conj().T @ g @ vecs
+    sq = np.add.reduceat(np.add.reduceat(np.abs(links) ** 2, starts, axis=0), starts, axis=1)
+    linked = sq > tol * tol
+    label = np.full(len(groups), -1)
+    frames = []
+    for first, (a0, b0) in enumerate(groups):
+        if label[first] >= 0:
             continue
-        sizes = {b - a for a, b in groups}
-        if len(sizes) != 1:
-            continue
-        n = sizes.pop()
-        m = len(groups)
-        if m * n != s_c:
-            continue
-        if m == 1:
-            return np.eye(s_c, dtype=complex), 1, s_c
-        w0 = vecs[:, groups[0][0] : groups[0][1]]
-        for _ in range(_RESAMPLE_BUDGET):
-            g = _random_element(restricted, rng)
-            cols = [w0]
-            ok = True
-            for a, b in groups[1:]:
-                p_a = vecs[:, a:b] @ vecs[:, a:b].conj().T
-                t = p_a @ g @ w0
-                z = float(np.linalg.norm(t[:, 0]))
-                if z < 1e-8 * max(1.0, float(np.linalg.norm(g))):
-                    ok = False
-                    break
-                cols.append(t / z)
-            if not ok:
-                continue
-            v = np.hstack(cols)
-            if np.abs(v.conj().T @ v - np.eye(s_c)).max() < 1e-8:
-                return v, m, n
-    raise NumericalDegeneracy("commutant factor structure could not be resolved")
+        later = range(first + 1, len(groups))
+        members = [first] + [a for a in later if label[a] < 0 and linked[a, first]]
+        label[members] = len(frames)
+        n = b0 - a0
+        cols = [vecs[:, a0:b0]]
+        for a in members[1:]:
+            lo, hi = groups[a]
+            if hi - lo != n:
+                return None
+            t = vecs[:, lo:hi] @ links[lo:hi, a0:b0]
+            z = float(np.linalg.norm(t[:, 0]))
+            if z <= tol:
+                return None
+            cols.append(t / z)
+        v = np.hstack(cols)
+        if not np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-8:
+            return None
+        frames.append((v, len(members), n))
+    if (linked & (label[:, None] != label[None, :])).any():
+        return None
+    return frames
 
 
 @dataclass
@@ -439,6 +433,8 @@ def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float):
     if bi.n != bj.n or bi.nu.size != bj.nu.size or not np.allclose(bi.nu, bj.nu, atol=1e-7):
         return None
     fi, fj = ((b.evecs * np.sqrt(b.nu)).reshape(dR, b.n, -1) for b in (bi, bj))
+    if np.abs(_marginal(fi, 0) - _marginal(fj, 0)).max() > 1e-7:
+        return None  # the R′ marginals Tr T_{rr′} differ, so no intertwiner exists
     u = _intertwiner(fi, fj)
     if u is None:
         return None
@@ -475,10 +471,10 @@ def ki_decompose(
 ) -> KiDecomposition:
     """Decompose ψ^{R′AB}; ``roles`` maps "R"/"A"/"B" to register id sets.
 
-    The central split and the block factoring draw generic commutant
-    elements (Murota, Kanno, Kojima and Kojima, JJIAM 27, 125, 2010) from
-    a generator created afresh for each call, so the decomposition is a
-    function of the state alone.
+    The block structure comes from generic commutant elements (Murota,
+    Kanno, Kojima and Kojima, JJIAM 27, 125, 2010) drawn from a generator
+    created afresh for each call, so the decomposition is a function of
+    the state alone.
     """
     rng = np.random.default_rng(0)
     r_ids, a_ids, b_ids = _parse_roles(psi, roles)
@@ -493,22 +489,17 @@ def ki_decompose(
 
     e_a = _support_basis(_marginal(psi3, 1), rank_rtol)
     s_a = e_a.shape[1]
-    _support_basis(_marginal(psi3, 2), rank_rtol)  # degeneracy guard on the B side
+    _rank_cut(np.linalg.eigvalsh(_marginal(psi3, 2))[::-1], rank_rtol)  # B-side guard
 
-    t_ops = _transfer_ops(_a_coords(psi3, e_a))
-    comm = _commutant_basis(t_ops, s_a)
-    frames = _central_split(t_ops, comm, rng)
-
+    comm = _commutant_basis(_transfer_ops(_a_coords(psi3, e_a)), s_a)
     blocks: list[_BlockData] = []
-    for frame in frames:
-        v, m, n = _factor_block(frame, comm, rng)
-        emb = e_a @ frame @ v
-        data = _extract_block(psi3, emb, m, n, rank_rtol)
+    for v, m, n in _block_frames(comm, rng):
+        data = _extract_block(psi3, e_a @ v, m, n, rank_rtol)
         if data is None:
             raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
         blocks.append(data)
 
-    # merge pass: re-unite blocks that the spectral split cut apart
+    # merge pass: re-unite blocks that the block pass cut apart
     blocks = _canonical_order(blocks)
     merged = True
     while merged:

@@ -565,13 +565,12 @@ def _branch_walk(
 ):
     """Stages of ``order`` on one branch: (their edge costs, the one-row branch reached).
 
-    After a set S has merged, each branch holds ψ with S's registers
-    regrouped at their nearest unmerged ancestors, up to local unitaries
-    and product junk.  Koashi–Imoto block structure, and so the tight K,
-    is invariant under local unitaries, as is the fallback's marginal
-    rank.  So a stage's K depends on S and the vertex, not on the order
-    S merged in nor on the branch, and each stage is built on the one
-    branch the walk carries.  With ``outcomes`` None the walk runs all
+    A stage's K depends only on the merged set S and the vertex, not on
+    the order S merged in nor on the branch; the tests check this on
+    every order of their search inputs.  It is not that a branch equals
+    the regrouped code state up to local unitaries: tight K can change
+    under a local unitary on one party.  So each stage is built on the
+    one branch the walk carries.  With ``outcomes`` None the walk runs all
     N − 1 stages, carrying each one's first live outcome; otherwise it
     runs one stage per outcome named and carries that outcome.  An
     outcome outside a stage's range, or of zero probability, raises

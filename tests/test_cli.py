@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import treecast.cli as cli
 import treecast.trace as trace_mod
 from treecast.cli import main
 from treecast.errors import SynthesisFailed
@@ -1093,3 +1094,42 @@ class TestDeterminism:
             )
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_prints_what_a_new_one_prints(self, capsys, monkeypatch, tmp_path):
+        s = 0.5 ** 0.5
+        spec = {
+            "registers": [
+                {"id": "R", "dim": 2, "owner": "reference"},
+                {"id": "a", "dim": 2, "owner": "A"},
+                {"id": "b", "dim": 2, "owner": "B"},
+            ],
+            "amplitudes": [[s, 0.0]] + [[0.0, 0.0]] * 6 + [[s, 0.0]],
+            "roles": {"R": ["R"], "A": ["a"], "B": ["b"]},
+        }
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(spec))
+        calls = [
+            ["ki", "--code", "five_qubit", "--tree", "line:5", "--prefix", "0"],
+            # flags the call before passed must not count as passed here
+            ["ki", "--state", str(path)],
+            ["cost-spread", "--code", "five_qubit", "--tree", "line:5", "--labeling", "every"],
+            ["cost-spread", "--code", "five_qubit", "--tree", "line:5"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects by exiting
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [outcome(argv) for argv in calls]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert cli._parser() is not cli._parser()
+        assert reused == [outcome(argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [0, 0, ("exit", 2), 0]
+        assert "invalid choice" in reused[2][2]

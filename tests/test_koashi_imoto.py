@@ -87,9 +87,14 @@ class TestGoldenStructures:
         assert abs(blk.lambda0 - 1.0) < 1e-9
         assert merge_cost_K(dec) == 2
 
-    def test_five_qubit_step_two_splits_into_two_scalar_blocks(self):
+    def test_five_qubit_step_two_splits_into_two_scalar_blocks(self, monkeypatch):
         psi = five_qubit_phi2()
+        solved = []
+        real = koashi_imoto._intertwiner
+        monkeypatch.setattr(koashi_imoto, "_intertwiner", lambda *a: solved.append(a) or real(*a))
         dec = ki_decompose(psi, {"R": ["R"], "A": ["v2"], "B": ["v1"]})
+        # the blocks' R′ marginals differ, so the merge pass solves no commutant
+        assert solved == []
         check_invariants(psi, dec)
         assert len(dec.blocks) == 2
         for blk in dec.blocks:
@@ -383,6 +388,57 @@ class TestKnownBlocks:
         truth = [(1.0, len(mu), 3, 2, mu[0])]
         assert expected_cost(truth) == math.ceil(mu[0] * 3)
         assert_recovers(psi, truth)
+
+
+# -- the block pass on planted commutants -----------------------------------------
+
+# (m, n) per block of a commutant ⊕ M_m ⊗ 1_n
+PLANTED_SHAPES = [
+    [(1, 1), (1, 1)],
+    [(2, 1)],
+    [(1, 3)],
+    [(2, 2), (1, 1)],
+    [(3, 1), (1, 2)],
+]
+
+
+def planted_commutant(rng, shapes):
+    """Matrix units E_ij ⊗ 1_n of ⊕ M_m ⊗ 1_n under a Haar U, and U's block columns."""
+    dim = sum(m * n for m, n in shapes)
+    u = haar_unitary(rng, dim)
+    gens, spans, off = [], [], 0
+    for m, n in shapes:
+        for i, j in itertools.product(range(m), repeat=2):
+            unit = np.zeros((m, m))
+            unit[i, j] = 1.0
+            x = np.zeros((dim, dim), dtype=complex)
+            x[off : off + m * n, off : off + m * n] = np.kron(unit, np.eye(n))
+            gens.append(u @ x @ u.conj().T)
+        spans.append(u[:, off : off + m * n])
+        off += m * n
+    return np.array(gens), spans
+
+
+class TestPlantedBlockStructure:
+    @pytest.mark.parametrize("index", range(len(PLANTED_SHAPES)), ids=lambda i: str(PLANTED_SHAPES[i]))
+    def test_recovers_planted_blocks(self, index):
+        shapes = PLANTED_SHAPES[index]
+        gens, spans = planted_commutant(np.random.default_rng(3600 + index), shapes)
+        frames = koashi_imoto._block_frames(gens, np.random.default_rng(0))
+        assert sorted((m, n) for _, m, n in frames) == sorted(shapes)
+        planted = [s @ s.conj().T for s in spans]
+        matched = []
+        for v, m, n in frames:
+            assert v.shape == (len(planted[0]), m * n)
+            assert np.abs(v.conj().T @ v - np.eye(m * n)).max() <= 1e-10
+            proj = v @ v.conj().T
+            matched += [k for k, p in enumerate(planted) if np.abs(proj - p).max() <= 1e-10]
+            # product form: V† A V = a ⊗ 1_n for every generator A
+            for a in gens:
+                c = (v.conj().T @ a @ v).reshape(m, n, m, n)
+                product = np.einsum("ik,jl->ijkl", c[:, 0, :, 0], np.eye(n))
+                assert np.abs(c - product).max() <= 1e-10
+        assert sorted(matched) == list(range(len(shapes)))
 
 
 # -- the merge pass against the former alternating search ------------------------

@@ -66,6 +66,7 @@ from treecast.protocols import (
     spreading_cost,
 )
 from treecast.tensors import PureState, Register, apply_event, overlap, permute_registers
+from test_koashi_imoto import haar_unitary
 from test_merge_split import exact_merge_cases
 
 EXACT = 1.0 - 1e-9
@@ -1454,3 +1455,54 @@ class TestSampledStages:
         same_bytes(np.array([br.probability for br in result.branches]), final.probs)
         assert result.coverage == float(sum(final.probs.tolist()))
         assert result.explored_all == all(explored for *_, explored in walk)
+
+
+# -- costs that the parties' local frames must not move ----------------------------
+
+
+def locally_transformed(code, ops):
+    """``code`` with the isometry ops[i], shaped (d′_i, d_i), applied to party i."""
+    t = code.matrix.reshape(*code.physical_dims, code.logical_dim)
+    for axis, op in enumerate(ops):
+        t = np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
+    dims = tuple(op.shape[0] for op in ops)
+    return IsometryCode(code.logical_dim, code.parties, dims, t.reshape(-1, code.logical_dim))
+
+
+# five_qubit is left out: its tight costs do move under a local unitary
+FRAME_INPUTS = {
+    "star4": lambda: (star4_code(), star_tree(4)),
+    "ghz4": lambda: (ghz_code(4), star_tree(4)),
+    "random-line4": lambda: (random_code(np.random.default_rng(2), 2, [2] * 4), line_tree(4)),
+}
+
+
+def frame_free_costs(code, tree):
+    """Spreading, fallback and tight costs per edge, and the tight search's least product of K."""
+    _, best = optimize_labeling(code, tree)
+    return (
+        spreading_cost(code, tree).by_child(),
+        concentrating_cost(code, tree, mode="fallback").by_child(),
+        concentrating_cost(code, tree).by_child(),
+        math.prod(best.by_child().values()),
+    )
+
+
+class TestCostsIgnoreLocalFrames:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", FRAME_INPUTS)
+    def test_haar_unitary_on_every_party(self, name, seed):
+        code, tree = FRAME_INPUTS[name]()
+        rng = np.random.default_rng([4100, seed])
+        rotated = locally_transformed(code, [haar_unitary(rng, d) for d in code.physical_dims])
+        assert frame_free_costs(rotated, tree) == frame_free_costs(code, tree)
+
+    @pytest.mark.parametrize("party", range(4))
+    @pytest.mark.parametrize("name", FRAME_INPUTS)
+    def test_qubit_padded_to_a_qutrit(self, name, party):
+        code, tree = FRAME_INPUTS[name]()
+        ops = [np.eye(d) for d in code.physical_dims]
+        ops[party] = haar_unitary(np.random.default_rng([4200, party]), 3)[:, :2]
+        padded = locally_transformed(code, ops)
+        assert padded.physical_dims[party] == 3
+        assert frame_free_costs(padded, tree) == frame_free_costs(code, tree)
