@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -153,20 +154,31 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared plumbing --------------------------------------------------------------
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise InputError(f"seed must fit in 64 bits, got {seed}")
-    return int(seed)
+# flags that only the --code/--tree path of ``ki`` reads
+_STATE_UNREAD = frozenset(
+    {"--code", "--tree", "--labeling", "--mode", "--branches", "--prefix", "--seed"}
+)
 
 
-def _check_tolerances(args) -> None:
-    """--tol-rank must lie in (0, 1) and --tol-verify be finite and positive (NaN fails both)."""
+def _check_flags(args) -> None:
+    """Refuse, before any input is read, a --seed past 64 bits, a --tol-rank
+    outside (0, 1), a --tol-verify that is not finite and positive (NaN fails
+    both), a flag ``ki --state`` would not read, and a --branches policy that
+    does not parse."""
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"seed must fit in 64 bits, got {args.seed}")
     if hasattr(args, "tol_rank") and not 0.0 < args.tol_rank < 1.0:
         raise InputError(f"--tol-rank must be a finite number in (0, 1), got {args.tol_rank}")
     if hasattr(args, "tol_verify") and not 0.0 < args.tol_verify < math.inf:
         raise InputError(
             f"--tol-verify must be a finite positive number, got {args.tol_verify}"
         )
+    if getattr(args, "state", None):
+        unread = sorted(_STATE_UNREAD.intersection(args.given))
+        if unread:
+            raise InputError(f"ki --state does not read {', '.join(unread)}; drop it")
+    if hasattr(args, "branches"):
+        _parse_branches(args.branches)
 
 
 def _parse_prefix(text: str) -> tuple[int, ...]:
@@ -222,10 +234,9 @@ def _resolve_search(args, code, tree, labeling):
     ran, the search section of the report).  The section counts every
     ascending labeling as a candidate (the search walks merged sets, not
     labelings) and gives the winner's total.  Costs follow one branch per
-    stage, so only run-concentrate reads --branches and --seed; every
-    concentrating task checks both (--seed in main) and echoes them.
+    stage, so only run-concentrate reads --branches and --seed; ``main``
+    checks both for every concentrating task, and each echoes them.
     """
-    _parse_branches(args.branches)
     if labeling is not None:
         return labeling, None, None
     best, report = optimize_labeling(code, tree, mode=args.mode, rank_rtol=args.tol_rank)
@@ -257,25 +268,8 @@ def _num(x):
 
 
 def _config_doc(args) -> dict:
-    keys = (
-        "code",
-        "tree",
-        "labeling",
-        "mode",
-        "branches",
-        "seed",
-        "tol_rank",
-        "tol_verify",
-        "format",
-        "trace_out",
-        "prefix",
-        "state",
-    )
-    out = {}
-    for k in keys:
-        if hasattr(args, k):
-            out[k] = getattr(args, k)
-    return out
+    """Every parsed flag by destination, but the subcommand and ``ki``'s given-flag note."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "given")}
 
 
 def _base_doc(task: str, args, code=None, name=None, tree=None, labeling=None) -> dict:
@@ -301,28 +295,33 @@ def _report_doc(report) -> dict:
     }
 
 
-def _channel_doc(check) -> dict:
-    return {
-        "direction": check.direction,
-        "samples": check.samples,
-        "paths_per_sample": check.paths_per_sample,
-        "max_trace_distance": check.max_trace_distance,
-        "max_probability_deviation": check.max_probability_deviation,
-        "tol": check.tol,
-        "passed": check.passed,
+def _run_report(args, task, code, name, tree, labeling, result, check, tracer):
+    """The report both run commands share, and its exit code.
+
+    ``check`` replays ``result`` on CHANNEL_SAMPLES random inputs and
+    ``tracer`` records it; the trace is replayed, then written to
+    --trace-out when given.  Each command adds its own fields.
+    """
+    channel = check(code, tree, result, samples=CHANNEL_SAMPLES, seed=args.seed, tol=args.tol_verify)
+    tolerances = {"rank_rtol": args.tol_rank, "verify_tol": args.tol_verify}
+    trace_doc = tracer(code, tree, result, code_name=name, seed=args.seed, tolerances=tolerances)
+    verdict = verify_trace(trace_doc, tol=args.tol_verify)
+    if args.trace_out:
+        save_trace(trace_doc, args.trace_out)
+    passed = result.passed and channel.passed and verdict["passed"]
+    doc = _base_doc(task, args, code, name, tree, labeling)
+    doc["cost_report"] = _report_doc(result.cost_report)
+    doc["verification"] = {
+        "channel": dataclasses.asdict(channel) | {"passed": channel.passed},
+        "max_deviation": channel.max_trace_distance,
+        "passed": passed,
     }
-
-
-def _trace_section(args, doc_trace, tol) -> dict:
-    verdict = verify_trace(doc_trace, tol=tol)
-    written = getattr(args, "trace_out", None)
-    if written:
-        save_trace(doc_trace, written)
-    return {
-        "written_to": written,
-        "final_state_hash": doc_trace["final_state"]["hash"],
+    doc["trace"] = {
+        "written_to": args.trace_out,
+        "final_state_hash": trace_doc["final_state"]["hash"],
         "verify": verdict,
     }
+    return doc, 0 if passed else 4
 
 
 # -- command handlers --------------------------------------------------------------
@@ -367,73 +366,33 @@ def _cmd_run_spread(args):
     code, name, tree, labeling = _inputs(args)
     if labeling is None:
         labeling = tree.default_labeling()
-    seed = _check_seed(args.seed)
     result = run_spreading(code, tree, labeling, rank_rtol=args.tol_rank)
-    channel = verify_spreading_channel(
-        code,
-        tree,
-        result,
-        samples=CHANNEL_SAMPLES,
-        seed=seed,
-        tol=args.tol_verify,
+    doc, exit_code = _run_report(
+        args, "run-spread", code, name, tree, labeling, result,
+        verify_spreading_channel, spread_trace,
     )
-    trace_doc = spread_trace(
-        code,
-        tree,
-        result,
-        code_name=name,
-        seed=seed,
-        tolerances={"rank_rtol": args.tol_rank, "verify_tol": args.tol_verify},
-    )
-    trace_sec = _trace_section(args, trace_doc, args.tol_verify)
-    passed = result.passed and channel.passed and trace_sec["verify"]["passed"]
-    doc = _base_doc("run-spread", args, code, name, tree, labeling)
-    doc["cost_report"] = _report_doc(result.cost_report)
-    doc["verification"] = {
-        "branch_fidelity": result.fidelity,
-        "branch_deviation": result.branch_deviation,
-        "channel": _channel_doc(channel),
-        "max_deviation": max(result.branch_deviation, channel.max_trace_distance),
-        "passed": passed,
-    }
-    doc["trace"] = trace_sec
-    return doc, 0 if passed else 4
+    v = doc["verification"]
+    v["branch_fidelity"], v["branch_deviation"] = result.fidelity, result.branch_deviation
+    v["max_deviation"] = max(result.branch_deviation, v["max_deviation"])
+    return doc, exit_code
 
 
 def _cmd_run_concentrate(args):
     code, name, tree, labeling = _inputs(args)
     labeling, _, search_doc = _resolve_search(args, code, tree, labeling)
-    seed = _check_seed(args.seed)
-    budget = _parse_branches(args.branches)
     result = run_concentrating(
         code,
         tree,
         labeling,
         mode=args.mode,
-        branch_budget=budget,
-        seed=seed,
+        branch_budget=_parse_branches(args.branches),
+        seed=args.seed,
         rank_rtol=args.tol_rank,
     )
-    channel = verify_concentrating_channel(
-        code,
-        tree,
-        result,
-        samples=CHANNEL_SAMPLES,
-        seed=seed,
-        tol=args.tol_verify,
+    doc, exit_code = _run_report(
+        args, "run-concentrate", code, name, tree, labeling, result,
+        verify_concentrating_channel, concentrate_trace,
     )
-    trace_doc = concentrate_trace(
-        code,
-        tree,
-        result,
-        code_name=name,
-        seed=seed,
-        tolerances={"rank_rtol": args.tol_rank, "verify_tol": args.tol_verify},
-    )
-    trace_sec = _trace_section(args, trace_doc, args.tol_verify)
-    passed = result.passed and channel.passed and trace_sec["verify"]["passed"]
-    doc = _base_doc("run-concentrate", args, code, name, tree, labeling)
-    doc["cost_report"] = _report_doc(result.cost_report)
     doc["mode"] = result.mode
     doc["branches"] = {
         "count": len(result.branches),
@@ -442,15 +401,9 @@ def _cmd_run_concentrate(args):
         "min_fidelity": result.min_fidelity,
         "fallback_edges": list(result.fallback_edges),
     }
-    doc["verification"] = {
-        "channel": _channel_doc(channel),
-        "max_deviation": channel.max_trace_distance,
-        "passed": passed,
-    }
-    doc["trace"] = trace_sec
     if search_doc:
         doc["labeling_search"] = search_doc
-    return doc, 0 if passed else 4
+    return doc, exit_code
 
 
 def _cmd_compare(args):
@@ -519,17 +472,8 @@ def _load_state_file(path: str):
     return psi, triple, roles["A"]
 
 
-# flags that only the --code/--tree path of ``ki`` reads
-_STATE_UNREAD = frozenset(
-    {"--code", "--tree", "--labeling", "--mode", "--branches", "--prefix", "--seed"}
-)
-
-
 def _cmd_ki(args):
     if args.state:
-        unread = sorted(_STATE_UNREAD.intersection(getattr(args, "given", ())))
-        if unread:
-            raise InputError(f"ki --state does not read {', '.join(unread)}; drop it")
         psi, triple, a_label = _load_state_file(args.state)
         doc = _base_doc("ki", args)
         doc["A"] = list(a_label)
@@ -578,13 +522,7 @@ def _cmd_ki(args):
 def _cmd_verify_trace(args):
     trace_doc = load_trace(args.trace)
     verdict = verify_trace(trace_doc, tol=args.tol_verify)
-    doc = {
-        "format": REPORT_FORMAT,
-        "task": "verify-trace",
-        "config": _config_doc(args) | {"trace": args.trace},
-        "metadata": trace_doc["metadata"],
-        "verdict": verdict,
-    }
+    doc = _base_doc("verify-trace", args) | {"metadata": trace_doc["metadata"], "verdict": verdict}
     return doc, 0 if verdict["passed"] else 4
 
 
@@ -715,9 +653,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if hasattr(args, "seed"):
-            _check_seed(args.seed)
-        _check_tolerances(args)
+        _check_flags(args)
         doc, exit_code = _HANDLERS[args.command](args)
     except (InputError, MemoryError) as exc:
         return _fail(args, exc, 2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ISOMETRY_TOL
+from .config import ISOMETRY_TOL, MAX_PARTIES
 from .errors import (
     DimensionMismatch,
     NotIsometry,
@@ -35,12 +35,6 @@ REFERENCE_ID = "R"
 # counted as D·∏ dims entries: 2**20 complex entries are 16 MiB.  Codes
 # this large are already far beyond what the protocols can decompose.
 MAX_CODE_ENTRIES = 2**20
-
-# Most parties a code may have.  NumPy arrays have at most 64 axes, and the
-# most a run reshapes rows to is 4 + N: the rows axis, R, one per party, and
-# the resource halves A₀ and B₀ a split (or a traced merge) attaches while
-# every other register is still held.
-MAX_PARTIES = 60
 
 
 def _check_size(logical_dim: int, dims) -> None:

@@ -1,4 +1,4 @@
-"""Global numerical tolerances.
+"""Global numerical tolerances and size caps.
 
 All ranks are decided relative to the largest eigenvalue (or singular
 value) of the operator in question; ``RANK_RTOL`` is that relative
@@ -29,3 +29,9 @@ PROB_TOL = 1e-12
 # Largest Bell basis, in entries (K⁴), that a trace names as {"bell": K}
 # and that the split tables are kept for, once per K: K ≤ 32.
 MAX_BELL_ENTRIES = 2**20
+
+# Most parties a code may have, and so most vertices a tree may have.  NumPy
+# arrays have at most 64 axes, and the most a run reshapes rows to is 4 + N:
+# the rows axis, R, one per party, and the resource halves A₀ and B₀ a split
+# (or a traced merge) attaches while every other register is still held.
+MAX_PARTIES = 60

@@ -235,16 +235,10 @@ def _generic_element(basis, rng) -> np.ndarray:
 def _cluster(vals: np.ndarray):
     """Group sorted eigenvalues by gaps; None when a gap is ambiguous."""
     scale = max(float(vals[-1] - vals[0]), float(np.abs(vals).max()), 1e-300)
-    groups, start = [], 0
-    for k in range(1, len(vals)):
-        gap = float(vals[k] - vals[k - 1])
-        if gap > _CLUSTER_COARSE * scale:
-            groups.append((start, k))
-            start = k
-        elif gap > _CLUSTER_FINE * scale:
-            return None
-    groups.append((start, len(vals)))
-    return groups
+    gaps = np.diff(vals)
+    if ((gaps > _CLUSTER_FINE * scale) & (gaps <= _CLUSTER_COARSE * scale)).any():
+        return None
+    return _degenerate_groups(vals, _CLUSTER_COARSE * scale)
 
 
 def _block_frames(comm, rng) -> list[tuple[np.ndarray, int, int]]:

@@ -14,12 +14,14 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .config import MAX_PARTIES
 from .errors import (
     BadEdge,
     HasCycle,
     NotAscending,
     NotConnected,
     SchemaError,
+    TooLarge,
     UnknownVertex,
 )
 
@@ -167,12 +169,19 @@ def star_tree(n: int) -> RootedTree:
     return RootedTree.from_edges("v1", [("v1", f"v{k}") for k in range(2, n + 1)])
 
 
+def _check_vertex_count(count: int) -> None:
+    """Refuse a tree of more than MAX_PARTIES vertices: each needs a code party."""
+    if count > MAX_PARTIES:
+        raise TooLarge(f"tree has more than {MAX_PARTIES} vertices, one per code party")
+
+
 def parse_tree(text: str) -> RootedTree:
     """Parse a tree description.
 
     Accepts the shorthands ``line:N`` and ``star:N`` (vertices named
     v1..vN, rooted at v1) or an explicit edge list such as
-    ``v1-v2,v2-v3`` (rooted at the first vertex named).
+    ``v1-v2,v2-v3`` (rooted at the first vertex named).  A tree of more
+    than MAX_PARTIES vertices is refused before it is built.
     """
     text = text.strip()
     for name, builder in (("line", line_tree), ("star", star_tree)):
@@ -181,6 +190,7 @@ def parse_tree(text: str) -> RootedTree:
                 n = int(text.split(":", 1)[1])
             except ValueError:
                 raise BadEdge(f"bad vertex count in {text!r}")
+            _check_vertex_count(n)
             return builder(n)
     if "-" not in text:
         raise BadEdge(f"cannot parse tree description {text!r}")
@@ -193,6 +203,7 @@ def parse_tree(text: str) -> RootedTree:
         if root is None:
             root = bits[0]
         edges.append((bits[0], bits[1]))
+    _check_vertex_count(len({v for e in edges for v in e}))
     return RootedTree.from_edges(root, edges)
 
 
@@ -200,7 +211,8 @@ def tree_from_json(payload) -> tuple[RootedTree, tuple[str, ...] | None]:
     """Build a tree (and optional labeling) from a parsed JSON document.
 
     Schema: ``{root, edges: [[name, name], ...], labeling?: [names in
-    rank order]}``.  A single-vertex tree may omit ``edges``.
+    rank order]}``.  A single-vertex tree may omit ``edges``.  A tree of
+    more than MAX_PARTIES vertices is refused before it is built.
     """
     if not isinstance(payload, dict):
         raise SchemaError("tree document must be a JSON object")
@@ -218,6 +230,7 @@ def tree_from_json(payload) -> tuple[RootedTree, tuple[str, ...] | None]:
         ):
             raise SchemaError(f"field 'edges[{i}]' must be a [name, name] pair")
         edges.append((item[0], item[1]))
+    _check_vertex_count(len({v for e in edges for v in e}))
     tree = RootedTree.from_edges(payload["root"], edges)
     labeling = payload.get("labeling")
     if labeling is not None:

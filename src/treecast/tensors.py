@@ -183,17 +183,6 @@ def _group_rows(amps: np.ndarray, registers, rids) -> tuple[np.ndarray, list[Reg
     return grouped, [registers[k] for k in rest]
 
 
-def marginal_matrix(state: PureState, keep) -> np.ndarray:
-    """Reduced density matrix on ``keep`` (ids; the state's register order is kept)."""
-    keep_set = set(keep)
-    ordered = [r.id for r in state.registers if r.id in keep_set]
-    missing = keep_set - set(ordered)
-    if missing:
-        raise UnknownRegister(f"no register {sorted(missing)[0]!r} in state")
-    mat = _group_rows(state.amplitudes[None], state.registers, ordered)[0][0]
-    return mat @ mat.conj().T
-
-
 def check_rank_cut(evals: np.ndarray, cut: float) -> None:
     """Refuse a rank cut that drops real weight, not just rounding noise.
 

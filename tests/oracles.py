@@ -25,7 +25,13 @@ from treecast.codes import (
     star4_code,
 )
 from treecast.config import PROB_TOL, RANK_RTOL, VERIFY_TOL
-from treecast.errors import SchemaError, TooLarge, VerificationFailed, ZeroProbabilityBranch
+from treecast.errors import (
+    SchemaError,
+    TooLarge,
+    UnknownRegister,
+    VerificationFailed,
+    ZeroProbabilityBranch,
+)
 from treecast.koashi_imoto import _parse_roles
 from treecast.merge_split import (
     MergeProtocol,
@@ -61,7 +67,6 @@ from treecast.tensors import (
     _check_unique,
     _group_rows,
     apply_map,
-    marginal_matrix,
     max_entangled_pair,
     overlap,
     permute_registers,
@@ -87,6 +92,17 @@ def random_state(registers, rng) -> PureState:
     dim = math.prod(r.dim for r in regs)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(regs, v / np.linalg.norm(v))
+
+
+def marginal_matrix(state: PureState, keep) -> np.ndarray:
+    """Reduced density matrix on ``keep`` (ids; the state's register order is kept)."""
+    keep_set = set(keep)
+    ordered = [r.id for r in state.registers if r.id in keep_set]
+    missing = keep_set - set(ordered)
+    if missing:
+        raise UnknownRegister(f"no register {sorted(missing)[0]!r} in state")
+    mat = _group_rows(state.amplitudes[None], state.registers, ordered)[0][0]
+    return mat @ mat.conj().T
 
 
 def same_bytes(got, want):

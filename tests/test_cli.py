@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
@@ -514,6 +515,19 @@ class TestErrorsAndExitCodes:
         assert doc["format"] == "treecast.error/1"
         assert doc["error"]["type"] == "TooLarge"
         assert "more than 60 parties" in doc["error"]["message"]
+
+    def test_tree_past_the_party_bound_refused(self, capsys, tmp_path):
+        # a tree needs one code party per vertex, so 61 vertices can never
+        # run: refused as TooLarge, not as a party mismatch with the code
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"root": "v1", "edges": [["v1", f"v{k}"] for k in range(2, 63)]}))
+        edge_list = ",".join(f"v{k}-v{k + 1}" for k in range(1, 61))
+        for tree in ("line:61", "star:61", edge_list, str(path)):
+            code, doc = run_json(capsys, "cost-spread", "--code", "ghz:3", "--tree", tree)
+            assert code == 2
+            assert doc["format"] == "treecast.error/1"
+            assert doc["error"]["type"] == "TooLarge"
+            assert "more than 60 vertices" in doc["error"]["message"]
 
     @pytest.mark.parametrize("tree", ["line:60", "star:60"])
     def test_code_at_the_party_bound_runs(self, capsys, tmp_path, tree):
@@ -1055,6 +1069,35 @@ class TestToleranceFlags:
         _, doc = run_json(capsys, "compare", "--code", "star4", "--tree", "star:4")
         assert "tol_verify" not in doc["config"]
         assert "tol_rank" in doc["config"]
+
+
+class TestConfigEcho:
+    def test_config_holds_exactly_the_parsed_flags(self, capsys, tmp_path):
+        # each subcommand's config echoes every flag its parser defines, by
+        # destination, and nothing else: not the subcommand name, and not
+        # the note ki keeps of the flags that were passed
+        inputs = ("--code", "ghz:3", "--tree", "line:3")
+        trace = str(tmp_path / "t.json")
+        argvs = {
+            "cost-spread": inputs,
+            "cost-concentrate": inputs,
+            "run-spread": (*inputs, "--trace-out", trace),
+            "run-concentrate": inputs,
+            "compare": inputs,
+            "ki": (*inputs, "--seed", "3", "--tol-rank", "1e-9"),
+            "verify-trace": (trace,),
+        }
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(argvs)
+        for command, argv in argvs.items():
+            code, doc = run_json(capsys, command, *argv)
+            assert code == 0
+            dests = {
+                a.dest for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)
+            }
+            assert set(doc["config"]) == dests, command
+            assert "command" not in doc["config"] and "given" not in doc["config"]
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import marginal_matrix
 
 from treecast.codes import (
     MAX_CODE_ENTRIES,
@@ -37,7 +38,6 @@ from treecast.errors import (
     TooLarge,
     UnknownBuiltin,
 )
-from treecast.tensors import marginal_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])

@@ -10,6 +10,7 @@ from oracles import (
     bell_columns_loop,
     canonical_phase,
     fallback_merge_reference,
+    marginal_matrix,
     random_state,
     same_bytes,
     shift_loop,
@@ -68,7 +69,6 @@ from treecast.tensors import (
     Register,
     apply_event,
     apply_map,
-    marginal_matrix,
     max_entangled_pair,
     orthonormal_completion,
     overlap,

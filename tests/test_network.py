@@ -6,6 +6,8 @@ import math
 import pytest
 from oracles import ascending_labelings
 
+from treecast import network
+from treecast.config import MAX_PARTIES
 from treecast.errors import (
     BadEdge,
     HasCycle,
@@ -14,7 +16,7 @@ from treecast.errors import (
     TooLarge,
     UnknownVertex,
 )
-from treecast.network import RootedTree, line_tree, parse_tree, star_tree
+from treecast.network import RootedTree, line_tree, parse_tree, star_tree, tree_from_json
 
 
 def brute_force_labelings(tree):
@@ -158,3 +160,26 @@ def test_parse_tree_shorthands_and_edge_lists():
         parse_tree("line:x")
     with pytest.raises(BadEdge):
         parse_tree("just_one_name")
+
+
+def test_trees_past_the_party_bound_refused_before_any_build(monkeypatch):
+    # each vertex needs a code party and codes stop at MAX_PARTIES, so a
+    # larger tree is refused from its vertex count, before any edge list is
+    # built: line:10**9 would otherwise build 10**9 edge tuples
+    n = MAX_PARTIES + 1
+    wide = {"root": "v1", "edges": [["v1", f"v{k}"] for k in range(2, n + 1)]}
+    assert parse_tree(f"line:{n - 1}").size == parse_tree(f"star:{n - 1}").size == n - 1
+    assert tree_from_json({"root": "v1", "edges": wide["edges"][:-1]})[0].size == n - 1
+
+    def built(*_):
+        pytest.fail("a tree past the bound was built")
+
+    monkeypatch.setattr(RootedTree, "from_edges", built)
+    monkeypatch.setattr(network, "line_tree", built)
+    monkeypatch.setattr(network, "star_tree", built)
+    edge_list = ",".join(f"v{k}-v{k + 1}" for k in range(1, n))
+    for text in (f"line:{n}", f"star:{n}", edge_list, "line:1000000000"):
+        with pytest.raises(TooLarge, match=f"more than {MAX_PARTIES} vertices"):
+            parse_tree(text)
+    with pytest.raises(TooLarge, match=f"more than {MAX_PARTIES} vertices"):
+        tree_from_json(wide)

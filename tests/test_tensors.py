@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     canonical_phase,
+    marginal_matrix,
     random_state,
     same_bytes,
     states_equal_up_to_phase,
@@ -21,7 +22,6 @@ from treecast.tensors import (
     PureState,
     Register,
     apply_map,
-    marginal_matrix,
     max_entangled_pair,
     orthonormal_completion,
     overlap,
