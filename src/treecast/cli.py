@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from .codes import code_to_document, load_code_named
-from .config import RANK_RTOL
-from .errors import InputError, NumericalDegeneracy, SchemaError, SynthesisFailed, VerificationFailed
+from .config import MAX_PARTIES, RANK_RTOL
+from .errors import InputError, NumericalDegeneracy, SchemaError, SynthesisFailed, TooLarge, VerificationFailed
 from .koashi_imoto import ki_decompose, merge_cost_K
 from .network import load_tree, tree_to_document
 from .protocols import (
@@ -456,6 +456,8 @@ def _load_state_file(path: str):
         isinstance(s, dict) and isinstance(s.get("id"), str) for s in specs
     ):
         raise SchemaError("state 'registers' must be a list of objects, each with a string 'id'")
+    if len(specs) > MAX_PARTIES:
+        raise TooLarge(f"state file has more than {MAX_PARTIES} registers")
     regs = tuple(
         Register(s["id"], _size(s.get("dim"), f"register {s['id']!r} dim"), s.get("owner", s["id"]))
         for s in specs

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DISCARD_TOL, RANK_RTOL, VERIFY_TOL
-from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch
-from .tensors import PureState, Register, check_rank_cut, permute_registers, phase_fixed
+from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch, TreecastError
+from .tensors import PureState, Register, _dagger, check_rank_cut, permute_registers, phase_fixed, row_norms
 
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
@@ -130,44 +130,43 @@ def rebuild(dec: KiDecomposition) -> PureState:
 
 def _marginal(x: np.ndarray, axis: int) -> np.ndarray:
     """Reduced matrix of one axis of a pure-state tensor: Σ_rest x x*."""
-    rows = x.swapaxes(0, axis).reshape(x.shape[axis], -1)
-    return rows @ rows.conj().T
+    return _marginals(x[None], axis + 1)[0]
+
+
+def _marginals(x: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`_marginal` of each row of a stack (rows, …); ``axis`` counts the rows axis."""
+    rows = x.swapaxes(1, axis).reshape(len(x), x.shape[axis], -1)
+    return rows @ _dagger(rows)
 
 
 def _frame_position(emb3: np.ndarray, axis: int) -> np.ndarray:
     """The A position operator as one factor of a block frame sees it.
 
-    ``emb3`` is shaped (A, a^L, a^R).  Axis 1 gives
+    ``emb3`` is shaped (A, a^L, a^R), or a stack of such.  Axis 1 gives
     Σ_{a,q} emb3[a,l,q]* a emb3[a,k,q]; axis 2 gives
     Σ_{a,l} emb3[a,l,p]* a emb3[a,l,q].  Either is one weighted Gram
     matmul on the rows (a, other factor).
     """
-    rows = emb3.swapaxes(axis, 2).reshape(-1, emb3.shape[axis])
-    pos = np.repeat(np.arange(emb3.shape[0], dtype=float), rows.shape[0] // emb3.shape[0])
-    return (rows.conj().T * pos) @ rows
+    *lead, d_a, _, _ = emb3.shape
+    rows = emb3.swapaxes(axis - 3, -1).reshape(*lead, -1, emb3.shape[axis - 3])
+    pos = np.repeat(np.arange(d_a, dtype=float), rows.shape[-2] // d_a)
+    return (_dagger(rows) * pos) @ rows
 
 
 def _a_coords(psi3: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """ψ's A index in the columns of ``frame``: shape (R′, cols, B)."""
-    return frame.conj().T @ psi3
+    """ψ's A index in the columns of ``frame``: shape (R′, cols, B); stacks slice by slice."""
+    return _dagger(frame)[..., None, :, :] @ psi3
 
 
 def _b_frame(flat: np.ndarray, lvecs: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """w[s, t, b] = Σ_{r,l,q} χ[r,l,q,b] lvecs[l,s]* evecs[(r,q),t]*.
+    """w[s, t, b] = Σ_{r,l,q} χ[r,l,q,b] lvecs[l,s]* evecs[(r,q),t]*; stacks slice by slice.
 
     ``flat`` holds χ with rows (r, q) and columns (l, b); contracting
     (r, q) and then l is two matmuls.
     """
-    m = lvecs.shape[0]
-    per_t = (evecs.conj().T @ flat).reshape(evecs.shape[1], m, -1)
-    return (lvecs.conj().T @ per_t).transpose(1, 0, 2)
-
-
-def _support_basis(rho: np.ndarray, rank_rtol: float) -> np.ndarray:
-    """Orthonormal eigenbasis of supp(rho), descending eigenvalues, cut by :func:`_rank_cut`."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    return phase_fixed(vecs[:, vals > _rank_cut(vals, rank_rtol)])
+    *lead, m, _ = lvecs.shape
+    per_t = (_dagger(evecs) @ flat).reshape(*lead, evecs.shape[-1], m, -1)
+    return (_dagger(lvecs)[..., None, :, :] @ per_t).swapaxes(-3, -2)
 
 
 def _rank_cut(vals: np.ndarray, rank_rtol: float) -> float:
@@ -200,19 +199,30 @@ def _commutant_basis(ops, dim: int) -> np.ndarray:
     is pure floating-point noise and a relative cutoff would mistake
     that noise for genuine constraints.
     """
-    t = np.asarray(ops)
-    scale = float(np.linalg.norm(t, axis=(1, 2)).max())
-    if scale <= 0.0:
-        return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    stack = _commutator_stack(t, dim)
+    return _commutant_bases(np.asarray(ops)[None], dim)[0][1][0]
+
+
+def _commutant_bases(ops: np.ndarray, dim: int) -> list[tuple[list[int], np.ndarray]]:
+    """:func:`_commutant_basis` of each row's operators (rows, T, dim, dim), by one stacked SVD.
+
+    Returns (rows, their bases stacked) per commutant dimension.
+    """
+    scale = np.linalg.norm(ops, axis=(-2, -1)).max(axis=-1)
+    stack = _commutator_stack(ops, dim)
     # only vh is read: a tall stack's reduced SVD already holds all of it
-    _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    rank = int(np.sum(sv > 1e-10 * scale))
-    return vh[rank:].conj().reshape(-1, dim, dim)
+    _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[-2] < stack.shape[-1])
+    ranks = np.sum(sv > 1e-10 * scale[:, None], axis=1)
+    ranks[scale <= 0.0] = 0
+    vh[scale <= 0.0] = np.eye(dim * dim)
+    out = []
+    for rank in sorted(set(ranks.tolist())):
+        sel = np.flatnonzero(ranks == rank)
+        out.append((sel.tolist(), vh[sel, rank:].conj().reshape(len(sel), -1, dim, dim)))
+    return out
 
 
 def _commutator_stack(ops, dim: int) -> np.ndarray:
-    """Rows of kron(1, Tᵀ) − kron(T, 1) for every T, from one broadcast.
+    """Rows of kron(1, Tᵀ) − kron(T, 1) for every T, from one broadcast; stacks slice by slice.
 
     Row (T, i, j), column (k, l) holds δ_ik T_lj − T_ik δ_jl, each entry
     the same product and difference ``np.kron`` forms.
@@ -220,16 +230,17 @@ def _commutator_stack(ops, dim: int) -> np.ndarray:
     t = np.asarray(ops)
     eye = np.eye(dim)
     stacked = (
-        eye[None, :, None, :, None] * t.transpose(0, 2, 1)[:, None, :, None, :]
-        - t[:, :, None, :, None] * eye[None, None, :, None, :]
+        eye[:, None, :, None] * t.swapaxes(-1, -2)[..., :, None, :, None, :]
+        - t[..., :, :, None, :, None] * eye[None, :, None, :]
     )
-    return stacked.reshape(-1, dim * dim)
+    return stacked.reshape(*t.shape[:-3], -1, dim * dim)
 
 
 def _generic_element(basis, rng) -> np.ndarray:
-    """Σ_x (a_x + i b_x) x, with every a_x, b_x from one draw."""
-    a, b = rng.standard_normal((2, len(basis)))
-    return ((a + 1j * b) @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
+    """Σ_x (a_x + i b_x) x, with every a_x, b_x from one draw; a stack of bases takes one draw for all."""
+    a, b = rng.standard_normal((2, basis.shape[-3]))
+    flat = basis.reshape(*basis.shape[:-2], -1)
+    return ((a + 1j * b) @ flat).reshape(basis.shape[:-3] + basis.shape[-2:])
 
 
 def _cluster(vals: np.ndarray):
@@ -334,68 +345,92 @@ def _degenerate_groups(vals: np.ndarray, atol: float):
 def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol: float):
     """Factor ψ's component in the block as ω ⊗ φ; None if it does not factor.
 
+    The one-row call of :func:`_extract_rows`.
+    """
+    return _extract_rows(psi3[None], emb[None], m, n, rank_rtol)[0]
+
+
+def _extract_rows(psi3, emb, m: int, n: int, rank_rtol: float) -> list:
+    """:func:`_extract_block` of each (ψ, frame) pair, stacked as (pairs, R′, A, B) and (pairs, A, m·n).
+
     Frame gauges left open by degenerate spectra are pinned against the
     computational position operator so repeated runs (and the worked
-    branch displays built on top) come out in a fixed basis.
+    branch displays built on top) come out in a fixed basis.  A 1×1
+    junk factor (m = 1) has no gauge: its eigenframe is 1 and its
+    spectrum the marginal itself, as ``eigh`` gives them.  Each pair's
+    data equals the one-pair call's, bit for bit.
     """
-    dR, dA, dB = psi3.shape
+    pairs, dR, dA, dB = psi3.shape
     if n > 1:
-        emb3 = emb.reshape(dA, m, n)
-        _, gauge = np.linalg.eigh(_frame_position(emb3, 2))
-        emb = (emb3 @ gauge).reshape(dA, m * n)
-    emb3 = emb.reshape(dA, m, n)
+        _, gauge = np.linalg.eigh(_frame_position(emb.reshape(pairs, dA, m, n), 2))
+        emb = (emb.reshape(pairs, dA, m, n) @ gauge[:, None]).reshape(pairs, dA, m * n)
+    emb3 = emb.reshape(pairs, dA, m, n)
 
     chi = _a_coords(psi3, emb)
-    p = float(np.linalg.norm(chi) ** 2)
-    if p < 1e-24:
-        return None
-    chi = (chi / math.sqrt(p)).reshape(dR, m, n, dB)
+    probs = [float(x**2) for x in row_norms(chi.reshape(pairs, -1))[:, 0]]
+    out: list = [None] * pairs
+    live = [i for i, p in enumerate(probs) if p >= 1e-24]
+    if not live:
+        return out
+    p = np.array(probs)[live]
+    emb, emb3 = emb[live], emb3[live]
+    chi = (chi[live] / np.sqrt(p)[:, None, None, None]).reshape(len(live), dR, m, n, dB)
 
-    mu, lvecs = np.linalg.eigh(_marginal(chi, 1))
-    mu, lvecs = mu[::-1].copy(), lvecs[:, ::-1].copy()
-    if mu[-1] < rank_rtol * mu[0]:
-        return None  # junk marginal must fill the block
-    for a, b in _degenerate_groups(mu, 1e-9 * float(mu[0])):
-        if b - a < 2:
-            continue
-        sub = lvecs[:, a:b]
-        _, u = np.linalg.eigh(sub.conj().T @ _frame_position(emb3, 1) @ sub)
-        lvecs[:, a:b] = sub @ u
-    lvecs = phase_fixed(lvecs)
+    marg = _marginals(chi, 2)
+    if m == 1:
+        mu, lvecs = marg.real[:, 0], np.ones((len(live), 1, 1), dtype=complex)
+    else:
+        mu, lvecs = np.linalg.eigh(marg)
+        mu, lvecs = mu[:, ::-1].copy(), lvecs[:, :, ::-1].copy()
+        for i in range(len(live)):
+            for a, b in _degenerate_groups(mu[i], 1e-9 * float(mu[i, 0])):
+                if b - a < 2:
+                    continue
+                sub = lvecs[i, :, a:b]
+                _, u = np.linalg.eigh(sub.conj().T @ _frame_position(emb3[i], 1) @ sub)
+                lvecs[i, :, a:b] = sub @ u
+        lvecs = np.ascontiguousarray(phase_fixed(lvecs))
 
-    flat = chi.transpose(0, 2, 1, 3).reshape(dR * n, m * dB)
-    rho_c = flat @ flat.conj().T
-    nu, evecs = np.linalg.eigh(rho_c)
-    nu, evecs = nu[::-1].copy(), evecs[:, ::-1].copy()
-    n_r = int(np.sum(nu > rank_rtol * nu[0]))
-    nu, evecs = nu[:n_r].copy(), evecs[:, :n_r].copy()
-    for a, b in _degenerate_groups(nu, 1e-9 * float(nu[0])):
-        if b - a < 2:
-            continue
-        big = np.kron(np.diag(np.arange(dR, dtype=float)) * (dA + 1.0), np.eye(n)) + np.kron(
-            np.eye(dR), _frame_position(emb3, 2)
-        )
-        sub = evecs[:, a:b]
-        _, u = np.linalg.eigh(sub.conj().T @ big @ sub)
-        evecs[:, a:b] = sub @ u
-    evecs = phase_fixed(evecs)
-
-    norms = np.sqrt(np.outer(mu, nu))[:, :, None]
-    w_mat = (_b_frame(flat, lvecs, evecs) / norms).reshape(m * n_r, dB).T
-    if np.abs(w_mat.conj().T @ w_mat - np.eye(m * n_r)).max() > 1e-8:
-        return None
-    return _BlockData(emb=emb, m=m, n=n, p=p, mu=mu, lvecs=lvecs, nu=nu, evecs=evecs, w=w_mat)
+    flat = chi.transpose(0, 1, 3, 2, 4).reshape(len(live), dR * n, m * dB)
+    nu, evecs = np.linalg.eigh(flat @ _dagger(flat))
+    nu, evecs = nu[:, ::-1].copy(), evecs[:, :, ::-1].copy()
+    ranks = [int(np.sum(row > rank_rtol * row[0])) for row in nu]
+    for n_r in sorted(set(ranks)):
+        sel = [i for i, r in enumerate(ranks) if r == n_r and mu[i, -1] >= rank_rtol * mu[i, 0]]
+        if not sel:
+            continue  # a junk marginal must fill the block
+        nu_s, vecs = nu[sel, :n_r].copy(), evecs[sel, :, :n_r].copy()
+        for i, row in enumerate(sel):
+            for a, b in _degenerate_groups(nu_s[i], 1e-9 * float(nu_s[i, 0])):
+                if b - a < 2:
+                    continue
+                big = np.kron(np.diag(np.arange(dR, dtype=float)) * (dA + 1.0), np.eye(n)) + np.kron(
+                    np.eye(dR), _frame_position(emb3[row], 2)
+                )
+                sub = vecs[i, :, a:b]
+                _, u = np.linalg.eigh(sub.conj().T @ big @ sub)
+                vecs[i, :, a:b] = sub @ u
+        vecs = np.ascontiguousarray(phase_fixed(vecs))
+        norms = np.sqrt(mu[sel][:, :, None] * nu_s[:, None, :])[..., None]
+        w = (_b_frame(flat[sel], lvecs[sel], vecs) / norms).reshape(len(sel), m * n_r, dB).swapaxes(1, 2)
+        bad = np.abs(_dagger(w) @ w - np.eye(m * n_r)).max(axis=(1, 2)) > 1e-8
+        for i, row in enumerate(sel):
+            if not bad[i]:
+                out[live[row]] = _BlockData(emb=emb[row], m=m, n=n, p=float(p[row]), mu=mu[row],
+                                            lvecs=lvecs[row], nu=nu_s[i], evecs=vecs[i], w=w[i])
+    return out
 
 
 def _transfer_ops(slices: np.ndarray) -> np.ndarray:
-    """Hermitian and anti-Hermitian parts of every T_{rr′} = X_r X_{r′}†.
+    """Hermitian and anti-Hermitian parts of every T_{rr′} = X_r X_{r′}†; stacks slice by slice.
 
     One broadcast matmul; the (2R², d, d) stack runs over (r, r′, part)
     with the Hermitian part first.
     """
-    t = slices[:, None] @ slices.conj().transpose(0, 2, 1)[None]
-    t_h = t.conj().swapaxes(-1, -2)
-    return np.stack([t + t_h, 1j * (t - t_h)], axis=2).reshape(-1, *t.shape[-2:])
+    t = slices[..., :, None, :, :] @ _dagger(slices)[..., None, :, :, :]
+    t_h = _dagger(t)
+    parts = np.stack([t + t_h, 1j * (t - t_h)], axis=-3)
+    return parts.reshape(*slices.shape[:-3], -1, *t.shape[-2:])
 
 
 def _intertwiner(fi: np.ndarray, fj: np.ndarray) -> np.ndarray | None:
@@ -437,9 +472,11 @@ def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float):
 
 
 def _canonical_order(blocks: list[_BlockData]) -> list[_BlockData]:
-    return sorted(
-        blocks, key=lambda b: (-round(b.p, 9), b.n, b.m, b.fingerprint)
-    )
+    """Blocks by descending p, then n, then m; the frame's fingerprint breaks only ties of those."""
+    keys = [(-round(b.p, 9), b.n, b.m) for b in blocks]
+    tied = {key for key in keys if keys.count(key) > 1}
+    order = sorted(range(len(blocks)), key=lambda i: (keys[i], blocks[i].fingerprint if keys[i] in tied else ()))
+    return [blocks[i] for i in order]
 
 
 def _parse_roles(psi: PureState, roles):
@@ -465,50 +502,107 @@ def ki_decompose(
 ) -> KiDecomposition:
     """Decompose ψ^{R′AB}; ``roles`` maps "R"/"A"/"B" to register id sets.
 
-    The block structure comes from generic commutant elements (Murota,
-    Kanno, Kojima and Kojima, JJIAM 27, 125, 2010) drawn from a generator
-    created afresh for each call, so the decomposition is a function of
-    the state alone.
+    The one-row call of :func:`ki_rows`.
     """
-    rng = np.random.default_rng(0)
-    r_ids, a_ids, b_ids = _parse_roles(psi, roles)
-    perm = permute_registers(psi.normalized(), list(r_ids) + list(a_ids) + list(b_ids))
-    r_regs = tuple(perm.register(i) for i in r_ids)
-    a_regs = tuple(perm.register(i) for i in a_ids)
-    b_regs = tuple(perm.register(i) for i in b_ids)
-    dR = math.prod(r.dim for r in r_regs)
-    dA = math.prod(r.dim for r in a_regs)
-    dB = math.prod(r.dim for r in b_regs)
-    psi3 = perm.amplitudes.reshape(dR, dA, dB)
+    ids = _parse_roles(psi, roles)
+    perm = permute_registers(psi.normalized(), [i for part in ids for i in part])
+    regs = tuple(tuple(perm.register(i) for i in part) for part in ids)
+    dims = [math.prod(r.dim for r in part) for part in regs]
+    (dec,) = ki_rows(perm.amplitudes.reshape(1, *dims), [regs], rank_rtol=rank_rtol)
+    if isinstance(dec, TreecastError):
+        raise dec
+    return dec
 
-    e_a = _support_basis(_marginal(psi3, 1), rank_rtol)
-    s_a = e_a.shape[1]
-    _rank_cut(np.linalg.eigvalsh(_marginal(psi3, 2))[::-1], rank_rtol)  # B-side guard
 
-    comm = _commutant_basis(_transfer_ops(_a_coords(psi3, e_a)), s_a)
-    blocks: list[_BlockData] = []
-    for v, m, n in _block_frames(comm, rng):
-        data = _extract_block(psi3, e_a @ v, m, n, rank_rtol)
-        if data is None:
-            raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
-        blocks.append(data)
+def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> list:
+    """Decompose each row of ψ^{R′AB}, stacked as (rows, R′, A, B), all rows together.
 
-    # merge pass: re-unite blocks that the block pass cut apart
+    ``registers`` holds each row's (R′, A, B) register tuples, and each
+    row is normalized.  The block structure comes from generic commutant
+    elements (Murota, Kanno, Kojima and Kojima, JJIAM 27, 125, 2010)
+    drawn from a generator created afresh for each row, so a row's
+    decomposition is a function of that row alone.  Rows of one support
+    rank s_a share the marginals, the support and B-side spectra, the
+    transfer operators and the commutant SVD as stacks; rows of one
+    commutant dimension draw the same numbers, so one draw serves them
+    all, and a row whose draw leaves its blocks unresolved resamples on
+    its own.  Every (row, block) of one shape (m, n) is factored in one
+    stacked pass.  The merge pass and the checks of :func:`_assemble`
+    run per row.  Each row's decomposition equals the one-row call's,
+    bit for bit.  Returns per row its decomposition, or the
+    TreecastError it raised alone.
+    """
+    rows = len(psi3)
+    out: list = [None] * rows
+    vals, vecs = np.linalg.eigh(_marginals(psi3, 2))
+    b_vals = np.linalg.eigvalsh(_marginals(psi3, 3))
+    by_rank: dict[int, list[int]] = {}
+    for b in range(rows):
+        try:
+            s_a = int(np.sum(vals[b, ::-1] > _rank_cut(vals[b, ::-1], rank_rtol)))
+            _rank_cut(b_vals[b, ::-1], rank_rtol)  # B-side guard
+        except TreecastError as exc:
+            out[b] = exc
+        else:
+            by_rank.setdefault(s_a, []).append(b)
+
+    support, frames = {}, {}
+    for s_a, sel in by_rank.items():
+        e_a = np.ascontiguousarray(phase_fixed(vecs[sel, :, ::-1][:, :, :s_a]))
+        support.update(zip(sel, e_a))
+        for picked, comm in _commutant_bases(_transfer_ops(_a_coords(psi3[sel], e_a)), s_a):
+            rng = np.random.default_rng(0)
+            y = _generic_element(comm, rng)
+            g = _generic_element(comm, rng)
+            y_vals, y_vecs = np.linalg.eigh(y + _dagger(y))
+            for i, c in enumerate(picked):
+                groups = _cluster(y_vals[i])
+                frames[sel[c]] = None if groups is None else _linked_frames(y_vecs[i], groups, g[i])
+                if frames[sel[c]] is None:  # resample alone, from the row's own generator
+                    try:
+                        frames[sel[c]] = _block_frames(comm[i], np.random.default_rng(0))
+                    except TreecastError as exc:
+                        out[sel[c]] = exc
+                        del frames[sel[c]]
+
+    shapes: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
+    for b, found in frames.items():
+        for j, (v, m, n) in enumerate(found):
+            shapes.setdefault((m, n), []).append((b, j, support[b] @ v))
+    blocks = {b: [None] * len(found) for b, found in frames.items()}
+    for (m, n), items in shapes.items():
+        picked = [b for b, _, _ in items]
+        data = _extract_rows(psi3[picked], np.array([emb for _, _, emb in items]), m, n, rank_rtol)
+        for (b, j, _), block in zip(items, data):
+            blocks[b][j] = block
+
+    for b, found in blocks.items():
+        try:
+            if any(block is None for block in found):
+                raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
+            out[b] = _assemble(psi3[b], _merge_pass(psi3[b], found, rank_rtol), registers[b], support[b].shape[1])
+        except TreecastError as exc:
+            out[b] = exc
+    return out
+
+
+def _merge_pass(psi3, blocks: list[_BlockData], rank_rtol: float) -> list[_BlockData]:
+    """Re-unite the blocks that the block pass cut apart, in canonical order."""
     blocks = _canonical_order(blocks)
     merged = True
     while merged:
         merged = False
         for i, j in itertools.combinations(range(len(blocks)), 2):
-            union = _try_merge(psi3, blocks[i], blocks[j], dR, rank_rtol)
+            union = _try_merge(psi3, blocks[i], blocks[j], psi3.shape[0], rank_rtol)
             if union is not None:
                 rest = [b for k, b in enumerate(blocks) if k not in (i, j)]
                 blocks, merged = _canonical_order(rest + [union]), True
                 break
+    return blocks
 
-    return _assemble(perm, blocks, r_regs, a_regs, b_regs, s_a)
 
-
-def _assemble(perm, blocks, r_regs, a_regs, b_regs, s_a):
+def _assemble(psi3, blocks, registers, s_a):
+    r_regs, a_regs, b_regs = registers
     embed_a = np.hstack([b.emb for b in blocks])
     embed_b = np.hstack([b.w for b in blocks])
     if np.abs(embed_a.conj().T @ embed_a - np.eye(embed_a.shape[1])).max() > 1e-7:
@@ -557,7 +651,7 @@ def _assemble(perm, blocks, r_regs, a_regs, b_regs, s_a):
         a_registers=a_regs,
         b_registers=b_regs,
     )
-    residual = float(np.linalg.norm(rebuild(dec).amplitudes - perm.amplitudes))
+    residual = float(np.linalg.norm(rebuild(dec).amplitudes - psi3.reshape(-1)))
     if residual > VERIFY_TOL:
         raise NumericalDegeneracy(
             f"reconstruction residual {residual:.2e} exceeds {VERIFY_TOL}"

@@ -50,12 +50,14 @@ from .errors import (
     InsufficientResource,
     ShapeMismatch,
     SynthesisFailed,
+    TreecastError,
     ZeroProbabilityBranch,
 )
 from .koashi_imoto import (
     KiDecomposition,
     _parse_roles,
     ki_decompose,
+    ki_rows,
     merge_cost_K,
 )
 from .teleport import _fourier, _teleport_blocks, _teleport_columns, _teleport_posts
@@ -379,14 +381,9 @@ def merge_cost(
     ids = _parse_roles(psi, roles)
     if mode == "fallback":
         return _support(psi.amplitudes[None], psi.registers, ids[1], rank_rtol)[0][0]
-    return merge_cost_K(_decomposed(psi, ids, mode, rank_rtol))
-
-
-def _decomposed(psi: PureState, ids, mode: str, rank_rtol: float) -> KiDecomposition:
-    """The KI decomposition a tight merge is built from; ValueError for an unknown mode."""
     if mode != "tight":
         raise ValueError(f"unknown merge mode {mode!r}")
-    return ki_decompose(psi, ids, rank_rtol=rank_rtol)
+    return merge_cost_K(ki_decompose(psi, ids, rank_rtol=rank_rtol))
 
 
 def _block_frames(dec: KiDecomposition):
@@ -535,38 +532,49 @@ def _outcome_blocks(big: np.ndarray, qcols: np.ndarray):
 def _solve_corrections(big, g_mat, qcols, da, db, k):
     """Exact isometries from (1⊗U_m)(⟨q_m|⊗1)Ψ = √p_m G, all outcomes at once.
 
-    One batched SVD of the stacked S_m = (⟨q_m|Ψ)ᵀ gives V_m with the
-    completion of its range as trailing columns.  Outcomes are grouped by
-    numerical rank r; per group one complete QR of the image W_m gives
-    its completion, and U_m = W_m V_m† + W′_m V′_m†.
+    The one-row call of :func:`_solve_rows`: (corrections, probabilities,
+    zero mask, worst residual).
+    """
+    corrections, probs, zero, resid = _solve_rows(big[None], g_mat[None], qcols[None], da, db, k)
+    return corrections[0], tuple(probs[0].tolist()), tuple(zero[0].tolist()), float(resid[0])
+
+
+def _solve_rows(big, g_mat, qcols, da, db, k):
+    """:func:`_solve_corrections` of each row of stacked Ψ, G and measurements, together.
+
+    One batched SVD of the stacked S_m = (⟨q_m|Ψ)ᵀ of every row's live
+    outcomes gives V_m with the completion of its range as trailing
+    columns.  Outcomes are grouped by numerical rank r; per group one
+    complete QR of the image W_m gives its completion, and
+    U_m = W_m V_m† + W′_m V′_m†.  Each outcome's U_m equals the one-row
+    call's, bit for bit.  Returns the corrections, probabilities and zero
+    mask per (row, outcome), and each row's worst residual.
     """
     dbk = db * k
     dadb = da * db
     blocks, probs = _outcome_blocks(big, qcols)
     zero = probs < PROB_TOL
     probs[zero] = 0.0
-    corrections = np.empty((len(probs), dadb, dbk), dtype=complex)
+    corrections = np.empty((*probs.shape, dadb, dbk), dtype=complex)
     corrections[zero] = np.eye(dadb, dbk)
-    max_resid = 0.0
-    live = np.flatnonzero(~zero)
+    max_resid = np.zeros(len(probs))
+    row, live = np.nonzero(~zero)
     if live.size:
-        s_mats = blocks[live].swapaxes(1, 2)  # L × dbk × dR
-        t_mats = np.sqrt(probs[live])[:, None, None] * g_mat.T  # L × dadb × dR
+        s_mats = blocks[row, live].swapaxes(1, 2)  # L × dbk × dR
+        t_mats = np.sqrt(probs[row, live])[:, None, None] * g_mat[row].swapaxes(1, 2)  # L × dadb × dR
         v_full, sig, w_sh = np.linalg.svd(s_mats, full_matrices=True)
         ranks = np.sum(sig > np.maximum(sig[:, :1], 1e-300) * 1e-12, axis=1)
         for r in np.unique(ranks):
             sel = np.flatnonzero(ranks == r)
             v_s, v_comp = v_full[sel, :, :r], v_full[sel, :, r:]
             w_img = t_mats[sel] @ _dagger(w_sh[sel, :r]) / sig[sel, None, :r]
-            iso_resid = np.abs(_dagger(w_img) @ w_img - np.eye(r)).max()
+            iso_resid = np.abs(_dagger(w_img) @ w_img - np.eye(r)).max(axis=(1, 2))
             w_comp = np.linalg.qr(w_img, mode="complete")[0][:, :, r:dbk]
             u = w_img @ _dagger(v_s) + w_comp @ _dagger(v_comp)
-            resid = np.linalg.norm(
-                (u @ s_mats[sel] - t_mats[sel]).reshape(len(sel), -1), axis=1
-            ).max()
-            corrections[live[sel]] = u
-            max_resid = max(max_resid, float(resid), float(iso_resid))
-    return corrections, tuple(probs.tolist()), tuple(zero.tolist()), max_resid
+            resid = np.linalg.norm((u @ s_mats[sel] - t_mats[sel]).reshape(len(sel), -1), axis=1)
+            corrections[row[sel], live[sel]] = u
+            np.maximum.at(max_resid, row[sel], np.maximum(resid, iso_resid))
+    return corrections, probs, zero, max_resid
 
 
 def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids):
@@ -682,36 +690,78 @@ def build_merge_protocol(
 ) -> MergeProtocol:
     """The merge of ψ's A share into B at K = ``k`` (the mode's minimal K by default).
 
-    The fallback is the one-row call of :func:`_fallback_rows`.
+    The one-row call of :func:`_fallback_rows` or :func:`_tight_rows`.
     """
     ids = dict(a0_id=a0_id, b0_id=b0_id, receiver=receiver, b0_owner=b0_owner)
     if mode == "fallback":
         amps, regs = psi.amplitudes[None], psi.registers
         return _fallback_rows(amps, regs, roles, k=k, rank_rtol=rank_rtol, **ids)[0][0]
-    r_ids, a_ids, b_ids = _parse_roles(psi, roles)
-    amps = psi.normalized().amplitudes[None]
-    (psi3,), held = _merge_tensor(amps, psi.registers, r_ids, a_ids, b_ids)
-    dr, da, db = psi3.shape
-    g_mat = psi3.reshape(dr, da * db)
+    if mode != "tight":
+        raise ValueError(f"unknown merge mode {mode!r}")
+    (proto,) = _tight_rows([(psi.amplitudes, psi.registers, roles, ids)], k=k, rank_rtol=rank_rtol)
+    if isinstance(proto, TreecastError):
+        raise proto
+    return proto
 
-    dec = _decomposed(psi, (r_ids, a_ids, b_ids), mode, rank_rtol)
-    kmin = merge_cost_K(dec)
-    k_eff = _resource_dim(kmin, k, da, mode)
-    big = _joint_tensor(psi3, k_eff)
-    built = _tight_measurement(dec, da, k_eff)
-    if built is None:
-        tag, qcols = _synthesize_measurement(big, g_mat, da, db, k_eff)
-    else:
-        tag, qcols = built
-    corrections, probs, zero_mask, resid = _solve_corrections(big, g_mat, qcols, da, db, k_eff)
-    if resid > VERIFY_TOL:
-        raise SynthesisFailed(
-            f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
-        )
-    return MergeProtocol(
-        **_merge_fields(held, r_ids, a_ids, b_ids, **ids), k=k_eff, kmin=kmin, strategy=tag,
-        measurement=qcols, corrections=corrections, probs=probs, zero_mask=zero_mask,
-    )
+
+def _tight_rows(rows, *, k=None, rank_rtol=RANK_RTOL) -> list:
+    """The tight merge of each row, built together.
+
+    ``rows`` holds (amplitudes, registers, roles, ids) per row, ``ids``
+    the keyword ids :func:`build_merge_protocol` takes; rows may differ in
+    all four.  Rows of one tensor shape (R′, A, B) are decomposed in one
+    stacked pass (``ki_rows``).  A row's K is ``k``, or its own minimal K
+    when None.  Rows of one shape and K solve their corrections in one
+    stacked call (:func:`_solve_rows`).  Measurements are built per row,
+    and one that needs synthesis is synthesized alone.  Each protocol
+    equals the one-row call's.  Returns per row its protocol, or the
+    TreecastError that row raised, SynthesisFailed among them.
+    """
+    out: list = [None] * len(rows)
+    shapes: dict[tuple, list] = {}
+    for b, (amps, regs, roles, ids) in enumerate(rows):
+        try:
+            psi = PureState(regs, amps)
+            parts = _parse_roles(psi, roles)
+            (psi3,), held = _merge_tensor(psi.normalized().amplitudes[None], regs, *parts)
+        except TreecastError as exc:
+            out[b] = exc
+            continue
+        registers = tuple(tuple(held[i] for i in part) for part in parts)
+        shapes.setdefault(psi3.shape, []).append((b, psi3, _merge_fields(held, *parts, **ids), registers))
+    for (dr, da, db), items in shapes.items():
+        psi3s = np.array([psi3 for _, psi3, _, _ in items])
+        by_k: dict[int, list] = {}
+        for (b, psi3, fields, _), dec in zip(items, ki_rows(psi3s, [x[3] for x in items], rank_rtol=rank_rtol)):
+            try:
+                if isinstance(dec, TreecastError):
+                    raise dec
+                kmin = merge_cost_K(dec)
+                k_eff = _resource_dim(kmin, k, da, "tight")
+                built = _tight_measurement(dec, da, k_eff)
+                if built is None:
+                    g_mat = psi3.reshape(dr, da * db)
+                    built = _synthesize_measurement(_joint_tensor(psi3, k_eff), g_mat, da, db, k_eff)
+            except TreecastError as exc:
+                out[b] = exc
+                continue
+            by_k.setdefault(k_eff, []).append((b, psi3, fields, kmin, built))
+        for k_eff, chosen in by_k.items():
+            psi3s = np.array([psi3 for _, psi3, _, _, _ in chosen])
+            qcols = np.array([cols for *_, (_, cols) in chosen])
+            solved = _solve_rows(_joint_tensor(psi3s, k_eff), psi3s.reshape(len(chosen), dr, da * db),
+                                 qcols, da, db, k_eff)
+            for (b, _, fields, kmin, (tag, cols)), corrections, probs, zero, resid in zip(chosen, *solved):
+                if resid > VERIFY_TOL:
+                    out[b] = SynthesisFailed(
+                        f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
+                    )
+                    continue
+                out[b] = MergeProtocol(
+                    **fields, k=k_eff, kmin=kmin, strategy=tag, measurement=cols,
+                    corrections=corrections, probs=tuple(probs.tolist()), zero_mask=tuple(zero.tolist()),
+                )
+    return out
 
 
 def verify_merge(protocol: MergeProtocol, psi: PureState, tol: float = VERIFY_TOL) -> MergeReport:

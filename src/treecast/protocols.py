@@ -40,6 +40,7 @@ from .errors import (
     InsufficientResource,
     SynthesisFailed,
     TooLarge,
+    TreecastError,
     UnknownEdge,
     VerificationFailed,
 )
@@ -51,7 +52,7 @@ from .merge_split import (
     _post_registers,
     _split_compress,
     _split_fan_out,
-    build_merge_protocol,
+    _tight_rows,
     build_split_protocol,
     correction_rows_event,
     isometry_event,
@@ -66,6 +67,9 @@ REPLAY_ROWS = 1024
 STAGE_ROWS = 16
 # merged sets the labeling search walks at most: star:11 has 1,024
 MERGED_SET_LIMIT = 1024
+# squared amplitude counts of the rows one stacked labeling-search build
+# takes: bounds its arrays, which grow with each row's squared dimension
+STACK_ENTRIES = 2**20
 
 # -- cost reports -------------------------------------------------------------
 
@@ -330,23 +334,33 @@ def _roles_for(regs, party: str):
 
 
 def _stage_protocols(amps, regs, roles, *, mode, k, **common):
-    """Each row's merge protocol at K = ``k``, or the first row's own K when None.
+    """Each row's merge protocol at K = ``k``, or its own K when None.
 
     Fallback mode builds the rows together (``_fallback_rows``) and also
-    returns their live post rows; tight mode builds each on its own,
-    falling back where synthesis fails, and returns None for them.
+    returns their live post rows.  Tight mode builds them together too
+    (:func:`_tight_merges`) and returns None for the post rows; the first
+    row's error, if any, is raised.
     """
     if mode == "fallback":
         return _fallback_rows(amps, regs, roles, k=k, **common)
-    protos = []
-    for row in amps:
-        state = PureState(regs, row)
-        try:
-            protos.append(build_merge_protocol(state, roles, k=k, mode="tight", **common))
-        except SynthesisFailed:
-            protos.append(build_merge_protocol(state, roles, k=k, mode="fallback", **common))
-        k = protos[0].k
+    rank_rtol = common.pop("rank_rtol")
+    protos = _tight_merges([(row, regs, roles, common) for row in amps], k=k, rank_rtol=rank_rtol)
+    for proto in protos:
+        if isinstance(proto, TreecastError):
+            raise proto
     return protos, None
+
+
+def _tight_merges(rows, *, k, rank_rtol):
+    """``_tight_rows``, with each row whose tight build fails synthesis built by the fallback alone."""
+    protos = _tight_rows(rows, k=k, rank_rtol=rank_rtol)
+    for b, ((amps, regs, roles, ids), proto) in enumerate(zip(rows, protos)):
+        if isinstance(proto, SynthesisFailed):
+            try:
+                protos[b] = _fallback_rows(amps[None], regs, roles, k=k, rank_rtol=rank_rtol, **ids)[0][0]
+            except TreecastError as exc:
+                protos[b] = exc
+    return protos
 
 
 def _merged_rows(protos, posts, amps, regs):
@@ -388,7 +402,7 @@ class _Stage:
 
 def _concentrate_stage(
     live: _Rows, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float,
-    budget: int | None = None, seed: int = 0, level: int = 0,
+    budget: int | None = None, seed: int = 0, level: int = 0, built=None,
 ) -> _Stage:
     """``vertex`` merges what it holds into the root's collective, on every live branch.
 
@@ -403,6 +417,7 @@ def _concentrate_stage(
     live, ``budget`` of them are kept before any gets its path,
     probability or normalized row: the all-zero path if live, and others
     drawn from a generator made from ``seed`` and ``level`` alone.
+    ``built`` holds the rows' protocols when the caller built them.
     """
     parent = tree.parent(vertex)
     roles = _roles_for(live.regs, vertex)
@@ -416,13 +431,14 @@ def _concentrate_stage(
     for lo, hi in zip(bounds, bounds[1:]):
         prefixes, amps = live.paths[lo:hi], live.amps[lo:hi]
         try:
-            protos, built = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
+            protos, posts = (built[lo:hi], None) if built is not None else _stage_protocols(
+                amps, live.regs, roles, mode=mode, k=k_edge, **common)
         except InsufficientResource:
             msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
             raise SynthesisFailed(msg) from None
         k_edge = protos[0].k
         records.update((prefix, MergeStepRecord(vertex, proto)) for prefix, proto in zip(prefixes, protos))
-        src, outcomes, p_m, posts, regs = _merged_rows(protos, built, amps, live.regs)
+        src, outcomes, p_m, posts, regs = _merged_rows(protos, posts, amps, live.regs)
         kept = p_m >= PROB_TOL
         chunks.append((lo + src, outcomes, p_m, posts) if kept.all() else
                       (lo + src[kept], outcomes[kept], p_m[kept], posts[kept]))
@@ -657,36 +673,101 @@ def optimize_labeling(
     """The ascending labeling of least concentrating cost, and its cost report.
 
     A stage's K depends on the set merged before it and its vertex alone
-    (``_branch_walk``), so one depth-first walk over merged sets builds
-    each (set, vertex) stage once, on the first live branch, and keeps
-    per set the cheapest way to merge the vertices left: the least exact
-    product of K, ties going to the lexicographically first labeling.
-    The report equals ``concentrating_cost`` on the winner in the same
-    mode.  A stage is freed once the walk has moved past it, so at most
-    n − 1 are alive at once.  Raises TooLarge, before any stage is built,
-    when the tree has more than ``MERGED_SET_LIMIT`` merged sets.
+    (``_branch_walk``), so each (set, vertex) stage is built once, on one
+    branch, in two phases.  First the merged sets are walked level by
+    level from ∅ (:func:`_level_stages`): a level's tight merges are built
+    together (:func:`_tight_merges`), and each new set carries the first
+    live branch of the first stage that reaches it.  Stages are taken in
+    order of set, then vertex, so that is the branch of the set's
+    lexicographically least merge sequence, the one a depth-first walk in
+    vertex order carries.  Then a pass over the recorded K keeps per set
+    the cheapest way to merge the vertices left: the least exact product
+    of K, ties going to the lexicographically first labeling.  The report
+    equals ``concentrating_cost`` on the winner in the same mode.  Memory
+    is bounded by one level's branches, one row per merged set (at most
+    252 on star:11), with the next level's growing beside it: no stage
+    outlives its turn.  An error is the one the depth-first walk meets
+    first.  Raises TooLarge, before any stage is built, when the tree has
+    more than ``MERGED_SET_LIMIT`` merged sets.
     """
     sets = tree.count_merged_sets()
     if sets > MERGED_SET_LIMIT:
         raise TooLarge(f"{sets} merged sets exceed the labeling search limit {MERGED_SET_LIMIT}")
     _check_parties(code, tree)
+    edges = _level_stages(code, tree, mode=mode, rank_rtol=rank_rtol)
     best: dict[frozenset[str], tuple[int, tuple[str, ...], tuple[EdgeCost, ...]]] = {}
-
-    def walk(merged, branch):
-        """(product of K, labeling of the vertices left, their edges) at its least."""
+    for merged in reversed(edges):  # every set after the sets it grows into
         options = []
-        for vertex in tree.vertices:
-            # mergeable: not the root, not merged yet, every child merged
-            kids = tree.children(vertex)
-            if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
-                continue
-            stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol)
-            grown = merged | {vertex}
-            if grown not in best:
-                best[grown] = walk(grown, stage.live.take([0]))
-            product, head, edges = best[grown]
-            options.append((stage.edge.k * product, head + (vertex,), (stage.edge, *edges)))
-        return min(options, default=(1, (tree.root,), ()))
+        for edge in edges[merged]:
+            product, head, rest = best[merged | {edge.child}]
+            options.append((edge.k * product, head + (edge.child,), (edge, *rest)))
+        best[merged] = min(options, default=(1, (tree.root,), ()))
+    _, labeling, chosen = best[frozenset()]
+    return labeling, _sorted_edge_costs("concentrate", chosen)
 
-    _, labeling, edges = walk(frozenset(), _first_branch(code))
-    return labeling, _sorted_edge_costs("concentrate", edges)
+
+def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol: float):
+    """Every merged set's stage edges, in vertex order, built level by level.
+
+    Each set holds one branch; a set's stages are built on it, a level's
+    tight merges together (:func:`_level_merges`).  Sets come out level by level, each level in the
+    order its sets were first reached.  A stage that raises stops the walk
+    at once unless a depth-first walk would have built another stage
+    first: stages of lexicographically smaller merge sequences still run,
+    and the error of the least failing one is raised.
+    """
+    edges: dict[frozenset[str], list[EdgeCost]] = {}
+    level = {frozenset(): ((), _first_branch(code))}
+    failed = None  # (merge sequence, error) of the least failing stage
+    while level:
+        pairs = [(merged, vertex) for merged in level for vertex in tree.vertices
+                 if vertex != tree.root and vertex not in merged and merged.issuperset(tree.children(vertex))
+                 and (failed is None or level[merged][0] + (vertex,) < failed[0])]
+        built = [None] * len(pairs)
+        if mode == "tight":
+            rows = [(*level[merged][1:], vertex) for merged, vertex in pairs]
+            built = _level_merges(rows, tree, rank_rtol)
+        grown = {}
+        for (merged, vertex), proto in zip(pairs, built):
+            order, branch = level[merged]
+            try:
+                if isinstance(proto, TreecastError):
+                    raise proto
+                stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol,
+                                           built=None if proto is None else [proto])
+            except TreecastError as exc:
+                failed = min(failed or (order + (vertex,), exc), (order + (vertex,), exc), key=lambda f: f[0])
+                continue
+            edges.setdefault(merged, []).append(stage.edge)
+            if merged | {vertex} not in grown:
+                grown[merged | {vertex}] = (order + (vertex,), stage.live.take([0]))
+        for merged in level:
+            edges.setdefault(merged, [])
+        level = grown
+    if failed is not None:
+        raise failed[1]
+    return edges
+
+
+def _level_merges(rows, tree: RootedTree, rank_rtol: float) -> list:
+    """The tight merge of each (branch, vertex) in ``rows``, as its stage builds it, in stacked calls.
+
+    Each call takes consecutive rows while their squared amplitude counts
+    sum to at most ``STACK_ENTRIES``, and at least one row.
+    """
+    jobs = []
+    for branch, vertex in rows:
+        ids = dict(receiver=tree.root, b0_owner=tree.parent(vertex),
+                   a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
+        jobs.append((branch.amps[0], branch.regs, _roles_for(branch.regs, vertex), ids))
+    protos, chunk, held = [], [], 0
+    for job in jobs:
+        size = job[0].size ** 2
+        if chunk and held + size > STACK_ENTRIES:
+            protos += _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
+            chunk, held = [], 0
+        chunk.append(job)
+        held += size
+    if chunk:
+        protos += _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
+    return protos

@@ -395,6 +395,33 @@ class TestKi:
         assert doc["format"] == "treecast.error/1"
         assert doc["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("extra", [58, 70])
+    def test_ki_state_file_register_bound(self, capsys, tmp_path, monkeypatch, extra):
+        # a Bell pair on (a, b), R trivial, plus dimension-1 registers: 61
+        # or more registers are refused before any state is built (73 axes
+        # crashed NumPy's reshape); 60 still decompose
+        s = 0.5 ** 0.5
+        trivial = [{"id": f"t{k}", "dim": 1} for k in range(extra)]
+        spec = {
+            "registers": [{"id": "R", "dim": 1}, {"id": "a", "dim": 2}, {"id": "b", "dim": 2}, *trivial],
+            "amplitudes": [[s, 0.0], 0.0, 0.0, [s, 0.0]],
+            "roles": {"R": ["R"], "A": ["a"], "B": ["b", *(t["id"] for t in trivial)]},
+        }
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(spec))
+        if extra + 3 <= 60:
+            code, doc = run_json(capsys, "ki", "--state", str(path))
+            assert (code, doc["K"]) == (0, 1)
+            return
+        built = []
+        monkeypatch.setattr(cli, "PureState", lambda *args: built.append(args))
+        code, doc = run_json(capsys, "ki", "--state", str(path))
+        assert code == 2
+        assert doc["format"] == "treecast.error/1"
+        assert doc["error"]["type"] == "TooLarge"
+        assert "more than 60 registers" in doc["error"]["message"]
+        assert built == []
+
     def test_ki_requires_inputs(self, capsys):
         code, doc = run_json(capsys, "ki")
         assert code == 2

@@ -580,17 +580,19 @@ def bits(a):
 
 
 def record_ki_calls(monkeypatch, run):
-    """Every ki_decompose call ``run`` makes, with its arguments."""
+    """Every row ``run`` decomposes, as the arguments of a one-row ki_decompose call."""
     from treecast import merge_split
 
     calls = []
-    real = koashi_imoto.ki_decompose
+    real = koashi_imoto.ki_rows
 
-    def recording(psi, roles, **kwargs):
-        calls.append((psi, roles, kwargs))
-        return real(psi, roles, **kwargs)
+    def recording(psi3, registers, **kwargs):
+        for rows, regs in zip(psi3, registers):
+            psi = PureState(tuple(r for part in regs for r in part), rows.reshape(-1))
+            calls.append((psi, tuple(tuple(r.id for r in part) for part in regs), kwargs))
+        return real(psi3, registers, **kwargs)
 
-    monkeypatch.setattr(merge_split, "ki_decompose", recording)
+    monkeypatch.setattr(merge_split, "ki_rows", recording)
     run()
     monkeypatch.undo()
     return calls
@@ -635,19 +637,24 @@ class TestKernelsMatchFormerSpelling:
                 g[:, 0, 0] = -0.0  # signed zeros must come out as kron makes them
                 cases.append(list(g))
                 cases.append(list(g + g.conj().transpose(0, 2, 1)))
-        seen = []
-        real = koashi_imoto._commutant_basis
+        seen, stacks = [], []
+        real = koashi_imoto._commutant_bases
 
         def recording(ops, dim):
-            seen.append((list(ops), dim))
+            seen.extend((list(row), dim) for row in ops)
+            stacks.append((ops, dim))
             return real(ops, dim)
 
-        monkeypatch.setattr(koashi_imoto, "_commutant_basis", recording)
+        monkeypatch.setattr(koashi_imoto, "_commutant_bases", recording)
         for psi, roles, kwargs in stage_inputs(monkeypatch)[:12]:
             koashi_imoto.ki_decompose(psi, roles, **kwargs)
         assert seen
         for ops, dim in [(c, c[0].shape[0]) for c in cases] + seen:
             assert bits(koashi_imoto._commutator_stack(ops, dim)) == bits(kron_stack(ops, dim))
+        # a stack of rows forms each row's matrix as the row alone does
+        for ops, dim in [(np.array([c, c[::-1]]), c[0].shape[0]) for c in cases] + stacks:
+            got = koashi_imoto._commutator_stack(ops, dim)
+            assert [bits(x) for x in got] == [bits(kron_stack(row, dim)) for row in ops]
 
     def test_recorded_decompositions(self):
         """The matmul kernels decompose a recorded corpus as the einsum spelling did.

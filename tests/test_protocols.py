@@ -348,17 +348,19 @@ class TestConcentratingMore:
         # The edge's K is the first branch's.  Here the sibling branch at v4
         # needs more than that K: the stage fails loudly, naming the edge,
         # after one build per branch and no retry at a raised K.
-        real = protocols.build_merge_protocol
+        real = protocols._tight_rows
         calls = []
 
-        def stub(state, roles, *, k=None, **kwargs):
-            if kwargs["a0_id"] == "ent:v4:A0":
-                calls.append(k)
-                if k is not None:
-                    raise InsufficientResource("stub: the sibling needs K + 1")
-            return real(state, roles, k=k, **kwargs)
+        def stub(rows, *, k=None, **kwargs):
+            protos = real(rows, k=k, **kwargs)
+            for b, (*_, ids) in enumerate(rows):
+                if ids["a0_id"] == "ent:v4:A0":
+                    calls.append(k)
+                    if k is not None:
+                        protos[b] = InsufficientResource("stub: the sibling needs K + 1")
+            return protos
 
-        monkeypatch.setattr(protocols, "build_merge_protocol", stub)
+        monkeypatch.setattr(protocols, "_tight_rows", stub)
         with pytest.raises(SynthesisFailed, match=r"edge \(v3, v4\).* K=1"):
             run_concentrating(*five_line)
         assert calls == [None, 1]
@@ -577,22 +579,21 @@ class TestSharedSuffixSearch:
     def test_each_set_stage_is_built_once(self, monkeypatch):
         # one stage per (set, vertex) key: a star with n − 1 leaves has
         # (n − 1)·2^(n − 2) of them; each stage follows one branch, so it
-        # builds one merge protocol
-        real_stage, real_build = protocols._concentrate_stage, protocols.build_merge_protocol
-        stages, builds = [], []
+        # builds one merge protocol, and a level's are built in one call
+        real_stage = protocols._concentrate_stage
+        stages = []
 
         def counting_stage(live, tree, vertex, *args, **kwargs):
             stages.append(vertex)
             return real_stage(live, tree, vertex, *args, **kwargs)
 
-        def counting_build(*args, **kwargs):
-            builds.append(kwargs.get("k"))
-            return real_build(*args, **kwargs)
-
         monkeypatch.setattr(protocols, "_concentrate_stage", counting_stage)
-        monkeypatch.setattr(protocols, "build_merge_protocol", counting_build)
+        builds = counted_builds(monkeypatch)
+        calls = []
+        real_tight = protocols._tight_rows
+        monkeypatch.setattr(protocols, "_tight_rows", lambda rows, **kw: calls.append(len(rows)) or real_tight(rows, **kw))
         optimize_labeling(five_qubit_code(), star_tree(5))
-        assert (len(stages), len(builds)) == (32, 32)
+        assert (len(stages), len(builds), calls) == (32, 32, [4, 12, 12, 4])
         stages.clear()
         builds.clear()
         optimize_labeling(ghz_code(6), star_tree(6))
@@ -666,19 +667,19 @@ EXHAUSTIVE = [
 
 
 def counted_builds(monkeypatch) -> list:
-    """The ``k`` of every merge protocol the stages build, one row or stacked rows at a time."""
-    real_one, real_rows = protocols.build_merge_protocol, protocols._fallback_rows
+    """The ``k`` of every merge protocol the stages build, tight or fallback, in stacked rows."""
+    real_tight, real_rows = protocols._tight_rows, protocols._fallback_rows
     builds = []
 
-    def one(*args, **kwargs):
-        builds.append(kwargs.get("k"))
-        return real_one(*args, **kwargs)
+    def tight(rows, **kwargs):
+        builds.extend([kwargs.get("k")] * len(rows))
+        return real_tight(rows, **kwargs)
 
     def rows(amps, *args, **kwargs):
         builds.extend([kwargs.get("k")] * len(amps))
         return real_rows(amps, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "build_merge_protocol", one)
+    monkeypatch.setattr(protocols, "_tight_rows", tight)
     monkeypatch.setattr(protocols, "_fallback_rows", rows)
     return builds
 
