@@ -54,7 +54,6 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .koashi_imoto import (
-    KiDecomposition,
     _parse_roles,
     ki_decompose,
     ki_rows,
@@ -71,7 +70,6 @@ from .tensors import (
     apply_event,
     check_rank_cut,
     isometry_event,
-    orthonormal_completion,
     phase_fixed,
     row_norms,
 )
@@ -386,23 +384,25 @@ def merge_cost(
     return merge_cost_K(ki_decompose(psi, ids, rank_rtol=rank_rtol))
 
 
-def _block_frames(dec: KiDecomposition):
-    """Per block: embedded junk eigenframe columns (only valid when n = 1)."""
-    frames = []
-    for j, blk in enumerate(dec.blocks):
-        emb = dec.a_block_embed(j)
-        omega = blk.omega.amplitudes.reshape(blk.dimL_A, blk.dimL_B)
-        mu = np.linalg.norm(omega, axis=0) ** 2
-        lvecs = omega / np.sqrt(mu)[None, :]
-        cols = emb.reshape(emb.shape[0], blk.dimL_A)[:, :] @ lvecs
-        frames.append(phase_fixed(cols))
-    return frames
+def _junk_frames(decs, j: int) -> np.ndarray:
+    """Block j's embedded junk eigenframe columns (only valid when n = 1), phase-fixed, per decomposition."""
+    m = decs[0].blocks[j].dimL_A
+    omega = np.array([dec.blocks[j].omega.amplitudes.reshape(m, m) for dec in decs])
+    mu = np.linalg.norm(omega, axis=1) ** 2
+    emb = np.array([dec.a_block_embed(j) for dec in decs])
+    return phase_fixed(emb @ (omega / np.sqrt(mu)[:, None, :]))
 
 
 def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
-    """Phase-fixed ``head`` columns followed by a completion to a basis of C^dim."""
+    """Phase-fixed ``head`` columns followed by a completion to a basis of C^dim; a stack slice by slice.
+
+    The completion is the trailing columns of one complete QR of the head.
+    """
     head = phase_fixed(head)
-    return np.hstack([head, orthonormal_completion(head, dim)])
+    if head.shape[-1] >= dim:
+        return head
+    q = np.linalg.qr(head, mode="complete")[0]
+    return np.concatenate([head, q[..., head.shape[-1]:]], axis=-1)
 
 
 def _shift_injection(frames: np.ndarray, k: int) -> np.ndarray:
@@ -420,37 +420,42 @@ def _shift_injection(frames: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("qa,...pad->...dpq", _fourier(n), shifted).reshape(*lead, da * k, kj * n)
 
 
-def _tight_measurement(dec: KiDecomposition, da: int, k: int):
-    """Measurement columns (dA·k × dA·k) and the strategy tag, or None."""
-    ns = [blk.dimR_A for blk in dec.blocks]
-    j_count = len(dec.blocks)
-    if all(n == 1 for n in ns):
-        frames = _block_frames(dec)
-        support = np.hstack(frames)
-        if j_count == 1:
-            tag = "single-block"
-            head = support
+def _tight_measurements(decs, da: int, k: int) -> list:
+    """Measurement columns (dA·k × dA·k) and the strategy tag of each decomposition, or None.
+
+    Decompositions of one block shape are measured as one stack, each
+    equal to its own build bit for bit.
+    """
+    out: list = [None] * len(decs)
+    shapes: dict[tuple, list[int]] = {}
+    for b, dec in enumerate(decs):
+        shape = tuple((blk.dimL_A, blk.dimR_A) for blk in dec.blocks)
+        if any(n > 1 for _, n in shape):
+            if len(shape) > 1:
+                continue
+            ((m, n),) = shape
+            # with junk, only a uniform one joins Φ⁺_K as one m·k-dimensional resource
+            if m > 1 and abs(dec.blocks[0].lambda0 - 1.0 / m) >= 1e-9 or m * k < n:
+                continue
+        shapes.setdefault(shape, []).append(b)
+    for shape, rows in shapes.items():
+        picked = [decs[b] for b in rows]
+        if all(n == 1 for _, n in shape):
+            tag = "single-block" if len(shape) == 1 else "scalar-fourier"
+            head = np.concatenate([_junk_frames(picked, j) for j in range(len(shape))], axis=2)
+            if len(shape) > 1:
+                head = head @ _fourier(head.shape[2]).conj()
+            cols = _completed_basis(head, da)
+            if k > 1:  # np.kron(cols, F_K*) of each row
+                cols = (cols[:, :, None, :, None] * _fourier(k).conj()[:, None, :]).reshape(len(rows), da * k, -1)
         else:
-            tag = "scalar-fourier"
-            head = support @ _fourier(support.shape[1]).conj()
-        a_cols = _completed_basis(head, da)
-        cols = np.kron(a_cols, _fourier(k).conj()) if k > 1 else a_cols
-        return tag, cols
-    if j_count == 1:
-        blk = dec.blocks[0]
-        m, n = blk.dimL_A, blk.dimR_A
-        if m == 1:
-            tag = "single-block"
-        elif abs(blk.lambda0 - 1.0 / m) < 1e-9:
-            # the junk pair and Φ⁺_K act as one m·k-dimensional resource
-            tag = "uniform-junk"
-        else:
-            return None
-        if m * k < n:
-            return None
-        frames = dec.a_block_embed(0).reshape(da, m, n).transpose(1, 2, 0)
-        return tag, _completed_basis(_shift_injection(frames, k), da * k)
-    return None
+            ((m, n),) = shape
+            tag = "single-block" if m == 1 else "uniform-junk"
+            frames = np.array([dec.a_block_embed(0) for dec in picked]).reshape(-1, da, m, n)
+            cols = _completed_basis(_shift_injection(frames.transpose(0, 2, 3, 1), k), da * k)
+        for b, c in zip(rows, cols):
+            out[b] = (tag, c)
+    return out
 
 
 def _haar_unitary(dim: int, rng) -> np.ndarray:
@@ -737,21 +742,28 @@ def _tight_rows(rows, *, k=None, rank_rtol=RANK_RTOL) -> list:
                 if isinstance(dec, TreecastError):
                     raise dec
                 kmin = merge_cost_K(dec)
-                k_eff = _resource_dim(kmin, k, da, "tight")
-                built = _tight_measurement(dec, da, k_eff)
-                if built is None:
-                    g_mat = psi3.reshape(dr, da * db)
-                    built = _synthesize_measurement(_joint_tensor(psi3, k_eff), g_mat, da, db, k_eff)
+                by_k.setdefault(_resource_dim(kmin, k, da, "tight"), []).append((b, psi3, fields, kmin, dec))
             except TreecastError as exc:
                 out[b] = exc
-                continue
-            by_k.setdefault(k_eff, []).append((b, psi3, fields, kmin, built))
         for k_eff, chosen in by_k.items():
-            psi3s = np.array([psi3 for _, psi3, _, _, _ in chosen])
-            qcols = np.array([cols for *_, (_, cols) in chosen])
-            solved = _solve_rows(_joint_tensor(psi3s, k_eff), psi3s.reshape(len(chosen), dr, da * db),
+            solvable = []
+            for item, built in zip(chosen, _tight_measurements([x[4] for x in chosen], da, k_eff)):
+                if built is None:
+                    psi3 = item[1]
+                    try:
+                        built = _synthesize_measurement(_joint_tensor(psi3, k_eff), psi3.reshape(dr, da * db),
+                                                        da, db, k_eff)
+                    except TreecastError as exc:
+                        out[item[0]] = exc
+                        continue
+                solvable.append((*item[:4], built))
+            if not solvable:
+                continue
+            psi3s = np.array([psi3 for _, psi3, _, _, _ in solvable])
+            qcols = np.array([cols for *_, (_, cols) in solvable])
+            solved = _solve_rows(_joint_tensor(psi3s, k_eff), psi3s.reshape(len(solvable), dr, da * db),
                                  qcols, da, db, k_eff)
-            for (b, _, fields, kmin, (tag, cols)), corrections, probs, zero, resid in zip(chosen, *solved):
+            for (b, _, fields, kmin, (tag, cols)), corrections, probs, zero, resid in zip(solvable, *solved):
                 if resid > VERIFY_TOL:
                     out[b] = SynthesisFailed(
                         f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"

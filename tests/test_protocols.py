@@ -1117,16 +1117,20 @@ class TestRowReplay:
     def test_a_stage_of_mixed_strategies_replays_exactly(self, monkeypatch):
         # star4 tight: stage 2 builds four rows at K = 2, the fallback's rank;
         # the third row's tight build is made to fail, so it alone falls back
-        calls, tight = [], merge_split._tight_measurement
+        calls, tight = [], merge_split._tight_measurements
 
-        def third_row_of_stage_2(dec, da, k):
-            calls.append(k)
-            return None if len(calls) == 6 else tight(dec, da, k)
+        def third_row_of_stage_2(decs, da, k):
+            built = tight(decs, da, k)
+            for b in range(len(decs)):
+                calls.append(k)
+                if len(calls) == 6:
+                    built[b] = None
+            return built
 
         def no_synthesis(*args):
             raise SynthesisFailed("synthesis off")
 
-        monkeypatch.setattr(merge_split, "_tight_measurement", third_row_of_stage_2)
+        monkeypatch.setattr(merge_split, "_tight_measurements", third_row_of_stage_2)
         monkeypatch.setattr(merge_split, "_synthesize_measurement", no_synthesis)
         code = star4_code()
         result = run_concentrating(code, star_tree(4))
