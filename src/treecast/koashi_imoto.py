@@ -475,7 +475,8 @@ def _canonical_order(blocks: list[_BlockData]) -> list[_BlockData]:
     """Blocks by descending p, then n, then m; the frame's fingerprint breaks only ties of those."""
     keys = [(-round(b.p, 9), b.n, b.m) for b in blocks]
     tied = {key for key in keys if keys.count(key) > 1}
-    order = sorted(range(len(blocks)), key=lambda i: (keys[i], blocks[i].fingerprint if keys[i] in tied else ()))
+    fingerprints = [b.fingerprint if key in tied else () for b, key in zip(blocks, keys)]
+    order = sorted(range(len(blocks)), key=lambda i: (keys[i], fingerprints[i]))
     return [blocks[i] for i in order]
 
 
@@ -555,15 +556,13 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
             y = _generic_element(comm, rng)
             g = _generic_element(comm, rng)
             y_vals, y_vecs = np.linalg.eigh(y + _dagger(y))
-            for i, c in enumerate(picked):
+            for i, b in enumerate(sel[c] for c in picked):
                 groups = _cluster(y_vals[i])
-                frames[sel[c]] = None if groups is None else _linked_frames(y_vecs[i], groups, g[i])
-                if frames[sel[c]] is None:  # resample alone, from the row's own generator
-                    try:
-                        frames[sel[c]] = _block_frames(comm[i], np.random.default_rng(0))
-                    except TreecastError as exc:
-                        out[sel[c]] = exc
-                        del frames[sel[c]]
+                found = None if groups is None else _linked_frames(y_vecs[i], groups, g[i])
+                try:  # an unresolved row resamples alone, from its own fresh generator
+                    frames[b] = found or _block_frames(comm[i], np.random.default_rng(0))
+                except TreecastError as exc:
+                    out[b] = exc
 
     shapes: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
     for b, found in frames.items():
@@ -580,7 +579,8 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
         try:
             if any(block is None for block in found):
                 raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
-            out[b] = _assemble(psi3[b], _merge_pass(psi3[b], found, rank_rtol), registers[b], support[b].shape[1])
+            blocks = _merge_pass(psi3[b], found, rank_rtol)
+            out[b] = _assemble(psi3[b], blocks, registers[b], support[b].shape[1])
         except TreecastError as exc:
             out[b] = exc
     return out

@@ -400,7 +400,7 @@ def _completed_basis(head: np.ndarray, dim: int) -> np.ndarray:
     """
     head = phase_fixed(head)
     if head.shape[-1] >= dim:
-        return head
+        return np.ascontiguousarray(head)
     q = np.linalg.qr(head, mode="complete")[0]
     return np.concatenate([head, q[..., head.shape[-1]:]], axis=-1)
 
@@ -447,7 +447,8 @@ def _tight_measurements(decs, da: int, k: int) -> list:
                 head = head @ _fourier(head.shape[2]).conj()
             cols = _completed_basis(head, da)
             if k > 1:  # np.kron(cols, F_K*) of each row
-                cols = (cols[:, :, None, :, None] * _fourier(k).conj()[:, None, :]).reshape(len(rows), da * k, -1)
+                cols = cols[:, :, None, :, None] * _fourier(k).conj()[:, None, :]
+                cols = cols.reshape(len(rows), da * k, da * k)
         else:
             ((m, n),) = shape
             tag = "single-block" if m == 1 else "uniform-junk"
@@ -714,13 +715,14 @@ def _tight_rows(rows, *, k=None, rank_rtol=RANK_RTOL) -> list:
 
     ``rows`` holds (amplitudes, registers, roles, ids) per row, ``ids``
     the keyword ids :func:`build_merge_protocol` takes; rows may differ in
-    all four.  Rows of one tensor shape (R′, A, B) are decomposed in one
-    stacked pass (``ki_rows``).  A row's K is ``k``, or its own minimal K
-    when None.  Rows of one shape and K solve their corrections in one
-    stacked call (:func:`_solve_rows`).  Measurements are built per row,
-    and one that needs synthesis is synthesized alone.  Each protocol
-    equals the one-row call's.  Returns per row its protocol, or the
-    TreecastError that row raised, SynthesisFailed among them.
+    all four.  A row's K is ``k``, or its own minimal K when None.  Rows
+    of one tensor shape (R′, A, B) are decomposed together (``ki_rows``);
+    rows of one shape and K get their measurements together
+    (:func:`_tight_measurements`), except that one needing synthesis is
+    synthesized alone, and solve their corrections in one call
+    (:func:`_solve_rows`).  Each protocol equals the one-row call's, bit
+    for bit.  Returns per row its protocol, or the TreecastError that row
+    raised, SynthesisFailed among them.
     """
     out: list = [None] * len(rows)
     shapes: dict[tuple, list] = {}
@@ -736,8 +738,9 @@ def _tight_rows(rows, *, k=None, rank_rtol=RANK_RTOL) -> list:
         shapes.setdefault(psi3.shape, []).append((b, psi3, _merge_fields(held, *parts, **ids), registers))
     for (dr, da, db), items in shapes.items():
         psi3s = np.array([psi3 for _, psi3, _, _ in items])
+        decs = ki_rows(psi3s, [regs for *_, regs in items], rank_rtol=rank_rtol)
         by_k: dict[int, list] = {}
-        for (b, psi3, fields, _), dec in zip(items, ki_rows(psi3s, [x[3] for x in items], rank_rtol=rank_rtol)):
+        for (b, psi3, fields, _), dec in zip(items, decs):
             try:
                 if isinstance(dec, TreecastError):
                     raise dec
@@ -745,32 +748,31 @@ def _tight_rows(rows, *, k=None, rank_rtol=RANK_RTOL) -> list:
                 by_k.setdefault(_resource_dim(kmin, k, da, "tight"), []).append((b, psi3, fields, kmin, dec))
             except TreecastError as exc:
                 out[b] = exc
-        for k_eff, chosen in by_k.items():
+        for k_row, chosen in by_k.items():
             solvable = []
-            for item, built in zip(chosen, _tight_measurements([x[4] for x in chosen], da, k_eff)):
-                if built is None:
-                    psi3 = item[1]
-                    try:
-                        built = _synthesize_measurement(_joint_tensor(psi3, k_eff), psi3.reshape(dr, da * db),
-                                                        da, db, k_eff)
-                    except TreecastError as exc:
-                        out[item[0]] = exc
-                        continue
-                solvable.append((*item[:4], built))
+            measured = _tight_measurements([dec for *_, dec in chosen], da, k_row)
+            for (b, psi3, fields, kmin, _), built in zip(chosen, measured):
+                try:
+                    if built is None:
+                        g_mat = psi3.reshape(dr, da * db)
+                        built = _synthesize_measurement(_joint_tensor(psi3, k_row), g_mat, da, db, k_row)
+                except TreecastError as exc:
+                    out[b] = exc
+                    continue
+                solvable.append((b, psi3, fields, kmin, built))
             if not solvable:
                 continue
-            psi3s = np.array([psi3 for _, psi3, _, _, _ in solvable])
+            psi3s = np.array([psi3 for _, psi3, *_ in solvable])
             qcols = np.array([cols for *_, (_, cols) in solvable])
-            solved = _solve_rows(_joint_tensor(psi3s, k_eff), psi3s.reshape(len(solvable), dr, da * db),
-                                 qcols, da, db, k_eff)
+            solved = _solve_rows(_joint_tensor(psi3s, k_row), psi3s.reshape(len(psi3s), dr, da * db),
+                                 qcols, da, db, k_row)
             for (b, _, fields, kmin, (tag, cols)), corrections, probs, zero, resid in zip(solvable, *solved):
                 if resid > VERIFY_TOL:
-                    out[b] = SynthesisFailed(
-                        f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
-                    )
+                    msg = f"strategy {tag!r} correction residual {resid:.2e} exceeds {VERIFY_TOL}"
+                    out[b] = SynthesisFailed(msg)
                     continue
                 out[b] = MergeProtocol(
-                    **fields, k=k_eff, kmin=kmin, strategy=tag, measurement=cols,
+                    **fields, k=k_row, kmin=kmin, strategy=tag, measurement=cols,
                     corrections=corrections, probs=tuple(probs.tolist()), zero_mask=tuple(zero.tolist()),
                 )
     return out

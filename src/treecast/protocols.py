@@ -17,8 +17,8 @@ uncorrected leftover, and after the last stage the root replays the
 correction isometries in ascending order, resurrecting every register
 locally, and finally inverts the encoding.  All branches of a stage
 share one register layout, so they are carried, and replayed, as rows of
-one array; a fallback stage also builds their merges together, a chunk of
-rows at a time.  Every branch of a stage needs the same K, so the per-edge
+one array, and a stage builds their merges together, a chunk of rows at
+a time.  Every branch of a stage needs the same K, so the per-edge
 cost is the K of the first branch's protocol, and every other branch's
 protocol is built at that K, consuming the provisioned resource in full.
 The cost reports (``concentrating_cost``, ``compare_costs``, the
@@ -63,7 +63,7 @@ from .tensors import PureState, Register, _group_rows, apply_event, overlap, row
 
 # leaves replayed at once by run_concentrating: bounds the replay's arrays
 REPLAY_ROWS = 1024
-# live rows a fallback stage builds at once: bounds the build's arrays
+# live rows a stage builds at once: bounds the build's arrays
 STAGE_ROWS = 16
 # merged sets the labeling search walks at most: star:11 has 1,024
 MERGED_SET_LIMIT = 1024
@@ -333,6 +333,12 @@ def _roles_for(regs, party: str):
     return ((REFERENCE_ID,), a_ids, b_ids)
 
 
+def _stage_ids(tree: RootedTree, vertex: str) -> dict:
+    """The ids of ``vertex``'s merges: the root receives, and the parent holds B₀."""
+    return dict(receiver=tree.root, b0_owner=tree.parent(vertex),
+                a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
+
+
 def _stage_protocols(amps, regs, roles, *, mode, k, **common):
     """Each row's merge protocol at K = ``k``, or its own K when None.
 
@@ -421,8 +427,7 @@ def _concentrate_stage(
     """
     parent = tree.parent(vertex)
     roles = _roles_for(live.regs, vertex)
-    common = dict(rank_rtol=rank_rtol, receiver=tree.root, b0_owner=parent,
-                  a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
+    common = dict(rank_rtol=rank_rtol, **_stage_ids(tree, vertex))
     k_edge = None
     records: dict[tuple[int, ...], MergeStepRecord] = {}
     chunks = []  # (source row, outcome, probability, unnormalized post row) per live branch
@@ -709,24 +714,24 @@ def optimize_labeling(
 def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol: float):
     """Every merged set's stage edges, in vertex order, built level by level.
 
-    Each set holds one branch; a set's stages are built on it, a level's
-    tight merges together (:func:`_level_merges`).  Sets come out level by level, each level in the
-    order its sets were first reached.  A stage that raises stops the walk
-    at once unless a depth-first walk would have built another stage
-    first: stages of lexicographically smaller merge sequences still run,
-    and the error of the least failing one is raised.
+    Each set holds one branch, and a set's stages are built on it; a
+    level's tight merges are built together (:func:`_level_merges`).  Sets
+    come out level by level, each level in the order its sets were first
+    reached.  When a stage raises, only stages of lexicographically smaller
+    merge sequences, which a depth-first walk in vertex order builds
+    first, still run, and the error of the least failing one is raised.
     """
     edges: dict[frozenset[str], list[EdgeCost]] = {}
-    level = {frozenset(): ((), _first_branch(code))}
+    level = {frozenset(): ((), _first_branch(code))}  # per set: its merge sequence and branch
     failed = None  # (merge sequence, error) of the least failing stage
     while level:
-        pairs = [(merged, vertex) for merged in level for vertex in tree.vertices
+        edges.update((merged, []) for merged in level)
+        pairs = [(merged, vertex) for merged, (order, _) in level.items() for vertex in tree.vertices
                  if vertex != tree.root and vertex not in merged and merged.issuperset(tree.children(vertex))
-                 and (failed is None or level[merged][0] + (vertex,) < failed[0])]
+                 and (failed is None or order + (vertex,) < failed[0])]
         built = [None] * len(pairs)
         if mode == "tight":
-            rows = [(*level[merged][1:], vertex) for merged, vertex in pairs]
-            built = _level_merges(rows, tree, rank_rtol)
+            built = _level_merges([(level[merged][1], vertex) for merged, vertex in pairs], tree, rank_rtol)
         grown = {}
         for (merged, vertex), proto in zip(pairs, built):
             order, branch = level[merged]
@@ -736,13 +741,11 @@ def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol:
                 stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol,
                                            built=None if proto is None else [proto])
             except TreecastError as exc:
-                failed = min(failed or (order + (vertex,), exc), (order + (vertex,), exc), key=lambda f: f[0])
-                continue
-            edges.setdefault(merged, []).append(stage.edge)
+                failed = (order + (vertex,), exc)  # the level's later stages come later depth-first
+                break
+            edges[merged].append(stage.edge)
             if merged | {vertex} not in grown:
                 grown[merged | {vertex}] = (order + (vertex,), stage.live.take([0]))
-        for merged in level:
-            edges.setdefault(merged, [])
         level = grown
     if failed is not None:
         raise failed[1]
@@ -755,11 +758,8 @@ def _level_merges(rows, tree: RootedTree, rank_rtol: float) -> list:
     Each call takes consecutive rows while their squared amplitude counts
     sum to at most ``STACK_ENTRIES``, and at least one row.
     """
-    jobs = []
-    for branch, vertex in rows:
-        ids = dict(receiver=tree.root, b0_owner=tree.parent(vertex),
-                   a0_id=f"ent:{vertex}:A0", b0_id=f"ent:{vertex}:B0")
-        jobs.append((branch.amps[0], branch.regs, _roles_for(branch.regs, vertex), ids))
+    jobs = [(branch.amps[0], branch.regs, _roles_for(branch.regs, vertex), _stage_ids(tree, vertex))
+            for branch, vertex in rows]
     protos, chunk, held = [], [], 0
     for job in jobs:
         size = job[0].size ** 2

@@ -390,16 +390,3 @@ def row_norms(amps: np.ndarray) -> np.ndarray:
     """
     x = amps.reshape(len(amps), 1, -1)
     return np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))[:, 0]
-
-
-def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the complement of ``cols``'s column space in C^dim.
-
-    Deterministic: the trailing columns of one complete QR of ``cols``,
-    which must have full column rank (orthonormal columns always do).
-    """
-    have = 0 if cols.size == 0 else cols.shape[1]
-    if dim <= have:
-        return np.zeros((dim, 0), dtype=complex)
-    q = np.linalg.qr(np.reshape(cols, (dim, have)).astype(complex), mode="complete")[0]
-    return np.ascontiguousarray(q[:, have:])

@@ -4,7 +4,8 @@ stored closed-form fallback arrays and dense corrections, the measured
 fallback post rows, the per-branch stage expansion, the branch budget's
 draw, the per-leaf root replay (on B₀ alone or dense), the per-state event
 interpreter, the per-sample channel checks, the per-row trace distances,
-the per-outcome spreading run, the ascending-labeling enumeration and
+the per-outcome spreading run, the ascending-labeling enumeration, the
+depth-first labeling search, the QR completion of a column set and
 acceptance criterion 5's codes."""
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ from treecast.merge_split import (
     merge_post_state,
     merge_post_states,
 )
+from treecast import protocols
 from treecast.network import line_tree, star_tree
 from treecast.protocols import (
+    MERGED_SET_LIMIT,
+    CostReport,
     EdgeCost,
     SpreadResult,
     SpreadStep,
     _check_parties,
+    _first_branch,
     _ordered,
     _root_held,
     _sorted_edge_costs,
@@ -548,3 +553,64 @@ def ascending_labelings(tree, limit: int = LABELING_ENUMERATION_LIMIT):
 
     grow([tree.root], set(tree.children(tree.root)))
     return out
+
+
+def depth_first_labeling(
+    code: IsometryCode,
+    tree,
+    *,
+    mode: str = "tight",
+    rank_rtol: float = RANK_RTOL,
+) -> tuple[tuple[str, ...], CostReport]:
+    """The ascending labeling of least concentrating cost, and its cost report.
+
+    A stage's K depends on the set merged before it and its vertex alone
+    (``_branch_walk``), so one depth-first walk over merged sets builds
+    each (set, vertex) stage once, on the first live branch, and keeps
+    per set the cheapest way to merge the vertices left: the least exact
+    product of K, ties going to the lexicographically first labeling.
+    The report equals ``concentrating_cost`` on the winner in the same
+    mode.  A stage is freed once the walk has moved past it, so at most
+    n − 1 are alive at once.  Raises TooLarge, before any stage is built,
+    when the tree has more than ``MERGED_SET_LIMIT`` merged sets.
+
+    The search as ``optimize_labeling`` ran it before it walked levels,
+    one stage and one merge build at a time.
+    """
+    sets = tree.count_merged_sets()
+    if sets > MERGED_SET_LIMIT:
+        raise TooLarge(f"{sets} merged sets exceed the labeling search limit {MERGED_SET_LIMIT}")
+    _check_parties(code, tree)
+    best: dict[frozenset[str], tuple[int, tuple[str, ...], tuple[EdgeCost, ...]]] = {}
+
+    def walk(merged, branch):
+        """(product of K, labeling of the vertices left, their edges) at its least."""
+        options = []
+        for vertex in tree.vertices:
+            # mergeable: not the root, not merged yet, every child merged
+            kids = tree.children(vertex)
+            if vertex == tree.root or vertex in merged or not merged.issuperset(kids):
+                continue
+            stage = protocols._concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol)
+            grown = merged | {vertex}
+            if grown not in best:
+                best[grown] = walk(grown, stage.live.take([0]))
+            product, head, edges = best[grown]
+            options.append((stage.edge.k * product, head + (vertex,), (stage.edge, *edges)))
+        return min(options, default=(1, (tree.root,), ()))
+
+    _, labeling, edges = walk(frozenset(), _first_branch(code))
+    return labeling, _sorted_edge_costs("concentrate", edges)
+
+
+def orthonormal_completion(cols: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis of the complement of ``cols``'s column space in C^dim.
+
+    Deterministic: the trailing columns of one complete QR of ``cols``,
+    which must have full column rank (orthonormal columns always do).
+    """
+    have = 0 if cols.size == 0 else cols.shape[1]
+    if dim <= have:
+        return np.zeros((dim, 0), dtype=complex)
+    q = np.linalg.qr(np.reshape(cols, (dim, have)).astype(complex), mode="complete")[0]
+    return np.ascontiguousarray(q[:, have:])

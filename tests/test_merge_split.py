@@ -11,6 +11,7 @@ from oracles import (
     canonical_phase,
     fallback_merge_reference,
     marginal_matrix,
+    orthonormal_completion,
     random_state,
     same_bytes,
     shift_loop,
@@ -70,7 +71,6 @@ from treecast.tensors import (
     apply_event,
     apply_map,
     max_entangled_pair,
-    orthonormal_completion,
     overlap,
     permute_registers,
     project_onto,
@@ -1480,3 +1480,92 @@ class TestRowInterpreter:
                     assert np.array_equal(amps[b], want.amplitudes)
                     assert (None if probs is None else probs[b]) == want_p
             state = oracle_step(state, event)
+
+
+# -- the stacked tight build -------------------------------------------------------
+
+
+def skewed_junk_state(weight):
+    """Junk √w|00⟩ + √(1 − w)|11⟩ on (jA, jB) beside star_phi2: w = 0.5 is uniform junk."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0], amps[3] = math.sqrt(weight), math.sqrt(1 - weight)
+    return tensor_product(PureState(regs(("jA", 2, "v2"), ("jB", 2, "v1")), amps), star_phi2())
+
+
+def recorded_tight_rows(monkeypatch, run) -> list:
+    """Every row the stages of ``run()`` hand to the stacked tight build."""
+    from treecast import protocols
+
+    rows, real = [], protocols._tight_rows
+
+    def recording(batch, **kwargs):
+        rows.extend(batch)
+        return real(batch, **kwargs)
+
+    monkeypatch.setattr(protocols, "_tight_rows", recording)
+    run()
+    monkeypatch.undo()
+    return rows
+
+
+class TestStackedTightBuild:
+    def test_mixed_stack_matches_one_row_builds(self, monkeypatch):
+        # five_qubit stage rows ((1,1)+(1,1) and (2,1) blocks, K = 1),
+        # star4 rows (one (1,2) block, K = 2), uniform junk (K = 1), junk that
+        # needs synthesis and junk whose synthesis fails, in one stack with
+        # rows of other roles and registers between them
+        rows = recorded_tight_rows(monkeypatch, lambda: run_concentrating(five_qubit_code(), line_tree(5)))
+        rows += recorded_tight_rows(monkeypatch, lambda: run_concentrating(star4_code(), star_tree(4)))
+        roles = {"R": ["R"], "A": ["jA", "v2"], "B": ["jB", "v1"]}
+        ids = {"a0_id": "merge:A0", "b0_id": "merge:B0", "receiver": "v1", "b0_owner": None}
+        extra = [(skewed_junk_state(w), roles, ids) for w in (0.5, 0.8, 0.7)]
+        rows[3:3] = [(psi.amplitudes, psi.registers, roles, ids) for psi, roles, ids in extra]
+        failing = extra[2][0]
+        (marked,), _ = merge_split._merge_tensor(failing.normalized().amplitudes[None], failing.registers,
+                                                 ("R",), ("jA", "v2"), ("jB", "v1"))
+        real = merge_split._synthesize_measurement
+
+        def synthesize(big, g_mat, *args):
+            if np.array_equal(g_mat, marked.reshape(len(g_mat), -1)):
+                raise SynthesisFailed("stub: no measurement for the marked row")
+            return real(big, g_mat, *args)
+
+        monkeypatch.setattr(merge_split, "_synthesize_measurement", synthesize)
+        stacked = merge_split._tight_rows(rows)
+        assert isinstance(stacked[5], SynthesisFailed)
+        kinds = {(p.strategy, p.k) for p in stacked if not isinstance(p, Exception)}
+        assert kinds == {("scalar-fourier", 1), ("single-block", 1), ("single-block", 2),
+                         ("uniform-junk", 1), ("synthesized", 2)}
+        for (amps, registers, roles, ids), got in zip(rows, stacked):
+            psi = PureState(registers, amps)
+            try:
+                want = build_merge_protocol(psi, roles, **ids)
+            except SynthesisFailed as exc:
+                assert str(got) == str(exc)
+                continue
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape, field.name
+                    assert a.tobytes() == b.tobytes() or np.abs(a - b).max() <= 1e-12, field.name
+                else:
+                    assert a == b, field.name
+            assert verify_merge(got, psi).passed
+
+    def test_a_failed_row_falls_back_alone(self, monkeypatch):
+        from treecast import protocols
+
+        def no_synthesis(*args):
+            raise SynthesisFailed("stub: synthesis off")
+
+        monkeypatch.setattr(merge_split, "_synthesize_measurement", no_synthesis)
+        roles = {"R": ["R"], "A": ["jA", "v2"], "B": ["jB", "v1"]}
+        ids = {"a0_id": "merge:A0", "b0_id": "merge:B0", "receiver": "v1", "b0_owner": None}
+        states = [skewed_junk_state(w) for w in (0.5, 0.7, 0.5)]
+        rows = [(psi.amplitudes, psi.registers, roles, ids) for psi in states]
+        protos = protocols._tight_merges(rows, k=None, rank_rtol=1e-8)
+        assert [p.strategy for p in protos] == ["uniform-junk", "fallback-teleport", "uniform-junk"]
+        want = build_merge_protocol(states[1], roles, mode="fallback", **ids)
+        assert protos[1].frame.tobytes() == want.frame.tobytes()
+        assert (protos[1].k, protos[1].probs) == (want.k, want.probs)
+        assert all(verify_merge(p, psi).passed for p, psi in zip(protos, states))

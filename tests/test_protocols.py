@@ -589,9 +589,13 @@ class TestSharedSuffixSearch:
 
         monkeypatch.setattr(protocols, "_concentrate_stage", counting_stage)
         builds = counted_builds(monkeypatch)
-        calls = []
-        real_tight = protocols._tight_rows
-        monkeypatch.setattr(protocols, "_tight_rows", lambda rows, **kw: calls.append(len(rows)) or real_tight(rows, **kw))
+        calls, real_tight = [], protocols._tight_rows
+
+        def calling(rows, **kwargs):
+            calls.append(len(rows))
+            return real_tight(rows, **kwargs)
+
+        monkeypatch.setattr(protocols, "_tight_rows", calling)
         optimize_labeling(five_qubit_code(), star_tree(5))
         assert (len(stages), len(builds), calls) == (32, 32, [4, 12, 12, 4])
         stages.clear()
@@ -602,33 +606,90 @@ class TestSharedSuffixSearch:
         reference_search(five_qubit_code(), star_tree(5))
         assert len(builds) == 360
 
-    def test_stages_are_freed_as_the_walk_unwinds(self, monkeypatch):
-        # the memo keeps costs only: no branch state or step record
-        # outlives its place on the depth-first path
+    def test_memory_is_bounded_by_two_adjacent_levels(self, monkeypatch):
+        # the walk keeps one branch per merged set of the level it builds
+        # and of the next, a stage only while it is consumed, and nothing
+        # once it returns: star:5's levels hold 1, 4, 6, 4 and 1 sets
         real = protocols._concentrate_stage
-        alive = {"stages": 0, "held": 0}
-        peak = [0]
+        alive = {"stages": 0, "branches": 0}
+        peak = dict(alive)
 
         def release(kind):
             alive[kind] -= 1
 
-        def tracked(live, *args, **kwargs):
-            stage = real(live, *args, **kwargs)
-            alive["stages"] += 1
-            peak[0] = max(peak[0], alive["stages"])
-            weakref.finalize(stage, release, "stages")
-            # the rows a stage receives: the branch carried down to it
-            held = [*stage.records.values(), stage.live.amps, live.amps]
-            alive["held"] += len(held)
-            for obj in held:
-                weakref.finalize(obj, release, "held")
+        def track(kind, obj):
+            alive[kind] += 1
+            peak[kind] = max(peak[kind], alive[kind])
+            weakref.finalize(obj, release, kind)
+
+        def tracked(*args, **kwargs):
+            stage = real(*args, **kwargs)
+            track("stages", stage)
             return stage
 
+        def taken(rows, picked):  # the branch a new set carries
+            branch = take(rows, picked)
+            track("branches", branch.amps)
+            return branch
+
+        take = protocols._Rows.take
         monkeypatch.setattr(protocols, "_concentrate_stage", tracked)
-        code, tree = five_qubit_code(), star_tree(5)
-        optimize_labeling(code, tree)
-        assert peak[0] <= len(tree.vertices) - 1
-        assert alive == {"stages": 0, "held": 0}
+        monkeypatch.setattr(protocols._Rows, "take", taken)
+        optimize_labeling(five_qubit_code(), star_tree(5))
+        assert peak == {"stages": 2, "branches": 4 + 6}
+        assert alive == {"stages": 0, "branches": 0}
+
+
+ALL_SEARCH_INPUTS = {**SEARCH_INPUTS, **MORE_SEARCH_INPUTS}
+
+
+class TestLevelWalk:
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    @pytest.mark.parametrize("name", ALL_SEARCH_INPUTS)
+    def test_matches_the_depth_first_walk(self, name, mode, monkeypatch):
+        # the same labeling and report as the former depth-first walk, and
+        # every (set, vertex) stage built on the same branch bytes
+        code, tree = ALL_SEARCH_INPUTS[name]()
+        real = protocols._concentrate_stage
+        carried = []
+
+        def recording(live, tree, vertex, **kwargs):
+            held = {r.owner for r in live.regs}
+            merged = frozenset(v for v in tree.vertices if v not in held)
+            branch = (live.regs, live.paths, live.probs.tobytes(), live.amps.tobytes())
+            carried[-1].setdefault(merged, []).append((vertex, branch))
+            return real(live, tree, vertex, **kwargs)
+
+        monkeypatch.setattr(protocols, "_concentrate_stage", recording)
+        results = []
+        for search in (optimize_labeling, oracles.depth_first_labeling):
+            carried.append({})
+            results.append(search(code, tree, mode=mode))
+        assert results[0] == results[1]
+        assert carried[0] == carried[1]
+        assert len(carried[0]) == tree.count_merged_sets() - 1  # every set but the full one
+
+    def test_first_failure_of_the_depth_first_order_is_raised(self, monkeypatch):
+        # star:4 stages fail at (∅, v4) and at ({v2}, v3): the depth-first
+        # walk meets ({v2}, v3) first, so its error is raised, although the
+        # level walk builds (∅, v4) a level earlier
+        real = protocols._tight_rows
+        failing = {("v2", "v3"): "second level", ("v4",): "first level"}
+
+        def stub(rows, **kwargs):
+            protos = real(rows, **kwargs)
+            for b, (_, regs, roles, ids) in enumerate(rows):
+                vertex = ids["a0_id"].split(":")[1]
+                held = {r.owner for r in regs}
+                merged = tuple(sorted(v for v in ("v2", "v3", "v4") if v not in held and v != vertex))
+                if merged + (vertex,) in failing:
+                    protos[b] = NumericalDegeneracy(failing[merged + (vertex,)])
+            return protos
+
+        monkeypatch.setattr(protocols, "_tight_rows", stub)
+        for search in (optimize_labeling, oracles.depth_first_labeling):
+            with pytest.raises(NumericalDegeneracy, match="second level"):
+                search(star4_code(), star_tree(4))
 
 
 # -- one branch per stage --------------------------------------------------------------

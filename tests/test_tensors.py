@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     canonical_phase,
     marginal_matrix,
+    orthonormal_completion,
     random_state,
     same_bytes,
     states_equal_up_to_phase,
@@ -23,7 +24,6 @@ from treecast.tensors import (
     Register,
     apply_map,
     max_entangled_pair,
-    orthonormal_completion,
     overlap,
     permute_registers,
     project_onto,
