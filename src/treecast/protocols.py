@@ -69,7 +69,7 @@ STAGE_ROWS = 16
 MERGED_SET_LIMIT = 1024
 # squared amplitude counts of the rows one stacked labeling-search build
 # takes: bounds its arrays, which grow with each row's squared dimension
-STACK_ENTRIES = 2**20
+STACK_ENTRIES = 2**16
 
 # -- cost reports -------------------------------------------------------------
 
@@ -752,22 +752,20 @@ def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol:
     return edges
 
 
-def _level_merges(rows, tree: RootedTree, rank_rtol: float) -> list:
+def _level_merges(rows, tree: RootedTree, rank_rtol: float):
     """The tight merge of each (branch, vertex) in ``rows``, as its stage builds it, in stacked calls.
 
     Each call takes consecutive rows while their squared amplitude counts
-    sum to at most ``STACK_ENTRIES``, and at least one row.
+    sum to at most ``STACK_ENTRIES``, and at least one row.  Calls are
+    made as the protocols are read, so one call's are held at a time.
     """
-    jobs = [(branch.amps[0], branch.regs, _roles_for(branch.regs, vertex), _stage_ids(tree, vertex))
-            for branch, vertex in rows]
-    protos, chunk, held = [], [], 0
-    for job in jobs:
-        size = job[0].size ** 2
+    chunk, held = [], 0
+    for branch, vertex in rows:
+        size = branch.amps[0].size ** 2
         if chunk and held + size > STACK_ENTRIES:
-            protos += _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
+            yield from _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
             chunk, held = [], 0
-        chunk.append(job)
+        chunk.append((branch.amps[0], branch.regs, _roles_for(branch.regs, vertex), _stage_ids(tree, vertex)))
         held += size
     if chunk:
-        protos += _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
-    return protos
+        yield from _tight_merges(chunk, k=None, rank_rtol=rank_rtol)
