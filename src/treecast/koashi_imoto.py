@@ -25,7 +25,8 @@ the unitary that aligns the two frames, and the pair is re-united, gated
 by a certificate that the united block still factors as ω ⊗ φ.  A pair
 whose R′ marginals differ cannot agree so, and is rejected before the
 commutant is solved.  Every emitted decomposition is re-verified
-against the input state.
+against the input state.  ``ki_rows`` runs all of this on a stack of
+states at once, and ``ki_decompose`` is its one-row call.
 """
 
 from __future__ import annotations

@@ -435,7 +435,7 @@ def _tight_measurements(decs, da: int, k: int) -> list:
                 continue
             ((m, n),) = shape
             # with junk, only a uniform one joins Φ⁺_K as one m·k-dimensional resource
-            if m > 1 and abs(dec.blocks[0].lambda0 - 1.0 / m) >= 1e-9 or m * k < n:
+            if (m > 1 and abs(dec.blocks[0].lambda0 - 1.0 / m) >= 1e-9) or m * k < n:
                 continue
         shapes.setdefault(shape, []).append(b)
     for shape, rows in shapes.items():
