@@ -690,8 +690,8 @@ def optimize_labeling(
     of K, ties going to the lexicographically first labeling.  The report
     equals ``concentrating_cost`` on the winner in the same mode.  Memory
     is bounded by one level's branches, one row per merged set (at most
-    252 on star:11), with the next level's growing beside it: no stage
-    outlives its turn.  An error is the one the depth-first walk meets
+    252 on star:11), with the next level's growing beside it, and by one
+    stacked call's protocols: no stage outlives its turn.  An error is the one the depth-first walk meets
     first.  Raises TooLarge, before any stage is built, when the tree has
     more than ``MERGED_SET_LIMIT`` merged sets.
     """
