@@ -396,10 +396,11 @@ def _extract_rows(psi3, emb, m: int, n: int, rank_rtol: float) -> list:
     nu, evecs = np.linalg.eigh(flat @ _dagger(flat))
     nu, evecs = nu[:, ::-1].copy(), evecs[:, :, ::-1].copy()
     ranks = [int(np.sum(row > rank_rtol * row[0])) for row in nu]
+    fills = mu[:, -1] >= rank_rtol * mu[:, 0]  # a junk marginal must fill the block
     for n_r in sorted(set(ranks)):
-        sel = [i for i, r in enumerate(ranks) if r == n_r and mu[i, -1] >= rank_rtol * mu[i, 0]]
+        sel = [i for i, r in enumerate(ranks) if r == n_r and fills[i]]
         if not sel:
-            continue  # a junk marginal must fill the block
+            continue
         nu_s, vecs = nu[sel, :n_r].copy(), evecs[sel, :, :n_r].copy()
         for i, row in enumerate(sel):
             for a, b in _degenerate_groups(nu_s[i], 1e-9 * float(nu_s[i, 0])):
@@ -576,12 +577,12 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
         for (b, j, _), block in zip(items, data):
             blocks[b][j] = block
 
-    for b, found in blocks.items():
+    for b, row_blocks in blocks.items():
         try:
-            if any(block is None for block in found):
+            if any(block is None for block in row_blocks):
                 raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
-            blocks = _merge_pass(psi3[b], found, rank_rtol)
-            out[b] = _assemble(psi3[b], blocks, registers[b], support[b].shape[1])
+            merged = _merge_pass(psi3[b], row_blocks, rank_rtol)
+            out[b] = _assemble(psi3[b], merged, registers[b], support[b].shape[1])
         except TreecastError as exc:
             out[b] = exc
     return out

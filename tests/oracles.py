@@ -574,8 +574,8 @@ def depth_first_labeling(
     n − 1 are alive at once.  Raises TooLarge, before any stage is built,
     when the tree has more than ``MERGED_SET_LIMIT`` merged sets.
 
-    The search as ``optimize_labeling`` ran it before it walked levels,
-    one stage and one merge build at a time.
+    The reference for ``optimize_labeling``'s level walk: one stage, and
+    one merge build, at a time, in depth-first order.
     """
     sets = tree.count_merged_sets()
     if sets > MERGED_SET_LIMIT:
