@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import DISCARD_TOL, RANK_RTOL, VERIFY_TOL
 from .errors import BadPermutation, NumericalDegeneracy, ShapeMismatch, TreecastError
-from .tensors import PureState, Register, _dagger, check_rank_cut, permute_registers, phase_fixed, row_norms
+from .tensors import PureState, Register, _dagger, _group_rows, check_rank_cut, phase_fixed, row_norms
 
 _CLUSTER_COARSE = 1e-7
 _CLUSTER_FINE = 1e-10
@@ -56,8 +56,8 @@ class KiBlock:
     dimR_A: int
     dimL_B: int
     dimR_B: int
-    omega: PureState
-    phi: PureState
+    omega: np.ndarray  # read-only amplitudes, (dimL_A, dimL_B)
+    phi: np.ndarray  # read-only amplitudes, (dim R′, dimR_A, dimR_B)
     lambda0: float
 
 
@@ -115,8 +115,8 @@ def rebuild(dec: KiDecomposition) -> PureState:
     for j, blk in enumerate(dec.blocks):
         m, n = blk.dimL_A, blk.dimR_A
         nL, nR = blk.dimL_B, blk.dimR_B
-        omega = blk.omega.amplitudes.reshape(1, m, 1, nL, 1)
-        phi = blk.phi.amplitudes.reshape(dR, 1, n, 1, nR)
+        omega = blk.omega.reshape(1, m, 1, nL, 1)
+        phi = blk.phi.reshape(dR, 1, n, 1, nR)
         a0, b0 = dec.a_offset(j), dec.b_offset(j)
         core[:, a0 : a0 + m * n, b0 : b0 + nL * nR] = (
             math.sqrt(blk.p) * (omega * phi).reshape(dR, m * n, nL * nR)
@@ -129,13 +129,16 @@ def rebuild(dec: KiDecomposition) -> PureState:
 # -- internals ---------------------------------------------------------------
 
 
-def _marginal(x: np.ndarray, axis: int) -> np.ndarray:
-    """Reduced matrix of one axis of a pure-state tensor: Σ_rest x x*."""
-    return _marginals(x[None], axis + 1)[0]
+def _merge_tensor(amps, regs, r_ids, a_ids, b_ids):
+    """Rows of ``amps`` (states over ``regs``) as (rows, dR, dA, dB), and the registers by id."""
+    held = {r.id: r for r in regs}
+    dims = [math.prod(held[i].dim for i in part) for part in (r_ids, a_ids, b_ids)]
+    psi3 = _group_rows(amps, regs, [*r_ids, *a_ids, *b_ids])[0]
+    return psi3.reshape(len(amps), *dims), held
 
 
 def _marginals(x: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`_marginal` of each row of a stack (rows, …); ``axis`` counts the rows axis."""
+    """Reduced matrix Σ_rest x x* of one axis of each row of a stack (rows, …); ``axis`` counts rows."""
     rows = x.swapaxes(1, axis).reshape(len(x), x.shape[axis], -1)
     return rows @ _dagger(rows)
 
@@ -183,30 +186,23 @@ def _rank_cut(vals: np.ndarray, rank_rtol: float) -> float:
         raise ShapeMismatch("zero marginal has no support")
     cut = rank_rtol * top
     check_rank_cut(vals, cut)
-    band = (vals > cut / 16) & (vals < cut * 16)
-    if band.any():
+    if any(cut / 16 < v < cut * 16 for v in vals.tolist()):  # plain floats: a few per row
         raise NumericalDegeneracy(
             "marginal eigenvalue falls inside the rank tolerance band"
         )
     return cut
 
 
-def _commutant_basis(ops, dim: int) -> np.ndarray:
-    """Basis of {X : [X, T] = 0 for all T} via one stacked null space, as a stack.
-
-    Singular values are thresholded against the scale of the generating
-    operators themselves, not of the stacked commutator matrix — when
-    every T is (near) proportional to the identity, the stacked matrix
-    is pure floating-point noise and a relative cutoff would mistake
-    that noise for genuine constraints.
-    """
-    return _commutant_bases(np.asarray(ops)[None], dim)[0][1][0]
-
-
 def _commutant_bases(ops: np.ndarray, dim: int) -> list[tuple[list[int], np.ndarray]]:
-    """:func:`_commutant_basis` of each row's operators (rows, T, dim, dim), by one stacked SVD.
+    """Basis of {X : [X, T] = 0 for all T} of each row's operators (rows, T, dim, dim).
 
-    Returns (rows, their bases stacked) per commutant dimension.
+    One stacked SVD gives every row's null space.  Returns (rows, their
+    bases stacked) per commutant dimension.  Singular values are
+    thresholded against the scale of the generating operators themselves,
+    not of the stacked commutator matrix — when every T is (near)
+    proportional to the identity, the stacked matrix is pure
+    floating-point noise and a relative cutoff would mistake that noise
+    for genuine constraints.
     """
     scale = np.linalg.norm(ops, axis=(-2, -1)).max(axis=-1)
     stack = _commutator_stack(ops, dim)
@@ -253,24 +249,34 @@ def _cluster(vals: np.ndarray):
     return _degenerate_groups(vals, _CLUSTER_COARSE * scale)
 
 
-def _block_frames(comm, rng) -> list[tuple[np.ndarray, int, int]]:
-    """Tensor frame V, m and n of each block of the commutant ⊕_c M_m ⊗ 1_n.
+def _block_frames(comm: np.ndarray) -> list:
+    """Tensor frame V, m and n of each block of the commutant ⊕_c M_m ⊗ 1_n, per row of a stack.
 
-    V's columns run over (l, ρ), l slowest.  A generic Hermitian element
-    is ⊕_c h_c ⊗ 1_n with simple spectra, so its eigenspaces are one slot
-    per (c, l), each of dimension n.  A generic element G links slots a
-    and b (V_a† G V_b ≠ 0) exactly when they lie in one c, and P_a G w₀,
-    normalized, carries the first slot's frame w₀ onto slot a.
+    ``comm`` holds each row's commutant basis (rows, count, d, d), one
+    count for all.  V's columns run over (l, ρ), l slowest.  A generic
+    Hermitian element is ⊕_c h_c ⊗ 1_n with simple spectra, so its
+    eigenspaces are one slot per (c, l), each of dimension n.  A generic
+    element G links slots a and b (V_a† G V_b ≠ 0) exactly when they lie
+    in one c, and P_a G w₀, normalized, carries the first slot's frame w₀
+    onto slot a.  Each attempt draws both elements for every unresolved
+    row from one generator created afresh per call, so a row sees the
+    draws it would see alone.  Returns per row its frames, or None when
+    ``_RESAMPLE_BUDGET`` attempts leave it unresolved.
     """
+    rng = np.random.default_rng(0)
+    out: list = [None] * len(comm)
+    todo = list(range(len(comm)))
     for _ in range(_RESAMPLE_BUDGET):
-        y = _generic_element(comm, rng)
-        vals, vecs = np.linalg.eigh(y + y.conj().T)
-        groups = _cluster(vals)
-        if groups is not None:
-            frames = _linked_frames(vecs, groups, _generic_element(comm, rng))
-            if frames is not None:
-                return frames
-    raise NumericalDegeneracy("commutant block structure could not be resolved")
+        y = _generic_element(comm[todo], rng)
+        g = _generic_element(comm[todo], rng)
+        vals, vecs = np.linalg.eigh(y + _dagger(y))
+        for i, b in enumerate(todo):
+            groups = _cluster(vals[i])
+            out[b] = None if groups is None else _linked_frames(vecs[i], groups, g[i])
+        todo = [b for b in todo if out[b] is None]
+        if not todo:
+            break
+    return out
 
 
 def _linked_frames(vecs, groups, g):
@@ -343,23 +349,16 @@ def _degenerate_groups(vals: np.ndarray, atol: float):
     return groups
 
 
-def _extract_block(psi3: np.ndarray, emb: np.ndarray, m: int, n: int, rank_rtol: float):
-    """Factor ψ's component in the block as ω ⊗ φ; None if it does not factor.
-
-    The one-row call of :func:`_extract_rows`.
-    """
-    return _extract_rows(psi3[None], emb[None], m, n, rank_rtol)[0]
-
-
 def _extract_rows(psi3, emb, m: int, n: int, rank_rtol: float) -> list:
-    """:func:`_extract_block` of each (ψ, frame) pair, stacked as (pairs, R′, A, B) and (pairs, A, m·n).
+    """Factor each ψ's component in its block frame as ω ⊗ φ; None where it does not factor.
 
+    The pairs are stacked as (pairs, R′, A, B) and (pairs, A, m·n).
     Frame gauges left open by degenerate spectra are pinned against the
     computational position operator so repeated runs (and the worked
     branch displays built on top) come out in a fixed basis.  A 1×1
     junk factor (m = 1) has no gauge: its eigenframe is 1 and its
     spectrum the marginal itself, as ``eigh`` gives them.  Each pair's
-    data equals the one-pair call's, bit for bit.
+    data equals that of a stack of that pair alone, bit for bit.
     """
     pairs, dR, dA, dB = psi3.shape
     if n > 1:
@@ -447,7 +446,7 @@ def _intertwiner(fi: np.ndarray, fj: np.ndarray) -> np.ndarray | None:
     both = np.zeros((d_r, 2 * n, 2 * n_r), dtype=complex)
     both[:, :n, :n_r] = fi
     both[:, n:, n_r:] = fj
-    comm = _commutant_basis(_transfer_ops(both), 2 * n)
+    [(_, (comm,))] = _commutant_bases(_transfer_ops(both)[None], 2 * n)
     if len(comm) != 4:
         return None
     corner = max((x[:n, n:] for x in comm), key=np.linalg.norm)
@@ -459,18 +458,18 @@ def _try_merge(psi3, bi: _BlockData, bj: _BlockData, dR: int, rank_rtol: float):
     """Candidate union of two blocks; None unless the union re-certifies.
 
     With T^i u = u T^j, block j's content in the frame bj.emb·(1 ⊗ u†)
-    equals φ_i up to a unitary on b^R, which ``_extract_block`` absorbs.
+    equals φ_i up to a unitary on b^R, which ``_extract_rows`` absorbs.
     """
     if bi.n != bj.n or bi.nu.size != bj.nu.size or not np.allclose(bi.nu, bj.nu, atol=1e-7):
         return None
     fi, fj = ((b.evecs * np.sqrt(b.nu)).reshape(dR, b.n, -1) for b in (bi, bj))
-    if np.abs(_marginal(fi, 0) - _marginal(fj, 0)).max() > 1e-7:
+    if np.abs(np.subtract(*_marginals(np.array([fi, fj]), 1))).max() > 1e-7:
         return None  # the R′ marginals Tr T_{rr′} differ, so no intertwiner exists
     u = _intertwiner(fi, fj)
     if u is None:
         return None
     emb = np.hstack([bi.emb, bj.emb @ np.kron(np.eye(bj.m), u.conj().T)])
-    return _extract_block(psi3, emb, bi.m + bj.m, bi.n, rank_rtol)
+    return _extract_rows(psi3[None], emb[None], bi.m + bj.m, bi.n, rank_rtol)[0]
 
 
 def _canonical_order(blocks: list[_BlockData]) -> list[_BlockData]:
@@ -508,10 +507,8 @@ def ki_decompose(
     The one-row call of :func:`ki_rows`.
     """
     ids = _parse_roles(psi, roles)
-    perm = permute_registers(psi.normalized(), [i for part in ids for i in part])
-    regs = tuple(tuple(perm.register(i) for i in part) for part in ids)
-    dims = [math.prod(r.dim for r in part) for part in regs]
-    (dec,) = ki_rows(perm.amplitudes.reshape(1, *dims), [regs], rank_rtol=rank_rtol)
+    psi3, held = _merge_tensor(psi.normalized().amplitudes[None], psi.registers, *ids)
+    (dec,) = ki_rows(psi3, [tuple(tuple(held[i] for i in part) for part in ids)], rank_rtol=rank_rtol)
     if isinstance(dec, TreecastError):
         raise dec
     return dec
@@ -522,18 +519,17 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
 
     ``registers`` holds each row's (R′, A, B) register tuples, and each
     row is normalized.  The block structure comes from generic commutant
-    elements (Murota, Kanno, Kojima and Kojima, JJIAM 27, 125, 2010)
-    drawn from a generator created afresh for each row, so a row's
-    decomposition is a function of that row alone.  Rows of one support
-    rank s_a share the marginals, the support and B-side spectra, the
-    transfer operators and the commutant SVD as stacks; rows of one
-    commutant dimension draw the same numbers, so one draw serves them
-    all, and a row whose draw leaves its blocks unresolved resamples on
-    its own.  Every (row, block) of one shape (m, n) is factored in one
-    stacked pass.  The merge pass and the checks of :func:`_assemble`
-    run per row.  Each row's decomposition equals the one-row call's,
-    bit for bit.  Returns per row its decomposition, or the
-    TreecastError it raised alone.
+    elements (Murota, Kanno, Kojima and Kojima, JJIAM 27, 125, 2010),
+    drawn so that a row's decomposition is a function of that row alone.
+    Rows of one support rank s_a share the marginals, the support and
+    B-side spectra, the transfer operators and the commutant SVD as
+    stacks; rows of one commutant dimension then take their frames from
+    one :func:`_block_frames` pass, every attempt one draw for all the
+    rows it has not resolved yet.  Every (row, block) of one shape (m, n)
+    is factored in one stacked pass.  The merge pass and the checks of
+    :func:`_assemble` run per row.  Each row's decomposition equals the
+    one-row call's, bit for bit.  Returns per row its decomposition, or
+    the TreecastError it raised alone.
     """
     rows = len(psi3)
     out: list = [None] * rows
@@ -554,17 +550,11 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
         e_a = np.ascontiguousarray(phase_fixed(vecs[sel, :, ::-1][:, :, :s_a]))
         support.update(zip(sel, e_a))
         for picked, comm in _commutant_bases(_transfer_ops(_a_coords(psi3[sel], e_a)), s_a):
-            rng = np.random.default_rng(0)
-            y = _generic_element(comm, rng)
-            g = _generic_element(comm, rng)
-            y_vals, y_vecs = np.linalg.eigh(y + _dagger(y))
-            for i, b in enumerate(sel[c] for c in picked):
-                groups = _cluster(y_vals[i])
-                found = None if groups is None else _linked_frames(y_vecs[i], groups, g[i])
-                try:  # an unresolved row resamples alone, from its own fresh generator
-                    frames[b] = found or _block_frames(comm[i], np.random.default_rng(0))
-                except TreecastError as exc:
-                    out[b] = exc
+            for b, found in zip((sel[c] for c in picked), _block_frames(comm)):
+                if found is None:
+                    out[b] = NumericalDegeneracy("commutant block structure could not be resolved")
+                else:
+                    frames[b] = found
 
     shapes: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
     for b, found in frames.items():
@@ -617,30 +607,11 @@ def _assemble(psi3, blocks, registers, s_a):
     ki_blocks = []
     p_total = 0.0
     for j, b in enumerate(blocks):
-        n_r = b.nu.size
-        omega_regs = (
-            Register(f"aL{j}", b.m, "A"),
-            Register(f"bL{j}", b.m, "B"),
-        )
-        omega = PureState(omega_regs, (b.lvecs * np.sqrt(b.mu)).reshape(-1))
-        phi_regs = r_regs + (
-            Register(f"aR{j}", b.n, "A"),
-            Register(f"bR{j}", n_r, "B"),
-        )
-        phi = PureState(phi_regs, (b.evecs * np.sqrt(b.nu)).reshape(-1))
-        ki_blocks.append(
-            KiBlock(
-                j=j,
-                p=b.p,
-                dimL_A=b.m,
-                dimR_A=b.n,
-                dimL_B=b.m,
-                dimR_B=n_r,
-                omega=omega,
-                phi=phi,
-                lambda0=float(b.mu[0]),
-            )
-        )
+        omega = b.lvecs * np.sqrt(b.mu)
+        phi = (b.evecs * np.sqrt(b.nu)).reshape(psi3.shape[0], b.n, b.nu.size)
+        omega.flags.writeable = phi.flags.writeable = False
+        ki_blocks.append(KiBlock(j=j, p=b.p, dimL_A=b.m, dimR_A=b.n, dimL_B=b.m, dimR_B=b.nu.size,
+                                 omega=omega, phi=phi, lambda0=float(b.mu[0])))
         p_total += b.p
     if abs(p_total - 1.0) > DISCARD_TOL:
         raise NumericalDegeneracy(f"block probabilities sum to {p_total}, not 1")

@@ -54,12 +54,14 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .koashi_imoto import (
+    _merge_tensor,
     _parse_roles,
+    _rank_cut,
     ki_decompose,
     ki_rows,
     merge_cost_K,
 )
-from .teleport import _fourier, _teleport_blocks, _teleport_columns, _teleport_posts
+from .teleport import _fourier, _teleport_blocks, _teleport_posts
 from .tensors import (
     PureState,
     Register,
@@ -68,7 +70,6 @@ from .tensors import (
     _measured_events,
     _resource_event,
     apply_event,
-    check_rank_cut,
     isometry_event,
     phase_fixed,
     row_norms,
@@ -131,16 +132,16 @@ class SplitBranch:
 def _support(amps, regs, ids, rank_rtol: float) -> tuple[list[int], np.ndarray]:
     """Numerical rank and phase-fixed eigenframe (largest first) of each row's ``ids`` marginal.
 
-    Rows of ``amps`` are states over ``regs``.  InputError when a rank cut
-    drops real weight (:func:`check_rank_cut`).
+    Rows of ``amps`` are states over ``regs``.  The cut is KI's
+    (``koashi_imoto._rank_cut``), so every command reads one rank: InputError
+    when it drops real weight, NumericalDegeneracy when an eigenvalue sits
+    inside its ambiguity band.
     """
     order = {r.id: i for i, r in enumerate(regs)}
     mats = _group_rows(amps, regs, sorted(ids, key=lambda i: order.get(i, -1)))[0]
     vals, vecs = np.linalg.eigh(mats @ _dagger(mats))
-    for row in vals[vals[:, -1] > 0.0]:
-        check_rank_cut(row, rank_rtol * float(row[-1]))
-    ranks = np.where(vals[:, -1] > 0.0, np.sum(vals > rank_rtol * vals[:, -1:], axis=1), 0)
-    return ranks.tolist(), phase_fixed(vecs[..., ::-1])
+    cuts = np.array([_rank_cut(row[::-1], rank_rtol) for row in vals])
+    return np.sum(vals > cuts[:, None], axis=1).tolist(), phase_fixed(vecs[..., ::-1])
 
 
 def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
@@ -386,8 +387,7 @@ def merge_cost(
 
 def _junk_frames(decs, j: int) -> np.ndarray:
     """Block j's embedded junk eigenframe columns (only valid when n = 1), phase-fixed, per decomposition."""
-    m = decs[0].blocks[j].dimL_A
-    omega = np.array([dec.blocks[j].omega.amplitudes.reshape(m, m) for dec in decs])
+    omega = np.array([dec.blocks[j].omega for dec in decs])
     mu = np.linalg.norm(omega, axis=1) ** 2
     emb = np.array([dec.a_block_embed(j) for dec in decs])
     return phase_fixed(emb @ (omega / np.sqrt(mu)[:, None, :]))
@@ -641,14 +641,6 @@ def _fallback_rows(amps, regs, roles, *, k=None, rank_rtol=RANK_RTOL, **ids):
             )
         posts.append((sel, list(range(live)), head, block))
     return protos, posts
-
-
-def _merge_tensor(amps, regs, r_ids, a_ids, b_ids):
-    """Rows of ``amps`` (states over ``regs``) as (rows, dR, dA, dB), and the registers by id."""
-    held = {r.id: r for r in regs}
-    dims = [math.prod(held[i].dim for i in part) for part in (r_ids, a_ids, b_ids)]
-    psi3 = _group_rows(amps, regs, [*r_ids, *a_ids, *b_ids])[0]
-    return psi3.reshape(len(amps), *dims), held
 
 
 def _joint_tensor(psi3: np.ndarray, k: int) -> np.ndarray:
@@ -921,10 +913,18 @@ def _b0(protocol: MergeProtocol) -> list[Register]:
 
 
 def measurement_matrix(protocol: MergeProtocol) -> np.ndarray:
-    """The measurement columns of ``protocol``: a fallback's from its frame (:func:`_teleport_columns`)."""
+    """The measurement columns of ``protocol``: a fallback's from its frame f.
+
+    The head, outcome p·n + q, is the shift injection of f[:, :n]
+    (:func:`_shift_injection`), which spans supp(ρ^A) ⊗ C^K, and
+    f[:, n:] ⊗ C^K completes it to a basis.
+    """
     if protocol.frame is None:
         return protocol.measurement
-    return _teleport_columns(protocol.frame[None], protocol.kmin, protocol.k)[0]
+    f, n, k = protocol.frame, protocol.kmin, protocol.k
+    head = _shift_injection(f[None, :, :n].swapaxes(1, 2), k)
+    tail = (f[:, None, n:, None] * np.eye(k)[:, None, :]).reshape(len(f) * k, -1)
+    return np.concatenate([head, tail], axis=1)
 
 
 def _teleport_rows(runs) -> tuple[np.ndarray, np.ndarray]:

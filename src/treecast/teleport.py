@@ -1,12 +1,12 @@
 """The fallback merge in closed form: a teleport of A's support through Φ⁺_K.
 
-With f the phase-fixed eigenframe of ρ^A (rank n ≤ K ≤ dA), the fallback's
-measurement columns and the teleport block w_m of each head outcome's
-correction are functions of (f, n, K) alone, computed here for a stack of
-frames at once.  So is each outcome's post-state: a shifted, phased copy
-of the frame coordinates C = f† X, gathered with no measurement formed.
-A fallback record keeps f, and the accessors in ``merge_split`` derive
-the rest.
+With f the phase-fixed eigenframe of ρ^A (rank n ≤ K ≤ dA), the teleport
+block w_m of each head outcome's correction is a function of (f, n, K)
+alone, computed here for a stack of frames at once.  So is each outcome's
+post-state: a shifted, phased copy of the frame coordinates C = f† X,
+gathered with no measurement formed.  A fallback record keeps f, and the
+accessors in ``merge_split`` derive the rest: its measurement columns
+are the shift injection of f[:, :n] completed by f[:, n:] ⊗ C^K.
 """
 
 from __future__ import annotations
@@ -28,17 +28,17 @@ def _fourier(n: int) -> np.ndarray:
 
 
 @cache
-def _teleport_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _teleport_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables over head outcome m = p·n + q and B₀ index t, with a = (t − p) mod K.
 
     The frame column that head entry (t, m) reads (n where a ≥ n: none), as
-    (K, K·n); q per m; and the phase ω_n^{qa} of w_m[:, t] (1 where a ≥ n),
-    as (K·n, K).
+    (K, K·n), and the phase ω_n^{qa} of w_m[:, t] (1 where a ≥ n), as
+    (K·n, K).
     """
     p, q = np.divmod(np.arange(k * n), n)
     a = (np.arange(k) - p[:, None]) % k
     phases = np.where(a < n, np.exp(2j * np.pi * (q[:, None] * a % n) / n), 1.0)
-    tables = (np.where(a < n, a, n).T, q, phases)
+    tables = (np.where(a < n, a, n).T, phases)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -53,7 +53,7 @@ def _post_tables(n: int, k: int, da: int) -> tuple[np.ndarray, np.ndarray]:
     C[n + j] / √K at t = l.  Every other entry reads row dA, a zero pad,
     at a positive real factor, so it is +0.0.
     """
-    reads, _, phases = _teleport_tables(n, k)
+    reads, phases = _teleport_tables(n, k)
     j, l = np.divmod(np.arange((da - n) * k), k)
     index = np.concatenate([np.where(reads.T < n, reads.T, da),
                             np.where(np.arange(k) == l[:, None], n + j[:, None], da)])
@@ -83,28 +83,6 @@ def _teleport_posts(f: np.ndarray, n: int, k: int, mat: np.ndarray, outcomes) ->
     return posts.reshape(rows, len(index), -1), c
 
 
-def _teleport_columns(f: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The fallback measurement of each rank-n frame in the stack ``f``: (rows, dA·K, dA·K).
-
-    The head, outcome p·n + q, is the shift injection of f[:, :n]
-    (``merge_split._shift_injection``), which spans supp(ρ^A) ⊗ C^K, and
-    f[:, n:] ⊗ C^K completes it to a basis.  The injection sums over a, but
-    head entry ((x, t), p·n + q) has one nonzero term, F[q, a] f[x, a] at
-    a = (t − p) mod K < n: formed as that sum forms it (the plain complex
-    product, plus +0.0), each entry is the same to the bit, so the head is a
-    gather of those terms.
-    """
-    rows, da = f.shape[:2]
-    reads, q, _ = _teleport_tables(n, k)
-    fourier, fr, fi = _fourier(n).T, f.real[:, :, :n, None], f.imag[:, :, :n, None]
-    terms = np.zeros((rows, da, n + 1, n), dtype=complex)  # a = n: the +0 no term reaches
-    terms.real[:, :, :n] = fourier.real * fr - fourier.imag * fi + 0.0
-    terms.imag[:, :, :n] = fourier.real * fi + fourier.imag * fr + 0.0
-    head = terms[:, :, reads, q].reshape(rows, da * k, k * n)
-    tail = (f[:, :, None, n:, None] * np.eye(k)[:, None, :]).reshape(rows, da * k, -1)
-    return np.concatenate([head, tail], axis=2)
-
-
 def _teleport_blocks(f: np.ndarray, n: int, k: int, rows, outcomes) -> np.ndarray:
     """w_m (dA × K) of frame ``f[rows]`` (rank n) at head outcome m = ``outcomes``, broadcast together.
 
@@ -116,5 +94,5 @@ def _teleport_blocks(f: np.ndarray, n: int, k: int, rows, outcomes) -> np.ndarra
     windows = as_strided(doubled, (*doubled.shape[:-1], k + 1, k), (*doubled.strides, doubled.strides[-1]),
                          writeable=False)
     w = windows[rows, :, k - outcomes // n]
-    w *= _teleport_tables(n, k)[2][outcomes][..., None, :]
+    w *= _teleport_tables(n, k)[1][outcomes][..., None, :]
     return w

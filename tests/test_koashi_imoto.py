@@ -42,8 +42,10 @@ def check_invariants(psi: PureState, dec: KiDecomposition):
     assert np.abs(ea.conj().T @ ea - np.eye(ea.shape[1])).max() < 1e-8
     assert np.abs(eb.conj().T @ eb - np.eye(eb.shape[1])).max() < 1e-8
     for blk in dec.blocks:
-        assert abs(blk.omega.norm() - 1.0) < 1e-9
-        assert abs(blk.phi.norm() - 1.0) < 1e-9
+        assert blk.omega.shape == (blk.dimL_A, blk.dimL_B)
+        assert blk.phi.shape == (math.prod(r.dim for r in dec.r_registers), blk.dimR_A, blk.dimR_B)
+        assert abs(np.linalg.norm(blk.omega) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(blk.phi) - 1.0) < 1e-9
         assert 0.0 < blk.lambda0 <= 1.0 + 1e-12
         assert blk.lambda0 >= 1.0 / blk.dimL_A - 1e-9
         assert blk.dimL_B == blk.dimL_A
@@ -128,8 +130,7 @@ class TestGoldenStructures:
         assert merge_cost_K(dec) == 1
         # degenerate junk frame is pinned to the computational basis
         emb3 = dec.embed_A.reshape(2, 2, 1)
-        omega_mat = blk.omega.amplitudes.reshape(2, 2)
-        lvecs = omega_mat / np.sqrt(np.array([0.5, 0.5]))[None, :]
+        lvecs = blk.omega / np.sqrt(np.array([0.5, 0.5]))[None, :]
         frame = np.einsum("alq,ls->as", emb3, lvecs)
         for s, target in enumerate(np.eye(2)):
             assert abs(abs(np.vdot(target, frame[:, s])) - 1.0) < 1e-8
@@ -425,7 +426,7 @@ class TestPlantedBlockStructure:
     def test_recovers_planted_blocks(self, index):
         shapes = PLANTED_SHAPES[index]
         gens, spans = planted_commutant(np.random.default_rng(3600 + index), shapes)
-        frames = koashi_imoto._block_frames(gens, np.random.default_rng(0))
+        (frames,) = koashi_imoto._block_frames(gens[None])
         assert sorted((m, n) for _, m, n in frames) == sorted(shapes)
         planted = [s @ s.conj().T for s in spans]
         matched = []
@@ -440,6 +441,43 @@ class TestPlantedBlockStructure:
                 product = np.einsum("ik,jl->ijkl", c[:, 0, :, 0], np.eye(n))
                 assert np.abs(c - product).max() <= 1e-10
         assert sorted(matched) == list(range(len(shapes)))
+
+
+class TestStackedFramePass:
+    # one commutant dimension (4) on C^6, planted three ways, each under its
+    # own Haar frame; a row is told apart by its eigenvalue multiplicities
+    SHAPES = [[(2, 3)], [(1, 3), (1, 1), (1, 1), (1, 1)], [(1, 2), (1, 2), (1, 1), (1, 1)]]
+    # the attempts on which each row's clustering is made to fail
+    FAILS = {(3, 3): {1}, (1, 1, 1, 3): {1, 2}, (1, 1, 2, 2): set()}
+
+    def test_each_row_takes_the_frames_it_takes_alone(self, monkeypatch):
+        rng = np.random.default_rng(3700)
+        comm = np.array([planted_commutant(rng, shapes)[0] for shapes in self.SHAPES])
+        real, attempts = koashi_imoto._cluster, {}
+
+        def flaky(vals):
+            groups = real(vals)
+            key = tuple(sorted(b - a for a, b in groups))
+            attempts[key] = attempts.get(key, 0) + 1
+            return None if attempts[key] in self.FAILS[key] else groups
+
+        monkeypatch.setattr(koashi_imoto, "_cluster", flaky)
+        stacked = koashi_imoto._block_frames(comm)
+        assert attempts == {(3, 3): 2, (1, 1, 1, 3): 3, (1, 1, 2, 2): 1}
+        for row, shapes in enumerate(self.SHAPES):
+            attempts.clear()
+            (alone,) = koashi_imoto._block_frames(comm[row : row + 1])
+            assert sorted((m, n) for _, m, n in alone) == sorted(shapes)
+            assert [(bits(v), m, n) for v, m, n in stacked[row]] == [(bits(v), m, n) for v, m, n in alone]
+
+    def test_a_row_left_unresolved_is_none(self, monkeypatch):
+        # the (2, 3) row's clustering fails on every attempt, the other row's never
+        rng = np.random.default_rng(3701)
+        comm = np.array([planted_commutant(rng, shapes)[0] for shapes in self.SHAPES[:2]])
+        real = koashi_imoto._cluster
+        monkeypatch.setattr(koashi_imoto, "_cluster", lambda vals: None if len(real(vals)) == 2 else real(vals))
+        frames = koashi_imoto._block_frames(comm)
+        assert frames[0] is None and frames[1] is not None
 
 
 # -- the merge pass against the former alternating search ------------------------
@@ -499,7 +537,7 @@ def former_try_merge(psi3, bi, bj, dR, rank_rtol, rng):
     eye_mj = np.eye(bj.m)
     for variant in (u.conj(), u.T, u, u.conj().T):
         emb = np.hstack([bi.emb, bj.emb @ np.kron(eye_mj, variant)])
-        data = koashi_imoto._extract_block(psi3, emb, bi.m + bj.m, bi.n, rank_rtol)
+        (data,) = koashi_imoto._extract_rows(psi3[None], emb[None], bi.m + bj.m, bi.n, rank_rtol)
         if data is not None:
             return data
     return None
@@ -737,8 +775,8 @@ def decomposition_digest(dec) -> str:
     for b in dec.blocks:
         h.update(np.array([b.j, b.dimL_A, b.dimR_A, b.dimL_B, b.dimR_B]).tobytes())
         h.update(np.array([b.p, b.lambda0]).tobytes())
-        h.update(b.omega.amplitudes.tobytes())
-        h.update(b.phi.amplitudes.tobytes())
+        h.update(b.omega.tobytes())
+        h.update(b.phi.tobytes())
     h.update(np.ascontiguousarray(dec.embed_A).tobytes())
     h.update(np.ascontiguousarray(dec.embed_B).tobytes())
     return h.hexdigest()
@@ -821,9 +859,10 @@ class TestMatmulKernelsMatchEinsum:
         pos = np.arange(d_a, dtype=float)
         conj = np.conj
 
-        assert_matches(koashi_imoto._marginal(psi3, 1), np.einsum("rab,rcb->ac", psi3, conj(psi3)))
-        assert_matches(koashi_imoto._marginal(psi3, 2), np.einsum("rab,rad->bd", psi3, conj(psi3)))
-        assert_matches(koashi_imoto._marginal(chi, 1), np.einsum("rlqb,rkqb->lk", chi, conj(chi)))
+        marginals = koashi_imoto._marginals
+        assert_matches(marginals(psi3[None], 2)[0], np.einsum("rab,rcb->ac", psi3, conj(psi3)))
+        assert_matches(marginals(psi3[None], 3)[0], np.einsum("rab,rad->bd", psi3, conj(psi3)))
+        assert_matches(marginals(chi[None], 2)[0], np.einsum("rlqb,rkqb->lk", chi, conj(chi)))
         assert_matches(koashi_imoto._a_coords(psi3, frame), np.einsum("rab,ax->rxb", psi3, conj(frame)))
         assert_matches(
             koashi_imoto._frame_position(emb3, 2), np.einsum("alp,a,alq->pq", conj(emb3), pos, emb3)
@@ -847,10 +886,7 @@ class TestMatmulKernelsMatchEinsum:
         shapes = [(m, n, n_r), (1, 1, 1), (2, n, 1)]
         blocks = []
         for j, (mj, nj, rj) in enumerate(shapes):
-            omega = PureState(regs((f"aL{j}", mj), (f"bL{j}", mj)), crandn(rng, mj * mj))
-            phi = PureState(
-                regs(("R", d_r), (f"aR{j}", nj), (f"bR{j}", rj)), crandn(rng, d_r * nj * rj)
-            )
+            omega, phi = crandn(rng, mj, mj), crandn(rng, d_r, nj, rj)
             blocks.append(
                 koashi_imoto.KiBlock(j, rng.uniform(0.1, 1.0), mj, nj, mj, rj, omega, phi, 0.5)
             )
@@ -870,8 +906,8 @@ class TestMatmulKernelsMatchEinsum:
             b0 = dec.b_offset(j)
             want += math.sqrt(blk.p) * np.einsum(
                 "ls,rqt,alq,bst->rab",
-                blk.omega.amplitudes.reshape(mj, mj),
-                blk.phi.amplitudes.reshape(d_r, nj, rj),
+                blk.omega,
+                blk.phi,
                 dec.a_block_embed(j).reshape(d_a, mj, nj),
                 dec.embed_B[:, b0 : b0 + mj * rj].reshape(d_b, mj, rj),
             )

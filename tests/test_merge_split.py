@@ -812,7 +812,7 @@ class TestGatheredPosts:
             raise AssertionError("a fallback stage formed a measurement")
 
         code, tree = ghz_code(3), line_tree(3)
-        for name in ("_teleport_columns", "_joint_tensor", "_outcome_blocks", "measurement_matrix"):
+        for name in ("_shift_injection", "_joint_tensor", "_outcome_blocks", "measurement_matrix"):
             monkeypatch.setattr(merge_split, name, refused)
         result = run_concentrating(code, tree, mode="fallback")
         assert result.fallback_edges and result.min_fidelity >= 1.0 - 1e-9
