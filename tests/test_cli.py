@@ -1053,15 +1053,8 @@ class TestLossyRankCut:
 class TestSliverInsideRankBand:
     """A lossless cut with an eigenvalue inside (cut/16, 16·cut) is refused alike by every command."""
 
-    @pytest.fixture
-    def sliver_code(self, tmp_path):
-        # v2's share carries a 1e-5-weight sliver, inside the band of a 5e-6 cut
-        a, b = math.sqrt(1 - 1e-5), math.sqrt(1e-5)
-        path = tmp_path / "sliver.json"
-        entries = [[0, 0, a, 0.0], [3, 0, b, 0.0], [2, 1, a, 0.0], [1, 1, b, 0.0]]
-        parties = [{"name": "v1", "dim": 2}, {"name": "v2", "dim": 2}]
-        path.write_text(json.dumps({"D": 2, "parties": parties, "entries": entries}))
-        return str(path)
+    # the 1e-5 sliver sits inside the band of a 5e-6 cut, which keeps it
+    heavy_sliver_code = TestLossyRankCut.heavy_sliver_code
 
     @pytest.mark.parametrize(
         "command",
@@ -1074,8 +1067,8 @@ class TestSliverInsideRankBand:
             ("run-concentrate",),
         ],
     )
-    def test_every_command_exits_3(self, capsys, sliver_code, command):
-        argv = (*command, "--code", sliver_code, "--tree", "line:2", "--tol-rank", "5e-6")
+    def test_every_command_exits_3(self, capsys, heavy_sliver_code, command):
+        argv = (*command, "--code", heavy_sliver_code, "--tree", "line:2", "--tol-rank", "5e-6")
         code, doc = run_json(capsys, *argv)
         assert code == 3
         assert doc["format"] == "treecast.error/1"
