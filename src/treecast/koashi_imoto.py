@@ -105,25 +105,29 @@ def spread_rank_bound(dec: KiDecomposition) -> int:
 
 
 def rebuild(dec: KiDecomposition) -> PureState:
-    """Reassemble ⊕_j √p_j ω_j ⊗ φ_j on the original registers (R′, A, B).
+    """Reassemble ⊕_j √p_j ω_j ⊗ φ_j on the original registers (R′, A, B): :func:`_rebuilt` of one row."""
+    blocks = [(np.array([b.p]), b.omega[None], b.phi[None]) for b in dec.blocks]
+    out = _rebuilt(dec.embed_A[None], dec.embed_B[None], blocks)
+    return PureState(dec.r_registers + dec.a_registers + dec.b_registers, out.reshape(-1))
 
-    Per reference index r the state is embed_A · (⊕_j √p_j ω_j ⊗ φ_j[r]) ·
-    embed_Bᵀ, so the whole sum is two matmuls over one block-diagonal core.
+
+def _rebuilt(embed_a: np.ndarray, embed_b: np.ndarray, blocks) -> np.ndarray:
+    """⊕_j √p_j ω_j ⊗ φ_j of each row of a stack, as (rows, R′, A, B).
+
+    ``embed_a`` and ``embed_b`` are stacked (rows, A, ·) and (rows, B, ·),
+    and ``blocks`` holds each block's (p, ω, φ), each stacked over the
+    rows.  Per reference index r a row is embed_A · (⊕_j √p_j ω_j ⊗ φ_j[r])
+    · embed_Bᵀ, so the whole sum is two matmuls over one block-diagonal core.
     """
-    dR = math.prod(r.dim for r in dec.r_registers)
-    core = np.zeros((dR, dec.embed_A.shape[1], dec.embed_B.shape[1]), dtype=complex)
-    for j, blk in enumerate(dec.blocks):
-        m, n = blk.dimL_A, blk.dimR_A
-        nL, nR = blk.dimL_B, blk.dimR_B
-        omega = blk.omega.reshape(1, m, 1, nL, 1)
-        phi = blk.phi.reshape(dR, 1, n, 1, nR)
-        a0, b0 = dec.a_offset(j), dec.b_offset(j)
-        core[:, a0 : a0 + m * n, b0 : b0 + nL * nR] = (
-            math.sqrt(blk.p) * (omega * phi).reshape(dR, m * n, nL * nR)
-        )
-    out = dec.embed_A @ core @ dec.embed_B.T
-    regs = dec.r_registers + dec.a_registers + dec.b_registers
-    return PureState(regs, out.reshape(-1))
+    rows, d_r = len(embed_a), blocks[0][2].shape[1]
+    core = np.zeros((rows, d_r, embed_a.shape[2], embed_b.shape[2]), dtype=complex)
+    a0 = b0 = 0
+    for p, omega, phi in blocks:
+        (m, n_l), (n, n_r) = omega.shape[1:], phi.shape[2:]
+        product = (omega[:, None, :, None, :, None] * phi[:, :, None, :, None, :]).reshape(rows, d_r, m * n, -1)
+        core[:, :, a0 : a0 + m * n, b0 : b0 + n_l * n_r] = np.sqrt(p)[:, None, None, None] * product
+        a0, b0 = a0 + m * n, b0 + n_l * n_r
+    return embed_a[:, None] @ core @ embed_b[:, None].swapaxes(-1, -2)
 
 
 # -- internals ---------------------------------------------------------------
@@ -526,10 +530,13 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
     stacks; rows of one commutant dimension then take their frames from
     one :func:`_block_frames` pass, every attempt one draw for all the
     rows it has not resolved yet.  Every (row, block) of one shape (m, n)
-    is factored in one stacked pass.  The merge pass and the checks of
-    :func:`_assemble` run per row.  Each row's decomposition equals the
-    one-row call's, bit for bit.  Returns per row its decomposition, or
-    the TreecastError it raised alone.
+    is factored in one stacked pass.  Rows whose blocks share their shapes
+    then finish together: one stacked R′-marginal test rejects the
+    candidate block pairs (:func:`_settled`), only a row with a pair left
+    goes through the merge pass, and :func:`_assemble` checks the rows as
+    one stack.  Each row's decomposition equals the one-row call's, bit
+    for bit.  Returns per row its decomposition, or the TreecastError it
+    raised alone.
     """
     rows = len(psi3)
     out: list = [None] * rows
@@ -567,20 +574,58 @@ def ki_rows(psi3: np.ndarray, registers, *, rank_rtol: float = RANK_RTOL) -> lis
         for (b, j, _), block in zip(items, data):
             blocks[b][j] = block
 
+    ordered = {}
     for b, row_blocks in blocks.items():
-        try:
-            if any(block is None for block in row_blocks):
-                raise NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
-            merged = _merge_pass(psi3[b], row_blocks, rank_rtol)
-            out[b] = _assemble(psi3[b], merged, registers[b], support[b].shape[1])
-        except TreecastError as exc:
-            out[b] = exc
+        if any(block is None for block in row_blocks):
+            out[b] = NumericalDegeneracy("a central block failed to factor as ω ⊗ φ")
+        else:
+            ordered[b] = _canonical_order(row_blocks)
+    for rows in _by_shape(ordered):
+        for b, settled in zip(rows, _settled([ordered[b] for b in rows], psi3.shape[1])):
+            if not settled:
+                ordered[b] = _merge_pass(psi3[b], ordered[b], rank_rtol)
+    for rows in _by_shape(ordered):
+        decs = _assemble(psi3[rows], [ordered[b] for b in rows], [registers[b] for b in rows],
+                         [support[b].shape[1] for b in rows])
+        for b, dec in zip(rows, decs):
+            out[b] = dec
     return out
 
 
+def _by_shape(blocks: dict) -> list[list[int]]:
+    """The rows of ``blocks`` (row → its blocks) grouped by the shapes (m, n, content rank) of their blocks."""
+    groups: dict[tuple, list[int]] = {}
+    for b, row in blocks.items():
+        groups.setdefault(tuple((blk.m, blk.n, blk.nu.size) for blk in row), []).append(b)
+    return list(groups.values())
+
+
+def _settled(blocks: list, d_r: int) -> np.ndarray:
+    """Whether each row's blocks, all rows in one shape sequence, admit no merge at all.
+
+    A pair is rejected as :func:`_try_merge` rejects it before any
+    commutant is solved: its content shapes or spectra differ, or its R′
+    marginals do.  The marginals of every candidate pair of every row
+    come from one stacked call per content shape.
+    """
+    first, merges = blocks[0], np.zeros(len(blocks), dtype=bool)
+    candidates: dict[tuple[int, int], list] = {}
+    for i, j in itertools.combinations(range(len(first)), 2):
+        if (first[i].n, first[i].nu.size) == (first[j].n, first[j].nu.size):
+            candidates.setdefault((first[i].n, first[i].nu.size), []).append((i, j))
+    for (n, n_r), pairs in candidates.items():
+        nu = np.array([[[row[k].nu for k in pair] for pair in pairs] for row in blocks])
+        evecs = np.array([[[row[k].evecs for k in pair] for pair in pairs] for row in blocks])
+        marg = _marginals((evecs * np.sqrt(nu)[..., None, :]).reshape(-1, d_r, n * n_r), 1)
+        marg = marg.reshape(len(blocks), len(pairs), 2, d_r, d_r)
+        differ = np.abs(marg[:, :, 0] - marg[:, :, 1]).max(axis=(2, 3)) > 1e-7
+        close = np.isclose(nu[:, :, 0], nu[:, :, 1], atol=1e-7).all(axis=2)
+        merges |= (close & ~differ).any(axis=1)
+    return ~merges
+
+
 def _merge_pass(psi3, blocks: list[_BlockData], rank_rtol: float) -> list[_BlockData]:
-    """Re-unite the blocks that the block pass cut apart, in canonical order."""
-    blocks = _canonical_order(blocks)
+    """Re-unite the blocks that the block pass cut apart; they come, and go, in canonical order."""
     merged = True
     while merged:
         merged = False
@@ -593,40 +638,53 @@ def _merge_pass(psi3, blocks: list[_BlockData], rank_rtol: float) -> list[_Block
     return blocks
 
 
-def _assemble(psi3, blocks, registers, s_a):
-    r_regs, a_regs, b_regs = registers
-    embed_a = np.hstack([b.emb for b in blocks])
-    embed_b = np.hstack([b.w for b in blocks])
-    if np.abs(embed_a.conj().T @ embed_a - np.eye(embed_a.shape[1])).max() > 1e-7:
-        raise NumericalDegeneracy("A-side block images are not orthonormal")
-    if np.abs(embed_b.conj().T @ embed_b - np.eye(embed_b.shape[1])).max() > 1e-7:
-        raise NumericalDegeneracy("B-side block images are not orthonormal")
-    if embed_a.shape[1] != s_a:
-        raise NumericalDegeneracy("blocks do not span supp(ρ^A)")
+def _assemble(psi3, blocks, registers, s_a) -> list:
+    """Each row's decomposition from its blocks, checked on the stack.
 
-    ki_blocks = []
+    ``psi3`` holds the rows (rows, R′, A, B), ``blocks`` each row's blocks,
+    all rows in one shape sequence, ``registers`` its (R′, A, B) register
+    tuples and ``s_a`` its support rank.  The checks run once for all rows:
+    the A- and B-side images are orthonormal, they span supp(ρ^A), the
+    block probabilities sum to 1, and the rows rebuilt from the blocks
+    (:func:`_rebuilt`) are within ``VERIFY_TOL`` of ψ.  Returns per row
+    its decomposition, or the NumericalDegeneracy of the first check it
+    fails.
+    """
+    rows, d_r = len(psi3), psi3.shape[1]
+    columns = list(zip(*blocks))  # per block, every row's
+    embed_a = np.concatenate([[b.emb for b in col] for col in columns], axis=2)
+    embed_b = np.concatenate([[b.w for b in col] for col in columns], axis=2)
+    probs = np.array([[b.p for b in col] for col in columns])
+    omegas = [np.array([b.lvecs for b in col]) * np.sqrt([b.mu for b in col])[:, None, :] for col in columns]
+    phis = [(np.array([b.evecs for b in col]) * np.sqrt([b.nu for b in col])[:, None, :])
+            .reshape(rows, d_r, col[0].n, -1) for col in columns]
+    for x in omegas + phis:
+        x.flags.writeable = False
     p_total = 0.0
-    for j, b in enumerate(blocks):
-        omega = b.lvecs * np.sqrt(b.mu)
-        phi = (b.evecs * np.sqrt(b.nu)).reshape(psi3.shape[0], b.n, b.nu.size)
-        omega.flags.writeable = phi.flags.writeable = False
-        ki_blocks.append(KiBlock(j=j, p=b.p, dimL_A=b.m, dimR_A=b.n, dimL_B=b.m, dimR_B=b.nu.size,
-                                 omega=omega, phi=phi, lambda0=float(b.mu[0])))
-        p_total += b.p
-    if abs(p_total - 1.0) > DISCARD_TOL:
-        raise NumericalDegeneracy(f"block probabilities sum to {p_total}, not 1")
-
-    dec = KiDecomposition(
-        blocks=tuple(ki_blocks),
-        embed_A=embed_a,
-        embed_B=embed_b,
-        r_registers=r_regs,
-        a_registers=a_regs,
-        b_registers=b_regs,
-    )
-    residual = float(np.linalg.norm(rebuild(dec).amplitudes - psi3.reshape(-1)))
-    if residual > VERIFY_TOL:
-        raise NumericalDegeneracy(
-            f"reconstruction residual {residual:.2e} exceeds {VERIFY_TOL}"
+    for p in probs:  # block by block, as a running sum over each row's blocks
+        p_total = p_total + p
+    residual = row_norms((_rebuilt(embed_a, embed_b, list(zip(probs, omegas, phis))) - psi3).reshape(rows, -1))[:, 0]
+    checks = [
+        (np.abs(_dagger(embed_a) @ embed_a - np.eye(embed_a.shape[2])).max(axis=(1, 2)) > 1e-7,
+         "A-side block images are not orthonormal"),
+        (np.abs(_dagger(embed_b) @ embed_b - np.eye(embed_b.shape[2])).max(axis=(1, 2)) > 1e-7,
+         "B-side block images are not orthonormal"),
+        (embed_a.shape[2] != np.array(s_a), "blocks do not span supp(ρ^A)"),
+        (np.abs(p_total - 1.0) > DISCARD_TOL, "block probabilities sum to {p}, not 1"),
+        (residual > VERIFY_TOL, f"reconstruction residual {{r:.2e}} exceeds {VERIFY_TOL}"),
+    ]
+    out = []
+    for i in range(rows):
+        failed = next((message for bad, message in checks if bad[i]), None)
+        if failed is not None:
+            out.append(NumericalDegeneracy(failed.format(p=float(p_total[i]), r=float(residual[i]))))
+            continue
+        r_regs, a_regs, b_regs = registers[i]
+        ki_blocks = tuple(
+            KiBlock(j=j, p=b.p, dimL_A=b.m, dimR_A=b.n, dimL_B=b.m, dimR_B=b.nu.size,
+                    omega=omegas[j][i], phi=phis[j][i], lambda0=float(b.mu[0]))
+            for j, b in enumerate(blocks[i])
         )
-    return dec
+        out.append(KiDecomposition(blocks=ki_blocks, embed_A=embed_a[i], embed_B=embed_b[i],
+                                   r_registers=r_regs, a_registers=a_regs, b_registers=b_regs))
+    return out

@@ -129,6 +129,13 @@ class SplitBranch:
     state: PureState
 
 
+def _marginal_rows(amps, regs, ids) -> np.ndarray:
+    """Each row's ``ids`` marginal, the ids in register order; rows of ``amps`` are states over ``regs``."""
+    order = {r.id: i for i, r in enumerate(regs)}
+    mats = _group_rows(amps, regs, sorted(ids, key=lambda i: order.get(i, -1)))[0]
+    return mats @ _dagger(mats)
+
+
 def _support(amps, regs, ids, rank_rtol: float) -> tuple[list[int], np.ndarray]:
     """Numerical rank and phase-fixed eigenframe (largest first) of each row's ``ids`` marginal.
 
@@ -137,16 +144,19 @@ def _support(amps, regs, ids, rank_rtol: float) -> tuple[list[int], np.ndarray]:
     when it drops real weight, NumericalDegeneracy when an eigenvalue sits
     inside its ambiguity band.
     """
-    order = {r.id: i for i, r in enumerate(regs)}
-    mats = _group_rows(amps, regs, sorted(ids, key=lambda i: order.get(i, -1)))[0]
-    vals, vecs = np.linalg.eigh(mats @ _dagger(mats))
+    vals, vecs = np.linalg.eigh(_marginal_rows(amps, regs, ids))
     cuts = np.array([_rank_cut(row[::-1], rank_rtol) for row in vals])
     return np.sum(vals > cuts[:, None], axis=1).tolist(), phase_fixed(vecs[..., ::-1])
 
 
 def split_cost(psi: PureState, moved_ids, rank_rtol: float = RANK_RTOL) -> int:
-    """Exact resource dimension for splitting: rank of the moved marginal."""
-    return _support(psi.amplitudes[None], psi.registers, moved_ids, rank_rtol)[0][0]
+    """Exact resource dimension for splitting: rank of the moved marginal.
+
+    The rank needs no frame: it is read from the spectrum alone
+    (``np.linalg.eigvalsh``) at the cut :func:`_support` takes.
+    """
+    vals = np.linalg.eigvalsh(_marginal_rows(psi.amplitudes[None], psi.registers, moved_ids)[0])[::-1]
+    return int(np.sum(vals > _rank_cut(vals, rank_rtol)))
 
 
 def _shift_table(k: int) -> np.ndarray:

@@ -408,7 +408,7 @@ class _Stage:
 
 def _concentrate_stage(
     live: _Rows, tree: RootedTree, vertex: str, *, mode: str, rank_rtol: float,
-    budget: int | None = None, seed: int = 0, level: int = 0, built=None,
+    budget: int | None = None, seed: int = 0, level: int = 0,
 ) -> _Stage:
     """``vertex`` merges what it holds into the root's collective, on every live branch.
 
@@ -423,7 +423,6 @@ def _concentrate_stage(
     live, ``budget`` of them are kept before any gets its path,
     probability or normalized row: the all-zero path if live, and others
     drawn from a generator made from ``seed`` and ``level`` alone.
-    ``built`` holds the rows' protocols when the caller built them.
     """
     parent = tree.parent(vertex)
     roles = _roles_for(live.regs, vertex)
@@ -436,8 +435,7 @@ def _concentrate_stage(
     for lo, hi in zip(bounds, bounds[1:]):
         prefixes, amps = live.paths[lo:hi], live.amps[lo:hi]
         try:
-            protos, posts = (built[lo:hi], None) if built is not None else _stage_protocols(
-                amps, live.regs, roles, mode=mode, k=k_edge, **common)
+            protos, posts = _stage_protocols(amps, live.regs, roles, mode=mode, k=k_edge, **common)
         except InsufficientResource:
             msg = f"edge ({parent}, {vertex}): a branch needs more than the first's K={k_edge}"
             raise SynthesisFailed(msg) from None
@@ -678,23 +676,23 @@ def optimize_labeling(
     """The ascending labeling of least concentrating cost, and its cost report.
 
     A stage's K depends on the set merged before it and its vertex alone
-    (``_branch_walk``), so each (set, vertex) stage is built once, on one
-    branch, in two phases.  First the merged sets are walked level by
+    (``_branch_walk``), so each (set, vertex) protocol is built once, on
+    one branch, in two phases.  First the merged sets are walked level by
     level from ∅ (:func:`_level_stages`): a level's tight merges are built
-    together (:func:`_tight_merges`), and each new set carries the first
-    live branch of the first stage that reaches it.  Stages are taken in
-    order of set, then vertex, so that is the branch of the set's
-    lexicographically least merge sequence, the one a depth-first walk in
-    vertex order carries.  Then a pass over the recorded K keeps per set
-    the cheapest way to merge the vertices left: the least exact product
-    of K, ties going to the lexicographically first labeling.  The report
-    equals ``concentrating_cost`` on the winner in the same mode.  Memory
-    is bounded by one level's branches, one row per merged set (at most
-    252 on star:11), with the next level's growing beside it, and by one
-    stacked call's protocols: no stage outlives its turn.  An error is the
-    one the depth-first walk meets first.  Raises TooLarge, before any
-    stage is built, when the tree has more than ``MERGED_SET_LIMIT``
-    merged sets.
+    together (:func:`_tight_merges`), each stage's K is its protocol's,
+    and only the first stage to reach a new set expands post rows: the set
+    carries that stage's first kept outcome, one normalized row.  Stages
+    are taken in order of set, then vertex, so that is the branch of the
+    set's lexicographically least merge sequence, the one a depth-first
+    walk in vertex order carries.  Then a pass over the recorded K keeps
+    per set the cheapest way to merge the vertices left: the least exact
+    product of K, ties going to the lexicographically first labeling.  The
+    report equals ``concentrating_cost`` on the winner in the same mode.
+    Memory is bounded by one level's branches, one row per merged set (at
+    most 252 on star:11), with the next level's growing beside it, and by
+    one stacked call's protocols.  An error is the one the depth-first
+    walk meets first.  Raises TooLarge, before any protocol is built, when
+    the tree has more than ``MERGED_SET_LIMIT`` merged sets.
     """
     sets = tree.count_merged_sets()
     if sets > MERGED_SET_LIMIT:
@@ -715,12 +713,16 @@ def optimize_labeling(
 def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol: float):
     """Every merged set's stage edges, in vertex order, built level by level.
 
-    Each set holds one branch, and a set's stages are built on it; a
-    level's tight merges are built together (:func:`_level_merges`).  Sets
-    come out level by level, each level in the order its sets were first
-    reached.  When a stage raises, only stages of lexicographically smaller
-    merge sequences, which a depth-first walk in vertex order builds
-    first, still run, and the error of the least failing one is raised.
+    Each set holds one branch, and each (set, vertex) protocol is built on
+    it: a level's tight merges together (:func:`_level_merges`), a
+    fallback merge alone with its post rows (``_fallback_rows``).  The
+    stage's edge takes its K from the protocol.  Only the first stage to
+    reach a set expands post rows, and the set carries that stage's first
+    kept outcome (:func:`_carried`).  Sets come out level by level, each
+    level in the order its sets were first reached.  When a stage raises,
+    only stages of lexicographically smaller merge sequences, which a
+    depth-first walk in vertex order builds first, still run, and the
+    error of the least failing one is raised.
     """
     edges: dict[frozenset[str], list[EdgeCost]] = {}
     level = {frozenset(): ((), _first_branch(code))}  # per set: its merge sequence and branch
@@ -739,18 +741,35 @@ def _level_stages(code: IsometryCode, tree: RootedTree, *, mode: str, rank_rtol:
             try:
                 if isinstance(proto, TreecastError):
                     raise proto
-                stage = _concentrate_stage(branch, tree, vertex, mode=mode, rank_rtol=rank_rtol,
-                                           built=None if proto is None else [proto])
+                posts = None
+                if proto is None:
+                    roles = _roles_for(branch.regs, vertex)
+                    (proto,), posts = _fallback_rows(branch.amps, branch.regs, roles, rank_rtol=rank_rtol,
+                                                     **_stage_ids(tree, vertex))
+                if merged | {vertex} not in grown:
+                    grown[merged | {vertex}] = (order + (vertex,), _carried(proto, posts, branch))
             except TreecastError as exc:
                 failed = (order + (vertex,), exc)  # the level's later stages come later depth-first
                 break
-            edges[merged].append(stage.edge)
-            if merged | {vertex} not in grown:
-                grown[merged | {vertex}] = (order + (vertex,), stage.live.take([0]))
+            edges[merged].append(EdgeCost(tree.parent(vertex), vertex, proto.k))
         level = grown
     if failed is not None:
         raise failed[1]
     return edges
+
+
+def _carried(proto: MergeProtocol, posts, branch: _Rows) -> _Rows:
+    """The one-row branch ``branch`` measured by ``proto`` carries: its first kept outcome.
+
+    The outcomes ``proto`` leaves live are expanded as its stage expands
+    them (:func:`_merged_rows`), and only the first with p ≥ ``PROB_TOL``
+    is normalized, so the row's bytes are those of the stage's first live
+    row (:func:`_concentrate_stage`).
+    """
+    _, outcomes, p_m, rows, regs = _merged_rows([proto], posts, branch.amps, branch.regs)
+    m = int(np.argmax(p_m >= PROB_TOL))
+    row = rows[m : m + 1]
+    return _Rows([branch.paths[0] + (int(outcomes[m]),)], branch.probs * p_m[m], row / row_norms(row), regs)
 
 
 def _level_merges(rows, tree: RootedTree, rank_rtol: float):

@@ -8,7 +8,7 @@ flattening of the dims-shaped tensor.  All values are immutable;
 operations return new objects.  Rows are states stacked as an (rows, dim)
 array over one register layout: ``apply_rows`` applies every operator to
 them, and ``apply_event`` runs protocol events, built by the constructors
-beside it, through it.
+beside it, through it; a resource pair is attached by a strided write.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def apply_event(amps: np.ndarray, regs, event: dict):
     one row), and every operator runs through :func:`apply_rows`.  Events
     are dicts keyed by ``type``:
 
-    * ``resource-consumed`` — attach Φ⁺_K on (``a0``, ``b0``) when given,
-      a map with no inputs (a K = 1 resource attaches nothing);
+    * ``resource-consumed`` — attach Φ⁺_K on (``a0``, ``b0``) when given
+      (:func:`_attach_pair`; a K = 1 resource attaches nothing);
     * ``local-isometry`` / ``root-correction`` — apply ``matrix``, one map
       or a (rows, dout, din) stack, from the ``in`` to the ``out`` registers;
     * ``measurement`` — contract ``targets`` with ⟨v| for column ``outcome``
@@ -274,8 +274,7 @@ def apply_event(amps: np.ndarray, regs, event: dict):
     kind = event.get("type")
     if kind == "resource-consumed":
         if "a0" in event:
-            pair = max_entangled_pair(event["a0"], event["b0"])
-            amps, regs = apply_rows(amps, regs, (), pair.registers, pair.amplitudes[:, None])
+            amps, regs = _attach_pair(amps, regs, event["a0"], event["b0"])
         return amps, regs, None
     if kind in ("local-isometry", "root-correction"):
         return (*apply_rows(amps, regs, event["in"], event["out"], event["matrix"]), None)
@@ -292,6 +291,24 @@ def apply_event(amps: np.ndarray, regs, event: dict):
     if kind == "broadcast":
         return amps, regs, None
     raise SchemaError(f"unknown event type {kind!r}")
+
+
+def _attach_pair(amps: np.ndarray, regs, a0: Register, b0: Register) -> tuple[np.ndarray, tuple]:
+    """Rows ⊗ Φ⁺_K on (``a0``, ``b0``), appended last: (rows, registers).
+
+    Each row's amplitude a goes to the K entries (a, l, l) as a/√K, at
+    stride K + 1 of a zeroed (rows, dim, K²) array, with no product with
+    the pair formed.  Adding 0.0 turns a −0.0 into +0.0, as the matmul of
+    the pair's column with the rows gives it.
+    """
+    if a0.dim != b0.dim:
+        raise ShapeMismatch("maximally entangled pair needs equal dimensions")
+    new = (*regs, a0, b0)
+    _check_unique(new)
+    k = a0.dim
+    out = np.zeros((len(amps), amps.shape[1], k * k), dtype=complex)
+    out[:, :, :: k + 1] = amps[:, :, None] * (1.0 / math.sqrt(k)) + 0.0
+    return out.reshape(len(amps), -1), new
 
 
 def apply_map(state: PureState, m: LinearMap) -> PureState:

@@ -1,5 +1,6 @@
 """Tests for the tripartite block decomposition and merge-cost formula."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,7 +12,7 @@ from oracles import canonical_phase, random_state, states_equal_up_to_phase, ten
 
 from treecast import koashi_imoto
 from treecast.codes import encoded_pair, five_qubit_code, random_code, star4_code
-from treecast.errors import BadPermutation
+from treecast.errors import BadPermutation, NumericalDegeneracy
 from treecast.koashi_imoto import (
     KiDecomposition,
     ki_decompose,
@@ -805,24 +806,96 @@ class TestRecordedBytes:
     def test_stacked_rows_decompose_as_each_alone(self):
         # the reference inputs of one shape, stacked forward and then
         # reversed ahead of forward, decompose row by row to the recorded bytes
-        ref = np.load(REFERENCE)
         want = recorded_digests()
-        groups = {}
-        for i in range(35):
-            ids, dims = ref[f"{i}/ids"].tolist(), ref[f"{i}/dims"].tolist()
-            psi = PureState(tuple(Register(r, d, r) for r, d in zip(ids, dims)), ref[f"{i}/amplitudes"])
-            parts = tuple(ref[f"{i}/{side}"].tolist() for side in "RAB")
-            perm = permute_registers(psi.normalized(), [x for part in parts for x in part])
-            registers = tuple(tuple(perm.register(x) for x in part) for part in parts)
-            shape = tuple(math.prod(r.dim for r in part) for part in registers)
-            key = (shape, float(ref[f"{i}/rank_rtol"]))
-            groups.setdefault(key, []).append((i, perm.amplitudes.reshape(shape), registers))
+        groups = reference_groups()
         assert max(len(items) for items in groups.values()) >= 5
         for (_, rank_rtol), items in groups.items():
             for seq in (items, items[::-1] + items):
                 psi3 = np.array([x[1] for x in seq])
                 decs = koashi_imoto.ki_rows(psi3, [x[2] for x in seq], rank_rtol=rank_rtol)
                 assert [decomposition_digest(dec) for dec in decs] == [want[str(i)] for i, _, _ in seq]
+
+
+def reference_groups() -> dict:
+    """The inputs of ``ki-reference.npz`` by (tensor shape, rank tolerance): (index, ψ as (R′, A, B), registers)."""
+    ref = np.load(REFERENCE)
+    groups = {}
+    for i in range(35):
+        ids, dims = ref[f"{i}/ids"].tolist(), ref[f"{i}/dims"].tolist()
+        psi = PureState(tuple(Register(r, d, r) for r, d in zip(ids, dims)), ref[f"{i}/amplitudes"])
+        parts = tuple(ref[f"{i}/{side}"].tolist() for side in "RAB")
+        perm = permute_registers(psi.normalized(), [x for part in parts for x in part])
+        registers = tuple(tuple(perm.register(x) for x in part) for part in parts)
+        shape = tuple(math.prod(r.dim for r in part) for part in registers)
+        key = (shape, float(ref[f"{i}/rank_rtol"]))
+        groups.setdefault(key, []).append((i, perm.amplitudes.reshape(shape), registers))
+    return groups
+
+
+def _scaled(field, factor):
+    """A plant: block 0 of the row with ``field`` multiplied by ``factor``; the support rank kept."""
+    def plant(blocks, s_a):
+        first = blocks[0]
+        return [dataclasses.replace(first, **{field: factor * getattr(first, field)}), *blocks[1:]], s_a
+    return plant
+
+
+# one plant per check of the stacked assembly, each failing that check first
+PLANTS = {
+    "embed_A": (_scaled("emb", 1.5), "A-side block images are not orthonormal"),
+    "embed_B": (_scaled("w", 1.5), "B-side block images are not orthonormal"),
+    "span": (lambda blocks, s_a: (blocks, s_a + 1), "blocks do not span"),
+    "p-sum": (_scaled("p", 1.5), "block probabilities sum to"),
+    "residual": (_scaled("evecs", -1.0), "reconstruction residual"),
+}
+
+
+class TestStackedAssembly:
+    @pytest.mark.parametrize("check", PLANTS)
+    def test_a_planted_row_fails_alone(self, check, monkeypatch):
+        # one row of a stacked group of twelve gets a block that fails one
+        # check; it alone returns NumericalDegeneracy, and every other row
+        # decomposes to the bytes of its one-row ki_decompose
+        plant, message = PLANTS[check]
+        want = recorded_digests()
+        (_, rank_rtol), items = max(reference_groups().items(), key=lambda item: len(item[1]))
+        assert len(items) == 12
+        real, planted = koashi_imoto._assemble, []
+
+        def planting(psi3, blocks, registers, s_a):
+            if not planted and len(blocks) >= 3:
+                blocks, s_a = list(blocks), list(s_a)
+                blocks[1], s_a[1] = plant(blocks[1], s_a[1])
+                planted.append(psi3[1].tobytes())
+            return real(psi3, blocks, registers, s_a)
+
+        monkeypatch.setattr(koashi_imoto, "_assemble", planting)
+        psi3 = np.array([x[1] for x in items])
+        decs = koashi_imoto.ki_rows(psi3, [x[2] for x in items], rank_rtol=rank_rtol)
+        (bad,) = [b for b, row in enumerate(psi3) if row.tobytes() in planted]
+        assert isinstance(decs[bad], NumericalDegeneracy)
+        assert str(decs[bad]).startswith(message)
+        for b, ((i, _, _), dec) in enumerate(zip(items, decs)):
+            if b != bad:
+                assert decomposition_digest(dec) == want[str(i)], i
+
+    def test_rows_that_merge_beside_rows_that_do_not(self):
+        # rows of one block shape, some whose two blocks share φ and are
+        # re-united, some whose R′ marginals differ: each row decomposes
+        # stacked to the bytes it decomposes to alone
+        def distinct_phi_state(seed):
+            rng = np.random.default_rng(3400 + seed)
+            blocks = [(0.6, (1.0,), random_phi(rng, 2, 2, 2)), (0.4, (1.0,), random_phi(rng, 2, 2, 2))]
+            return known_blocks_state(rng, 2, blocks)
+
+        states = [make(seed) for seed in range(3) for make in (equal_phi_state, distinct_phi_state)]
+        roles = {"R": ["R"], "A": ["A"], "B": ["B"]}
+        alone = [ki_decompose(psi, roles) for psi in states]
+        assert [len(dec.blocks) for dec in alone] == [1, 2] * 3
+        registers = [tuple(tuple(psi.register(x) for x in part) for part in "RAB") for psi in states]
+        psi3 = np.array([psi.normalized().amplitudes.reshape(psi.dims) for psi in states])
+        stacked = koashi_imoto.ki_rows(psi3, registers)
+        assert [decomposition_digest(dec) for dec in stacked] == [decomposition_digest(dec) for dec in alone]
 
 
 # -- the matmul kernels against np.einsum ----------------------------------------

@@ -32,7 +32,7 @@ from treecast.codes import (
     star4_code,
 )
 from treecast import merge_split, protocols
-from treecast.config import RANK_RTOL
+from treecast.config import PROB_TOL, RANK_RTOL
 from treecast.errors import (
     InputError,
     InsufficientResource,
@@ -427,27 +427,26 @@ class TestComparisonsAndSearch:
 
     def test_optimize_labeling_too_large(self, monkeypatch):
         # star:12 has 2^11 = 2,048 merged sets, past the bound of 1,024
-        stages = []
-        monkeypatch.setattr(protocols, "_concentrate_stage", lambda *args, **kwargs: stages.append(args))
+        builds = counted_builds(monkeypatch)
         with pytest.raises(TooLarge, match="2048 merged sets"):
             optimize_labeling(ghz_code(12), star_tree(12))
-        assert stages == []
+        assert builds == []
 
     def test_ties_break_on_exact_products(self, monkeypatch):
         # both labelings of star:3 cost K products of 15: (v1, v2, v3) pays
         # K(∅, v3) = 1 and K({v3}, v2) = 15, (v1, v3, v2) pays K(∅, v2) = 3
         # and K({v2}, v3) = 5.  Summed as floats, the second total is one ulp
         # below the first; on the exact products the first labeling wins
-        real = protocols._concentrate_stage
+        real = protocols._level_stages
         ks = {(0, "v3"): 1, (1, "v2"): 15, (0, "v2"): 3, (1, "v3"): 5}
 
-        def rewritten(live, tree, vertex, **kwargs):
-            stage = real(live, tree, vertex, **kwargs)
-            k = ks[len(live.paths[0]), vertex]
-            return dataclasses.replace(stage, edge=dataclasses.replace(stage.edge, k=k))
+        def rewritten(*args, **kwargs):
+            edges = real(*args, **kwargs)
+            return {merged: [dataclasses.replace(edge, k=ks[len(merged), edge.child]) for edge in stage_edges]
+                    for merged, stage_edges in edges.items()}
 
         assert math.log2(15) > math.log2(3) + math.log2(5)
-        monkeypatch.setattr(protocols, "_concentrate_stage", rewritten)
+        monkeypatch.setattr(protocols, "_level_stages", rewritten)
         best, report = optimize_labeling(ghz_code(3), star_tree(3))
         assert best == ("v1", "v2", "v3")
         assert report.by_child() == {"v2": 15, "v3": 1}
@@ -562,32 +561,25 @@ class TestSharedSuffixSearch:
             for i in range(1, len(cand)):
                 key = (frozenset(cand[i + 1 :]), cand[i])
                 fresh.setdefault(key, set()).add(report.cost_of(cand[i]))
-        real, built = protocols._concentrate_stage, {}
+        real, built = protocols._level_stages, {}
 
-        def recorded(live, tree, vertex, **kwargs):
-            stage = real(live, tree, vertex, **kwargs)
-            # a vertex that has merged holds no register any more
-            held = {r.owner for r in live.regs}
-            merged = frozenset(v for v in tree.vertices if v not in held)
-            built.setdefault((merged, vertex), set()).add(stage.edge.k)
-            return stage
+        def recorded(*args, **kwargs):
+            edges = real(*args, **kwargs)
+            for merged, stage_edges in edges.items():
+                for edge in stage_edges:
+                    built.setdefault((merged, edge.child), set()).add(edge.k)
+            return edges
 
-        monkeypatch.setattr(protocols, "_concentrate_stage", recorded)
+        monkeypatch.setattr(protocols, "_level_stages", recorded)
         optimize_labeling(code, tree, mode=kwargs.get("mode", "tight"))
         assert built == fresh
 
     def test_each_set_stage_is_built_once(self, monkeypatch):
-        # one stage per (set, vertex) key: a star with n − 1 leaves has
-        # (n − 1)·2^(n − 2) of them; each stage follows one branch, so it
-        # builds one merge protocol, and a level's are built in one call
-        real_stage = protocols._concentrate_stage
-        stages = []
-
-        def counting_stage(live, tree, vertex, *args, **kwargs):
-            stages.append(vertex)
-            return real_stage(live, tree, vertex, *args, **kwargs)
-
-        monkeypatch.setattr(protocols, "_concentrate_stage", counting_stage)
+        # one merge protocol per (set, vertex) key: a star with n − 1 leaves
+        # has (n − 1)·2^(n − 2) of them, and a level's are built in one call;
+        # no stage runs, and post rows are expanded once per merged set
+        # reached, for the 2^(n − 1) − 1 sets but ∅
+        stages, expansions = counted(monkeypatch, "_concentrate_stage"), counted(monkeypatch, "_merged_rows")
         builds = counted_builds(monkeypatch)
         calls, real_tight = [], protocols._tight_rows
 
@@ -597,21 +589,48 @@ class TestSharedSuffixSearch:
 
         monkeypatch.setattr(protocols, "_tight_rows", calling)
         optimize_labeling(five_qubit_code(), star_tree(5))
-        assert (len(stages), len(builds), calls) == (32, 32, [4, 12, 12, 4])
-        stages.clear()
+        assert (len(stages), len(expansions), len(builds), calls) == (0, 15, 32, [4, 12, 12, 4])
+        expansions.clear()
         builds.clear()
         optimize_labeling(ghz_code(6), star_tree(6))
-        assert (len(stages), len(builds)) == (80, 80)
+        assert (len(stages), len(expansions), len(builds)) == (0, 31, 80)
         builds.clear()
         reference_search(five_qubit_code(), star_tree(5))
         assert len(builds) == 360
 
+    @pytest.mark.parametrize("mode", ["tight", "fallback"])
+    def test_each_reached_set_carries_one_normalized_row(self, mode, monkeypatch):
+        # five_qubit on star:5 builds 32 protocols and carries 15 branches,
+        # one per merged set but ∅, each one row of norm 1 on its first
+        # kept outcome
+        builds = counted_builds(monkeypatch)
+        real, carried = protocols._carried, []
+
+        def carrying(proto, posts, branch):
+            row = real(proto, posts, branch)
+            carried.append((proto, branch, row))
+            return row
+
+        monkeypatch.setattr(protocols, "_carried", carrying)
+        code, tree = five_qubit_code(), star_tree(5)
+        optimize_labeling(code, tree, mode=mode)
+        assert len(builds) == 32
+        assert len(carried) == 15 == tree.count_merged_sets() - 1
+        assert len({frozenset(r.owner for r in row.regs) for *_, row in carried}) == 15
+        for proto, branch, row in carried:
+            assert (len(row.paths), row.probs.shape, row.amps.shape[0]) == (1, (1,), 1)
+            assert abs(np.linalg.norm(row.amps[0]) - 1.0) <= 1e-12
+            first = next(m for m, p in enumerate(proto.probs) if p >= PROB_TOL)
+            assert row.paths == [branch.paths[0] + (first,)]
+            assert row.probs[0] == pytest.approx(branch.probs[0] * proto.probs[first], rel=1e-12)
+
     def test_memory_is_bounded_by_two_adjacent_levels(self, monkeypatch):
         # the walk keeps one branch per merged set of the level it builds
-        # and of the next, a stage only while it is consumed, and nothing
-        # once it returns: star:5's levels hold 1, 4, 6, 4 and 1 sets
-        real = protocols._concentrate_stage
-        alive = {"stages": 0, "branches": 0}
+        # and of the next, and one stacked call's protocols while they are
+        # consumed, and nothing once it returns: star:5's levels hold 1, 4,
+        # 6, 4 and 1 sets, and its largest levels build 12 protocols in one
+        # call, built while the loop still holds the level before's last
+        alive = {"protocols": 0, "branches": 0}
         peak = dict(alive)
 
         def release(kind):
@@ -622,22 +641,23 @@ class TestSharedSuffixSearch:
             peak[kind] = max(peak[kind], alive[kind])
             weakref.finalize(obj, release, kind)
 
-        def tracked(*args, **kwargs):
-            stage = real(*args, **kwargs)
-            track("stages", stage)
-            return stage
+        def tracked(rows, **kwargs):
+            protos = tight(rows, **kwargs)
+            for proto in protos:
+                track("protocols", proto)
+            return protos
 
-        def taken(rows, picked):  # the branch a new set carries
-            branch = take(rows, picked)
+        def carried(*args):  # the branch a new set carries
+            branch = carry(*args)
             track("branches", branch.amps)
             return branch
 
-        take = protocols._Rows.take
-        monkeypatch.setattr(protocols, "_concentrate_stage", tracked)
-        monkeypatch.setattr(protocols._Rows, "take", taken)
+        tight, carry = protocols._tight_rows, protocols._carried
+        monkeypatch.setattr(protocols, "_tight_rows", tracked)
+        monkeypatch.setattr(protocols, "_carried", carried)
         optimize_labeling(five_qubit_code(), star_tree(5))
-        assert peak == {"stages": 2, "branches": 4 + 6}
-        assert alive == {"stages": 0, "branches": 0}
+        assert peak == {"protocols": 12 + 1, "branches": 4 + 6}
+        assert alive == {"protocols": 0, "branches": 0}
 
 
 ALL_SEARCH_INPUTS = {**SEARCH_INPUTS, **MORE_SEARCH_INPUTS}
@@ -647,27 +667,55 @@ class TestLevelWalk:
     @pytest.mark.parametrize("mode", ["tight", "fallback"])
     @pytest.mark.parametrize("name", ALL_SEARCH_INPUTS)
     def test_matches_the_depth_first_walk(self, name, mode, monkeypatch):
-        # the same labeling and report as the former depth-first walk, and
-        # every (set, vertex) stage built on the same branch bytes
+        # the same labeling and report as the former depth-first walk, every
+        # (set, vertex) protocol built on the same branch bytes, and every
+        # merged set but ∅ carrying the same branch: registers, path,
+        # probability and amplitude bytes
         code, tree = ALL_SEARCH_INPUTS[name]()
-        real = protocols._concentrate_stage
-        carried = []
+        builds, carried = [], []
 
-        def recording(live, tree, vertex, **kwargs):
-            held = {r.owner for r in live.regs}
-            merged = frozenset(v for v in tree.vertices if v not in held)
-            branch = (live.regs, live.paths, live.probs.tobytes(), live.amps.tobytes())
-            carried[-1].setdefault(merged, []).append((vertex, branch))
-            return real(live, tree, vertex, **kwargs)
+        def merged_set(regs):
+            held = {r.owner for r in regs}  # a vertex that has merged holds no register
+            return frozenset(v for v in tree.vertices if v not in held)
 
-        monkeypatch.setattr(protocols, "_concentrate_stage", recording)
+        def build_input(regs, amps, ids):
+            vertex = ids["a0_id"].split(":")[1]
+            builds[-1].setdefault((merged_set(regs), vertex), []).append((regs, amps.tobytes()))
+
+        def carry(branch):
+            assert merged_set(branch.regs) not in carried[-1]
+            carried[-1][merged_set(branch.regs)] = (branch.regs, branch.paths, branch.probs.tobytes(),
+                                                    branch.amps.tobytes())
+            return branch
+
+        real_tight, real_fallback = protocols._tight_rows, protocols._fallback_rows
+        real_carried, real_take = protocols._carried, protocols._Rows.take
+
+        def tight(rows, **kwargs):
+            for amps, regs, _, ids in rows:
+                build_input(regs, amps, ids)
+            return real_tight(rows, **kwargs)
+
+        def fallback(amps, regs, roles, **kwargs):
+            for row in amps:
+                build_input(regs, row, kwargs)
+            return real_fallback(amps, regs, roles, **kwargs)
+
+        monkeypatch.setattr(protocols, "_tight_rows", tight)
+        monkeypatch.setattr(protocols, "_fallback_rows", fallback)
+        # the search carries a set's branch through _carried, the
+        # depth-first walk through stage.live.take([0])
+        monkeypatch.setattr(protocols, "_carried", lambda *args: carry(real_carried(*args)))
+        monkeypatch.setattr(protocols._Rows, "take", lambda rows, picked: carry(real_take(rows, picked)))
         results = []
         for search in (optimize_labeling, oracles.depth_first_labeling):
+            builds.append({})
             carried.append({})
             results.append(search(code, tree, mode=mode))
         assert results[0] == results[1]
+        assert builds[0] == builds[1]
         assert carried[0] == carried[1]
-        assert len(carried[0]) == tree.count_merged_sets() - 1  # every set but the full one
+        assert len(carried[0]) == tree.count_merged_sets() - 1  # every set but ∅
 
     def test_first_failure_of_the_depth_first_order_is_raised(self, monkeypatch):
         # star:4 stages fail at (∅, v4) and at ({v2}, v3): the depth-first
@@ -725,6 +773,18 @@ EXHAUSTIVE = [
     for mode in ("tight", "fallback")
     if (name, mode) != ("five_qubit-line", "fallback")
 ]
+
+
+def counted(monkeypatch, name: str) -> list:
+    """The arguments of every call of ``protocols.<name>``, which still runs."""
+    real, calls = getattr(protocols, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, name, counting)
+    return calls
 
 
 def counted_builds(monkeypatch) -> list:
@@ -933,6 +993,20 @@ class TestSpreadingRows:
     def test_acceptance_corpus(self):
         for code, tree in acceptance_corpus():
             assert_same_spread(run_spreading(code, tree), run_spreading_per_outcome(code, tree))
+
+    def test_split_cost_is_the_protocol_rank(self):
+        # the frame-free rank of split_cost is the rank the split protocol
+        # builds its frame at, on every edge of these inputs
+        inputs = [(make_code(), make_tree()) for make_code, make_tree, _ in REPLAY_INPUTS.values()]
+        edges = 0
+        for code, tree in inputs + list(acceptance_corpus()):
+            psi = encoded_pair(code)
+            for _, child in tree.edges():
+                block = list(tree.subtree(child))
+                rank = build_split_protocol(psi, block, receiver=child, rank_rtol=RANK_RTOL).rank
+                assert merge_split.split_cost(psi, block, RANK_RTOL) == rank
+                edges += 1
+        assert edges >= 20
 
     def test_padded_edge(self):
         # K = 3 above v5's rank 2: the compression has a zero row

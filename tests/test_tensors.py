@@ -22,7 +22,9 @@ from treecast.tensors import (
     LinearMap,
     PureState,
     Register,
+    apply_event,
     apply_map,
+    apply_rows,
     max_entangled_pair,
     overlap,
     permute_registers,
@@ -314,3 +316,30 @@ def test_canonical_phase_pins_largest_entry():
     assert np.allclose(np.abs(w), np.abs(v))
     # idempotent and phase-invariant
     assert np.allclose(canonical_phase(v * np.exp(0.3j)), w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_resource_attach_is_the_pair_product_bit_for_bit(k):
+    # the stride-(K + 1) write gives the bytes of the product of the rows
+    # with Φ⁺_K's column, signed zeros included; the pair is appended last
+    rng = np.random.default_rng(k)
+    amps = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    flat = amps.reshape(-1)
+    flat.real[::3], flat.imag[1::4], flat[2::5] = -0.0, -0.0, complex(-0.0, -0.0)
+    rows = regs(("x", 4, "a"), ("y", 2, "b"))
+    a0, b0 = Register("a0", k, "a"), Register("b0", k, "b")
+    pair = max_entangled_pair(a0, b0)
+    want = apply_rows(amps, rows, (), pair.registers, pair.amplitudes[:, None])
+    event = {"type": "resource-consumed", "edge": ["b", "a"], "k": k, "a0": a0, "b0": b0}
+    got, got_regs, probs = apply_event(amps, rows, event)
+    assert (got_regs, probs) == (want[1], None)
+    same_bytes(got, want[0])
+
+
+def test_resource_attach_refuses_unequal_or_repeated_registers():
+    rows, amps = regs(("x", 2, "a")), np.ones((1, 2), dtype=complex)
+    event = {"type": "resource-consumed", "edge": ["b", "a"], "k": 2}
+    with pytest.raises(ShapeMismatch):
+        apply_event(amps, rows, event | {"a0": Register("a0", 2, "a"), "b0": Register("b0", 3, "b")})
+    with pytest.raises(DuplicateRegister):
+        apply_event(amps, rows, event | {"a0": Register("x", 2, "a"), "b0": Register("b0", 2, "b")})
